@@ -13,7 +13,7 @@ use rcalcite_core::error::{CalciteError, Result};
 use rcalcite_core::exec::{BatchIter, SlicedColumns};
 use rcalcite_core::index::{IndexData, IndexDef, IndexProbe, KeyAccess, SnapshotProbe};
 use rcalcite_core::stats::{analyze_columns, TableStats};
-use rcalcite_core::txn::{apply_ops_to_rows, DeltaOp, TxnVersion};
+use rcalcite_core::txn::{DeltaOp, NetDelta, TxnVersion};
 use rcalcite_core::types::TypeKind;
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -23,8 +23,9 @@ use std::sync::Arc;
 pub struct MemRelation {
     pub columns: Vec<(String, TypeKind)>,
     pub rows: Vec<Row>,
-    /// Stable row ids, parallel to `rows` — inside the copy-on-write
-    /// struct, so a relation snapshot pins rows and ids together. The
+    /// Stable row ids, parallel to `rows` and strictly ascending — inside
+    /// the copy-on-write struct, so a relation snapshot pins rows and ids
+    /// together, and an id resolves to its position by binary search. The
     /// id counter lives on [`MemDb`] (outside the snapshot), so
     /// reservations never clone the relation.
     row_ids: Vec<u64>,
@@ -201,6 +202,10 @@ impl TxnVersion for RelVersion {
         self.0.row_ids[pos]
     }
 
+    fn position_of(&self, row_id: u64) -> Option<usize> {
+        self.0.row_ids.binary_search(&row_id).ok()
+    }
+
     fn index_defs(&self) -> Vec<IndexDef> {
         self.0.index_defs()
     }
@@ -298,38 +303,59 @@ impl MemDb {
         Ok(Arc::new(RelVersion(rel)))
     }
 
-    /// Applies a committed MVCC delta under the copy-on-write swap:
-    /// open snapshots keep the pre-delta relation, indexes are
-    /// maintained incrementally, and the columnar mirror is rebuilt
-    /// from the surviving rows.
+    /// Applies a committed MVCC delta under the copy-on-write swap: open
+    /// snapshots keep the pre-delta relation, and rows, the columnar
+    /// mirror and the indexes are all patched in place at the touched
+    /// positions — O(|delta| · log n), plus one compaction pass per
+    /// dense array when the delta deletes. The stream is validated whole
+    /// first: a bad op changes nothing, the data version included.
     pub fn apply_delta(&self, table: &str, ops: &[DeltaOp]) -> Result<usize> {
         let mut tables = self.tables.write();
         let rel = tables
             .get_mut(&table.to_ascii_lowercase())
             .ok_or_else(|| CalciteError::execution(format!("memdb: no table '{table}'")))?;
-        let rel = Arc::make_mut(rel);
-        let arity = rel.columns.len();
-        let outcome = apply_ops_to_rows(&mut rel.rows, &mut rel.row_ids, ops, arity)?;
+        let mut net = NetDelta::default();
+        net.fold(
+            |id| rel.row_ids.binary_search(&id).ok(),
+            ops,
+            rel.columns.len(),
+        )?;
+        let MemRelation {
+            columns,
+            rows,
+            row_ids,
+            col_store,
+            indexes,
+        } = Arc::make_mut(rel);
+        let rekeyed: Vec<Vec<usize>> = indexes
+            .iter_mut()
+            .map(|idx| IndexData::unlink(idx, &ColAccess(col_store), &net))
+            .collect();
+        let outcome = net.apply(rows, row_ids);
         if let Some(max_id) = outcome.max_inserted_id {
             let mut ids = self.next_ids.lock();
             let next = ids.entry(table.to_ascii_lowercase()).or_default();
             *next = (*next).max(max_id + 1);
         }
-        rel.col_store = rel
-            .columns
+        // The mirror follows the rows: same three steps, same order.
+        let rewritten: Vec<(usize, &Row)> = outcome
+            .rewritten
             .iter()
-            .enumerate()
-            .map(|(i, (_, kind))| Column::from_rows(kind, &rel.rows, i))
+            .map(|&pos| (pos, &rows[outcome.final_pos(pos)]))
             .collect();
-        let MemRelation {
-            col_store, indexes, ..
-        } = rel;
-        let access = ColAccess(col_store);
-        for idx in indexes.iter_mut() {
-            Arc::make_mut(idx).apply_delta(&access, &outcome.remap, &outcome.reinserted);
+        for (c, col) in col_store.iter_mut().enumerate() {
+            for (pos, row) in &rewritten {
+                col.set(*pos, row[c].clone());
+            }
+            col.remove_sorted(&outcome.deleted);
+            let added = outcome.inserted.iter().map(|&pos| rows[pos][c].clone());
+            col.insert_sorted(&outcome.inserted, Column::from_datums(&columns[c].1, added));
+        }
+        for (idx, rekeyed) in indexes.iter_mut().zip(&rekeyed) {
+            IndexData::relink(idx, &ColAccess(col_store), &outcome, rekeyed);
         }
         self.bump_version(table);
-        Ok(outcome.applied)
+        Ok(ops.len())
     }
 
     /// Reserves `n` consecutive row ids for `table`, returning the first.

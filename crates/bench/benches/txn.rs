@@ -1,7 +1,9 @@
 //! Transaction-path benches on a 10 k-row indexed table: a mixed
 //! read/write workload (4 point SELECTs per single-row UPDATE) with and
 //! without a write-ahead log attached, explicit-transaction batch
-//! commits, and the snapshot overhead of a read-only transaction.
+//! commits, and the snapshot overhead of a read-only transaction — plus
+//! `commit_scaling`, the guard that a single-row write costs the same at
+//! 1 M rows as at 10 k.
 //!
 //! Before timing, the workload is cross-checked: the WAL and no-WAL
 //! connections must reach identical table states, the UPDATE must locate
@@ -17,11 +19,15 @@ use rcalcite_sql::Connection;
 use std::cell::Cell;
 use std::hint::black_box;
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 const ROWS: i64 = 10_000;
 
 fn catalog() -> Arc<Catalog> {
+    catalog_of(ROWS)
+}
+
+fn catalog_of(rows: i64) -> Arc<Catalog> {
     let catalog = Catalog::new();
     let s = Schema::new();
     s.add_table(
@@ -31,7 +37,7 @@ fn catalog() -> Arc<Catalog> {
                 .add_not_null("id", TypeKind::Integer)
                 .add_not_null("balance", TypeKind::Integer)
                 .build(),
-            (0..ROWS)
+            (0..rows)
                 .map(|i| vec![Datum::Int(i), Datum::Int(i % 1000)])
                 .collect(),
         ),
@@ -169,5 +175,168 @@ fn bench_txn(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_txn);
+/// The four single-row write shapes `commit_scaling` times, each its
+/// own statement stream over a table of `n` rows: autocommit UPDATE /
+/// INSERT / DELETE, and the second UPDATE of an explicit transaction
+/// (the statement that reads through the transaction's own write).
+struct WriteShapes {
+    conn: Connection,
+    n: i64,
+    step: Cell<i64>,
+}
+
+impl WriteShapes {
+    fn new(n: i64) -> WriteShapes {
+        WriteShapes {
+            conn: indexed_conn(catalog_of(n)),
+            n,
+            step: Cell::new(0),
+        }
+    }
+
+    fn next(&self) -> i64 {
+        let i = self.step.get();
+        self.step.set(i + 1);
+        i
+    }
+
+    fn run(&self, sql: &str) {
+        black_box(self.conn.query(sql).unwrap());
+    }
+
+    fn update(&self) {
+        let id = (self.next() * 7919) % self.n;
+        self.run(&format!(
+            "UPDATE accounts SET balance = balance + 1 WHERE id = {id}"
+        ));
+    }
+
+    fn insert(&self) {
+        let id = self.n + self.next();
+        self.run(&format!("INSERT INTO accounts VALUES ({id}, 0)"));
+    }
+
+    /// Deletes walk up from the middle of the table: every one compacts
+    /// half of each dense array.
+    fn delete(&self) {
+        let id = self.n / 2 + self.next();
+        self.run(&format!("DELETE FROM accounts WHERE id = {id}"));
+    }
+
+    /// BEGIN, two UPDATEs, COMMIT; returns the time of the second UPDATE.
+    fn txn_second_update(&self) -> Duration {
+        let i = self.next();
+        let (a, b) = ((i * 7919) % self.n, (i * 104_729 + 1) % self.n);
+        self.run("BEGIN");
+        self.run(&format!(
+            "UPDATE accounts SET balance = balance + 1 WHERE id = {a}"
+        ));
+        let t0 = Instant::now();
+        self.run(&format!(
+            "UPDATE accounts SET balance = balance - 1 WHERE id = {b}"
+        ));
+        let dt = t0.elapsed();
+        self.run("COMMIT");
+        dt
+    }
+
+    fn count_and_sum(&self) -> Vec<Vec<Datum>> {
+        self.conn
+            .query("SELECT COUNT(*) AS c, SUM(balance) AS s FROM accounts")
+            .unwrap()
+            .rows
+    }
+}
+
+/// Median wall time of `reps` runs of `f`.
+fn median_of(reps: usize, mut f: impl FnMut() -> Duration) -> Duration {
+    let mut samples: Vec<Duration> = (0..reps).map(|_| f()).collect();
+    samples.sort();
+    samples[reps / 2]
+}
+
+fn timed(f: impl FnOnce()) -> Duration {
+    let t0 = Instant::now();
+    f();
+    t0.elapsed()
+}
+
+fn bench_commit_scaling(c: &mut Criterion) {
+    const SMALL: i64 = 10_000;
+    const LARGE: i64 = 1_000_000;
+    const REPS: usize = 101;
+    let small = WriteShapes::new(SMALL);
+    let large = WriteShapes::new(LARGE);
+
+    // Cross-checks: every shape seeks, and a round of each leaves the
+    // count and sum its statements imply, at both sizes.
+    for shapes in [&small, &large] {
+        for sql in [
+            "EXPLAIN UPDATE accounts SET balance = balance + 1 WHERE id = 7",
+            "EXPLAIN DELETE FROM accounts WHERE id = 7",
+        ] {
+            let plan = format!("{:?}", shapes.conn.query(sql).unwrap().rows);
+            assert!(plan.contains("IndexSeek"), "{sql} must seek: {plan}");
+        }
+        let before = shapes.count_and_sum();
+        let (count, sum) = (
+            before[0][0].as_int().unwrap(),
+            before[0][1].as_int().unwrap(),
+        );
+        shapes.update(); // +1
+        shapes.insert(); // +1 row, balance 0
+        let deleted = (shapes.n / 2 + shapes.step.get()) % 1000; // balance of the row deleted next
+        shapes.delete();
+        shapes.txn_second_update(); // +1 -1
+        assert_eq!(
+            shapes.count_and_sum(),
+            vec![vec![Datum::Int(count), Datum::Int(sum + 1 - deleted)]],
+            "{} rows",
+            shapes.n
+        );
+    }
+
+    // The guard: 100× the rows may cost a single-row UPDATE, INSERT or
+    // in-transaction second UPDATE at most 3× (they touch O(log n) of
+    // the table), and a DELETE — one compaction pass per dense array —
+    // at most 20×.
+    let ratio = |what: &str, limit: f64, f: &dyn Fn(&WriteShapes) -> Duration| {
+        // Interleave the sizes so a noisy stretch hits both.
+        let (mut a, mut b) = (vec![], vec![]);
+        for _ in 0..REPS {
+            a.push(f(&small));
+            b.push(f(&large));
+        }
+        let (a, b) = (
+            median_of(REPS, || a.pop().unwrap()),
+            median_of(REPS, || b.pop().unwrap()),
+        );
+        let r = b.as_secs_f64() / a.as_secs_f64();
+        eprintln!("commit_scaling/{what}: {a:?} at {SMALL} rows, {b:?} at {LARGE} rows ({r:.2}x)");
+        assert!(
+            r <= limit,
+            "{what}: {b:?} at {LARGE} rows vs {a:?} at {SMALL} rows is {r:.1}×, limit {limit}×"
+        );
+    };
+    ratio("update", 3.0, &|s| timed(|| s.update()));
+    ratio("insert", 3.0, &|s| timed(|| s.insert()));
+    ratio("txn_second_update", 3.0, &|s| s.txn_second_update());
+    ratio("delete", 20.0, &|s| timed(|| s.delete()));
+
+    let mut group = c.benchmark_group("commit_scaling");
+    group
+        .sample_size(10)
+        .measurement_time(Duration::from_secs(3));
+    for (shapes, n) in [(&small, SMALL), (&large, LARGE)] {
+        group.bench_function(format!("update/{n}"), |b| b.iter(|| shapes.update()));
+        group.bench_function(format!("insert/{n}"), |b| b.iter(|| shapes.insert()));
+        group.bench_function(format!("delete/{n}"), |b| b.iter(|| shapes.delete()));
+        group.bench_function(format!("txn_2_updates/{n}"), |b| {
+            b.iter(|| shapes.txn_second_update())
+        });
+    }
+    group.finish();
+}
+
+criterion_group!(benches, bench_txn, bench_commit_scaling);
 criterion_main!(benches);

@@ -376,7 +376,9 @@ pub struct MemTable {
     rows: RwLock<Arc<Vec<Row>>>,
     /// Stable row ids, parallel to `rows` (same copy-on-write swap, same
     /// lock order: rows, then ids, then indexes). Assigned at insert,
-    /// never reused — the addressing MVCC deltas and the WAL use.
+    /// never reused — the addressing MVCC deltas and the WAL use. Kept
+    /// strictly ascending (a delta inserts at the id's sorted slot), so
+    /// a row id resolves to its position by binary search.
     row_ids: RwLock<Arc<Vec<u64>>>,
     next_row_id: std::sync::atomic::AtomicU64,
     statistic: RwLock<Option<Statistic>>,
@@ -576,26 +578,39 @@ impl Table for MemTable {
     }
 
     fn apply_delta(&self, ops: &[crate::txn::DeltaOp]) -> Result<usize> {
+        let arity = self.row_type.arity();
         let mut rows_guard = self.rows.write();
-        self.version
-            .fetch_add(1, std::sync::atomic::Ordering::SeqCst);
         let mut ids_guard = self.row_ids.write();
         let mut idx_guard = self.indexes.write();
+        // Validate the whole stream before the first mutation (and before
+        // un-sharing anything from open snapshots): a bad op leaves rows,
+        // ids, indexes and the data version exactly as they were.
+        let mut net = crate::txn::NetDelta::default();
+        net.fold(|id| ids_guard.binary_search(&id).ok(), ops, arity)?;
+        let old = RowsRef {
+            rows: rows_guard.as_slice(),
+            arity,
+        };
+        let rekeyed: Vec<Vec<usize>> = idx_guard
+            .iter_mut()
+            .map(|idx| IndexData::unlink(idx, &old, &net))
+            .collect();
         let rows = Arc::make_mut(&mut rows_guard);
-        let ids = Arc::make_mut(&mut ids_guard);
-        let outcome = crate::txn::apply_ops_to_rows(rows, ids, ops, self.row_type.arity())?;
+        let outcome = net.apply(rows, Arc::make_mut(&mut ids_guard));
         if let Some(max_id) = outcome.max_inserted_id {
             self.next_row_id
                 .fetch_max(max_id + 1, std::sync::atomic::Ordering::SeqCst);
         }
-        let access = RowsRef {
+        let new = RowsRef {
             rows: rows.as_slice(),
-            arity: self.row_type.arity(),
+            arity,
         };
-        for idx in idx_guard.iter_mut() {
-            Arc::make_mut(idx).apply_delta(&access, &outcome.remap, &outcome.reinserted);
+        for (idx, rekeyed) in idx_guard.iter_mut().zip(&rekeyed) {
+            IndexData::relink(idx, &new, &outcome, rekeyed);
         }
-        Ok(outcome.applied)
+        self.version
+            .fetch_add(1, std::sync::atomic::Ordering::SeqCst);
+        Ok(ops.len())
     }
 
     fn reserve_row_ids(&self, n: usize) -> Result<u64> {
@@ -629,6 +644,10 @@ impl crate::txn::TxnVersion for MemTableVersion {
 
     fn row_id(&self, pos: usize) -> u64 {
         self.ids[pos]
+    }
+
+    fn position_of(&self, row_id: u64) -> Option<usize> {
+        self.ids.binary_search(&row_id).ok()
     }
 
     fn index_defs(&self) -> Vec<IndexDef> {

@@ -23,8 +23,9 @@ pub trait ExtValue: fmt::Debug + fmt::Display + Send + Sync {
 
 /// A single SQL value. `Null` is typed dynamically: the static type lives
 /// in the enclosing expression.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub enum Datum {
+    #[default]
     Null,
     Bool(bool),
     Int(i64),
@@ -290,6 +291,56 @@ impl fmt::Display for Datum {
 // ---------------------------------------------------------------------
 // Columnar representation
 // ---------------------------------------------------------------------
+
+/// Removes the elements at `positions` (ascending), touching only the
+/// suffix that starts at the first of them. A handful of positions —
+/// the single-row DELETE — close their gaps by rotating each surviving
+/// run down at memmove speed; rotation re-moves the removed elements
+/// once per run, so past `k² > suffix` a one-pass swap compaction takes
+/// over. O(suffix) either way.
+pub fn remove_sorted<T>(v: &mut Vec<T>, positions: &[usize]) {
+    let Some(&first) = positions.first() else {
+        return;
+    };
+    let mut write = first;
+    if positions.len() * positions.len() <= v.len() - first {
+        for (k, &pos) in positions.iter().enumerate() {
+            // `v[write..=pos]` holds the k + 1 removed so far.
+            let run_end = positions.get(k + 1).copied().unwrap_or(v.len());
+            v[write..run_end].rotate_left(k + 1);
+            write += run_end - (pos + 1);
+        }
+    } else {
+        let mut next = 0;
+        for read in first..v.len() {
+            if positions.get(next) == Some(&read) {
+                next += 1;
+            } else {
+                v.swap(write, read);
+                write += 1;
+            }
+        }
+    }
+    v.truncate(write);
+}
+
+/// Inserts `items` so that `items[k]` ends up at `at[k]` (ascending final
+/// positions), shifting the suffix above the first slot once —
+/// back to front, so a tail insert moves nothing.
+pub fn insert_sorted<T: Default>(v: &mut Vec<T>, at: &[usize], items: Vec<T>) {
+    let mut read = v.len();
+    v.resize_with(read + items.len(), T::default);
+    let mut write = v.len();
+    for (&slot, item) in at.iter().zip(items).rev() {
+        while write - 1 > slot {
+            write -= 1;
+            read -= 1;
+            v.swap(write, read);
+        }
+        write -= 1;
+        v[write] = item;
+    }
+}
 
 /// One field of a batch of rows as a typed vector. This is the unit the
 /// vectorized execution path operates on: kernels loop over the raw
@@ -589,6 +640,109 @@ impl Column {
         }
     }
 
+    /// Overwrites row `i` (demoting to `Generic` when `d` does not fit the
+    /// typed variant, like [`Column::push`]).
+    pub fn set(&mut self, i: usize, d: Datum) {
+        match (&mut *self, d) {
+            (Column::Int { values, valid }, Datum::Int(x)) => (values[i], valid[i]) = (x, true),
+            (Column::Double { values, valid }, Datum::Double(x)) => {
+                (values[i], valid[i]) = (x, true)
+            }
+            (Column::Bool { values, valid }, Datum::Bool(x)) => (values[i], valid[i]) = (x, true),
+            (Column::Str { values, valid }, Datum::Str(x)) => (values[i], valid[i]) = (x, true),
+            (Column::Generic(v), d) => v[i] = d,
+            (
+                Column::Int { valid, .. }
+                | Column::Double { valid, .. }
+                | Column::Bool { valid, .. }
+                | Column::Str { valid, .. },
+                Datum::Null,
+            ) => valid[i] = false,
+            (_, d) => {
+                self.demote_to_generic();
+                self.set(i, d);
+            }
+        }
+    }
+
+    /// Removes the rows at `positions` (ascending) in one compaction pass.
+    pub fn remove_sorted(&mut self, positions: &[usize]) {
+        match self {
+            Column::Int { values, valid } => {
+                remove_sorted(values, positions);
+                remove_sorted(valid, positions);
+            }
+            Column::Double { values, valid } => {
+                remove_sorted(values, positions);
+                remove_sorted(valid, positions);
+            }
+            Column::Bool { values, valid } => {
+                remove_sorted(values, positions);
+                remove_sorted(valid, positions);
+            }
+            Column::Str { values, valid } => {
+                remove_sorted(values, positions);
+                remove_sorted(valid, positions);
+            }
+            Column::Generic(v) => remove_sorted(v, positions),
+        }
+    }
+
+    /// Inserts the rows of `other` so that row `k` lands at `at[k]`
+    /// (ascending final positions); demotes to `Generic` on a
+    /// representation mismatch, like [`Column::append`].
+    pub fn insert_sorted(&mut self, at: &[usize], other: Column) {
+        match (&mut *self, other) {
+            (
+                Column::Int { values, valid },
+                Column::Int {
+                    values: v2,
+                    valid: n2,
+                },
+            ) => {
+                insert_sorted(values, at, v2);
+                insert_sorted(valid, at, n2);
+            }
+            (
+                Column::Double { values, valid },
+                Column::Double {
+                    values: v2,
+                    valid: n2,
+                },
+            ) => {
+                insert_sorted(values, at, v2);
+                insert_sorted(valid, at, n2);
+            }
+            (
+                Column::Bool { values, valid },
+                Column::Bool {
+                    values: v2,
+                    valid: n2,
+                },
+            ) => {
+                insert_sorted(values, at, v2);
+                insert_sorted(valid, at, n2);
+            }
+            (
+                Column::Str { values, valid },
+                Column::Str {
+                    values: v2,
+                    valid: n2,
+                },
+            ) => {
+                insert_sorted(values, at, v2);
+                insert_sorted(valid, at, n2);
+            }
+            (_, other) => {
+                self.demote_to_generic();
+                let Column::Generic(v) = self else {
+                    unreachable!("just demoted")
+                };
+                insert_sorted(v, at, other.to_datums());
+            }
+        }
+    }
+
     /// A column of `n` copies of `d`.
     pub fn repeat(d: &Datum, n: usize) -> Column {
         match d {
@@ -810,6 +964,65 @@ mod tests {
             assert_eq!(col.to_datums(), datums, "kind {kind:?}");
             assert!(col.is_null(1));
         }
+    }
+
+    /// `remove_sorted` / `insert_sorted` against the obvious loops, on
+    /// both sides of the rotate-vs-swap switch, for vectors and columns.
+    #[test]
+    fn sorted_removal_and_insertion_match_naive() {
+        let base: Vec<i64> = (0..40).collect();
+        for positions in [
+            vec![],
+            vec![39],
+            vec![0],
+            vec![17],
+            vec![3, 4, 30],
+            vec![0, 1, 2, 3, 20, 21, 22, 38, 39],
+            (0..40).step_by(2).collect(),
+            (0..40).collect(),
+        ] {
+            let mut naive = base.clone();
+            for p in positions.iter().rev() {
+                naive.remove(*p);
+            }
+            let mut v = base.clone();
+            remove_sorted(&mut v, &positions);
+            assert_eq!(v, naive, "remove {positions:?}");
+            let mut col =
+                Column::from_datums(&TypeKind::Integer, base.iter().map(|x| Datum::Int(*x)));
+            col.remove_sorted(&positions);
+            assert_eq!(
+                col.to_datums(),
+                naive.iter().map(|x| Datum::Int(*x)).collect::<Vec<_>>()
+            );
+
+            // Putting the removed elements back restores the original.
+            let items: Vec<i64> = positions.iter().map(|p| base[*p]).collect();
+            insert_sorted(&mut v, &positions, items.clone());
+            assert_eq!(v, base, "insert {positions:?}");
+            let back = Column::from_datums(&TypeKind::Integer, items.into_iter().map(Datum::Int));
+            col.insert_sorted(&positions, back);
+            assert_eq!(col.len(), base.len());
+            assert_eq!(col.get(17), Datum::Int(17));
+        }
+    }
+
+    #[test]
+    fn column_set_and_insert_demote_on_mismatch() {
+        let mut c = Column::from_datums(&TypeKind::Integer, [Datum::Int(1), Datum::Int(2)]);
+        c.set(0, Datum::Null);
+        c.set(1, Datum::Int(9));
+        assert!(matches!(c, Column::Int { .. }));
+        assert_eq!(c.to_datums(), vec![Datum::Null, Datum::Int(9)]);
+        c.set(0, Datum::str("x"));
+        assert!(matches!(c, Column::Generic(_)));
+        assert_eq!(c.to_datums(), vec![Datum::str("x"), Datum::Int(9)]);
+        let mut c = Column::from_datums(&TypeKind::Integer, [Datum::Int(1)]);
+        c.insert_sorted(
+            &[0],
+            Column::from_datums(&TypeKind::Varchar, [Datum::str("y")]),
+        );
+        assert_eq!(c.to_datums(), vec![Datum::str("y"), Datum::Int(1)]);
     }
 
     #[test]

@@ -12,21 +12,25 @@
 //! reclaimed by refcount.
 //!
 //! Writes are private until COMMIT: a [`Transaction`] stages [`DeltaOp`]s
-//! in a per-table workspace; an overlay materialized lazily on the first
-//! read-after-write lets the transaction read its own writes, while
-//! write-only transactions (every autocommit DML statement) never pay
-//! the O(table) copy. COMMIT, under the manager's global
+//! in a per-table workspace and folds them into a [`NetDelta`] — the net
+//! effect on the BEGIN-time version — which [`ReadView`] lays over that
+//! version so the transaction reads its own writes without ever copying
+//! the table. COMMIT, under the manager's global
 //! commit lock, (1) appends the whole transaction to the WAL, (2) runs the
 //! first-committer-wins check — any transaction that committed after this
 //! one began and wrote an overlapping row id aborts this one with a
 //! retryable [`CalciteError::TxnConflict`] — then (3) logs `Commit`,
 //! syncs, and applies the deltas onto the *current* table state, so
 //! non-overlapping concurrent committers merge instead of clobbering.
+//!
+//! Every in-memory step costs O(|delta| · log n), not O(table): stores
+//! keep their row ids strictly ascending, so a row id resolves to its
+//! position by binary search on every path (staging, commit, WAL replay).
 
 use crate::catalog::{Statistic, Table, TableRef};
-use crate::datum::{Column, Row};
+use crate::datum::{insert_sorted, remove_sorted, Column, Row};
 use crate::error::{CalciteError, Result};
-use crate::index::{IndexDef, IndexProbe};
+use crate::index::{BoundProbe, IndexDef, IndexProbe, RowsRef};
 use crate::types::RowType;
 use crate::wal::{WalRecord, WalWriter};
 use parking_lot::Mutex;
@@ -65,222 +69,192 @@ impl DeltaOp {
     }
 }
 
-/// Applies `ops` in order to a row store (`rows` + parallel `ids`),
-/// validating arity, and reports how positions moved so secondary indexes
-/// can be maintained incrementally instead of rebuilt.
-pub fn apply_ops_to_rows(
-    rows: &mut Vec<Row>,
-    ids: &mut Vec<u64>,
-    ops: &[DeltaOp],
-    arity: usize,
-) -> Result<DeltaOutcome> {
-    if !ops.iter().any(|op| matches!(op, DeltaOp::Delete { .. })) {
-        return apply_ops_without_deletes(rows, ids, ops, arity);
-    }
-    let old_len = rows.len();
-    // Tombstone slots keep positions stable while ops are applied in
-    // sequence (an op stream may update then delete the same row).
-    struct Slot {
-        id: u64,
-        row: Row,
-        origin: Option<usize>,
-        touched: bool,
-    }
-    let mut slots: Vec<Option<Slot>> = std::mem::take(rows)
-        .into_iter()
-        .zip(ids.iter().copied())
-        .enumerate()
-        .map(|(pos, (row, id))| {
-            Some(Slot {
-                id,
-                row,
-                origin: Some(pos),
-                touched: false,
-            })
-        })
-        .collect();
-    let mut by_id: HashMap<u64, usize> = slots
-        .iter()
-        .enumerate()
-        .map(|(i, s)| (s.as_ref().unwrap().id, i))
-        .collect();
-    let mut max_inserted = None;
-    for op in ops {
-        match op {
-            DeltaOp::Insert { row_id, row } => {
-                if row.len() != arity {
-                    return Err(CalciteError::execution(format!(
-                        "insert arity mismatch: row has {} values, table has {arity} columns",
-                        row.len()
-                    )));
-                }
-                if by_id.contains_key(row_id) {
-                    return Err(CalciteError::internal(format!(
-                        "duplicate row id {row_id} in insert"
-                    )));
-                }
-                by_id.insert(*row_id, slots.len());
-                slots.push(Some(Slot {
-                    id: *row_id,
-                    row: row.clone(),
-                    origin: None,
-                    touched: true,
-                }));
-                max_inserted = Some(max_inserted.map_or(*row_id, |m: u64| m.max(*row_id)));
-            }
-            DeltaOp::Update { row_id, row } => {
-                if row.len() != arity {
-                    return Err(CalciteError::execution(format!(
-                        "update arity mismatch: row has {} values, table has {arity} columns",
-                        row.len()
-                    )));
-                }
-                let slot = by_id
-                    .get(row_id)
-                    .and_then(|i| slots[*i].as_mut())
-                    .ok_or_else(|| {
-                        CalciteError::internal(format!("update of unknown row id {row_id}"))
-                    })?;
-                slot.row = row.clone();
-                slot.touched = true;
-            }
-            DeltaOp::Delete { row_id } => {
-                let i = by_id.remove(row_id).ok_or_else(|| {
-                    CalciteError::internal(format!("delete of unknown row id {row_id}"))
-                })?;
-                slots[i] = None;
-            }
-        }
-    }
-    let mut remap = vec![None; old_len];
-    let mut reinserted = Vec::new();
-    for slot in slots.into_iter().flatten() {
-        let new_pos = rows.len();
-        if let Some(old_pos) = slot.origin {
-            remap[old_pos] = Some(new_pos);
-        }
-        if slot.touched {
-            reinserted.push(new_pos);
-        }
-        rows.push(slot.row);
-        ids.push(slot.id);
-    }
-    ids.drain(..old_len);
-    Ok(DeltaOutcome {
-        remap,
-        reinserted,
-        applied: ops.len(),
-        max_inserted_id: max_inserted,
-    })
+/// The net effect of an op stream on one version of a table ("base"):
+/// which base rows end up rewritten or deleted, and which new rows end
+/// up inserted. Folding validates every op against the base and the ops
+/// before it *without touching the store*, so a stream with a bad op is
+/// rejected whole. Size is O(|ops|) — nothing here is table-length.
+///
+/// The same structure is the commit path's plan ([`NetDelta::apply`]) and
+/// a transaction's read-your-writes overlay ([`ReadView`]).
+#[derive(Debug, Clone, Default)]
+pub struct NetDelta {
+    /// Base position → the row's final content, `None` if deleted.
+    base: BTreeMap<usize, Option<Row>>,
+    /// Rows the stream inserted, ascending by id; `None` marks one the
+    /// stream deleted again (ids are never reused, and keeping the slot
+    /// keeps the overlay positions of later inserts stable).
+    inserted: Vec<(u64, Option<Row>)>,
+    base_deleted: usize,
+    inserted_live: usize,
 }
 
-/// Delete-free fast path for [`apply_ops_to_rows`]: without deletes,
-/// positions are stable, so updates land in place and inserts append —
-/// no tombstone-slot rebuild of the whole store. Update targets resolve
-/// through an in-order merge over `ids` (the ops of one DML statement
-/// address ascending positions), falling back to a full id → position
-/// map for out-of-order streams; insert-bearing streams build the map up
-/// front for the duplicate-id check. O(|ops|) row moves either way.
-fn apply_ops_without_deletes(
-    rows: &mut Vec<Row>,
-    ids: &mut Vec<u64>,
-    ops: &[DeltaOp],
-    arity: usize,
-) -> Result<DeltaOutcome> {
-    let old_len = rows.len();
-    fn build_map(ids: &[u64]) -> HashMap<u64, usize> {
-        ids.iter()
-            .copied()
-            .enumerate()
-            .map(|(p, id)| (id, p))
-            .collect()
-    }
-    let mut by_id: Option<HashMap<u64, usize>> = ops
-        .iter()
-        .any(|op| matches!(op, DeltaOp::Insert { .. }))
-        .then(|| build_map(ids));
-    let mut cursor = 0usize;
-    let mut touched = Vec::with_capacity(ops.len());
-    let mut max_inserted = None;
-    for op in ops {
-        match op {
-            DeltaOp::Insert { row_id, row } => {
+impl NetDelta {
+    /// Folds `ops`, in order, into the net effect. `position_of` resolves
+    /// a row id to its base position (a binary search over the store's
+    /// ascending ids). On error `self` is half-folded and must be
+    /// discarded; the store was never touched.
+    pub fn fold(
+        &mut self,
+        position_of: impl Fn(u64) -> Option<usize>,
+        ops: &[DeltaOp],
+        arity: usize,
+    ) -> Result<()> {
+        let unknown =
+            |what: &str, id: u64| CalciteError::internal(format!("{what} of unknown row id {id}"));
+        for op in ops {
+            if let DeltaOp::Insert { row, .. } | DeltaOp::Update { row, .. } = op {
                 if row.len() != arity {
                     return Err(CalciteError::execution(format!(
-                        "insert arity mismatch: row has {} values, table has {arity} columns",
+                        "write arity mismatch: row has {} values, table has {arity} columns",
                         row.len()
                     )));
                 }
-                let map = by_id.as_mut().expect("map built for insert-bearing stream");
-                if map.insert(*row_id, rows.len()).is_some() {
-                    return Err(CalciteError::internal(format!(
-                        "duplicate row id {row_id} in insert"
-                    )));
-                }
-                touched.push(rows.len());
-                rows.push(row.clone());
-                ids.push(*row_id);
-                max_inserted = Some(max_inserted.map_or(*row_id, |m: u64| m.max(*row_id)));
             }
-            DeltaOp::Update { row_id, row } => {
-                if row.len() != arity {
-                    return Err(CalciteError::execution(format!(
-                        "update arity mismatch: row has {} values, table has {arity} columns",
-                        row.len()
-                    )));
+            let id = op.row_id();
+            let staged = self.inserted.binary_search_by_key(&id, |(i, _)| *i);
+            match op {
+                DeltaOp::Insert { row, .. } => match staged {
+                    Err(at) if position_of(id).is_none() => {
+                        self.inserted.insert(at, (id, Some(row.clone())));
+                        self.inserted_live += 1;
+                    }
+                    _ => {
+                        return Err(CalciteError::internal(format!(
+                            "duplicate row id {id} in insert"
+                        )))
+                    }
+                },
+                DeltaOp::Update { row, .. } => {
+                    let slot = match staged {
+                        Ok(at) => &mut self.inserted[at].1,
+                        Err(_) => {
+                            let pos = position_of(id).ok_or_else(|| unknown("update", id))?;
+                            self.base.entry(pos).or_insert_with(|| Some(vec![]))
+                        }
+                    };
+                    match slot {
+                        Some(current) => *current = row.clone(),
+                        None => return Err(unknown("update", id)),
+                    }
                 }
-                let pos = match &mut by_id {
-                    Some(map) => map.get(row_id).copied(),
-                    None => match ids[cursor..].iter().position(|id| id == row_id) {
-                        Some(off) => {
-                            cursor += off + 1;
-                            Some(cursor - 1)
+                DeltaOp::Delete { .. } => match staged {
+                    Ok(at) => {
+                        self.inserted[at]
+                            .1
+                            .take()
+                            .ok_or_else(|| unknown("delete", id))?;
+                        self.inserted_live -= 1;
+                    }
+                    Err(_) => {
+                        let pos = position_of(id).ok_or_else(|| unknown("delete", id))?;
+                        if self.base.insert(pos, None) == Some(None) {
+                            return Err(unknown("delete", id));
                         }
-                        None => {
-                            // Out-of-order stream (e.g. a multi-statement
-                            // transaction revisiting a row): resolve the
-                            // rest through the map. No inserts have
-                            // happened (the map would already exist), so
-                            // `ids` still holds exactly the original rows.
-                            by_id.insert(build_map(ids)).get(row_id).copied()
-                        }
-                    },
-                };
-                let pos = pos.ok_or_else(|| {
-                    CalciteError::internal(format!("update of unknown row id {row_id}"))
-                })?;
-                rows[pos] = row.clone();
-                touched.push(pos);
+                        self.base_deleted += 1;
+                    }
+                },
             }
-            DeltaOp::Delete { .. } => unreachable!("caller routed deletes to the slot path"),
         }
+        Ok(())
     }
-    // A row updated twice must re-key its index entry once.
-    touched.sort_unstable();
-    touched.dedup();
-    Ok(DeltaOutcome {
-        remap: (0..old_len).map(Some).collect(),
-        reinserted: touched,
-        applied: ops.len(),
-        max_inserted_id: max_inserted,
-    })
+
+    pub fn is_empty(&self) -> bool {
+        self.base.is_empty() && self.inserted.is_empty()
+    }
+
+    /// Base positions the stream deleted, ascending.
+    pub fn deleted(&self) -> impl Iterator<Item = usize> + '_ {
+        self.base
+            .iter()
+            .filter_map(|(pos, row)| row.is_none().then_some(*pos))
+    }
+
+    /// Base rows the stream rewrote (position, final row), ascending.
+    pub fn rewritten(&self) -> impl Iterator<Item = (usize, &Row)> + '_ {
+        self.base
+            .iter()
+            .filter_map(|(pos, row)| row.as_ref().map(|r| (*pos, r)))
+    }
+
+    /// Applies the net effect to a row store whose `ids` are strictly
+    /// ascending, keeping them so: rewrites land in place, deletes cost
+    /// one compaction pass from the first deleted position, and inserts
+    /// land at their id's sorted slot — the tail, except when two
+    /// writers' reserved ids commit out of order. Infallible: `fold`
+    /// already validated everything against these very `ids`.
+    pub fn apply(self, rows: &mut Vec<Row>, ids: &mut Vec<u64>) -> DeltaOutcome {
+        let mut out = DeltaOutcome {
+            old_len: rows.len(),
+            ..DeltaOutcome::default()
+        };
+        for (pos, row) in self.base {
+            match row {
+                Some(row) => {
+                    rows[pos] = row;
+                    out.rewritten.push(pos);
+                }
+                None => out.deleted.push(pos),
+            }
+        }
+        remove_sorted(rows, &out.deleted);
+        remove_sorted(ids, &out.deleted);
+        let (new_ids, new_rows): (Vec<u64>, Vec<Row>) = self
+            .inserted
+            .into_iter()
+            .filter_map(|(id, row)| Some((id, row?)))
+            .unzip();
+        let slots = new_ids.iter().map(|id| ids.partition_point(|x| x < id));
+        out.inserted = slots.enumerate().map(|(k, slot)| slot + k).collect();
+        out.max_inserted_id = new_ids.last().copied();
+        insert_sorted(ids, &out.inserted, new_ids);
+        insert_sorted(rows, &out.inserted, new_rows);
+        out
+    }
 }
 
-/// How [`apply_ops_to_rows`] moved things: the position remap for
-/// surviving rows plus the new positions whose keys changed, i.e. exactly
-/// what [`crate::index::IndexData::apply_delta`] needs.
-#[derive(Debug)]
+/// How [`NetDelta::apply`] moved things — what secondary indexes and
+/// columnar mirrors need to follow the store without a rebuild. Every
+/// list is O(|ops|) long.
+#[derive(Debug, Default)]
 pub struct DeltaOutcome {
-    /// Old position → new position; `None` means deleted. Monotonic over
-    /// the surviving rows (relative order is preserved).
-    pub remap: Vec<Option<usize>>,
-    /// New positions holding updated or inserted rows, ascending.
-    pub reinserted: Vec<usize>,
-    /// Ops applied.
-    pub applied: usize,
+    /// Pre-delta positions of deleted rows, ascending.
+    pub deleted: Vec<usize>,
+    /// Pre-delta positions of rows rewritten in place, ascending.
+    pub rewritten: Vec<usize>,
+    /// Post-delta positions of inserted rows, ascending.
+    pub inserted: Vec<usize>,
     /// Largest row id assigned by an insert, if any — callers bump their
     /// id counter past it (WAL replay inserts carry explicit ids).
     pub max_inserted_id: Option<u64>,
+    old_len: usize,
+}
+
+impl DeltaOutcome {
+    /// Whether any surviving row changed position: a delete that is not
+    /// a suffix of the store, or an insert below the tail.
+    pub fn shifts(&self) -> bool {
+        let survivors = self.old_len - self.deleted.len();
+        self.deleted.first().is_some_and(|d| *d < survivors)
+            || self.inserted.first().is_some_and(|i| *i < survivors)
+    }
+
+    /// The post-delta position of the surviving row that was at `pos`.
+    pub fn final_pos(&self, pos: usize) -> usize {
+        let q = pos - self.deleted.partition_point(|d| *d < pos);
+        // `inserted[k] - k` is insert k's slot among the survivors; the
+        // row moves up by the number of inserts at or below it.
+        let (mut lo, mut hi) = (0, self.inserted.len());
+        while lo < hi {
+            let mid = (lo + hi) / 2;
+            if self.inserted[mid] - mid <= q {
+                lo = mid + 1;
+            } else {
+                hi = mid;
+            }
+        }
+        q + lo
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -294,57 +268,136 @@ pub trait TxnVersion: Send + Sync {
     fn row_count(&self) -> usize;
     fn row(&self, pos: usize) -> Row;
     fn row_id(&self, pos: usize) -> u64;
+    /// The position holding `row_id`, if this version has the row — a
+    /// binary search: versions keep their ids strictly ascending.
+    fn position_of(&self, row_id: u64) -> Option<usize>;
     /// Indexes present in this version.
     fn index_defs(&self) -> Vec<IndexDef>;
     /// Probe handle for `index` over this version's rows, if it exists.
     fn index_probe(&self, index: &str) -> Option<Arc<dyn IndexProbe>>;
 }
 
-/// The read view a statement evaluates against: either a clean captured
-/// version (index probes available) or the transaction's own overlay
-/// after it wrote (plain rows; locates fall back to predicate scans).
+/// The read view a statement evaluates against: the version captured at
+/// BEGIN with the transaction's own staged writes laid over it. Nothing
+/// is copied: positions below the version's row count address its rows
+/// (rewritten ones served from the overlay, deleted ones skipped), and
+/// the positions from there up address the rows the transaction
+/// inserted, in id order. Index probes stay available after a write.
 #[derive(Clone)]
-pub enum ReadView {
-    Version(Arc<dyn TxnVersion>),
-    Rows {
-        rows: Arc<Vec<Row>>,
-        ids: Arc<Vec<u64>>,
-    },
+pub struct ReadView {
+    version: Arc<dyn TxnVersion>,
+    staged: Arc<NetDelta>,
 }
 
 impl ReadView {
+    /// One past the largest position this view addresses. Positions the
+    /// transaction deleted lie below it too: see [`ReadView::live_row`].
+    pub fn position_bound(&self) -> usize {
+        self.version.row_count() + self.staged.inserted.len()
+    }
+
+    /// Number of rows visible through this view.
     pub fn row_count(&self) -> usize {
-        match self {
-            ReadView::Version(v) => v.row_count(),
-            ReadView::Rows { rows, .. } => rows.len(),
+        self.version.row_count() - self.staged.base_deleted + self.staged.inserted_live
+    }
+
+    /// The row at `pos` as the transaction sees it, `None` if it deleted
+    /// that row.
+    pub fn live_row(&self, pos: usize) -> Option<Row> {
+        match pos.checked_sub(self.version.row_count()) {
+            Some(k) => self.staged.inserted[k].1.clone(),
+            None => match self.staged.base.get(&pos) {
+                Some(staged) => staged.clone(),
+                None => Some(self.version.row(pos)),
+            },
         }
     }
 
+    /// The visible rows with their positions, in position order.
+    pub fn live_rows(&self) -> impl Iterator<Item = (usize, Row)> + '_ {
+        (0..self.position_bound()).filter_map(|pos| Some((pos, self.live_row(pos)?)))
+    }
+
+    /// The row at a position a probe or [`ReadView::live_rows`] returned.
+    ///
+    /// # Panics
+    /// If the transaction deleted the row at `pos`.
     pub fn row(&self, pos: usize) -> Row {
-        match self {
-            ReadView::Version(v) => v.row(pos),
-            ReadView::Rows { rows, .. } => rows[pos].clone(),
-        }
+        self.live_row(pos)
+            .expect("position refers to a row this transaction deleted")
     }
 
     pub fn row_id(&self, pos: usize) -> u64 {
-        match self {
-            ReadView::Version(v) => v.row_id(pos),
-            ReadView::Rows { ids, .. } => ids[pos],
+        match pos.checked_sub(self.version.row_count()) {
+            Some(k) => self.staged.inserted[k].0,
+            None => self.version.row_id(pos),
         }
     }
 
+    /// Probe handle for `index` over this view: the version's own probe
+    /// while the transaction has written nothing, otherwise that probe
+    /// with the staged writes laid over its answers.
     pub fn index_probe(&self, index: &str) -> Option<Arc<dyn IndexProbe>> {
-        match self {
-            ReadView::Version(v) => v.index_probe(index),
-            ReadView::Rows { .. } => None,
+        let base = self.version.index_probe(index)?;
+        if self.staged.is_empty() {
+            return Some(base);
         }
+        let def = self
+            .version
+            .index_defs()
+            .into_iter()
+            .find(|d| d.name == index)?;
+        Some(Arc::new(OverlayProbe {
+            base,
+            def,
+            view: self.clone(),
+        }))
     }
 }
 
-/// A [`Table`] over a captured version (plus any transaction-local
-/// overlay), substituted for base-table scans while a transaction is
-/// open so every statement reads the BEGIN-time snapshot.
+/// An [`IndexProbe`] over a written [`ReadView`]: the BEGIN-time index
+/// answers for the rows the transaction left alone, and the probe
+/// predicate is evaluated directly over the (few) rows it staged.
+struct OverlayProbe {
+    base: Arc<dyn IndexProbe>,
+    def: IndexDef,
+    view: ReadView,
+}
+
+impl IndexProbe for OverlayProbe {
+    fn row_count(&self) -> usize {
+        self.view.row_count()
+    }
+
+    fn positions(&self, probe: &BoundProbe) -> Vec<usize> {
+        let (staged, n) = (&self.view.staged, self.view.version.row_count());
+        let mut out = self.base.positions(probe);
+        out.retain(|pos| !staged.base.contains_key(pos));
+        // The rows the transaction rewrote or inserted are the only ones
+        // whose content the version's index does not describe.
+        let inserted = staged.inserted.iter().enumerate();
+        let inserted = inserted.filter_map(|(k, (_, row))| Some((n + k, row.as_ref()?)));
+        for (pos, row) in staged.rewritten().chain(inserted) {
+            let one = RowsRef {
+                rows: std::slice::from_ref(row),
+                arity: row.len(),
+            };
+            if probe.matches(&one, 0, &self.def) {
+                out.push(pos);
+            }
+        }
+        out.sort_unstable();
+        out
+    }
+
+    fn row(&self, pos: usize) -> Row {
+        self.view.row(pos)
+    }
+}
+
+/// A [`Table`] over a transaction's [`ReadView`], substituted for
+/// base-table scans while the transaction is open so every statement
+/// reads the BEGIN-time snapshot plus the transaction's own writes.
 pub struct SnapshotTable {
     row_type: RowType,
     view: ReadView,
@@ -353,12 +406,6 @@ pub struct SnapshotTable {
 impl SnapshotTable {
     pub fn new(row_type: RowType, view: ReadView) -> Arc<SnapshotTable> {
         Arc::new(SnapshotTable { row_type, view })
-    }
-
-    fn all_rows(&self) -> Vec<Row> {
-        (0..self.view.row_count())
-            .map(|p| self.view.row(p))
-            .collect()
     }
 }
 
@@ -373,11 +420,13 @@ impl Table for SnapshotTable {
 
     fn scan(&self) -> Result<Box<dyn Iterator<Item = Row> + Send>> {
         let view = self.view.clone();
-        Ok(Box::new((0..view.row_count()).map(move |p| view.row(p))))
+        Ok(Box::new(
+            (0..view.position_bound()).filter_map(move |p| view.live_row(p)),
+        ))
     }
 
     fn scan_columns(&self) -> Option<Result<Vec<Column>>> {
-        let rows = self.all_rows();
+        let rows: Vec<Row> = self.view.live_rows().map(|(_, row)| row).collect();
         Some(Ok(self
             .row_type
             .fields
@@ -395,10 +444,7 @@ impl Table for SnapshotTable {
     }
 
     fn indexes(&self) -> Vec<IndexDef> {
-        match &self.view {
-            ReadView::Version(v) => v.index_defs(),
-            ReadView::Rows { .. } => vec![],
-        }
+        self.view.version.index_defs()
     }
 
     fn index_probe_snapshot(&self, index: &str) -> Result<Option<Arc<dyn IndexProbe>>> {
@@ -410,10 +456,6 @@ impl Table for SnapshotTable {
 // Transactions
 // ---------------------------------------------------------------------
 
-/// Materialized rows + row ids of a written table after applying the
-/// transaction's staged ops to its BEGIN-time version.
-type Overlay = (Arc<Vec<Row>>, Arc<Vec<u64>>);
-
 struct TxnTable {
     tref: TableRef,
     version: Arc<dyn TxnVersion>,
@@ -421,29 +463,10 @@ struct TxnTable {
     /// Row ids this transaction updated or deleted (inserts excluded):
     /// the first-committer-wins footprint.
     write_set: HashSet<u64>,
-    /// Read-own-writes cache: the BEGIN-time version with `ops` applied.
-    /// Materialized lazily by the first read after a write (staging only
-    /// records ops), so write-only transactions — every autocommit DML
-    /// statement — never copy the table. Staging rolls an existing
-    /// overlay forward incrementally and drops it on a failed roll (the
-    /// next read rebuilds from `version` + `ops`).
-    overlay: Mutex<Option<Overlay>>,
-}
-
-impl TxnTable {
-    /// The BEGIN-time version with every staged op applied.
-    fn materialize_overlay(&self) -> Result<Overlay> {
-        let n = self.version.row_count();
-        let mut rows: Vec<Row> = (0..n).map(|p| self.version.row(p)).collect();
-        let mut ids: Vec<u64> = (0..n).map(|p| self.version.row_id(p)).collect();
-        apply_ops_to_rows(
-            &mut rows,
-            &mut ids,
-            &self.ops,
-            self.tref.table.row_type().arity(),
-        )?;
-        Ok((Arc::new(rows), Arc::new(ids)))
-    }
+    /// Net effect of `ops` on `version`: the read-your-writes overlay.
+    /// Rolled forward by every `stage` in O(|ops| · log n); behind an
+    /// `Arc` so a statement's [`ReadView`] shares it without copying.
+    staged: Arc<NetDelta>,
 }
 
 /// A transaction handle: BEGIN-time versions of every MVCC-capable table,
@@ -484,25 +507,13 @@ impl Transaction {
     }
 
     /// The view statements should read for `qualified`: the BEGIN
-    /// version, or the overlay once this transaction wrote the table.
-    /// The first read after a write materializes the overlay (version +
-    /// staged ops) and caches it for the rest of the transaction.
+    /// version under this transaction's staged writes. O(1) — two `Arc`
+    /// clones, whether or not the transaction has written.
     pub fn read_view(&self, qualified: &str) -> Option<ReadView> {
         let t = self.tables.get(qualified)?;
-        let mut overlay = t.overlay.lock();
-        if overlay.is_none() && !t.ops.is_empty() {
-            // Staged ops were built against this very version chain, so
-            // materialization cannot fail short of an internal bug — in
-            // which case serving the (write-free) BEGIN version is the
-            // safe degradation.
-            *overlay = t.materialize_overlay().ok();
-        }
-        Some(match &*overlay {
-            Some((rows, ids)) => ReadView::Rows {
-                rows: Arc::clone(rows),
-                ids: Arc::clone(ids),
-            },
-            None => ReadView::Version(Arc::clone(&t.version)),
+        Some(ReadView {
+            version: Arc::clone(&t.version),
+            staged: Arc::clone(&t.staged),
         })
     }
 
@@ -514,11 +525,12 @@ impl Transaction {
         Some(SnapshotTable::new(t.tref.table.row_type(), view))
     }
 
-    /// Stages `ops` against `qualified`, recording updated/deleted row
-    /// ids in the conflict footprint. O(|ops|): the read-own-writes
-    /// overlay is only rolled forward if a read already materialized it;
-    /// otherwise it stays unmaterialized and the first later read builds
-    /// it — a write-only (autocommit) transaction never copies the table.
+    /// Stages `ops` against `qualified`: validates them against the
+    /// BEGIN version and the writes staged so far (unknown or duplicate
+    /// row ids and arity mismatches fail here, not at COMMIT), folds
+    /// them into the read-your-writes overlay, and records
+    /// updated/deleted row ids in the conflict footprint.
+    /// O(|ops| · log n). A rejected batch stages nothing.
     pub fn stage(&mut self, qualified: &str, ops: Vec<DeltaOp>) -> Result<usize> {
         if ops.is_empty() {
             return Ok(0);
@@ -529,25 +541,13 @@ impl Transaction {
             ))
         })?;
         let arity = t.tref.table.row_type().arity();
-        for op in &ops {
-            if let DeltaOp::Insert { row, .. } | DeltaOp::Update { row, .. } = op {
-                if row.len() != arity {
-                    return Err(CalciteError::execution(format!(
-                        "write arity mismatch: row has {} values, table has {arity} columns",
-                        row.len()
-                    )));
-                }
-            }
-        }
-        let overlay = t.overlay.get_mut();
-        if let Some((rows, ids)) = overlay {
-            let rolled = apply_ops_to_rows(Arc::make_mut(rows), Arc::make_mut(ids), &ops, arity);
-            if let Err(e) = rolled {
-                // A half-applied roll is unusable; drop it so the next
-                // read rebuilds from the version + the ops that did land.
-                *overlay = None;
-                return Err(e);
-            }
+        let version = &t.version;
+        let staged = Arc::make_mut(&mut t.staged);
+        if let Err(e) = staged.fold(|id| version.position_of(id), &ops, arity) {
+            // Half-folded: rebuild from the ops that did stage cleanly.
+            *staged = NetDelta::default();
+            staged.fold(|id| version.position_of(id), &t.ops, arity)?;
+            return Err(e);
         }
         for op in &ops {
             if op.conflicts() {
@@ -713,7 +713,7 @@ impl TxnManager {
                         version,
                         ops: vec![],
                         write_set: HashSet::new(),
-                        overlay: Mutex::new(None),
+                        staged: Arc::default(),
                     },
                 );
             }
@@ -864,6 +864,7 @@ mod tests {
     use super::*;
     use crate::catalog::MemTable;
     use crate::datum::Datum;
+    use crate::index::BoundProbe;
     use crate::types::{RowTypeBuilder, TypeKind};
 
     fn table() -> Arc<MemTable> {
@@ -882,61 +883,233 @@ mod tests {
         TableRef::new("s", "t", t.clone() as Arc<dyn Table>)
     }
 
-    #[test]
-    fn apply_ops_remap_and_reinserted() {
-        let mut rows: Vec<Row> = (0..4).map(|i| vec![Datum::Int(i)]).collect();
-        let mut ids: Vec<u64> = (0..4).collect();
-        let out = apply_ops_to_rows(
-            &mut rows,
-            &mut ids,
-            &[
-                DeltaOp::Delete { row_id: 1 },
-                DeltaOp::Update {
-                    row_id: 2,
-                    row: vec![Datum::Int(99)],
-                },
-                DeltaOp::Insert {
-                    row_id: 7,
-                    row: vec![Datum::Int(70)],
-                },
-            ],
-            1,
-        )
-        .unwrap();
-        assert_eq!(ids, vec![0, 2, 3, 7]);
-        assert_eq!(
-            rows,
-            vec![
-                vec![Datum::Int(0)],
-                vec![Datum::Int(99)],
-                vec![Datum::Int(3)],
-                vec![Datum::Int(70)],
-            ]
-        );
-        assert_eq!(out.remap, vec![Some(0), None, Some(1), Some(2)]);
-        assert_eq!(out.reinserted, vec![1, 3]);
-        assert_eq!(out.max_inserted_id, Some(7));
+    fn int_rows(vals: &[i64]) -> Vec<Row> {
+        vals.iter().map(|v| vec![Datum::Int(*v)]).collect()
+    }
+
+    fn upd(row_id: u64, v: i64) -> DeltaOp {
+        DeltaOp::Update {
+            row_id,
+            row: vec![Datum::Int(v)],
+        }
+    }
+
+    fn ins(row_id: u64, v: i64) -> DeltaOp {
+        DeltaOp::Insert {
+            row_id,
+            row: vec![Datum::Int(v)],
+        }
+    }
+
+    fn apply(rows: &mut Vec<Row>, ids: &mut Vec<u64>, ops: &[DeltaOp]) -> Result<DeltaOutcome> {
+        let mut net = NetDelta::default();
+        net.fold(|id| ids.binary_search(&id).ok(), ops, 1)?;
+        Ok(net.apply(rows, ids))
     }
 
     #[test]
-    fn apply_ops_update_then_delete_same_row() {
-        let mut rows: Vec<Row> = vec![vec![Datum::Int(1)]];
+    fn apply_reports_sparse_outcome() {
+        let mut rows = int_rows(&[0, 1, 2, 3]);
+        let mut ids: Vec<u64> = (0..4).collect();
+        let ops = [DeltaOp::Delete { row_id: 1 }, upd(2, 99), ins(7, 70)];
+        let out = apply(&mut rows, &mut ids, &ops).unwrap();
+        assert_eq!(ids, vec![0, 2, 3, 7]);
+        assert_eq!(rows, int_rows(&[0, 99, 3, 70]));
+        assert_eq!(out.deleted, vec![1]);
+        assert_eq!(out.rewritten, vec![2]);
+        assert_eq!(out.inserted, vec![3]);
+        assert_eq!(out.max_inserted_id, Some(7));
+        assert!(out.shifts());
+        assert_eq!(
+            [0, 2, 3].map(|p| out.final_pos(p)),
+            [0, 1, 2],
+            "survivors close the gap the delete left"
+        );
+    }
+
+    #[test]
+    fn outcome_size_is_bounded_by_the_ops_not_the_table() {
+        let n = 50_000;
+        let mut rows = int_rows(&(0..n).collect::<Vec<_>>());
+        let mut ids: Vec<u64> = (0..n as u64).collect();
+        let ops = [
+            upd(17, -1),
+            upd(17, -2), // same row twice: one entry
+            DeltaOp::Delete { row_id: 40_000 },
+            ins(n as u64, 5),
+            ins(n as u64 + 1, 6),
+            DeltaOp::Delete { row_id: n as u64 }, // insert-then-delete: gone
+        ];
+        let mut net = NetDelta::default();
+        net.fold(|id| ids.binary_search(&id).ok(), &ops, 1).unwrap();
+        assert_eq!(net.rewritten().count() + net.deleted().count(), 2);
+        let out = net.apply(&mut rows, &mut ids);
+        assert_eq!(
+            (out.deleted.len(), out.rewritten.len(), out.inserted.len()),
+            (1, 1, 1)
+        );
+        assert_eq!(rows.len(), n as usize); // -1 deleted, +1 inserted
+        assert_eq!(rows[17], vec![Datum::Int(-2)]);
+        assert_eq!(ids.last(), Some(&(n as u64 + 1)));
+        // A tail insert and an in-place rewrite move nobody.
+        let out = apply(&mut rows, &mut ids, &[upd(3, 0), ins(n as u64 + 9, 1)]).unwrap();
+        assert!(!out.shifts());
+    }
+
+    #[test]
+    fn ids_stay_ascending_when_reservations_commit_out_of_order() {
+        let mut rows = int_rows(&[0, 10]);
+        let mut ids: Vec<u64> = vec![0, 1];
+        // Writer B (ids 4,5) commits before writer A (ids 2,3).
+        apply(&mut rows, &mut ids, &[ins(4, 40), ins(5, 50)]).unwrap();
+        let out = apply(&mut rows, &mut ids, &[ins(3, 30), ins(2, 20)]).unwrap();
+        assert_eq!(ids, vec![0, 1, 2, 3, 4, 5]);
+        assert_eq!(rows, int_rows(&[0, 10, 20, 30, 40, 50]));
+        assert_eq!(out.inserted, vec![2, 3]);
+        assert!(out.shifts());
+        assert_eq!([1, 2, 3].map(|p| out.final_pos(p)), [1, 4, 5]);
+    }
+
+    #[test]
+    fn update_then_delete_same_row() {
+        let mut rows = int_rows(&[1]);
         let mut ids: Vec<u64> = vec![0];
-        apply_ops_to_rows(
-            &mut rows,
-            &mut ids,
-            &[
-                DeltaOp::Update {
-                    row_id: 0,
-                    row: vec![Datum::Int(2)],
-                },
-                DeltaOp::Delete { row_id: 0 },
-            ],
-            1,
-        )
-        .unwrap();
+        let ops = [upd(0, 2), DeltaOp::Delete { row_id: 0 }];
+        apply(&mut rows, &mut ids, &ops).unwrap();
         assert!(rows.is_empty());
         assert!(ids.is_empty());
+    }
+
+    /// A stream whose last op is invalid must leave the table — rows,
+    /// ids, every index, the data version — exactly as it was.
+    #[test]
+    fn invalid_op_leaves_the_table_untouched() {
+        let t = table();
+        t.create_index(&IndexDef::ordered("o", vec![1])).unwrap();
+        t.create_index(&IndexDef::hash("h", vec![0])).unwrap();
+        let image = |t: &MemTable| {
+            let probes: Vec<Vec<usize>> = ["o", "h"]
+                .iter()
+                .flat_map(|name| {
+                    let snap = t.index_probe_snapshot(name).unwrap().unwrap();
+                    (-1..60).map(move |k| snap.positions(&BoundProbe::point(vec![Datum::Int(k)])))
+                })
+                .collect();
+            (t.rows(), t.row_ids(), probes, t.data_version())
+        };
+        let before = image(&t);
+        let good = [
+            DeltaOp::Delete { row_id: 1 },
+            DeltaOp::Update {
+                row_id: 2,
+                row: vec![Datum::Int(2), Datum::Int(-5)],
+            },
+            DeltaOp::Insert {
+                row_id: 9,
+                row: vec![Datum::Int(9), Datum::Int(90)],
+            },
+        ];
+        let bad_tails = [
+            DeltaOp::Delete { row_id: 77 },
+            DeltaOp::Delete { row_id: 1 }, // already deleted by this stream
+            DeltaOp::Update {
+                row_id: 77,
+                row: vec![Datum::Int(0), Datum::Int(0)],
+            },
+            DeltaOp::Update {
+                row_id: 0,
+                row: vec![Datum::Int(0)], // arity
+            },
+            DeltaOp::Insert {
+                row_id: 3, // id already in the table
+                row: vec![Datum::Int(0), Datum::Int(0)],
+            },
+            DeltaOp::Insert {
+                row_id: 9, // id already inserted by this stream
+                row: vec![Datum::Int(0), Datum::Int(0)],
+            },
+        ];
+        for bad in bad_tails {
+            let mut ops = good.to_vec();
+            ops.push(bad.clone());
+            assert!(t.apply_delta(&ops).is_err(), "{bad:?} must be rejected");
+            assert_eq!(image(&t), before, "{bad:?} changed the table");
+        }
+        t.apply_delta(&good).unwrap();
+        assert_eq!(t.row_ids(), vec![0, 2, 3, 9]);
+        assert_eq!(t.data_version(), before.3.map(|v| v + 1));
+    }
+
+    #[test]
+    fn rejected_stage_keeps_the_overlay_of_earlier_statements() {
+        let t = table();
+        let mgr = Arc::new(TxnManager::new());
+        let mut txn = mgr.begin(&[tref(&t)]);
+        let row = |v: i64| vec![Datum::Int(3), Datum::Int(v)];
+        txn.stage(
+            "s.t",
+            vec![DeltaOp::Update {
+                row_id: 3,
+                row: row(7),
+            }],
+        )
+        .unwrap();
+        let err = txn
+            .stage(
+                "s.t",
+                vec![
+                    DeltaOp::Update {
+                        row_id: 3,
+                        row: row(8),
+                    },
+                    DeltaOp::Delete { row_id: 99 },
+                ],
+            )
+            .unwrap_err();
+        assert!(err.to_string().contains("unknown row id 99"), "{err}");
+        // The rejected batch staged nothing; the first statement stands.
+        assert_eq!(txn.read_view("s.t").unwrap().row(3), row(7));
+        txn.commit().unwrap();
+        assert_eq!(t.rows()[3], row(7));
+    }
+
+    /// Read-your-writes through the index: the BEGIN-time index answers
+    /// for untouched rows, staged rows are matched directly.
+    #[test]
+    fn written_view_still_probes_the_index() {
+        let t = table(); // (id, v) = (i, 10 i), i in 0..4
+        t.create_index(&IndexDef::ordered("by_v", vec![1])).unwrap();
+        let mgr = Arc::new(TxnManager::new());
+        let mut txn = mgr.begin(&[tref(&t)]);
+        let id = t.reserve_row_ids(1).unwrap();
+        txn.stage(
+            "s.t",
+            vec![
+                // Row 1 moves from key 10 to key 30; row 2 is deleted; a
+                // new row arrives at key 10.
+                DeltaOp::Update {
+                    row_id: 1,
+                    row: vec![Datum::Int(1), Datum::Int(30)],
+                },
+                DeltaOp::Delete { row_id: 2 },
+                DeltaOp::Insert {
+                    row_id: id,
+                    row: vec![Datum::Int(9), Datum::Int(10)],
+                },
+            ],
+        )
+        .unwrap();
+        let view = txn.read_view("s.t").unwrap();
+        assert_eq!(view.row_count(), 4);
+        let probe = view.index_probe("by_v").expect("index survives the write");
+        let at = |v: i64| probe.positions(&BoundProbe::point(vec![Datum::Int(v)]));
+        assert_eq!(at(10), vec![4], "the old key-10 row moved away");
+        assert_eq!(at(20), Vec::<usize>::new(), "deleted");
+        assert_eq!(at(30), vec![1, 3], "moved-in row, in position order");
+        assert_eq!(view.row_id(4), id);
+        assert_eq!(view.live_row(2), None);
+        let scanned: Vec<usize> = view.live_rows().map(|(p, _)| p).collect();
+        assert_eq!(scanned, vec![0, 1, 3, 4]);
     }
 
     #[test]

@@ -400,8 +400,8 @@ impl Connection {
         self.generation.load(Ordering::Acquire) + self.catalog.generation()
     }
 
-    /// Drops every cached plan (DDL, INSERT, semantic configuration
-    /// changes).
+    /// Drops every cached plan (DDL, ANALYZE, a write that retires
+    /// analyzed statistics, semantic configuration changes).
     fn invalidate_plans(&self) {
         self.generation.fetch_add(1, Ordering::AcqRel);
         self.plan_cache.write().clear();
@@ -644,8 +644,8 @@ impl Connection {
 
     /// Parses, optimizes and executes a statement (query, EXPLAIN, or the
     /// DDL/DML surface of §9's standalone-engine future work), returning a
-    /// streaming [`ResultSet`]. Queries ride the plan cache; DDL and
-    /// INSERT invalidate it.
+    /// streaming [`ResultSet`]. Queries ride the plan cache; DDL
+    /// invalidates it, DML does not.
     pub fn execute(&self, sql: &str) -> Result<ResultSet> {
         use rcalcite_core::error::CalciteError;
         let message =
@@ -876,13 +876,18 @@ impl Connection {
                 // transaction's staged rows, not other writers'. Inside a
                 // transaction MV substitution is disabled for the same
                 // reason as queries: the view postdates the snapshot.
-                let substituted = self.substitute_txn_scans(&plan);
-                let physical = if self.in_transaction() {
-                    self.optimize_no_mv(&substituted)?
-                } else {
-                    self.optimize(&substituted)?
+                // The snapshot plans are scoped to the read: they share the
+                // transaction's staged overlay, which staging the new rows
+                // below then rolls forward in place rather than copying.
+                let rows = {
+                    let substituted = self.substitute_txn_scans(&plan);
+                    let physical = if self.in_transaction() {
+                        self.optimize_no_mv(&substituted)?
+                    } else {
+                        self.optimize(&substituted)?
+                    };
+                    self.exec.execute_collect(&physical)?
                 };
-                let rows = self.exec.execute_collect(&physical)?;
                 let n = rows.len();
                 if tref.table.txn_snapshot().is_some() {
                     // MVCC-capable table: route through the transaction
@@ -1119,12 +1124,7 @@ impl Connection {
                 // and the connection leaves transaction mode. A conflict
                 // surfaces as a retryable error; the caller re-BEGINs.
                 let commit_ts = txn.commit()?;
-                if !written.is_empty() {
-                    for t in &written {
-                        self.catalog.stats().retire(t);
-                    }
-                    self.invalidate_plans();
-                }
+                self.retire_stats(&written);
                 Ok(message(format!("transaction committed at ts {commit_ts}")))
             }
             Stmt::Rollback => {
@@ -1334,6 +1334,9 @@ impl Connection {
         if let Some(txn) = guard.as_mut() {
             let view = txn.read_view(&qualified).ok_or_else(not_capable)?;
             let ops = build_ops(&view)?;
+            // The view shares the staged overlay; released, `stage` rolls
+            // the overlay forward in place instead of copying it first.
+            drop(view);
             return txn.stage(&qualified, ops);
         }
         drop(guard);
@@ -1348,17 +1351,31 @@ impl Connection {
         let n = txn.stage(&qualified, ops)?;
         txn.commit()?;
         if n > 0 {
-            self.catalog.stats().retire(&qualified);
-            self.invalidate_plans();
+            self.retire_stats(&[qualified]);
         }
         Ok(n)
     }
 
+    /// After a committed write: retires the analyzed statistics of the
+    /// written tables (only theirs). Cached plans survive a write — they
+    /// capture no data (scans and seeks snapshot at execution), exactly
+    /// as they already do on every other connection sharing the catalog
+    /// — unless the write actually dropped statistics that may have
+    /// steered them: that happens once per ANALYZE, not once per write.
+    fn retire_stats(&self, written: &[String]) {
+        let mut dropped = false;
+        for t in written {
+            dropped |= self.catalog.stats().retire(t);
+        }
+        if dropped {
+            self.invalidate_plans();
+        }
+    }
+
     /// Stages `ops` into the open transaction, or wraps them in an
     /// autocommit transaction (begin → stage → commit) when none is
-    /// open. On autocommit the table's statistics are retired and cached
-    /// plans invalidated immediately; in an explicit transaction that
-    /// happens at COMMIT.
+    /// open. On autocommit the table's statistics are retired
+    /// immediately; in an explicit transaction that happens at COMMIT.
     fn stage_or_autocommit(&self, tref: &TableRef, ops: Vec<DeltaOp>) -> Result<usize> {
         let qualified = tref.qualified_name();
         let mut guard = self.txn.write();
@@ -1370,8 +1387,7 @@ impl Connection {
         let n = txn.stage(&qualified, ops)?;
         txn.commit()?;
         if n > 0 {
-            self.catalog.stats().retire(&qualified);
-            self.invalidate_plans();
+            self.retire_stats(&[qualified]);
         }
         Ok(n)
     }
@@ -1634,18 +1650,16 @@ fn eval_all(conditions: &[RexNode], row: &Row) -> Result<bool> {
 
 /// Evaluates the locate subplan against a transaction read view,
 /// returning matching positions in ascending order. An IndexSeek-shaped
-/// plan probes the snapshot's index when the view still carries one (a
-/// clean BEGIN-time version); a dirty overlay or any other plan shape
-/// scans the view evaluating the full logical predicate.
+/// plan probes the view's index — the BEGIN-time index with the
+/// transaction's own staged rows laid over its answers, so a statement
+/// after a write still seeks; any other plan shape (or an index created
+/// after BEGIN) scans the view evaluating the full logical predicate.
 fn locate_rows(physical: &Rel, logical: &Rel, view: &ReadView) -> Result<Vec<usize>> {
     if let Some((Some((index, seek)), residuals)) = analyze_locate(physical) {
         if let Some(probe) = view.index_probe(&index.name) {
             if let Some(bound) = bind_probes(&seek) {
-                let mut positions = seek_positions(probe.as_ref(), &bound);
-                positions.sort_unstable();
-                positions.dedup();
                 let mut out = vec![];
-                for pos in positions {
+                for pos in seek_positions(probe.as_ref(), &bound) {
                     if eval_all(&residuals, &view.row(pos))? {
                         out.push(pos);
                     }
@@ -1657,8 +1671,8 @@ fn locate_rows(physical: &Rel, logical: &Rel, view: &ReadView) -> Result<Vec<usi
     let mut conditions = vec![];
     collect_conditions(logical, &mut conditions);
     let mut out = vec![];
-    for pos in 0..view.row_count() {
-        if eval_all(&conditions, &view.row(pos))? {
+    for (pos, row) in view.live_rows() {
+        if eval_all(&conditions, &row)? {
             out.push(pos);
         }
     }
@@ -1886,23 +1900,70 @@ mod tests {
     #[test]
     fn ddl_invalidates_cached_plans() {
         let conn = connection();
-        let stmt = conn
-            .prepare("SELECT COUNT(*) AS c FROM emp WHERE deptno = ?")
-            .unwrap();
+        let sql = "SELECT COUNT(*) AS c FROM emp WHERE deptno = ?";
+        let stmt = conn.prepare(sql).unwrap();
         assert_eq!(
             stmt.query(&[Datum::Int(10)]).unwrap().rows,
             vec![vec![Datum::Int(2)]]
         );
-        conn.query("INSERT INTO hr.emp SELECT deptno, sal + 1 FROM hr.emp WHERE deptno = 10")
-            .unwrap();
-        // The cache was cleared by the INSERT...
-        let marker = conn.explain("SELECT COUNT(*) AS c FROM emp WHERE deptno = ?");
-        assert!(marker.unwrap().starts_with("-- plan cache: miss"));
-        // ...and the statement re-plans against the mutated table.
+        assert!(conn.explain(sql).unwrap().starts_with("-- plan cache: hit"));
+        for ddl in [
+            "CREATE TABLE hr.t (a INTEGER)",
+            "CREATE INDEX emp_dept ON emp (deptno)",
+            "ANALYZE",
+            "DROP TABLE hr.t",
+        ] {
+            conn.query(ddl).unwrap();
+            let marker = conn.explain(sql).unwrap();
+            assert!(marker.starts_with("-- plan cache: miss"), "{ddl}: {marker}");
+        }
+        // The held statement re-plans and still answers.
         assert_eq!(
             stmt.query(&[Datum::Int(10)]).unwrap().rows,
-            vec![vec![Datum::Int(4)]]
+            vec![vec![Datum::Int(2)]]
         );
+    }
+
+    /// Writes leave the writer's cached plans alone — plans capture no
+    /// data — and the held statement keeps answering from current rows.
+    #[test]
+    fn dml_keeps_cached_plans() {
+        let conn = connection();
+        let sql = "SELECT COUNT(*) AS c, SUM(sal) AS s FROM emp WHERE deptno = ?";
+        let stmt = conn.prepare(sql).unwrap();
+        let dept10 = |c: i64, s: i64| {
+            let marker = conn.explain(sql).unwrap();
+            assert!(marker.starts_with("-- plan cache: hit"), "{marker}");
+            assert_eq!(
+                stmt.query(&[Datum::Int(10)]).unwrap().rows,
+                vec![vec![Datum::Int(c), Datum::Int(s)]]
+            );
+        };
+        dept10(2, 300);
+        conn.query("UPDATE emp SET sal = sal + 1 WHERE deptno = 10")
+            .unwrap();
+        dept10(2, 302);
+        conn.query("INSERT INTO emp VALUES (10, 8)").unwrap();
+        dept10(3, 310);
+        conn.query("DELETE FROM emp WHERE sal = 8").unwrap();
+        dept10(2, 302);
+        conn.query("BEGIN").unwrap();
+        conn.query("UPDATE emp SET deptno = 10 WHERE deptno = 20")
+            .unwrap();
+        conn.query("COMMIT").unwrap();
+        dept10(3, 602);
+        // Dropping analyzed statistics is what does re-plan: the first
+        // write after an ANALYZE, and only that one.
+        conn.query("ANALYZE").unwrap();
+        conn.query(sql.replace('?', "10").as_str()).unwrap();
+        stmt.query(&[Datum::Int(10)]).unwrap();
+        conn.query("UPDATE emp SET sal = sal - 1 WHERE sal = 300")
+            .unwrap();
+        let marker = conn.explain(sql).unwrap();
+        assert!(marker.starts_with("-- plan cache: miss"), "{marker}");
+        conn.query("UPDATE emp SET sal = sal + 1 WHERE sal = 299")
+            .unwrap();
+        dept10(3, 602);
     }
 
     #[test]

@@ -540,3 +540,166 @@ fn dml_differential_across_workers_and_budget() {
         }
     }
 }
+
+/// Read-your-writes through the index path: inside one transaction,
+/// statements that follow a write — an UPDATE that moves a row into or
+/// out of a later indexed predicate (changing the key column itself
+/// included), an INSERT followed by SELECT/UPDATE/DELETE of the new row,
+/// a DELETE followed by a SELECT — must see exactly what the same script
+/// sees statement by statement in autocommit on an identical catalog,
+/// and leave the same table after COMMIT, across workers ∈ {1, 4} ×
+/// budget ∈ {32 KiB, unbounded}.
+#[test]
+fn in_txn_statements_match_committed_ones_across_workers_and_budget() {
+    let setup = [
+        "CREATE INDEX acc_id ON accounts (id)",
+        "CREATE INDEX acc_bal ON accounts (balance)",
+        "ANALYZE",
+    ];
+    let script = [
+        // Into a later predicate, by rewriting the indexed key.
+        "UPDATE accounts SET balance = 777 WHERE id = 5",
+        "SELECT id, owner, balance FROM accounts WHERE balance = 777",
+        "SELECT id FROM accounts WHERE balance = 500",
+        // Out of one; the mover must not show under its old key.
+        "UPDATE accounts SET balance = 778 WHERE balance = 700",
+        "SELECT id FROM accounts WHERE balance = 700",
+        "SELECT id, balance FROM accounts WHERE balance >= 777 AND balance < 800",
+        // The key column of the locating index itself.
+        "UPDATE accounts SET id = 9000 WHERE id = 11",
+        "SELECT id, balance FROM accounts WHERE id = 9000",
+        "SELECT id FROM accounts WHERE id = 11",
+        "UPDATE accounts SET owner = 'moved' WHERE id = 9000",
+        // A staged insert: read it, rewrite it, find it by its new key.
+        "INSERT INTO accounts VALUES (5000, 'new', 123)",
+        "SELECT id, owner, balance FROM accounts WHERE id = 5000",
+        "UPDATE accounts SET balance = balance + 1 WHERE id = 5000",
+        "UPDATE accounts SET balance = balance + 1 WHERE id = 5000",
+        "SELECT id FROM accounts WHERE balance = 125",
+        "SELECT id FROM accounts WHERE balance = 123",
+        "INSERT INTO accounts VALUES (5001, 'gone', 9)",
+        "DELETE FROM accounts WHERE id = 5001",
+        "SELECT COUNT(*) AS c FROM accounts WHERE id >= 5000",
+        // Deletes, by either index.
+        "DELETE FROM accounts WHERE id = 20",
+        "SELECT id FROM accounts WHERE id = 20",
+        "SELECT id FROM accounts WHERE balance = 2000",
+        "DELETE FROM accounts WHERE balance = 777",
+        "SELECT id FROM accounts WHERE balance = 777",
+        "UPDATE accounts SET balance = 0 WHERE id = 20",
+        // Ranges, an index join and a full scan over the written view.
+        "SELECT id, balance FROM accounts WHERE id >= 395",
+        "SELECT a.id, b.id FROM accounts a JOIN accounts b ON a.balance = b.id WHERE a.id < 4",
+        "SELECT COUNT(*) AS c, SUM(balance) AS s FROM accounts",
+    ];
+    type Seen = (Vec<Vec<Vec<Datum>>>, Vec<Vec<Datum>>);
+    let run = |conn: &Connection, in_txn: bool| -> Seen {
+        for stmt in setup {
+            conn.query(stmt).unwrap();
+        }
+        for stmt in script.iter().filter(|s| !s.starts_with("SELECT")) {
+            if !stmt.starts_with("INSERT") {
+                let plan = conn.query(&format!("EXPLAIN {stmt}")).unwrap();
+                let text: Vec<String> = plan.rows.iter().map(|r| r[0].to_string()).collect();
+                assert!(text.join("\n").contains("IndexSeek"), "{stmt}: {text:?}");
+            }
+        }
+        if in_txn {
+            conn.query("BEGIN").unwrap();
+        }
+        let mut seen = vec![];
+        for stmt in script {
+            let r = conn.query(stmt).unwrap_or_else(|e| panic!("{stmt}: {e}"));
+            if stmt.starts_with("SELECT") {
+                seen.push(r.rows);
+            }
+        }
+        if in_txn {
+            conn.query("COMMIT").unwrap();
+        }
+        (seen, all_rows(conn))
+    };
+    let reference = run(
+        &Connection::builder(seeded_catalog(400)).workers(1).build(),
+        false,
+    );
+    assert_eq!(reference.0[0].len(), 1, "the moved-in row is found");
+    assert!(
+        reference.0[1].is_empty(),
+        "... and no longer under its old key"
+    );
+    assert!(reference.0[2].is_empty(), "the moved-out row is not");
+    for workers in [1usize, 4] {
+        for budget in [Some(32 * 1024), None] {
+            for in_txn in [true, false] {
+                let mut b = Connection::builder(seeded_catalog(400)).workers(workers);
+                if let Some(bytes) = budget {
+                    b = b.memory_budget(bytes);
+                }
+                let (seen, table) = run(&b.build(), in_txn);
+                let what = format!("workers={workers} budget={budget:?} in_txn={in_txn}");
+                for (i, (got, want)) in seen.iter().zip(&reference.0).enumerate() {
+                    assert_eq!(got, want, "{what}: SELECT #{i}");
+                }
+                assert_eq!(table, reference.1, "{what}: final table");
+            }
+        }
+    }
+}
+
+/// Two writers reserve row ids in one order and commit in the other.
+/// The live table keeps its ids ascending (the late committer's row
+/// lands at its id's slot, not the tail), and the log replays to the
+/// same physical table: rows, row ids and index answers alike.
+#[test]
+fn out_of_order_id_commits_replay_to_the_live_layout() {
+    let catalog = seeded_catalog(8);
+    let checkpoint = seeded_catalog(8);
+    let mem = MemWal::default();
+    catalog
+        .txns()
+        .attach_wal(WalWriter::new(Box::new(mem.clone())));
+    for c in [&catalog, &checkpoint] {
+        conn(c.clone())
+            .query("CREATE INDEX acc_id ON accounts (id)")
+            .unwrap();
+    }
+    let c1 = conn(catalog.clone());
+    let c2 = conn(catalog.clone());
+    c1.query("BEGIN").unwrap();
+    c1.query("INSERT INTO accounts VALUES (100, 'first', 1)")
+        .unwrap();
+    c2.query("BEGIN").unwrap();
+    c2.query("INSERT INTO accounts VALUES (200, 'second', 2)")
+        .unwrap();
+    c2.query("INSERT INTO accounts VALUES (201, 'second', 3)")
+        .unwrap();
+    c2.query("COMMIT").unwrap();
+    c1.query("DELETE FROM accounts WHERE id = 3").unwrap();
+    c1.query("COMMIT").unwrap();
+
+    let layout = |catalog: &Arc<Catalog>| {
+        let tref = catalog.resolve(&["bank", "accounts"]).unwrap();
+        let t = tref.table.as_mem_table().unwrap();
+        let by_index: Vec<Vec<Datum>> = [100, 200, 201, 3]
+            .iter()
+            .flat_map(|id| {
+                conn(catalog.clone())
+                    .query(&format!("SELECT id, owner FROM accounts WHERE id = {id}"))
+                    .unwrap()
+                    .rows
+            })
+            .collect();
+        (t.rows(), t.row_ids(), by_index)
+    };
+    let live = layout(&catalog);
+    assert_eq!(live.1, vec![0, 1, 2, 4, 5, 6, 7, 8, 9, 10]);
+    let ids: Vec<Datum> = live.0.iter().map(|r| r[0].clone()).collect();
+    assert_eq!(ids[7..], [100, 200, 201].map(Datum::Int));
+    assert_eq!(live.2.len(), 3);
+
+    let bytes = mem.handle().lock().clone();
+    let report = replay(&bytes, &checkpoint).unwrap();
+    assert_eq!((report.txns, report.discarded_bytes), (2, 0));
+    assert_eq!(layout(&checkpoint), live);
+}
