@@ -9,22 +9,28 @@
 //!
 //! Each plan's two engines are cross-checked for identical results at
 //! startup, so the bench cannot silently measure a wrong answer.
+//!
+//! `scan_residency` guards `MemTable`'s resident column mirror on a
+//! 500k × 7 table: a warm scan is served from the mirror, a scan after a
+//! write costs what a cold one does, and a write pays nothing for the
+//! mirror beyond dropping it.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use rcalcite_adapters::jdbc::JdbcAdapter;
 use rcalcite_backends::memdb::MemDb;
-use rcalcite_core::catalog::TableRef;
-use rcalcite_core::datum::Datum;
+use rcalcite_core::catalog::{MemTable, Table, TableRef};
+use rcalcite_core::datum::{Datum, Row};
 use rcalcite_core::exec::{ExecContext, Parallelism};
 use rcalcite_core::rel::{self, AggCall, AggFunc, JoinKind, Rel};
 use rcalcite_core::rex::{Op, RexNode};
 use rcalcite_core::traits::FieldCollation;
-use rcalcite_core::types::{RelType, TypeKind};
+use rcalcite_core::txn::DeltaOp;
+use rcalcite_core::types::{RelType, RowTypeBuilder, TypeKind};
 use rcalcite_enumerable::{execute_batches_with_fusion, EnumerableExecutor};
 use rcalcite_sql::PostgresDialect;
 use std::hint::black_box;
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 const ROWS: usize = 100_000;
 const CUSTS: usize = 1_000;
@@ -378,10 +384,163 @@ fn bench_out_of_core(c: &mut Criterion) {
     g.finish();
 }
 
+fn median(mut samples: Vec<Duration>) -> Duration {
+    samples.sort();
+    samples[samples.len() / 2]
+}
+
+fn timed<T>(f: impl FnOnce() -> T) -> Duration {
+    let t0 = Instant::now();
+    black_box(f());
+    t0.elapsed()
+}
+
+/// The lifecycle of `MemTable`'s column mirror, as costs, on a fact
+/// table the size of the ledger's `analytics` one (500k rows × 7
+/// columns). The first columnar scan of a table version pivots the rows
+/// into the mirror; later scans slice it; a write drops it. In-process
+/// guards, before anything is timed for the report:
+///
+/// - a second selective scan is ≥ 5× faster than the first;
+/// - a scan after a single-row `apply_delta` costs no more than 1.2× a
+///   cold scan (the write dropped the mirror — it did not leave work
+///   behind for the scan beyond the rebuild);
+/// - a single-row `apply_delta` with no mirror resident is the write
+///   path exactly as it was before the mirror existed (`commit_scaling`
+///   in the `txn` bench guards that path against the table size); one
+///   that finds a warm mirror additionally frees it — ≈ 9 B per cell
+///   handed back to the allocator — which must stay under 1 % of the
+///   cold scan that built it: the write drops, it never patches or
+///   rebuilds.
+fn bench_scan_residency(c: &mut Criterion) {
+    const FACT_ROWS: i64 = 500_000;
+    const TABLES: usize = 5;
+    const WRITES: usize = 9;
+    let fact_row = |i: i64, amount: i64| -> Row {
+        vec![
+            Datum::Int(i),
+            Datum::Int(i % 365),
+            Datum::Int((i * 31) % 8),
+            Datum::Int((i * 17) % 200),
+            Datum::Int((i * 7919) % 5_000),
+            Datum::Int(amount),
+            if i % 5 == 0 {
+                Datum::Null
+            } else {
+                Datum::Int(i % 30)
+            },
+        ]
+    };
+    let fact_table = || -> Arc<MemTable> {
+        let mut rt = RowTypeBuilder::new();
+        for name in ["id", "day", "region_id", "store_id", "product_id", "amount"] {
+            rt = rt.add_not_null(name, TypeKind::Integer);
+        }
+        MemTable::new(
+            rt.add("discount", TypeKind::Integer).build(),
+            (0..FACT_ROWS).map(|i| fact_row(i, i % 1000)).collect(),
+        )
+    };
+    // SELECT id, amount FROM fact WHERE day = 17 AND region_id = 3
+    let selective = |t: &Arc<MemTable>| -> Rel {
+        rel::project(
+            rel::filter(
+                rel::scan(TableRef::new("mart", "fact", t.clone())),
+                RexNode::and_all(vec![
+                    int_in(1).eq(RexNode::lit_int(17)),
+                    int_in(2).eq(RexNode::lit_int(3)),
+                ]),
+            ),
+            vec![int_in(0), int_in(5)],
+            vec!["id".into(), "amount".into()],
+        )
+    };
+    let ctx = batch_ctx();
+    let hits = (0..FACT_ROWS)
+        .filter(|i| i % 365 == 17 && (i * 31) % 8 == 3)
+        .count();
+    let scan = |plan: &Rel| {
+        let n = ctx.execute_collect(plan).unwrap().len();
+        assert_eq!(n, hits, "selective scan returned the wrong rows");
+    };
+
+    // Cold vs warm, one fresh table per sample (only a fresh table or a
+    // write makes a scan cold).
+    let (mut cold, mut warm) = (vec![], vec![]);
+    let table = (0..TABLES)
+        .map(|_| {
+            let table = fact_table();
+            let plan = selective(&table);
+            cold.push(timed(|| scan(&plan)));
+            warm.push(timed(|| scan(&plan)));
+            table
+        })
+        .last()
+        .expect("at least one sample");
+    let (cold, warm) = (median(cold), median(warm));
+    eprintln!(
+        "scan_residency/selective: cold {cold:?}, warm {warm:?} ({:.1}x)",
+        cold.as_secs_f64() / warm.as_secs_f64()
+    );
+    assert!(
+        warm.as_secs_f64() * 5.0 <= cold.as_secs_f64(),
+        "warm scan {warm:?} is not 5x faster than the cold scan {cold:?}"
+    );
+
+    // One table from here on. A single-row write with a warm mirror to
+    // drop, the scan that follows it, and — interleaved, so a noisy
+    // stretch hits both — a second write with nothing to drop.
+    let plan = selective(&table);
+    let step = std::cell::Cell::new(0i64);
+    let write = || {
+        let i = step.get();
+        step.set(i + 1);
+        let id = (i * 7919) % FACT_ROWS;
+        let ops = [DeltaOp::Update {
+            row_id: id as u64,
+            row: fact_row(id, 1000 + i),
+        }];
+        timed(|| table.apply_delta(&ops).unwrap())
+    };
+    let (mut dropping, mut bare, mut after_write) = (vec![], vec![], vec![]);
+    for _ in 0..WRITES {
+        dropping.push(write());
+        bare.push(write());
+        after_write.push(timed(|| scan(&plan)));
+    }
+    let (dropping, bare, after_write) = (median(dropping), median(bare), median(after_write));
+    eprintln!(
+        "scan_residency/write: {dropping:?} dropping a warm mirror, {bare:?} with none; \
+         scan after write {after_write:?} ({:.2}x cold)",
+        after_write.as_secs_f64() / cold.as_secs_f64()
+    );
+    assert!(
+        after_write.as_secs_f64() <= cold.as_secs_f64() * 1.2,
+        "scan after a single-row write {after_write:?} vs cold scan {cold:?}"
+    );
+    assert!(
+        dropping.as_secs_f64() <= bare.as_secs_f64() + cold.as_secs_f64() * 0.01,
+        "single-row write {dropping:?} with a mirror to drop vs {bare:?} without"
+    );
+
+    let mut g = c.benchmark_group("scan_residency");
+    g.sample_size(10).measurement_time(Duration::from_secs(1));
+    g.throughput(Throughput::Elements(FACT_ROWS as u64));
+    g.bench_function("selective/warm", |b| b.iter(|| scan(&plan)));
+    g.bench_function("selective/after_write", |b| {
+        b.iter(|| {
+            write();
+            scan(&plan);
+        })
+    });
+    g.finish();
+}
+
 criterion_group!(
     benches,
     bench_executors,
     bench_parallel_scaling,
-    bench_out_of_core
+    bench_out_of_core,
+    bench_scan_residency
 );
 criterion_main!(benches);

@@ -10,7 +10,7 @@ use crate::index::{
 };
 use crate::traits::{Collation, Convention};
 use crate::types::RowType;
-use parking_lot::RwLock;
+use parking_lot::{Mutex, RwLock};
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
@@ -85,20 +85,17 @@ pub trait Table: Send + Sync {
     /// executor pulls from, one batch per `next_batch`, so memory stays
     /// bounded by the pipeline depth rather than the table size.
     ///
-    /// The default bridges through [`Table::scan_columns`] (slicing the
-    /// materialized vectors lazily) or, failing that, pivots
-    /// [`Table::scan`] through a [`RowBatcher`]. Backends with a native
-    /// columnar store override this to serve slices without materializing
-    /// whole columns up front (see the memdb backend). Zero-column tables
-    /// cannot be represented as column batches (a `Vec<Column>` carries
-    /// no row count without columns) — callers must route those through
-    /// [`Table::scan`].
+    /// The default slices the whole of [`Table::scan_snapshot`] — the
+    /// same snapshot, through the same [`RangeScan::scan_range`], that
+    /// morsel workers slice by range — or, for tables without a columnar
+    /// surface, pivots [`Table::scan`] through a [`RowBatcher`].
+    /// Zero-column tables cannot be represented as column batches (a
+    /// `Vec<Column>` carries no row count without columns) — callers
+    /// must route those through [`Table::scan`].
     fn scan_batches(&self, batch_size: usize) -> Result<Box<dyn BatchIter>> {
-        if let Some(cols) = self.scan_columns() {
-            let cols = cols?;
-            if !cols.is_empty() {
-                return Ok(Box::new(SlicedColumns::new(cols, batch_size)));
-            }
+        if let Some(snapshot) = self.scan_snapshot()? {
+            let rows = snapshot.row_count();
+            return snapshot.scan_range(batch_size, 0, rows);
         }
         let kinds = self
             .row_type()
@@ -125,8 +122,9 @@ pub trait Table: Send + Sync {
     /// so a concurrent insert cannot tear the scan between morsels.
     ///
     /// The default materializes [`Table::scan_columns`] once into a
-    /// [`ColumnsSnapshot`]; backends with a native columnar store
-    /// override this to hand out zero-copy `Arc` snapshots (see memdb).
+    /// [`ColumnsSnapshot`]; tables that keep columnar data resident
+    /// override this to hand out zero-copy `Arc` snapshots ([`MemTable`]'s
+    /// mirror, memdb's column store).
     /// `Ok(None)` means range scans are unsupported (matching a `None`
     /// from [`Table::range_scan_rows`]).
     fn scan_snapshot(&self) -> Result<Option<Arc<dyn RangeScan>>> {
@@ -295,6 +293,11 @@ impl ColumnsSnapshot {
         let rows = columns.first().map_or(0, Column::len);
         ColumnsSnapshot { columns, rows }
     }
+
+    /// The whole-table column vectors, one per field.
+    pub fn columns(&self) -> &[Column] {
+        &self.columns
+    }
 }
 
 /// View of an `Arc<ColumnsSnapshot>` as a column slice for
@@ -390,6 +393,12 @@ pub struct MemTable {
     /// write lock is held, so version order matches write order). Serves
     /// [`Table::data_version`] for view-freshness tracking.
     version: std::sync::atomic::AtomicU64,
+    /// Columnar mirror of `rows` for the current version: built by the
+    /// first columnar scan (see [`MemTable::mirror`]), shared by every
+    /// later one, and dropped — never patched — by each write while it
+    /// holds the rows write lock. Locked after `rows`, like the other
+    /// parallel structures.
+    mirror: Mutex<Option<Arc<ColumnsSnapshot>>>,
 }
 
 impl MemTable {
@@ -403,6 +412,7 @@ impl MemTable {
             statistic: RwLock::new(None),
             indexes: RwLock::new(vec![]),
             version: std::sync::atomic::AtomicU64::new(0),
+            mirror: Mutex::new(None),
         })
     }
 
@@ -415,8 +425,33 @@ impl MemTable {
         self.rows.read().as_ref().clone()
     }
 
+    /// The columnar mirror of the current rows. The pivot runs under the
+    /// rows read lock *and* the mirror lock, so concurrent scanners of
+    /// one version wait for a single build instead of each pivoting, and
+    /// no write can land between reading the rows and publishing their
+    /// mirror. Callers keep the returned `Arc` for as long as they scan;
+    /// a later write only drops the table's own reference.
+    fn mirror(&self) -> Arc<ColumnsSnapshot> {
+        let rows = self.rows.read();
+        let mut slot = self.mirror.lock();
+        if let Some(mirror) = slot.as_ref() {
+            return Arc::clone(mirror);
+        }
+        let columns = self
+            .row_type
+            .fields
+            .iter()
+            .enumerate()
+            .map(|(i, f)| Column::from_rows(&f.ty.kind, &rows, i))
+            .collect();
+        let mirror = Arc::new(ColumnsSnapshot::new(columns));
+        *slot = Some(Arc::clone(&mirror));
+        mirror
+    }
+
     pub fn insert(&self, row: Row) {
         let mut guard = self.rows.write();
+        *self.mirror.lock() = None;
         self.version
             .fetch_add(1, std::sync::atomic::Ordering::SeqCst);
         Arc::make_mut(&mut guard).push(row);
@@ -435,6 +470,7 @@ impl MemTable {
 
     pub fn replace_all(&self, rows: Vec<Row>) {
         let mut guard = self.rows.write();
+        *self.mirror.lock() = None;
         self.version
             .fetch_add(1, std::sync::atomic::Ordering::SeqCst);
         let n = rows.len() as u64;
@@ -488,14 +524,7 @@ impl Table for MemTable {
     }
 
     fn scan_columns(&self) -> Option<Result<Vec<Column>>> {
-        let rows = self.rows.read();
-        Some(Ok(self
-            .row_type
-            .fields
-            .iter()
-            .enumerate()
-            .map(|(i, f)| Column::from_rows(&f.ty.kind, &rows, i))
-            .collect()))
+        Some(Ok(self.mirror().columns().to_vec()))
     }
 
     fn range_scan_rows(&self) -> Option<usize> {
@@ -503,6 +532,24 @@ impl Table for MemTable {
             return None; // zero-arity rows can't be column batches
         }
         Some(self.rows.read().len())
+    }
+
+    fn scan_snapshot(&self) -> Result<Option<Arc<dyn RangeScan>>> {
+        if self.row_type.arity() == 0 {
+            return Ok(None);
+        }
+        Ok(Some(self.mirror()))
+    }
+
+    fn analyze(&self) -> Option<Result<crate::stats::TableStats>> {
+        if self.row_type.arity() == 0 {
+            return None; // the mirror of a zero-arity table has no row count
+        }
+        let mirror = self.mirror();
+        Some(Ok(crate::stats::analyze_columns(
+            mirror.columns(),
+            mirror.row_count(),
+        )))
     }
 
     fn as_mem_table(&self) -> Option<&MemTable> {
@@ -595,6 +642,7 @@ impl Table for MemTable {
             .iter_mut()
             .map(|idx| IndexData::unlink(idx, &old, &net))
             .collect();
+        *self.mirror.lock() = None;
         let rows = Arc::make_mut(&mut rows_guard);
         let outcome = net.apply(rows, Arc::make_mut(&mut ids_guard));
         if let Some(max_id) = outcome.max_inserted_id {
@@ -956,6 +1004,71 @@ mod tests {
         // But a fresh snapshot (and range_scan_rows) see it.
         assert_eq!(t.range_scan_rows(), Some(21));
         assert_eq!(t.scan_snapshot().unwrap().unwrap().row_count(), 21);
+    }
+
+    /// The mirror's lifecycle: built once per table version, shared by
+    /// every columnar surface, and released — not merely marked stale —
+    /// by each write path.
+    #[test]
+    fn mirror_is_built_once_and_released_by_every_write() {
+        let t = emp_table();
+        let resident = |t: &MemTable| {
+            let snap = t.scan_snapshot().unwrap().unwrap();
+            let weak = Arc::downgrade(&snap);
+            drop(snap);
+            assert!(weak.upgrade().is_some(), "table keeps its mirror warm");
+            weak
+        };
+        let a = t.scan_snapshot().unwrap().unwrap();
+        let b = t.scan_snapshot().unwrap().unwrap();
+        assert!(std::ptr::addr_eq(Arc::as_ptr(&a), Arc::as_ptr(&b)));
+        // scan_batches, scan_columns and analyze read it without rebuilding.
+        let weak = resident(&t);
+        drop((a, b));
+        t.scan_batches(1).unwrap().next_batch().unwrap().unwrap();
+        t.scan_columns().unwrap().unwrap();
+        assert_eq!(t.analyze().unwrap().unwrap().row_count, 2.0);
+        assert!(std::ptr::addr_eq(weak.as_ptr(), resident(&t).as_ptr()));
+
+        t.insert(vec![Datum::Int(30), Datum::Double(3000.0)]);
+        assert!(weak.upgrade().is_none(), "insert released the mirror");
+
+        let weak = resident(&t);
+        let bad = [crate::txn::DeltaOp::Delete { row_id: 99 }];
+        assert!(t.apply_delta(&bad).is_err());
+        assert!(weak.upgrade().is_some(), "a rejected delta changes nothing");
+        let ops = [crate::txn::DeltaOp::Update {
+            row_id: 1,
+            row: vec![Datum::Int(20), Datum::Null],
+        }];
+        t.apply_delta(&ops).unwrap();
+        assert!(weak.upgrade().is_none(), "apply_delta released the mirror");
+
+        let weak = resident(&t);
+        t.replace_all(vec![vec![Datum::Int(1), Datum::Double(1.0)]]);
+        assert!(weak.upgrade().is_none(), "replace_all released the mirror");
+        assert_eq!(
+            t.scan_columns().unwrap().unwrap(),
+            vec![
+                Column::from_datums(&TypeKind::Integer, [Datum::Int(1)]),
+                Column::from_datums(&TypeKind::Double, [Datum::Double(1.0)]),
+            ]
+        );
+    }
+
+    /// A zero-arity table has no column to carry a row count: it stays
+    /// on the row surface (no snapshot, no native analyze).
+    #[test]
+    fn zero_arity_table_has_no_columnar_surface() {
+        let t = MemTable::new(RowTypeBuilder::new().build(), vec![vec![], vec![]]);
+        assert_eq!(t.range_scan_rows(), None);
+        assert!(t.scan_snapshot().unwrap().is_none());
+        assert!(t.analyze().is_none());
+        assert_eq!(
+            crate::stats::analyze_table(t.as_ref()).unwrap().row_count,
+            2.0
+        );
+        assert_eq!(t.scan().unwrap().count(), 2);
     }
 
     #[test]

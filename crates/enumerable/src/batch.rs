@@ -46,7 +46,9 @@
 //! executor's accumulators. The differential suite in
 //! `tests/executor_differential.rs` holds the two engines equal.
 
-use crate::executor::{compare_datums, compare_rows, execute_node, extract_equi_keys, Acc};
+use crate::executor::{
+    compare_datums, compare_nullable, compare_rows, execute_node, extract_equi_keys, Acc,
+};
 use rcalcite_core::buffer::{
     column_bytes, row_bytes, BufferPool, ByteReader, ByteWriter, MemoryReservation, Run, RunCursor,
     RunWriter, SpillEnv,
@@ -56,12 +58,12 @@ use rcalcite_core::datum::{Column, Datum, Row};
 use rcalcite_core::error::{CalciteError, Result};
 use rcalcite_core::exec::{
     round_robin_router, BatchIter, BoxOperator, ChainOp, ExchangeItem, ExecContext, FilterMapOp,
-    GatherOp, Operator, OrderedGatherOp, Parallelism, Router, RowBatcher, RowIter, ScatterOp,
+    GatherOp, Operator, OrderedGatherOp, Parallelism, RowBatcher, RowIter, ScatterOp,
     ScatterPartition,
 };
 use rcalcite_core::rel::{AggCall, AggFunc, JoinKind, Rel, RelOp};
 use rcalcite_core::rex::{eval_op_strict, BuiltinFn, Op, RexNode};
-use rcalcite_core::traits::Collation;
+use rcalcite_core::traits::{Collation, FieldCollation};
 use rcalcite_core::types::{RowType, TypeKind};
 use std::cmp::Ordering;
 use std::collections::{HashMap, HashSet, VecDeque};
@@ -1191,8 +1193,7 @@ impl RunMerger {
 
 /// Partition of a row's key datums under a salted hash — the routing
 /// function of the hybrid-hash join. `salt` varies per recursion level
-/// so a skewed partition re-splits on a fresh hash; the datum hashing
-/// matches [`hash_partition_router`], the exchange-layer sibling.
+/// so a skewed partition re-splits on a fresh hash.
 fn salted_partition(datums: impl Iterator<Item = Datum>, salt: u32, n: usize) -> usize {
     use std::hash::{Hash, Hasher};
     let mut h = std::collections::hash_map::DefaultHasher::new();
@@ -3135,17 +3136,17 @@ fn sort_group_entries(
     seq0: u64,
 ) -> Vec<(u64, Row)> {
     let b = concat_batches(batches, arity);
-    let mut idx: Vec<usize> = (0..b.len).collect();
-    sort_indexes(&mut idx, &b, collation);
-    idx.into_iter()
+    sort_indexes(&b, collation)
+        .into_iter()
         .map(|i| (seq0 + i as u64, b.row(i)))
         .collect()
 }
 
-/// Full sort (no fetch): materializes the input (the sort itself needs
-/// every row), sorts an index vector — typed loop for a single Int key,
-/// shared `compare_datums` otherwise — and streams the result in
-/// batch-sized chunks. Under a bounded [`MemoryBudget`] this becomes an
+/// Full sort (no fetch), at every worker count: materializes the input
+/// (the sort itself needs every row; a parallel child chain arrives in
+/// serial order through its ordered gather), sorts an index vector
+/// through [`sort_indexes`] and streams the result in batch-sized
+/// chunks. Under a bounded [`MemoryBudget`] this becomes an
 /// external merge sort: when the accumulated input outgrows the budget
 /// it is sorted and flushed as a run, and the runs (plus the in-memory
 /// tail) k-way merge on read. Every entry carries its arrival sequence,
@@ -3217,8 +3218,7 @@ impl Operator<ColumnBatch> for FullSortOp {
             // Exact in-memory path (the pre-spill code), reservation held
             // for the operator's lifetime.
             let b = concat_batches(pending, arity);
-            let mut idx: Vec<usize> = (0..b.len).collect();
-            sort_indexes(&mut idx, &b, &self.collation);
+            let idx = sort_indexes(&b, &self.collation);
             let start = self.offset.min(idx.len());
             let idx = &idx[start..];
             if idx.is_empty() {
@@ -3272,52 +3272,47 @@ impl Operator<ColumnBatch> for FullSortOp {
     }
 }
 
-/// Sorts an index vector over a dense batch. Single Int key sorts on
-/// the raw vector; NULL placement comes from the same `compare_datums`
-/// contract as `compare_rows`.
-fn sort_indexes(idx: &mut [usize], b: &ColumnBatch, collation: &Collation) {
-    if collation.is_empty() {
-        return;
-    }
-    if let [fc] = collation.as_slice() {
-        if let Column::Int { values, valid } = &b.columns[fc.field] {
-            idx.sort_by(|&a, &c| match (valid[a], valid[c]) {
-                (false, false) => Ordering::Equal,
-                (false, true) => {
-                    if fc.nulls_first {
-                        Ordering::Less
-                    } else {
-                        Ordering::Greater
-                    }
-                }
-                (true, false) => {
-                    if fc.nulls_first {
-                        Ordering::Greater
-                    } else {
-                        Ordering::Less
-                    }
-                }
-                (true, true) => {
-                    let o = values[a].cmp(&values[c]);
-                    if fc.descending {
-                        o.reverse()
-                    } else {
-                        o
-                    }
-                }
-            });
-            return;
+/// Rows `a` and `c` of one key column under its collation: two indexed
+/// loads and a native compare over the typed vectors — the same order,
+/// NULL placement included, as [`compare_datums`] over the two datums
+/// (which `Generic` columns still go through, by reference).
+fn compare_at(fc: &FieldCollation, col: &Column, a: usize, c: usize) -> Ordering {
+    match col {
+        Column::Int { values, valid } => {
+            compare_nullable(fc, !valid[a], !valid[c], || values[a].cmp(&values[c]))
         }
-    }
-    idx.sort_by(|&a, &c| {
-        for fc in collation {
-            let ord = compare_datums(fc, &b.columns[fc.field].get(a), &b.columns[fc.field].get(c));
-            if ord != Ordering::Equal {
-                return ord;
-            }
+        Column::Double { values, valid } => {
+            compare_nullable(fc, !valid[a], !valid[c], || values[a].total_cmp(&values[c]))
         }
-        Ordering::Equal
-    });
+        Column::Bool { values, valid } => {
+            compare_nullable(fc, !valid[a], !valid[c], || values[a].cmp(&values[c]))
+        }
+        Column::Str { values, valid } => {
+            compare_nullable(fc, !valid[a], !valid[c], || values[a].cmp(&values[c]))
+        }
+        Column::Generic(v) => compare_datums(fc, &v[a], &v[c]),
+    }
+}
+
+/// The permutation that stably sorts a dense batch under `collation`
+/// (identity for an empty collation) — the one sort kernel: the
+/// collation resolves once to its key columns, and every comparison
+/// runs over their typed vectors without materializing a [`Datum`].
+fn sort_indexes(b: &ColumnBatch, collation: &Collation) -> Vec<usize> {
+    let mut idx: Vec<usize> = (0..b.len).collect();
+    let keys: Vec<(&FieldCollation, &Column)> = collation
+        .iter()
+        .map(|fc| (fc, &b.columns[fc.field]))
+        .collect();
+    if !keys.is_empty() {
+        idx.sort_by(|&a, &c| {
+            keys.iter()
+                .map(|(fc, col)| compare_at(fc, col, a, c))
+                .find(|o| o.is_ne())
+                .unwrap_or(Ordering::Equal)
+        });
+    }
+    idx
 }
 
 // ---------------------------------------------------------------------
@@ -3489,15 +3484,16 @@ impl Operator<ColumnBatch> for MinusOp {
 //   [`AggState`]; the partials merge exactly (distinct aggregates
 //   replay unseen argument tuples) and groups are emitted in first-seen
 //   sequence order, reproducing the serial output order.
-// - **Sort / Top-K**: each worker sorts (or Top-K-filters) its morsels
-//   into a run ordered by (collation, input sequence); a k-way merge
-//   under the same comparator recombines the runs, so ORDER BY results
-//   are byte-identical across worker counts.
+// - **Top-K** (`ORDER BY … FETCH`): each worker Top-K-filters its
+//   morsels into a run ordered by (collation, input sequence); a k-way
+//   merge under the same comparator recombines the runs. A full sort
+//   places no exchange of its own: the serial [`FullSortOp`] (which
+//   accounts against the memory budget and spills) consumes its child
+//   chain's ordered gather, so ORDER BY results are byte-identical
+//   across worker counts either way.
 //
 // Chains whose bottom is not range-scannable but looks big stream
-// through a [`ScatterOp`] with a round-robin router instead; a
-// hash-partitioning router ([`hash_partition_router`]) is provided for
-// partitioned join builds once spill-to-disk lands.
+// through a [`ScatterOp`] with a round-robin router instead.
 
 /// One compiled chain stage: an optional filter fused with an optional
 /// projection, executed as a single kernel pass per batch.
@@ -3887,45 +3883,6 @@ impl Operator<ExchangeItem<ColumnBatch>> for ChainWorker {
     }
 }
 
-/// A hash router over key columns: splits each batch into per-partition
-/// pieces so rows with equal keys co-locate on one worker. The engine's
-/// default plans keep aggregates on round-robin + first-seen merge
-/// (which preserves serial output order exactly); this router is the
-/// building block for partitioned hash-join builds once spill-to-disk
-/// lands.
-///
-/// Contract: because one source batch fans out into several pieces
-/// *sharing its sequence number*, partitions fed by this router must
-/// flow into an order-insensitive consumer (e.g. a partitioned build or
-/// an unordered gather) — [`OrderedGatherOp`]'s `(morsel, chunk)`
-/// protocol assumes whole-batch routing and would collapse same-tag
-/// pieces. The engine's exchange pipelines only pair [`ScatterOp`] with
-/// `round_robin_router` for exactly this reason.
-pub fn hash_partition_router(keys: Vec<usize>, n: usize) -> Router<ColumnBatch> {
-    use std::hash::{Hash, Hasher};
-    let n = n.max(1);
-    Box::new(move |_seq, b: ColumnBatch| {
-        let b = b.compact();
-        let mut sel: Vec<Vec<usize>> = vec![vec![]; n];
-        for i in 0..b.num_rows() {
-            let mut h = std::collections::hash_map::DefaultHasher::new();
-            for &k in &keys {
-                b.column(k).get(i).hash(&mut h);
-            }
-            sel[(h.finish() as usize) % n].push(i);
-        }
-        sel.into_iter()
-            .enumerate()
-            .filter(|(_, s)| !s.is_empty())
-            .map(|(p, s)| {
-                let mut piece = b.clone();
-                piece.set_selection(s);
-                (p, piece.compact())
-            })
-            .collect()
-    })
-}
-
 // -------------------------- parallel join ----------------------------
 
 /// The build-side state probe workers share: the materialized right
@@ -4188,20 +4145,12 @@ impl Operator<ColumnBatch> for ParallelAggregateOp {
 
 // -------------------------- parallel sort ----------------------------
 
-/// Accumulated sort state of one worker.
-enum SortAcc {
-    /// Bounded Top-K of `offset + fetch` entries.
-    TopK(TopK),
-    /// Full sort: every (sequence, row) the worker saw.
-    All(Vec<(u64, Row)>),
-}
-
-/// One worker of a parallel sort: folds its feed into a sorted run
-/// under `(collation, input sequence)` and yields it once.
+/// One worker of a parallel Top-K: folds its feed into a bounded heap
+/// under `(collation, input sequence)` and yields the kept entries,
+/// sorted, once.
 struct SortWorker {
     inner: BoxOperator<ExchangeItem<ColumnBatch>>,
-    collation: Collation,
-    acc: Option<SortAcc>,
+    topk: Option<TopK>,
     cur_morsel: usize,
     offset: u64,
 }
@@ -4212,7 +4161,7 @@ impl Operator<Vec<(u64, Row)>> for SortWorker {
     }
 
     fn next(&mut self) -> Result<Option<Vec<(u64, Row)>>> {
-        let Some(mut acc) = self.acc.take() else {
+        let Some(mut topk) = self.topk.take() else {
             return Ok(None);
         };
         loop {
@@ -4225,25 +4174,13 @@ impl Operator<Vec<(u64, Row)>> for SortWorker {
                     let b = b.compact();
                     for i in 0..b.num_rows() {
                         let seq = ((m as u64) << 32) | (self.offset + i as u64);
-                        match &mut acc {
-                            SortAcc::TopK(t) => t.offer(&b, i, seq),
-                            SortAcc::All(v) => v.push((seq, b.row(i))),
-                        }
+                        topk.offer(&b, i, seq);
                     }
                     self.offset += b.num_rows() as u64;
                 }
                 Some(ExchangeItem::Error(_, e)) => return Err(e),
                 Some(ExchangeItem::MorselEnd(_)) => {}
-                None => {
-                    let run = match acc {
-                        SortAcc::TopK(t) => t.into_sorted_entries(),
-                        SortAcc::All(mut v) => {
-                            v.sort_by(|a, b| cmp_entries(&self.collation, a, b));
-                            v
-                        }
-                    };
-                    return Ok(Some(run));
-                }
+                None => return Ok(Some(topk.into_sorted_entries())),
             }
         }
     }
@@ -4278,14 +4215,15 @@ fn merge_sorted_runs(runs: Vec<Vec<(u64, Row)>>, collation: &Collation) -> Vec<R
     out
 }
 
-/// Parallel ORDER BY: per-worker sorted runs (bounded Top-K heaps when
-/// a fetch is present) recombined by an order-preserving k-way merge
-/// under the collation.
+/// Parallel `ORDER BY … FETCH`: per-worker bounded Top-K heaps
+/// recombined by an order-preserving k-way merge under the collation.
+/// (A full sort has no bounded per-worker state to merge; it runs as
+/// [`FullSortOp`] over its parallel child chain instead.)
 struct ParallelSortOp {
     gather: GatherOp<Vec<(u64, Row)>>,
     collation: Collation,
     offset: usize,
-    fetch: Option<usize>,
+    fetch: usize,
     out_kinds: Vec<TypeKind>,
     out: VecDeque<ColumnBatch>,
 }
@@ -4295,22 +4233,18 @@ impl ParallelSortOp {
         seed: SourceSeed,
         collation: Collation,
         offset: usize,
-        fetch: Option<usize>,
+        fetch: usize,
         out_kinds: Vec<TypeKind>,
         p: Parallelism,
     ) -> Result<ParallelSortOp> {
-        let k = fetch.map(|f| offset.saturating_add(f));
+        let k = offset.saturating_add(fetch);
         let workers = seed
             .into_workers(WorkerKernel::Emit, p)?
             .into_iter()
             .map(|w| {
                 Box::new(SortWorker {
                     inner: w,
-                    collation: collation.clone(),
-                    acc: Some(match k {
-                        Some(k) => SortAcc::TopK(TopK::new(k, collation.clone())),
-                        None => SortAcc::All(vec![]),
-                    }),
+                    topk: Some(TopK::new(k, collation.clone())),
                     cur_morsel: 0,
                     offset: 0,
                 }) as BoxOperator<Vec<(u64, Row)>>
@@ -4336,10 +4270,7 @@ impl Operator<ColumnBatch> for ParallelSortOp {
         }
         let mut rows = merge_sorted_runs(runs, &self.collation);
         let start = self.offset.min(rows.len());
-        let end = match self.fetch {
-            Some(f) => start.saturating_add(f).min(rows.len()),
-            None => rows.len(),
-        };
+        let end = start.saturating_add(self.fetch).min(rows.len());
         let rows: Vec<Row> = rows.drain(start..end).collect();
         self.out = rebatch_rows(rows, &self.out_kinds).into();
         Ok(())
@@ -4364,8 +4295,8 @@ enum Placement<'a> {
     Aggregate(ChainShape<'a>),
     /// Shared-build hash/theta join with parallel probe over the left.
     Join(ChainShape<'a>),
-    /// Per-worker sorted runs + k-way merge under the collation.
-    Sort(ChainShape<'a>),
+    /// Per-worker bounded Top-K heaps + k-way merge under the collation.
+    TopK(ChainShape<'a>),
 }
 
 /// The single source of truth for where exchanges go; `None` means the
@@ -4376,9 +4307,13 @@ fn place(rel: &Rel, p: Parallelism) -> Option<Placement<'_>> {
         RelOp::Filter { .. } | RelOp::Project { .. } => match_chain(rel, p).map(Placement::Chain),
         RelOp::Aggregate { .. } => child_shape(rel, p).map(Placement::Aggregate),
         RelOp::Join { .. } => child_shape(rel, p).map(Placement::Join),
-        RelOp::Sort { collation, .. } if !collation.is_empty() => {
-            child_shape(rel, p).map(Placement::Sort)
-        }
+        // Only a fetch bounds per-worker sort state; a full sort stays a
+        // serial `FullSortOp` and parallelizes through its child chain.
+        RelOp::Sort {
+            collation,
+            fetch: Some(_),
+            ..
+        } if !collation.is_empty() => child_shape(rel, p).map(Placement::TopK),
         _ => None,
     }
 }
@@ -4432,14 +4367,14 @@ fn build_parallel(
                 failed: false,
             })
         }
-        Placement::Sort(shape) => {
+        Placement::TopK(shape) => {
             let RelOp::Sort {
                 collation,
                 offset,
-                fetch,
+                fetch: Some(fetch),
             } = &rel.op
             else {
-                unreachable!("place() pairs Placement::Sort with Sort nodes")
+                unreachable!("place() pairs Placement::TopK with fetch-bounded Sort nodes")
             };
             let seed = seed_from(shape, ctx, fuse)?;
             Box::new(ParallelSortOp::new(
@@ -4550,7 +4485,7 @@ fn fmt_parallel(rel: &Rel, p: Parallelism, depth: usize, out: &mut String) -> bo
             fmt_parallel(rel.input(1), p, depth + 3, out);
             true
         }
-        Some(Placement::Sort(shape)) => {
+        Some(Placement::TopK(shape)) => {
             pindent(out, depth);
             let _ = writeln!(out, "Merge[k-way under collation, workers={}]", p.workers);
             pnode(out, depth + 1, rel);
@@ -5500,30 +5435,6 @@ mod tests {
     }
 
     #[test]
-    fn hash_partition_router_co_locates_keys() {
-        let n = 3;
-        let mut router = hash_partition_router(vec![0], n);
-        let b = ColumnBatch::from_rows(
-            &[TypeKind::Integer, TypeKind::Integer],
-            &(0..100)
-                .map(|i| vec![Datum::Int(i % 10), Datum::Int(i)])
-                .collect::<Vec<_>>(),
-        );
-        let mut key_home: HashMap<Datum, usize> = HashMap::new();
-        let mut total = 0;
-        for (p, piece) in router(0, b.clone()).into_iter().chain(router(1, b)) {
-            assert!(p < n);
-            total += piece.num_rows();
-            for i in 0..piece.num_rows() {
-                let k = piece.column(0).get(i);
-                // Every occurrence of a key lands on one partition.
-                assert_eq!(*key_home.entry(k).or_insert(p), p);
-            }
-        }
-        assert_eq!(total, 200);
-    }
-
-    #[test]
     fn explain_parallel_renders_exchange_nodes() {
         let plan = filter_project_plan(big_table());
         let text = explain_parallel(&plan, Parallelism::new(4, 16)).unwrap();
@@ -5545,9 +5456,17 @@ mod tests {
             text.contains("Merge[partial-aggregate, workers=4"),
             "{text}"
         );
-        let sort = rel::sort(big_table(), vec![FieldCollation::asc(0)]);
-        let text = explain_parallel(&sort, Parallelism::new(4, 16)).unwrap();
+        // Top-K merges per-worker heaps; a full sort places no exchange of
+        // its own and renders as the serial Sort over its chain's gather.
+        let collation = vec![FieldCollation::asc(0)];
+        let topk = rel::sort_limit(plan.clone(), collation.clone(), None, Some(10));
+        let text = explain_parallel(&topk, Parallelism::new(4, 16)).unwrap();
         assert!(text.contains("Merge[k-way under collation"), "{text}");
+        let sort = rel::sort(plan, collation);
+        let text = explain_parallel(&sort, Parallelism::new(4, 16)).unwrap();
+        assert!(!text.contains("Merge["), "{text}");
+        let (sort_at, gather_at) = (text.find("Sort").unwrap(), text.find("Gather[").unwrap());
+        assert!(sort_at < gather_at, "{text}");
     }
 
     #[test]
@@ -5582,5 +5501,82 @@ mod tests {
         let (a, b) = both(&minus_one);
         assert_eq!(a, b);
         assert_eq!(a, vec![vec![Datum::Int(i64::MAX - 1)]]);
+    }
+
+    // The sort kernel, differentially: over every column representation
+    // (typed with NULLs, an all-NULL column, a `Generic` column of mixed
+    // kinds) and every key shape, the permutation `sort_indexes` returns
+    // is the stable sort by the row engine's `compare_rows`.
+    mod sort_kernel {
+        use super::*;
+        use proptest::prelude::*;
+
+        /// One row over a small value domain, so keys tie often and the
+        /// stable-order contract is exercised: nullable Int / Double /
+        /// Bool / Str, an always-NULL Int, and a mixed-kind column that
+        /// demotes to `Column::Generic`.
+        fn row_strategy() -> impl Strategy<Value = Row> {
+            /// `s`, NULL one time in four.
+            fn nullable(s: impl Strategy<Value = Datum>) -> impl Strategy<Value = Datum> {
+                (0u8..4, s).prop_map(|(roll, d)| if roll == 0 { Datum::Null } else { d })
+            }
+            (
+                nullable((-2i64..3).prop_map(Datum::Int)),
+                nullable((-2i64..3).prop_map(|v| Datum::Double(v as f64 / 2.0))),
+                nullable(any::<bool>().prop_map(Datum::Bool)),
+                nullable((0i64..3).prop_map(|v| Datum::str(format!("s{v}")))),
+                prop_oneof![
+                    Just(Datum::Null),
+                    (0i64..3).prop_map(Datum::Int),
+                    (0i32..3).prop_map(Datum::Date),
+                    (0i64..2).prop_map(|v| Datum::str(format!("g{v}"))),
+                ],
+            )
+                .prop_map(|(i, d, b, s, g)| vec![i, d, b, s, Datum::Null, g])
+        }
+
+        const KINDS: [TypeKind; 6] = [
+            TypeKind::Integer,
+            TypeKind::Double,
+            TypeKind::Boolean,
+            TypeKind::Varchar,
+            TypeKind::Integer,
+            TypeKind::Date,
+        ];
+
+        fn key_strategy() -> impl Strategy<Value = FieldCollation> {
+            (0usize..KINDS.len(), any::<bool>(), any::<bool>()).prop_map(
+                |(field, descending, nulls_first)| FieldCollation {
+                    field,
+                    descending,
+                    nulls_first,
+                },
+            )
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(256))]
+
+            #[test]
+            fn permutation_is_the_stable_sort_by_compare_rows(
+                rows in proptest::collection::vec(row_strategy(), 0..40),
+                collation in proptest::collection::vec(key_strategy(), 1..4),
+            ) {
+                let b = ColumnBatch::from_rows(&KINDS, &rows);
+                prop_assert!(matches!(b.column(5), Column::Generic(_)));
+                let mut want: Vec<usize> = (0..rows.len()).collect();
+                want.sort_by(|&a, &c| compare_rows(&rows[a], &rows[c], &collation));
+                prop_assert_eq!(sort_indexes(&b, &collation), want);
+            }
+        }
+
+        #[test]
+        fn empty_collation_is_the_identity() {
+            let b = ColumnBatch::from_rows(
+                &[TypeKind::Integer],
+                &[vec![Datum::Int(2)], vec![Datum::Int(1)]],
+            );
+            assert_eq!(sort_indexes(&b, &vec![]), vec![0, 1]);
+        }
     }
 }

@@ -333,7 +333,20 @@ fn execute_node_dispatch(
 /// row-path `compare_rows` and the batch sort kernel route through this,
 /// so the two executors cannot disagree on ordering.
 pub fn compare_datums(fc: &FieldCollation, x: &Datum, y: &Datum) -> Ordering {
-    match (x.is_null(), y.is_null()) {
+    compare_nullable(fc, x.is_null(), y.is_null(), || x.cmp(y))
+}
+
+/// [`compare_datums`] with the values abstracted away: NULL placement
+/// from the two null flags, otherwise `cmp` (the ascending order of the
+/// two non-null values) reversed when the key is descending. The batch
+/// sort kernel calls this over typed column slices.
+pub(crate) fn compare_nullable(
+    fc: &FieldCollation,
+    x_null: bool,
+    y_null: bool,
+    cmp: impl FnOnce() -> Ordering,
+) -> Ordering {
+    match (x_null, y_null) {
         (true, true) => Ordering::Equal,
         (true, false) => {
             if fc.nulls_first {
@@ -350,7 +363,7 @@ pub fn compare_datums(fc: &FieldCollation, x: &Datum, y: &Datum) -> Ordering {
             }
         }
         (false, false) => {
-            let o = x.cmp(y);
+            let o = cmp();
             if fc.descending {
                 o.reverse()
             } else {

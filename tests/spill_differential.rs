@@ -304,6 +304,70 @@ fn sql_pipeline_identical_across_budget_and_workers() {
     }
 }
 
+/// Ledger finding 11: with `workers > 1` a full sort used to run as a
+/// per-worker run merge that held no reservation, so it never charged
+/// or spilled against the budget while EXPLAIN still predicted runs.
+/// A full `ORDER BY` now always executes as the budget-accounting
+/// serial sort over its (parallel) child chain.
+#[test]
+fn parallel_full_sort_charges_and_spills_against_the_budget() {
+    let catalog = rcalcite_core::catalog::Catalog::new();
+    let s = rcalcite_core::catalog::Schema::new();
+    s.add_table(
+        "wide",
+        MemTable::new(
+            RowTypeBuilder::new()
+                .add_not_null("id", TypeKind::Integer)
+                .add_not_null("k", TypeKind::Integer)
+                .add("v", TypeKind::Integer)
+                .build(),
+            (0..200_000i64)
+                .map(|i| {
+                    vec![
+                        Datum::Int(i),
+                        Datum::Int((i * 7919) % 1013),
+                        if i % 41 == 0 {
+                            Datum::Null
+                        } else {
+                            Datum::Int((i * 31) % 977)
+                        },
+                    ]
+                })
+                .collect(),
+        ),
+    );
+    catalog.add_schema("hr", s);
+    let sql = "SELECT id, k, v FROM wide WHERE k >= 0 ORDER BY k, v DESC";
+    let mut reference = Connection::builder(catalog.clone()).workers(1).build();
+    reference.set_memory_budget(MemoryBudget::unbounded());
+    let expected = reference.query(sql).unwrap();
+    assert_eq!(expected.rows.len(), 200_000);
+    assert!(reference.spill_stats().stayed_in_memory());
+
+    // ~5.3 MiB of sort input (three Int columns) against 4 MiB; ANALYZE
+    // so EXPLAIN's estimate sees that the filter keeps every row.
+    let conn = Connection::builder(catalog)
+        .workers(2)
+        .memory_budget(4 * 1024 * 1024)
+        .build();
+    conn.execute("ANALYZE").unwrap();
+    assert_eq!(conn.query(sql).unwrap(), expected);
+    let sort_runs: usize = conn
+        .spill_stats()
+        .events()
+        .iter()
+        .filter(|e| e.op == "sort")
+        .map(|e| e.spilled)
+        .sum();
+    assert!(sort_runs >= 1, "{:?}", conn.spill_stats().events());
+    // EXPLAIN describes that plan: predicted sort runs, and a serial Sort
+    // over the chain's ordered gather rather than a per-worker run merge.
+    let text = conn.explain(sql).unwrap();
+    assert!(text.contains("-- spill: sort"), "{text}");
+    assert!(text.contains("Gather[ordered, workers=2]"), "{text}");
+    assert!(!text.contains("Merge[k-way"), "{text}");
+}
+
 // ---------------------------------------------------------------------
 // Property tests: random chains, budgeted ≡ unbounded
 // ---------------------------------------------------------------------
