@@ -6,17 +6,25 @@
 //!   results, which yields significant performance improvements");
 //! - `fig4/*` — execution time of the Figure 4 query before/after
 //!   FilterIntoJoinRule;
-//! - `e2e/*` — parse/validate/plan pipeline latency (Figure 1 path).
+//! - `e2e/*` — parse/validate/plan pipeline latency (Figure 1 path);
+//! - `join_scaling/*` — chain joins of 2–6 tables through a built
+//!   connection, guarded in-process: the search builds at most two
+//!   bindings per firing, finishes inside the default budget, and a
+//!   firing costs the same however deep the trees under it are.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rcalcite_bench::{deep_plan, figure4_connection, join_chain, FIGURE4_SQL};
+use rcalcite_core::catalog::{Catalog, MemTable, Schema};
+use rcalcite_core::datum::Datum;
 use rcalcite_core::metadata::MetadataQuery;
 use rcalcite_core::planner::hep::HepPlanner;
 use rcalcite_core::planner::volcano::{FixpointMode, VolcanoPlanner};
 use rcalcite_core::rules::{default_logical_rules, join_exploration_rules};
 use rcalcite_core::traits::Convention;
+use rcalcite_core::types::{RowTypeBuilder, TypeKind};
+use rcalcite_sql::Connection;
 use std::hint::black_box;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 fn bench_planners(c: &mut Criterion) {
     let mut g = c.benchmark_group("planners");
@@ -142,6 +150,91 @@ fn bench_e2e(c: &mut Criterion) {
     g.finish();
 }
 
+/// The ledger's `adhoc_plan` join-chain statements — `t1 … t6` of
+/// 100 … 600 rows joined on `t(k).next_id = t(k+1).id` — planned through
+/// a built connection (Hep, then the full cost-based battery with join
+/// exploration). Guards, before anything is timed for the report:
+///
+/// - counts, which repeat exactly: every chain finishes un-truncated
+///   inside the default budget, and the matcher builds at most two
+///   bindings per firing (the pre-incremental loop built thirteen);
+/// - one machine-independent ratio: time per firing on the five-table
+///   chain is at most 1.5× the two-table chain's — a firing's cost does
+///   not grow with the depth of the trees under it (it was 3.9× when
+///   every binding printed its subtrees).
+fn bench_join_scaling(c: &mut Criterion) {
+    let catalog = Catalog::new();
+    let schema = Schema::new();
+    for k in 1..=6i64 {
+        let rows = 100 * k;
+        let row_type = RowTypeBuilder::new()
+            .add_not_null("id", TypeKind::Integer)
+            .add_not_null("next_id", TypeKind::Integer)
+            .add_not_null("v", TypeKind::Integer)
+            .build();
+        let data = (0..rows)
+            .map(|id| {
+                vec![
+                    Datum::Int(id),
+                    Datum::Int((id * 7) % (100 * (k + 1))),
+                    Datum::Int(id % 13),
+                ]
+            })
+            .collect();
+        schema.add_table(format!("t{k}"), MemTable::new(row_type, data));
+    }
+    catalog.add_schema("bank", schema);
+    let conn = Connection::builder(catalog).build();
+    let chain = |n: usize| {
+        let mut sql = format!("SELECT t1.id, t{n}.v FROM t1");
+        for k in 2..=n {
+            sql.push_str(&format!(" JOIN t{k} ON t{}.next_id = t{k}.id", k - 1));
+        }
+        sql.push_str(&format!(" WHERE t1.v = 7 AND t{n}.id <> 1000007"));
+        conn.parse_to_rel(&sql).unwrap()
+    };
+
+    let mut per_firing = vec![];
+    for n in 2..=6usize {
+        let logical = chain(n);
+        let (_, stats) = conn.optimize_with_stats(&logical).unwrap();
+        assert!(!stats.truncated, "join{n} was truncated: {stats:?}");
+        // The two-table chain is the exception (2.1): its memo is mostly
+        // physical expressions, each of which costs the two any-operator
+        // rules a binding they decline.
+        assert!(
+            n == 2 || stats.bindings <= 2 * stats.rule_firings,
+            "join{n} built more than two bindings per firing: {stats:?}"
+        );
+        let mut samples: Vec<Duration> = (0..5)
+            .map(|_| {
+                let t0 = Instant::now();
+                black_box(conn.optimize_with_stats(&logical).unwrap());
+                t0.elapsed()
+            })
+            .collect();
+        samples.sort();
+        let us = samples[samples.len() / 2].as_secs_f64() * 1e6 / stats.rule_firings as f64;
+        eprintln!("join_scaling/join{n}: {us:.2} us/firing, {stats:?}");
+        per_firing.push(us);
+    }
+    let (join2, join5) = (per_firing[0], per_firing[3]);
+    assert!(
+        join5 <= 1.5 * join2,
+        "a firing on join5 costs {join5:.2} us, more than 1.5x join2's {join2:.2} us"
+    );
+
+    let mut g = c.benchmark_group("join_scaling");
+    g.sample_size(10).measurement_time(Duration::from_secs(2));
+    for n in 2..=6usize {
+        let logical = chain(n);
+        g.bench_with_input(BenchmarkId::new("optimize", n), &logical, |b, plan| {
+            b.iter(|| black_box(conn.optimize(plan).unwrap()))
+        });
+    }
+    g.finish();
+}
+
 fn bench_unparse(c: &mut Criterion) {
     let mut g = c.benchmark_group("unparse");
     g.sample_size(30).measurement_time(Duration::from_secs(1));
@@ -164,6 +257,7 @@ criterion_group!(
     bench_metadata,
     bench_fig4,
     bench_e2e,
+    bench_join_scaling,
     bench_unparse
 );
 criterion_main!(benches);

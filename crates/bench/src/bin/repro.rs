@@ -322,8 +322,16 @@ fn table2() -> Result<()> {
 fn planners() -> Result<()> {
     banner("§6 — planner engines: heuristic vs cost-based (exhaustive vs δ-threshold)");
     println!(
-        "{:>8} {:>14} {:>12} {:>10} {:>8} {:>8}",
-        "tables", "engine", "plan_cost", "time", "exprs", "firings"
+        "{:>8} {:>14} {:>12} {:>10} {:>8} {:>8} {:>9} {:>6} {:>10}",
+        "tables",
+        "engine",
+        "plan_cost",
+        "time",
+        "exprs",
+        "firings",
+        "bindings",
+        "dups",
+        "truncated"
     );
     for n in [3usize, 4, 5] {
         let (_, plan) = join_chain(n, 20_000);
@@ -371,13 +379,16 @@ fn planners() -> Result<()> {
             let (_, cost, stats) =
                 volcano.optimize_with_stats(&plan, &Convention::enumerable(), &mq2)?;
             println!(
-                "{:>8} {:>14} {:>12.0} {:>10?} {:>8} {:>8}",
+                "{:>8} {:>14} {:>12.0} {:>10?} {:>8} {:>8} {:>9} {:>6} {:>10}",
                 n,
                 label,
                 mq2.cost_model().weigh(&cost),
                 t.elapsed(),
                 stats.expressions,
-                stats.rule_firings
+                stats.rule_firings,
+                stats.bindings,
+                stats.duplicate_bindings,
+                stats.truncated
             );
         }
     }

@@ -129,13 +129,6 @@ impl MetadataQuery {
         self.cost_model = model;
     }
 
-    /// Clears the cache; planners call this between transformation passes
-    /// when node identity may be reused.
-    pub fn clear_cache(&self) {
-        self.cache.lock().clear();
-        self.keepalive.lock().clear();
-    }
-
     pub fn cache_len(&self) -> usize {
         self.cache.lock().len()
     }
@@ -938,8 +931,6 @@ mod tests {
         let _ = mq.row_count(&s);
         assert_eq!(mq.cache_len(), before);
         assert!(before > 0);
-        mq.clear_cache();
-        assert_eq!(mq.cache_len(), 0);
     }
 
     #[test]

@@ -7,22 +7,12 @@ use crate::error::Result;
 use crate::metadata::MetadataQuery;
 use crate::planner::PlannerEngine;
 use crate::rel::Rel;
-use crate::rules::{Rule, RuleCall};
+use crate::rules::{Rule, RuleCall, RuleSet};
 use crate::traits::Convention;
 use std::sync::Arc;
 
-/// Traversal order for rule matching.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum MatchOrder {
-    /// Children before parents (default; pushdown-style rule sets converge
-    /// fastest bottom-up).
-    BottomUp,
-    TopDown,
-}
-
 pub struct HepPlanner {
-    rules: Vec<Arc<dyn Rule>>,
-    order: MatchOrder,
+    rules: RuleSet,
     /// Safety valve against non-confluent rule sets.
     match_limit: usize,
 }
@@ -30,15 +20,9 @@ pub struct HepPlanner {
 impl HepPlanner {
     pub fn new(rules: Vec<Arc<dyn Rule>>) -> HepPlanner {
         HepPlanner {
-            rules,
-            order: MatchOrder::BottomUp,
+            rules: RuleSet::new(rules),
             match_limit: 10_000,
         }
-    }
-
-    pub fn with_order(mut self, order: MatchOrder) -> HepPlanner {
-        self.order = order;
-        self
     }
 
     pub fn with_match_limit(mut self, limit: usize) -> HepPlanner {
@@ -60,21 +44,15 @@ impl HepPlanner {
         }
     }
 
-    /// One full traversal applying the first matching rule at each node.
+    /// One full traversal, children before parents (pushdown-style rule
+    /// sets converge fastest bottom-up), applying the first matching rule
+    /// at each node.
     fn pass(&self, rel: &Rel, mq: &MetadataQuery, fired: &mut usize) -> Rel {
         if *fired >= self.match_limit {
             return rel.clone();
         }
-        match self.order {
-            MatchOrder::BottomUp => {
-                let new = self.rewrite_children(rel, mq, fired);
-                self.apply_at(&new, mq, fired)
-            }
-            MatchOrder::TopDown => {
-                let new = self.apply_at(rel, mq, fired);
-                self.rewrite_children(&new, mq, fired)
-            }
-        }
+        let new = self.rewrite_children(rel, mq, fired);
+        self.apply_at(&new, mq, fired)
     }
 
     fn rewrite_children(&self, rel: &Rel, mq: &MetadataQuery, fired: &mut usize) -> Rel {
@@ -100,13 +78,12 @@ impl HepPlanner {
             if *fired >= self.match_limit {
                 return current;
             }
-            for rule in &self.rules {
-                if let Some(binds) = rule.pattern().match_tree(&current) {
+            for &i in self.rules.for_kind(current.kind()) {
+                if let Some(binds) = self.rules.pattern(i).match_tree(&current) {
                     let mut call = RuleCall::new(binds, mq);
-                    rule.on_match(&mut call);
-                    let results = call.into_results();
-                    if let Some(new) = results.into_iter().next() {
-                        if new.digest() == current.digest() {
+                    self.rules.rule(i).on_match(&mut call);
+                    if let Some(new) = call.into_results().into_iter().next() {
+                        if Arc::ptr_eq(&new, &current) || new.digest() == current.digest() {
                             continue;
                         }
                         *fired += 1;

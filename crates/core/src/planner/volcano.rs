@@ -5,6 +5,15 @@
 //! them. The search runs either exhaustively or until the plan cost stops
 //! improving by more than a threshold δ (both modes per the paper).
 //!
+//! Planning cost follows the memo, not the printed size of its trees. A
+//! memo expression is identified by ids — interned operator payload,
+//! interned convention, child sets — and a rule firing by the rule's index
+//! and the ids of the expressions it binds. The search is a worklist of
+//! *arrivals*: a new expression is matched as a pattern root against the
+//! rules of its kind and as a child only in bindings of its parents that
+//! contain it; a set merge is an arrival of each side's expressions at the
+//! other side's parents. Every (rule, binding) is tried once.
+//!
 //! Calling conventions are first-class: converter edges let the cheapest
 //! plan cross engines, paying a transfer cost at each `Convert` node.
 
@@ -13,13 +22,24 @@ use crate::error::{CalciteError, Result};
 use crate::metadata::MetadataQuery;
 use crate::planner::PlannerEngine;
 use crate::rel::{Rel, RelNode, RelOp};
-use crate::rules::{Children, Pattern, Rule, RuleCall};
+use crate::rules::{Children, Pattern, Rule, RuleCall, RuleSet};
 use crate::traits::Convention;
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::Arc;
 
 type GroupId = usize;
 type ExprId = usize;
+/// Position in the memo's interned convention table.
+type ConvId = usize;
+/// An expression and an input position. In a set's `parents`: a parent
+/// and the input the set fills. In a pin: a child and the input of the
+/// expression above that it is pinned to.
+type Slot = (ExprId, usize);
+
+/// Arrival tick of an expression whose arrival is still queued.
+const NOT_ARRIVED: u32 = u32::MAX;
+/// The logical convention's slot in every memo's convention table.
+const LOGICAL: ConvId = 0;
 
 /// A registered converter: the planner may translate rows of convention
 /// `from` into convention `to` (e.g. every adapter convention converts to
@@ -40,42 +60,118 @@ pub enum FixpointMode {
     CostThreshold { delta: f64, patience: usize },
 }
 
+/// What identifies a memo expression: its interned operator payload, its
+/// interned convention and its child sets. For a live expression the
+/// child ids are canonical (a merge re-keys the loser's parents).
+#[derive(Clone, PartialEq, Eq, Hash)]
+struct ExprKey {
+    op: usize,
+    conv: ConvId,
+    children: Vec<GroupId>,
+}
+
 /// A memoized expression: operator + convention over child equivalence
 /// sets.
 struct MExpr {
-    op: RelOp,
-    conv: Convention,
-    children: Vec<GroupId>,
+    key: ExprKey,
     group: GroupId,
+    /// The expression over its child sets' representatives. A stable
+    /// `Arc`: rules see the same node on every binding, so the
+    /// pointer-keyed metadata cache hits during the search.
+    node: Rel,
+    /// Convention required of the children: the source convention for a
+    /// `Convert`, the expression's own otherwise.
+    child_conv: ConvId,
+    /// Tick at which the arrival was processed ([`NOT_ARRIVED`] before):
+    /// a binding is built when the last of its expressions arrives.
+    arrived: u32,
+    /// Coincided with an older expression after a merge; that one stands
+    /// for both.
+    dead: bool,
+    /// `non_cumulative_cost` of `node`, taken once per node.
+    cost: Option<Cost>,
 }
 
 /// An equivalence set of expressions.
 struct Group {
     exprs: Vec<ExprId>,
+    /// The child slots this set fills.
+    parents: Vec<Slot>,
     /// A concrete representative tree, used to answer metadata queries.
     repr: Rel,
 }
 
+/// Work for the search loop, in arrival order.
+enum Arrival {
+    /// A new expression.
+    New(ExprId),
+    /// A merge at tick `at` put `exprs` into the set filling `parents`.
+    Merged {
+        at: u32,
+        exprs: Vec<ExprId>,
+        parents: Vec<Slot>,
+    },
+}
+
+/// One rule binding: the rule's index, then the bound expressions in
+/// pattern pre-order — the identity of a firing.
+type Binding = Vec<usize>;
+
 struct Memo {
     groups: Vec<Group>,
     exprs: Vec<MExpr>,
-    /// Digest (payload@conv[child-groups]) → expression.
-    expr_map: HashMap<String, ExprId>,
+    expr_map: HashMap<ExprKey, ExprId>,
     /// Union-find over groups (set merging).
     uf: Vec<GroupId>,
-    /// Group → expressions that have it as a child (for re-firing).
-    parents: HashMap<GroupId, Vec<ExprId>>,
+    /// Operator payload digest → id; a payload is printed once per node
+    /// handed to [`Memo::register`], never per lookup.
+    ops: HashMap<String, usize>,
+    convs: Vec<Convention>,
+    /// Converter edges as (from, to, interned `Convert` payload).
+    converters: Vec<(ConvId, ConvId, usize)>,
+    /// Address of every representative and expression node → its set.
+    /// Rule results are built over such nodes; registration stops there.
+    by_ptr: HashMap<usize, GroupId>,
+    /// Nodes replaced after a merge: bindings built before it still point
+    /// at them, and their addresses must stay unique.
+    retired: Vec<Rel>,
+    arrivals: VecDeque<Arrival>,
+    /// Arrivals processed so far.
+    clock: u32,
+}
+
+fn addr(rel: &Rel) -> usize {
+    Arc::as_ptr(rel) as usize
 }
 
 impl Memo {
-    fn new() -> Memo {
-        Memo {
+    fn new(converters: &[ConverterDef]) -> Memo {
+        let mut memo = Memo {
             groups: vec![],
             exprs: vec![],
             expr_map: HashMap::new(),
             uf: vec![],
-            parents: HashMap::new(),
+            ops: HashMap::new(),
+            convs: vec![Convention::none()],
+            converters: vec![],
+            by_ptr: HashMap::new(),
+            retired: vec![],
+            arrivals: VecDeque::new(),
+            clock: 0,
+        };
+        for c in converters {
+            // Logical rows have no engine to convert from; a self-edge
+            // converts nothing.
+            if c.from.is_none() || c.from == c.to {
+                continue;
+            }
+            let op = memo.intern_op(&RelOp::Convert {
+                from: c.from.clone(),
+            });
+            let edge = (memo.intern_conv(&c.from), memo.intern_conv(&c.to), op);
+            memo.converters.push(edge);
         }
+        memo
     }
 
     fn find(&mut self, g: GroupId) -> GroupId {
@@ -86,126 +182,390 @@ impl Memo {
         self.uf[g]
     }
 
-    fn expr_key(op: &RelOp, conv: &Convention, children: &[GroupId]) -> String {
-        let kids: Vec<String> = children.iter().map(|g| format!("G{g}")).collect();
-        format!("{}@{}[{}]", op.payload_digest(), conv, kids.join("|"))
+    fn intern_op(&mut self, op: &RelOp) -> usize {
+        let next = self.ops.len();
+        *self.ops.entry(op.payload_digest()).or_insert(next)
     }
 
-    /// Registers a concrete tree, returning its group and any newly
-    /// created expressions.
-    fn register(&mut self, rel: &Rel, new_exprs: &mut Vec<ExprId>) -> GroupId {
-        let children: Vec<GroupId> = rel
-            .inputs
+    fn intern_conv(&mut self, conv: &Convention) -> ConvId {
+        self.convs
             .iter()
-            .map(|i| self.register(i, new_exprs))
-            .collect();
-        let children: Vec<GroupId> = children.into_iter().map(|g| self.find(g)).collect();
-        let key = Self::expr_key(&rel.op, &rel.convention, &children);
-        if let Some(&eid) = self.expr_map.get(&key) {
-            let g = self.exprs[eid].group;
+            .position(|c| c == conv)
+            .unwrap_or_else(|| {
+                self.convs.push(conv.clone());
+                self.convs.len() - 1
+            })
+    }
+
+    /// Registers a concrete tree and returns its set. Subtrees that are
+    /// memo nodes already (representatives, bound expressions) are
+    /// recognised by address, so a rule's result costs its new nodes only.
+    /// A new root expression joins `into` when given, a fresh set
+    /// otherwise.
+    fn register(&mut self, rel: &Rel, into: Option<GroupId>) -> GroupId {
+        if let Some(&g) = self.by_ptr.get(&addr(rel)) {
             return self.find(g);
         }
-        // New expression in a fresh group.
-        let gid = self.groups.len();
-        let repr = RelNode::new(
-            rel.op.clone(),
-            rel.convention.clone(),
-            children
-                .iter()
-                .map(|g| self.groups[*g].repr.clone())
-                .collect(),
-        );
-        self.groups.push(Group {
-            exprs: vec![],
-            repr,
-        });
-        self.uf.push(gid);
-        let eid = self.add_expr(rel.op.clone(), rel.convention.clone(), children, gid);
-        new_exprs.push(eid);
-        self.expr_map.insert(key, eid);
-        gid
-    }
-
-    fn add_expr(
-        &mut self,
-        op: RelOp,
-        conv: Convention,
-        children: Vec<GroupId>,
-        group: GroupId,
-    ) -> ExprId {
-        let eid = self.exprs.len();
-        for c in &children {
-            self.parents.entry(*c).or_default().push(eid);
-        }
-        self.exprs.push(MExpr {
-            op,
-            conv,
+        let children: Vec<GroupId> = rel.inputs.iter().map(|i| self.register(i, None)).collect();
+        let key = ExprKey {
+            op: self.intern_op(&rel.op),
+            conv: self.intern_conv(&rel.convention),
             children,
-            group,
+        };
+        if let Some(&e) = self.expr_map.get(&key) {
+            return self.exprs[e].group;
+        }
+        let over_reprs = rel
+            .inputs
+            .iter()
+            .zip(&key.children)
+            .all(|(i, g)| Arc::ptr_eq(i, &self.groups[*g].repr));
+        let node = if over_reprs {
+            rel.clone()
+        } else {
+            self.node_over_reprs(&rel.op, &rel.convention, &key.children)
+        };
+        let group = into.unwrap_or_else(|| {
+            self.groups.push(Group {
+                exprs: vec![],
+                parents: vec![],
+                repr: node.clone(),
+            });
+            self.uf.push(self.uf.len());
+            self.groups.len() - 1
         });
-        self.groups[group].exprs.push(eid);
-        eid
+        self.add_expr(key, node, group);
+        group
     }
 
-    /// Registers `rel` and merges its group with `target`. Returns new
-    /// expressions created along the way.
-    fn register_into(&mut self, rel: &Rel, target: GroupId, new_exprs: &mut Vec<ExprId>) {
-        let gid = self.register(rel, new_exprs);
-        self.merge(target, gid);
+    fn node_over_reprs(&self, op: &RelOp, conv: &Convention, children: &[GroupId]) -> Rel {
+        let inputs = children
+            .iter()
+            .map(|g| self.groups[*g].repr.clone())
+            .collect();
+        RelNode::new(op.clone(), conv.clone(), inputs)
     }
 
+    /// Adds a new expression to `group`, queues its arrival, and adds the
+    /// `Convert` expressions its convention has edges for (each visited
+    /// here in turn, so chains across distinct conventions form).
+    fn add_expr(&mut self, key: ExprKey, node: Rel, group: GroupId) {
+        let e = self.exprs.len();
+        for (slot, c) in key.children.iter().enumerate() {
+            self.groups[*c].parents.push((e, slot));
+        }
+        self.by_ptr.insert(addr(&node), group);
+        self.expr_map.insert(key.clone(), e);
+        let conv = key.conv;
+        let child_conv = match &node.op {
+            RelOp::Convert { from } => self.intern_conv(from),
+            _ => conv,
+        };
+        self.exprs.push(MExpr {
+            key,
+            group,
+            node,
+            child_conv,
+            arrived: NOT_ARRIVED,
+            dead: false,
+            cost: None,
+        });
+        self.groups[group].exprs.push(e);
+        self.arrivals.push_back(Arrival::New(e));
+        for i in 0..self.converters.len() {
+            let (from, to, op) = self.converters[i];
+            if from != conv {
+                continue;
+            }
+            let key = ExprKey {
+                op,
+                conv: to,
+                children: vec![group],
+            };
+            if !self.expr_map.contains_key(&key) {
+                let op = RelOp::Convert {
+                    from: self.convs[from].clone(),
+                };
+                let node = self.node_over_reprs(&op, &self.convs[to], &key.children);
+                self.add_expr(key, node, group);
+            }
+        }
+    }
+
+    /// Registers `rel` as a member of `target`'s set, merging sets when it
+    /// exists elsewhere already.
+    fn register_into(&mut self, rel: &Rel, target: GroupId) {
+        let target = self.find(target);
+        let g = self.register(rel, Some(target));
+        self.merge(target, g);
+    }
+
+    /// Unions two sets (the lower id survives). Each side's expressions
+    /// arrive at the other side's parents; the loser's parents are
+    /// re-keyed, and two parents that now coincide are one expression, so
+    /// their sets merge in turn.
     fn merge(&mut self, a: GroupId, b: GroupId) {
-        let (a, b) = (self.find(a), self.find(b));
-        if a == b {
-            return;
-        }
-        let (winner, loser) = if a < b { (a, b) } else { (b, a) };
-        let moved: Vec<ExprId> = self.groups[loser].exprs.drain(..).collect();
-        for e in &moved {
-            self.exprs[*e].group = winner;
-        }
-        self.groups[winner].exprs.extend(moved);
-        self.uf[loser] = winner;
-        // Parents of the loser group become parents of the winner.
-        if let Some(ps) = self.parents.remove(&loser) {
-            self.parents.entry(winner).or_default().extend(ps);
+        let mut pending = vec![(a, b)];
+        while let Some((a, b)) = pending.pop() {
+            let (a, b) = (self.find(a), self.find(b));
+            if a == b {
+                continue;
+            }
+            let (winner, loser) = if a < b { (a, b) } else { (b, a) };
+            let moved = std::mem::take(&mut self.groups[loser].exprs);
+            let moved_parents = std::mem::take(&mut self.groups[loser].parents);
+            let crossed = [
+                self.merged_arrival(&moved, &self.groups[winner].parents),
+                self.merged_arrival(&self.groups[winner].exprs, &moved_parents),
+            ];
+            self.arrivals.extend(crossed.into_iter().flatten());
+            for &e in &moved {
+                self.exprs[e].group = winner;
+            }
+            self.uf[loser] = winner;
+            self.groups[winner].exprs.extend(moved);
+            for &(p, slot) in &moved_parents {
+                // Dead, or re-keyed through another of its slots already.
+                if self.exprs[p].dead || self.exprs[p].key.children[slot] != loser {
+                    continue;
+                }
+                let mut key = self.exprs[p].key.clone();
+                if self.expr_map.get(&key) == Some(&p) {
+                    self.expr_map.remove(&key);
+                }
+                for c in &mut key.children {
+                    if *c == loser {
+                        *c = winner;
+                    }
+                }
+                if let Some(&q) = self.expr_map.get(&key) {
+                    // The older expression stands for both.
+                    pending.push((self.exprs[p].group, self.exprs[q].group));
+                    self.exprs[q.max(p)].dead = true;
+                    if q < p {
+                        continue;
+                    }
+                }
+                self.expr_map.insert(key.clone(), p);
+                // Metadata is answered over the surviving representative.
+                let x = &self.exprs[p];
+                let node = self.node_over_reprs(&x.node.op, &x.node.convention, &key.children);
+                self.by_ptr.insert(addr(&node), x.group);
+                let x = &mut self.exprs[p];
+                x.key = key;
+                x.cost = None;
+                self.retired.push(std::mem::replace(&mut x.node, node));
+            }
+            self.groups[winner].parents.extend(moved_parents);
         }
     }
 
-    fn group_exprs(&mut self, g: GroupId) -> Vec<ExprId> {
-        let g = self.find(g);
-        self.groups[g].exprs.clone()
+    /// The arrival of `exprs` at `parents`, restricted to what has arrived
+    /// by now: anything later sees the merged set on its own arrival.
+    fn merged_arrival(&self, exprs: &[ExprId], parents: &[Slot]) -> Option<Arrival> {
+        let at = self.clock;
+        let exprs: Vec<ExprId> = exprs
+            .iter()
+            .copied()
+            .filter(|e| self.visible(*e, at))
+            .collect();
+        let parents: Vec<Slot> = parents
+            .iter()
+            .copied()
+            .filter(|(p, _)| self.visible(*p, at))
+            .collect();
+        (!exprs.is_empty() && !parents.is_empty()).then_some(Arrival::Merged { at, exprs, parents })
+    }
+
+    fn visible(&self, e: ExprId, horizon: u32) -> bool {
+        let x = &self.exprs[e];
+        !x.dead && x.arrived <= horizon
+    }
+}
+
+/// Pattern matching over the memo. A binding is a pre-order list of
+/// expression ids; it is built at the arrival of the last of its
+/// expressions, so `horizon` bounds what may take part.
+impl Memo {
+    /// Bindings of `pat` rooted at `e`. A non-empty `pin` fixes the way
+    /// down: its first entry names the one candidate for that child slot,
+    /// the rest pins that candidate's children in turn.
+    fn bind(&self, e: ExprId, pat: &Pattern, pin: &[Slot], horizon: u32) -> Vec<Vec<ExprId>> {
+        let x = &self.exprs[e];
+        if !pat.matcher.admits(x.node.kind(), &x.node.convention) {
+            return vec![];
+        }
+        let pats = match &pat.children {
+            // Children stay unbound, so no binding here contains the pin.
+            Children::Any if pin.is_empty() => return vec![vec![e]],
+            Children::Any => return vec![],
+            Children::Are(pats) if pats.len() != x.key.children.len() => return vec![],
+            Children::Are(pats) => pats,
+        };
+        let mut combos = vec![vec![e]];
+        for (slot, (child_pat, g)) in pats.iter().zip(&x.key.children).enumerate() {
+            let candidates: Vec<Vec<ExprId>> = match pin.first() {
+                Some(&(c, pinned)) if pinned == slot => self.bind(c, child_pat, &pin[1..], horizon),
+                _ => self.groups[*g]
+                    .exprs
+                    .iter()
+                    .filter(|c| self.visible(**c, horizon))
+                    .flat_map(|c| self.bind(*c, child_pat, &[], horizon))
+                    .collect(),
+            };
+            combos = combos
+                .iter()
+                .flat_map(|head| {
+                    candidates
+                        .iter()
+                        .map(move |tail| [&head[..], tail].concat())
+                })
+                .collect();
+            if combos.is_empty() {
+                break;
+            }
+        }
+        combos
+    }
+
+    /// Bindings that contain `below` as a non-root: for each of `parents`
+    /// and each rule of its kind, the bindings rooted at the parent with
+    /// `below` pinned in its slot — and, while some pattern is deeper, at
+    /// the parent's own parents with the whole path pinned.
+    fn bind_above(
+        &self,
+        below: ExprId,
+        path: &[Slot],
+        parents: &[Slot],
+        horizon: u32,
+        rules: &RuleSet,
+        out: &mut Vec<Binding>,
+    ) {
+        for &(p, slot) in parents {
+            if !self.visible(p, horizon) {
+                continue;
+            }
+            let pin = [&[(below, slot)], path].concat();
+            self.bind_rules(p, &pin, horizon, rules, out);
+            if rules.max_depth() > pin.len() + 1 {
+                let grandparents = &self.groups[self.exprs[p].group].parents;
+                self.bind_above(p, &pin, grandparents, horizon, rules, out);
+            }
+        }
+    }
+
+    /// Bindings rooted at `e` of every rule its kind is indexed under.
+    fn bind_rules(
+        &self,
+        e: ExprId,
+        pin: &[Slot],
+        horizon: u32,
+        rules: &RuleSet,
+        out: &mut Vec<Binding>,
+    ) {
+        for &r in rules.for_kind(self.exprs[e].node.kind()) {
+            for ids in self.bind(e, rules.pattern(r), pin, horizon) {
+                out.push([&[r][..], &ids].concat());
+            }
+        }
+    }
+
+    /// The bindings an arrival completes.
+    fn bindings_for(&mut self, arrival: Arrival, rules: &RuleSet) -> Vec<Binding> {
+        let mut out = vec![];
+        match arrival {
+            Arrival::New(e) if self.exprs[e].dead => {}
+            Arrival::New(e) => {
+                self.exprs[e].arrived = self.clock;
+                self.bind_rules(e, &[], self.clock, rules, &mut out);
+                if rules.max_depth() > 1 {
+                    let parents = &self.groups[self.exprs[e].group].parents;
+                    self.bind_above(e, &[], parents, self.clock, rules, &mut out);
+                }
+            }
+            Arrival::Merged { at, exprs, parents } => {
+                for e in exprs {
+                    if !self.exprs[e].dead {
+                        self.bind_above(e, &[], &parents, at, rules, &mut out);
+                    }
+                }
+            }
+        }
+        out
+    }
+
+    /// Concrete nodes for a binding of `pat`, in pre-order. A node whose
+    /// children are unbound is the expression's own stable node; a bound
+    /// parent is rebuilt over its bound children unless those are its
+    /// sets' representatives anyway.
+    fn materialize(&self, pat: &Pattern, ids: &[ExprId]) -> Vec<Rel> {
+        fn walk(
+            memo: &Memo,
+            pat: &Pattern,
+            ids: &mut std::slice::Iter<ExprId>,
+            out: &mut Vec<Rel>,
+        ) {
+            let node = &memo.exprs[*ids.next().expect("binding matches its pattern")].node;
+            let at = out.len();
+            out.push(node.clone());
+            if let Children::Are(pats) = &pat.children {
+                let mut inputs = Vec::with_capacity(pats.len());
+                for p in pats {
+                    inputs.push(out.len());
+                    walk(memo, p, ids, out);
+                }
+                let inputs: Vec<Rel> = inputs.into_iter().map(|i| out[i].clone()).collect();
+                if inputs
+                    .iter()
+                    .zip(&node.inputs)
+                    .any(|(a, b)| !Arc::ptr_eq(a, b))
+                {
+                    out[at] = RelNode::new(node.op.clone(), node.convention.clone(), inputs);
+                }
+            }
+        }
+        let mut out = Vec::with_capacity(ids.len());
+        walk(self, pat, &mut ids.iter(), &mut out);
+        out
     }
 }
 
 /// Statistics from a planning run — the sizes the paper's memo structures
-/// reach (reported by `bench_planners`).
-#[derive(Debug, Clone, Default)]
+/// reach (reported by `bench_planners`) and what the search spent.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct VolcanoStats {
     pub groups: usize,
     pub expressions: usize,
+    /// Bindings whose rule produced at least one expression.
     pub rule_firings: usize,
+    /// (rule, binding) pairs the matcher built.
+    pub bindings: usize,
+    /// Of those, pairs that had been tried before and were skipped.
+    pub duplicate_bindings: usize,
+    /// The budget ran out with arrivals still queued: the plan is the best
+    /// of a partial search, not of the rule set's closure.
+    pub truncated: bool,
 }
 
 pub struct VolcanoPlanner {
-    rules: Vec<Arc<dyn Rule>>,
+    rules: RuleSet,
     converters: Vec<ConverterDef>,
     mode: FixpointMode,
     max_expressions: usize,
     max_firings: usize,
-    /// Cap on pattern-binding combinations per (expr, rule).
-    max_bindings: usize,
 }
+
+/// Firings between two cost checkpoints of [`FixpointMode::CostThreshold`].
+const CHECK_INTERVAL: usize = 64;
 
 impl VolcanoPlanner {
     pub fn new(rules: Vec<Arc<dyn Rule>>) -> VolcanoPlanner {
         VolcanoPlanner {
-            rules,
+            rules: RuleSet::new(rules),
             converters: vec![],
             mode: FixpointMode::Exhaustive,
             max_expressions: 20_000,
             max_firings: 50_000,
-            max_bindings: 128,
         }
     }
 
@@ -235,382 +595,196 @@ impl VolcanoPlanner {
         required: &Convention,
         mq: &MetadataQuery,
     ) -> Result<(Rel, Cost, VolcanoStats)> {
-        let mut memo = Memo::new();
-        let mut new_exprs = vec![];
-        let root_group = memo.register(root, &mut new_exprs);
-
-        let mut queue: VecDeque<ExprId> = new_exprs.into_iter().collect();
-        // Add converter expressions for the initial population.
-        let initial: Vec<ExprId> = queue.iter().copied().collect();
-        for e in initial {
-            self.add_converters_for(&mut memo, e, &mut queue);
-        }
-
-        let mut fired_keys: HashSet<u64> = HashSet::new();
-        let mut firings = 0usize;
-        let mut checkpoint_cost = f64::INFINITY;
-        let mut stalled = 0usize;
-        let check_interval = 64usize;
-        let mut since_check = 0usize;
-
-        while let Some(e) = queue.pop_front() {
-            if memo.exprs.len() > self.max_expressions || firings > self.max_firings {
-                break;
-            }
-            for (ri, rule) in self.rules.iter().enumerate() {
-                let bindings = self.match_and_bind(&mut memo, e, &rule.pattern());
-                for (_, binds) in bindings.into_iter().take(self.max_bindings) {
-                    let key = Self::firing_key(ri, &binds);
-                    if !fired_keys.insert(key) {
-                        continue;
-                    }
-                    let target = memo.find(memo.exprs[e].group);
-                    let mut call = RuleCall::new(binds, mq);
-                    rule.on_match(&mut call);
-                    let results = call.into_results();
-                    if results.is_empty() {
-                        continue;
-                    }
-                    firings += 1;
-                    since_check += 1;
-                    for result in results {
-                        let mut created = vec![];
-                        memo.register_into(&result, target, &mut created);
-                        for ne in created {
-                            queue.push_back(ne);
-                            self.add_converters_for(&mut memo, ne, &mut queue);
-                            // A group gained an expression: parents may
-                            // have new deep-pattern matches.
-                            let g = memo.find(memo.exprs[ne].group);
-                            if let Some(ps) = memo.parents.get(&g) {
-                                for p in ps.clone() {
-                                    queue.push_back(p);
-                                }
-                            }
-                        }
-                    }
-                    // δ-threshold termination check.
-                    if let FixpointMode::CostThreshold { delta, patience } = self.mode {
-                        if since_check >= check_interval {
-                            since_check = 0;
-                            if let Ok((_, cost)) = self.extract(&mut memo, root_group, required, mq)
-                            {
-                                let v = mq.cost_model().weigh(&cost);
-                                let improvement = (checkpoint_cost - v) / checkpoint_cost.max(1e-9);
-                                if checkpoint_cost.is_finite() && improvement < delta {
-                                    stalled += 1;
-                                    if stalled >= patience {
-                                        let stats = VolcanoStats {
-                                            groups: memo
-                                                .groups
-                                                .iter()
-                                                .filter(|g| !g.exprs.is_empty())
-                                                .count(),
-                                            expressions: memo.exprs.len(),
-                                            rule_firings: firings,
-                                        };
-                                        let (plan, cost) =
-                                            self.extract(&mut memo, root_group, required, mq)?;
-                                        return Ok((plan, cost, stats));
-                                    }
-                                } else {
-                                    stalled = 0;
-                                }
-                                checkpoint_cost = v;
-                            }
-                        }
-                    }
-                }
-            }
-        }
-
-        let stats = VolcanoStats {
-            groups: memo.groups.iter().filter(|g| !g.exprs.is_empty()).count(),
-            expressions: memo.exprs.len(),
-            rule_firings: firings,
-        };
-        let (plan, cost) = self.extract(&mut memo, root_group, required, mq)?;
+        let mut memo = Memo::new(&self.converters);
+        let root_group = memo.register(root, None);
+        let mut stats = self.search(&mut memo, root_group, required, mq);
+        stats.groups = memo
+            .groups
+            .iter()
+            .filter(|g| g.exprs.iter().any(|e| !memo.exprs[*e].dead))
+            .count();
+        stats.expressions = memo.exprs.iter().filter(|x| !x.dead).count();
+        let (plan, cost) = extract(&mut memo, root_group, required, mq)?;
         Ok((plan, cost, stats))
     }
 
-    fn firing_key(rule_idx: usize, binds: &[Rel]) -> u64 {
-        use std::collections::hash_map::DefaultHasher;
-        use std::hash::{Hash, Hasher};
-        let mut h = DefaultHasher::new();
-        rule_idx.hash(&mut h);
-        for b in binds {
-            b.digest().hash(&mut h);
-        }
-        h.finish()
-    }
-
-    /// Adds `Convert` expressions to the group of `e` for every converter
-    /// whose source convention matches `e`'s.
-    fn add_converters_for(&self, memo: &mut Memo, e: ExprId, queue: &mut VecDeque<ExprId>) {
-        let conv = memo.exprs[e].conv.clone();
-        if conv.is_none() {
-            return;
-        }
-        // Never convert a converter's output again in a chain of length 1;
-        // chains across distinct conventions are still possible because the
-        // new Convert expression is itself visited here.
-        let group = memo.find(memo.exprs[e].group);
-        for c in &self.converters {
-            if c.from == conv && c.to != conv {
-                let key = Memo::expr_key(
-                    &RelOp::Convert {
-                        from: c.from.clone(),
-                    },
-                    &c.to,
-                    &[group],
-                );
-                if memo.expr_map.contains_key(&key) {
-                    continue;
-                }
-                let eid = memo.add_expr(
-                    RelOp::Convert {
-                        from: c.from.clone(),
-                    },
-                    c.to.clone(),
-                    vec![group],
-                    group,
-                );
-                memo.expr_map.insert(key, eid);
-                queue.push_back(eid);
-            }
-        }
-    }
-
-    /// Matches a pattern with `e` at the root, enumerating child-group
-    /// expression combinations. Returns `(materialized root, pre-order
-    /// bindings)` pairs.
-    fn match_and_bind(
-        &self,
-        memo: &mut Memo,
-        e: ExprId,
-        pattern: &Pattern,
-    ) -> Vec<(Rel, Vec<Rel>)> {
-        // Fieldless check first.
-        let (kind, conv) = {
-            let ex = &memo.exprs[e];
-            (ex.op.kind(), ex.conv.clone())
-        };
-        let matches_node = match &pattern.matcher {
-            crate::rules::NodeMatcher::Any => true,
-            crate::rules::NodeMatcher::Kind(k) => kind == *k,
-            crate::rules::NodeMatcher::KindConv(k, c) => kind == *k && conv == *c,
-        };
-        if !matches_node {
-            return vec![];
-        }
-        let (op, children) = {
-            let ex = &memo.exprs[e];
-            (ex.op.clone(), ex.children.clone())
-        };
-        match &pattern.children {
-            Children::Any => {
-                let child_reprs: Vec<Rel> = children
-                    .iter()
-                    .map(|g| {
-                        let g = memo.find(*g);
-                        memo.groups[g].repr.clone()
-                    })
-                    .collect();
-                let node = RelNode::new(op, conv, child_reprs);
-                vec![(node.clone(), vec![node])]
-            }
-            Children::Are(pats) => {
-                if pats.len() != children.len() {
-                    return vec![];
-                }
-                // Candidate bindings per child.
-                let mut per_child: Vec<Vec<(Rel, Vec<Rel>)>> = vec![];
-                for (pat, g) in pats.iter().zip(children.iter()) {
-                    let mut cands = vec![];
-                    for ce in memo.group_exprs(*g) {
-                        cands.extend(self.match_and_bind(memo, ce, pat));
-                        if cands.len() >= self.max_bindings {
-                            break;
-                        }
-                    }
-                    if cands.is_empty() {
-                        return vec![];
-                    }
-                    per_child.push(cands);
-                }
-                // Cartesian product, capped.
-                let mut combos: Vec<(Vec<Rel>, Vec<Rel>)> = vec![(vec![], vec![])];
-                for cands in per_child {
-                    let mut next = vec![];
-                    for (nodes, binds) in &combos {
-                        for (cn, cb) in &cands {
-                            let mut n2 = nodes.clone();
-                            n2.push(cn.clone());
-                            let mut b2 = binds.clone();
-                            b2.extend(cb.iter().cloned());
-                            next.push((n2, b2));
-                            if next.len() >= self.max_bindings {
-                                break;
-                            }
-                        }
-                        if next.len() >= self.max_bindings {
-                            break;
-                        }
-                    }
-                    combos = next;
-                }
-                combos
-                    .into_iter()
-                    .map(|(nodes, binds)| {
-                        let node = RelNode::new(op.clone(), conv.clone(), nodes);
-                        let mut all = vec![node.clone()];
-                        all.extend(binds);
-                        (node, all)
-                    })
-                    .collect()
-            }
-        }
-    }
-
-    /// Dynamic-programming extraction: cheapest implementation per
-    /// (group, convention), iterated to a fixpoint so converter cycles are
-    /// handled, then the best tree is built for the root.
-    fn extract(
+    /// Runs the queued arrivals to exhaustion, or until the budget or the
+    /// δ-threshold stops the search.
+    fn search(
         &self,
         memo: &mut Memo,
         root_group: GroupId,
         required: &Convention,
         mq: &MetadataQuery,
-    ) -> Result<(Rel, Cost)> {
-        let root_group = memo.find(root_group);
-        #[derive(Clone)]
-        struct Best {
-            weight: f64,
-            cost: Cost,
-            expr: ExprId,
-        }
-        let mut best: HashMap<(GroupId, Convention), Best> = HashMap::new();
-        let n_exprs = memo.exprs.len();
-
-        // Pre-resolve per-expr data to avoid repeated borrow juggling.
-        let mut expr_info: Vec<(GroupId, Convention, Vec<GroupId>, Option<Convention>)> =
-            Vec::with_capacity(n_exprs);
-        for e in 0..n_exprs {
-            let group = memo.find(memo.exprs[e].group);
-            let conv = memo.exprs[e].conv.clone();
-            let children: Vec<GroupId> = memo.exprs[e]
-                .children
-                .clone()
-                .into_iter()
-                .map(|g| memo.find(g))
-                .collect();
-            let child_req = match &memo.exprs[e].op {
-                RelOp::Convert { from } => Some(from.clone()),
-                _ => None,
-            };
-            expr_info.push((group, conv, children, child_req));
-        }
-        // Non-cumulative costs from materialized nodes (children = reprs).
-        let mut own_cost: Vec<Cost> = Vec::with_capacity(n_exprs);
-        for (e, (_, conv, children, _)) in expr_info.iter().enumerate() {
-            let child_reprs: Vec<Rel> = children
-                .iter()
-                .map(|g| memo.groups[*g].repr.clone())
-                .collect();
-            let node = RelNode::new(memo.exprs[e].op.clone(), conv.clone(), child_reprs);
-            own_cost.push(mq.non_cumulative_cost(&node));
-        }
-
-        let max_iters = memo.groups.len() + 8;
-        for _ in 0..max_iters {
-            let mut changed = false;
-            for e in 0..n_exprs {
-                let (group, ref conv, ref children, ref child_req) = expr_info[e];
-                if conv.is_none() {
-                    continue; // logical expressions are not executable
-                }
-                let req = child_req.as_ref().unwrap_or(conv);
-                let mut total = own_cost[e];
-                let mut feasible = true;
-                for cg in children {
-                    match best.get(&(*cg, req.clone())) {
-                        Some(b) => total = total.plus(&b.cost),
-                        None => {
-                            feasible = false;
-                            break;
-                        }
-                    }
-                }
-                if !feasible || total.is_infinite() {
-                    continue;
-                }
-                let w = mq.cost_model().weigh(&total);
-                let key = (group, conv.clone());
-                let better = match best.get(&key) {
-                    Some(b) => w < b.weight - 1e-9,
-                    None => true,
-                };
-                if better {
-                    best.insert(
-                        key,
-                        Best {
-                            weight: w,
-                            cost: total,
-                            expr: e,
-                        },
-                    );
-                    changed = true;
-                }
-            }
-            if !changed {
+    ) -> VolcanoStats {
+        let mut stats = VolcanoStats::default();
+        let mut tried: HashSet<Binding> = HashSet::new();
+        let mut checkpoint_cost = f64::INFINITY;
+        let mut stalled = 0usize;
+        let mut since_check = 0usize;
+        while let Some(arrival) = memo.arrivals.pop_front() {
+            if memo.exprs.len() > self.max_expressions || stats.rule_firings > self.max_firings {
+                stats.truncated = true;
                 break;
             }
+            memo.clock += 1;
+            for binding in memo.bindings_for(arrival, &self.rules) {
+                stats.bindings += 1;
+                if tried.contains(&binding) {
+                    stats.duplicate_bindings += 1;
+                    continue;
+                }
+                let (rule, ids) = (binding[0], &binding[1..]);
+                // An expression that coincided with another since the
+                // binding was built fires through that one.
+                if ids.iter().any(|e| memo.exprs[*e].dead) {
+                    continue;
+                }
+                let rels = memo.materialize(self.rules.pattern(rule), ids);
+                let root_expr = ids[0];
+                tried.insert(binding);
+                let mut call = RuleCall::new(rels, mq);
+                self.rules.rule(rule).on_match(&mut call);
+                let results = call.into_results();
+                if results.is_empty() {
+                    continue;
+                }
+                stats.rule_firings += 1;
+                for result in results {
+                    memo.register_into(&result, memo.exprs[root_expr].group);
+                }
+                since_check += 1;
+                let FixpointMode::CostThreshold { delta, patience } = self.mode else {
+                    continue;
+                };
+                if since_check < CHECK_INTERVAL {
+                    continue;
+                }
+                since_check = 0;
+                if let Ok((_, cost)) = extract(memo, root_group, required, mq) {
+                    let v = mq.cost_model().weigh(&cost);
+                    let improvement = (checkpoint_cost - v) / checkpoint_cost.max(1e-9);
+                    if checkpoint_cost.is_finite() && improvement < delta {
+                        stalled += 1;
+                        if stalled >= patience {
+                            return stats;
+                        }
+                    } else {
+                        stalled = 0;
+                    }
+                    checkpoint_cost = v;
+                }
+            }
         }
+        stats
+    }
+}
 
-        let root_best = best.get(&(root_group, required.clone())).ok_or_else(|| {
+/// Dynamic-programming extraction: cheapest implementation per (set,
+/// convention). Each expression's own cost is taken once; an improved
+/// entry re-relaxes only the parents that consume it, so converter cycles
+/// settle without sweeping the memo. Then the best tree is built for the
+/// root.
+fn extract(
+    memo: &mut Memo,
+    root_group: GroupId,
+    required: &Convention,
+    mq: &MetadataQuery,
+) -> Result<(Rel, Cost)> {
+    #[derive(Clone, Copy)]
+    struct Best {
+        weight: f64,
+        cost: Cost,
+        expr: ExprId,
+    }
+    let root_group = memo.find(root_group);
+    let convs = memo.convs.len();
+    let mut best: Vec<Option<Best>> = vec![None; memo.groups.len() * convs];
+
+    // Logical expressions are not executable.
+    let mut queued: Vec<bool> = memo
+        .exprs
+        .iter()
+        .map(|x| !x.dead && x.key.conv != LOGICAL)
+        .collect();
+    let mut queue: VecDeque<ExprId> = (0..memo.exprs.len()).filter(|e| queued[*e]).collect();
+    'relax: while let Some(e) = queue.pop_front() {
+        queued[e] = false;
+        let x = &mut memo.exprs[e];
+        let mut total = *x
+            .cost
+            .get_or_insert_with(|| mq.non_cumulative_cost(&x.node));
+        for g in &x.key.children {
+            match best[g * convs + x.child_conv] {
+                Some(input) => total = total.plus(&input.cost),
+                None => continue 'relax,
+            }
+        }
+        if total.is_infinite() {
+            continue;
+        }
+        let weight = mq.cost_model().weigh(&total);
+        let entry = &mut best[x.group * convs + x.key.conv];
+        if entry.is_some_and(|b| weight >= b.weight - 1e-9) {
+            continue;
+        }
+        *entry = Some(Best {
+            weight,
+            cost: total,
+            expr: e,
+        });
+        let produced = x.key.conv;
+        for &(p, _) in &memo.groups[x.group].parents {
+            let px = &memo.exprs[p];
+            if !px.dead && !queued[p] && px.key.conv != LOGICAL && px.child_conv == produced {
+                queued[p] = true;
+                queue.push_back(p);
+            }
+        }
+    }
+
+    fn build(
+        memo: &Memo,
+        best: &[Option<Best>],
+        group: GroupId,
+        conv: ConvId,
+        depth: usize,
+    ) -> Result<Rel> {
+        if depth > 512 {
+            return Err(CalciteError::internal("plan extraction recursion overflow"));
+        }
+        let entry = best[group * memo.convs.len() + conv].ok_or_else(|| {
+            CalciteError::internal(format!(
+                "missing best plan for group {group} in {}",
+                memo.convs[conv]
+            ))
+        })?;
+        let x = &memo.exprs[entry.expr];
+        let inputs = x
+            .key
+            .children
+            .iter()
+            .map(|g| build(memo, best, *g, x.child_conv, depth + 1))
+            .collect::<Result<Vec<Rel>>>()?;
+        Ok(RelNode::new(
+            x.node.op.clone(),
+            x.node.convention.clone(),
+            inputs,
+        ))
+    }
+    let (required, root_best) = memo
+        .convs
+        .iter()
+        .position(|c| c == required)
+        .and_then(|c| Some((c, best[root_group * convs + c]?)))
+        .ok_or_else(|| {
             CalciteError::plan(format!(
                 "no implementation of the root in convention '{required}'; \
                  register implementation rules and converters"
             ))
         })?;
-        let cost = root_best.cost;
-
-        // Build the plan tree.
-        fn build(
-            memo: &Memo,
-            best: &HashMap<(GroupId, Convention), BestRef>,
-            group: GroupId,
-            conv: &Convention,
-            expr_info: &[(GroupId, Convention, Vec<GroupId>, Option<Convention>)],
-            depth: usize,
-        ) -> Result<Rel> {
-            if depth > 512 {
-                return Err(CalciteError::internal("plan extraction recursion overflow"));
-            }
-            let b = best.get(&(group, conv.clone())).ok_or_else(|| {
-                CalciteError::internal(format!("missing best plan for group {group} in {conv}"))
-            })?;
-            let e = b.0;
-            let (_, ref econv, ref children, ref child_req) = expr_info[e];
-            let req = child_req.as_ref().unwrap_or(econv);
-            let mut inputs = vec![];
-            for cg in children {
-                inputs.push(build(memo, best, *cg, req, expr_info, depth + 1)?);
-            }
-            Ok(RelNode::new(
-                memo.exprs[e].op.clone(),
-                econv.clone(),
-                inputs,
-            ))
-        }
-        struct BestRef(ExprId);
-        let best_ref: HashMap<(GroupId, Convention), BestRef> = best
-            .iter()
-            .map(|(k, v)| (k.clone(), BestRef(v.expr)))
-            .collect();
-        let plan = build(memo, &best_ref, root_group, required, &expr_info, 0)?;
-        Ok((plan, cost))
-    }
+    let plan = build(memo, &best, root_group, required, 0)?;
+    Ok((plan, root_best.cost))
 }
 
 impl PlannerEngine for VolcanoPlanner {
@@ -845,17 +1019,403 @@ mod tests {
     #[test]
     fn equivalence_sets_merge_on_duplicate_digest() {
         // Registering the same tree twice must not duplicate groups.
-        let mut memo = Memo::new();
+        let mut memo = Memo::new(&[]);
         let t = table("t", 100.0, &["a"]);
         let f1 = rel::filter(
             t.clone(),
             RexNode::input(0, int_ty()).gt(RexNode::lit_int(1)),
         );
         let f2 = rel::filter(t, RexNode::input(0, int_ty()).gt(RexNode::lit_int(1)));
-        let mut created = vec![];
-        let g1 = memo.register(&f1, &mut created);
-        let g2 = memo.register(&f2, &mut created);
-        assert_eq!(memo.find(g1), memo.find(g2));
+        let g1 = memo.register(&f1, None);
+        let g2 = memo.register(&f2, None);
+        assert_eq!(g1, g2);
         assert_eq!(memo.groups.len(), 2); // scan group + filter group
+    }
+
+    // ---------------------------------------------------------------
+    // Differential oracle: the incremental search against naive
+    // saturation.
+    // ---------------------------------------------------------------
+
+    /// The reference search: re-binds every rule against every expression
+    /// combination, pass after pass, until a pass finds nothing it has not
+    /// tried. No arrivals, no pins, no rule index, no budget — only the
+    /// memo and the binder are shared with the engine under test.
+    fn saturate_naive(planner: &VolcanoPlanner, memo: &mut Memo, mq: &MetadataQuery) {
+        let mut tried: HashSet<Binding> = HashSet::new();
+        loop {
+            memo.arrivals.clear();
+            for x in &mut memo.exprs {
+                x.arrived = 0;
+            }
+            let mut progressed = false;
+            for e in 0..memo.exprs.len() {
+                for r in 0..planner.rules.len() {
+                    for ids in memo.bind(e, planner.rules.pattern(r), &[], 0) {
+                        let binding = [&[r][..], &ids].concat();
+                        if ids.iter().any(|i| memo.exprs[*i].dead) || !tried.insert(binding) {
+                            continue;
+                        }
+                        progressed = true;
+                        let rels = memo.materialize(planner.rules.pattern(r), &ids);
+                        let mut call = RuleCall::new(rels, mq);
+                        planner.rules.rule(r).on_match(&mut call);
+                        for result in call.into_results() {
+                            memo.register_into(&result, memo.exprs[e].group);
+                        }
+                    }
+                }
+            }
+            if !progressed {
+                return;
+            }
+        }
+    }
+
+    /// Asserts that two memos hold the same expressions partitioned into
+    /// the same sets, up to numbering. The set correspondence grows from
+    /// the leaves: an expression of `a` whose child sets are mapped must
+    /// exist in `b`, and its set maps to that expression's set.
+    fn assert_same_memo(a: &Memo, b: &Memo) {
+        let live = |m: &Memo| -> Vec<ExprId> {
+            (0..m.exprs.len()).filter(|e| !m.exprs[*e].dead).collect()
+        };
+        assert_eq!(live(a).len(), live(b).len(), "live expression count");
+        let payload: HashMap<usize, &String> = a.ops.iter().map(|(d, id)| (*id, d)).collect();
+        let mut sets: HashMap<GroupId, GroupId> = HashMap::new();
+        let mut pending = live(a);
+        while !pending.is_empty() {
+            let before = pending.len();
+            pending.retain(|e| {
+                let x = &a.exprs[*e];
+                let children: Option<Vec<GroupId>> = x
+                    .key
+                    .children
+                    .iter()
+                    .map(|g| sets.get(g).copied())
+                    .collect();
+                let Some(children) = children else {
+                    return true;
+                };
+                let key = b.ops.get(payload[&x.key.op]).and_then(|op| {
+                    let conv = b.convs.iter().position(|c| *c == a.convs[x.key.conv])?;
+                    Some(ExprKey {
+                        op: *op,
+                        conv,
+                        children,
+                    })
+                });
+                let twin = key
+                    .and_then(|k| b.expr_map.get(&k))
+                    .filter(|t| !b.exprs[**t].dead)
+                    .unwrap_or_else(|| panic!("only one memo holds {}", x.node.digest()));
+                let set = b.exprs[*twin].group;
+                assert_eq!(
+                    *sets.entry(x.group).or_insert(set),
+                    set,
+                    "{} sits in different sets",
+                    x.node.digest()
+                );
+                false
+            });
+            assert!(pending.len() < before, "sets unreachable from the leaves");
+        }
+        let images: HashSet<&GroupId> = sets.values().collect();
+        assert_eq!(
+            images.len(),
+            sets.len(),
+            "two sets of one memo are one set in the other"
+        );
+    }
+
+    /// Runs both searches over `root` and checks memo and best cost agree.
+    fn check_against_naive(planner: &VolcanoPlanner, root: &Rel) -> VolcanoStats {
+        let required = Convention::enumerable();
+        let mq = MetadataQuery::standard();
+        let mut incremental = Memo::new(&planner.converters);
+        let group = incremental.register(root, None);
+        let stats = planner.search(&mut incremental, group, &required, &mq);
+        assert!(!stats.truncated, "{stats:?}");
+
+        let naive_mq = MetadataQuery::standard();
+        let mut naive = Memo::new(&planner.converters);
+        let naive_group = naive.register(root, None);
+        saturate_naive(planner, &mut naive, &naive_mq);
+
+        assert_same_memo(&incremental, &naive);
+        let (_, cost) = extract(&mut incremental, group, &required, &mq).unwrap();
+        let (_, naive_cost) = extract(&mut naive, naive_group, &required, &naive_mq).unwrap();
+        let (w, naive_w) = (
+            mq.cost_model().weigh(&cost),
+            mq.cost_model().weigh(&naive_cost),
+        );
+        assert!(
+            (w - naive_w).abs() <= 1e-9 * naive_w.abs(),
+            "{w} vs {naive_w}"
+        );
+        stats
+    }
+
+    /// The connection's cost-based battery: logical, index and join
+    /// exploration rules plus the enumerable implementation rule.
+    fn full_planner() -> VolcanoPlanner {
+        let mut rules = default_logical_rules();
+        rules.extend(crate::rules::index_access_rules());
+        rules.extend(join_exploration_rules());
+        planner_with_enumerable(rules)
+    }
+
+    fn col(i: usize) -> RexNode {
+        RexNode::input(i, int_ty())
+    }
+
+    /// `t1 ⋈ … ⋈ tn` on `t(k).next_id = t(k+1).id`, filtered on both ends
+    /// and projected — the ledger's join-chain statement.
+    fn chain(n: usize) -> Rel {
+        let mut plan = table("t1", 100.0, &["id", "next_id", "v"]);
+        for k in 2..=n {
+            let right = table(&format!("t{k}"), 100.0 * k as f64, &["id", "next_id", "v"]);
+            let next_id = 3 * (k - 2) + 1;
+            let on = col(next_id).eq(col(3 * (k - 1)));
+            plan = rel::join(plan, right, JoinKind::Inner, on);
+        }
+        let condition = RexNode::and_all(vec![
+            col(2).eq(RexNode::lit_int(7)),
+            RexNode::call(
+                crate::rex::Op::Ne,
+                vec![col(3 * (n - 1)), RexNode::lit_int(1_000_007)],
+            ),
+        ]);
+        rel::project(
+            rel::filter(plan, condition),
+            vec![col(0), col(3 * (n - 1) + 2)],
+            vec!["id".into(), "v".into()],
+        )
+    }
+
+    #[test]
+    fn incremental_search_equals_naive_saturation_on_join_chains() {
+        for n in 2..=4 {
+            let stats = check_against_naive(&full_planner(), &chain(n));
+            assert!(stats.rule_firings > 0);
+        }
+    }
+
+    #[test]
+    fn incremental_search_equals_naive_saturation_on_single_table_shapes() {
+        let t = || table("t", 1_000.0, &["a", "b", "c"]);
+        let gt = |i: usize, v: i64| col(i).gt(RexNode::lit_int(v));
+        // Filter over aggregate over project, with a foldable conjunct.
+        let projected = rel::project(
+            rel::filter(t(), RexNode::and_all(vec![gt(0, 1), RexNode::true_lit()])),
+            vec![col(1), col(2)],
+            vec!["b".into(), "c".into()],
+        );
+        let aggregated = rel::aggregate(
+            projected,
+            vec![0],
+            vec![crate::rel::AggCall::count_star("n")],
+        );
+        let having = rel::filter(aggregated, gt(0, 3));
+        // Filter over a union of two filtered branches.
+        let union = rel::filter(
+            rel::union(
+                vec![rel::filter(t(), gt(0, 5)), rel::filter(t(), gt(1, 6))],
+                false,
+            ),
+            gt(2, 7),
+        );
+        // Sort over project over sort, filtered above.
+        let order = |i| vec![crate::traits::FieldCollation::asc(i)];
+        let sorted = rel::filter(
+            rel::sort(
+                rel::project(
+                    rel::sort(t(), order(1)),
+                    vec![col(0), col(1)],
+                    vec!["a".into(), "b".into()],
+                ),
+                order(0),
+            ),
+            gt(1, 2),
+        );
+        for root in [having, union, sorted] {
+            check_against_naive(&full_planner(), &root);
+        }
+    }
+
+    #[test]
+    fn incremental_search_equals_naive_saturation_with_index_rules() {
+        use crate::catalog::Table;
+        use crate::index::IndexDef;
+        let indexed = |name: &str| {
+            let t = MemTable::new(
+                RowTypeBuilder::new()
+                    .add_not_null("a", TypeKind::Integer)
+                    .add_not_null("b", TypeKind::Integer)
+                    .build(),
+                (0..50).map(|i| rel::int_row(&[i, i % 5])).collect(),
+            );
+            t.create_index(&IndexDef::ordered("i_a", vec![0])).unwrap();
+            rel::scan(TableRef::new("s", name, t))
+        };
+        let seek = rel::project(
+            rel::filter(indexed("t"), col(0).eq(RexNode::lit_int(7))),
+            vec![col(0)],
+            vec!["a".into()],
+        );
+        let probe = rel::filter(
+            rel::join(
+                table("outer", 10.0, &["x", "y"]),
+                indexed("u"),
+                JoinKind::Inner,
+                col(0).eq(col(2)),
+            ),
+            col(1).gt(RexNode::lit_int(3)),
+        );
+        for root in [seek, probe] {
+            check_against_naive(&full_planner(), &root);
+        }
+    }
+
+    /// Scans (and filters over them) of any table implement in `conv`.
+    struct BackendRule {
+        conv: Convention,
+        pattern: Pattern,
+    }
+
+    impl Rule for BackendRule {
+        fn name(&self) -> &str {
+            "BackendRule"
+        }
+        fn pattern(&self) -> Pattern {
+            self.pattern.clone()
+        }
+        fn on_match(&self, call: &mut RuleCall) {
+            let top = call.rel(0);
+            let pushed_below = top.inputs.iter().all(|i| i.convention == self.conv);
+            if top.convention.is_none() && pushed_below {
+                call.transform_to(top.with_convention(self.conv.clone()));
+            }
+        }
+    }
+
+    #[test]
+    fn incremental_search_equals_naive_saturation_across_two_conventions() {
+        let backend = Convention::new("kvstore");
+        let mut planner = full_planner();
+        planner.add_rule(Arc::new(BackendRule {
+            conv: backend.clone(),
+            pattern: Pattern::of(RelKind::Scan),
+        }));
+        planner.add_rule(Arc::new(BackendRule {
+            conv: backend.clone(),
+            pattern: Pattern::with_children(RelKind::Filter, vec![Pattern::any()]),
+        }));
+        planner.add_converter(backend, Convention::enumerable());
+        let root = rel::join(
+            rel::filter(
+                table("l", 500.0, &["a", "b"]),
+                col(1).gt(RexNode::lit_int(2)),
+            ),
+            table("r", 50.0, &["c"]),
+            JoinKind::Inner,
+            col(0).eq(col(2)),
+        );
+        check_against_naive(&planner, &root);
+    }
+
+    #[test]
+    fn a_merge_shows_each_sets_expressions_to_the_others_parents() {
+        use std::sync::Mutex;
+        // Union(Sort(Filter[a>1](t)), Filter[a>2](t)): the two filters sit
+        // in two sets. `Collide` rewrites a>1 to a>2 — an expression the
+        // other set holds — so the sets merge and nothing new is created.
+        // `Watch` matches Sort(Filter) and must then see a>2 under the
+        // Sort, an expression that came from the *other* set.
+        struct Collide;
+        impl Rule for Collide {
+            fn name(&self) -> &str {
+                "Collide"
+            }
+            fn pattern(&self) -> Pattern {
+                Pattern::of(RelKind::Filter)
+            }
+            fn on_match(&self, call: &mut RuleCall) {
+                let f = call.rel(0);
+                let RelOp::Filter { condition } = &f.op else {
+                    return;
+                };
+                if condition.digest() == "($0 > 1)" {
+                    let other = RexNode::input(0, int_ty()).gt(RexNode::lit_int(2));
+                    call.transform_to(rel::filter(f.input(0).clone(), other));
+                }
+            }
+        }
+        struct Watch(Arc<Mutex<Vec<String>>>);
+        impl Rule for Watch {
+            fn name(&self) -> &str {
+                "Watch"
+            }
+            fn pattern(&self) -> Pattern {
+                Pattern::with_children(RelKind::Sort, vec![Pattern::of(RelKind::Filter)])
+            }
+            fn on_match(&self, call: &mut RuleCall) {
+                if let RelOp::Filter { condition } = &call.rel(1).op {
+                    self.0.lock().unwrap().push(condition.digest());
+                }
+            }
+        }
+        let t = table("t", 100.0, &["a"]);
+        let gt = |v: i64| RexNode::input(0, int_ty()).gt(RexNode::lit_int(v));
+        let sorted = rel::sort(
+            rel::filter(t.clone(), gt(1)),
+            vec![crate::traits::FieldCollation::asc(0)],
+        );
+        let root = rel::union(vec![sorted, rel::filter(t, gt(2))], true);
+        let seen = Arc::new(Mutex::new(vec![]));
+        let planner = VolcanoPlanner::new(vec![Arc::new(Collide), Arc::new(Watch(seen.clone()))]);
+        let mut memo = Memo::new(&[]);
+        let group = memo.register(&root, None);
+        let before = memo.exprs.len();
+        let mq = MetadataQuery::standard();
+        let stats = planner.search(&mut memo, group, &Convention::enumerable(), &mq);
+        assert_eq!(
+            memo.exprs.len(),
+            before,
+            "the collision creates no expression"
+        );
+        assert_eq!(stats.rule_firings, 1);
+        assert_eq!(*seen.lock().unwrap(), vec!["($0 > 1)", "($0 > 2)"]);
+    }
+
+    #[test]
+    fn bindings_built_track_firings_on_a_join5_chain() {
+        let planner = full_planner();
+        let mq = MetadataQuery::standard();
+        let run = || {
+            planner
+                .optimize_with_stats(&chain(5), &Convention::enumerable(), &mq)
+                .unwrap()
+                .2
+        };
+        let stats = run();
+        assert!(!stats.truncated, "{stats:?}");
+        assert!(stats.bindings <= 2 * stats.rule_firings, "{stats:?}");
+        // Counts, so they repeat exactly.
+        assert_eq!(run(), stats);
+    }
+
+    #[test]
+    fn a_spent_budget_is_reported() {
+        let mq = MetadataQuery::standard();
+        let (_, _, stats) = full_planner()
+            .with_budget(40, 10_000)
+            .optimize_with_stats(&chain(4), &Convention::enumerable(), &mq)
+            .unwrap();
+        assert!(stats.truncated, "{stats:?}");
+        let (_, _, stats) = full_planner()
+            .optimize_with_stats(&chain(4), &Convention::enumerable(), &mq)
+            .unwrap();
+        assert!(!stats.truncated, "{stats:?}");
     }
 }

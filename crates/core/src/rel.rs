@@ -371,6 +371,28 @@ pub enum RelKind {
     Convert,
 }
 
+impl RelKind {
+    /// Every kind, in declaration order (`kind as usize` indexes it):
+    /// what a rule whose pattern root is "any operator" is indexed under.
+    pub const ALL: [RelKind; 15] = [
+        RelKind::Scan,
+        RelKind::IndexSeek,
+        RelKind::IndexJoin,
+        RelKind::Values,
+        RelKind::Filter,
+        RelKind::Project,
+        RelKind::Join,
+        RelKind::Aggregate,
+        RelKind::Sort,
+        RelKind::Window,
+        RelKind::Union,
+        RelKind::Intersect,
+        RelKind::Minus,
+        RelKind::Delta,
+        RelKind::Convert,
+    ];
+}
+
 impl RelOp {
     pub fn kind(&self) -> RelKind {
         match self {
@@ -507,6 +529,7 @@ pub struct RelNode {
     pub convention: Convention,
     pub inputs: Vec<Rel>,
     row_type: OnceLock<RowType>,
+    digest: OnceLock<String>,
 }
 
 /// Shared relational expression handle.
@@ -519,6 +542,7 @@ impl RelNode {
             convention,
             inputs,
             row_type: OnceLock::new(),
+            digest: OnceLock::new(),
         })
     }
 
@@ -551,22 +575,21 @@ impl RelNode {
         RelNode::new(self.op.clone(), convention, self.inputs.clone())
     }
 
-    /// Full recursive digest identifying this expression tree.
-    pub fn digest(&self) -> String {
-        let children: Vec<String> = self.inputs.iter().map(|i| i.digest()).collect();
-        self.digest_with(&children)
-    }
-
-    /// Digest given pre-computed child identifiers (planners pass group ids
-    /// here so equivalent children produce equal digests).
-    pub fn digest_with(&self, children: &[String]) -> String {
-        let mut s = format!("{}@{}", self.op.payload_digest(), self.convention);
-        if !children.is_empty() {
-            s.push('[');
-            s.push_str(&children.join("|"));
-            s.push(']');
-        }
-        s
+    /// Full recursive digest identifying this expression tree, built once
+    /// per node and cached (the children's cached digests are reused, so a
+    /// rewritten tree only prints its new nodes).
+    pub fn digest(&self) -> &str {
+        self.digest.get_or_init(|| {
+            let mut s = format!("{}@{}", self.op.payload_digest(), self.convention);
+            for (i, input) in self.inputs.iter().enumerate() {
+                s.push(if i == 0 { '[' } else { '|' });
+                s.push_str(input.digest());
+            }
+            if !self.inputs.is_empty() {
+                s.push(']');
+            }
+            s
+        })
     }
 
     /// Number of nodes in the tree.

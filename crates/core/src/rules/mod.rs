@@ -41,11 +41,14 @@ pub enum NodeMatcher {
 }
 
 impl NodeMatcher {
-    fn matches(&self, rel: &Rel) -> bool {
+    /// Whether an operator of `kind` in `convention` satisfies this
+    /// matcher — the one node test both engines use (Hep on concrete
+    /// trees, Volcano on memo expressions).
+    pub fn admits(&self, kind: RelKind, convention: &Convention) -> bool {
         match self {
             NodeMatcher::Any => true,
-            NodeMatcher::Kind(k) => rel.kind() == *k,
-            NodeMatcher::KindConv(k, c) => rel.kind() == *k && rel.convention == *c,
+            NodeMatcher::Kind(k) => kind == *k,
+            NodeMatcher::KindConv(k, c) => kind == *k && convention == c,
         }
     }
 }
@@ -110,7 +113,7 @@ impl Pattern {
     }
 
     fn collect(&self, rel: &Rel, binds: &mut Vec<Rel>) -> bool {
-        if !self.matcher.matches(rel) {
+        if !self.matcher.admits(rel.kind(), &rel.convention) {
             return false;
         }
         binds.push(rel.clone());
@@ -161,10 +164,6 @@ impl<'a> RuleCall<'a> {
         &self.rels[i]
     }
 
-    pub fn rels(&self) -> &[Rel] {
-        &self.rels
-    }
-
     /// Registers an equivalent expression for the pattern root.
     pub fn transform_to(&mut self, rel: Rel) {
         self.results.push(rel);
@@ -172,10 +171,6 @@ impl<'a> RuleCall<'a> {
 
     pub fn into_results(self) -> Vec<Rel> {
         self.results
-    }
-
-    pub fn has_results(&self) -> bool {
-        !self.results.is_empty()
     }
 }
 
@@ -188,6 +183,71 @@ pub trait Rule: Send + Sync {
     /// Fired when the pattern matches; registers alternatives through
     /// [`RuleCall::transform_to`].
     fn on_match(&self, call: &mut RuleCall);
+}
+
+/// A rule battery as the planner engines hold it: each rule's pattern is
+/// taken once, at registration, and the rules are indexed by the operator
+/// kind their pattern root admits, so an engine only tries the rules that
+/// can match the node in hand.
+pub struct RuleSet {
+    rules: Vec<(Arc<dyn Rule>, Pattern)>,
+    /// `RelKind as usize` → indexes into `rules`, in registration order.
+    by_kind: Vec<Vec<usize>>,
+    max_depth: usize,
+}
+
+impl RuleSet {
+    pub fn new(rules: Vec<Arc<dyn Rule>>) -> RuleSet {
+        let mut set = RuleSet {
+            rules: vec![],
+            by_kind: vec![vec![]; RelKind::ALL.len()],
+            max_depth: 0,
+        };
+        for rule in rules {
+            set.push(rule);
+        }
+        set
+    }
+
+    pub fn push(&mut self, rule: Arc<dyn Rule>) {
+        let pattern = rule.pattern();
+        let index = self.rules.len();
+        for kind in RelKind::ALL {
+            let admits = match &pattern.matcher {
+                NodeMatcher::Any => true,
+                NodeMatcher::Kind(k) | NodeMatcher::KindConv(k, _) => *k == kind,
+            };
+            if admits {
+                self.by_kind[kind as usize].push(index);
+            }
+        }
+        self.max_depth = self.max_depth.max(pattern.depth());
+        self.rules.push((rule, pattern));
+    }
+
+    /// Indexes of the rules whose pattern root can match an operator of
+    /// `kind`, in registration order.
+    pub fn for_kind(&self, kind: RelKind) -> &[usize] {
+        &self.by_kind[kind as usize]
+    }
+
+    pub fn rule(&self, index: usize) -> &dyn Rule {
+        self.rules[index].0.as_ref()
+    }
+
+    pub fn pattern(&self, index: usize) -> &Pattern {
+        &self.rules[index].1
+    }
+
+    #[cfg(test)]
+    pub(crate) fn len(&self) -> usize {
+        self.rules.len()
+    }
+
+    /// Depth of the deepest pattern in the set (0 when empty).
+    pub fn max_depth(&self) -> usize {
+        self.max_depth
+    }
 }
 
 /// The built-in logical rule battery: safe to run to fixpoint in the

@@ -27,7 +27,7 @@ use rcalcite_core::lattice::{Lattice, LatticeRule};
 use rcalcite_core::metadata::{MetadataProvider, MetadataQuery};
 use rcalcite_core::mv::{Materialization, MaterializedViewRule};
 use rcalcite_core::planner::hep::HepPlanner;
-use rcalcite_core::planner::volcano::{FixpointMode, VolcanoPlanner};
+use rcalcite_core::planner::volcano::{FixpointMode, VolcanoPlanner, VolcanoStats};
 use rcalcite_core::planner::PlannerEngine;
 use rcalcite_core::rel::{Rel, RelNode, RelOp};
 use rcalcite_core::rex::{FunctionRegistry, RexNode};
@@ -122,6 +122,11 @@ pub(crate) struct CachedPlan {
     /// Catalog/config generation this plan was compiled under; a bump
     /// (DDL, INSERT, planner reconfiguration) invalidates it.
     pub generation: u64,
+    /// The parsed statement, so preparing a cached text skips the lexer
+    /// and parser, and a stale plan re-compiles without re-parsing.
+    pub query: Arc<Query>,
+    /// What the cost-based search spent; EXPLAIN reports a truncated one.
+    pub search: VolcanoStats,
 }
 
 /// Bounded LRU of compiled plans, keyed by SQL text. Recency is an
@@ -514,18 +519,30 @@ impl Connection {
     /// convention, using the paper's multi-stage scheme: a heuristic
     /// normalization phase followed by cost-based planning.
     pub fn optimize(&self, logical: &Rel) -> Result<Rel> {
-        let mq = self.metadata_query();
-        let normalized = self.hep.optimize(logical, &Convention::enumerable(), &mq)?;
-        self.planner()
-            .optimize(&normalized, &Convention::enumerable(), &mq)
+        Ok(self.optimize_with_stats(logical)?.0)
+    }
+
+    /// [`Connection::optimize`], also reporting what the cost-based search
+    /// spent (memo size, firings, bindings, whether the budget cut it).
+    pub fn optimize_with_stats(&self, logical: &Rel) -> Result<(Rel, VolcanoStats)> {
+        self.optimize_through(&self.planner(), logical)
     }
 
     /// [`Connection::optimize`] without materialized-view substitution.
     fn optimize_no_mv(&self, logical: &Rel) -> Result<Rel> {
+        Ok(self.optimize_through(&self.planner_no_mv(), logical)?.0)
+    }
+
+    fn optimize_through(
+        &self,
+        planner: &VolcanoPlanner,
+        logical: &Rel,
+    ) -> Result<(Rel, VolcanoStats)> {
         let mq = self.metadata_query();
         let normalized = self.hep.optimize(logical, &Convention::enumerable(), &mq)?;
-        self.planner_no_mv()
-            .optimize(&normalized, &Convention::enumerable(), &mq)
+        let (plan, _, search) =
+            planner.optimize_with_stats(&normalized, &Convention::enumerable(), &mq)?;
+        Ok((plan, search))
     }
 
     // -------------------------------------------------------------
@@ -538,28 +555,38 @@ impl Connection {
     /// executes any number of times without re-planning.
     pub fn prepare(&self, sql: &str) -> Result<PreparedStatement<'_>> {
         use rcalcite_core::error::CalciteError;
+        // A text the cache holds is served before it is lexed: cache keys
+        // are query texts, so a hit also proves the text is a query (an
+        // EXPLAIN is stored under the text it explains, and never hits).
+        let text = normalized_text(sql);
+        if let Some(hit) = self.cached_plan(text) {
+            return Ok(PreparedStatement::new(self, text.to_string(), hit));
+        }
         let q = match parse(sql)? {
-            Stmt::Query(q) => q,
+            Stmt::Query(q) => Arc::new(q),
             other => {
                 return Err(CalciteError::validate(format!(
                     "only queries can be prepared, got {other:?}"
                 )))
             }
         };
-        let key = plan_cache_key(sql);
-        let (plan, _) = self.plan_query(&key, &q)?;
-        Ok(PreparedStatement::new(self, key, q, plan))
+        let (plan, _) = self.plan_query(text, &q)?;
+        Ok(PreparedStatement::new(self, text.to_string(), plan))
+    }
+
+    /// The cached plan of `key`, if compiled under the current generation.
+    fn cached_plan(&self, key: &str) -> Option<Arc<CachedPlan>> {
+        let hit = self.plan_cache.read().get(key)?;
+        (hit.generation == self.generation()).then_some(hit)
     }
 
     /// Compiles `q` under cache key `key`, consulting the plan cache
     /// first. Returns the plan and whether it was served from the cache.
-    pub(crate) fn plan_query(&self, key: &str, q: &Query) -> Result<(Arc<CachedPlan>, bool)> {
-        let generation = self.generation();
-        if let Some(hit) = self.plan_cache.read().get(key) {
-            if hit.generation == generation {
-                return Ok((hit, true));
-            }
+    pub(crate) fn plan_query(&self, key: &str, q: &Arc<Query>) -> Result<(Arc<CachedPlan>, bool)> {
+        if let Some(hit) = self.cached_plan(key) {
+            return Ok((hit, true));
         }
+        let generation = self.generation();
         let logical = self.convert(q)?;
         let columns = logical
             .row_type()
@@ -568,12 +595,14 @@ impl Connection {
             .map(|f| f.name.clone())
             .collect();
         let params = collect_plan_params(&logical);
-        let physical = self.optimize(&logical)?;
+        let (physical, search) = self.optimize_with_stats(&logical)?;
         let plan = Arc::new(CachedPlan {
             columns,
             physical,
             params,
             generation,
+            query: q.clone(),
+            search,
         });
         self.plan_cache
             .write()
@@ -583,7 +612,7 @@ impl Connection {
 
     /// Re-plans a prepared statement whose plan went stale (DDL or
     /// reconfiguration since it was compiled).
-    pub(crate) fn replan(&self, key: &str, q: &Query) -> Result<Arc<CachedPlan>> {
+    pub(crate) fn replan(&self, key: &str, q: &Arc<Query>) -> Result<Arc<CachedPlan>> {
         Ok(self.plan_query(key, q)?.0)
     }
 
@@ -601,7 +630,7 @@ impl Connection {
     pub(crate) fn plan_for_execution(
         &self,
         key: &str,
-        q: &Query,
+        q: &Arc<Query>,
     ) -> Result<(Arc<CachedPlan>, bool)> {
         if !self.in_transaction() {
             return self.plan_query(key, q);
@@ -610,7 +639,7 @@ impl Connection {
     }
 
     /// Compiles `q` against the open transaction's snapshot (uncached).
-    pub(crate) fn plan_for_txn(&self, q: &Query) -> Result<Arc<CachedPlan>> {
+    pub(crate) fn plan_for_txn(&self, q: &Arc<Query>) -> Result<Arc<CachedPlan>> {
         let logical = self.convert(q)?;
         let columns = logical
             .row_type()
@@ -622,12 +651,14 @@ impl Connection {
         let substituted = self.substitute_txn_scans(&logical);
         // No MV substitution inside a transaction: views track the latest
         // commit, which may postdate this transaction's snapshot.
-        let physical = self.optimize_no_mv(&substituted)?;
+        let (physical, search) = self.optimize_through(&self.planner_no_mv(), &substituted)?;
         Ok(Arc::new(CachedPlan {
             columns,
             physical,
             params,
             generation: self.generation(),
+            query: q.clone(),
+            search,
         }))
     }
 
@@ -652,13 +683,13 @@ impl Connection {
             |m: String| ResultSet::materialized(vec!["result".into()], vec![vec![Datum::str(m)]]);
         match parse(sql)? {
             Stmt::Explain(q) => {
-                let (text, cached) = self.explain_query(plan_cache_key(sql), &q)?;
+                let (text, cached) = self.explain_query(plan_cache_key(sql), &Arc::new(q))?;
                 let mut rows: Vec<Row> = vec![vec![Datum::str(self.explain_header(cached))]];
                 rows.extend(text.lines().map(|l| vec![Datum::str(l)]));
                 Ok(ResultSet::materialized(vec!["PLAN".into()], rows))
             }
             Stmt::Query(q) => {
-                let (plan, _) = self.plan_for_execution(&plan_cache_key(sql), &q)?;
+                let (plan, _) = self.plan_for_execution(plan_cache_key(sql), &Arc::new(q))?;
                 if !plan.params.is_empty() {
                     return Err(CalciteError::validate(format!(
                         "statement has {} dynamic parameter(s); use prepare() and bind()",
@@ -1432,7 +1463,7 @@ impl Connection {
             Stmt::Query(q) | Stmt::Explain(q) => q,
             other => return Err(CalciteError::validate(format!("cannot EXPLAIN {other:?}"))),
         };
-        let (text, cached) = self.explain_query(plan_cache_key(sql), &q)?;
+        let (text, cached) = self.explain_query(plan_cache_key(sql), &Arc::new(q))?;
         Ok(format!("{}\n{text}", self.explain_header(cached)))
     }
 
@@ -1453,8 +1484,8 @@ impl Connection {
     /// renders the physical plan with cost annotations. In the batch
     /// modes with more than one worker, the exchange placement the
     /// parallel engine uses is appended as a second section.
-    fn explain_query(&self, key: String, q: &Query) -> Result<(String, bool)> {
-        let (plan, cached) = self.plan_query(&key, q)?;
+    fn explain_query(&self, key: &str, q: &Arc<Query>) -> Result<(String, bool)> {
+        let (plan, cached) = self.plan_query(key, q)?;
         let mq = self.metadata_query();
         let mut text = explain_with_costs(&plan.physical, &mq);
         text.push_str(&rcalcite_core::explain::explain_estimates(
@@ -1477,6 +1508,12 @@ impl Connection {
             }
         }
         self.append_mv_markers(&mut text, &plan.physical, q)?;
+        if plan.search.truncated {
+            text.push_str(&format!(
+                "-- planner: search truncated ({} expressions, {} firings)\n",
+                plan.search.expressions, plan.search.rule_firings
+            ));
+        }
         Ok((text, cached))
     }
 
@@ -1682,17 +1719,23 @@ fn locate_rows(physical: &Rel, logical: &Rel, view: &ReadView) -> Result<Vec<usi
 /// Normalizes a statement's text into its plan-cache key. `EXPLAIN <q>`
 /// maps to `<q>`'s key, so EXPLAIN reports on the entry the query itself
 /// would use.
-fn plan_cache_key(sql: &str) -> String {
-    let t = sql.trim().trim_end_matches(';').trim();
+fn plan_cache_key(sql: &str) -> &str {
+    let t = normalized_text(sql);
     // Strip a leading EXPLAIN keyword case-insensitively, matching the
     // parser's keyword handling.
     if t.len() > 7
         && t[..7].eq_ignore_ascii_case("EXPLAIN")
         && t.as_bytes()[7].is_ascii_whitespace()
     {
-        return t[7..].trim().to_string();
+        return t[7..].trim();
     }
-    t.to_string()
+    t
+}
+
+/// A statement's text without surrounding whitespace and trailing
+/// semicolons — what the plan cache is keyed and probed by.
+fn normalized_text(sql: &str) -> &str {
+    sql.trim().trim_end_matches(';').trim()
 }
 
 /// `?` placeholders are only meaningful through `prepare()`/`bind()`.
@@ -1879,6 +1922,54 @@ mod tests {
             assert!(header.contains("mode: row"), "{kw}: {header}");
             assert!(header.contains("workers: 1"), "{kw}: {header}");
         }
+    }
+
+    #[test]
+    fn prepare_serves_a_cached_text_without_parsing_it() {
+        let conn = connection();
+        let sql = "SELECT deptno FROM emp WHERE sal > ?";
+        let first = conn.prepare(sql).unwrap();
+        // The hit builds the same statement: columns, parameters, rows.
+        let again = conn.prepare(&format!("  {sql} ; ")).unwrap();
+        assert_eq!(conn.plan_cache_len(), 1);
+        assert_eq!(again.columns(), first.columns());
+        assert_eq!(again.param_count(), 1);
+        assert_eq!(again.query(&[Datum::Int(150)]).unwrap().rows.len(), 2);
+        // A hit proves the text is a query: an EXPLAIN of a cached text is
+        // cached under the text it explains, and is still not preparable.
+        assert!(conn.explain(sql).unwrap().starts_with("-- plan cache: hit"));
+        assert!(conn.prepare(&format!("EXPLAIN {sql}")).is_err());
+        // A stale entry is not served: the text re-plans under the new
+        // generation, against the new table.
+        conn.query("CREATE TABLE hr.t3 (v INTEGER)").unwrap();
+        assert!(conn.cached_plan(sql).is_none());
+        let fresh = conn.prepare(sql).unwrap();
+        assert!(conn.cached_plan(sql).is_some());
+        assert_eq!(fresh.query(&[Datum::Int(250)]).unwrap().rows.len(), 1);
+    }
+
+    #[test]
+    fn explain_reports_a_truncated_search_and_only_then() {
+        let mut conn = connection();
+        for r in rcalcite_core::rules::join_exploration_rules() {
+            conn.add_rule(r);
+        }
+        let sql = "SELECT e.sal FROM emp e JOIN emp f ON e.deptno = f.deptno WHERE f.sal > 150";
+        let complete = conn.explain(sql).unwrap();
+        assert!(!complete.contains("-- planner:"), "{complete}");
+        // The same connection with a planner whose budget runs out after
+        // the first implementations, before the join orders are explored.
+        conn.invalidate_plans();
+        *conn.planner.write() = Some(Arc::new(
+            VolcanoPlanner::new(conn.rules.clone()).with_budget(1_000, 12),
+        ));
+        let cut = conn.explain(sql).unwrap();
+        let line = cut
+            .lines()
+            .find(|l| l.starts_with("-- planner: search truncated ("))
+            .unwrap_or_else(|| panic!("{cut}"));
+        assert!(line.ends_with(" firings)"), "{line}");
+        assert!(line.contains(" expressions, "), "{line}");
     }
 
     #[test]

@@ -239,8 +239,8 @@ pub struct PreparedStatement<'c> {
     conn: &'c Connection,
     /// Plan-cache key (normalized SQL text).
     key: String,
-    /// Parsed query, kept so a stale plan re-compiles without re-parsing.
-    query: crate::ast::Query,
+    /// The current plan; it carries the parsed query, so a stale one
+    /// re-compiles without re-parsing.
     plan: RwLock<Arc<CachedPlan>>,
 }
 
@@ -248,13 +248,11 @@ impl<'c> PreparedStatement<'c> {
     pub(crate) fn new(
         conn: &'c Connection,
         key: String,
-        query: crate::ast::Query,
         plan: Arc<CachedPlan>,
     ) -> PreparedStatement<'c> {
         PreparedStatement {
             conn,
             key,
-            query,
             plan: RwLock::new(plan),
         }
     }
@@ -280,14 +278,14 @@ impl<'c> PreparedStatement<'c> {
     /// fresh against the transaction's snapshot on every execution and
     /// the stored plan is left untouched for use after COMMIT/ROLLBACK.
     fn current_plan(&self) -> Result<Arc<CachedPlan>> {
-        if self.conn.in_transaction() {
-            return self.conn.plan_for_txn(&self.query);
-        }
         let plan = self.plan.read().clone();
+        if self.conn.in_transaction() {
+            return self.conn.plan_for_txn(&plan.query);
+        }
         if plan.generation == self.conn.generation() {
             return Ok(plan);
         }
-        let fresh = self.conn.replan(&self.key, &self.query)?;
+        let fresh = self.conn.replan(&self.key, &plan.query)?;
         *self.plan.write() = fresh.clone();
         Ok(fresh)
     }
