@@ -14,11 +14,16 @@
 //! 500k × 7 table: a warm scan is served from the mirror, a scan after a
 //! write costs what a cold one does, and a write pays nothing for the
 //! mirror beyond dropping it.
+//!
+//! `figure4_keys` guards the key kernel on the paper's Figure 4 shape
+//! (fact ⋈ dimension, filter, group): a join must not cost a multiple of
+//! the scan that feeds it, and grouping by a string key must not cost a
+//! multiple of grouping by an integer key.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use rcalcite_adapters::jdbc::JdbcAdapter;
 use rcalcite_backends::memdb::MemDb;
-use rcalcite_core::catalog::{MemTable, Table, TableRef};
+use rcalcite_core::catalog::{Catalog, MemTable, Schema, Table, TableRef};
 use rcalcite_core::datum::{Datum, Row};
 use rcalcite_core::exec::{ExecContext, Parallelism};
 use rcalcite_core::rel::{self, AggCall, AggFunc, JoinKind, Rel};
@@ -27,7 +32,7 @@ use rcalcite_core::traits::FieldCollation;
 use rcalcite_core::txn::DeltaOp;
 use rcalcite_core::types::{RelType, RowTypeBuilder, TypeKind};
 use rcalcite_enumerable::{execute_batches_with_fusion, EnumerableExecutor};
-use rcalcite_sql::PostgresDialect;
+use rcalcite_sql::{Connection, ExecutionMode, PostgresDialect};
 use std::hint::black_box;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -536,11 +541,147 @@ fn bench_scan_residency(c: &mut Criterion) {
     g.finish();
 }
 
+/// Figure 4's query — join, filter, group — as costs relative to the
+/// work around the keys, on a 100k-row fact table and a 10k-row
+/// dimension behind a serial `Connection`. Two in-process guards, both
+/// ratios of medians taken interleaved on the same tables, so they hold
+/// on any machine:
+///
+/// - the filtered probe side joined to the dimension and counted costs
+///   at most 3× the filtered scan alone (3.6× when every build and
+///   probe row allocated and SipHashed a `Vec<Datum>` key; 1.7× now);
+/// - `GROUP BY` a 13-byte string key costs at most 2× `GROUP BY` the
+///   integer key of the same cardinality (2.6× before; 1.7× now).
+///
+/// Every statement is cross-checked against the row engine first.
+fn bench_figure4_keys(c: &mut Criterion) {
+    const FACT: i64 = 100_000;
+    const DIM: i64 = 10_000;
+    const SAMPLES: usize = 15;
+    let name = |id: i64| format!("product{id:06}");
+    let catalog = Catalog::new();
+    let schema = Schema::new();
+    schema.add_table(
+        "fact",
+        MemTable::new(
+            RowTypeBuilder::new()
+                .add_not_null("id", TypeKind::Integer)
+                .add_not_null("dim_id", TypeKind::Integer)
+                .add_not_null("dim_name", TypeKind::Varchar)
+                .add_not_null("day", TypeKind::Integer)
+                .add("discount", TypeKind::Integer)
+                .build(),
+            (0..FACT)
+                .map(|i| {
+                    let dim_id = (i * 7919) % DIM;
+                    vec![
+                        Datum::Int(i),
+                        Datum::Int(dim_id),
+                        // One allocation per row: equal keys do not
+                        // share a pointer.
+                        Datum::str(name(dim_id)),
+                        Datum::Int((i * 31) % 365),
+                        if i % 10 < 3 {
+                            Datum::Null
+                        } else {
+                            Datum::Int(i % 30)
+                        },
+                    ]
+                })
+                .collect(),
+        ),
+    );
+    schema.add_table(
+        "dim",
+        MemTable::new(
+            RowTypeBuilder::new()
+                .add_not_null("dim_id", TypeKind::Integer)
+                .add_not_null("name", TypeKind::Varchar)
+                .build(),
+            (0..DIM)
+                .map(|id| vec![Datum::Int(id), Datum::str(name(id))])
+                .collect(),
+        ),
+    );
+    catalog.add_schema("mart", schema);
+    let conn = Connection::builder(catalog.clone()).workers(1).build();
+    let oracle = Connection::builder(catalog)
+        .execution_mode(ExecutionMode::Row)
+        .build();
+
+    const FILTER: &str = "f.discount IS NOT NULL AND f.day >= 100";
+    let scan = format!("SELECT COUNT(*) FROM fact f WHERE {FILTER}");
+    let join =
+        format!("SELECT COUNT(*) FROM fact f JOIN dim d ON f.dim_id = d.dim_id WHERE {FILTER}");
+    let by_int = "SELECT dim_id, COUNT(*) FROM fact GROUP BY dim_id";
+    let by_str = "SELECT dim_name, COUNT(*) FROM fact GROUP BY dim_name";
+    let figure4 = format!(
+        "SELECT d.name, COUNT(*) AS c FROM fact f JOIN dim d ON f.dim_id = d.dim_id \
+         WHERE {FILTER} GROUP BY d.name ORDER BY c DESC, d.name"
+    );
+    let stmts: Vec<_> = [&scan, &join, by_int, by_str, &figure4]
+        .into_iter()
+        .map(|sql| {
+            let sorted = |conn: &Connection| {
+                let mut rows = conn.query(sql).unwrap().rows;
+                rows.sort();
+                rows
+            };
+            assert_eq!(sorted(&conn), sorted(&oracle), "engines disagree on {sql}");
+            conn.prepare(sql).unwrap()
+        })
+        .collect();
+    let run = |k: usize| stmts[k].query(&[]).unwrap().rows.len();
+
+    // Interleaved, so a noisy stretch hits numerator and denominator.
+    let mut samples = vec![vec![]; 4];
+    for _ in 0..SAMPLES {
+        for (k, s) in samples.iter_mut().enumerate() {
+            s.push(timed(|| run(k)));
+        }
+    }
+    let m: Vec<Duration> = samples.into_iter().map(median).collect();
+    let ratio = |a: Duration, b: Duration| a.as_secs_f64() / b.as_secs_f64();
+    eprintln!(
+        "figure4_keys: scan {:?}, join+count {:?} ({:.2}x scan); \
+         group by int {:?}, by 13-byte string {:?} ({:.2}x int)",
+        m[0],
+        m[1],
+        ratio(m[1], m[0]),
+        m[2],
+        m[3],
+        ratio(m[3], m[2])
+    );
+    assert!(
+        ratio(m[1], m[0]) <= 3.0,
+        "join + COUNT(*) {:?} costs more than 3x its filtered scan {:?}",
+        m[1],
+        m[0]
+    );
+    assert!(
+        ratio(m[3], m[2]) <= 2.0,
+        "GROUP BY a string key {:?} costs more than 2x GROUP BY an integer key {:?}",
+        m[3],
+        m[2]
+    );
+
+    let mut g = c.benchmark_group("figure4_keys");
+    g.sample_size(10).measurement_time(Duration::from_secs(1));
+    for (k, name) in ["scan", "join_count", "group_int", "group_str", "figure4"]
+        .into_iter()
+        .enumerate()
+    {
+        g.bench_function(name, |b| b.iter(|| run(k)));
+    }
+    g.finish();
+}
+
 criterion_group!(
     benches,
     bench_executors,
     bench_parallel_scaling,
     bench_out_of_core,
-    bench_scan_residency
+    bench_scan_residency,
+    bench_figure4_keys
 );
 criterion_main!(benches);

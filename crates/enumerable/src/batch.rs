@@ -46,12 +46,12 @@
 //! executor's accumulators. The differential suite in
 //! `tests/executor_differential.rs` holds the two engines equal.
 
-use crate::executor::{
-    compare_datums, compare_nullable, compare_rows, execute_node, extract_equi_keys, Acc,
-};
+use crate::aggregate::{AggregateOp, ParallelAggregateOp};
+use crate::executor::{compare_datums, compare_nullable, compare_rows, execute_node};
+use crate::join::{HashJoinOp, JoinShared, ParallelHashJoinOp, JOIN_PARTITIONS};
+use crate::keys::KeySet;
 use rcalcite_core::buffer::{
-    column_bytes, row_bytes, BufferPool, ByteReader, ByteWriter, MemoryReservation, Run, RunCursor,
-    RunWriter, SpillEnv,
+    column_bytes, BufferPool, MemoryReservation, Run, RunCursor, SpillEnv,
 };
 use rcalcite_core::catalog::{RangeScan, TableRef};
 use rcalcite_core::datum::{Column, Datum, Row};
@@ -61,13 +61,13 @@ use rcalcite_core::exec::{
     GatherOp, Operator, OrderedGatherOp, Parallelism, RowBatcher, RowIter, ScatterOp,
     ScatterPartition,
 };
-use rcalcite_core::rel::{AggCall, AggFunc, JoinKind, Rel, RelOp};
+use rcalcite_core::rel::{Rel, RelOp};
 use rcalcite_core::rex::{eval_op_strict, BuiltinFn, Op, RexNode};
 use rcalcite_core::traits::{Collation, FieldCollation};
 use rcalcite_core::types::{RowType, TypeKind};
 use std::cmp::Ordering;
-use std::collections::{HashMap, HashSet, VecDeque};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering as AtomicOrdering};
+use std::collections::VecDeque;
+use std::sync::atomic::{AtomicUsize, Ordering as AtomicOrdering};
 use std::sync::Arc;
 
 /// Target number of rows per batch.
@@ -105,7 +105,7 @@ impl ColumnBatch {
 
     /// A dense batch with an explicit row count (columns may be empty
     /// for zero-arity rows).
-    fn with_len(columns: Vec<Column>, len: usize) -> ColumnBatch {
+    pub(crate) fn with_len(columns: Vec<Column>, len: usize) -> ColumnBatch {
         ColumnBatch {
             len,
             columns,
@@ -181,7 +181,7 @@ impl ColumnBatch {
     }
 
     /// Row `i` of a dense batch as datums.
-    fn row(&self, i: usize) -> Row {
+    pub(crate) fn row(&self, i: usize) -> Row {
         debug_assert!(self.selection.is_none());
         self.columns.iter().map(|c| c.get(i)).collect()
     }
@@ -297,7 +297,7 @@ fn rebatch_rows(rows: Vec<Row>, kinds: &[TypeKind]) -> Vec<ColumnBatch> {
 
 /// Concatenates batches into one dense batch (the materialization point
 /// for build sides and full sorts).
-fn concat_batches(batches: Vec<ColumnBatch>, arity: usize) -> ColumnBatch {
+pub(crate) fn concat_batches(batches: Vec<ColumnBatch>, arity: usize) -> ColumnBatch {
     let mut it = batches.into_iter().map(ColumnBatch::compact);
     let Some(mut acc) = it.next() else {
         return ColumnBatch {
@@ -316,7 +316,7 @@ fn concat_batches(batches: Vec<ColumnBatch>, arity: usize) -> ColumnBatch {
 }
 
 /// Splits one dense batch into `BATCH_SIZE`-row chunks.
-fn split_to_batches(b: ColumnBatch) -> Vec<ColumnBatch> {
+pub(crate) fn split_to_batches(b: ColumnBatch) -> Vec<ColumnBatch> {
     if b.len <= BATCH_SIZE {
         return if b.len == 0 { vec![] } else { vec![b] };
     }
@@ -422,17 +422,17 @@ fn build_op(rel: &Rel, ctx: &ExecContext, fuse: bool) -> Result<BatchOp> {
             if *all {
                 Ok(chain)
             } else {
-                // Streaming dedup: state is the distinct-row set, input
-                // batches flow through one at a time.
-                let kinds = kinds_of(rel.row_type());
-                let mut seen: HashSet<Row> = HashSet::new();
+                // Streaming dedup: state is the set of rows seen, keyed
+                // on every column; a batch keeps the rows that added a
+                // key.
+                let mut seen = KeySet::default();
                 Ok(Box::new(FilterMapOp::new(chain, move |b: ColumnBatch| {
-                    let fresh: Vec<Row> = b
-                        .to_rows()
-                        .into_iter()
-                        .filter(|r| seen.insert(r.clone()))
-                        .collect();
-                    Ok((!fresh.is_empty()).then(|| ColumnBatch::from_rows(&kinds, &fresh)))
+                    let mut b = b.compact();
+                    let (_, fresh) = seen.intern(&b.columns.iter().collect::<Vec<_>>(), b.len);
+                    Ok((!fresh.is_empty()).then(|| {
+                        b.set_selection(fresh);
+                        b
+                    }))
                 })))
             }
         }
@@ -440,23 +440,13 @@ fn build_op(rel: &Rel, ctx: &ExecContext, fuse: bool) -> Result<BatchOp> {
             let rights = (1..rel.inputs.len())
                 .map(|i| build_input(rel, i, ctx, fuse))
                 .collect::<Result<_>>()?;
-            Ok(Box::new(IntersectOp::new(
-                child(0)?,
-                rights,
-                *all,
-                kinds_of(rel.row_type()),
-            )))
+            Ok(Box::new(IntersectOp::new(child(0)?, rights, *all)))
         }
         RelOp::Minus { all } => {
             let rights = (1..rel.inputs.len())
                 .map(|i| build_input(rel, i, ctx, fuse))
                 .collect::<Result<_>>()?;
-            Ok(Box::new(MinusOp::new(
-                child(0)?,
-                rights,
-                *all,
-                kinds_of(rel.row_type()),
-            )))
+            Ok(Box::new(MinusOp::new(child(0)?, rights, *all)))
         }
         // A finite replay of a stream: the Delta operator's batch-mode
         // semantics (streaming runtimes execute it incrementally).
@@ -707,7 +697,7 @@ fn filter_selection(condition: &RexNode, b: &ColumnBatch) -> Vec<usize> {
 // ---------------------------------------------------------------------
 
 /// Evaluates an expression over every row of a dense batch.
-fn eval_batch(e: &RexNode, b: &ColumnBatch) -> Result<Column> {
+pub(crate) fn eval_batch(e: &RexNode, b: &ColumnBatch) -> Result<Column> {
     eval_batch_sel(e, b, None)
 }
 
@@ -1091,12 +1081,12 @@ fn eval_strict_vector(e: &RexNode, cols: &[Column], n: usize) -> Result<Column> 
 // execution (the invariant `tests/spill_differential.rs` pins).
 
 /// Estimated heap footprint of a dense batch, for budget accounting.
-fn batch_bytes(b: &ColumnBatch) -> usize {
+pub(crate) fn batch_bytes(b: &ColumnBatch) -> usize {
     64 + b.columns.iter().map(column_bytes).sum::<usize>()
 }
 
 /// How a [`RunMerger`] orders its sources' heads.
-enum MergeCmp {
+pub(crate) enum MergeCmp {
     /// By the `u64` entry key alone (ties resolved to the first source —
     /// join output runs never share a key across runs).
     Key,
@@ -1106,7 +1096,7 @@ enum MergeCmp {
 }
 
 /// One source of a k-way merge: a spill run or an in-memory tail.
-enum MergeFeed {
+pub(crate) enum MergeFeed {
     Run(RunCursor),
     Mem(std::vec::IntoIter<(u64, Row)>),
 }
@@ -1123,7 +1113,7 @@ impl MergeFeed {
 /// Streaming k-way merge over sorted `(key, row)` sources. One head
 /// entry per source is resident; a linear min-scan picks the next entry
 /// (source count is small — spill partitions or sort runs).
-struct RunMerger {
+pub(crate) struct RunMerger {
     feeds: Vec<MergeFeed>,
     heads: Vec<Option<(u64, Row)>>,
     cmp: MergeCmp,
@@ -1132,7 +1122,7 @@ struct RunMerger {
 }
 
 impl RunMerger {
-    fn new(feeds: Vec<MergeFeed>, cmp: MergeCmp, pool: Arc<BufferPool>) -> RunMerger {
+    pub(crate) fn new(feeds: Vec<MergeFeed>, cmp: MergeCmp, pool: Arc<BufferPool>) -> RunMerger {
         let heads = feeds.iter().map(|_| None).collect();
         RunMerger {
             feeds,
@@ -1176,7 +1166,7 @@ impl RunMerger {
     }
 
     /// Drains up to `BATCH_SIZE` rows into a batch (`None` when done).
-    fn next_batch(&mut self, kinds: &[TypeKind]) -> Result<Option<ColumnBatch>> {
+    pub(crate) fn next_batch(&mut self, kinds: &[TypeKind]) -> Result<Option<ColumnBatch>> {
         let mut rows: Vec<Row> = Vec::new();
         while rows.len() < BATCH_SIZE {
             match self.next_entry()? {
@@ -1188,1718 +1178,6 @@ impl RunMerger {
             return Ok(None);
         }
         Ok(Some(ColumnBatch::from_rows(kinds, &rows)))
-    }
-}
-
-/// Partition of a row's key datums under a salted hash — the routing
-/// function of the hybrid-hash join. `salt` varies per recursion level
-/// so a skewed partition re-splits on a fresh hash.
-fn salted_partition(datums: impl Iterator<Item = Datum>, salt: u32, n: usize) -> usize {
-    use std::hash::{Hash, Hasher};
-    let mut h = std::collections::hash_map::DefaultHasher::new();
-    h.write_u32(salt);
-    for d in datums {
-        d.hash(&mut h);
-    }
-    (h.finish() as usize) % n
-}
-
-struct HashJoinOp {
-    left: BatchOp,
-    right: BatchOp,
-    left_arity: usize,
-    right_arity: usize,
-    kind: JoinKind,
-    condition: RexNode,
-    left_kinds: Arc<Vec<TypeKind>>,
-    right_kinds: Arc<Vec<TypeKind>>,
-    out_kinds: Vec<TypeKind>,
-    spill: SpillEnv,
-    state: Option<JoinState>,
-    /// Probed pairs not yet assembled: output is served in
-    /// `BATCH_SIZE` chunks so a high-multiplicity probe (or the
-    /// unmatched-right pad of an outer join) never gathers one
-    /// unbounded batch.
-    pending: Option<PendingJoinOutput>,
-    /// Engaged when the build side breached the memory budget: merged
-    /// spill-run output replaces the in-memory probe entirely.
-    spilled: Option<SpilledJoinOutput>,
-    /// Budget hold over the materialized build side, released when the
-    /// operator drops.
-    reservation: Option<MemoryReservation>,
-}
-
-/// The streamed output of a spilled (hybrid-hash) join: probe results
-/// merged by left-row sequence, then outer-join pads merged by
-/// build-row sequence — exactly the serial emission order.
-struct SpilledJoinOutput {
-    main: RunMerger,
-    pads: Option<RunMerger>,
-}
-
-/// (left row, right row) output pairs of a probe; `None` marks the
-/// NULL-padded side of an outer join.
-type JoinPairs = Vec<(Option<usize>, Option<usize>)>;
-
-struct PendingJoinOutput {
-    left: ColumnBatch,
-    pairs: JoinPairs,
-    pos: usize,
-}
-
-/// Build-side state shared by the equi and theta probes: the
-/// materialized right input plus the probe strategy over it.
-struct JoinState {
-    right: ColumnBatch,
-    right_matched: Vec<bool>,
-    emitted_right_pad: bool,
-    probe: ProbeKind,
-}
-
-enum ProbeKind {
-    /// Equi join: the right side is hashed on its key columns; left
-    /// batches stream through the table lookup plus residual check.
-    Hash {
-        lk: Vec<usize>,
-        residual: RexNode,
-        table: HashMap<Vec<Datum>, Vec<usize>>,
-    },
-    /// No equi keys: the vectorized theta probe. For each probe row the
-    /// join predicate is evaluated *as a batch kernel* over the build
-    /// side (left fields substituted as literals, right fields shifted),
-    /// replacing the old row-engine nested-loop fallback.
-    Theta { condition: RexNode },
-}
-
-/// Builds the probe state over a materialized right side.
-fn build_probe(condition: &RexNode, left_arity: usize, right: &ColumnBatch) -> ProbeKind {
-    let (lk, rk, residual) = extract_equi_keys(condition, left_arity);
-    if lk.is_empty() {
-        return ProbeKind::Theta {
-            condition: condition.clone(),
-        };
-    }
-    // NULL keys never join.
-    let mut table: HashMap<Vec<Datum>, Vec<usize>> = HashMap::new();
-    for i in 0..right.len {
-        let key: Vec<Datum> = rk.iter().map(|&k| right.columns[k].get(i)).collect();
-        if key.iter().any(Datum::is_null) {
-            continue;
-        }
-        table.entry(key).or_default().push(i);
-    }
-    ProbeKind::Hash {
-        lk,
-        residual: RexNode::and_all(residual),
-        table,
-    }
-}
-
-impl HashJoinOp {
-    #[allow(clippy::too_many_arguments)]
-    fn new(
-        left: BatchOp,
-        right: BatchOp,
-        left_arity: usize,
-        right_arity: usize,
-        kind: JoinKind,
-        condition: RexNode,
-        left_kinds: Vec<TypeKind>,
-        right_kinds: Vec<TypeKind>,
-        out_kinds: Vec<TypeKind>,
-        spill: SpillEnv,
-    ) -> HashJoinOp {
-        HashJoinOp {
-            left,
-            right,
-            left_arity,
-            right_arity,
-            kind,
-            condition,
-            left_kinds: Arc::new(left_kinds),
-            right_kinds: Arc::new(right_kinds),
-            out_kinds,
-            spill,
-            state: None,
-            pending: None,
-            spilled: None,
-            reservation: None,
-        }
-    }
-}
-
-impl Operator<ColumnBatch> for HashJoinOp {
-    fn open(&mut self) -> Result<()> {
-        self.left.open()?;
-        self.right.open()?;
-        // Build side: materialize the right input, accounting each batch
-        // against the memory budget.
-        let bounded = self.spill.budget.is_bounded();
-        let mut res = MemoryReservation::new(self.spill.budget.clone());
-        let mut right_batches = vec![];
-        let mut overflow = None;
-        while let Some(b) = self.right.next()? {
-            let b = b.compact();
-            if bounded && !res.try_grow(batch_bytes(&b)) {
-                self.spill.budget.require_spillable()?;
-                overflow = Some(b);
-                break;
-            }
-            right_batches.push(b);
-        }
-        let Some(overflow) = overflow else {
-            // Everything fits: the in-memory path, byte for byte.
-            let right = concat_batches(right_batches, self.right_arity);
-            let probe = build_probe(&self.condition, self.left_arity, &right);
-            self.state = Some(JoinState {
-                right_matched: vec![false; right.len],
-                right,
-                emitted_right_pad: false,
-                probe,
-            });
-            self.reservation = Some(res);
-            return Ok(());
-        };
-        // Budget breached mid-build: degrade to the hybrid-hash path.
-        let (lk, rk, residual) = extract_equi_keys(&self.condition, self.left_arity);
-        if lk.is_empty() {
-            // Theta join: no partitioning key exists, so the build side
-            // round-trips through one spill run and the vectorized theta
-            // probe runs over the read-back batch (served through the
-            // buffer pool; a block-nested-loop theta is future work).
-            let mut w = self
-                .spill
-                .run_writer("hash_join", self.right_kinds.clone())?;
-            let mut ri = 0u64;
-            for b in right_batches.into_iter().chain(Some(overflow)) {
-                for i in 0..b.len {
-                    w.push(ri + i as u64, b.row(i))?;
-                }
-                ri += b.len as u64;
-            }
-            res.release_all();
-            while let Some(b) = self.right.next()? {
-                let b = b.compact();
-                for i in 0..b.len {
-                    w.push(ri + i as u64, b.row(i))?;
-                }
-                ri += b.len as u64;
-            }
-            let run = w.finish()?;
-            self.spill.tracker.record("hash_join", 1, 1);
-            let mut rows = Vec::with_capacity(run.rows());
-            let mut cur = run.cursor();
-            while let Some((_, r)) = cur.next(&self.spill.pool)? {
-                rows.push(r);
-            }
-            let right = ColumnBatch::from_rows(&self.right_kinds, &rows);
-            let probe = build_probe(&self.condition, self.left_arity, &right);
-            self.state = Some(JoinState {
-                right_matched: vec![false; right.len],
-                right,
-                emitted_right_pad: false,
-                probe,
-            });
-            return Ok(());
-        }
-        let _ = residual; // per-partition probes re-derive it from the condition
-        let spec = GraceSpec {
-            lk,
-            rk,
-            kind: self.kind,
-            left_arity: self.left_arity,
-            right_arity: self.right_arity,
-            condition: self.condition.clone(),
-            left_kinds: self.left_kinds.clone(),
-            right_kinds: self.right_kinds.clone(),
-            out_kinds: Arc::new(self.out_kinds.clone()),
-            env: self.spill.clone(),
-        };
-        self.spilled = Some(grace_join(
-            &spec,
-            right_batches,
-            overflow,
-            &mut self.right,
-            &mut self.left,
-            res,
-        )?);
-        Ok(())
-    }
-
-    fn next(&mut self) -> Result<Option<ColumnBatch>> {
-        if let Some(s) = &mut self.spilled {
-            if let Some(b) = s.main.next_batch(&self.out_kinds)? {
-                return Ok(Some(b));
-            }
-            if let Some(p) = &mut s.pads {
-                return p.next_batch(&self.out_kinds);
-            }
-            return Ok(None);
-        }
-        let st = self.state.as_mut().expect("HashJoinOp not opened");
-        loop {
-            // Serve any probed-but-unassembled pairs first, one
-            // batch-sized chunk per pull.
-            if let Some(p) = &mut self.pending {
-                if p.pos < p.pairs.len() {
-                    let take = BATCH_SIZE.min(p.pairs.len() - p.pos);
-                    let chunk = &p.pairs[p.pos..p.pos + take];
-                    p.pos += take;
-                    return Ok(Some(assemble_join_output(
-                        chunk,
-                        &p.left,
-                        &st.right,
-                        self.left_arity,
-                        self.kind.projects_right(),
-                        &self.out_kinds,
-                    )));
-                }
-                self.pending = None;
-            }
-            let Some(b) = self.left.next()? else {
-                // Left exhausted: Right/Full joins stage the
-                // NULL-padded unmatched right rows (served above,
-                // chunk by chunk).
-                if !st.emitted_right_pad {
-                    st.emitted_right_pad = true;
-                    if matches!(self.kind, JoinKind::Right | JoinKind::Full) {
-                        let pairs: JoinPairs = st
-                            .right_matched
-                            .iter()
-                            .enumerate()
-                            .filter(|(_, m)| !**m)
-                            .map(|(ri, _)| (None, Some(ri)))
-                            .collect();
-                        if !pairs.is_empty() {
-                            self.pending = Some(PendingJoinOutput {
-                                left: ColumnBatch::zero_arity(0),
-                                pairs,
-                                pos: 0,
-                            });
-                            continue;
-                        }
-                    }
-                }
-                return Ok(None);
-            };
-            let b = b.compact();
-            let matched = &mut st.right_matched;
-            let pairs = probe_batch(&b, &st.right, &st.probe, self.kind, &mut |ri| {
-                matched[ri] = true
-            })?;
-            if pairs.is_empty() {
-                continue;
-            }
-            self.pending = Some(PendingJoinOutput {
-                left: b,
-                pairs,
-                pos: 0,
-            });
-        }
-    }
-}
-
-// ------------------- hybrid-hash (grace) join spill -------------------
-
-/// Build-side partition fan-out of a spilled join.
-const JOIN_PARTITIONS: usize = 8;
-
-/// Recursion floor: a partition that still exceeds the budget after this
-/// many re-splits loads anyway (the recursion bottom must make
-/// progress against pathological skew — e.g. one key holding most rows).
-const JOIN_MAX_DEPTH: u32 = 3;
-
-/// Everything the recursive partition processing of a spilled join
-/// needs: key columns for routing, the condition for per-partition probe
-/// construction, shapes for (de)serialization, and the spill environment.
-struct GraceSpec {
-    lk: Vec<usize>,
-    rk: Vec<usize>,
-    condition: RexNode,
-    kind: JoinKind,
-    left_arity: usize,
-    right_arity: usize,
-    left_kinds: Arc<Vec<TypeKind>>,
-    right_kinds: Arc<Vec<TypeKind>>,
-    out_kinds: Arc<Vec<TypeKind>>,
-    env: SpillEnv,
-}
-
-/// One build-side partition while the right input streams in. Rows
-/// buffer in memory; under budget pressure the largest buffer flushes to
-/// its run and the partition is thereafter "spilled" (later rows go
-/// straight to disk). Partitions never flushed stay resident — the
-/// "hybrid" in hybrid hash.
-#[derive(Default)]
-struct BuildPartition {
-    buffer: Vec<(u64, Row)>,
-    bytes: usize,
-    writer: Option<RunWriter>,
-}
-
-/// A sealed partition entering the probe phase.
-enum ProbePartition {
-    /// Fully in memory: probed inline while the left input streams.
-    Resident {
-        batch: ColumnBatch,
-        ri_map: Vec<u64>,
-        probe: ProbeKind,
-    },
-    /// On disk: matching left rows spool to `left_writer` and the pair
-    /// is joined partition-at-a-time after the stream ends.
-    Spilled {
-        right_run: Run,
-        left_writer: RunWriter,
-    },
-}
-
-/// Runs the spilled build+probe. `prefix`/`overflow` are the build
-/// batches pulled before the budget breached; the rest of both inputs
-/// stream from the operators. Returns the merged, serially-ordered
-/// output.
-fn grace_join(
-    spec: &GraceSpec,
-    prefix: Vec<ColumnBatch>,
-    overflow: ColumnBatch,
-    right: &mut BatchOp,
-    left: &mut BatchOp,
-    mut res: MemoryReservation,
-) -> Result<SpilledJoinOutput> {
-    let n = JOIN_PARTITIONS;
-    let mut parts: Vec<BuildPartition> = (0..n).map(|_| BuildPartition::default()).collect();
-    // The prefix re-routes row by row; its batch reservation converts to
-    // per-partition buffer accounting as it goes.
-    res.release_all();
-    let mut ri = 0u64;
-    for b in prefix.into_iter().chain(Some(overflow)) {
-        route_build_batch(spec, &b, &mut parts, &mut ri, &mut res)?;
-    }
-    while let Some(b) = right.next()? {
-        let b = b.compact();
-        route_build_batch(spec, &b, &mut parts, &mut ri, &mut res)?;
-    }
-    let right_total = ri as usize;
-    // Seal: spilled partitions flush their buffered tails, resident ones
-    // build their hash tables.
-    let mut probe_parts: Vec<ProbePartition> = Vec::with_capacity(n);
-    let mut spilled_count = 0;
-    for mut part in parts {
-        if let Some(mut w) = part.writer.take() {
-            spilled_count += 1;
-            for (k, r) in part.buffer.drain(..) {
-                w.push(k, r)?;
-            }
-            res.shrink(part.bytes);
-            let left_writer = spec
-                .env
-                .run_writer("hash_join_probe", spec.left_kinds.clone())?;
-            probe_parts.push(ProbePartition::Spilled {
-                right_run: w.finish()?,
-                left_writer,
-            });
-        } else {
-            let (ri_map, rows): (Vec<u64>, Vec<Row>) = part.buffer.drain(..).unzip();
-            let batch = ColumnBatch::from_rows(&spec.right_kinds, &rows);
-            let probe = build_probe(&spec.condition, spec.left_arity, &batch);
-            probe_parts.push(ProbePartition::Resident {
-                batch,
-                ri_map,
-                probe,
-            });
-        }
-    }
-    spec.env.tracker.record("hash_join", spilled_count, n);
-    let mut matched =
-        matches!(spec.kind, JoinKind::Right | JoinKind::Full).then(|| vec![false; right_total]);
-    // Probe: the left input streams in serial order. Rows landing on a
-    // resident partition probe immediately; the rest spool to disk.
-    let mut out_w = spec
-        .env
-        .run_writer("hash_join_out", spec.out_kinds.clone())?;
-    let mut lseq = 0u64;
-    while let Some(b) = left.next()? {
-        let b = b.compact();
-        for li in 0..b.len {
-            let p = salted_partition(spec.lk.iter().map(|&k| b.columns[k].get(li)), 0, n);
-            match &mut probe_parts[p] {
-                ProbePartition::Resident {
-                    batch,
-                    ri_map,
-                    probe,
-                } => probe_spilled_left_row(
-                    spec,
-                    &b,
-                    li,
-                    lseq,
-                    probe,
-                    batch,
-                    ri_map,
-                    matched.as_deref_mut(),
-                    &mut out_w,
-                )?,
-                ProbePartition::Spilled { left_writer, .. } => left_writer.push(lseq, b.row(li))?,
-            }
-            lseq += 1;
-        }
-    }
-    let mut out_runs = vec![out_w.finish()?];
-    let mut pad_runs: Vec<Run> = vec![];
-    for part in probe_parts {
-        match part {
-            ProbePartition::Resident { batch, ri_map, .. } => {
-                // The left stream is exhausted, so resident matched
-                // flags are final — emit this partition's outer pads.
-                if let Some(m) = &matched {
-                    emit_unmatched_pads(spec, &batch, &ri_map, m, &mut pad_runs)?;
-                }
-            }
-            ProbePartition::Spilled {
-                right_run,
-                left_writer,
-            } => {
-                let left_run = left_writer.finish()?;
-                process_spilled_partition(
-                    spec,
-                    right_run,
-                    left_run,
-                    1,
-                    &mut res,
-                    &mut matched,
-                    &mut out_runs,
-                    &mut pad_runs,
-                )?;
-            }
-        }
-    }
-    let feeds = |runs: Vec<Run>| {
-        runs.into_iter()
-            .map(|r| MergeFeed::Run(r.cursor()))
-            .collect()
-    };
-    let pool = spec.env.pool.clone();
-    Ok(SpilledJoinOutput {
-        main: RunMerger::new(feeds(out_runs), MergeCmp::Key, pool.clone()),
-        pads: (!pad_runs.is_empty()).then(|| RunMerger::new(feeds(pad_runs), MergeCmp::Key, pool)),
-    })
-}
-
-/// Routes one build batch into the partitions, flushing the largest
-/// buffer whenever the budget runs out.
-fn route_build_batch(
-    spec: &GraceSpec,
-    b: &ColumnBatch,
-    parts: &mut [BuildPartition],
-    ri: &mut u64,
-    res: &mut MemoryReservation,
-) -> Result<()> {
-    let n = parts.len();
-    for i in 0..b.len {
-        let p = salted_partition(spec.rk.iter().map(|&k| b.columns[k].get(i)), 0, n);
-        let row = b.row(i);
-        let seq = *ri;
-        *ri += 1;
-        if let Some(w) = parts[p].writer.as_mut() {
-            // Already spilled: straight to disk, no budget held.
-            w.push(seq, row)?;
-            continue;
-        }
-        let sz = 32 + row_bytes(&row);
-        parts[p].buffer.push((seq, row));
-        parts[p].bytes += sz;
-        if !res.try_grow(sz) {
-            flush_largest_partition(spec, parts, res)?;
-            let _ = res.try_grow(sz);
-        }
-    }
-    Ok(())
-}
-
-/// Flushes the largest still-buffered partition to its run, releasing
-/// its budget hold.
-fn flush_largest_partition(
-    spec: &GraceSpec,
-    parts: &mut [BuildPartition],
-    res: &mut MemoryReservation,
-) -> Result<()> {
-    let Some(p) = (0..parts.len())
-        .filter(|&i| !parts[i].buffer.is_empty())
-        .max_by_key(|&i| parts[i].bytes)
-    else {
-        return Ok(());
-    };
-    let part = &mut parts[p];
-    if part.writer.is_none() {
-        part.writer = Some(
-            spec.env
-                .run_writer("hash_join_build", spec.right_kinds.clone())?,
-        );
-    }
-    let w = part.writer.as_mut().unwrap();
-    for (k, r) in part.buffer.drain(..) {
-        w.push(k, r)?;
-    }
-    res.shrink(part.bytes);
-    part.bytes = 0;
-    Ok(())
-}
-
-/// Joins one spilled partition pair. If the build partition fits the
-/// budget it loads and probes; otherwise both runs re-split under a
-/// fresh hash salt and recurse (bounded by [`JOIN_MAX_DEPTH`]).
-#[allow(clippy::too_many_arguments)]
-fn process_spilled_partition(
-    spec: &GraceSpec,
-    right_run: Run,
-    left_run: Run,
-    depth: u32,
-    res: &mut MemoryReservation,
-    matched: &mut Option<Vec<bool>>,
-    out_runs: &mut Vec<Run>,
-    pad_runs: &mut Vec<Run>,
-) -> Result<()> {
-    if right_run.rows() == 0 && left_run.rows() == 0 {
-        return Ok(());
-    }
-    // Deserialized footprint estimate: rows + hash table ≈ 2× the
-    // serialized size.
-    let load_bytes = right_run.bytes().saturating_mul(2);
-    let fits = res.try_grow(load_bytes);
-    if !fits && depth < JOIN_MAX_DEPTH && right_run.rows() > 1 {
-        let n = JOIN_PARTITIONS;
-        let mut rw: Vec<RunWriter> = (0..n)
-            .map(|_| {
-                spec.env
-                    .run_writer("hash_join_build", spec.right_kinds.clone())
-            })
-            .collect::<Result<_>>()?;
-        let mut lw: Vec<RunWriter> = (0..n)
-            .map(|_| {
-                spec.env
-                    .run_writer("hash_join_probe", spec.left_kinds.clone())
-            })
-            .collect::<Result<_>>()?;
-        let mut cur = right_run.cursor();
-        while let Some((k, r)) = cur.next(&spec.env.pool)? {
-            let p = salted_partition(spec.rk.iter().map(|&c| r[c].clone()), depth, n);
-            rw[p].push(k, r)?;
-        }
-        let mut cur = left_run.cursor();
-        while let Some((k, r)) = cur.next(&spec.env.pool)? {
-            let p = salted_partition(spec.lk.iter().map(|&c| r[c].clone()), depth, n);
-            lw[p].push(k, r)?;
-        }
-        for (r, l) in rw.into_iter().zip(lw) {
-            process_spilled_partition(
-                spec,
-                r.finish()?,
-                l.finish()?,
-                depth + 1,
-                res,
-                matched,
-                out_runs,
-                pad_runs,
-            )?;
-        }
-        return Ok(());
-    }
-    let mut ri_map = Vec::with_capacity(right_run.rows());
-    let mut rows = Vec::with_capacity(right_run.rows());
-    let mut cur = right_run.cursor();
-    while let Some((k, r)) = cur.next(&spec.env.pool)? {
-        ri_map.push(k);
-        rows.push(r);
-    }
-    let batch = ColumnBatch::from_rows(&spec.right_kinds, &rows);
-    drop(rows);
-    let probe = build_probe(&spec.condition, spec.left_arity, &batch);
-    let mut out_w = spec
-        .env
-        .run_writer("hash_join_out", spec.out_kinds.clone())?;
-    let mut cur = left_run.cursor();
-    let mut lseqs: Vec<u64> = Vec::with_capacity(BATCH_SIZE);
-    let mut lrows: Vec<Row> = Vec::with_capacity(BATCH_SIZE);
-    loop {
-        let done = match cur.next(&spec.env.pool)? {
-            Some((k, r)) => {
-                lseqs.push(k);
-                lrows.push(r);
-                false
-            }
-            None => true,
-        };
-        if lrows.len() == BATCH_SIZE || (done && !lrows.is_empty()) {
-            let lb = ColumnBatch::from_rows(&spec.left_kinds, &lrows);
-            for (li, &lseq) in lseqs.iter().enumerate().take(lb.len) {
-                probe_spilled_left_row(
-                    spec,
-                    &lb,
-                    li,
-                    lseq,
-                    &probe,
-                    &batch,
-                    &ri_map,
-                    matched.as_deref_mut(),
-                    &mut out_w,
-                )?;
-            }
-            lseqs.clear();
-            lrows.clear();
-        }
-        if done {
-            break;
-        }
-    }
-    out_runs.push(out_w.finish()?);
-    if let Some(m) = matched.as_ref() {
-        emit_unmatched_pads(spec, &batch, &ri_map, m, pad_runs)?;
-    }
-    if fits {
-        res.shrink(load_bytes);
-    }
-    Ok(())
-}
-
-/// Probes one left row against a partition's build side, writing the
-/// serially-keyed output rows this row contributes — the spilled twin of
-/// the per-row body of [`probe_batch`].
-#[allow(clippy::too_many_arguments)]
-fn probe_spilled_left_row(
-    spec: &GraceSpec,
-    left: &ColumnBatch,
-    li: usize,
-    lseq: u64,
-    probe: &ProbeKind,
-    right: &ColumnBatch,
-    ri_map: &[u64],
-    mut matched: Option<&mut [bool]>,
-    out: &mut RunWriter,
-) -> Result<()> {
-    let mut matches = vec![];
-    match probe {
-        ProbeKind::Hash {
-            lk,
-            residual,
-            table,
-        } => hash_matches(left, li, right, lk, residual, table, &mut matches)?,
-        ProbeKind::Theta { condition } => theta_matches(left, li, right, condition, &mut matches)?,
-    }
-    for &mi in &matches {
-        if let Some(m) = matched.as_deref_mut() {
-            m[ri_map[mi] as usize] = true;
-        }
-        if !matches!(spec.kind, JoinKind::Semi | JoinKind::Anti) {
-            let mut row = left.row(li);
-            if spec.kind.projects_right() {
-                row.extend(right.row(mi));
-            }
-            out.push(lseq, row)?;
-        }
-    }
-    let any = !matches.is_empty();
-    match spec.kind {
-        JoinKind::Semi if any => out.push(lseq, left.row(li))?,
-        JoinKind::Anti if !any => out.push(lseq, left.row(li))?,
-        JoinKind::Left | JoinKind::Full if !any => {
-            let mut row = left.row(li);
-            row.extend((0..spec.right_arity).map(|_| Datum::Null));
-            out.push(lseq, row)?;
-        }
-        _ => {}
-    }
-    Ok(())
-}
-
-/// Writes the NULL-padded rows of a partition's unmatched build rows
-/// (Right/Full joins), keyed by global build sequence so the pad merge
-/// reproduces the serial build-side order.
-fn emit_unmatched_pads(
-    spec: &GraceSpec,
-    batch: &ColumnBatch,
-    ri_map: &[u64],
-    matched: &[bool],
-    pad_runs: &mut Vec<Run>,
-) -> Result<()> {
-    let mut w: Option<RunWriter> = None;
-    for (local, &ri) in ri_map.iter().enumerate() {
-        if matched[ri as usize] {
-            continue;
-        }
-        let writer = match &mut w {
-            Some(w) => w,
-            None => {
-                w = Some(
-                    spec.env
-                        .run_writer("hash_join_pad", spec.out_kinds.clone())?,
-                );
-                w.as_mut().unwrap()
-            }
-        };
-        let mut row: Row = (0..spec.left_arity).map(|_| Datum::Null).collect();
-        row.extend(batch.row(local));
-        writer.push(ri, row)?;
-    }
-    if let Some(w) = w {
-        pad_runs.push(w.finish()?);
-    }
-    Ok(())
-}
-
-/// Probes one left batch against the build side, producing the
-/// (left, right) index pairs this batch contributes. `mark` is invoked
-/// for every matched right row (a plain `Vec<bool>` store when serial,
-/// an atomic store when probe workers share the build side).
-fn probe_batch(
-    left: &ColumnBatch,
-    right: &ColumnBatch,
-    probe: &ProbeKind,
-    kind: JoinKind,
-    mark: &mut dyn FnMut(usize),
-) -> Result<JoinPairs> {
-    let mut pairs: JoinPairs = vec![];
-    let mut matches = vec![];
-    for li in 0..left.len {
-        matches.clear();
-        match probe {
-            ProbeKind::Hash {
-                lk,
-                residual,
-                table,
-            } => hash_matches(left, li, right, lk, residual, table, &mut matches)?,
-            ProbeKind::Theta { condition } => {
-                theta_matches(left, li, right, condition, &mut matches)?
-            }
-        }
-        for &ri in &matches {
-            mark(ri);
-            if !matches!(kind, JoinKind::Semi | JoinKind::Anti) {
-                pairs.push((Some(li), Some(ri)));
-            }
-        }
-        let matched = !matches.is_empty();
-        match kind {
-            JoinKind::Semi if matched => pairs.push((Some(li), None)),
-            JoinKind::Anti if !matched => pairs.push((Some(li), None)),
-            JoinKind::Left | JoinKind::Full if !matched => pairs.push((Some(li), None)),
-            _ => {}
-        }
-    }
-    Ok(pairs)
-}
-
-/// Equi probe for one left row: hash-table candidates filtered by the
-/// residual. Every candidate's residual is evaluated — even for Semi/
-/// Anti, where the first hit already decides — because the row engine
-/// does the same and a residual error on a later candidate must surface
-/// identically in both engines.
-fn hash_matches(
-    left: &ColumnBatch,
-    li: usize,
-    right: &ColumnBatch,
-    lk: &[usize],
-    residual: &RexNode,
-    table: &HashMap<Vec<Datum>, Vec<usize>>,
-    out: &mut Vec<usize>,
-) -> Result<()> {
-    let key: Vec<Datum> = lk.iter().map(|&k| left.columns[k].get(li)).collect();
-    if key.iter().any(Datum::is_null) {
-        return Ok(());
-    }
-    let Some(cands) = table.get(&key) else {
-        return Ok(());
-    };
-    for &ri in cands {
-        let ok = if residual.is_always_true() {
-            true
-        } else {
-            let mut combined = left.row(li);
-            combined.extend(right.row(ri));
-            matches!(residual.eval(&combined)?, Datum::Bool(true))
-        };
-        if ok {
-            out.push(ri);
-        }
-    }
-    Ok(())
-}
-
-/// Theta probe for one left row: the join predicate with this row's
-/// values substituted as literals (and right references shifted to
-/// input 0) is evaluated as one vectorized kernel pass over the whole
-/// build side, instead of per combined row through the row engine.
-/// Evaluation walks the build rows in order, so which row surfaces an
-/// evaluation error matches the nested-loop row engine exactly.
-fn theta_matches(
-    left: &ColumnBatch,
-    li: usize,
-    right: &ColumnBatch,
-    condition: &RexNode,
-    out: &mut Vec<usize>,
-) -> Result<()> {
-    let bound = bind_left_row(condition, left, li);
-    let col = eval_batch(&bound, right)?;
-    match col {
-        Column::Bool { values, valid } => {
-            out.extend((0..right.len).filter(|&i| valid[i] && values[i]));
-        }
-        col => out.extend((0..right.len).filter(|&i| col.get(i) == Datum::Bool(true))),
-    }
-    Ok(())
-}
-
-/// Substitutes left row `li`'s values for the left-side input refs of a
-/// join condition and renumbers right-side refs to start at 0, yielding
-/// an expression over the right batch alone.
-fn bind_left_row(e: &RexNode, left: &ColumnBatch, li: usize) -> RexNode {
-    let la = left.arity();
-    match e {
-        RexNode::InputRef { index, ty } if *index < la => RexNode::Literal {
-            value: left.columns[*index].get(li),
-            ty: ty.clone(),
-        },
-        RexNode::InputRef { index, ty } => RexNode::InputRef {
-            index: index - la,
-            ty: ty.clone(),
-        },
-        RexNode::Literal { .. } | RexNode::DynamicParam { .. } => e.clone(),
-        RexNode::Call { op, args, ty } => RexNode::Call {
-            op: op.clone(),
-            args: args.iter().map(|a| bind_left_row(a, left, li)).collect(),
-            ty: ty.clone(),
-        },
-    }
-}
-
-/// Assembles output columns from index pairs by gathering; NULL padding
-/// where one side is absent.
-fn assemble_join_output(
-    pairs: &[(Option<usize>, Option<usize>)],
-    left: &ColumnBatch,
-    right: &ColumnBatch,
-    left_arity: usize,
-    projects_right: bool,
-    out_kinds: &[TypeKind],
-) -> ColumnBatch {
-    let n = pairs.len();
-    if out_kinds.is_empty() {
-        return ColumnBatch::zero_arity(n);
-    }
-    let mut columns: Vec<Column> = Vec::with_capacity(out_kinds.len());
-    for (j, kind_j) in out_kinds.iter().enumerate() {
-        let mut col = Column::for_kind_with_capacity(kind_j, n);
-        if j < left_arity {
-            for &(li, _) in pairs {
-                match li {
-                    Some(i) => col.push(left.columns[j].get(i)),
-                    None => col.push_null(),
-                }
-            }
-        } else if projects_right {
-            let rj = j - left_arity;
-            for &(_, ri) in pairs {
-                match ri {
-                    Some(i) => col.push(right.columns[rj].get(i)),
-                    None => col.push_null(),
-                }
-            }
-        }
-        columns.push(col);
-    }
-    ColumnBatch::with_len(columns, n)
-}
-
-// ---------------------------------------------------------------------
-// Aggregate (consume streaming, state per group, stream results)
-// ---------------------------------------------------------------------
-
-/// Typed accumulator for the vectorized fast path (single Int group key,
-/// non-distinct aggregates over Int columns). Mirrors [`Acc`] exactly,
-/// including NULL skipping and checked SUM overflow.
-enum FastAcc {
-    CountStar(i64),
-    Count(i64),
-    Sum { sum: i64, seen: bool },
-    Min(Option<i64>),
-    Max(Option<i64>),
-    Avg { sum: f64, count: i64 },
-}
-
-impl FastAcc {
-    fn new(func: AggFunc, has_arg: bool) -> FastAcc {
-        match func {
-            AggFunc::Count if !has_arg => FastAcc::CountStar(0),
-            AggFunc::Count => FastAcc::Count(0),
-            AggFunc::Sum => FastAcc::Sum {
-                sum: 0,
-                seen: false,
-            },
-            AggFunc::Min => FastAcc::Min(None),
-            AggFunc::Max => FastAcc::Max(None),
-            AggFunc::Avg => FastAcc::Avg { sum: 0.0, count: 0 },
-        }
-    }
-
-    fn add(&mut self, value: i64, valid: bool) -> Result<()> {
-        match self {
-            FastAcc::CountStar(n) => *n += 1,
-            FastAcc::Count(n) => {
-                if valid {
-                    *n += 1;
-                }
-            }
-            FastAcc::Sum { sum, seen } => {
-                if valid {
-                    *sum = sum
-                        .checked_add(value)
-                        .ok_or_else(|| CalciteError::execution("integer overflow in SUM"))?;
-                    *seen = true;
-                }
-            }
-            FastAcc::Min(m) => {
-                if valid {
-                    *m = Some(m.map_or(value, |p| p.min(value)));
-                }
-            }
-            FastAcc::Max(m) => {
-                if valid {
-                    *m = Some(m.map_or(value, |p| p.max(value)));
-                }
-            }
-            FastAcc::Avg { sum, count } => {
-                if valid {
-                    *sum += value as f64;
-                    *count += 1;
-                }
-            }
-        }
-        Ok(())
-    }
-
-    fn finish(self) -> Datum {
-        match self {
-            FastAcc::CountStar(n) | FastAcc::Count(n) => Datum::Int(n),
-            FastAcc::Sum { sum, seen } => {
-                if seen {
-                    Datum::Int(sum)
-                } else {
-                    Datum::Null
-                }
-            }
-            FastAcc::Min(m) | FastAcc::Max(m) => m.map_or(Datum::Null, Datum::Int),
-            FastAcc::Avg { sum, count } => {
-                if count == 0 {
-                    Datum::Null
-                } else {
-                    Datum::Double(sum / count as f64)
-                }
-            }
-        }
-    }
-
-    /// Converts the typed state into the generic accumulator (used when
-    /// a later batch cannot take the fast path).
-    fn into_acc(self) -> Acc {
-        match self {
-            FastAcc::CountStar(n) | FastAcc::Count(n) => Acc::Count(n),
-            FastAcc::Sum { sum, seen } => Acc::Sum(seen.then(|| Datum::Int(sum))),
-            FastAcc::Min(m) => Acc::Min(m.map(Datum::Int)),
-            FastAcc::Max(m) => Acc::Max(m.map(Datum::Int)),
-            FastAcc::Avg { sum, count } => Acc::Avg { sum, count },
-        }
-    }
-
-    /// Folds another worker's typed state into this one (the merge step
-    /// of partial aggregation), with the same checked-SUM semantics as
-    /// [`FastAcc::add`].
-    fn merge(&mut self, other: FastAcc) -> Result<()> {
-        match (self, other) {
-            (FastAcc::CountStar(a), FastAcc::CountStar(b))
-            | (FastAcc::Count(a), FastAcc::Count(b)) => *a += b,
-            (FastAcc::Sum { sum, seen }, FastAcc::Sum { sum: s2, seen: sn2 }) => {
-                if sn2 {
-                    if *seen {
-                        *sum = sum
-                            .checked_add(s2)
-                            .ok_or_else(|| CalciteError::execution("integer overflow in SUM"))?;
-                    } else {
-                        *sum = s2;
-                        *seen = true;
-                    }
-                }
-            }
-            (FastAcc::Min(a), FastAcc::Min(b)) => {
-                if let Some(v) = b {
-                    *a = Some(a.map_or(v, |p| p.min(v)));
-                }
-            }
-            (FastAcc::Max(a), FastAcc::Max(b)) => {
-                if let Some(v) = b {
-                    *a = Some(a.map_or(v, |p| p.max(v)));
-                }
-            }
-            (FastAcc::Avg { sum, count }, FastAcc::Avg { sum: s2, count: c2 }) => {
-                *sum += s2;
-                *count += c2;
-            }
-            _ => {
-                return Err(CalciteError::internal(
-                    "mismatched typed accumulators in partial-aggregate merge",
-                ))
-            }
-        }
-        Ok(())
-    }
-}
-
-type GroupState = (Vec<Datum>, Vec<Acc>, Vec<HashSet<Vec<Datum>>>);
-
-/// Incremental aggregation state, fed one batch at a time. The input
-/// never materializes; only per-group accumulators are held. Each group
-/// records the sequence number of the row that created it (`first_seen`)
-/// so parallel partial states, merged in arbitrary worker order, can
-/// emit groups in exactly the first-seen order serial execution uses.
-enum AggState {
-    /// No batch seen yet: the representation is chosen from the first.
-    Pending,
-    /// Single Int group key, all aggregates simple (non-distinct,
-    /// zero/one Int argument): typed loops over the raw vectors.
-    Fast {
-        index: HashMap<(bool, i64), usize>,
-        keys: Vec<Datum>,
-        states: Vec<Vec<FastAcc>>,
-        first_seen: Vec<u64>,
-    },
-    /// Generic path: the row executor's accumulators over column
-    /// getters (identical semantics by construction).
-    Generic {
-        index: HashMap<Vec<Datum>, usize>,
-        groups: Vec<GroupState>,
-        first_seen: Vec<u64>,
-    },
-}
-
-impl AggState {
-    fn generic_empty(group: &[usize], aggs: &[AggCall]) -> AggState {
-        let mut index = HashMap::new();
-        let mut groups: Vec<GroupState> = vec![];
-        let mut first_seen = vec![];
-        if group.is_empty() {
-            let (accs, seen) = make_accs(aggs);
-            groups.push((vec![], accs, seen));
-            index.insert(vec![], 0);
-            first_seen.push(0);
-        }
-        AggState::Generic {
-            index,
-            groups,
-            first_seen,
-        }
-    }
-
-    /// Accumulates one dense batch. `seq0` is the sequence number of the
-    /// batch's first row in the serial input order (row `i` is
-    /// `seq0 + i`); it only matters when states from several workers are
-    /// merged later — serial callers pass a running row counter.
-    fn update(
-        &mut self,
-        b: &ColumnBatch,
-        group: &[usize],
-        aggs: &[AggCall],
-        seq0: u64,
-    ) -> Result<()> {
-        if matches!(self, AggState::Pending) {
-            *self = if fast_eligible(b, group, aggs) {
-                AggState::Fast {
-                    index: HashMap::new(),
-                    keys: vec![],
-                    states: vec![],
-                    first_seen: vec![],
-                }
-            } else {
-                AggState::generic_empty(group, aggs)
-            };
-        }
-        if let AggState::Fast { .. } = self {
-            // Column representations are stable across batches of one
-            // plan, but a mismatched batch downgrades to the generic
-            // state rather than miscounting.
-            if !fast_eligible(b, group, aggs) {
-                self.downgrade(aggs);
-            }
-        }
-        match self {
-            AggState::Pending => unreachable!(),
-            AggState::Fast {
-                index,
-                keys,
-                states,
-                first_seen,
-            } => {
-                let Column::Int { values, valid } = &b.columns[group[0]] else {
-                    unreachable!("fast_eligible checked")
-                };
-                let argcols: Vec<Option<(&Vec<i64>, &Vec<bool>)>> = aggs
-                    .iter()
-                    .map(|a| {
-                        a.args.first().map(|&c| match &b.columns[c] {
-                            Column::Int {
-                                values: v,
-                                valid: nv,
-                            } => (v, nv),
-                            _ => unreachable!("fast_eligible checked"),
-                        })
-                    })
-                    .collect();
-                for i in 0..b.len {
-                    let key = (valid[i], if valid[i] { values[i] } else { 0 });
-                    let gi = *index.entry(key).or_insert_with(|| {
-                        keys.push(if valid[i] {
-                            Datum::Int(values[i])
-                        } else {
-                            Datum::Null
-                        });
-                        states.push(
-                            aggs.iter()
-                                .map(|a| FastAcc::new(a.func, !a.args.is_empty()))
-                                .collect(),
-                        );
-                        first_seen.push(seq0 + i as u64);
-                        states.len() - 1
-                    });
-                    for (ai, acc) in states[gi].iter_mut().enumerate() {
-                        match argcols[ai] {
-                            Some((v, nv)) => acc.add(v[i], nv[i])?,
-                            None => acc.add(0, true)?,
-                        }
-                    }
-                }
-            }
-            AggState::Generic {
-                index,
-                groups,
-                first_seen,
-            } => {
-                for i in 0..b.len {
-                    let key: Vec<Datum> = group.iter().map(|&g| b.columns[g].get(i)).collect();
-                    let gi = match index.get(&key) {
-                        Some(g) => *g,
-                        None => {
-                            let (accs, seen) = make_accs(aggs);
-                            groups.push((key.clone(), accs, seen));
-                            index.insert(key, groups.len() - 1);
-                            first_seen.push(seq0 + i as u64);
-                            groups.len() - 1
-                        }
-                    };
-                    let (_, accs, seen) = &mut groups[gi];
-                    for (ai, a) in aggs.iter().enumerate() {
-                        let arg: Option<Datum> = a.args.first().map(|&c| b.columns[c].get(i));
-                        if a.distinct {
-                            let dkey: Vec<Datum> =
-                                a.args.iter().map(|&c| b.columns[c].get(i)).collect();
-                            if dkey.iter().any(Datum::is_null) || !seen[ai].insert(dkey) {
-                                continue;
-                            }
-                        }
-                        accs[ai].add(arg.as_ref())?;
-                    }
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// Migrates typed fast-path state into the generic representation
-    /// (no-op for the other variants).
-    fn downgrade(&mut self, aggs: &[AggCall]) {
-        if !matches!(self, AggState::Fast { .. }) {
-            return;
-        }
-        let AggState::Fast {
-            index: _,
-            keys,
-            states,
-            first_seen: seen_at,
-        } = std::mem::replace(
-            self,
-            AggState::Generic {
-                index: HashMap::new(),
-                groups: vec![],
-                first_seen: vec![],
-            },
-        )
-        else {
-            return;
-        };
-        let AggState::Generic {
-            index,
-            groups,
-            first_seen,
-        } = self
-        else {
-            unreachable!()
-        };
-        for ((key, accs), at) in keys.into_iter().zip(states).zip(seen_at) {
-            let key = vec![key];
-            let seen = aggs.iter().map(|_| HashSet::new()).collect();
-            groups.push((
-                key.clone(),
-                accs.into_iter().map(FastAcc::into_acc).collect(),
-                seen,
-            ));
-            index.insert(key, groups.len() - 1);
-            first_seen.push(at);
-        }
-    }
-
-    /// Folds another worker's partial state into this one. Non-distinct
-    /// accumulators merge directly; distinct aggregates replay only the
-    /// argument tuples this side has not seen (the per-group seen-sets
-    /// make the merge exact). `first_seen` keeps the minimum, so a later
-    /// ordered finish reproduces serial group order.
-    fn merge(self, other: AggState, aggs: &[AggCall]) -> Result<AggState> {
-        match (self, other) {
-            (AggState::Pending, x) => Ok(x),
-            (x, AggState::Pending) => Ok(x),
-            (
-                AggState::Fast {
-                    mut index,
-                    mut keys,
-                    mut states,
-                    mut first_seen,
-                },
-                AggState::Fast {
-                    keys: keys2,
-                    states: states2,
-                    first_seen: seen2,
-                    ..
-                },
-            ) => {
-                for ((key, accs), at) in keys2.into_iter().zip(states2).zip(seen2) {
-                    let hkey = match key {
-                        Datum::Int(v) => (true, v),
-                        _ => (false, 0),
-                    };
-                    match index.get(&hkey) {
-                        Some(&gi) => {
-                            for (acc, o) in states[gi].iter_mut().zip(accs) {
-                                acc.merge(o)?;
-                            }
-                            first_seen[gi] = first_seen[gi].min(at);
-                        }
-                        None => {
-                            keys.push(key);
-                            states.push(accs);
-                            first_seen.push(at);
-                            index.insert(hkey, states.len() - 1);
-                        }
-                    }
-                }
-                Ok(AggState::Fast {
-                    index,
-                    keys,
-                    states,
-                    first_seen,
-                })
-            }
-            (mut a, mut b) => {
-                a.downgrade(aggs);
-                b.downgrade(aggs);
-                let (
-                    AggState::Generic {
-                        mut index,
-                        mut groups,
-                        mut first_seen,
-                    },
-                    AggState::Generic {
-                        groups: groups2,
-                        first_seen: seen2,
-                        ..
-                    },
-                ) = (a, b)
-                else {
-                    unreachable!("downgrade produces the generic state")
-                };
-                for ((key, accs, seen), at) in groups2.into_iter().zip(seen2) {
-                    match index.get(&key) {
-                        Some(&gi) => {
-                            let (_, my_accs, my_seen) = &mut groups[gi];
-                            for (ai, a) in aggs.iter().enumerate() {
-                                if a.distinct {
-                                    // Replay only unseen argument tuples,
-                                    // in sorted order — a HashSet walk
-                                    // would make float folds (and which
-                                    // value trips a checked overflow)
-                                    // nondeterministic.
-                                    let mut fresh: Vec<&Vec<Datum>> = seen[ai]
-                                        .iter()
-                                        .filter(|d| !my_seen[ai].contains(*d))
-                                        .collect();
-                                    fresh.sort();
-                                    for dkey in fresh {
-                                        my_seen[ai].insert(dkey.clone());
-                                        my_accs[ai].add(dkey.first())?;
-                                    }
-                                } else {
-                                    // `accs` is consumed group-by-group;
-                                    // clone is per-acc small state.
-                                    my_accs[ai].merge(accs[ai].clone())?;
-                                }
-                            }
-                            first_seen[gi] = first_seen[gi].min(at);
-                        }
-                        None => {
-                            groups.push((key.clone(), accs, seen));
-                            index.insert(key, groups.len() - 1);
-                            first_seen.push(at);
-                        }
-                    }
-                }
-                Ok(AggState::Generic {
-                    index,
-                    groups,
-                    first_seen,
-                })
-            }
-        }
-    }
-
-    /// The result rows paired with each group's first-seen sequence, in
-    /// internal (insertion) order.
-    fn finish_entries(self, group: &[usize], aggs: &[AggCall]) -> Vec<(u64, Row)> {
-        match self {
-            AggState::Pending => {
-                // No input at all: a global aggregate still yields one
-                // row (the empty-input accumulator results).
-                if group.is_empty() {
-                    let (accs, _) = make_accs(aggs);
-                    vec![(0, accs.into_iter().map(Acc::finish).collect())]
-                } else {
-                    vec![]
-                }
-            }
-            AggState::Fast {
-                keys,
-                states,
-                first_seen,
-                ..
-            } => keys
-                .into_iter()
-                .zip(states)
-                .zip(first_seen)
-                .map(|((k, accs), at)| {
-                    let mut row = vec![k];
-                    row.extend(accs.into_iter().map(FastAcc::finish));
-                    (at, row)
-                })
-                .collect(),
-            AggState::Generic {
-                groups, first_seen, ..
-            } => groups
-                .into_iter()
-                .zip(first_seen)
-                .map(|((key, accs, _), at)| {
-                    let mut row = key;
-                    for acc in accs {
-                        row.push(acc.finish());
-                    }
-                    (at, row)
-                })
-                .collect(),
-        }
-    }
-
-    /// Result rows in insertion order — for serial states this *is* the
-    /// first-seen order, matching the row engine.
-    fn finish(self, group: &[usize], aggs: &[AggCall]) -> Vec<Row> {
-        self.finish_entries(group, aggs)
-            .into_iter()
-            .map(|(_, r)| r)
-            .collect()
-    }
-
-    /// Result rows sorted by first-seen sequence — what merged parallel
-    /// partial states use to reproduce the serial output order exactly.
-    fn finish_ordered(self, group: &[usize], aggs: &[AggCall]) -> Vec<Row> {
-        let mut entries = self.finish_entries(group, aggs);
-        entries.sort_by_key(|(at, _)| *at);
-        entries.into_iter().map(|(_, r)| r).collect()
-    }
-}
-
-fn make_accs(aggs: &[AggCall]) -> (Vec<Acc>, Vec<HashSet<Vec<Datum>>>) {
-    (
-        aggs.iter().map(|a| Acc::new(a.func)).collect(),
-        aggs.iter().map(|_| HashSet::new()).collect(),
-    )
-}
-
-fn fast_eligible(b: &ColumnBatch, group: &[usize], aggs: &[AggCall]) -> bool {
-    group.len() == 1
-        && matches!(b.columns[group[0]], Column::Int { .. })
-        && aggs.iter().all(|a| {
-            !a.distinct
-                && (a.args.is_empty()
-                    || (a.args.len() == 1 && matches!(b.columns[a.args[0]], Column::Int { .. })))
-        })
-}
-
-/// Estimated heap footprint of accumulated aggregation state, for
-/// budget accounting. Constants err high: spilling a little early is
-/// safe, under-counting defeats the budget.
-fn agg_state_bytes(state: &AggState) -> usize {
-    match state {
-        AggState::Pending => 0,
-        AggState::Fast { keys, states, .. } => {
-            keys.len() * 64 + states.iter().map(|s| 48 + s.len() * 40).sum::<usize>()
-        }
-        AggState::Generic { groups, .. } => groups
-            .iter()
-            .map(|(key, accs, seen)| {
-                row_bytes(key)
-                    + 48
-                    + accs.len() * 48
-                    + seen
-                        .iter()
-                        .map(|s| 48 + s.len() * 16 + s.iter().map(row_bytes).sum::<usize>())
-                        .sum::<usize>()
-            })
-            .sum(),
-    }
-}
-
-fn write_opt_datum(w: &mut ByteWriter, d: &Option<Datum>) -> Result<()> {
-    match d {
-        None => w.u8(0),
-        Some(d) => {
-            w.u8(1);
-            w.datum(d)?;
-        }
-    }
-    Ok(())
-}
-
-fn read_opt_datum(r: &mut ByteReader) -> Result<Option<Datum>> {
-    Ok(match r.u8()? {
-        0 => None,
-        _ => Some(r.datum()?),
-    })
-}
-
-fn write_acc(w: &mut ByteWriter, acc: &Acc) -> Result<()> {
-    match acc {
-        Acc::Count(n) => {
-            w.u8(0);
-            w.i64(*n);
-        }
-        Acc::Sum(d) => {
-            w.u8(1);
-            write_opt_datum(w, d)?;
-        }
-        Acc::Min(d) => {
-            w.u8(2);
-            write_opt_datum(w, d)?;
-        }
-        Acc::Max(d) => {
-            w.u8(3);
-            write_opt_datum(w, d)?;
-        }
-        Acc::Avg { sum, count } => {
-            w.u8(4);
-            w.f64(*sum);
-            w.i64(*count);
-        }
-    }
-    Ok(())
-}
-
-fn read_acc(r: &mut ByteReader) -> Result<Acc> {
-    Ok(match r.u8()? {
-        0 => Acc::Count(r.i64()?),
-        1 => Acc::Sum(read_opt_datum(r)?),
-        2 => Acc::Min(read_opt_datum(r)?),
-        3 => Acc::Max(read_opt_datum(r)?),
-        4 => Acc::Avg {
-            sum: r.f64()?,
-            count: r.i64()?,
-        },
-        _ => {
-            return Err(CalciteError::execution(
-                "corrupt spill chunk (unknown accumulator tag)",
-            ))
-        }
-    })
-}
-
-/// Serializes a partial aggregation state (generic representation) as
-/// one spill chunk: per group, the first-seen sequence, key, typed
-/// accumulators, and the distinct seen-sets the exact merge replays.
-fn write_agg_chunk(w: &mut ByteWriter, state: &AggState) -> Result<()> {
-    let AggState::Generic {
-        groups, first_seen, ..
-    } = state
-    else {
-        return Err(CalciteError::internal(
-            "aggregate spill expects the generic state (downgrade first)",
-        ));
-    };
-    w.u32(groups.len() as u32);
-    for ((key, accs, seen), at) in groups.iter().zip(first_seen) {
-        w.u64(*at);
-        w.u32(key.len() as u32);
-        for d in key {
-            w.datum(d)?;
-        }
-        for acc in accs {
-            write_acc(w, acc)?;
-        }
-        for set in seen {
-            w.u32(set.len() as u32);
-            for dkey in set {
-                w.u32(dkey.len() as u32);
-                for d in dkey {
-                    w.datum(d)?;
-                }
-            }
-        }
-    }
-    Ok(())
-}
-
-fn read_agg_chunk(r: &mut ByteReader, naggs: usize) -> Result<AggState> {
-    let ngroups = r.u32()? as usize;
-    let mut index = HashMap::with_capacity(ngroups);
-    let mut groups: Vec<GroupState> = Vec::with_capacity(ngroups);
-    let mut first_seen = Vec::with_capacity(ngroups);
-    for _ in 0..ngroups {
-        let at = r.u64()?;
-        let klen = r.u32()? as usize;
-        let mut key = Vec::with_capacity(klen);
-        for _ in 0..klen {
-            key.push(r.datum()?);
-        }
-        let mut accs = Vec::with_capacity(naggs);
-        for _ in 0..naggs {
-            accs.push(read_acc(r)?);
-        }
-        let mut seen = Vec::with_capacity(naggs);
-        for _ in 0..naggs {
-            let n = r.u32()? as usize;
-            let mut set = HashSet::with_capacity(n);
-            for _ in 0..n {
-                let dlen = r.u32()? as usize;
-                let mut dkey = Vec::with_capacity(dlen);
-                for _ in 0..dlen {
-                    dkey.push(r.datum()?);
-                }
-                set.insert(dkey);
-            }
-            seen.push(set);
-        }
-        index.insert(key.clone(), groups.len());
-        groups.push((key, accs, seen));
-        first_seen.push(at);
-    }
-    Ok(AggState::Generic {
-        index,
-        groups,
-        first_seen,
-    })
-}
-
-struct AggregateOp {
-    child: BatchOp,
-    group: Vec<usize>,
-    aggs: Vec<AggCall>,
-    out_kinds: Vec<TypeKind>,
-    spill: SpillEnv,
-    out: VecDeque<ColumnBatch>,
-}
-
-impl AggregateOp {
-    fn new(
-        child: BatchOp,
-        group: Vec<usize>,
-        aggs: Vec<AggCall>,
-        out_kinds: Vec<TypeKind>,
-        spill: SpillEnv,
-    ) -> Self {
-        AggregateOp {
-            child,
-            group,
-            aggs,
-            out_kinds,
-            spill,
-            out: VecDeque::new(),
-        }
-    }
-}
-
-impl Operator<ColumnBatch> for AggregateOp {
-    fn open(&mut self) -> Result<()> {
-        self.child.open()?;
-        let bounded = self.spill.budget.is_bounded();
-        let mut res = MemoryReservation::new(self.spill.budget.clone());
-        let mut state = AggState::Pending;
-        let mut seq = 0u64;
-        // Spilled partial states, as (offset, len) chunks of one file in
-        // input-time order.
-        let mut chunks: Vec<(u64, usize)> = vec![];
-        let mut file = None;
-        while let Some(b) = self.child.next()? {
-            let b = b.compact();
-            state.update(&b, &self.group, &self.aggs, seq)?;
-            seq += b.len as u64;
-            if bounded {
-                let est = agg_state_bytes(&state);
-                if est > res.bytes() && !res.try_grow(est - res.bytes()) {
-                    self.spill.budget.require_spillable()?;
-                    // Spill the partial state as one chunk and restart
-                    // accumulation from scratch.
-                    state.downgrade(&self.aggs);
-                    let mut w = ByteWriter::new();
-                    write_agg_chunk(&mut w, &state)?;
-                    let f = match &file {
-                        Some(f) => Arc::clone(f),
-                        None => {
-                            let f = self.spill.spill_file("aggregate")?;
-                            file = Some(Arc::clone(&f));
-                            f
-                        }
-                    };
-                    let off = f.append(&w.buf)?;
-                    chunks.push((off, w.buf.len()));
-                    state = AggState::Pending;
-                    res.release_all();
-                } else if est < res.bytes() {
-                    res.shrink(res.bytes() - est);
-                }
-            }
-        }
-        let rows = if chunks.is_empty() {
-            state.finish(&self.group, &self.aggs)
-        } else {
-            self.spill
-                .tracker
-                .record("aggregate", chunks.len(), chunks.len() + 1);
-            let f = file.expect("chunks imply a spill file");
-            // Merge partials in input-time order (the same fold order
-            // the parallel engine's worker merge uses), the in-memory
-            // tail last; the first-seen sort restores serial order.
-            let mut merged = AggState::Pending;
-            for (off, len) in chunks {
-                let bytes = self.spill.pool.read_range(&f, off, len)?;
-                let chunk = read_agg_chunk(&mut ByteReader::new(&bytes), self.aggs.len())?;
-                merged = merged.merge(chunk, &self.aggs)?;
-            }
-            merged = merged.merge(state, &self.aggs)?;
-            merged.finish_ordered(&self.group, &self.aggs)
-        };
-        self.out = rebatch_rows(rows, &self.out_kinds).into();
-        Ok(())
-    }
-
-    fn next(&mut self) -> Result<Option<ColumnBatch>> {
-        Ok(self.out.pop_front())
     }
 }
 
@@ -3319,28 +1597,43 @@ fn sort_indexes(b: &ColumnBatch, collation: &Collation) -> Vec<usize> {
 // Set operations: Intersect / Minus (build rights, stream left)
 // ---------------------------------------------------------------------
 
-/// INTERSECT [ALL]: the right inputs build per-row count maps (the
-/// multiset minimum across sides); the left input then streams through,
-/// each batch emitting its surviving rows. Matches the row engine's
-/// bag/set semantics exactly.
+/// Drains `op` into a multiset keyed on every column: the distinct rows
+/// (interned into `keys`, whose ids index the result) and how often each
+/// occurred.
+fn count_rows(op: &mut BatchOp, keys: &mut KeySet, counts: &mut Vec<usize>) -> Result<()> {
+    while let Some(b) = op.next()? {
+        let b = b.compact();
+        let (ids, _) = keys.intern(&b.columns.iter().collect::<Vec<_>>(), b.len);
+        counts.resize(keys.len(), 0);
+        for id in ids {
+            counts[id as usize] += 1;
+        }
+    }
+    Ok(())
+}
+
+/// INTERSECT [ALL]: the right inputs build per-row counts (the multiset
+/// minimum across sides); the left input then streams through, each
+/// batch emitting its surviving rows. Matches the row engine's bag/set
+/// semantics exactly.
 struct IntersectOp {
     left: BatchOp,
     rights: Vec<BatchOp>,
     all: bool,
-    out_kinds: Vec<TypeKind>,
-    counts: HashMap<Row, usize>,
-    used: HashMap<Row, usize>,
+    /// The rows of the first right input, with how many of each the
+    /// output may still emit.
+    keys: KeySet,
+    quota: Vec<usize>,
 }
 
 impl IntersectOp {
-    fn new(left: BatchOp, rights: Vec<BatchOp>, all: bool, out_kinds: Vec<TypeKind>) -> Self {
+    fn new(left: BatchOp, rights: Vec<BatchOp>, all: bool) -> Self {
         IntersectOp {
             left,
             rights,
             all,
-            out_kinds,
-            counts: HashMap::new(),
-            used: HashMap::new(),
+            keys: KeySet::default(),
+            quota: vec![],
         }
     }
 }
@@ -3350,73 +1643,72 @@ impl Operator<ColumnBatch> for IntersectOp {
         self.left.open()?;
         for (i, r) in self.rights.iter_mut().enumerate() {
             r.open()?;
-            let mut c: HashMap<Row, usize> = HashMap::new();
-            while let Some(b) = r.next()? {
-                for row in b.to_rows() {
-                    *c.entry(row).or_default() += 1;
-                }
-            }
             if i == 0 {
-                self.counts = c;
-            } else {
-                self.counts.retain(|k, v| {
-                    if let Some(n) = c.get(k) {
-                        *v = (*v).min(*n);
-                        true
-                    } else {
-                        false
-                    }
-                });
+                count_rows(r, &mut self.keys, &mut self.quota)?;
+                continue;
+            }
+            // Later inputs cap the counts; rows they lack drop to zero
+            // (rows only they hold get ids past `quota` and are ignored).
+            let mut counts = vec![0; self.quota.len()];
+            count_rows(r, &mut self.keys, &mut counts)?;
+            for (q, c) in self.quota.iter_mut().zip(counts) {
+                *q = (*q).min(c);
+            }
+        }
+        if !self.all {
+            for q in &mut self.quota {
+                *q = (*q).min(1);
             }
         }
         Ok(())
     }
 
     fn next(&mut self) -> Result<Option<ColumnBatch>> {
-        loop {
-            let Some(b) = self.left.next()? else {
-                return Ok(None);
-            };
-            let mut out: Vec<Row> = vec![];
-            for row in b.to_rows() {
-                if let Some(max) = self.counts.get(&row) {
-                    let limit = if self.all { *max } else { 1 };
-                    let used = self.used.entry(row.clone()).or_default();
-                    if *used < limit {
-                        *used += 1;
-                        out.push(row);
+        while let Some(b) = self.left.next()? {
+            let mut b = b.compact();
+            let ids = self
+                .keys
+                .lookup(&b.columns.iter().collect::<Vec<_>>(), b.len);
+            let keep: Vec<usize> = (0..b.len)
+                .filter(|&i| match self.quota.get_mut(ids[i] as usize) {
+                    Some(q) if *q > 0 => {
+                        *q -= 1;
+                        true
                     }
-                }
-            }
-            if !out.is_empty() {
-                return Ok(Some(ColumnBatch::from_rows(&self.out_kinds, &out)));
+                    _ => false,
+                })
+                .collect();
+            if !keep.is_empty() {
+                b.set_selection(keep);
+                return Ok(Some(b));
             }
         }
+        Ok(None)
     }
 }
 
-/// EXCEPT [ALL]: the right inputs build a removal-count map; the left
-/// input streams through it. In DISTINCT mode any right-side presence
-/// removes the row entirely and survivors dedup; in ALL mode each right
-/// occurrence cancels one left occurrence.
+/// EXCEPT [ALL]: the right inputs build a removal-count multiset; the
+/// left input streams through it. In DISTINCT mode any right-side
+/// presence removes the row entirely and survivors dedup; in ALL mode
+/// each right occurrence cancels one left occurrence.
 struct MinusOp {
     left: BatchOp,
     rights: Vec<BatchOp>,
     all: bool,
-    out_kinds: Vec<TypeKind>,
-    removed: HashMap<Row, usize>,
-    emitted: HashSet<Row>,
+    /// Right-side rows first (ids below `removed.len()`), then — in
+    /// DISTINCT mode — the left rows already emitted.
+    keys: KeySet,
+    removed: Vec<usize>,
 }
 
 impl MinusOp {
-    fn new(left: BatchOp, rights: Vec<BatchOp>, all: bool, out_kinds: Vec<TypeKind>) -> Self {
+    fn new(left: BatchOp, rights: Vec<BatchOp>, all: bool) -> Self {
         MinusOp {
             left,
             rights,
             all,
-            out_kinds,
-            removed: HashMap::new(),
-            emitted: HashSet::new(),
+            keys: KeySet::default(),
+            removed: vec![],
         }
     }
 }
@@ -3426,41 +1718,38 @@ impl Operator<ColumnBatch> for MinusOp {
         self.left.open()?;
         for r in &mut self.rights {
             r.open()?;
-            while let Some(b) = r.next()? {
-                for row in b.to_rows() {
-                    *self.removed.entry(row).or_default() += 1;
-                }
-            }
+            count_rows(r, &mut self.keys, &mut self.removed)?;
         }
         Ok(())
     }
 
     fn next(&mut self) -> Result<Option<ColumnBatch>> {
-        loop {
-            let Some(b) = self.left.next()? else {
-                return Ok(None);
-            };
-            let mut out: Vec<Row> = vec![];
-            for row in b.to_rows() {
-                match self.removed.get_mut(&row) {
-                    Some(n) if *n > 0 => {
-                        if self.all {
+        while let Some(b) = self.left.next()? {
+            let mut b = b.compact();
+            let cols: Vec<&Column> = b.columns.iter().collect();
+            let keep: Vec<usize> = if self.all {
+                // Each right occurrence cancels one left occurrence.
+                let ids = self.keys.lookup(&cols, b.len);
+                (0..b.len)
+                    .filter(|&i| match self.removed.get_mut(ids[i] as usize) {
+                        Some(n) if *n > 0 => {
                             *n -= 1;
+                            false
                         }
-                        // In DISTINCT mode any presence in the right side
-                        // removes the row entirely.
-                    }
-                    _ => {
-                        if self.all || self.emitted.insert(row.clone()) {
-                            out.push(row);
-                        }
-                    }
-                }
-            }
-            if !out.is_empty() {
-                return Ok(Some(ColumnBatch::from_rows(&self.out_kinds, &out)));
+                        _ => true,
+                    })
+                    .collect()
+            } else {
+                // A row survives when it is new to the set: neither on
+                // the right side nor emitted before.
+                self.keys.intern(&cols, b.len).1
+            };
+            if !keep.is_empty() {
+                b.set_selection(keep);
+                return Ok(Some(b));
             }
         }
+        Ok(None)
     }
 }
 
@@ -3669,7 +1958,7 @@ fn compile_stages(stages: &[&Rel], ctx: &ExecContext, fuse: bool) -> Result<Vec<
 
 /// Everything needed to spawn the workers of one exchange: compiled
 /// stages plus the bottom they pull from.
-struct SourceSeed {
+pub(crate) struct SourceSeed {
     stages: Arc<Vec<CompiledStage>>,
     bottom: BottomSeed,
 }
@@ -3700,7 +1989,7 @@ impl SourceSeed {
     /// Builds the per-partition worker operators. For range bottoms the
     /// snapshot is taken here — once per execution — and shared; for
     /// stream bottoms the child is split through a round-robin scatter.
-    fn into_workers(
+    pub(crate) fn into_workers(
         self,
         kernel: WorkerKernel,
         p: Parallelism,
@@ -3749,7 +2038,7 @@ impl SourceSeed {
 
 /// What a chain worker does with each post-stage batch.
 #[derive(Clone)]
-enum WorkerKernel {
+pub(crate) enum WorkerKernel {
     /// Pass it through (plain chain under an ordered gather).
     Emit,
     /// Probe it against the shared join build side.
@@ -3791,7 +2080,7 @@ fn run_worker_kernel(
     };
     match kernel {
         WorkerKernel::Emit => Ok(vec![b]),
-        WorkerKernel::Probe(shared) => shared.probe_chunks(&b.compact()),
+        WorkerKernel::Probe(shared) => shared.probe_chunks(b.compact()),
     }
 }
 
@@ -3880,266 +2169,6 @@ impl Operator<ExchangeItem<ColumnBatch>> for ChainWorker {
                 },
             }
         }
-    }
-}
-
-// -------------------------- parallel join ----------------------------
-
-/// The build-side state probe workers share: the materialized right
-/// input, the probe strategy, and atomic matched-flags for outer joins.
-struct JoinShared {
-    right: ColumnBatch,
-    probe: ProbeKind,
-    kind: JoinKind,
-    left_arity: usize,
-    out_kinds: Vec<TypeKind>,
-    right_matched: Vec<AtomicBool>,
-}
-
-impl JoinShared {
-    /// Probes one dense left batch, assembling output in `BATCH_SIZE`
-    /// chunks (bounded even under high-multiplicity matches).
-    fn probe_chunks(&self, left: &ColumnBatch) -> Result<Vec<ColumnBatch>> {
-        let pairs = probe_batch(left, &self.right, &self.probe, self.kind, &mut |ri| {
-            self.right_matched[ri].store(true, AtomicOrdering::Relaxed)
-        })?;
-        Ok(pairs
-            .chunks(BATCH_SIZE)
-            .map(|chunk| {
-                assemble_join_output(
-                    chunk,
-                    left,
-                    &self.right,
-                    self.left_arity,
-                    self.kind.projects_right(),
-                    &self.out_kinds,
-                )
-            })
-            .collect())
-    }
-}
-
-/// Parallel hash join: the right side builds once (shared behind `Arc`),
-/// probe workers run the left chain + probe per morsel, and the ordered
-/// gather keeps the output in serial probe order. Right/Full padding is
-/// emitted after every worker finishes, in build-side order — exactly
-/// the serial operator's sequence.
-struct ParallelHashJoinOp {
-    seed: Option<(SourceSeed, BatchOp)>,
-    kind: JoinKind,
-    condition: RexNode,
-    left_arity: usize,
-    right_arity: usize,
-    out_kinds: Vec<TypeKind>,
-    p: Parallelism,
-    state: Option<(OrderedGatherOp<ColumnBatch>, Arc<JoinShared>)>,
-    pad: Option<(JoinPairs, usize)>,
-    pad_done: bool,
-    /// Latched when the probe gather surfaced an error: the matched
-    /// flags are incomplete, so the outer-join pad must never run.
-    failed: bool,
-}
-
-impl Operator<ColumnBatch> for ParallelHashJoinOp {
-    fn open(&mut self) -> Result<()> {
-        let (source, mut right) = self.seed.take().expect("ParallelHashJoinOp opened twice");
-        right.open()?;
-        let mut right_batches = vec![];
-        while let Some(b) = right.next()? {
-            right_batches.push(b);
-        }
-        let right = concat_batches(right_batches, self.right_arity);
-        let probe = build_probe(&self.condition, self.left_arity, &right);
-        let shared = Arc::new(JoinShared {
-            right_matched: (0..right.len).map(|_| AtomicBool::new(false)).collect(),
-            right,
-            probe,
-            kind: self.kind,
-            left_arity: self.left_arity,
-            out_kinds: self.out_kinds.clone(),
-        });
-        let workers = source.into_workers(WorkerKernel::Probe(shared.clone()), self.p)?;
-        let mut gather = OrderedGatherOp::new(workers);
-        gather.open()?;
-        self.state = Some((gather, shared));
-        Ok(())
-    }
-
-    fn next(&mut self) -> Result<Option<ColumnBatch>> {
-        if self.failed {
-            return Ok(None);
-        }
-        let (gather, shared) = self.state.as_mut().expect("ParallelHashJoinOp not opened");
-        loop {
-            if let Some((pairs, pos)) = &mut self.pad {
-                if *pos < pairs.len() {
-                    let take = BATCH_SIZE.min(pairs.len() - *pos);
-                    let chunk = &pairs[*pos..*pos + take];
-                    *pos += take;
-                    let empty_left = ColumnBatch::zero_arity(0);
-                    return Ok(Some(assemble_join_output(
-                        chunk,
-                        &empty_left,
-                        &shared.right,
-                        self.left_arity,
-                        self.kind.projects_right(),
-                        &self.out_kinds,
-                    )));
-                }
-                self.pad = None;
-                return Ok(None);
-            }
-            match gather.next() {
-                Err(e) => {
-                    self.failed = true;
-                    return Err(e);
-                }
-                Ok(Some(b)) => return Ok(Some(b)),
-                Ok(None) => {
-                    // Every probe worker finished: the matched flags are
-                    // final, pad the unmatched right rows once.
-                    if self.pad_done {
-                        return Ok(None);
-                    }
-                    self.pad_done = true;
-                    if !matches!(self.kind, JoinKind::Right | JoinKind::Full) {
-                        return Ok(None);
-                    }
-                    let pairs: JoinPairs = shared
-                        .right_matched
-                        .iter()
-                        .enumerate()
-                        .filter(|(_, m)| !m.load(AtomicOrdering::Relaxed))
-                        .map(|(ri, _)| (None, Some(ri)))
-                        .collect();
-                    if pairs.is_empty() {
-                        return Ok(None);
-                    }
-                    self.pad = Some((pairs, 0));
-                }
-            }
-        }
-    }
-}
-
-// ------------------------ parallel aggregate -------------------------
-
-/// One worker of a parallel aggregate: folds its exchange feed into a
-/// partial [`AggState`] (tracking each group's first-seen sequence) and
-/// yields the state once the feed is exhausted.
-struct AggWorker {
-    /// Stable worker index: partials merge in this order on the
-    /// consumer side, so the fold is deterministic for a fixed worker
-    /// count (gather arrival order is not).
-    index: usize,
-    inner: BoxOperator<ExchangeItem<ColumnBatch>>,
-    group: Vec<usize>,
-    aggs: Vec<AggCall>,
-    state: Option<AggState>,
-    cur_morsel: usize,
-    offset: u64,
-}
-
-impl Operator<(usize, AggState)> for AggWorker {
-    fn open(&mut self) -> Result<()> {
-        self.inner.open()
-    }
-
-    fn next(&mut self) -> Result<Option<(usize, AggState)>> {
-        let Some(mut state) = self.state.take() else {
-            return Ok(None);
-        };
-        loop {
-            match self.inner.next()? {
-                Some(ExchangeItem::Batch((m, _), b)) => {
-                    if m != self.cur_morsel {
-                        self.cur_morsel = m;
-                        self.offset = 0;
-                    }
-                    let b = b.compact();
-                    let seq0 = ((m as u64) << 32) | self.offset;
-                    state.update(&b, &self.group, &self.aggs, seq0)?;
-                    self.offset += b.len as u64;
-                }
-                Some(ExchangeItem::Error(_, e)) => return Err(e),
-                Some(ExchangeItem::MorselEnd(_)) => {}
-                None => return Ok(Some((self.index, state))),
-            }
-        }
-    }
-}
-
-/// Parallel aggregate: partial aggregation per worker, then an exact
-/// merge on the consumer side, folding partials in worker-index order
-/// (first-seen group order preserved). For integer aggregates the
-/// result is bit-identical to serial; float SUM/AVG may differ in the
-/// last ulp because addition is re-associated across workers, and a
-/// checked integer SUM whose *intermediate* values graze i64's range
-/// may overflow in one mode and not the other — the standard contract
-/// of parallel aggregation.
-struct ParallelAggregateOp {
-    gather: GatherOp<(usize, AggState)>,
-    group: Vec<usize>,
-    aggs: Vec<AggCall>,
-    out_kinds: Vec<TypeKind>,
-    out: VecDeque<ColumnBatch>,
-}
-
-impl ParallelAggregateOp {
-    fn new(
-        seed: SourceSeed,
-        group: Vec<usize>,
-        aggs: Vec<AggCall>,
-        out_kinds: Vec<TypeKind>,
-        p: Parallelism,
-    ) -> Result<ParallelAggregateOp> {
-        let workers = seed
-            .into_workers(WorkerKernel::Emit, p)?
-            .into_iter()
-            .enumerate()
-            .map(|(index, w)| {
-                Box::new(AggWorker {
-                    index,
-                    inner: w,
-                    group: group.clone(),
-                    aggs: aggs.clone(),
-                    state: Some(AggState::Pending),
-                    cur_morsel: 0,
-                    offset: 0,
-                }) as BoxOperator<(usize, AggState)>
-            })
-            .collect();
-        Ok(ParallelAggregateOp {
-            gather: GatherOp::new(workers),
-            group,
-            aggs,
-            out_kinds,
-            out: VecDeque::new(),
-        })
-    }
-}
-
-impl Operator<ColumnBatch> for ParallelAggregateOp {
-    fn open(&mut self) -> Result<()> {
-        self.gather.open()?;
-        let mut partials = vec![];
-        while let Some(partial) = self.gather.next()? {
-            partials.push(partial);
-        }
-        // Fold in worker-index order, not arrival order, so the merged
-        // result is deterministic for a fixed worker count.
-        partials.sort_by_key(|(i, _)| *i);
-        let mut merged = AggState::Pending;
-        for (_, partial) in partials {
-            merged = merged.merge(partial, &self.aggs)?;
-        }
-        let rows = merged.finish_ordered(&self.group, &self.aggs);
-        self.out = rebatch_rows(rows, &self.out_kinds).into();
-        Ok(())
-    }
-
-    fn next(&mut self) -> Result<Option<ColumnBatch>> {
-        Ok(self.out.pop_front())
     }
 }
 
@@ -4353,19 +2382,15 @@ fn build_parallel(
             };
             let seed = seed_from(shape, ctx, fuse)?;
             let right = build_input(rel, 1, ctx, fuse)?;
-            Box::new(ParallelHashJoinOp {
-                seed: Some((seed, right)),
-                kind: *kind,
-                condition: ctx.bind(condition)?,
-                left_arity: rel.input(0).row_type().arity(),
-                right_arity: rel.input(1).row_type().arity(),
-                out_kinds: kinds_of(rel.row_type()),
+            Box::new(ParallelHashJoinOp::new(
+                seed,
+                right,
+                *kind,
+                ctx.bind(condition)?,
+                rel.input(0).row_type().arity(),
+                rel.input(1).row_type().arity(),
                 p,
-                state: None,
-                pad: None,
-                pad_done: false,
-                failed: false,
-            })
+            ))
         }
         Placement::TopK(shape) => {
             let RelOp::Sort {
@@ -4599,7 +2624,7 @@ mod tests {
     use super::*;
     use crate::executor::EnumerableExecutor;
     use rcalcite_core::catalog::{MemTable, TableRef};
-    use rcalcite_core::rel;
+    use rcalcite_core::rel::{self, AggCall, AggFunc, JoinKind};
     use rcalcite_core::traits::FieldCollation;
     use rcalcite_core::types::{RelType, RowTypeBuilder, TypeKind};
     use std::sync::Arc;
@@ -4800,46 +2825,6 @@ mod tests {
         let (a, b) = both(&plan);
         assert_eq!(a, b);
         assert_eq!(a, vec![vec![Datum::Int(2)]]);
-    }
-
-    #[test]
-    fn fast_agg_state_downgrades_on_mixed_batches() {
-        // First batch takes the typed Int fast path; a later batch whose
-        // key column is Generic must migrate the state, not miscount.
-        let group = vec![0usize];
-        let rt = RowTypeBuilder::new()
-            .add("k", TypeKind::Integer)
-            .add("v", TypeKind::Integer)
-            .build();
-        let aggs = vec![
-            AggCall::count_star("c"),
-            AggCall::new(AggFunc::Sum, vec![1], false, "s", &rt),
-        ];
-        let mut state = AggState::Pending;
-        let int_batch = ColumnBatch::from_rows(
-            &[TypeKind::Integer, TypeKind::Integer],
-            &[
-                vec![Datum::Int(1), Datum::Int(10)],
-                vec![Datum::Int(2), Datum::Int(20)],
-            ],
-        );
-        state.update(&int_batch, &group, &aggs, 0).unwrap();
-        assert!(matches!(state, AggState::Fast { .. }));
-        let generic_batch = ColumnBatch::new(vec![
-            Column::Generic(vec![Datum::Int(1)]),
-            Column::Generic(vec![Datum::Int(5)]),
-        ]);
-        state.update(&generic_batch, &group, &aggs, 2).unwrap();
-        assert!(matches!(state, AggState::Generic { .. }));
-        let mut rows = state.finish(&group, &aggs);
-        rows.sort();
-        assert_eq!(
-            rows,
-            vec![
-                vec![Datum::Int(1), Datum::Int(2), Datum::Int(15)],
-                vec![Datum::Int(2), Datum::Int(1), Datum::Int(20)],
-            ]
-        );
     }
 
     #[test]
@@ -5391,47 +3376,6 @@ mod tests {
             }
         }
         assert!(saw_err, "the poison row must surface an error");
-    }
-
-    #[test]
-    fn agg_state_merge_is_exact() {
-        let rt = RowTypeBuilder::new()
-            .add("k", TypeKind::Integer)
-            .add("v", TypeKind::Integer)
-            .build();
-        let aggs = vec![
-            AggCall::count_star("c"),
-            AggCall::new(AggFunc::Sum, vec![1], false, "s", &rt),
-            AggCall::new(AggFunc::Count, vec![1], true, "dc", &rt),
-        ];
-        let group = vec![0usize];
-        let batch = |rows: &[(i64, i64)], seq0: u64, state: &mut AggState| {
-            let b = ColumnBatch::from_rows(
-                &[TypeKind::Integer, TypeKind::Integer],
-                &rows
-                    .iter()
-                    .map(|&(k, v)| vec![Datum::Int(k), Datum::Int(v)])
-                    .collect::<Vec<_>>(),
-            );
-            state.update(&b, &group, &aggs, seq0).unwrap();
-        };
-        // Serial reference over the concatenated input.
-        let mut serial = AggState::Pending;
-        batch(&[(1, 10), (2, 20), (1, 10)], 0, &mut serial);
-        batch(&[(3, 30), (2, 25), (1, 11)], 3, &mut serial);
-        let expect = serial.finish_ordered(&group, &aggs);
-        // The same rows split across two workers, merged out of order.
-        let mut w1 = AggState::Pending;
-        batch(&[(1, 10), (2, 20), (1, 10)], 0, &mut w1);
-        let mut w2 = AggState::Pending;
-        batch(&[(3, 30), (2, 25), (1, 11)], 3, &mut w2);
-        let merged = w2.merge(w1, &aggs).unwrap();
-        assert_eq!(merged.finish_ordered(&group, &aggs), expect);
-        // Groups come out in global first-seen order: 1, 2, 3.
-        assert_eq!(
-            expect.iter().map(|r| r[0].clone()).collect::<Vec<_>>(),
-            vec![Datum::Int(1), Datum::Int(2), Datum::Int(3)]
-        );
     }
 
     #[test]

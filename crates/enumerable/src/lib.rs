@@ -14,8 +14,11 @@
 //! rcalcite_enumerable::install(&mut planner, &mut ctx);
 //! ```
 
+mod aggregate;
 pub mod batch;
 pub mod executor;
+mod join;
+mod keys;
 pub mod linq4j;
 
 pub use batch::{

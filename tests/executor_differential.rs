@@ -329,6 +329,289 @@ proptest! {
     }
 }
 
+// ---------------------------------------------------------------------
+// Keys: the shapes the key kernel has a lane for, against the row oracle
+// ---------------------------------------------------------------------
+
+/// Arity of [`keyed_table`]: (i INT, d DOUBLE, s VARCHAR, t DATE,
+/// ts TIMESTAMP NOT NULL, r INT NOT NULL).
+const KEYED_ARITY: usize = 6;
+
+/// One row of the keyed table. Every key column draws from a domain
+/// small enough to collide and wide enough to hit the contract's
+/// corners: Int values that equal Doubles (1 = 1.0), `-0.0` beside
+/// `0.0`, NaN, the empty string, NULL in every nullable column, and two
+/// kinds (`DATE`, `TIMESTAMP`) that have no typed vector.
+fn keyed_row() -> impl Strategy<Value = Row> {
+    let nullable = |s: BoxedStrategy<Datum>| prop_oneof![s, Just(Datum::Null)];
+    (
+        nullable((0i64..4).prop_map(Datum::Int).boxed()),
+        nullable(
+            prop_oneof![
+                (0i64..4).prop_map(|i| Datum::Double(i as f64)),
+                Just(Datum::Double(-0.0)),
+                Just(Datum::Double(2.5)),
+                Just(Datum::Double(f64::NAN)),
+            ]
+            .boxed(),
+        ),
+        nullable(
+            prop_oneof![
+                (0i64..3).prop_map(|i| Datum::str(format!("a-thirteen-b{i}"))),
+                Just(Datum::str("")),
+            ]
+            .boxed(),
+        ),
+        nullable((0i32..3).prop_map(Datum::Date).boxed()),
+        (0i64..2).prop_map(|i| Datum::Timestamp(i * 1_000)),
+        (0i64..3).prop_map(Datum::Int),
+    )
+        .prop_map(|(i, d, s, t, ts, r)| vec![i, d, s, t, ts, r])
+}
+
+fn keyed_table(rows: Vec<Row>) -> Rel {
+    rel::values(
+        RowTypeBuilder::new()
+            .add("i", TypeKind::Integer)
+            .add("d", TypeKind::Double)
+            .add("s", TypeKind::Varchar)
+            .add("t", TypeKind::Date)
+            .add_not_null("ts", TypeKind::Timestamp)
+            .add_not_null("r", TypeKind::Integer)
+            .build(),
+        rows,
+    )
+}
+
+/// Key shapes as (left columns, right columns): one typed lane each,
+/// Int = Double both ways round, the untyped kinds, and two- and
+/// three-column keys mixing Int, Str and Date.
+const KEY_SHAPES: [(&[usize], &[usize]); 10] = [
+    (&[0], &[0]),
+    (&[0], &[1]),
+    (&[1], &[0]),
+    (&[1], &[1]),
+    (&[2], &[2]),
+    (&[3], &[3]),
+    (&[4], &[4]),
+    (&[0, 2], &[0, 2]),
+    (&[1, 2], &[0, 2]),
+    (&[0, 2, 3], &[0, 2, 3]),
+];
+
+const JOIN_KINDS: [JoinKind; 6] = [
+    JoinKind::Inner,
+    JoinKind::Left,
+    JoinKind::Right,
+    JoinKind::Full,
+    JoinKind::Semi,
+    JoinKind::Anti,
+];
+
+/// `l.k1 = r.k1 AND …`, plus the residual `l.r <= r.r` when asked.
+fn keyed_condition(shape: usize, residual: bool) -> RexNode {
+    let (lk, rk) = KEY_SHAPES[shape];
+    let mut conj: Vec<RexNode> = lk
+        .iter()
+        .zip(rk)
+        .map(|(&l, &r)| RexNode::input(l, int_ty()).eq(RexNode::input(KEYED_ARITY + r, int_ty())))
+        .collect();
+    if residual {
+        conj.push(RexNode::call(
+            Op::Le,
+            vec![
+                RexNode::input(5, int_ty()),
+                RexNode::input(KEYED_ARITY + 5, int_ty()),
+            ],
+        ));
+    }
+    RexNode::and_all(conj)
+}
+
+/// `GROUP BY` the left columns of a key shape: COUNT(*), SUM(r) and
+/// COUNT(DISTINCT r).
+fn keyed_group(input: Rel, shape: usize) -> Rel {
+    let rt = input.row_type().clone();
+    rel::aggregate(
+        input,
+        KEY_SHAPES[shape].0.to_vec(),
+        vec![
+            AggCall::count_star("c"),
+            AggCall::new(AggFunc::Sum, vec![5], false, "s", &rt),
+            AggCall::new(AggFunc::Count, vec![5], true, "dc", &rt),
+        ],
+    )
+}
+
+/// Both engines, same rows *in the same order*: probe order with
+/// candidates in build order for joins, first-seen order for groups.
+fn assert_engines_agree_in_order(plan: &Rel) {
+    let row = row_ctx().execute_collect(plan).unwrap();
+    let batch = batch_ctx().execute_collect(plan).unwrap();
+    assert_eq!(row.len(), batch.len());
+    assert!(row == batch, "order or content diverged for {plan:?}");
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    #[test]
+    fn keyed_joins_agree(
+        left in proptest::collection::vec(keyed_row(), 0..40),
+        right in proptest::collection::vec(keyed_row(), 0..40),
+        shape in 0usize..KEY_SHAPES.len(),
+        kind in 0usize..6,
+        residual in any::<bool>(),
+    ) {
+        let plan = rel::join(
+            keyed_table(left),
+            keyed_table(right),
+            JOIN_KINDS[kind],
+            keyed_condition(shape, residual),
+        );
+        assert_engines_agree(&plan)?;
+    }
+
+    #[test]
+    fn keyed_groups_agree(
+        rows in proptest::collection::vec(keyed_row(), 0..60),
+        shape in 0usize..KEY_SHAPES.len(),
+    ) {
+        assert_engines_agree(&keyed_group(keyed_table(rows), shape))?;
+    }
+}
+
+#[test]
+fn keyed_corner_cases_agree_in_order() {
+    let row = |i: Datum, d: Datum, s: &str, r: i64| {
+        vec![
+            i,
+            d,
+            Datum::str(s),
+            Datum::Date(0),
+            Datum::Timestamp(0),
+            Datum::Int(r),
+        ]
+    };
+    // 1 = 1.0; -0.0 is not 0.0 (so it does not meet Int 0 either); NaN
+    // meets NaN; NULL meets nothing but groups with NULL.
+    let left = vec![
+        row(Datum::Int(1), Datum::Double(0.0), "x", 0),
+        row(Datum::Int(0), Datum::Double(-0.0), "x", 1),
+        row(Datum::Null, Datum::Double(f64::NAN), "y", 2),
+        row(Datum::Int(2), Datum::Null, "y", 0),
+    ];
+    let right = vec![
+        row(Datum::Int(0), Datum::Double(1.0), "x", 1),
+        row(Datum::Null, Datum::Double(-0.0), "y", 2),
+        row(Datum::Int(2), Datum::Double(f64::NAN), "y", 0),
+        row(Datum::Null, Datum::Double(0.0), "x", 0),
+    ];
+    for shape in 0..KEY_SHAPES.len() {
+        for kind in JOIN_KINDS {
+            for residual in [false, true] {
+                assert_engines_agree_in_order(&rel::join(
+                    keyed_table(left.clone()),
+                    keyed_table(right.clone()),
+                    kind,
+                    keyed_condition(shape, residual),
+                ));
+            }
+        }
+        let both: Vec<Row> = left.iter().chain(&right).cloned().collect();
+        assert_engines_agree_in_order(&keyed_group(keyed_table(both), shape));
+    }
+    let int_eq_double = rel::join(
+        keyed_table(left.clone()),
+        keyed_table(right.clone()),
+        JoinKind::Inner,
+        keyed_condition(1, false),
+    );
+    let got = batch_ctx().execute_collect(&int_eq_double).unwrap();
+    // Int 1 = Double 1.0 and Int 0 = Double 0.0 — and nothing else.
+    assert_eq!(got.len(), 2, "{got:?}");
+
+    // An empty build side, for every kind (and an empty probe side).
+    for kind in JOIN_KINDS {
+        for (l, r) in [(left.clone(), vec![]), (vec![], right.clone())] {
+            assert_engines_agree_in_order(&rel::join(
+                keyed_table(l),
+                keyed_table(r),
+                kind,
+                keyed_condition(0, false),
+            ));
+        }
+    }
+}
+
+#[test]
+fn one_key_holding_thousands_of_build_rows_keeps_candidate_order() {
+    // 3 000 build rows share key 7 (beside 50 other keys): every probe
+    // row of that key emits them in build order, with and without a
+    // residual thinning them.
+    let build: Vec<Row> = (0..3_050i64)
+        .map(|n| {
+            vec![
+                Datum::Int(if n % 61 == 0 { n / 61 + 100 } else { 7 }),
+                Datum::Null,
+                Datum::str(format!("b{n}")),
+                Datum::Date(0),
+                Datum::Timestamp(0),
+                Datum::Int(n % 3),
+            ]
+        })
+        .collect();
+    let probe: Vec<Row> = [7i64, 100, 7, 5]
+        .iter()
+        .enumerate()
+        .map(|(n, &k)| {
+            vec![
+                Datum::Int(k),
+                Datum::Null,
+                Datum::str(format!("p{n}")),
+                Datum::Date(0),
+                Datum::Timestamp(0),
+                Datum::Int(1),
+            ]
+        })
+        .collect();
+    for kind in JOIN_KINDS {
+        for residual in [false, true] {
+            assert_engines_agree_in_order(&rel::join(
+                keyed_table(probe.clone()),
+                keyed_table(build.clone()),
+                kind,
+                keyed_condition(0, residual),
+            ));
+        }
+    }
+}
+
+#[test]
+fn group_table_grows_past_seventy_thousand_groups() {
+    // 75 000 distinct (Int, Str) groups, each seen twice, arriving in an
+    // order that keeps creating groups while old ones are revisited.
+    let n = 75_000i64;
+    let rows: Vec<Row> = (0..2 * n)
+        .map(|j| {
+            let g = if j % 2 == 0 { j / 2 } else { n - 1 - j / 2 };
+            vec![
+                Datum::Int(g % 1_000),
+                Datum::Null,
+                Datum::str(format!("group-{}", g / 1_000)),
+                Datum::Date(0),
+                Datum::Timestamp(0),
+                Datum::Int(j % 3),
+            ]
+        })
+        .collect();
+    let plan = keyed_group(keyed_table(rows), 7);
+    assert_engines_agree_in_order(&plan);
+    let got = batch_ctx().execute_collect(&plan).unwrap();
+    assert_eq!(got.len(), n as usize);
+    assert!(got.iter().all(|r| r[2] == Datum::Int(2)));
+}
+
 #[test]
 fn overflow_adjacent_sum_errors_in_both_engines() {
     // Two i64::MAX values: SUM overflows. Both engines must fail (the

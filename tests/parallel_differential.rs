@@ -204,6 +204,201 @@ fn joins_identical_across_worker_counts() {
     }
 }
 
+// ---------------------------------------------------------------------
+// Keys: every lane of the key kernel, workers 1 vs N
+// ---------------------------------------------------------------------
+
+/// Arity of [`keyed_scan`]: (i INT, d DOUBLE, s VARCHAR, t DATE,
+/// ts TIMESTAMP NOT NULL, r INT NOT NULL).
+const KEYED_ARITY: usize = 6;
+
+/// A range-scannable table of `n` rows whose key columns collide across
+/// lanes: Int values that equal Doubles, `-0.0` beside `0.0`, NaN, the
+/// empty string, NULLs, and `DATE`/`TIMESTAMP` columns (no typed
+/// vector). `salt` decorrelates the two sides of a join.
+fn keyed_scan(name: &str, n: i64, salt: i64) -> Rel {
+    let rows: Vec<Row> = (0..n)
+        .map(|j| {
+            let h = (j + salt) * 7919 % 1009;
+            let null_if = |m: i64, d: Datum| if h % m == 0 { Datum::Null } else { d };
+            vec![
+                null_if(11, Datum::Int(h % 5)),
+                null_if(
+                    13,
+                    match h % 7 {
+                        5 => Datum::Double(-0.0),
+                        6 => Datum::Double(f64::NAN),
+                        v => Datum::Double(v as f64),
+                    },
+                ),
+                null_if(
+                    17,
+                    if h % 6 == 0 {
+                        Datum::str("")
+                    } else {
+                        Datum::str(format!("a-thirteen-b{}", h % 4))
+                    },
+                ),
+                null_if(19, Datum::Date((h % 3) as i32)),
+                Datum::Timestamp(h % 2 * 1_000),
+                Datum::Int(j % 3),
+            ]
+        })
+        .collect();
+    let t = rcalcite_core::catalog::MemTable::new(
+        RowTypeBuilder::new()
+            .add("i", TypeKind::Integer)
+            .add("d", TypeKind::Double)
+            .add("s", TypeKind::Varchar)
+            .add("t", TypeKind::Date)
+            .add_not_null("ts", TypeKind::Timestamp)
+            .add_not_null("r", TypeKind::Integer)
+            .build(),
+        rows,
+    );
+    rel::scan(TableRef::new("t", name, t))
+}
+
+/// Key shapes as (left columns, right columns): each typed lane,
+/// Int = Double both ways round, the untyped kinds, and two- and
+/// three-column keys mixing Int, Str and Date.
+const KEY_SHAPES: [(&[usize], &[usize]); 10] = [
+    (&[0], &[0]),
+    (&[0], &[1]),
+    (&[1], &[0]),
+    (&[1], &[1]),
+    (&[2], &[2]),
+    (&[3], &[3]),
+    (&[4], &[4]),
+    (&[0, 2], &[0, 2]),
+    (&[1, 2], &[0, 2]),
+    (&[0, 2, 3], &[0, 2, 3]),
+];
+
+#[test]
+fn keyed_joins_identical_across_worker_counts() {
+    for (shape, (lk, rk)) in KEY_SHAPES.iter().enumerate() {
+        for (k, kind) in [
+            JoinKind::Inner,
+            JoinKind::Left,
+            JoinKind::Right,
+            JoinKind::Full,
+            JoinKind::Semi,
+            JoinKind::Anti,
+        ]
+        .into_iter()
+        .enumerate()
+        {
+            let mut conj: Vec<RexNode> = lk
+                .iter()
+                .zip(*rk)
+                .map(|(&l, &r)| {
+                    RexNode::input(l, int_ty()).eq(RexNode::input(KEYED_ARITY + r, int_ty()))
+                })
+                .collect();
+            // Every other (shape, kind) also carries a residual.
+            if (shape + k) % 2 == 1 {
+                conj.push(RexNode::call(
+                    Op::Le,
+                    vec![
+                        RexNode::input(5, int_ty()),
+                        RexNode::input(KEYED_ARITY + 5, int_ty()),
+                    ],
+                ));
+            }
+            let plan = rel::join(
+                keyed_scan("probe", 400, 0),
+                keyed_scan("build", 90, 31),
+                kind,
+                RexNode::and_all(conj),
+            );
+            assert_parallel_identical(&plan, 64);
+        }
+    }
+    // One key holding thousands of build rows (candidate order), and an
+    // empty build side.
+    let heavy = rel::filter(
+        keyed_scan("build", 2_500, 5),
+        RexNode::input(4, int_ty()).eq(RexNode::input(4, int_ty())),
+    );
+    let cond = RexNode::input(4, int_ty()).eq(RexNode::input(KEYED_ARITY + 4, int_ty()));
+    for kind in [JoinKind::Inner, JoinKind::Full, JoinKind::Semi] {
+        let plan = rel::join(
+            keyed_scan("probe", 40, 0),
+            heavy.clone(),
+            kind,
+            cond.clone(),
+        );
+        assert_parallel_identical(&plan, 16);
+        let empty = rel::filter(
+            keyed_scan("build", 90, 31),
+            RexNode::input(5, int_ty()).gt(RexNode::lit_int(99)),
+        );
+        let plan = rel::join(keyed_scan("probe", 300, 0), empty, kind, cond.clone());
+        assert_parallel_identical(&plan, 64);
+    }
+}
+
+#[test]
+fn keyed_aggregates_identical_across_worker_counts() {
+    let base = keyed_scan("facts", 900, 3);
+    let rt = base.row_type().clone();
+    for (lk, _) in KEY_SHAPES {
+        let plan = rel::aggregate(
+            base.clone(),
+            lk.to_vec(),
+            vec![
+                AggCall::count_star("c"),
+                AggCall::new(AggFunc::Sum, vec![5], false, "s", &rt),
+                AggCall::new(AggFunc::Count, vec![5], true, "dc", &rt),
+                AggCall::new(AggFunc::Min, vec![2], false, "mn", &rt),
+            ],
+        );
+        assert_parallel_identical(&plan, 48);
+    }
+}
+
+#[test]
+fn group_table_growth_identical_across_worker_counts() {
+    // > 70 000 groups over a two-column (Int, Str) key: every worker's
+    // table grows from empty many times over, and the partial merge
+    // interns tens of thousands of keys batch-wise.
+    let n = 72_000i64;
+    let t = rcalcite_core::catalog::MemTable::new(
+        RowTypeBuilder::new()
+            .add_not_null("k", TypeKind::Integer)
+            .add_not_null("s", TypeKind::Varchar)
+            .add_not_null("v", TypeKind::Integer)
+            .build(),
+        (0..2 * n)
+            .map(|j| {
+                let g = j * 31 % n;
+                vec![
+                    Datum::Int(g % 300),
+                    Datum::str(format!("group-{}", g / 300)),
+                    Datum::Int(j % 5),
+                ]
+            })
+            .collect(),
+    );
+    let scan = rel::scan(TableRef::new("t", "many_groups", t));
+    let rt = scan.row_type().clone();
+    let plan = rel::aggregate(
+        scan,
+        vec![0, 1],
+        vec![
+            AggCall::count_star("c"),
+            AggCall::new(AggFunc::Sum, vec![2], false, "s", &rt),
+        ],
+    );
+    let serial = batch_ctx().execute_collect(&plan).unwrap();
+    assert_eq!(serial.len(), n as usize);
+    for workers in [1usize, 4] {
+        let par = par_ctx(workers, 4096).execute_collect(&plan).unwrap();
+        assert!(par == serial, "workers={workers}");
+    }
+}
+
 #[test]
 fn order_by_is_byte_identical_across_worker_counts() {
     // Heavy collation ties (x has 17 distinct values over 600 rows):

@@ -185,6 +185,152 @@ fn aggregates_identical_across_budgets() {
     assert_spill_identical(&plan);
 }
 
+// ---------------------------------------------------------------------
+// Keys: grace routing and chunk merges run on the key kernel's hash
+// ---------------------------------------------------------------------
+
+/// Arity of [`keyed_scan`]: (i INT, d DOUBLE, s VARCHAR, t DATE,
+/// ts TIMESTAMP NOT NULL, r INT NOT NULL).
+const KEYED_ARITY: usize = 6;
+
+/// `n` rows whose key columns collide across lanes — Int values that
+/// equal Doubles, `-0.0` beside `0.0`, NaN, the empty string, NULLs,
+/// `DATE`/`TIMESTAMP` columns (no typed vector). A partition routed by
+/// the Int hash of `1` must be where the Double `1.0` lands too.
+fn keyed_scan(name: &str, n: i64, salt: i64) -> Rel {
+    let rows: Vec<Row> = (0..n)
+        .map(|j| {
+            let h = (j + salt) * 7919 % 1009;
+            let null_if = |m: i64, d: Datum| if h % m == 0 { Datum::Null } else { d };
+            vec![
+                null_if(11, Datum::Int(h % 40)),
+                null_if(
+                    13,
+                    match h % 43 {
+                        41 => Datum::Double(-0.0),
+                        42 => Datum::Double(f64::NAN),
+                        v => Datum::Double(v as f64),
+                    },
+                ),
+                null_if(
+                    17,
+                    if h % 36 == 0 {
+                        Datum::str("")
+                    } else {
+                        Datum::str(format!("a-thirteen-b{}", h % 30))
+                    },
+                ),
+                null_if(19, Datum::Date((h % 25) as i32)),
+                Datum::Timestamp(h % 20 * 1_000),
+                Datum::Int(j % 3),
+            ]
+        })
+        .collect();
+    let t = MemTable::new(
+        RowTypeBuilder::new()
+            .add("i", TypeKind::Integer)
+            .add("d", TypeKind::Double)
+            .add("s", TypeKind::Varchar)
+            .add("t", TypeKind::Date)
+            .add_not_null("ts", TypeKind::Timestamp)
+            .add_not_null("r", TypeKind::Integer)
+            .build(),
+        rows,
+    );
+    rel::scan(TableRef::new("t", name, t))
+}
+
+/// Key shapes as (left columns, right columns).
+const KEY_SHAPES: [(&[usize], &[usize]); 8] = [
+    (&[0], &[1]),
+    (&[1], &[0]),
+    (&[1], &[1]),
+    (&[2], &[2]),
+    (&[3], &[3]),
+    (&[4], &[4]),
+    (&[1, 2], &[0, 2]),
+    (&[0, 2, 3], &[0, 2, 3]),
+];
+
+#[test]
+fn keyed_joins_identical_across_budgets() {
+    // Both sides exceed the small budgets, so build rows partition by
+    // the kernel's hash, spill, and re-split under the next salt.
+    for (shape, (lk, rk)) in KEY_SHAPES.iter().enumerate() {
+        let mut conj: Vec<RexNode> = lk
+            .iter()
+            .zip(*rk)
+            .map(|(&l, &r)| {
+                RexNode::input(l, int_ty()).eq(RexNode::input(KEYED_ARITY + r, int_ty()))
+            })
+            .collect();
+        if shape % 2 == 1 {
+            conj.push(RexNode::call(
+                Op::Le,
+                vec![
+                    RexNode::input(5, int_ty()),
+                    RexNode::input(KEYED_ARITY + 5, int_ty()),
+                ],
+            ));
+        }
+        let cond = RexNode::and_all(conj);
+        for kind in [
+            JoinKind::Inner,
+            JoinKind::Left,
+            JoinKind::Right,
+            JoinKind::Full,
+            JoinKind::Semi,
+            JoinKind::Anti,
+        ] {
+            let plan = rel::join(
+                keyed_scan("probe", 700, 0),
+                keyed_scan("build", 500, 31),
+                kind,
+                cond.clone(),
+            );
+            assert_spill_identical(&plan);
+        }
+    }
+    // Three keys (`r`) holding a thousand build rows each: a partition cannot
+    // shrink by re-splitting (the recursion floor loads it anyway) and
+    // candidates must still come out in build order. And an empty build
+    // side under a budget.
+    let on_r = RexNode::input(5, int_ty()).eq(RexNode::input(KEYED_ARITY + 5, int_ty()));
+    for kind in [JoinKind::Inner, JoinKind::Full, JoinKind::Anti] {
+        let plan = rel::join(
+            keyed_scan("probe", 60, 0),
+            keyed_scan("build", 3_000, 5),
+            kind,
+            on_r.clone(),
+        );
+        assert_spill_identical(&plan);
+        let empty = rel::filter(
+            keyed_scan("build", 500, 31),
+            RexNode::input(5, int_ty()).gt(RexNode::lit_int(99)),
+        );
+        let plan = rel::join(keyed_scan("probe", 700, 0), empty, kind, on_r.clone());
+        assert_spill_identical(&plan);
+    }
+}
+
+#[test]
+fn keyed_aggregates_identical_across_budgets() {
+    let base = keyed_scan("facts", 2_000, 3);
+    let rt = base.row_type().clone();
+    for (lk, _) in KEY_SHAPES {
+        let plan = rel::aggregate(
+            base.clone(),
+            lk.to_vec(),
+            vec![
+                AggCall::count_star("c"),
+                AggCall::new(AggFunc::Sum, vec![5], false, "s", &rt),
+                AggCall::new(AggFunc::Count, vec![5], true, "dc", &rt),
+            ],
+        );
+        assert_spill_identical(&plan);
+    }
+}
+
 #[test]
 fn sorts_identical_across_budgets() {
     // Heavy collation ties (17 distinct x over 4000 rows): the run
