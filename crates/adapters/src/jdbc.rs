@@ -45,13 +45,13 @@ impl Table for JdbcTable {
     }
 
     fn scan_columns(&self) -> Option<Result<Vec<Column>>> {
-        // memdb keeps a native columnar mirror, so batch executors get
-        // typed vectors straight from storage with no row pivot.
+        // memdb stores typed columns, so batch executors get them
+        // straight from storage with no row pivot.
         Some(self.db.scan_columns(&self.name))
     }
 
     fn scan_batches(&self, batch_size: usize) -> Result<Box<dyn BatchIter>> {
-        // Stream slices of the columnar mirror lazily instead of cloning
+        // Stream slices of the stored columns lazily instead of cloning
         // whole columns up front — the batch pipeline pulls one slice at
         // a time from an Arc snapshot of the relation.
         self.db.scan_batches(&self.name, batch_size)
@@ -63,7 +63,7 @@ impl Table for JdbcTable {
 
     fn scan_snapshot(&self) -> Result<Option<Arc<dyn rcalcite_core::catalog::RangeScan>>> {
         // Morsel workers slice disjoint ranges of one Arc snapshot of
-        // memdb's columnar mirror — no copying, no locking during the
+        // memdb's column chunks — no copying, no locking during the
         // scan.
         Ok(Some(self.db.scan_snapshot(&self.name)?))
     }
@@ -73,7 +73,7 @@ impl Table for JdbcTable {
     }
 
     fn analyze(&self) -> Option<Result<rcalcite_core::stats::TableStats>> {
-        // ANALYZE reads memdb's columnar mirror zero-copy instead of going
+        // ANALYZE reads memdb's column chunks in place instead of going
         // through the generic scan surface.
         Some(self.db.analyze(&self.name))
     }
@@ -490,7 +490,7 @@ mod tests {
     }
 
     #[test]
-    fn analyze_reads_columnar_mirror() {
+    fn analyze_reads_stored_columns() {
         let db = sample_db();
         let adapter = JdbcAdapter::new(db, "pg", Arc::new(PostgresDialect));
         let t = adapter.schema().table("products").unwrap();

@@ -8,59 +8,47 @@
 use crate::common::ColPredicate;
 use parking_lot::{Mutex, RwLock};
 use rcalcite_core::catalog::RangeScan;
-use rcalcite_core::datum::{Column, Datum, Row};
+use rcalcite_core::datum::{Column, Row};
 use rcalcite_core::error::{CalciteError, Result};
-use rcalcite_core::exec::{BatchIter, SlicedColumns};
-use rcalcite_core::index::{IndexData, IndexDef, IndexProbe, KeyAccess, SnapshotProbe};
-use rcalcite_core::stats::{analyze_columns, TableStats};
-use rcalcite_core::txn::{DeltaOp, NetDelta, TxnVersion};
+use rcalcite_core::exec::BatchIter;
+use rcalcite_core::index::{IndexDef, IndexProbe};
+use rcalcite_core::stats::TableStats;
+use rcalcite_core::store::Version;
+use rcalcite_core::txn::{DeltaOp, TxnVersion};
 use rcalcite_core::types::TypeKind;
 use std::collections::HashMap;
 use std::sync::Arc;
 
-/// One relation: schema plus rows, mirrored columnar.
+/// One relation: schema plus the current [`Version`] of its contents —
+/// chunked typed columns, stable row ids and secondary indexes behind one
+/// `Arc`, the same store core's `MemTable` sits on. Every snapshot the
+/// database hands out (scan, probe, transaction) is a clone of that
+/// `Arc`; a write copies only the chunks it touches away from them. The
+/// id counter lives on [`MemDb`], so reservations never touch a relation.
 #[derive(Debug, Clone)]
 pub struct MemRelation {
     pub columns: Vec<(String, TypeKind)>,
-    pub rows: Vec<Row>,
-    /// Stable row ids, parallel to `rows` and strictly ascending — inside
-    /// the copy-on-write struct, so a relation snapshot pins rows and ids
-    /// together, and an id resolves to its position by binary search. The
-    /// id counter lives on [`MemDb`] (outside the snapshot), so
-    /// reservations never clone the relation.
-    row_ids: Vec<u64>,
-    /// Columnar mirror of `rows`, built at load time and maintained on
-    /// insert, so batch scans read typed vectors directly instead of
-    /// pivoting rows per scan.
-    col_store: Vec<Column>,
-    /// Secondary indexes over the columnar mirror, maintained
-    /// incrementally on insert. Stored *inside* the relation so the
-    /// copy-on-write `Arc` snapshot discipline covers them too: an
-    /// in-flight probe snapshot pairs index state with exactly the rows
-    /// it was built over.
-    indexes: Vec<Arc<IndexData>>,
+    version: Arc<Version>,
 }
 
 impl MemRelation {
     fn new(columns: Vec<(String, TypeKind)>, rows: Vec<Row>) -> MemRelation {
-        let col_store = columns
-            .iter()
-            .enumerate()
-            .map(|(i, (_, kind))| Column::from_rows(kind, &rows, i))
-            .collect();
-        let row_ids = (0..rows.len() as u64).collect();
+        let kinds = columns.iter().map(|(_, kind)| kind.clone()).collect();
         MemRelation {
             columns,
-            rows,
-            row_ids,
-            col_store,
-            indexes: vec![],
+            version: Arc::new(Version::new(kinds, rows)),
         }
     }
 
-    /// Stable ids of the current rows, parallel to `rows`.
-    pub fn row_ids(&self) -> &[u64] {
-        &self.row_ids
+    /// The current rows, in position order.
+    pub fn rows(&self) -> Vec<Row> {
+        self.version.rows_with_ids().map(|(_, row)| row).collect()
+    }
+
+    /// Stable ids of the current rows, parallel to [`MemRelation::rows`]
+    /// and strictly ascending.
+    pub fn row_ids(&self) -> Vec<u64> {
+        self.version.row_ids().collect()
     }
 
     pub fn column_index(&self, name: &str) -> Option<usize> {
@@ -69,49 +57,15 @@ impl MemRelation {
             .position(|(n, _)| n.eq_ignore_ascii_case(name))
     }
 
-    /// The native columnar form of this relation.
-    pub fn column_data(&self) -> &[Column] {
-        &self.col_store
+    /// The native columnar form of this relation: one column slice per
+    /// chunk of the store, in position order.
+    pub fn column_chunks(&self) -> impl Iterator<Item = &[Column]> + '_ {
+        self.version.chunks()
     }
 
     /// Definitions of the secondary indexes on this relation.
     pub fn index_defs(&self) -> Vec<IndexDef> {
-        self.indexes.iter().map(|i| i.def.clone()).collect()
-    }
-}
-
-/// [`KeyAccess`] over a relation snapshot's columnar mirror: index
-/// build/probe reads typed vectors positionally, no row pivoting.
-pub struct RelAccess(pub Arc<MemRelation>);
-
-impl KeyAccess for RelAccess {
-    fn len(&self) -> usize {
-        self.0.rows.len()
-    }
-
-    fn arity(&self) -> usize {
-        self.0.columns.len()
-    }
-
-    fn datum(&self, row: usize, col: usize) -> Datum {
-        self.0.col_store[col].get(row)
-    }
-}
-
-/// Borrowed columnar [`KeyAccess`] for in-place index maintenance.
-struct ColAccess<'a>(&'a [Column]);
-
-impl KeyAccess for ColAccess<'_> {
-    fn len(&self) -> usize {
-        self.0.first().map_or(0, Column::len)
-    }
-
-    fn arity(&self) -> usize {
-        self.0.len()
-    }
-
-    fn datum(&self, row: usize, col: usize) -> Datum {
-        self.0[col].get(row)
+        self.version.index_defs()
     }
 }
 
@@ -153,72 +107,6 @@ pub struct MemDb {
     versions: Mutex<HashMap<String, u64>>,
 }
 
-/// An `Arc` snapshot of a relation's columnar mirror, viewable as a
-/// column slice for [`SlicedColumns`]. Also serves as the [`RangeScan`]
-/// morsel-driven parallel scans slice: every worker's range reads the
-/// same snapshot, zero-copy (only the slice being pulled is cloned).
-pub struct ColStoreSnapshot(Arc<MemRelation>);
-
-impl AsRef<[Column]> for ColStoreSnapshot {
-    fn as_ref(&self) -> &[Column] {
-        &self.0.col_store
-    }
-}
-
-impl RangeScan for ColStoreSnapshot {
-    fn row_count(&self) -> usize {
-        self.0.rows.len()
-    }
-
-    fn scan_range(
-        self: Arc<Self>,
-        batch_size: usize,
-        start: usize,
-        len: usize,
-    ) -> Result<Box<dyn BatchIter>> {
-        Ok(Box::new(SlicedColumns::new_range(
-            ColStoreSnapshot(self.0.clone()),
-            batch_size,
-            start,
-            len,
-        )))
-    }
-}
-
-/// A [`TxnVersion`] of a relation: the `Arc` snapshot pins rows, ids,
-/// columnar mirror and indexes at one instant.
-struct RelVersion(Arc<MemRelation>);
-
-impl TxnVersion for RelVersion {
-    fn row_count(&self) -> usize {
-        self.0.rows.len()
-    }
-
-    fn row(&self, pos: usize) -> Row {
-        self.0.rows[pos].clone()
-    }
-
-    fn row_id(&self, pos: usize) -> u64 {
-        self.0.row_ids[pos]
-    }
-
-    fn position_of(&self, row_id: u64) -> Option<usize> {
-        self.0.row_ids.binary_search(&row_id).ok()
-    }
-
-    fn index_defs(&self) -> Vec<IndexDef> {
-        self.0.index_defs()
-    }
-
-    fn index_probe(&self, index: &str) -> Option<Arc<dyn IndexProbe>> {
-        let idx = self.0.indexes.iter().find(|i| i.def.name == index)?.clone();
-        Some(Arc::new(SnapshotProbe {
-            data: RelAccess(Arc::clone(&self.0)),
-            index: idx,
-        }))
-    }
-}
-
 impl MemDb {
     pub fn new() -> Arc<MemDb> {
         Arc::new(MemDb::default())
@@ -231,47 +119,43 @@ impl MemDb {
         rows: Vec<Row>,
     ) {
         let name = name.into().to_ascii_lowercase();
+        self.next_ids.lock().insert(name.clone(), rows.len() as u64);
         let rel = MemRelation::new(columns, rows);
-        self.next_ids
-            .lock()
-            .insert(name.clone(), rel.rows.len() as u64);
         self.tables.write().insert(name, Arc::new(rel));
     }
 
-    pub fn insert(&self, table: &str, row: Row) -> Result<()> {
+    fn relation(&self, table: &str) -> Result<Arc<MemRelation>> {
+        self.table(table)
+            .ok_or_else(|| CalciteError::execution(format!("memdb: no table '{table}'")))
+    }
+
+    fn version(&self, table: &str) -> Result<Arc<Version>> {
+        Ok(Arc::clone(&self.relation(table)?.version))
+    }
+
+    /// Runs `f` on the current version of `table` under the write lock.
+    /// Snapshots taken earlier keep the version they cloned.
+    fn write<R>(&self, table: &str, f: impl FnOnce(&mut Arc<Version>) -> Result<R>) -> Result<R> {
         let mut tables = self.tables.write();
         let rel = tables
             .get_mut(&table.to_ascii_lowercase())
             .ok_or_else(|| CalciteError::execution(format!("memdb: no table '{table}'")))?;
-        // Copy-on-write: in-flight scan snapshots keep the pre-insert
-        // relation; new scans see the new row.
-        let rel = Arc::make_mut(rel);
-        if row.len() != rel.columns.len() {
-            return Err(CalciteError::execution(format!(
-                "memdb: arity mismatch inserting into '{table}'"
-            )));
-        }
-        for (col, d) in rel.col_store.iter_mut().zip(row.iter()) {
-            col.push(d.clone());
-        }
-        rel.rows.push(row);
-        {
+        f(&mut Arc::make_mut(rel).version)
+    }
+
+    pub fn insert(&self, table: &str, row: Row) -> Result<()> {
+        self.write(table, |version| {
+            if row.len() != version.arity() {
+                return Err(CalciteError::execution(format!(
+                    "memdb: arity mismatch inserting into '{table}'"
+                )));
+            }
             let mut ids = self.next_ids.lock();
             let next = ids.entry(table.to_ascii_lowercase()).or_default();
-            rel.row_ids.push(*next);
+            Version::push(version, *next, row);
             *next += 1;
-        }
-        // Incremental index maintenance (no rebuild): the new row is the
-        // last position of the already-updated columnar mirror. Disjoint
-        // field borrows let the indexes read the mirror while mutating.
-        let MemRelation {
-            col_store, indexes, ..
-        } = rel;
-        let access = ColAccess(col_store);
-        let pos = access.len() - 1;
-        for idx in indexes.iter_mut() {
-            Arc::make_mut(idx).insert(&access, pos);
-        }
+            Ok(())
+        })?;
         self.bump_version(table);
         Ok(())
     }
@@ -294,65 +178,23 @@ impl MemDb {
             .or_default() += 1;
     }
 
-    /// Captures an immutable MVCC version of `table`: one `Arc` snapshot
-    /// carrying rows, ids, columnar mirror and index state together.
+    /// Captures an immutable MVCC version of `table`: one `Arc` clone
+    /// carrying rows, ids and index state together.
     pub fn txn_snapshot(&self, table: &str) -> Result<Arc<dyn TxnVersion>> {
-        let rel = self
-            .table(table)
-            .ok_or_else(|| CalciteError::execution(format!("memdb: no table '{table}'")))?;
-        Ok(Arc::new(RelVersion(rel)))
+        Ok(self.version(table)?)
     }
 
-    /// Applies a committed MVCC delta under the copy-on-write swap: open
-    /// snapshots keep the pre-delta relation, and rows, the columnar
-    /// mirror and the indexes are all patched in place at the touched
-    /// positions — O(|delta| · log n), plus one compaction pass per
-    /// dense array when the delta deletes. The stream is validated whole
-    /// first: a bad op changes nothing, the data version included.
+    /// Applies a committed MVCC delta: open snapshots keep the pre-delta
+    /// version, sharing every chunk the delta does not touch, and the
+    /// indexes are patched at the touched positions. The stream is
+    /// validated whole first: a bad op changes nothing, the data version
+    /// included.
     pub fn apply_delta(&self, table: &str, ops: &[DeltaOp]) -> Result<usize> {
-        let mut tables = self.tables.write();
-        let rel = tables
-            .get_mut(&table.to_ascii_lowercase())
-            .ok_or_else(|| CalciteError::execution(format!("memdb: no table '{table}'")))?;
-        let mut net = NetDelta::default();
-        net.fold(
-            |id| rel.row_ids.binary_search(&id).ok(),
-            ops,
-            rel.columns.len(),
-        )?;
-        let MemRelation {
-            columns,
-            rows,
-            row_ids,
-            col_store,
-            indexes,
-        } = Arc::make_mut(rel);
-        let rekeyed: Vec<Vec<usize>> = indexes
-            .iter_mut()
-            .map(|idx| IndexData::unlink(idx, &ColAccess(col_store), &net))
-            .collect();
-        let outcome = net.apply(rows, row_ids);
-        if let Some(max_id) = outcome.max_inserted_id {
+        let max_inserted = self.write(table, |version| Version::apply_delta(version, ops))?;
+        if let Some(max_id) = max_inserted {
             let mut ids = self.next_ids.lock();
             let next = ids.entry(table.to_ascii_lowercase()).or_default();
             *next = (*next).max(max_id + 1);
-        }
-        // The mirror follows the rows: same three steps, same order.
-        let rewritten: Vec<(usize, &Row)> = outcome
-            .rewritten
-            .iter()
-            .map(|&pos| (pos, &rows[outcome.final_pos(pos)]))
-            .collect();
-        for (c, col) in col_store.iter_mut().enumerate() {
-            for (pos, row) in &rewritten {
-                col.set(*pos, row[c].clone());
-            }
-            col.remove_sorted(&outcome.deleted);
-            let added = outcome.inserted.iter().map(|&pos| rows[pos][c].clone());
-            col.insert_sorted(&outcome.inserted, Column::from_datums(&columns[c].1, added));
-        }
-        for (idx, rekeyed) in indexes.iter_mut().zip(&rekeyed) {
-            IndexData::relink(idx, &ColAccess(col_store), &outcome, rekeyed);
         }
         self.bump_version(table);
         Ok(ops.len())
@@ -374,35 +216,14 @@ impl MemDb {
     }
 
     /// Creates a secondary index on `table`, built over the current
-    /// columnar mirror. Copy-on-write like `insert`: open snapshots keep
-    /// the index-less relation.
+    /// rows. Open snapshots keep the index-less version.
     pub fn create_index(&self, table: &str, def: &IndexDef) -> Result<()> {
-        let mut tables = self.tables.write();
-        let rel = tables
-            .get_mut(&table.to_ascii_lowercase())
-            .ok_or_else(|| CalciteError::execution(format!("memdb: no table '{table}'")))?;
-        let rel = Arc::make_mut(rel);
-        if rel.indexes.iter().any(|i| i.def.name == def.name) {
-            return Err(CalciteError::validate(format!(
-                "index '{}' already exists on '{table}'",
-                def.name
-            )));
-        }
-        let built = IndexData::build(def.clone(), &ColAccess(&rel.col_store))?;
-        rel.indexes.push(Arc::new(built));
-        Ok(())
+        self.write(table, |version| Version::create_index(version, def))
     }
 
     /// Drops an index from `table`; `Ok(true)` if it existed.
     pub fn drop_index(&self, table: &str, name: &str) -> Result<bool> {
-        let mut tables = self.tables.write();
-        let rel = tables
-            .get_mut(&table.to_ascii_lowercase())
-            .ok_or_else(|| CalciteError::execution(format!("memdb: no table '{table}'")))?;
-        let rel = Arc::make_mut(rel);
-        let before = rel.indexes.len();
-        rel.indexes.retain(|i| i.def.name != name);
-        Ok(rel.indexes.len() < before)
+        self.write(table, |version| Ok(Version::drop_index(version, name)))
     }
 
     /// The index definitions on `table` (empty for unknown tables).
@@ -410,62 +231,35 @@ impl MemDb {
         self.table(table).map_or(vec![], |rel| rel.index_defs())
     }
 
-    /// A consistent probe snapshot of `index` on `table`: one `Arc`
-    /// snapshot carries rows, columnar mirror and index state together,
-    /// so probes are undisturbed by concurrent inserts. `Ok(None)` when
-    /// the index does not exist.
+    /// A consistent probe snapshot of `index` on `table`: rows and index
+    /// state of one version, undisturbed by concurrent writes. `Ok(None)`
+    /// when the index does not exist.
     pub fn index_probe(&self, table: &str, index: &str) -> Result<Option<Arc<dyn IndexProbe>>> {
-        let rel = self
-            .table(table)
-            .ok_or_else(|| CalciteError::execution(format!("memdb: no table '{table}'")))?;
-        let Some(idx) = rel.indexes.iter().find(|i| i.def.name == index).cloned() else {
-            return Ok(None);
-        };
-        Ok(Some(Arc::new(SnapshotProbe {
-            data: RelAccess(rel),
-            index: idx,
-        })))
+        Ok(self.version(table)?.index_probe(index))
     }
 
-    /// Native columnar scan: clones the typed column vectors of a table —
-    /// no per-row pivoting. This is the materializing form; batch
-    /// executors stream through [`MemDb::scan_batches`] instead.
+    /// Native columnar scan: the typed column vectors of a table, chunks
+    /// concatenated — no per-row pivoting. This is the materializing
+    /// form; batch executors stream through [`MemDb::scan_batches`].
     pub fn scan_columns(&self, name: &str) -> Result<Vec<Column>> {
-        self.tables
-            .read()
-            .get(&name.to_ascii_lowercase())
-            .map(|t| t.col_store.clone())
-            .ok_or_else(|| CalciteError::execution(format!("memdb: no table '{name}'")))
+        Ok(self.version(name)?.to_columns())
     }
 
-    /// Streaming columnar scan: takes an `Arc` snapshot of the relation
-    /// and serves `batch_size`-row slices of the columnar mirror on
-    /// demand. Nothing beyond the slice being pulled is copied, so the
-    /// batch pipeline's memory stays bounded regardless of table size.
+    /// Streaming columnar scan: batches of at most `batch_size` rows
+    /// sliced out of one version's chunks on demand. Nothing beyond the
+    /// slice being pulled is copied, so the batch pipeline's memory stays
+    /// bounded regardless of table size.
     pub fn scan_batches(&self, name: &str, batch_size: usize) -> Result<Box<dyn BatchIter>> {
-        let rel = self
-            .tables
-            .read()
-            .get(&name.to_ascii_lowercase())
-            .cloned()
-            .ok_or_else(|| CalciteError::execution(format!("memdb: no table '{name}'")))?;
-        Ok(Box::new(SlicedColumns::new(
-            ColStoreSnapshot(rel),
-            batch_size,
-        )))
+        let snapshot = self.scan_snapshot(name)?;
+        let rows = snapshot.row_count();
+        snapshot.scan_range(batch_size, 0, rows)
     }
 
-    /// A consistent snapshot of a table's columnar mirror for
-    /// morsel-driven parallel scans: workers slice disjoint row ranges
-    /// out of one `Arc` snapshot without copying the store.
-    pub fn scan_snapshot(&self, name: &str) -> Result<Arc<ColStoreSnapshot>> {
-        let rel = self
-            .tables
-            .read()
-            .get(&name.to_ascii_lowercase())
-            .cloned()
-            .ok_or_else(|| CalciteError::execution(format!("memdb: no table '{name}'")))?;
-        Ok(Arc::new(ColStoreSnapshot(rel)))
+    /// A consistent snapshot of a table for morsel-driven parallel scans:
+    /// workers slice disjoint row ranges out of one version without
+    /// copying the store.
+    pub fn scan_snapshot(&self, name: &str) -> Result<Arc<dyn RangeScan>> {
+        Ok(self.version(name)?)
     }
 
     pub fn table(&self, name: &str) -> Option<Arc<MemRelation>> {
@@ -473,14 +267,11 @@ impl MemDb {
     }
 
     /// Computes planner statistics (row count, per-column NDV/min/max/null
-    /// fraction, equi-depth histograms) straight from the columnar mirror
-    /// of an `Arc` snapshot — no row pivoting, no copy of the store. This
-    /// is the native `ANALYZE` path the JDBC adapter's tables expose.
+    /// fraction, equi-depth histograms) over the store's chunks in place —
+    /// no row pivoting, no copy. This is the native `ANALYZE` path the
+    /// JDBC adapter's tables expose.
     pub fn analyze(&self, name: &str) -> Result<TableStats> {
-        let rel = self
-            .table(name)
-            .ok_or_else(|| CalciteError::execution(format!("memdb: no table '{name}'")))?;
-        Ok(analyze_columns(rel.column_data(), rel.rows.len()))
+        Ok(self.version(name)?.analyze())
     }
 
     pub fn table_names(&self) -> Vec<String> {
@@ -490,20 +281,13 @@ impl MemDb {
     }
 
     pub fn row_count(&self, name: &str) -> usize {
-        self.tables
-            .read()
-            .get(&name.to_ascii_lowercase())
-            .map(|t| t.rows.len())
-            .unwrap_or(0)
+        self.table(name).map_or(0, |rel| rel.version.len())
     }
 
     /// Executes a query spec, applying predicates and ordering on base
     /// columns, then projecting.
     pub fn execute(&self, q: &SqlQuerySpec) -> Result<Vec<Row>> {
-        let tables = self.tables.read();
-        let rel = tables
-            .get(&q.table.to_ascii_lowercase())
-            .ok_or_else(|| CalciteError::execution(format!("memdb: no table '{}'", q.table)))?;
+        let rel = self.relation(&q.table)?;
         let ncols = rel.columns.len();
         for p in &q.predicates {
             if p.col >= ncols {
@@ -513,12 +297,17 @@ impl MemDb {
                 )));
             }
         }
-        let mut rows: Vec<Row> = rel
-            .rows
-            .iter()
-            .filter(|r| q.predicates.iter().all(|p| p.matches(r)))
-            .cloned()
-            .collect();
+        // Predicates read their column in place; only matches become rows.
+        let mut rows: Vec<Row> = vec![];
+        for chunk in rel.column_chunks() {
+            let passes = |r: &usize| {
+                let mut preds = q.predicates.iter();
+                preds.all(|p| p.op.matches(&chunk[p.col].get(*r), &p.value))
+            };
+            let len = chunk.first().map_or(0, Column::len);
+            let hits = (0..len).filter(passes);
+            rows.extend(hits.map(|r| chunk.iter().map(|c| c.get(r)).collect::<Row>()));
+        }
         if !q.order.is_empty() {
             // NULLs sort last for both directions, matching the default
             // `FieldCollation` the planner pushes down (so a sort executed
@@ -649,7 +438,7 @@ mod tests {
     }
 
     #[test]
-    fn columnar_mirror_tracks_inserts() {
+    fn columnar_scan_tracks_inserts() {
         let db = db();
         let cols = db.scan_columns("products").unwrap();
         assert_eq!(cols.len(), 3);
@@ -763,11 +552,12 @@ mod tests {
         assert_eq!(before.row(1)[2], Datum::Double(100.0));
         // The live relation reflects the delta; ids stay stable.
         let rel = db.table("products").unwrap();
-        assert_eq!(rel.rows.len(), 3);
-        assert_eq!(rel.row_ids(), &[1, 2, start]);
-        assert_eq!(rel.rows[0][2], Datum::Double(99.0));
-        // Columnar mirror tracks it.
-        assert_eq!(rel.column_data()[2].get(0), Datum::Double(99.0));
+        assert_eq!(rel.row_ids(), [1, 2, start]);
+        assert_eq!(rel.rows()[0][2], Datum::Double(99.0));
+        assert_eq!(
+            rel.column_chunks().next().unwrap()[2].get(0),
+            Datum::Double(99.0)
+        );
         // The index was maintained incrementally and stays exact.
         let probe = db.index_probe("products", "p_id").unwrap().unwrap();
         use rcalcite_core::index::BoundProbe;

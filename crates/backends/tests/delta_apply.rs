@@ -1,26 +1,33 @@
 //! The sparse delta apply, differentially: random op streams run through
-//! `Table::apply_delta` on both MVCC-capable stores — core's row-based
-//! `MemTable` and memdb's columnar `MemRelation` — must leave exactly the
-//! rows a naive reference (a map rebuilt op by op, read back by id) holds,
-//! ids strictly ascending, the columnar mirror in step, and every ordered
-//! and hash index equal to `IndexData::build` over the result.
+//! `Table::apply_delta` on both MVCC-capable tables — core's `MemTable`
+//! and memdb's `MemRelation`, each over the chunked `core::store` — must
+//! leave exactly the rows a naive reference (a map rebuilt op by op, read
+//! back by id) holds, ids strictly ascending, the columnar surface in
+//! step, and every ordered and hash index equal to `IndexData::build`
+//! over the result.
 //!
 //! Streams cover what one transaction can stage — repeated updates of a
 //! row, update-then-delete, insert-then-update/delete — and what two
 //! writers can do to each other: id blocks reserved in one order and
-//! committed in another, used descending within a stream.
+//! committed in another, used descending within a stream. They run over a
+//! 12-row table and over one of more than 2.5 chunks, where the picks
+//! fall on and around the chunk boundaries.
 
 use proptest::prelude::*;
 use rcalcite_backends::memdb::MemDb;
 use rcalcite_core::catalog::{MemTable, Table};
-use rcalcite_core::datum::{Datum, Row};
-use rcalcite_core::index::{BoundProbe, IndexData, IndexDef, IndexProbe, RowsAccess};
+use rcalcite_core::datum::{columns_to_rows, Datum, Row};
+use rcalcite_core::exec::{collect_batches_to_rows, BatchIter};
+use rcalcite_core::index::{BoundProbe, IndexData, IndexDef, IndexProbe, RowsRef};
+use rcalcite_core::store::CHUNK_ROWS;
 use rcalcite_core::txn::DeltaOp;
 use rcalcite_core::types::{RowTypeBuilder, TypeKind};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
 const SEED_ROWS: i64 = 12;
+/// A table of more than 2.5 chunks.
+const CHUNKED_ROWS: i64 = (CHUNK_ROWS * 5 / 2 + 7) as i64;
 /// Key domain of column 0; 0 stands for NULL.
 const KEYS: i64 = 6;
 
@@ -32,8 +39,8 @@ fn key(k: i64) -> Datum {
     }
 }
 
-fn seed_rows() -> Vec<Row> {
-    (0..SEED_ROWS)
+fn seed_rows(n: i64) -> Vec<Row> {
+    (0..n)
         .map(|i| vec![key(i % KEYS), Datum::Int(i), Datum::str(format!("r{i}"))])
         .collect()
 }
@@ -54,14 +61,14 @@ struct Stores {
 }
 
 impl Stores {
-    fn new() -> Stores {
+    fn new(rows: i64) -> Stores {
         let mem = MemTable::new(
             RowTypeBuilder::new()
                 .add("k", TypeKind::Integer)
                 .add_not_null("v", TypeKind::Integer)
                 .add_not_null("tag", TypeKind::Varchar)
                 .build(),
-            seed_rows(),
+            seed_rows(rows),
         );
         let db = MemDb::new();
         db.create_table(
@@ -71,7 +78,7 @@ impl Stores {
                 ("v".into(), TypeKind::Integer),
                 ("tag".into(), TypeKind::Varchar),
             ],
-            seed_rows(),
+            seed_rows(rows),
         );
         for def in index_defs() {
             mem.create_index(&def).unwrap();
@@ -96,15 +103,13 @@ impl Stores {
     }
 
     /// Everything observable about both stores: rows, ids, data versions,
-    /// memdb's columnar mirror, and what every index answers.
+    /// the columnar surface, and what every index answers.
     fn image(&self) -> Vec<String> {
         let rel = self.db.table("t").unwrap();
-        let mirror: Vec<Row> = (0..rel.rows.len())
-            .map(|r| rel.column_data().iter().map(|c| c.get(r)).collect())
-            .collect();
+        let columnar = self.db.scan_columns("t").unwrap();
         let mut out = vec![
             format!("{:?} {:?}", self.mem.rows(), self.mem.row_ids()),
-            format!("{:?} {:?} {mirror:?}", rel.rows, rel.row_ids()),
+            format!("{:?} {:?} {columnar:?}", rel.rows(), rel.row_ids()),
             format!(
                 "{:?} {:?}",
                 self.mem.data_version(),
@@ -185,9 +190,16 @@ fn concretize(
 ) -> Vec<DeltaOp> {
     let mut ops = vec![];
     for step in steps {
+        // On a table of several chunks the picks cluster around every
+        // half-chunk mark — the rows either side of each chunk boundary.
         let nth = |pick: usize| {
             let n = model.len();
-            (n > 0).then(|| *model.keys().nth(pick % n).unwrap())
+            let pos = match n {
+                0 => return None,
+                _ if n > CHUNK_ROWS => (pick / 8 * CHUNK_ROWS / 2 + pick % 8).saturating_sub(4),
+                _ => pick,
+            };
+            Some(*model.keys().nth(pos % n).unwrap())
         };
         match *step {
             Step::Insert { k, v } => {
@@ -228,18 +240,34 @@ fn check_against(stores: &Stores, model: &BTreeMap<u64, Row>, what: &str) {
     assert_eq!(stores.mem.rows(), want_rows, "MemTable rows after {what}");
     assert_eq!(stores.mem.row_ids(), want_ids, "MemTable ids after {what}");
     let rel = stores.db.table("t").unwrap();
-    assert_eq!(rel.rows, want_rows, "memdb rows after {what}");
-    assert_eq!(rel.row_ids(), want_ids.as_slice(), "memdb ids after {what}");
-    for (c, col) in rel.column_data().iter().enumerate() {
-        let want: Vec<Datum> = want_rows.iter().map(|r| r[c].clone()).collect();
-        assert_eq!(
-            col.to_datums(),
-            want,
-            "memdb mirror column {c} after {what}"
-        );
+    assert_eq!(rel.rows(), want_rows, "memdb rows after {what}");
+    assert_eq!(rel.row_ids(), want_ids, "memdb ids after {what}");
+    // The three columnar surfaces of each store.
+    let (mem, db) = (&stores.mem, &stores.db);
+    let drain = |batches: Box<dyn BatchIter>| collect_batches_to_rows(batches).unwrap();
+    for (store, snapshot, batches, columns) in [
+        (
+            "MemTable",
+            mem.scan_snapshot().unwrap().unwrap(),
+            mem.scan_batches(1024).unwrap(),
+            mem.scan_columns().unwrap().unwrap(),
+        ),
+        (
+            "memdb",
+            db.scan_snapshot("t").unwrap(),
+            db.scan_batches("t", 1024).unwrap(),
+            db.scan_columns("t").unwrap(),
+        ),
+    ] {
+        let n = snapshot.row_count();
+        let sliced = drain(snapshot.scan_range(1000, 0, n).unwrap());
+        assert_eq!(sliced, want_rows, "{store} snapshot after {what}");
+        assert_eq!(drain(batches), want_rows, "{store} batches after {what}");
+        let pivoted = columns_to_rows(&columns);
+        assert_eq!(pivoted, want_rows, "{store} columns after {what}");
     }
-    let access = RowsAccess {
-        rows: Arc::new(want_rows),
+    let access = RowsRef {
+        rows: &want_rows,
         arity: 3,
     };
     for def in index_defs() {
@@ -262,52 +290,66 @@ fn check_against(stores: &Stores, model: &BTreeMap<u64, Row>, what: &str) {
     }
 }
 
+/// Runs `script` (one op stream per entry) over both stores loaded with
+/// `rows` seed rows, checking them against the model after every stream.
+fn run_script(rows: i64, script: &[Vec<Step>]) {
+    let stores = Stores::new(rows);
+    let mut model: BTreeMap<u64, Row> = (0..).zip(seed_rows(rows)).collect();
+    // Two writers take turns reserving an id block per stream, in
+    // stream order ...
+    let blocks: Vec<Vec<u64>> = script
+        .iter()
+        .map(|steps| {
+            let inserts = steps.iter().filter(|s| matches!(s, Step::Insert { .. }));
+            let n = inserts.count();
+            let start = stores.reserve(n);
+            (start..start + n as u64).collect()
+        })
+        .collect();
+    // ... but each pair of streams commits in the opposite order, and
+    // odd streams use their block descending.
+    let mut order: Vec<usize> = (0..script.len()).collect();
+    for pair in order.chunks_mut(2) {
+        pair.reverse();
+    }
+    for s in order {
+        let mut block = blocks[s].clone();
+        if s % 2 == 1 {
+            block.reverse();
+        }
+        let ops = concretize(&mut model, &script[s], block.into_iter());
+        assert!(stores.apply(&ops), "valid stream {s} rejected: {ops:?}");
+        check_against(&stores, &model, &format!("stream {s}: {ops:?}"));
+    }
+}
+
+fn script_strategy() -> impl Strategy<Value = Vec<Vec<Step>>> {
+    proptest::collection::vec(proptest::collection::vec(step_strategy(), 1..10), 1..7)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     #[test]
-    fn apply_matches_naive_reference(
-        script in proptest::collection::vec(
-            proptest::collection::vec(step_strategy(), 1..10),
-            1..7,
-        )
-    ) {
-        let stores = Stores::new();
-        let mut model: BTreeMap<u64, Row> =
-            (0..).zip(seed_rows()).collect();
-        // Two writers take turns reserving an id block per stream, in
-        // stream order ...
-        let blocks: Vec<Vec<u64>> = script
-            .iter()
-            .map(|steps| {
-                let n = steps.iter().filter(|s| matches!(s, Step::Insert { .. })).count();
-                let start = stores.reserve(n);
-                (start..start + n as u64).collect()
-            })
-            .collect();
-        // ... but each pair of streams commits in the opposite order, and
-        // odd streams use their block descending.
-        let mut order: Vec<usize> = (0..script.len()).collect();
-        for pair in order.chunks_mut(2) {
-            pair.reverse();
-        }
-        for s in order {
-            let mut block = blocks[s].clone();
-            if s % 2 == 1 {
-                block.reverse();
-            }
-            let ops = concretize(&mut model, &script[s], block.into_iter());
-            prop_assert!(stores.apply(&ops), "valid stream {s} rejected: {ops:?}");
-            check_against(&stores, &model, &format!("stream {s}: {ops:?}"));
-        }
+    fn apply_matches_naive_reference(script in script_strategy()) {
+        run_script(SEED_ROWS, &script);
     }
 }
 
-/// A stream whose last op is invalid leaves rows, ids, the mirror, every
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    #[test]
+    fn apply_matches_naive_reference_across_chunks(script in script_strategy()) {
+        run_script(CHUNKED_ROWS, &script);
+    }
+}
+
+/// A stream whose last op is invalid leaves rows, ids, the columns, every
 /// index and the data version exactly as they were — on both stores.
 #[test]
 fn invalid_last_op_changes_nothing() {
-    let stores = Stores::new();
+    let stores = Stores::new(SEED_ROWS);
     let fresh = stores.reserve(1);
     let row = |k: i64| vec![key(k), Datum::Int(k), Datum::str("x")];
     let good = vec![

@@ -1,23 +1,27 @@
-//! `MemTable`'s resident column mirror under updates: whatever is cached,
-//! a columnar scan must equal static evaluation on the current rows.
-//! Random interleavings of every write path — `insert`, `apply_delta`
-//! (insert / update / delete, id blocks committed out of order) and
-//! `replace_all` — with the three columnar surfaces (`scan_snapshot`,
-//! `scan_batches`, `scan_columns`) are checked against a fresh pivot of
-//! `rows()` after every step, snapshots taken before a write keep serving
-//! their version, and scanners racing a writer only ever see one whole
-//! committed version.
+//! `MemTable`'s chunked version store under updates: whatever chunks a
+//! write shared or copied, a columnar scan must equal static evaluation
+//! on the current rows. Random interleavings of every write path —
+//! `insert`, `apply_delta` (insert / update / delete, id blocks committed
+//! out of order) and `replace_all` — with the three columnar surfaces
+//! (`scan_snapshot`, `scan_batches`, `scan_columns`) are checked against a
+//! fresh pivot of `rows()` after every step, snapshots taken before a
+//! write keep serving their version, and scanners racing a writer only
+//! ever see one whole committed version — on a nine-row table and on one
+//! of more than 2.5 chunks, written around its chunk boundaries.
 
 use proptest::prelude::*;
 use rcalcite_core::catalog::{MemTable, RangeScan, Table};
 use rcalcite_core::datum::{Column, Datum, Row};
 use rcalcite_core::exec::collect_batches_to_rows;
+use rcalcite_core::store::CHUNK_ROWS;
 use rcalcite_core::txn::DeltaOp;
 use rcalcite_core::types::{RowTypeBuilder, TypeKind};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Barrier};
 
 const KINDS: [TypeKind; 3] = [TypeKind::Integer, TypeKind::Double, TypeKind::Varchar];
+/// A table of more than 2.5 chunks.
+const CHUNKED_ROWS: i64 = (CHUNK_ROWS * 5 / 2 + 3) as i64;
 
 fn table(rows: Vec<Row>) -> Arc<MemTable> {
     MemTable::new(
@@ -96,7 +100,7 @@ enum Step {
     /// the rows live at that point.
     Delta(Vec<(u8, usize, i64)>),
     ReplaceAll(Vec<i64>),
-    /// No write: the next scans must be served by the resident mirror.
+    /// No write: the next scans read the version the last ones did.
     Rescan,
 }
 
@@ -115,6 +119,12 @@ fn step_strategy() -> impl Strategy<Value = Step> {
 /// plain `insert` calls in between).
 fn delta_ops(t: &MemTable, spec: &[(u8, usize, i64)]) -> Vec<DeltaOp> {
     let mut live = t.row_ids();
+    // On a table of several chunks the picks cluster around every
+    // half-chunk mark — the rows either side of each chunk boundary.
+    let spread = |pick: usize, n: usize| match n > CHUNK_ROWS {
+        true => (pick / 8 * CHUNK_ROWS / 2 + pick % 8).saturating_sub(4) % n,
+        false => pick % n,
+    };
     let inserts = spec.iter().filter(|(kind, ..)| *kind == 0).count();
     let first = t.reserve_row_ids(inserts).unwrap();
     let mut fresh = (first..first + inserts as u64).rev();
@@ -131,15 +141,39 @@ fn delta_ops(t: &MemTable, spec: &[(u8, usize, i64)]) -> Vec<DeltaOp> {
             }
             _ if live.is_empty() => {}
             1 => ops.push(DeltaOp::Update {
-                row_id: live[pick % live.len()],
+                row_id: live[spread(pick, live.len())],
                 row: row(v),
             }),
             _ => ops.push(DeltaOp::Delete {
-                row_id: live.swap_remove(pick % live.len()),
+                row_id: live.swap_remove(spread(pick, live.len())),
             }),
         }
     }
     ops
+}
+
+/// Runs `script` over a table loaded with rows `1..=rows`.
+fn run_script(rows: i64, script: &[Step]) {
+    let t = table((1..=rows).map(row).collect());
+    check_scans(&t, "load");
+    for (i, step) in script.iter().enumerate() {
+        // A reader that opened its scan before the write ...
+        let before_rows = t.rows();
+        let before = t.scan_snapshot().unwrap().unwrap();
+        match step {
+            Step::Insert(v) => t.insert(row(*v)),
+            Step::Delta(spec) => {
+                let ops = delta_ops(&t, spec);
+                assert_eq!(t.apply_delta(&ops).unwrap(), ops.len());
+            }
+            Step::ReplaceAll(vs) => t.replace_all(vs.iter().map(|v| row(*v)).collect()),
+            Step::Rescan => {}
+        }
+        // ... keeps serving the version it opened on,
+        assert_eq!(snapshot_rows(before, 4), before_rows);
+        // while new scans see the write.
+        check_scans(&t, &format!("step {i}: {step:?}"));
+    }
 }
 
 proptest! {
@@ -149,39 +183,30 @@ proptest! {
     fn columnar_scans_equal_a_fresh_pivot_after_every_step(
         script in proptest::collection::vec(step_strategy(), 1..14)
     ) {
-        let t = table((1..=9).map(row).collect());
-        check_scans(&t, "load");
-        for (i, step) in script.iter().enumerate() {
-            // A reader that opened its scan before the write ...
-            let before_rows = t.rows();
-            let before = t.scan_snapshot().unwrap().unwrap();
-            match step {
-                Step::Insert(v) => t.insert(row(*v)),
-                Step::Delta(spec) => {
-                    let ops = delta_ops(&t, spec);
-                    prop_assert_eq!(t.apply_delta(&ops).unwrap(), ops.len());
-                }
-                Step::ReplaceAll(vs) => t.replace_all(vs.iter().map(|v| row(*v)).collect()),
-                Step::Rescan => {}
-            }
-            // ... keeps serving the version it opened on,
-            prop_assert_eq!(snapshot_rows(before, 4), before_rows);
-            // while new scans see the write.
-            check_scans(&t, &format!("step {i}: {step:?}"));
-        }
+        run_script(9, &script);
     }
 }
 
-/// One writer, two scanners. Version `k` of the table holds `BASE + k`
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    /// `ReplaceAll` shrinks the table to a few rows, so the scripts are
+    /// short: most steps run against the chunked table.
+    #[test]
+    fn columnar_scans_equal_a_fresh_pivot_across_chunks(
+        script in proptest::collection::vec(step_strategy(), 1..5)
+    ) {
+        run_script(CHUNKED_ROWS, &script);
+    }
+}
+
+/// One writer, two scanners. Version `k` of the table holds `base + k`
 /// rows all stamped `k`; every write moves the whole table to the next
 /// version in one `apply_delta` or `replace_all`. Whatever a scan
 /// overlaps, it must observe exactly one such version.
-#[test]
-fn racing_scans_observe_whole_committed_versions() {
-    const BASE: i64 = 40;
-    const VERSIONS: i64 = 120;
+fn race_scanners(base: i64, versions: i64) {
     let version_rows =
-        |k: i64| -> Vec<Row> { (0..BASE + k).map(|_| vec![Datum::Int(k)]).collect() };
+        |k: i64| -> Vec<Row> { (0..base + k).map(|_| vec![Datum::Int(k)]).collect() };
     let t = MemTable::new(
         RowTypeBuilder::new()
             .add_not_null("stamp", TypeKind::Integer)
@@ -192,7 +217,7 @@ fn racing_scans_observe_whole_committed_versions() {
     let done = AtomicBool::new(false);
     let check = |rows: Vec<Row>, via: &str| {
         let stamp = rows[0][0].as_int().unwrap();
-        assert_eq!(rows.len() as i64, BASE + stamp, "{via}: torn row count");
+        assert_eq!(rows.len() as i64, base + stamp, "{via}: torn row count");
         assert!(
             rows.iter().all(|r| r[0] == Datum::Int(stamp)),
             "{via}: rows of two versions in one scan"
@@ -221,7 +246,7 @@ fn racing_scans_observe_whole_committed_versions() {
             })
             .collect();
         start.wait();
-        for k in 1..=VERSIONS {
+        for k in 1..=versions {
             if k % 3 == 0 {
                 t.replace_all(version_rows(k));
             } else {
@@ -245,7 +270,19 @@ fn racing_scans_observe_whole_committed_versions() {
             scanner.join().expect("scanner panicked");
         }
     });
-    assert_eq!(t.rows(), version_rows(VERSIONS));
+    assert_eq!(t.rows(), version_rows(versions));
     let last = t.scan_snapshot().unwrap().unwrap();
-    assert_eq!(snapshot_rows(last, 16), version_rows(VERSIONS));
+    assert_eq!(snapshot_rows(last, 16), version_rows(versions));
+}
+
+#[test]
+fn racing_scans_observe_whole_committed_versions() {
+    race_scanners(40, 120);
+}
+
+/// The same race where every version spans several chunks, each of which
+/// the writer copies away from the scanners' pins.
+#[test]
+fn racing_scans_observe_whole_versions_across_chunks() {
+    race_scanners(CHUNKED_ROWS, 24);
 }

@@ -10,10 +10,10 @@
 //! Each plan's two engines are cross-checked for identical results at
 //! startup, so the bench cannot silently measure a wrong answer.
 //!
-//! `scan_residency` guards `MemTable`'s resident column mirror on a
-//! 500k × 7 table: a warm scan is served from the mirror, a scan after a
-//! write costs what a cold one does, and a write pays nothing for the
-//! mirror beyond dropping it.
+//! `scan_residency` guards `MemTable`'s version store on a 500k × 7
+//! table: every scan is warm — sliced out of the resident chunks — also
+//! the one right after a write, and a write beside an open scan copies
+//! one chunk, not the table.
 //!
 //! `figure4_keys` guards the key kernel on the paper's Figure 4 shape
 //! (fact ⋈ dimension, filter, group): a join must not cost a multiple of
@@ -400,27 +400,29 @@ fn timed<T>(f: impl FnOnce() -> T) -> Duration {
     t0.elapsed()
 }
 
-/// The lifecycle of `MemTable`'s column mirror, as costs, on a fact
-/// table the size of the ledger's `analytics` one (500k rows × 7
-/// columns). The first columnar scan of a table version pivots the rows
-/// into the mirror; later scans slice it; a write drops it. In-process
-/// guards, before anything is timed for the report:
+/// What scans and writes cost each other on `MemTable`'s version store,
+/// on a fact table the size of the ledger's `analytics` one (500k rows ×
+/// 7 columns). The table *is* its column chunks: a scan slices batches
+/// out of the current version, a write patches the chunk it lands in —
+/// in place when nothing pins that version, on a copy of the one chunk
+/// when an open scan or transaction does. In-process guards, before
+/// anything is timed for the report:
 ///
-/// - a second selective scan is ≥ 5× faster than the first;
-/// - a scan after a single-row `apply_delta` costs no more than 1.2× a
-///   cold scan (the write dropped the mirror — it did not leave work
-///   behind for the scan beyond the rebuild);
-/// - a single-row `apply_delta` with no mirror resident is the write
-///   path exactly as it was before the mirror existed (`commit_scaling`
-///   in the `txn` bench guards that path against the table size); one
-///   that finds a warm mirror additionally frees it — ≈ 9 B per cell
-///   handed back to the allocator — which must stay under 1 % of the
-///   cold scan that built it: the write drops, it never patches or
-///   rebuilds.
+/// - a scan after a single-row `apply_delta` costs no more than 1.2× the
+///   scans around it (interleaved): there is no cold scan any more, the
+///   write left nothing behind to rebuild;
+/// - a single-row `apply_delta` beside a pinned snapshot — spine plus
+///   one chunk copied — stays within 1 % of a scan of an unpinned one
+///   (`commit_scaling` in the `txn` bench guards both against the table
+///   size). When every write dropped a whole-table mirror and every
+///   pinned write deep-copied 500k rows, that margin was three orders
+///   of magnitude away.
+///
+/// The warm scan's throughput is printed in Mrows/s for comparison with
+/// the parent commit's (its mirror served the same slices).
 fn bench_scan_residency(c: &mut Criterion) {
     const FACT_ROWS: i64 = 500_000;
-    const TABLES: usize = 5;
-    const WRITES: usize = 9;
+    const SAMPLES: usize = 9;
     let fact_row = |i: i64, amount: i64| -> Row {
         vec![
             Datum::Int(i),
@@ -436,66 +438,34 @@ fn bench_scan_residency(c: &mut Criterion) {
             },
         ]
     };
-    let fact_table = || -> Arc<MemTable> {
-        let mut rt = RowTypeBuilder::new();
-        for name in ["id", "day", "region_id", "store_id", "product_id", "amount"] {
-            rt = rt.add_not_null(name, TypeKind::Integer);
-        }
-        MemTable::new(
-            rt.add("discount", TypeKind::Integer).build(),
-            (0..FACT_ROWS).map(|i| fact_row(i, i % 1000)).collect(),
-        )
-    };
+    let mut rt = RowTypeBuilder::new();
+    for name in ["id", "day", "region_id", "store_id", "product_id", "amount"] {
+        rt = rt.add_not_null(name, TypeKind::Integer);
+    }
+    let table = MemTable::new(
+        rt.add("discount", TypeKind::Integer).build(),
+        (0..FACT_ROWS).map(|i| fact_row(i, i % 1000)).collect(),
+    );
     // SELECT id, amount FROM fact WHERE day = 17 AND region_id = 3
-    let selective = |t: &Arc<MemTable>| -> Rel {
-        rel::project(
-            rel::filter(
-                rel::scan(TableRef::new("mart", "fact", t.clone())),
-                RexNode::and_all(vec![
-                    int_in(1).eq(RexNode::lit_int(17)),
-                    int_in(2).eq(RexNode::lit_int(3)),
-                ]),
-            ),
-            vec![int_in(0), int_in(5)],
-            vec!["id".into(), "amount".into()],
-        )
-    };
+    let plan = rel::project(
+        rel::filter(
+            rel::scan(TableRef::new("mart", "fact", table.clone())),
+            RexNode::and_all(vec![
+                int_in(1).eq(RexNode::lit_int(17)),
+                int_in(2).eq(RexNode::lit_int(3)),
+            ]),
+        ),
+        vec![int_in(0), int_in(5)],
+        vec!["id".into(), "amount".into()],
+    );
     let ctx = batch_ctx();
     let hits = (0..FACT_ROWS)
         .filter(|i| i % 365 == 17 && (i * 31) % 8 == 3)
         .count();
-    let scan = |plan: &Rel| {
-        let n = ctx.execute_collect(plan).unwrap().len();
+    let scan = || {
+        let n = ctx.execute_collect(&plan).unwrap().len();
         assert_eq!(n, hits, "selective scan returned the wrong rows");
     };
-
-    // Cold vs warm, one fresh table per sample (only a fresh table or a
-    // write makes a scan cold).
-    let (mut cold, mut warm) = (vec![], vec![]);
-    let table = (0..TABLES)
-        .map(|_| {
-            let table = fact_table();
-            let plan = selective(&table);
-            cold.push(timed(|| scan(&plan)));
-            warm.push(timed(|| scan(&plan)));
-            table
-        })
-        .last()
-        .expect("at least one sample");
-    let (cold, warm) = (median(cold), median(warm));
-    eprintln!(
-        "scan_residency/selective: cold {cold:?}, warm {warm:?} ({:.1}x)",
-        cold.as_secs_f64() / warm.as_secs_f64()
-    );
-    assert!(
-        warm.as_secs_f64() * 5.0 <= cold.as_secs_f64(),
-        "warm scan {warm:?} is not 5x faster than the cold scan {cold:?}"
-    );
-
-    // One table from here on. A single-row write with a warm mirror to
-    // drop, the scan that follows it, and — interleaved, so a noisy
-    // stretch hits both — a second write with nothing to drop.
-    let plan = selective(&table);
     let step = std::cell::Cell::new(0i64);
     let write = || {
         let i = step.get();
@@ -507,35 +477,50 @@ fn bench_scan_residency(c: &mut Criterion) {
         }];
         timed(|| table.apply_delta(&ops).unwrap())
     };
-    let (mut dropping, mut bare, mut after_write) = (vec![], vec![], vec![]);
-    for _ in 0..WRITES {
-        dropping.push(write());
+
+    // Interleaved, so a noisy stretch hits every kind of sample: a scan,
+    // a bare write, the scan after it, and a write beside a snapshot
+    // taken since the last one (so it finds every chunk shared).
+    let first = timed(scan);
+    let (mut warm, mut bare, mut after_write, mut pinned) = (vec![], vec![], vec![], vec![]);
+    for _ in 0..SAMPLES {
+        warm.push(timed(scan));
         bare.push(write());
-        after_write.push(timed(|| scan(&plan)));
+        after_write.push(timed(scan));
+        let snapshot = table.scan_snapshot().unwrap();
+        pinned.push(write());
+        drop(snapshot);
     }
-    let (dropping, bare, after_write) = (median(dropping), median(bare), median(after_write));
+    let (warm, bare, after_write, pinned) = (
+        median(warm),
+        median(bare),
+        median(after_write),
+        median(pinned),
+    );
     eprintln!(
-        "scan_residency/write: {dropping:?} dropping a warm mirror, {bare:?} with none; \
-         scan after write {after_write:?} ({:.2}x cold)",
-        after_write.as_secs_f64() / cold.as_secs_f64()
+        "scan_residency/selective: first {first:?}, warm {warm:?} ({:.1} Mrows/s), \
+         after a write {after_write:?} ({:.2}x warm)",
+        FACT_ROWS as f64 / warm.as_secs_f64() / 1e6,
+        after_write.as_secs_f64() / warm.as_secs_f64()
+    );
+    eprintln!("scan_residency/write: {bare:?} unpinned, {pinned:?} beside a pinned snapshot");
+    assert!(
+        after_write.as_secs_f64() <= warm.as_secs_f64() * 1.2,
+        "scan after a single-row write {after_write:?} vs warm scan {warm:?}"
     );
     assert!(
-        after_write.as_secs_f64() <= cold.as_secs_f64() * 1.2,
-        "scan after a single-row write {after_write:?} vs cold scan {cold:?}"
-    );
-    assert!(
-        dropping.as_secs_f64() <= bare.as_secs_f64() + cold.as_secs_f64() * 0.01,
-        "single-row write {dropping:?} with a mirror to drop vs {bare:?} without"
+        pinned.as_secs_f64() <= bare.as_secs_f64() + warm.as_secs_f64() * 0.01,
+        "single-row write {pinned:?} beside a pinned snapshot vs {bare:?} without"
     );
 
     let mut g = c.benchmark_group("scan_residency");
     g.sample_size(10).measurement_time(Duration::from_secs(1));
     g.throughput(Throughput::Elements(FACT_ROWS as u64));
-    g.bench_function("selective/warm", |b| b.iter(|| scan(&plan)));
+    g.bench_function("selective/warm", |b| b.iter(scan));
     g.bench_function("selective/after_write", |b| {
         b.iter(|| {
             write();
-            scan(&plan);
+            scan();
         })
     });
     g.finish();

@@ -3,7 +3,8 @@
 //! without a write-ahead log attached, explicit-transaction batch
 //! commits, and the snapshot overhead of a read-only transaction — plus
 //! `commit_scaling`, the guard that a single-row write costs the same at
-//! 1 M rows as at 10 k.
+//! 1 M rows as at 10 k, whether or not another connection's open
+//! transaction pins the version it writes beside.
 //!
 //! Before timing, the workload is cross-checked: the WAL and no-WAL
 //! connections must reach identical table states, the UPDATE must locate
@@ -178,17 +179,23 @@ fn bench_txn(c: &mut Criterion) {
 /// The four single-row write shapes `commit_scaling` times, each its
 /// own statement stream over a table of `n` rows: autocommit UPDATE /
 /// INSERT / DELETE, and the second UPDATE of an explicit transaction
-/// (the statement that reads through the transaction's own write).
+/// (the statement that reads through the transaction's own write). With
+/// a `pin`, a second connection opens a fresh transaction before every
+/// timed statement, so each write finds the whole current version
+/// shared with a snapshot.
 struct WriteShapes {
     conn: Connection,
+    pin: Option<Connection>,
     n: i64,
     step: Cell<i64>,
 }
 
 impl WriteShapes {
-    fn new(n: i64) -> WriteShapes {
+    fn new(n: i64, pinned: bool) -> WriteShapes {
+        let catalog = catalog_of(n);
         WriteShapes {
-            conn: indexed_conn(catalog_of(n)),
+            conn: indexed_conn(catalog.clone()),
+            pin: pinned.then(|| Connection::builder(catalog).build()),
             n,
             step: Cell::new(0),
         }
@@ -204,23 +211,36 @@ impl WriteShapes {
         black_box(self.conn.query(sql).unwrap());
     }
 
-    fn update(&self) {
+    /// Re-pins (untimed), then times one statement.
+    fn timed(&self, sql: &str) -> Duration {
+        if let Some(pin) = &self.pin {
+            if pin.in_transaction() {
+                pin.query("ROLLBACK").unwrap();
+            }
+            pin.query("BEGIN").unwrap();
+        }
+        let t0 = Instant::now();
+        self.run(sql);
+        t0.elapsed()
+    }
+
+    fn update(&self) -> Duration {
         let id = (self.next() * 7919) % self.n;
-        self.run(&format!(
+        self.timed(&format!(
             "UPDATE accounts SET balance = balance + 1 WHERE id = {id}"
-        ));
+        ))
     }
 
-    fn insert(&self) {
+    fn insert(&self) -> Duration {
         let id = self.n + self.next();
-        self.run(&format!("INSERT INTO accounts VALUES ({id}, 0)"));
+        self.timed(&format!("INSERT INTO accounts VALUES ({id}, 0)"))
     }
 
-    /// Deletes walk up from the middle of the table: every one compacts
-    /// half of each dense array.
-    fn delete(&self) {
+    /// Deletes walk up from the middle of the table: every one shifts
+    /// half of the index permutation.
+    fn delete(&self) -> Duration {
         let id = self.n / 2 + self.next();
-        self.run(&format!("DELETE FROM accounts WHERE id = {id}"));
+        self.timed(&format!("DELETE FROM accounts WHERE id = {id}"))
     }
 
     /// BEGIN, two UPDATEs, COMMIT; returns the time of the second UPDATE.
@@ -231,11 +251,9 @@ impl WriteShapes {
         self.run(&format!(
             "UPDATE accounts SET balance = balance + 1 WHERE id = {a}"
         ));
-        let t0 = Instant::now();
-        self.run(&format!(
+        let dt = self.timed(&format!(
             "UPDATE accounts SET balance = balance - 1 WHERE id = {b}"
         ));
-        let dt = t0.elapsed();
         self.run("COMMIT");
         dt
     }
@@ -255,22 +273,18 @@ fn median_of(reps: usize, mut f: impl FnMut() -> Duration) -> Duration {
     samples[reps / 2]
 }
 
-fn timed(f: impl FnOnce()) -> Duration {
-    let t0 = Instant::now();
-    f();
-    t0.elapsed()
-}
-
 fn bench_commit_scaling(c: &mut Criterion) {
     const SMALL: i64 = 10_000;
     const LARGE: i64 = 1_000_000;
     const REPS: usize = 101;
-    let small = WriteShapes::new(SMALL);
-    let large = WriteShapes::new(LARGE);
+    let small = WriteShapes::new(SMALL, false);
+    let large = WriteShapes::new(LARGE, false);
+    let small_pinned = WriteShapes::new(SMALL, true);
+    let large_pinned = WriteShapes::new(LARGE, true);
 
     // Cross-checks: every shape seeks, and a round of each leaves the
-    // count and sum its statements imply, at both sizes.
-    for shapes in [&small, &large] {
+    // count and sum its statements imply, at both sizes, pinned or not.
+    for shapes in [&small, &large, &small_pinned, &large_pinned] {
         for sql in [
             "EXPLAIN UPDATE accounts SET balance = balance + 1 WHERE id = 7",
             "EXPLAIN DELETE FROM accounts WHERE id = 7",
@@ -296,21 +310,32 @@ fn bench_commit_scaling(c: &mut Criterion) {
         );
     }
 
+    // Medians of `f` over two tables, interleaved so a noisy stretch
+    // hits both.
+    let medians = |a: &WriteShapes, b: &WriteShapes, f: &dyn Fn(&WriteShapes) -> Duration| {
+        let (mut xs, mut ys) = (vec![], vec![]);
+        for _ in 0..REPS {
+            xs.push(f(a));
+            ys.push(f(b));
+        }
+        (
+            median_of(REPS, || xs.pop().unwrap()),
+            median_of(REPS, || ys.pop().unwrap()),
+        )
+    };
     // The guard: 100× the rows may cost a single-row UPDATE, INSERT or
     // in-transaction second UPDATE at most 3× (they touch O(log n) of
-    // the table), and a DELETE — one compaction pass per dense array —
-    // at most 20×.
-    let ratio = |what: &str, limit: f64, f: &dyn Fn(&WriteShapes) -> Duration| {
-        // Interleave the sizes so a noisy stretch hits both.
-        let (mut a, mut b) = (vec![], vec![]);
-        for _ in 0..REPS {
-            a.push(f(&small));
-            b.push(f(&large));
-        }
-        let (a, b) = (
-            median_of(REPS, || a.pop().unwrap()),
-            median_of(REPS, || b.pop().unwrap()),
-        );
+    // the table), and a DELETE — one shift pass over the index — at
+    // most 20×. Beside a pinned snapshot the same limits hold for what
+    // the version store copies (the spine and one chunk); an INSERT or
+    // DELETE there also copies the ordered index's permutation, 8 bytes
+    // a row, which is not the store's and gets the DELETE's limit.
+    let ratio = |what: &str, limit: f64, pinned: bool, f: &dyn Fn(&WriteShapes) -> Duration| {
+        let (small, large) = match pinned {
+            true => (&small_pinned, &large_pinned),
+            false => (&small, &large),
+        };
+        let (a, b) = medians(small, large, f);
         let r = b.as_secs_f64() / a.as_secs_f64();
         eprintln!("commit_scaling/{what}: {a:?} at {SMALL} rows, {b:?} at {LARGE} rows ({r:.2}x)");
         assert!(
@@ -318,20 +343,39 @@ fn bench_commit_scaling(c: &mut Criterion) {
             "{what}: {b:?} at {LARGE} rows vs {a:?} at {SMALL} rows is {r:.1}×, limit {limit}×"
         );
     };
-    ratio("update", 3.0, &|s| timed(|| s.update()));
-    ratio("insert", 3.0, &|s| timed(|| s.insert()));
-    ratio("txn_second_update", 3.0, &|s| s.txn_second_update());
-    ratio("delete", 20.0, &|s| timed(|| s.delete()));
+    ratio("update", 3.0, false, &|s| s.update());
+    ratio("insert", 3.0, false, &|s| s.insert());
+    ratio("txn_second_update", 3.0, false, &|s| s.txn_second_update());
+    ratio("delete", 20.0, false, &|s| s.delete());
+    ratio("pinned/update", 3.0, true, &|s| s.update());
+    ratio("pinned/insert", 20.0, true, &|s| s.insert());
+    ratio("pinned/txn_second_update", 3.0, true, &|s| {
+        s.txn_second_update()
+    });
+    ratio("pinned/delete", 20.0, true, &|s| s.delete());
+    // And a pin itself: at 1 M rows an UPDATE beside one costs at most
+    // twice the UPDATE alone (a whole-table copy made it hundreds).
+    let (alone, beside) = medians(&large, &large_pinned, &|s| s.update());
+    let r = beside.as_secs_f64() / alone.as_secs_f64();
+    eprintln!("commit_scaling/pinned_vs_unpinned_update: {alone:?} alone, {beside:?} beside a pin, at {LARGE} rows ({r:.2}x)");
+    assert!(
+        r <= 2.0,
+        "an UPDATE beside a pinned snapshot costs {beside:?}, {r:.1}× the {alone:?} it costs alone"
+    );
 
     let mut group = c.benchmark_group("commit_scaling");
     group
         .sample_size(10)
         .measurement_time(Duration::from_secs(3));
-    for (shapes, n) in [(&small, SMALL), (&large, LARGE)] {
-        group.bench_function(format!("update/{n}"), |b| b.iter(|| shapes.update()));
-        group.bench_function(format!("insert/{n}"), |b| b.iter(|| shapes.insert()));
-        group.bench_function(format!("delete/{n}"), |b| b.iter(|| shapes.delete()));
-        group.bench_function(format!("txn_2_updates/{n}"), |b| {
+    for (shapes, name) in [
+        (&small, format!("{SMALL}")),
+        (&large, format!("{LARGE}")),
+        (&large_pinned, format!("{LARGE}_pinned")),
+    ] {
+        group.bench_function(format!("update/{name}"), |b| b.iter(|| shapes.update()));
+        group.bench_function(format!("insert/{name}"), |b| b.iter(|| shapes.insert()));
+        group.bench_function(format!("delete/{name}"), |b| b.iter(|| shapes.delete()));
+        group.bench_function(format!("txn_2_updates/{name}"), |b| {
             b.iter(|| shapes.txn_second_update())
         });
     }

@@ -5,12 +5,11 @@
 use crate::datum::{Column, Row};
 use crate::error::{CalciteError, Result};
 use crate::exec::{BatchIter, RowBatcher, SlicedColumns};
-use crate::index::{
-    seek_rows, BoundProbe, IndexData, IndexDef, IndexProbe, RowsAccess, RowsRef, SnapshotProbe,
-};
+use crate::index::{seek_rows, BoundProbe, IndexDef, IndexProbe};
+use crate::store::Version;
 use crate::traits::{Collation, Convention};
 use crate::types::RowType;
-use parking_lot::{Mutex, RwLock};
+use parking_lot::RwLock;
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
@@ -123,22 +122,12 @@ pub trait Table: Send + Sync {
     ///
     /// The default materializes [`Table::scan_columns`] once into a
     /// [`ColumnsSnapshot`]; tables that keep columnar data resident
-    /// override this to hand out zero-copy `Arc` snapshots ([`MemTable`]'s
-    /// mirror, memdb's column store).
+    /// override this to hand out their current version, zero-copy
+    /// ([`MemTable`] and memdb: a [`crate::store::Version`]).
     /// `Ok(None)` means range scans are unsupported (matching a `None`
     /// from [`Table::range_scan_rows`]).
     fn scan_snapshot(&self) -> Result<Option<Arc<dyn RangeScan>>> {
-        match self.scan_columns() {
-            Some(cols) => {
-                let cols = cols?;
-                if cols.is_empty() {
-                    Ok(None)
-                } else {
-                    Ok(Some(Arc::new(ColumnsSnapshot::new(cols))))
-                }
-            }
-            None => Ok(None),
-        }
+        ColumnsSnapshot::of(self.scan_columns())
     }
 
     /// The calling convention in which scans of this table naturally start.
@@ -163,8 +152,8 @@ pub trait Table: Send + Sync {
     /// Native statistics collection for `ANALYZE`. `None` (the default)
     /// means the backend has no cheaper path and the caller falls back to
     /// [`crate::stats::analyze_table`], which scans through the generic
-    /// columnar surface. Backends with a columnar mirror override this to
-    /// compute statistics zero-copy (see the memdb backend).
+    /// columnar surface. Tables on the version store override this to
+    /// compute statistics over its chunks in place.
     fn analyze(&self) -> Option<Result<crate::stats::TableStats>> {
         None
     }
@@ -230,9 +219,9 @@ pub trait Table: Send + Sync {
     }
 
     /// Applies a committed delta (keyed by stable row ids) to the live
-    /// table state, maintaining secondary indexes incrementally inside
-    /// the copy-on-write swap so open snapshots keep serving pre-delta
-    /// data. Returns the number of operations applied.
+    /// table state, maintaining secondary indexes incrementally, while
+    /// open snapshots keep serving pre-delta data. Returns the number of
+    /// operations applied.
     fn apply_delta(&self, ops: &[crate::txn::DeltaOp]) -> Result<usize> {
         let _ = ops;
         Err(CalciteError::unsupported(
@@ -292,6 +281,15 @@ impl ColumnsSnapshot {
     pub fn new(columns: Vec<Column>) -> ColumnsSnapshot {
         let rows = columns.first().map_or(0, Column::len);
         ColumnsSnapshot { columns, rows }
+    }
+
+    /// The snapshot of a [`Table::scan_columns`] answer; none for a table
+    /// without that surface or without columns.
+    pub(crate) fn of(columns: Option<Result<Vec<Column>>>) -> Result<Option<Arc<dyn RangeScan>>> {
+        match columns.transpose()? {
+            Some(cols) if !cols.is_empty() => Ok(Some(Arc::new(ColumnsSnapshot::new(cols)))),
+            _ => Ok(None),
+        }
     }
 
     /// The whole-table column vectors, one per field.
@@ -373,46 +371,30 @@ impl PartialEq for TableRef {
 /// examples and as the backing store for materialized views.
 pub struct MemTable {
     row_type: RowType,
-    /// Copy-on-write row store: scans and index-probe snapshots take an
-    /// `Arc` clone (O(1)), and a later write that finds the `Arc` shared
-    /// copies before mutating, so open snapshots keep their version.
-    rows: RwLock<Arc<Vec<Row>>>,
-    /// Stable row ids, parallel to `rows` (same copy-on-write swap, same
-    /// lock order: rows, then ids, then indexes). Assigned at insert,
-    /// never reused — the addressing MVCC deltas and the WAL use. Kept
-    /// strictly ascending (a delta inserts at the id's sorted slot), so
-    /// a row id resolves to its position by binary search.
-    row_ids: RwLock<Arc<Vec<u64>>>,
+    /// The current version: chunked columns, stable row ids (assigned at
+    /// insert, never reused — the addressing MVCC deltas and the WAL use)
+    /// and index state, behind one `Arc`. Every read surface clones that
+    /// `Arc` (O(1)) and works off it with no lock held; a write takes the
+    /// lock and path-copies away from whatever readers still pin.
+    current: RwLock<Arc<Version>>,
     next_row_id: std::sync::atomic::AtomicU64,
     statistic: RwLock<Option<Statistic>>,
-    /// Secondary indexes, maintained incrementally on insert. Guarded by
-    /// the same lock discipline as `rows` (rows lock taken first), so an
-    /// index never refers to positions that are not yet in `rows`.
-    indexes: RwLock<Vec<Arc<IndexData>>>,
-    /// Monotonic data version, bumped on every mutation (while the rows
-    /// write lock is held, so version order matches write order). Serves
+    /// Monotonic data version, bumped on every mutation (while the write
+    /// lock is held, so version order matches write order). Serves
     /// [`Table::data_version`] for view-freshness tracking.
     version: std::sync::atomic::AtomicU64,
-    /// Columnar mirror of `rows` for the current version: built by the
-    /// first columnar scan (see [`MemTable::mirror`]), shared by every
-    /// later one, and dropped — never patched — by each write while it
-    /// holds the rows write lock. Locked after `rows`, like the other
-    /// parallel structures.
-    mirror: Mutex<Option<Arc<ColumnsSnapshot>>>,
 }
 
 impl MemTable {
     pub fn new(row_type: RowType, rows: Vec<Row>) -> Arc<MemTable> {
         let n = rows.len() as u64;
+        let kinds = row_type.fields.iter().map(|f| f.ty.kind.clone()).collect();
         Arc::new(MemTable {
             row_type,
-            rows: RwLock::new(Arc::new(rows)),
-            row_ids: RwLock::new(Arc::new((0..n).collect())),
+            current: RwLock::new(Arc::new(Version::new(kinds, rows))),
             next_row_id: std::sync::atomic::AtomicU64::new(n),
             statistic: RwLock::new(None),
-            indexes: RwLock::new(vec![]),
             version: std::sync::atomic::AtomicU64::new(0),
-            mirror: Mutex::new(None),
         })
     }
 
@@ -421,86 +403,61 @@ impl MemTable {
         self
     }
 
+    fn snapshot(&self) -> Arc<Version> {
+        Arc::clone(&self.current.read())
+    }
+
+    /// Runs one mutation under the write lock, bumping the data version.
+    fn write<R>(&self, f: impl FnOnce(&mut Arc<Version>) -> R) -> R {
+        let mut current = self.current.write();
+        self.version
+            .fetch_add(1, std::sync::atomic::Ordering::SeqCst);
+        f(&mut current)
+    }
+
     pub fn rows(&self) -> Vec<Row> {
-        self.rows.read().as_ref().clone()
-    }
-
-    /// The columnar mirror of the current rows. The pivot runs under the
-    /// rows read lock *and* the mirror lock, so concurrent scanners of
-    /// one version wait for a single build instead of each pivoting, and
-    /// no write can land between reading the rows and publishing their
-    /// mirror. Callers keep the returned `Arc` for as long as they scan;
-    /// a later write only drops the table's own reference.
-    fn mirror(&self) -> Arc<ColumnsSnapshot> {
-        let rows = self.rows.read();
-        let mut slot = self.mirror.lock();
-        if let Some(mirror) = slot.as_ref() {
-            return Arc::clone(mirror);
-        }
-        let columns = self
-            .row_type
-            .fields
-            .iter()
-            .enumerate()
-            .map(|(i, f)| Column::from_rows(&f.ty.kind, &rows, i))
-            .collect();
-        let mirror = Arc::new(ColumnsSnapshot::new(columns));
-        *slot = Some(Arc::clone(&mirror));
-        mirror
-    }
-
-    pub fn insert(&self, row: Row) {
-        let mut guard = self.rows.write();
-        *self.mirror.lock() = None;
-        self.version
-            .fetch_add(1, std::sync::atomic::Ordering::SeqCst);
-        Arc::make_mut(&mut guard).push(row);
-        let id = self
-            .next_row_id
-            .fetch_add(1, std::sync::atomic::Ordering::SeqCst);
-        Arc::make_mut(&mut self.row_ids.write()).push(id);
-        let access = RowsRef {
-            rows: guard.as_slice(),
-            arity: self.row_type.arity(),
-        };
-        for idx in self.indexes.write().iter_mut() {
-            Arc::make_mut(idx).insert(&access, access.rows.len() - 1);
-        }
-    }
-
-    pub fn replace_all(&self, rows: Vec<Row>) {
-        let mut guard = self.rows.write();
-        *self.mirror.lock() = None;
-        self.version
-            .fetch_add(1, std::sync::atomic::Ordering::SeqCst);
-        let n = rows.len() as u64;
-        let start = self
-            .next_row_id
-            .fetch_add(n, std::sync::atomic::Ordering::SeqCst);
-        *guard = Arc::new(rows);
-        *self.row_ids.write() = Arc::new((start..start + n).collect());
-        let access = RowsRef {
-            rows: guard.as_slice(),
-            arity: self.row_type.arity(),
-        };
-        for idx in self.indexes.write().iter_mut() {
-            let rebuilt = IndexData::build(idx.def.clone(), &access)
-                .expect("existing index definition must stay valid");
-            *Arc::make_mut(idx) = rebuilt;
-        }
+        self.snapshot()
+            .rows_with_ids()
+            .map(|(_, row)| row)
+            .collect()
     }
 
     /// Stable ids of the current rows, parallel to [`MemTable::rows`].
     pub fn row_ids(&self) -> Vec<u64> {
-        self.row_ids.read().as_ref().clone()
+        self.snapshot().row_ids().collect()
+    }
+
+    /// The rows of one version, each with its stable id — what separate
+    /// [`MemTable::rows`] and [`MemTable::row_ids`] calls cannot promise
+    /// beside a concurrent writer.
+    pub fn rows_with_ids(&self) -> Vec<(u64, Row)> {
+        self.snapshot().rows_with_ids().collect()
+    }
+
+    pub fn insert(&self, row: Row) {
+        self.write(|current| {
+            let id = self
+                .next_row_id
+                .fetch_add(1, std::sync::atomic::Ordering::SeqCst);
+            Version::push(current, id, row);
+        })
+    }
+
+    pub fn replace_all(&self, rows: Vec<Row>) {
+        self.write(|current| {
+            let start = self
+                .next_row_id
+                .fetch_add(rows.len() as u64, std::sync::atomic::Ordering::SeqCst);
+            *current = Arc::new(current.replaced(start, rows));
+        })
     }
 
     pub fn len(&self) -> usize {
-        self.rows.read().len()
+        self.current.read().len()
     }
 
     pub fn is_empty(&self) -> bool {
-        self.rows.read().is_empty()
+        self.current.read().is_empty()
     }
 }
 
@@ -513,43 +470,30 @@ impl Table for MemTable {
         self.statistic
             .read()
             .clone()
-            .unwrap_or_else(|| Statistic::of_rows(self.rows.read().len() as f64))
+            .unwrap_or_else(|| Statistic::of_rows(self.len() as f64))
     }
 
     fn scan(&self) -> Result<Box<dyn Iterator<Item = Row> + Send>> {
-        // O(1) snapshot: rows are cloned lazily as the iterator advances,
-        // off a shared `Arc` that later writes copy away from.
-        let rows = Arc::clone(&self.rows.read());
-        Ok(Box::new((0..rows.len()).map(move |i| rows[i].clone())))
+        Ok(Box::new(self.snapshot().into_rows()))
     }
 
     fn scan_columns(&self) -> Option<Result<Vec<Column>>> {
-        Some(Ok(self.mirror().columns().to_vec()))
+        Some(Ok(self.snapshot().to_columns()))
     }
 
     fn range_scan_rows(&self) -> Option<usize> {
         if self.row_type.arity() == 0 {
             return None; // zero-arity rows can't be column batches
         }
-        Some(self.rows.read().len())
+        Some(self.len())
     }
 
     fn scan_snapshot(&self) -> Result<Option<Arc<dyn RangeScan>>> {
-        if self.row_type.arity() == 0 {
-            return Ok(None);
-        }
-        Ok(Some(self.mirror()))
+        Ok(crate::txn::TxnVersion::range_scan(self.snapshot()))
     }
 
     fn analyze(&self) -> Option<Result<crate::stats::TableStats>> {
-        if self.row_type.arity() == 0 {
-            return None; // the mirror of a zero-arity table has no row count
-        }
-        let mirror = self.mirror();
-        Some(Ok(crate::stats::analyze_columns(
-            mirror.columns(),
-            mirror.row_count(),
-        )))
+        Some(Ok(self.snapshot().analyze()))
     }
 
     fn as_mem_table(&self) -> Option<&MemTable> {
@@ -557,104 +501,34 @@ impl Table for MemTable {
     }
 
     fn indexes(&self) -> Vec<IndexDef> {
-        self.indexes.read().iter().map(|i| i.def.clone()).collect()
+        self.current.read().index_defs()
     }
 
     fn index_probe_snapshot(&self, index: &str) -> Result<Option<Arc<dyn IndexProbe>>> {
-        // Rows lock first, then indexes: same order as `insert`, so the
-        // snapshot pairs the index state with exactly the rows it covers.
-        let rows = self.rows.read();
-        let Some(idx) = self
-            .indexes
-            .read()
-            .iter()
-            .find(|i| i.def.name == index)
-            .cloned()
-        else {
-            return Ok(None);
-        };
-        Ok(Some(Arc::new(SnapshotProbe {
-            data: RowsAccess {
-                rows: Arc::clone(&rows),
-                arity: self.row_type.arity(),
-            },
-            index: idx,
-        })))
+        Ok(self.snapshot().index_probe(index))
     }
 
     fn create_index(&self, def: &IndexDef) -> Result<bool> {
-        let rows = self.rows.read();
-        let mut indexes = self.indexes.write();
-        if indexes.iter().any(|i| i.def.name == def.name) {
-            return Err(CalciteError::validate(format!(
-                "index '{}' already exists",
-                def.name
-            )));
-        }
-        let access = RowsRef {
-            rows: rows.as_slice(),
-            arity: self.row_type.arity(),
-        };
-        indexes.push(Arc::new(IndexData::build(def.clone(), &access)?));
+        // An index changes no data: the data version stays.
+        Version::create_index(&mut self.current.write(), def)?;
         Ok(true)
     }
 
     fn drop_index(&self, name: &str) -> Result<bool> {
-        let mut indexes = self.indexes.write();
-        let before = indexes.len();
-        indexes.retain(|i| i.def.name != name);
-        Ok(indexes.len() < before)
+        Ok(Version::drop_index(&mut self.current.write(), name))
     }
 
     fn txn_snapshot(&self) -> Option<Arc<dyn crate::txn::TxnVersion>> {
-        // Hold the rows guard while cloning ids and indexes (same lock
-        // order as `apply_delta`, which takes all three writes together):
-        // a commit must not land between the clones, or the version would
-        // pair pre-delta rows with post-delta ids/indexes.
-        let rows_guard = self.rows.read();
-        let rows = Arc::clone(&rows_guard);
-        let ids = Arc::clone(&self.row_ids.read());
-        let indexes = self.indexes.read().clone();
-        drop(rows_guard);
-        Some(Arc::new(MemTableVersion {
-            arity: self.row_type.arity(),
-            rows,
-            ids,
-            indexes,
-        }))
+        Some(self.snapshot())
     }
 
     fn apply_delta(&self, ops: &[crate::txn::DeltaOp]) -> Result<usize> {
-        let arity = self.row_type.arity();
-        let mut rows_guard = self.rows.write();
-        let mut ids_guard = self.row_ids.write();
-        let mut idx_guard = self.indexes.write();
-        // Validate the whole stream before the first mutation (and before
-        // un-sharing anything from open snapshots): a bad op leaves rows,
-        // ids, indexes and the data version exactly as they were.
-        let mut net = crate::txn::NetDelta::default();
-        net.fold(|id| ids_guard.binary_search(&id).ok(), ops, arity)?;
-        let old = RowsRef {
-            rows: rows_guard.as_slice(),
-            arity,
-        };
-        let rekeyed: Vec<Vec<usize>> = idx_guard
-            .iter_mut()
-            .map(|idx| IndexData::unlink(idx, &old, &net))
-            .collect();
-        *self.mirror.lock() = None;
-        let rows = Arc::make_mut(&mut rows_guard);
-        let outcome = net.apply(rows, Arc::make_mut(&mut ids_guard));
-        if let Some(max_id) = outcome.max_inserted_id {
+        let mut current = self.current.write();
+        // A rejected stream leaves rows, ids, indexes and the data
+        // version exactly as they were.
+        if let Some(max_id) = Version::apply_delta(&mut current, ops)? {
             self.next_row_id
                 .fetch_max(max_id + 1, std::sync::atomic::Ordering::SeqCst);
-        }
-        let new = RowsRef {
-            rows: rows.as_slice(),
-            arity,
-        };
-        for (idx, rekeyed) in idx_guard.iter_mut().zip(&rekeyed) {
-            IndexData::relink(idx, &new, &outcome, rekeyed);
         }
         self.version
             .fetch_add(1, std::sync::atomic::Ordering::SeqCst);
@@ -669,48 +543,6 @@ impl Table for MemTable {
 
     fn data_version(&self) -> Option<u64> {
         Some(self.version.load(std::sync::atomic::Ordering::SeqCst))
-    }
-}
-
-/// A [`crate::txn::TxnVersion`] of a [`MemTable`]: three `Arc` clones
-/// taken under one lock pass, pinned for the life of the transaction.
-struct MemTableVersion {
-    arity: usize,
-    rows: Arc<Vec<Row>>,
-    ids: Arc<Vec<u64>>,
-    indexes: Vec<Arc<IndexData>>,
-}
-
-impl crate::txn::TxnVersion for MemTableVersion {
-    fn row_count(&self) -> usize {
-        self.rows.len()
-    }
-
-    fn row(&self, pos: usize) -> Row {
-        self.rows[pos].clone()
-    }
-
-    fn row_id(&self, pos: usize) -> u64 {
-        self.ids[pos]
-    }
-
-    fn position_of(&self, row_id: u64) -> Option<usize> {
-        self.ids.binary_search(&row_id).ok()
-    }
-
-    fn index_defs(&self) -> Vec<IndexDef> {
-        self.indexes.iter().map(|i| i.def.clone()).collect()
-    }
-
-    fn index_probe(&self, index: &str) -> Option<Arc<dyn IndexProbe>> {
-        let idx = self.indexes.iter().find(|i| i.def.name == index)?.clone();
-        Some(Arc::new(SnapshotProbe {
-            data: RowsAccess {
-                rows: Arc::clone(&self.rows),
-                arity: self.arity,
-            },
-            index: idx,
-        }))
     }
 }
 
@@ -1006,47 +838,32 @@ mod tests {
         assert_eq!(t.scan_snapshot().unwrap().unwrap().row_count(), 21);
     }
 
-    /// The mirror's lifecycle: built once per table version, shared by
-    /// every columnar surface, and released — not merely marked stale —
-    /// by each write path.
+    /// Every read surface hands out the table's current version: one
+    /// allocation while nothing writes, a new one — the old left intact
+    /// for its holders — once something does.
     #[test]
-    fn mirror_is_built_once_and_released_by_every_write() {
+    fn read_surfaces_share_the_current_version() {
         let t = emp_table();
-        let resident = |t: &MemTable| {
-            let snap = t.scan_snapshot().unwrap().unwrap();
-            let weak = Arc::downgrade(&snap);
-            drop(snap);
-            assert!(weak.upgrade().is_some(), "table keeps its mirror warm");
-            weak
-        };
+        let ptr = |s: &Arc<dyn RangeScan>| Arc::as_ptr(s) as *const ();
         let a = t.scan_snapshot().unwrap().unwrap();
         let b = t.scan_snapshot().unwrap().unwrap();
-        assert!(std::ptr::addr_eq(Arc::as_ptr(&a), Arc::as_ptr(&b)));
-        // scan_batches, scan_columns and analyze read it without rebuilding.
-        let weak = resident(&t);
-        drop((a, b));
-        t.scan_batches(1).unwrap().next_batch().unwrap().unwrap();
-        t.scan_columns().unwrap().unwrap();
-        assert_eq!(t.analyze().unwrap().unwrap().row_count, 2.0);
-        assert!(std::ptr::addr_eq(weak.as_ptr(), resident(&t).as_ptr()));
+        let pinned = t.txn_snapshot().unwrap().range_scan().unwrap();
+        assert_eq!(ptr(&a), ptr(&b));
+        assert_eq!(ptr(&a), ptr(&pinned));
+        drop((b, pinned));
 
         t.insert(vec![Datum::Int(30), Datum::Double(3000.0)]);
-        assert!(weak.upgrade().is_none(), "insert released the mirror");
+        let c = t.scan_snapshot().unwrap().unwrap();
+        assert_ne!(ptr(&a), ptr(&c), "a pinned version is never written");
+        assert_eq!((a.row_count(), c.row_count()), (2, 3));
+        assert_eq!(t.analyze().unwrap().unwrap().row_count, 3.0);
 
-        let weak = resident(&t);
-        let bad = [crate::txn::DeltaOp::Delete { row_id: 99 }];
-        assert!(t.apply_delta(&bad).is_err());
-        assert!(weak.upgrade().is_some(), "a rejected delta changes nothing");
-        let ops = [crate::txn::DeltaOp::Update {
-            row_id: 1,
-            row: vec![Datum::Int(20), Datum::Null],
-        }];
-        t.apply_delta(&ops).unwrap();
-        assert!(weak.upgrade().is_none(), "apply_delta released the mirror");
-
-        let weak = resident(&t);
         t.replace_all(vec![vec![Datum::Int(1), Datum::Double(1.0)]]);
-        assert!(weak.upgrade().is_none(), "replace_all released the mirror");
+        assert_eq!(c.row_count(), 3);
+        assert_eq!(
+            t.rows_with_ids(),
+            vec![(3, vec![Datum::Int(1), Datum::Double(1.0)])]
+        );
         assert_eq!(
             t.scan_columns().unwrap().unwrap(),
             vec![
@@ -1056,14 +873,14 @@ mod tests {
         );
     }
 
-    /// A zero-arity table has no column to carry a row count: it stays
-    /// on the row surface (no snapshot, no native analyze).
+    /// A zero-arity table has no column to carry a batch's row count: it
+    /// stays on the row surface (no snapshot); the store still counts.
     #[test]
     fn zero_arity_table_has_no_columnar_surface() {
         let t = MemTable::new(RowTypeBuilder::new().build(), vec![vec![], vec![]]);
         assert_eq!(t.range_scan_rows(), None);
         assert!(t.scan_snapshot().unwrap().is_none());
-        assert!(t.analyze().is_none());
+        assert_eq!(t.analyze().unwrap().unwrap().row_count, 2.0);
         assert_eq!(
             crate::stats::analyze_table(t.as_ref()).unwrap().row_count,
             2.0

@@ -651,13 +651,14 @@ impl Column {
             (Column::Bool { values, valid }, Datum::Bool(x)) => (values[i], valid[i]) = (x, true),
             (Column::Str { values, valid }, Datum::Str(x)) => (values[i], valid[i]) = (x, true),
             (Column::Generic(v), d) => v[i] = d,
-            (
-                Column::Int { valid, .. }
-                | Column::Double { valid, .. }
-                | Column::Bool { valid, .. }
-                | Column::Str { valid, .. },
-                Datum::Null,
-            ) => valid[i] = false,
+            // NULL takes the filler `push` gives it, so a column patched
+            // in place equals one built from the same datums.
+            (Column::Int { values, valid }, Datum::Null) => (values[i], valid[i]) = (0, false),
+            (Column::Double { values, valid }, Datum::Null) => (values[i], valid[i]) = (0.0, false),
+            (Column::Bool { values, valid }, Datum::Null) => (values[i], valid[i]) = (false, false),
+            (Column::Str { values, valid }, Datum::Null) => {
+                (values[i], valid[i]) = (Arc::from(""), false)
+            }
             (_, d) => {
                 self.demote_to_generic();
                 self.set(i, d);

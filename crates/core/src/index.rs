@@ -6,12 +6,12 @@
 //! execution-side bound probe ([`BoundProbe`]).
 //!
 //! The machinery is backend-neutral: it reads table data through
-//! [`KeyAccess`] so the same build/insert/probe code serves core's
-//! row-based `MemTable` and memdb's columnar `MemRelation`. Indexes are
-//! maintained incrementally (motivated by the constant-delay-under-updates
-//! line of work) rather than rebuilt per write: a delta costs
-//! O(|delta| · log n) binary searches, plus one pass over the index only
-//! when a DELETE moves the rows behind it.
+//! [`KeyAccess`], which the chunked [`crate::store::Version`] under
+//! `MemTable` and memdb implements. Indexes are maintained incrementally
+//! (motivated by the constant-delay-under-updates line of work) rather
+//! than rebuilt per write: a delta costs O(|delta| · log n) binary
+//! searches, plus one pass over the index only when a DELETE moves the
+//! rows behind it.
 
 use crate::datum::{insert_sorted, remove_sorted, Datum, Row};
 use crate::error::{CalciteError, Result};
@@ -82,31 +82,34 @@ pub trait KeyAccess {
     }
     fn arity(&self) -> usize;
     fn datum(&self, row: usize, col: usize) -> Datum;
+
+    /// The full row at position `row`.
+    fn row(&self, row: usize) -> Row {
+        (0..self.arity()).map(|c| self.datum(row, c)).collect()
+    }
 }
 
-/// [`KeyAccess`] over a shared row vector (`MemTable` snapshots): an
-/// `Arc` clone of the copy-on-write store, so taking the snapshot is
-/// O(1) and later writes never disturb it.
-pub struct RowsAccess {
-    pub rows: Arc<Vec<Row>>,
-    pub arity: usize,
-}
-
-impl KeyAccess for RowsAccess {
+/// A shared snapshot reads like the data it pins.
+impl<T: KeyAccess + ?Sized> KeyAccess for Arc<T> {
     fn len(&self) -> usize {
-        self.rows.len()
+        (**self).len()
     }
 
     fn arity(&self) -> usize {
-        self.arity
+        (**self).arity()
     }
 
     fn datum(&self, row: usize, col: usize) -> Datum {
-        self.rows[row][col].clone()
+        (**self).datum(row, col)
+    }
+
+    fn row(&self, row: usize) -> Row {
+        (**self).row(row)
     }
 }
 
-/// Borrowed [`KeyAccess`] over a row slice (in-place index maintenance).
+/// Borrowed [`KeyAccess`] over a row slice: the few rows a transaction
+/// staged, or one row checked against a probe.
 pub struct RowsRef<'a> {
     pub rows: &'a [Row],
     pub arity: usize,
@@ -507,9 +510,7 @@ impl<A: KeyAccess + Send + Sync> IndexProbe for SnapshotProbe<A> {
     }
 
     fn row(&self, pos: usize) -> Row {
-        (0..self.data.arity())
-            .map(|c| self.data.datum(pos, c))
-            .collect()
+        self.data.row(pos)
     }
 }
 
@@ -610,21 +611,22 @@ impl SeekSpec {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::store::Version;
 
-    fn data(vals: Vec<Vec<Option<i64>>>) -> RowsAccess {
+    /// A two-rows-per-chunk version of `vals`, so every multi-row case
+    /// below crosses chunk boundaries.
+    fn data(vals: Vec<Vec<Option<i64>>>) -> Arc<Version> {
         let arity = vals.first().map_or(0, Vec::len);
-        RowsAccess {
-            rows: Arc::new(
-                vals.into_iter()
-                    .map(|r| {
-                        r.into_iter()
-                            .map(|v| v.map_or(Datum::Null, Datum::Int))
-                            .collect()
-                    })
-                    .collect(),
-            ),
-            arity,
-        }
+        let rows = vals
+            .into_iter()
+            .map(|r| {
+                r.into_iter()
+                    .map(|v| v.map_or(Datum::Null, Datum::Int))
+                    .collect()
+            })
+            .collect();
+        let kinds = vec![crate::types::TypeKind::Integer; arity];
+        Arc::new(Version::with_capacity(kinds.into(), 2, 0, rows))
     }
 
     /// Every probe shape the differential tests compare on: points over
@@ -644,38 +646,18 @@ mod tests {
         out
     }
 
-    /// Follows `ops` through unlink → apply → relink and checks the
-    /// maintained index against a fresh build over the resulting rows.
-    fn follow(rows: &mut Vec<Row>, ids: &mut Vec<u64>, ops: &[crate::txn::DeltaOp]) {
-        let access = |rows: &Vec<Row>| RowsAccess {
-            rows: Arc::new(rows.clone()),
-            arity: 2,
-        };
-        let defs = [
-            IndexDef::ordered("o", vec![0]),
-            IndexDef::hash("h", vec![0]),
-            IndexDef::ordered("o2", vec![1, 0]),
-        ];
-        let old = access(rows);
-        let mut indexes: Vec<Arc<IndexData>> = defs
-            .iter()
-            .map(|d| Arc::new(IndexData::build(d.clone(), &old).unwrap()))
-            .collect();
-        let mut net = NetDelta::default();
-        net.fold(|id| ids.binary_search(&id).ok(), ops, 2).unwrap();
-        let rekeyed: Vec<Vec<usize>> = indexes
-            .iter_mut()
-            .map(|idx| IndexData::unlink(idx, &old, &net))
-            .collect();
-        let outcome = net.apply(rows, ids);
-        let new = access(rows);
-        for ((idx, rekeyed), def) in indexes.iter_mut().zip(&rekeyed).zip(&defs) {
-            IndexData::relink(idx, &new, &outcome, rekeyed);
-            let fresh = IndexData::build(def.clone(), &new).unwrap();
+    /// Applies `ops` through [`Version::apply_delta`] (unlink → apply →
+    /// relink) and checks every maintained index against a fresh build
+    /// over the resulting rows.
+    fn follow(store: &mut Arc<Version>, ops: &[crate::txn::DeltaOp]) {
+        Version::apply_delta(store, ops).unwrap();
+        for def in store.index_defs() {
+            let live = Arc::clone(store).index_probe(&def.name).unwrap();
+            let fresh = IndexData::build(def.clone(), store).unwrap();
             for probe in probes() {
                 assert_eq!(
-                    idx.probe(&new, &probe),
-                    fresh.probe(&new, &probe),
+                    live.positions(&probe),
+                    fresh.probe(store, &probe),
                     "index {} disagrees with a rebuild on {probe:?} after {ops:?}",
                     def.name
                 );
@@ -687,18 +669,21 @@ mod tests {
     fn maintained_index_matches_fresh_build() {
         use crate::txn::DeltaOp;
         // Keyed by column 0 with duplicates and a NULL.
-        let mut rows = data(vec![
+        let mut store = data(vec![
             vec![Some(3), Some(0)],
             vec![Some(1), Some(1)],
             vec![Some(3), Some(2)],
             vec![None, Some(3)],
             vec![Some(2), Some(4)],
             vec![Some(1), Some(5)],
-        ])
-        .rows
-        .as_ref()
-        .clone();
-        let mut ids: Vec<u64> = (0..6).collect();
+        ]);
+        for def in [
+            IndexDef::ordered("o", vec![0]),
+            IndexDef::hash("h", vec![0]),
+            IndexDef::ordered("o2", vec![1, 0]),
+        ] {
+            Version::create_index(&mut store, &def).unwrap();
+        }
         let row = |k: Option<i64>, v: i64| vec![k.map_or(Datum::Null, Datum::Int), Datum::Int(v)];
         let streams = [
             // Delete, re-key an update, insert at the tail.
@@ -743,30 +728,10 @@ mod tests {
             ],
         ];
         for ops in &streams {
-            follow(&mut rows, &mut ids, ops);
+            follow(&mut store, ops);
         }
+        let ids: Vec<u64> = store.row_ids().collect();
         assert_eq!(ids, vec![2, 3, 4, 5, 6, 7]);
-    }
-
-    /// An update that leaves an index's key columns alone must not even
-    /// un-share that index from open snapshots.
-    #[test]
-    fn untouched_key_leaves_the_index_shared() {
-        let old = data(vec![vec![Some(1), Some(10)], vec![Some(2), Some(20)]]);
-        let mut idx = Arc::new(IndexData::build(IndexDef::ordered("o", vec![0]), &old).unwrap());
-        let snapshot = Arc::clone(&idx);
-        let mut net = NetDelta::default();
-        let op = crate::txn::DeltaOp::Update {
-            row_id: 1,
-            row: vec![Datum::Int(2), Datum::Int(21)],
-        };
-        net.fold(|id| Some(id as usize), &[op], 2).unwrap();
-        let rekeyed = IndexData::unlink(&mut idx, &old, &net);
-        let mut rows = old.rows.as_ref().clone();
-        let outcome = net.apply(&mut rows, &mut vec![0, 1]);
-        IndexData::relink(&mut idx, &old, &outcome, &rekeyed);
-        assert!(rekeyed.is_empty());
-        assert!(Arc::ptr_eq(&idx, &snapshot), "index was copied");
     }
 
     #[test]
@@ -886,20 +851,17 @@ mod tests {
 
     #[test]
     fn seek_merges_and_dedups_probes() {
-        let d = data(vec![vec![Some(1)], vec![Some(2)], vec![Some(1)]]);
-        let idx = Arc::new(IndexData::build(IndexDef::ordered("i", vec![0]), &d).unwrap());
-        let snap = SnapshotProbe {
-            data: d,
-            index: idx,
-        };
+        let mut d = data(vec![vec![Some(1)], vec![Some(2)], vec![Some(1)]]);
+        Version::create_index(&mut d, &IndexDef::ordered("i", vec![0])).unwrap();
+        let snap = d.index_probe("i").unwrap();
         let probes = vec![
             BoundProbe::point(vec![Datum::Int(1)]),
             BoundProbe::point(vec![Datum::Int(2)]),
             BoundProbe::point(vec![Datum::Int(1)]), // duplicate IN value
         ];
-        assert_eq!(seek_positions(&snap, &probes), vec![0, 1, 2]);
+        assert_eq!(seek_positions(snap.as_ref(), &probes), vec![0, 1, 2]);
         assert_eq!(
-            seek_rows(&snap, &probes),
+            seek_rows(snap.as_ref(), &probes),
             vec![
                 vec![Datum::Int(1)],
                 vec![Datum::Int(2)],

@@ -1133,9 +1133,9 @@ fn versions_match(recorded: &HashMap<String, Option<u64>>, bases: &[TableRef]) -
 fn storage_row_ids(table: &TableRef) -> HashMap<Row, Vec<u64>> {
     let mut map: HashMap<Row, Vec<u64>> = HashMap::new();
     if let Some(mem) = table.table.as_mem_table() {
-        let rows = mem.rows();
-        let ids = mem.row_ids();
-        for (row, id) in rows.into_iter().zip(ids) {
+        // One version's rows with their own ids: a direct insert racing
+        // two separate reads would pair rows and ids of different states.
+        for (id, row) in mem.rows_with_ids() {
             map.entry(row).or_default().push(id);
         }
     }
@@ -1326,6 +1326,48 @@ mod tests {
 
     fn feed_commit(plan: &mut DeltaPlan, table: &str, ops: &[DeltaOp]) -> SignedDelta {
         consolidate(plan.propagate(table, ops).unwrap())
+    }
+
+    /// `storage_row_ids` beside a writer that bypasses the transaction
+    /// manager: every row is stamped with the id the table will give it,
+    /// so a pair read from two different versions shows.
+    #[test]
+    fn storage_row_ids_pairs_rows_and_ids_of_one_version() {
+        let stamped = |ids: std::ops::Range<u64>| -> Vec<Row> {
+            ids.map(|id| vec![Datum::Int(id as i64)]).collect()
+        };
+        let mem = MemTable::new(
+            RowTypeBuilder::new()
+                .add_not_null("id", TypeKind::Integer)
+                .build(),
+            stamped(0..8),
+        );
+        let table = TableRef::new("mart", "view", mem.clone());
+        let started = std::sync::Barrier::new(2);
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                started.wait();
+                let mut next = 8;
+                for round in 0..400 {
+                    if round % 3 == 0 {
+                        // New contents under new ids, fewer rows than before.
+                        mem.replace_all(stamped(next..next + 5));
+                        next += 5;
+                    } else {
+                        mem.insert(vec![Datum::Int(next as i64)]);
+                        next += 1;
+                    }
+                }
+            });
+            started.wait();
+            for _ in 0..400 {
+                let by_row = storage_row_ids(&table);
+                assert!(by_row.len() >= 5);
+                for (row, ids) in by_row {
+                    assert_eq!(ids, [row[0].as_int().unwrap() as u64]);
+                }
+            }
+        });
     }
 
     #[test]

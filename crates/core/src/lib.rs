@@ -42,6 +42,7 @@ pub mod rex;
 pub mod rules;
 pub mod simplify;
 pub mod stats;
+pub mod store;
 pub mod traits;
 pub mod txn;
 pub mod types;

@@ -224,16 +224,31 @@ pub fn equi_depth_histogram(values: &mut [f64], buckets: usize) -> Vec<Bucket> {
 /// Computes full table statistics from columnar data. `rows` is the table
 /// row count (needed when `cols` is empty).
 pub fn analyze_columns(cols: &[Column], rows: usize) -> TableStats {
-    let mut columns = Vec::with_capacity(cols.len());
+    analyze_chunks(cols.len(), rows, std::iter::once(cols))
+}
+
+/// [`analyze_columns`] over a table stored as a sequence of column
+/// chunks (each `arity` columns wide, in position order), read in place:
+/// the answer is the one the concatenated columns would give.
+pub fn analyze_chunks<'a>(
+    arity: usize,
+    rows: usize,
+    chunks: impl Iterator<Item = &'a [Column]> + Clone,
+) -> TableStats {
+    let mut columns = Vec::with_capacity(arity);
     let mut total_bytes = 0.0;
-    for col in cols {
-        let n = col.len();
+    for c in 0..arity {
+        let mut n = 0usize;
         let mut nulls = 0usize;
         let mut distinct: HashSet<Datum> = HashSet::new();
         let mut nums: Vec<f64> = Vec::new();
         let mut numeric_only = true;
-        for i in 0..n {
-            let d = col.get(i);
+        let cells = chunks.clone().flat_map(|chunk| {
+            let col = &chunk[c];
+            (0..col.len()).map(move |i| col.get(i))
+        });
+        for d in cells {
+            n += 1;
             total_bytes += datum_bytes(&d);
             if d.is_null() {
                 nulls += 1;
@@ -276,10 +291,10 @@ pub fn analyze_columns(cols: &[Column], rows: usize) -> TableStats {
 }
 
 /// Computes statistics for any [`Table`] through its scan surface: the
-/// columnar mirror when the backend has one, otherwise a row scan pivoted
+/// columnar scan when the backend has one, otherwise a row scan pivoted
 /// through [`Column::from_rows`]. Backends with cheaper native paths
-/// override [`Table::analyze`] instead (memdb reads its columnar mirror
-/// zero-copy).
+/// override [`Table::analyze`] instead (tables on the version store read
+/// its chunks in place).
 pub fn analyze_table(table: &dyn Table) -> Result<TableStats> {
     if let Some(cols) = table.scan_columns() {
         let cols = cols?;
@@ -738,7 +753,7 @@ mod tests {
 
     #[test]
     fn analyze_table_via_row_scan_fallback() {
-        // A table without a columnar mirror still analyzes through scan().
+        // A table without a columnar surface still analyzes through scan().
         struct RowsOnly(Arc<MemTable>);
         impl Table for RowsOnly {
             fn row_type(&self) -> crate::types::RowType {

@@ -5,11 +5,12 @@
 //! The design leans on the Arc-snapshot discipline the storage layer
 //! already has: every MVCC-capable table hands out an immutable
 //! [`TxnVersion`] (rows + stable row ids + index state, all referring to
-//! the same instant), and writers replace the shared state under
-//! `Arc::make_mut`, so a transaction that captured a version at BEGIN
-//! keeps reading it unchanged — that *is* the version chain, with the Arc
-//! holders pinning exactly the versions still needed and dropped versions
-//! reclaimed by refcount.
+//! the same instant — one [`crate::store::Version`]), and writers
+//! path-copy away from a shared version under `Arc::make_mut`, so a
+//! transaction that captured a version at BEGIN keeps reading it
+//! unchanged — that *is* the version chain, with the Arc holders pinning
+//! exactly the versions still needed and dropped versions reclaimed by
+//! refcount.
 //!
 //! Writes are private until COMMIT: a [`Transaction`] stages [`DeltaOp`]s
 //! in a per-table workspace and folds them into a [`NetDelta`] — the net
@@ -27,10 +28,11 @@
 //! keep their row ids strictly ascending, so a row id resolves to its
 //! position by binary search on every path (staging, commit, WAL replay).
 
-use crate::catalog::{Statistic, Table, TableRef};
-use crate::datum::{insert_sorted, remove_sorted, Column, Row};
+use crate::catalog::{ColumnsSnapshot, RangeScan, Statistic, Table, TableRef};
+use crate::datum::{Column, Row};
 use crate::error::{CalciteError, Result};
 use crate::index::{BoundProbe, IndexDef, IndexProbe, RowsRef};
+use crate::store::Version;
 use crate::types::RowType;
 use crate::wal::{WalRecord, WalWriter};
 use parking_lot::Mutex;
@@ -75,7 +77,8 @@ impl DeltaOp {
 /// before it *without touching the store*, so a stream with a bad op is
 /// rejected whole. Size is O(|ops|) — nothing here is table-length.
 ///
-/// The same structure is the commit path's plan ([`NetDelta::apply`]) and
+/// The same structure is the commit path's plan
+/// ([`Version::apply_delta`] folds one and applies it) and
 /// a transaction's read-your-writes overlay ([`ReadView`]).
 #[derive(Debug, Clone, Default)]
 pub struct NetDelta {
@@ -177,45 +180,41 @@ impl NetDelta {
             .filter_map(|(pos, row)| row.as_ref().map(|r| (*pos, r)))
     }
 
-    /// Applies the net effect to a row store whose `ids` are strictly
-    /// ascending, keeping them so: rewrites land in place, deletes cost
-    /// one compaction pass from the first deleted position, and inserts
-    /// land at their id's sorted slot — the tail, except when two
-    /// writers' reserved ids commit out of order. Infallible: `fold`
-    /// already validated everything against these very `ids`.
-    pub fn apply(self, rows: &mut Vec<Row>, ids: &mut Vec<u64>) -> DeltaOutcome {
+    /// Applies the net effect to the store it was folded against, which
+    /// keeps its ids strictly ascending: rewrites land in place, deletes
+    /// compact inside their chunks, and inserts land at their id's sorted
+    /// slot — the tail, except when two writers' reserved ids commit out
+    /// of order. Only the chunks touched are copied away from versions
+    /// that share them. Infallible: `fold` already validated everything
+    /// against this very store.
+    pub(crate) fn apply(self, store: &mut Version) -> DeltaOutcome {
         let mut out = DeltaOutcome {
-            old_len: rows.len(),
+            old_len: store.len(),
             ..DeltaOutcome::default()
         };
         for (pos, row) in self.base {
             match row {
                 Some(row) => {
-                    rows[pos] = row;
+                    store.rewrite(pos, row);
                     out.rewritten.push(pos);
                 }
                 None => out.deleted.push(pos),
             }
         }
-        remove_sorted(rows, &out.deleted);
-        remove_sorted(ids, &out.deleted);
-        let (new_ids, new_rows): (Vec<u64>, Vec<Row>) = self
+        store.remove(&out.deleted);
+        let (ids, rows): (Vec<u64>, Vec<Row>) = self
             .inserted
             .into_iter()
             .filter_map(|(id, row)| Some((id, row?)))
             .unzip();
-        let slots = new_ids.iter().map(|id| ids.partition_point(|x| x < id));
-        out.inserted = slots.enumerate().map(|(k, slot)| slot + k).collect();
-        out.max_inserted_id = new_ids.last().copied();
-        insert_sorted(ids, &out.inserted, new_ids);
-        insert_sorted(rows, &out.inserted, new_rows);
+        out.max_inserted_id = ids.last().copied();
+        out.inserted = store.insert(ids, rows);
         out
     }
 }
 
-/// How [`NetDelta::apply`] moved things — what secondary indexes and
-/// columnar mirrors need to follow the store without a rebuild. Every
-/// list is O(|ops|) long.
+/// How applying a [`NetDelta`] moved things — what secondary indexes need
+/// to follow the store without a rebuild. Every list is O(|ops|) long.
 #[derive(Debug, Default)]
 pub struct DeltaOutcome {
     /// Pre-delta positions of deleted rows, ascending.
@@ -263,7 +262,8 @@ impl DeltaOutcome {
 
 /// An immutable point-in-time version of one table: rows, their stable
 /// ids, and the index state covering exactly those rows. Cheap to capture
-/// (Arc clones) and held for the life of a transaction.
+/// (one `Arc` clone) and to hold: a writer copies only what it touches
+/// away from a pinned version.
 pub trait TxnVersion: Send + Sync {
     fn row_count(&self) -> usize;
     fn row(&self, pos: usize) -> Row;
@@ -274,7 +274,10 @@ pub trait TxnVersion: Send + Sync {
     /// Indexes present in this version.
     fn index_defs(&self) -> Vec<IndexDef>;
     /// Probe handle for `index` over this version's rows, if it exists.
-    fn index_probe(&self, index: &str) -> Option<Arc<dyn IndexProbe>>;
+    fn index_probe(self: Arc<Self>, index: &str) -> Option<Arc<dyn IndexProbe>>;
+    /// This version's own columnar range-scan surface, when it has one:
+    /// what a transaction that has written nothing scans.
+    fn range_scan(self: Arc<Self>) -> Option<Arc<dyn RangeScan>>;
 }
 
 /// The read view a statement evaluates against: the version captured at
@@ -338,7 +341,7 @@ impl ReadView {
     /// while the transaction has written nothing, otherwise that probe
     /// with the staged writes laid over its answers.
     pub fn index_probe(&self, index: &str) -> Option<Arc<dyn IndexProbe>> {
-        let base = self.version.index_probe(index)?;
+        let base = Arc::clone(&self.version).index_probe(index)?;
         if self.staged.is_empty() {
             return Some(base);
         }
@@ -441,6 +444,18 @@ impl Table for SnapshotTable {
             return None;
         }
         Some(self.view.row_count())
+    }
+
+    /// The version's own snapshot while the transaction has written
+    /// nothing — the shape [`ReadView::index_probe`] has for probes;
+    /// after a write the overlay is materialized through `scan_columns`.
+    fn scan_snapshot(&self) -> Result<Option<Arc<dyn RangeScan>>> {
+        if self.view.staged.is_empty() {
+            if let Some(snapshot) = Arc::clone(&self.view.version).range_scan() {
+                return Ok(Some(snapshot));
+            }
+        }
+        ColumnsSnapshot::of(self.scan_columns())
     }
 
     fn indexes(&self) -> Vec<IndexDef> {
@@ -901,20 +916,31 @@ mod tests {
         }
     }
 
-    fn apply(rows: &mut Vec<Row>, ids: &mut Vec<u64>, ops: &[DeltaOp]) -> Result<DeltaOutcome> {
+    /// One-column rows under ids `0..`, three to a chunk, so the cases
+    /// below cross chunk boundaries.
+    fn store(vals: &[i64]) -> Version {
+        Version::with_capacity([TypeKind::Integer].into(), 3, 0, int_rows(vals))
+    }
+
+    fn contents(store: &Version) -> (Vec<u64>, Vec<Row>) {
+        store.rows_with_ids().unzip()
+    }
+
+    fn apply(store: &mut Version, ops: &[DeltaOp]) -> Result<DeltaOutcome> {
         let mut net = NetDelta::default();
-        net.fold(|id| ids.binary_search(&id).ok(), ops, 1)?;
-        Ok(net.apply(rows, ids))
+        net.fold(|id| store.position_of(id), ops, 1)?;
+        Ok(net.apply(store))
     }
 
     #[test]
     fn apply_reports_sparse_outcome() {
-        let mut rows = int_rows(&[0, 1, 2, 3]);
-        let mut ids: Vec<u64> = (0..4).collect();
+        let mut store = store(&[0, 1, 2, 3]);
         let ops = [DeltaOp::Delete { row_id: 1 }, upd(2, 99), ins(7, 70)];
-        let out = apply(&mut rows, &mut ids, &ops).unwrap();
-        assert_eq!(ids, vec![0, 2, 3, 7]);
-        assert_eq!(rows, int_rows(&[0, 99, 3, 70]));
+        let out = apply(&mut store, &ops).unwrap();
+        assert_eq!(
+            contents(&store),
+            (vec![0, 2, 3, 7], int_rows(&[0, 99, 3, 70]))
+        );
         assert_eq!(out.deleted, vec![1]);
         assert_eq!(out.rewritten, vec![2]);
         assert_eq!(out.inserted, vec![3]);
@@ -930,8 +956,7 @@ mod tests {
     #[test]
     fn outcome_size_is_bounded_by_the_ops_not_the_table() {
         let n = 50_000;
-        let mut rows = int_rows(&(0..n).collect::<Vec<_>>());
-        let mut ids: Vec<u64> = (0..n as u64).collect();
+        let mut store = store(&(0..n).collect::<Vec<_>>());
         let ops = [
             upd(17, -1),
             upd(17, -2), // same row twice: one entry
@@ -941,30 +966,31 @@ mod tests {
             DeltaOp::Delete { row_id: n as u64 }, // insert-then-delete: gone
         ];
         let mut net = NetDelta::default();
-        net.fold(|id| ids.binary_search(&id).ok(), &ops, 1).unwrap();
+        net.fold(|id| store.position_of(id), &ops, 1).unwrap();
         assert_eq!(net.rewritten().count() + net.deleted().count(), 2);
-        let out = net.apply(&mut rows, &mut ids);
+        let out = net.apply(&mut store);
         assert_eq!(
             (out.deleted.len(), out.rewritten.len(), out.inserted.len()),
             (1, 1, 1)
         );
-        assert_eq!(rows.len(), n as usize); // -1 deleted, +1 inserted
-        assert_eq!(rows[17], vec![Datum::Int(-2)]);
-        assert_eq!(ids.last(), Some(&(n as u64 + 1)));
+        assert_eq!(store.len(), n as usize); // -1 deleted, +1 inserted
+        assert_eq!(store.row(17), vec![Datum::Int(-2)]);
+        assert_eq!(store.row_id(store.len() - 1), n as u64 + 1);
         // A tail insert and an in-place rewrite move nobody.
-        let out = apply(&mut rows, &mut ids, &[upd(3, 0), ins(n as u64 + 9, 1)]).unwrap();
+        let out = apply(&mut store, &[upd(3, 0), ins(n as u64 + 9, 1)]).unwrap();
         assert!(!out.shifts());
     }
 
     #[test]
     fn ids_stay_ascending_when_reservations_commit_out_of_order() {
-        let mut rows = int_rows(&[0, 10]);
-        let mut ids: Vec<u64> = vec![0, 1];
+        let mut store = store(&[0, 10]);
         // Writer B (ids 4,5) commits before writer A (ids 2,3).
-        apply(&mut rows, &mut ids, &[ins(4, 40), ins(5, 50)]).unwrap();
-        let out = apply(&mut rows, &mut ids, &[ins(3, 30), ins(2, 20)]).unwrap();
-        assert_eq!(ids, vec![0, 1, 2, 3, 4, 5]);
-        assert_eq!(rows, int_rows(&[0, 10, 20, 30, 40, 50]));
+        apply(&mut store, &[ins(4, 40), ins(5, 50)]).unwrap();
+        let out = apply(&mut store, &[ins(3, 30), ins(2, 20)]).unwrap();
+        assert_eq!(
+            contents(&store),
+            (vec![0, 1, 2, 3, 4, 5], int_rows(&[0, 10, 20, 30, 40, 50]))
+        );
         assert_eq!(out.inserted, vec![2, 3]);
         assert!(out.shifts());
         assert_eq!([1, 2, 3].map(|p| out.final_pos(p)), [1, 4, 5]);
@@ -972,12 +998,11 @@ mod tests {
 
     #[test]
     fn update_then_delete_same_row() {
-        let mut rows = int_rows(&[1]);
-        let mut ids: Vec<u64> = vec![0];
+        let mut store = store(&[1]);
         let ops = [upd(0, 2), DeltaOp::Delete { row_id: 0 }];
-        apply(&mut rows, &mut ids, &ops).unwrap();
-        assert!(rows.is_empty());
-        assert!(ids.is_empty());
+        apply(&mut store, &ops).unwrap();
+        assert!(store.is_empty());
+        assert_eq!(store.len(), 0);
     }
 
     /// A stream whose last op is invalid must leave the table — rows,

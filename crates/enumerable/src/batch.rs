@@ -73,6 +73,10 @@ use std::sync::Arc;
 /// Target number of rows per batch.
 pub const BATCH_SIZE: usize = 1024;
 
+// A store chunk is a whole number of batches: scans of a table that never
+// deleted serve only full ones.
+const _: () = assert!(rcalcite_core::store::CHUNK_ROWS.is_multiple_of(BATCH_SIZE));
+
 /// A boxed streaming operator over column batches — one node of the
 /// physical operator tree.
 pub type BatchOp = BoxOperator<ColumnBatch>;
@@ -497,7 +501,7 @@ fn fused(child: BatchOp, predicate: Option<RexNode>, exprs: Option<Vec<RexNode>>
 
 /// Streams a base table: pulls one column-batch slice at a time through
 /// the [`rcalcite_core::catalog::Table::scan_batches`] SPI (memdb serves
-/// these from an `Arc` snapshot of its columnar mirror).
+/// these from an `Arc` snapshot of its column chunks).
 struct ScanOp {
     table: TableRef,
     batches: Option<Box<dyn BatchIter>>,

@@ -1297,7 +1297,7 @@ impl Connection {
             }
             // Coerce widened values so the stored datum matches the
             // column kind exactly (e.g. INTEGER literal into a DOUBLE
-            // column), keeping the columnar mirror and indexes typed.
+            // column), keeping the stored columns and indexes typed.
             let expr = if ety.kind != col.kind
                 && ety.kind != TypeKind::Null
                 && col.kind != TypeKind::Any

@@ -6,7 +6,7 @@
 //! masks and checked arithmetic are held equal.
 
 use proptest::prelude::*;
-use rcalcite_core::catalog::{Table, TableRef};
+use rcalcite_core::catalog::{MemTable, Table, TableRef};
 use rcalcite_core::datum::{Column, Datum, Row};
 use rcalcite_core::error::Result as CoreResult;
 use rcalcite_core::exec::{BatchIter, ExecContext};
@@ -793,6 +793,92 @@ fn top_k_fetch_offset_agree_with_row_engine() {
             assert_eq!(a, b, "collation {fc:?} offset={offset:?} fetch={fetch:?}");
         }
     }
+}
+
+/// A `MemTable` of three chunks whose middle chunk holds a value that
+/// does not fit the column's typed vector: that chunk's column is
+/// `Generic` between two `Int` neighbours, so one scan serves batches of
+/// both representations. Scan, sort, grouping and join must not care.
+#[test]
+fn a_generic_chunk_between_typed_neighbours_scans_sorts_and_joins() {
+    use rcalcite_core::store::CHUNK_ROWS;
+    use rcalcite_core::txn::DeltaOp;
+    let n = (CHUNK_ROWS * 5 / 2) as i64;
+    let row = |i: i64| {
+        vec![
+            Datum::Int(i % 97),
+            Datum::Int(i),
+            Datum::str(format!("s{}", i % 5)),
+        ]
+    };
+    let mem = MemTable::new(
+        RowTypeBuilder::new()
+            .add_not_null("x", TypeKind::Integer)
+            .add("y", TypeKind::Integer)
+            .add("s", TypeKind::Varchar)
+            .build(),
+        (0..n).map(row).collect(),
+    );
+    let odd = CHUNK_ROWS as u64 + 10;
+    mem.apply_delta(&[DeltaOp::Update {
+        row_id: odd,
+        row: vec![Datum::Int(3), Datum::Double(0.5), Datum::str("odd")],
+    }])
+    .unwrap();
+    let mut reps = vec![];
+    let mut batches = mem.scan_batches(1024).unwrap();
+    while let Some(cols) = batches.next_batch().unwrap() {
+        reps.push(matches!(cols[1], Column::Generic(_)));
+    }
+    assert_eq!(reps.iter().filter(|generic| **generic).count(), 4);
+    assert!(
+        !reps[0] && !reps[reps.len() - 1],
+        "only the middle chunk demoted"
+    );
+
+    let scan = || rel::scan(TableRef::new("t", "chunked", mem.clone()));
+    let rt = scan().row_type().clone();
+    let small = base_table(
+        (0..97)
+            .map(|i| vec![Datum::Int(i), Datum::Int(-i), Datum::Null])
+            .collect(),
+    );
+    let plans = [
+        scan(),
+        rel::sort(
+            scan(),
+            vec![FieldCollation::desc(1), FieldCollation::asc(0)],
+        ),
+        rel::sort_limit(
+            scan(),
+            vec![FieldCollation::asc(1)],
+            Some(CHUNK_ROWS - 3),
+            Some(40),
+        ),
+        rel::aggregate(
+            scan(),
+            vec![0],
+            vec![
+                AggCall::count_star("c"),
+                AggCall::new(AggFunc::Max, vec![1], false, "m", &rt),
+            ],
+        ),
+        rel::join(
+            scan(),
+            small,
+            JoinKind::Inner,
+            RexNode::call(
+                Op::Eq,
+                vec![RexNode::input(0, int_ty()), RexNode::input(3, int_ty())],
+            ),
+        ),
+    ];
+    for plan in &plans {
+        assert_engines_agree_in_order(plan);
+    }
+    let sorted = batch_ctx().execute_collect(&plans[1]).unwrap();
+    assert_eq!(sorted.len(), n as usize);
+    assert!(sorted.iter().any(|r| r[1] == Datum::Double(0.5)));
 }
 
 /// A table that counts how many batches its scan has served, so tests

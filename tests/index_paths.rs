@@ -304,7 +304,7 @@ fn index_maintenance_preserves_open_snapshots() {
 
 /// The same guarantee through the memdb backend (jdbc adapter storage):
 /// the index lives inside the copy-on-write relation, so one Arc
-/// snapshot carries rows, columnar mirror and index state together.
+/// snapshot carries rows, columns and index state together.
 #[test]
 fn memdb_snapshots_carry_indexes() {
     use rcalcite_backends::memdb::MemDb;

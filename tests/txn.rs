@@ -3,8 +3,10 @@
 //! first-committer-wins conflicts, WAL recovery after simulated crashes,
 //! and a workers × memory-budget differential for the write path.
 
-use rcalcite_core::catalog::{Catalog, MemTable, Schema};
+use rcalcite_core::catalog::{Catalog, MemTable, RangeScan, Schema, Table};
 use rcalcite_core::datum::Datum;
+use rcalcite_core::exec::collect_batches_to_rows;
+use rcalcite_core::txn::DeltaOp;
 use rcalcite_core::types::{RowTypeBuilder, TypeKind};
 use rcalcite_core::wal::{replay, MemWal, WalWriter};
 use rcalcite_sql::Connection;
@@ -53,6 +55,63 @@ fn all_rows(c: &Connection) -> Vec<Vec<Datum>> {
     c.query("SELECT id, owner, balance FROM accounts ORDER BY id")
         .unwrap()
         .rows
+}
+
+/// A scan inside a transaction that has written nothing reads the
+/// table's own version — no pivot through rows — and, once the
+/// transaction writes, the overlay.
+#[test]
+fn unwritten_transaction_scans_the_tables_own_version() {
+    let catalog = seeded_catalog(8);
+    let tref = catalog.resolve(&["bank", "accounts"]).unwrap();
+    let drain = |snapshot: Arc<dyn RangeScan>| {
+        let rows = snapshot.row_count();
+        collect_batches_to_rows(snapshot.scan_range(3, 0, rows).unwrap()).unwrap()
+    };
+    let address = |snapshot: &Arc<dyn RangeScan>| Arc::as_ptr(snapshot) as *const ();
+
+    let mut txn = catalog.txns().begin(std::slice::from_ref(&tref));
+    let live = tref.table.scan_snapshot().unwrap().unwrap();
+    let before = txn.snapshot_table("bank.accounts").unwrap();
+    assert_eq!(before.range_scan_rows(), Some(8));
+    let pinned = before.scan_snapshot().unwrap().unwrap();
+    assert_eq!(
+        address(&pinned),
+        address(&live),
+        "the snapshot table handed out a copy, not the table's version"
+    );
+    assert_eq!(drain(pinned), tref.table.as_mem_table().unwrap().rows());
+
+    let moved = vec![Datum::Int(3), Datum::str("moved"), Datum::Int(-1)];
+    let ops = vec![
+        DeltaOp::Update {
+            row_id: 3,
+            row: moved.clone(),
+        },
+        DeltaOp::Delete { row_id: 5 },
+    ];
+    txn.stage("bank.accounts", ops).unwrap();
+    let after = txn.snapshot_table("bank.accounts").unwrap();
+    assert_eq!(after.range_scan_rows(), Some(7));
+    let overlay = drain(after.scan_snapshot().unwrap().unwrap());
+    assert_eq!(overlay.len(), 7);
+    assert_eq!(overlay[3], moved);
+    assert!(overlay.iter().all(|r| r[0] != Datum::Int(5)));
+    assert_eq!(drain(live).len(), 8, "the table itself is untouched");
+
+    // The same through SQL: identical answers in and out of a
+    // transaction until it writes, its own writes after.
+    let c = conn(catalog.clone());
+    let autocommit = all_rows(&c);
+    c.query("BEGIN").unwrap();
+    assert_eq!(all_rows(&c), autocommit);
+    c.query("UPDATE accounts SET balance = 1 WHERE id = 2")
+        .unwrap();
+    let written = all_rows(&c);
+    assert_eq!(written[2][2], Datum::Int(1));
+    assert_eq!(written.len(), autocommit.len());
+    c.query("ROLLBACK").unwrap();
+    assert_eq!(all_rows(&c), autocommit);
 }
 
 #[test]
