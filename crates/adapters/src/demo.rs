@@ -151,11 +151,9 @@ pub fn build_federation(orders_count: usize, product_count: usize) -> Federation
     catalog.set_default_schema("splunk");
 
     // The builder wires the default enumerable rules and executor; the
-    // adapters then install their conventions on top. Row mode: adapter
-    // subtrees execute through their own row-producing executors.
-    let mut conn = Connection::builder(catalog)
-        .execution_mode(rcalcite_sql::ExecutionMode::Row)
-        .build();
+    // adapters then install their conventions on top, and their subtrees
+    // execute through their own row-producing executors.
+    let mut conn = Connection::builder(catalog).build();
     jdbc.install(&mut conn);
     splunk.install(&mut conn, std::slice::from_ref(&jdbc.convention));
     cassandra.install(&mut conn);

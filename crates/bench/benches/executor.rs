@@ -3,9 +3,9 @@
 //! over 100k-row memdb tables (native columnar scans). Workloads cover
 //! the kernels that matter for throughput: filter, project,
 //! filter+project pipelines, hash join, grouped aggregation and Top-K
-//! sort — plus two pairs isolating the new execution shape itself:
-//! fused vs unfused Scan→Filter→Project, and streaming batch pulls vs
-//! materializing every row at the engine boundary.
+//! sort — plus one pair isolating the streaming execution shape:
+//! a fused Scan→Filter→Project drained batch by batch vs materializing
+//! every row at the engine boundary.
 //!
 //! Each plan's two engines are cross-checked for identical results at
 //! startup, so the bench cannot silently measure a wrong answer.
@@ -31,8 +31,8 @@ use rcalcite_core::rex::{Op, RexNode};
 use rcalcite_core::traits::FieldCollation;
 use rcalcite_core::txn::DeltaOp;
 use rcalcite_core::types::{RelType, RowTypeBuilder, TypeKind};
-use rcalcite_enumerable::{execute_batches_with_fusion, EnumerableExecutor};
-use rcalcite_sql::{Connection, ExecutionMode, PostgresDialect};
+use rcalcite_enumerable::{execute_batches, EnumerableExecutor};
+use rcalcite_sql::{Connection, PostgresDialect};
 use std::hint::black_box;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -187,8 +187,8 @@ fn fused_pipeline(sales: &Rel) -> Rel {
 
 /// Drains the streaming batch iterator, counting live rows batch by
 /// batch — nothing is held beyond the batch in flight.
-fn drain_streaming(plan: &Rel, ctx: &ExecContext, fuse: bool) -> usize {
-    let mut it = execute_batches_with_fusion(plan, ctx, fuse).unwrap();
+fn drain_streaming(plan: &Rel, ctx: &ExecContext) -> usize {
+    let mut it = execute_batches(plan, ctx).unwrap();
     let mut n = 0;
     while let Some(cols) = it.next_batch().unwrap() {
         n += cols.first().map_or(0, |c| c.len());
@@ -221,25 +221,19 @@ fn bench_executors(c: &mut Criterion) {
         });
     }
 
-    // Fused vs unfused Scan→Filter→Project, both through the streaming
-    // tree: what collapsing the chain into one kernel pass buys.
+    // The fused Scan→Filter→Project drained through the streaming tree,
+    // cross-checked against the row engine first.
     let pipeline = fused_pipeline(&sales);
-    let fused_n = drain_streaming(&pipeline, &batch, true);
     assert_eq!(
-        fused_n,
-        drain_streaming(&pipeline, &batch, false),
-        "fusion changed the result"
+        drain_streaming(&pipeline, &batch),
+        row.execute_collect(&pipeline).unwrap().len(),
+        "row/batch divergence in the fused pipeline"
     );
     g.throughput(Throughput::Elements(ROWS as u64));
     g.bench_with_input(
         BenchmarkId::new("batch_fused", "filter_project"),
         &pipeline,
-        |bench, plan| bench.iter(|| black_box(drain_streaming(plan, &batch, true))),
-    );
-    g.bench_with_input(
-        BenchmarkId::new("batch_unfused", "filter_project"),
-        &pipeline,
-        |bench, plan| bench.iter(|| black_box(drain_streaming(plan, &batch, false))),
+        |bench, plan| bench.iter(|| black_box(drain_streaming(plan, &batch))),
     );
 
     // Streaming batch pulls vs materializing every row at the engine
@@ -590,9 +584,8 @@ fn bench_figure4_keys(c: &mut Criterion) {
     );
     catalog.add_schema("mart", schema);
     let conn = Connection::builder(catalog.clone()).workers(1).build();
-    let oracle = Connection::builder(catalog)
-        .execution_mode(ExecutionMode::Row)
-        .build();
+    let mut oracle = ExecContext::new();
+    rcalcite_enumerable::register_executors(&mut oracle);
 
     const FILTER: &str = "f.discount IS NOT NULL AND f.day >= 100";
     let scan = format!("SELECT COUNT(*) FROM fact f WHERE {FILTER}");
@@ -607,12 +600,12 @@ fn bench_figure4_keys(c: &mut Criterion) {
     let stmts: Vec<_> = [&scan, &join, by_int, by_str, &figure4]
         .into_iter()
         .map(|sql| {
-            let sorted = |conn: &Connection| {
-                let mut rows = conn.query(sql).unwrap().rows;
-                rows.sort();
-                rows
-            };
-            assert_eq!(sorted(&conn), sorted(&oracle), "engines disagree on {sql}");
+            let mut fused = conn.query(sql).unwrap().rows;
+            let plan = conn.optimize(&conn.parse_to_rel(sql).unwrap()).unwrap();
+            let mut rows = oracle.execute_collect(&plan).unwrap();
+            fused.sort();
+            rows.sort();
+            assert_eq!(fused, rows, "engines disagree on {sql}");
             conn.prepare(sql).unwrap()
         })
         .collect();

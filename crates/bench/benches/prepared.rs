@@ -3,16 +3,16 @@
 //! with the plan cache disabled — parse + validate + optimize on every
 //! call, the pre-PR-4 behavior — (b) `query` with the plan cache on —
 //! parse per call, planning amortized — and (c) a bound
-//! `PreparedStatement` — no per-call parse or planning at all. Row and
-//! fused-batch execution modes both run, and every variant is
-//! cross-checked for identical results at startup so the bench cannot
-//! measure a wrong answer.
+//! `PreparedStatement` — no per-call parse or planning at all. Every
+//! variant is cross-checked at startup against the row engine running
+//! the same optimized plan, so the bench cannot measure a wrong answer.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use rcalcite_core::catalog::{Catalog, MemTable, Schema};
 use rcalcite_core::datum::Datum;
+use rcalcite_core::exec::ExecContext;
 use rcalcite_core::types::{RowTypeBuilder, TypeKind};
-use rcalcite_sql::{Connection, ExecutionMode};
+use rcalcite_sql::Connection;
 use std::hint::black_box;
 use std::sync::Arc;
 use std::time::Duration;
@@ -57,9 +57,8 @@ fn catalog() -> Arc<Catalog> {
     catalog
 }
 
-fn conn(mode: ExecutionMode, plan_cache: bool) -> Connection {
+fn conn(plan_cache: bool) -> Connection {
     Connection::builder(catalog())
-        .execution_mode(mode)
         .plan_cache_capacity(if plan_cache { 128 } else { 0 })
         .build()
 }
@@ -70,39 +69,44 @@ fn bench_prepared_vs_reparse(c: &mut Criterion) {
         .sample_size(10)
         .measurement_time(Duration::from_secs(5));
 
-    for (mode, label) in [(ExecutionMode::Row, "row"), (ExecutionMode::Fused, "batch")] {
-        let reparse = conn(mode, false);
-        let cached = conn(mode, true);
-        let prepared_conn = conn(mode, true);
-        let stmt = prepared_conn.prepare(PREPARED_SQL).unwrap();
+    let reparse = conn(false);
+    let cached = conn(true);
+    let prepared_conn = conn(true);
+    let stmt = prepared_conn.prepare(PREPARED_SQL).unwrap();
 
-        // Cross-check before timing: all three paths agree.
-        let reference = reparse.query(LITERAL_SQL).unwrap();
-        assert_eq!(cached.query(LITERAL_SQL).unwrap(), reference);
-        assert_eq!(stmt.query(&[Datum::Int(500)]).unwrap(), reference);
+    // Cross-check before timing: all three paths agree with the row
+    // engine on the same optimized plan.
+    let reference = reparse.query(LITERAL_SQL).unwrap();
+    let plan = reparse
+        .optimize(&reparse.parse_to_rel(LITERAL_SQL).unwrap())
+        .unwrap();
+    let mut oracle = ExecContext::new();
+    rcalcite_enumerable::register_executors(&mut oracle);
+    assert_eq!(reference.rows, oracle.execute_collect(&plan).unwrap());
+    assert_eq!(cached.query(LITERAL_SQL).unwrap(), reference);
+    assert_eq!(stmt.query(&[Datum::Int(500)]).unwrap(), reference);
 
-        group.bench_function(format!("{label}/reparse_query"), |b| {
-            b.iter(|| {
-                for _ in 0..EXECS {
-                    black_box(reparse.query(LITERAL_SQL).unwrap());
-                }
-            })
-        });
-        group.bench_function(format!("{label}/cached_query"), |b| {
-            b.iter(|| {
-                for _ in 0..EXECS {
-                    black_box(cached.query(LITERAL_SQL).unwrap());
-                }
-            })
-        });
-        group.bench_function(format!("{label}/prepared_bind"), |b| {
-            b.iter(|| {
-                for _ in 0..EXECS {
-                    black_box(stmt.query(&[Datum::Int(500)]).unwrap());
-                }
-            })
-        });
-    }
+    group.bench_function("reparse_query", |b| {
+        b.iter(|| {
+            for _ in 0..EXECS {
+                black_box(reparse.query(LITERAL_SQL).unwrap());
+            }
+        })
+    });
+    group.bench_function("cached_query", |b| {
+        b.iter(|| {
+            for _ in 0..EXECS {
+                black_box(cached.query(LITERAL_SQL).unwrap());
+            }
+        })
+    });
+    group.bench_function("prepared_bind", |b| {
+        b.iter(|| {
+            for _ in 0..EXECS {
+                black_box(stmt.query(&[Datum::Int(500)]).unwrap());
+            }
+        })
+    });
     group.finish();
 }
 

@@ -5,7 +5,7 @@
 use crate::datum::{Column, Row};
 use crate::error::{CalciteError, Result};
 use crate::exec::{BatchIter, RowBatcher, SlicedColumns};
-use crate::index::{seek_rows, BoundProbe, IndexDef, IndexProbe};
+use crate::index::{IndexDef, IndexProbe};
 use crate::store::Version;
 use crate::traits::{Collation, Convention};
 use crate::types::RowType;
@@ -177,21 +177,6 @@ pub trait Table: Send + Sync {
     fn index_probe_snapshot(&self, index: &str) -> Result<Option<Arc<dyn IndexProbe>>> {
         let _ = index;
         Ok(None)
-    }
-
-    /// Seeks `index` with `probes`, returning matching rows in table
-    /// order (deduped across probes) — the same rows, in the same order,
-    /// a filtered full scan would produce. `Ok(None)` means the index
-    /// does not exist.
-    fn index_seek(
-        &self,
-        index: &str,
-        probes: &[BoundProbe],
-    ) -> Result<Option<Box<dyn Iterator<Item = Row> + Send>>> {
-        match self.index_probe_snapshot(index)? {
-            None => Ok(None),
-            Some(snap) => Ok(Some(Box::new(seek_rows(snap.as_ref(), probes).into_iter()))),
-        }
     }
 
     /// Creates a secondary index. `Ok(false)` means this table kind does

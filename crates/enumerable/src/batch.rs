@@ -15,11 +15,11 @@
 //!
 //! Two physical optimizations ride on the streaming shape:
 //!
-//! - **Scan→Filter→Project fusion**: the plan builder collapses a
-//!   Project over a Filter into one kernel invocation per batch. The
-//!   filter's selection mask never materializes between the two — the
-//!   projection evaluates directly over the masked batch, gathering
-//!   only the columns it references.
+//! - **Scan→Filter→Project fusion** (always on): the plan builder
+//!   collapses a Project over a Filter into one kernel invocation per
+//!   batch. The filter's selection mask never materializes between the
+//!   two — the projection evaluates directly over the masked batch,
+//!   gathering only the columns it references.
 //! - **Top-K sort**: `Sort` with a `fetch` keeps a bounded heap of
 //!   `offset + fetch` rows instead of sorting the whole input, and a
 //!   pure `LIMIT`/`OFFSET` (empty collation) streams and stops pulling
@@ -211,18 +211,7 @@ impl ColumnBatch {
 /// row executor's behavior at the same boundary; the tree underneath
 /// still pipelines, so inputs never materialize wholesale.
 pub fn execute_node_batched(rel: &Rel, ctx: &ExecContext) -> Result<RowIter> {
-    execute_node_batched_with_fusion(rel, ctx, true)
-}
-
-/// [`execute_node_batched`] with the Scan→Filter→Project fusion pass
-/// switchable (`ExecutionMode::Batch` in the SQL front door runs the
-/// unfused tree).
-pub fn execute_node_batched_with_fusion(
-    rel: &Rel,
-    ctx: &ExecContext,
-    fuse: bool,
-) -> Result<RowIter> {
-    let mut op = build_op_auto(rel, ctx, fuse)?;
+    let mut op = build_op_auto(rel, ctx)?;
     op.open()?;
     let mut rows: Vec<Row> = vec![];
     while let Some(b) = op.next()? {
@@ -240,19 +229,8 @@ pub fn execute_node_batched_with_fusion(
 /// row count at this boundary — use [`execute_node_batched`] (which
 /// tracks lengths through [`ColumnBatch`]) for those.
 pub fn execute_batches(rel: &Rel, ctx: &ExecContext) -> Result<Box<dyn BatchIter>> {
-    execute_batches_with_fusion(rel, ctx, true)
-}
-
-/// [`execute_batches`] with the Scan→Filter→Project fusion pass
-/// switchable — `fuse: false` builds one operator per plan node, which
-/// exists so benches can measure what fusion buys.
-pub fn execute_batches_with_fusion(
-    rel: &Rel,
-    ctx: &ExecContext,
-    fuse: bool,
-) -> Result<Box<dyn BatchIter>> {
     let arity = rel.row_type().arity();
-    let mut op = build_op_auto(rel, ctx, fuse)?;
+    let mut op = build_op_auto(rel, ctx)?;
     op.open()?;
     Ok(Box::new(OpBatchIter { op, arity }))
 }
@@ -341,8 +319,8 @@ pub(crate) fn split_to_batches(b: ColumnBatch) -> Vec<ColumnBatch> {
 /// Compiles a plan node into its streaming operator, mirroring the
 /// dispatch structure of [`execute_node`]: children in foreign
 /// conventions are routed through the context and re-pivoted lazily.
-fn build_op(rel: &Rel, ctx: &ExecContext, fuse: bool) -> Result<BatchOp> {
-    let child = |i: usize| -> Result<BatchOp> { build_input(rel, i, ctx, fuse) };
+fn build_op(rel: &Rel, ctx: &ExecContext) -> Result<BatchOp> {
+    let child = |i: usize| -> Result<BatchOp> { build_input(rel, i, ctx) };
     match &rel.op {
         RelOp::Scan { table } => Ok(Box::new(ScanOp::new(table.clone()))),
         RelOp::Values { tuples, row_type } => {
@@ -358,9 +336,9 @@ fn build_op(rel: &Rel, ctx: &ExecContext, fuse: bool) -> Result<BatchOp> {
             // convention collapses into one kernel invocation per batch;
             // the selection mask flows straight into the projection.
             let c = rel.input(0);
-            if fuse && c.convention == rel.convention {
+            if c.convention == rel.convention {
                 if let RelOp::Filter { condition } = &c.op {
-                    let src = build_input(c, 0, ctx, fuse)?;
+                    let src = build_input(c, 0, ctx)?;
                     return Ok(fused(src, Some(ctx.bind(condition)?), Some(bound)));
                 }
             }
@@ -420,7 +398,7 @@ fn build_op(rel: &Rel, ctx: &ExecContext, fuse: bool) -> Result<BatchOp> {
         }
         RelOp::Union { all } => {
             let children: Vec<BatchOp> = (0..rel.inputs.len())
-                .map(|i| build_input(rel, i, ctx, fuse))
+                .map(|i| build_input(rel, i, ctx))
                 .collect::<Result<_>>()?;
             let chain: BatchOp = Box::new(ChainOp::new(children));
             if *all {
@@ -442,13 +420,13 @@ fn build_op(rel: &Rel, ctx: &ExecContext, fuse: bool) -> Result<BatchOp> {
         }
         RelOp::Intersect { all } => {
             let rights = (1..rel.inputs.len())
-                .map(|i| build_input(rel, i, ctx, fuse))
+                .map(|i| build_input(rel, i, ctx))
                 .collect::<Result<_>>()?;
             Ok(Box::new(IntersectOp::new(child(0)?, rights, *all)))
         }
         RelOp::Minus { all } => {
             let rights = (1..rel.inputs.len())
-                .map(|i| build_input(rel, i, ctx, fuse))
+                .map(|i| build_input(rel, i, ctx))
                 .collect::<Result<_>>()?;
             Ok(Box::new(MinusOp::new(child(0)?, rights, *all)))
         }
@@ -467,22 +445,22 @@ fn build_op(rel: &Rel, ctx: &ExecContext, fuse: bool) -> Result<BatchOp> {
 /// Builds a plan node, placing parallel exchange operators when the
 /// context asks for more than one worker and the node's shape supports
 /// them; everything else compiles to the serial streaming operators.
-pub(crate) fn build_op_auto(rel: &Rel, ctx: &ExecContext, fuse: bool) -> Result<BatchOp> {
+pub(crate) fn build_op_auto(rel: &Rel, ctx: &ExecContext) -> Result<BatchOp> {
     let p = ctx.parallelism();
     if p.is_parallel() {
-        if let Some(op) = build_parallel(rel, ctx, fuse, p)? {
+        if let Some(op) = build_parallel(rel, ctx, p)? {
             return Ok(op);
         }
     }
-    build_op(rel, ctx, fuse)
+    build_op(rel, ctx)
 }
 
 /// Builds input `i` of `rel`, bridging through the row engine when the
 /// child belongs to a foreign convention.
-fn build_input(rel: &Rel, i: usize, ctx: &ExecContext, fuse: bool) -> Result<BatchOp> {
+fn build_input(rel: &Rel, i: usize, ctx: &ExecContext) -> Result<BatchOp> {
     let c = rel.input(i);
     if c.convention == rel.convention || matches!(c.op, RelOp::Convert { .. }) {
-        build_op_auto(c, ctx, fuse)
+        build_op_auto(c, ctx)
     } else {
         Ok(Box::new(RowBridgeOp::foreign(c.clone(), ctx.clone())))
     }
@@ -1920,26 +1898,21 @@ fn child_shape<'a>(rel: &'a Rel, p: Parallelism) -> Option<ChainShape<'a>> {
 }
 
 /// Compiles matched stage nodes (top-down) into bottom-up kernel
-/// stages, collapsing Project-over-Filter into one fused kernel when
-/// the fusion pass is on — the same physical optimization the serial
-/// tree applies.
-fn compile_stages(stages: &[&Rel], ctx: &ExecContext, fuse: bool) -> Result<Vec<CompiledStage>> {
+/// stages, collapsing Project-over-Filter into one fused kernel — the
+/// same physical optimization the serial tree applies.
+fn compile_stages(stages: &[&Rel], ctx: &ExecContext) -> Result<Vec<CompiledStage>> {
     let mut out = vec![];
     let mut it = stages.iter().rev().peekable();
     while let Some(node) = it.next() {
         match &node.op {
             RelOp::Filter { condition } => {
                 let predicate = Some(ctx.bind(condition)?);
-                let fused_project = if fuse {
-                    match it.peek().map(|n| &n.op) {
-                        Some(RelOp::Project { exprs, .. }) => {
-                            it.next();
-                            Some(exprs.iter().map(|e| ctx.bind(e)).collect::<Result<_>>()?)
-                        }
-                        _ => None,
+                let fused_project = match it.peek().map(|n| &n.op) {
+                    Some(RelOp::Project { exprs, .. }) => {
+                        it.next();
+                        Some(exprs.iter().map(|e| ctx.bind(e)).collect::<Result<_>>()?)
                     }
-                } else {
-                    None
+                    _ => None,
                 };
                 out.push(CompiledStage {
                     predicate,
@@ -1975,11 +1948,11 @@ enum BottomSeed {
     Stream(BatchOp),
 }
 
-fn seed_from(shape: ChainShape<'_>, ctx: &ExecContext, fuse: bool) -> Result<SourceSeed> {
-    let stages = Arc::new(compile_stages(&shape.stages, ctx, fuse)?);
+fn seed_from(shape: ChainShape<'_>, ctx: &ExecContext) -> Result<SourceSeed> {
+    let stages = Arc::new(compile_stages(&shape.stages, ctx)?);
     let bottom = match shape.bottom {
         ChainBottom::Range { table, .. } => BottomSeed::Range(table.clone()),
-        ChainBottom::Stream(child) => BottomSeed::Stream(build_op_auto(child, ctx, fuse)?),
+        ChainBottom::Stream(child) => BottomSeed::Stream(build_op_auto(child, ctx)?),
         // Foreign subtrees execute through the registered foreign
         // executor, exactly as serial execution routes them.
         ChainBottom::Foreign(c) => {
@@ -2352,18 +2325,13 @@ fn place(rel: &Rel, p: Parallelism) -> Option<Placement<'_>> {
 }
 
 /// Builds the exchange operator tree for a placed node.
-fn build_parallel(
-    rel: &Rel,
-    ctx: &ExecContext,
-    fuse: bool,
-    p: Parallelism,
-) -> Result<Option<BatchOp>> {
+fn build_parallel(rel: &Rel, ctx: &ExecContext, p: Parallelism) -> Result<Option<BatchOp>> {
     let Some(placement) = place(rel, p) else {
         return Ok(None);
     };
     Ok(Some(match placement {
         Placement::Chain(shape) => {
-            let seed = seed_from(shape, ctx, fuse)?;
+            let seed = seed_from(shape, ctx)?;
             let workers = seed.into_workers(WorkerKernel::Emit, p)?;
             Box::new(OrderedGatherOp::new(workers))
         }
@@ -2371,7 +2339,7 @@ fn build_parallel(
             let RelOp::Aggregate { group, aggs } = &rel.op else {
                 unreachable!("place() pairs Placement::Aggregate with Aggregate nodes")
             };
-            let seed = seed_from(shape, ctx, fuse)?;
+            let seed = seed_from(shape, ctx)?;
             Box::new(ParallelAggregateOp::new(
                 seed,
                 group.clone(),
@@ -2384,8 +2352,8 @@ fn build_parallel(
             let RelOp::Join { kind, condition } = &rel.op else {
                 unreachable!("place() pairs Placement::Join with Join nodes")
             };
-            let seed = seed_from(shape, ctx, fuse)?;
-            let right = build_input(rel, 1, ctx, fuse)?;
+            let seed = seed_from(shape, ctx)?;
+            let right = build_input(rel, 1, ctx)?;
             Box::new(ParallelHashJoinOp::new(
                 seed,
                 right,
@@ -2405,7 +2373,7 @@ fn build_parallel(
             else {
                 unreachable!("place() pairs Placement::TopK with fetch-bounded Sort nodes")
             };
-            let seed = seed_from(shape, ctx, fuse)?;
+            let seed = seed_from(shape, ctx)?;
             Box::new(ParallelSortOp::new(
                 seed,
                 collation.clone(),
@@ -2423,7 +2391,7 @@ fn build_parallel(
 /// Renders the exchange placement the parallel batch engine uses for
 /// `rel` under `p` — Gather/Exchange/Merge nodes annotated with their
 /// partitioning — or `None` when no exchange applies anywhere in the
-/// plan. The SQL layer appends this to EXPLAIN output in batch modes.
+/// plan. The SQL layer appends this to EXPLAIN output.
 pub fn explain_parallel(rel: &Rel, p: Parallelism) -> Option<String> {
     if !p.is_parallel() {
         return None;
@@ -2691,38 +2659,6 @@ mod tests {
         let (a, b) = both(&plan);
         assert_eq!(a, b);
         assert_eq!(a.len(), 2);
-    }
-
-    #[test]
-    fn fused_and_unfused_pipelines_agree() {
-        // The fusion pass must be a pure physical optimization: the
-        // fused Scan→Filter→Project tree and the unfused one produce
-        // identical batches.
-        let plan = rel::project(
-            rel::filter(
-                emp(),
-                RexNode::input(1, RelType::nullable(TypeKind::Integer)).gt(RexNode::lit_int(150)),
-            ),
-            vec![RexNode::call(
-                Op::Plus,
-                vec![
-                    RexNode::input(1, RelType::nullable(TypeKind::Integer)),
-                    RexNode::input(0, RelType::not_null(TypeKind::Integer)),
-                ],
-            )],
-            vec!["v".into()],
-        );
-        let ctx = ctx_batch();
-        let collect = |fuse: bool| -> Vec<Row> {
-            let mut it = execute_batches_with_fusion(&plan, &ctx, fuse).unwrap();
-            let mut rows = vec![];
-            while let Some(cols) = it.next_batch().unwrap() {
-                rows.extend(ColumnBatch::new(cols).to_rows());
-            }
-            rows
-        };
-        assert_eq!(collect(true), collect(false));
-        assert_eq!(collect(true).len(), 2);
     }
 
     #[test]

@@ -4,11 +4,17 @@
 //! including `EnumerableJoin`, "which implements joins by collecting rows
 //! from its child nodes and joining on the desired attributes" — so any
 //! adapter that provides just a table scan is fully queryable.
+//!
+//! A `Connection` runs the batch engine in [`crate::batch`]; this row
+//! engine is its semantic reference. Tests and benches reach it by
+//! running a connection's optimized plan on an [`ExecContext`] with
+//! [`crate::register_executors`]; operators without a batch kernel
+//! (Window) still run through it behind the batch engine's row bridge.
 
 use rcalcite_core::datum::{Datum, Row};
 use rcalcite_core::error::{CalciteError, Result};
 use rcalcite_core::exec::{ConventionExecutor, ExecContext, RowIter};
-use rcalcite_core::index::{BoundProbe, IndexProbe, RowsRef, SeekSpec};
+use rcalcite_core::index::{seek_rows, BoundProbe, IndexProbe, RowsRef, SeekSpec};
 use rcalcite_core::rel::{
     AggCall, AggFunc, FrameBound, FrameMode, JoinKind, Rel, RelOp, WinFunc, WindowFn,
 };
@@ -21,23 +27,23 @@ use std::collections::{HashMap, HashSet};
 /// the logical convention directly (interpreter mode), which is handy for
 /// differential testing of the optimizer.
 ///
-/// Two execution modes share the convention: the classic row-at-a-time
-/// interpreter (`new`/`interpreter`) and the vectorized batch path
-/// (`batched`/`batched_interpreter`), which runs operators over
-/// [`crate::batch::ColumnBatch`]es and falls back to row iteration for
-/// operators without a batch kernel.
+/// Two engines share the convention. The vectorized batch engine
+/// (`batched`/`batched_interpreter`) runs operators over
+/// [`crate::batch::ColumnBatch`]es with the Scan→Filter→Project fusion
+/// pass on; it is what a `Connection` runs. The row-at-a-time
+/// interpreter (`new`/`interpreter`) is the reference the batch engine
+/// is tested against.
 pub struct EnumerableExecutor {
     convention: Convention,
     batch: bool,
-    fuse: bool,
 }
 
 impl EnumerableExecutor {
+    /// The row engine for the enumerable convention.
     pub fn new() -> EnumerableExecutor {
         EnumerableExecutor {
             convention: Convention::enumerable(),
             batch: false,
-            fuse: false,
         }
     }
 
@@ -47,28 +53,15 @@ impl EnumerableExecutor {
         EnumerableExecutor {
             convention: Convention::none(),
             batch: false,
-            fuse: false,
         }
     }
 
     /// The vectorized executor: same convention, same results, but
-    /// operators with batch kernels run over column batches (with the
-    /// Scan→Filter→Project fusion pass on).
+    /// operators with batch kernels run over column batches.
     pub fn batched() -> EnumerableExecutor {
         EnumerableExecutor {
             convention: Convention::enumerable(),
             batch: true,
-            fuse: true,
-        }
-    }
-
-    /// The vectorized executor without the fusion pass — one operator
-    /// per plan node (`ExecutionMode::Batch` in the SQL front door).
-    pub fn batched_unfused() -> EnumerableExecutor {
-        EnumerableExecutor {
-            convention: Convention::enumerable(),
-            batch: true,
-            fuse: false,
         }
     }
 
@@ -77,12 +70,7 @@ impl EnumerableExecutor {
         EnumerableExecutor {
             convention: Convention::none(),
             batch: true,
-            fuse: true,
         }
-    }
-
-    pub fn is_batched(&self) -> bool {
-        self.batch
     }
 }
 
@@ -99,7 +87,7 @@ impl ConventionExecutor for EnumerableExecutor {
 
     fn execute(&self, rel: &Rel, ctx: &ExecContext) -> Result<RowIter> {
         if self.batch {
-            crate::batch::execute_node_batched_with_fusion(rel, ctx, self.fuse)
+            crate::batch::execute_node_batched(rel, ctx)
         } else {
             execute_node(rel, ctx)
         }
@@ -126,8 +114,10 @@ pub fn execute_node(rel: &Rel, ctx: &ExecContext) -> Result<RowIter> {
             projection,
         } => {
             let probes = bind_probes(seek, ctx)?;
-            let rows: RowIter = match table.table.index_seek(&index.name, &probes)? {
-                Some(iter) => iter,
+            let rows: RowIter = match table.table.index_probe_snapshot(&index.name)? {
+                // Matching rows in table order, deduped across probes: the
+                // rows, in the order, a filtered full scan would produce.
+                Some(snap) => Box::new(seek_rows(&*snap, &probes).into_iter()),
                 None => {
                     // The index was dropped after this plan was cached:
                     // degrade to a full scan filtered by the probe

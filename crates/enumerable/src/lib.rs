@@ -22,8 +22,7 @@ mod keys;
 pub mod linq4j;
 
 pub use batch::{
-    execute_batches, execute_batches_with_fusion, execute_node_batched,
-    execute_node_batched_with_fusion, explain_parallel, explain_spill, ColumnBatch, BATCH_SIZE,
+    execute_batches, execute_node_batched, explain_parallel, explain_spill, ColumnBatch, BATCH_SIZE,
 };
 pub use executor::{compare_datums, compare_rows, execute_node, EnumerableExecutor};
 pub use linq4j::Enumerable;

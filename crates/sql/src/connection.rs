@@ -13,7 +13,7 @@
 use crate::ast::{Expr, Query, Select, SelectItem, SetExpr, Stmt, TableExpr};
 use crate::converter::{ast_type_to_kind, query_to_rel_with_views};
 use crate::parser::parse;
-use crate::prepared::{ConnectionBuilder, ExecutionMode, PreparedStatement, ResultSet};
+use crate::prepared::{ConnectionBuilder, PreparedStatement, ResultSet};
 use crate::validator::collect_plan_params;
 use parking_lot::RwLock;
 use rcalcite_core::catalog::{Catalog, MemTable, TableRef};
@@ -201,9 +201,6 @@ pub struct Connection {
     metadata_cache: bool,
     /// Named views (lowercase) created through DDL; expanded inline.
     views: RwLock<std::collections::HashMap<String, Rel>>,
-    /// How query plans execute: row iterators or the vectorized batch
-    /// tree (with or without fusion). Set through [`ConnectionBuilder`].
-    pub(crate) exec_mode: ExecutionMode,
     /// Compiled plans keyed by SQL text, bounded LRU.
     plan_cache: RwLock<PlanCache>,
     /// The assembled cost-based planner (rules + converters +
@@ -247,7 +244,6 @@ impl Connection {
             mode: FixpointMode::Exhaustive,
             metadata_cache: true,
             views: RwLock::new(std::collections::HashMap::new()),
-            exec_mode: ExecutionMode::Row,
             plan_cache: RwLock::new(PlanCache::new(DEFAULT_PLAN_CACHE_CAPACITY)),
             planner: RwLock::new(None),
             planner_no_mv: RwLock::new(None),
@@ -257,8 +253,8 @@ impl Connection {
         }
     }
 
-    /// The preferred way to open a connection: picks the execution mode,
-    /// planner settings and plan-cache size, and wires the default
+    /// The preferred way to open a connection: picks planner settings,
+    /// plan-cache size, workers and memory budget, and wires the default
     /// enumerable rules and executor so callers stop hand-registering
     /// them.
     pub fn builder(catalog: Arc<Catalog>) -> ConnectionBuilder {
@@ -277,11 +273,6 @@ impl Connection {
 
     pub fn functions(&self) -> &FunctionRegistry {
         &self.functions
-    }
-
-    /// The execution mode query plans run in.
-    pub fn execution_mode(&self) -> ExecutionMode {
-        self.exec_mode
     }
 
     /// Sets the worker count and morsel size the batch engine's
@@ -1467,23 +1458,23 @@ impl Connection {
         Ok(format!("{}\n{text}", self.explain_header(cached)))
     }
 
-    /// The EXPLAIN header line: plan-cache outcome plus the execution
-    /// mode and worker count, so plans pasted from differently
-    /// configured connections are distinguishable in bug reports.
+    /// The EXPLAIN header line: plan-cache outcome plus the worker
+    /// count, so plans pasted from differently configured connections
+    /// are distinguishable in bug reports.
     fn explain_header(&self, cached: bool) -> String {
         format!(
-            "-- plan cache: {} | mode: {} | workers: {}",
+            "-- plan cache: {} | workers: {}",
             hit_str(cached),
-            self.exec_mode.as_str(),
             self.parallelism().workers
         )
     }
 
     /// The shared EXPLAIN implementation: plans through the cache (so
     /// EXPLAIN observes — and warms — the same entries queries use) and
-    /// renders the physical plan with cost annotations. In the batch
-    /// modes with more than one worker, the exchange placement the
-    /// parallel engine uses is appended as a second section.
+    /// renders the physical plan with cost annotations. With more than
+    /// one worker, the exchange placement the parallel engine uses is
+    /// appended as a second section; operators the memory budget would
+    /// push to disk follow as `-- spill:` lines.
     fn explain_query(&self, key: &str, q: &Arc<Query>) -> Result<(String, bool)> {
         let (plan, cached) = self.plan_query(key, q)?;
         let mq = self.metadata_query();
@@ -1492,20 +1483,18 @@ impl Connection {
             &plan.physical,
             &mq,
         ));
-        if self.exec_mode.batch_fusion().is_some() {
-            let p = self.parallelism();
-            if let Some(parallel) = rcalcite_enumerable::explain_parallel(&plan.physical, p) {
-                text.push_str(&format!(
-                    "-- parallel plan (workers={}, morsel_size={}):\n",
-                    p.workers, p.morsel_size
-                ));
-                text.push_str(&parallel);
-            }
-            if let Some(spill) =
-                rcalcite_enumerable::explain_spill(&plan.physical, &mq, self.memory_budget())
-            {
-                text.push_str(&spill);
-            }
+        let p = self.parallelism();
+        if let Some(parallel) = rcalcite_enumerable::explain_parallel(&plan.physical, p) {
+            text.push_str(&format!(
+                "-- parallel plan (workers={}, morsel_size={}):\n",
+                p.workers, p.morsel_size
+            ));
+            text.push_str(&parallel);
+        }
+        if let Some(spill) =
+            rcalcite_enumerable::explain_spill(&plan.physical, &mq, self.memory_budget())
+        {
+            text.push_str(&spill);
         }
         self.append_mv_markers(&mut text, &plan.physical, q)?;
         if plan.search.truncated {
@@ -1918,9 +1907,8 @@ mod tests {
             assert_eq!(r.columns, vec!["PLAN"]);
             let header = r.rows[0][0].to_string();
             assert!(header.starts_with("-- plan cache: hit"), "{kw}: {header}");
-            // The header names the execution mode and worker count.
-            assert!(header.contains("mode: row"), "{kw}: {header}");
-            assert!(header.contains("workers: 1"), "{kw}: {header}");
+            // The header names the worker count.
+            assert_eq!(header, "-- plan cache: hit | workers: 1", "{kw}");
         }
     }
 
@@ -2091,28 +2079,29 @@ mod tests {
         assert_eq!(rs.next_row().unwrap(), None);
     }
 
+    /// The row engine is the oracle: the connection's optimized plan,
+    /// run row-at-a-time on a fresh context.
+    fn row_oracle(conn: &Connection, sql: &str) -> Vec<Row> {
+        let plan = conn.optimize(&conn.parse_to_rel(sql).unwrap()).unwrap();
+        let mut ctx = ExecContext::new();
+        rcalcite_enumerable::register_executors(&mut ctx);
+        ctx.execute_collect(&plan).unwrap()
+    }
+
     #[test]
-    fn builder_wires_engine_for_all_modes() {
-        use crate::prepared::ExecutionMode;
-        for mode in [
-            ExecutionMode::Row,
-            ExecutionMode::Batch,
-            ExecutionMode::Fused,
-        ] {
-            let catalog = connection().catalog().clone();
-            let conn = Connection::builder(catalog).execution_mode(mode).build();
-            let r = conn
-                .query("SELECT deptno, SUM(sal) AS s FROM hr.emp GROUP BY deptno ORDER BY deptno")
-                .unwrap();
-            assert_eq!(
-                r.rows,
-                vec![
-                    vec![Datum::Int(10), Datum::Int(300)],
-                    vec![Datum::Int(20), Datum::Int(300)],
-                ],
-                "{mode:?}"
-            );
-        }
+    fn builder_wires_the_fused_engine() {
+        let catalog = connection().catalog().clone();
+        let conn = Connection::builder(catalog).build();
+        let sql = "SELECT deptno, SUM(sal) AS s FROM hr.emp GROUP BY deptno ORDER BY deptno";
+        let r = conn.query(sql).unwrap();
+        assert_eq!(
+            r.rows,
+            vec![
+                vec![Datum::Int(10), Datum::Int(300)],
+                vec![Datum::Int(20), Datum::Int(300)],
+            ]
+        );
+        assert_eq!(r.rows, row_oracle(&conn, sql));
     }
 
     #[test]
@@ -2134,28 +2123,24 @@ mod tests {
         );
         catalog.add_schema("hr", s);
         let sql = "SELECT k, SUM(v) AS s FROM t WHERE v > 20 GROUP BY k ORDER BY k";
-        let reference = Connection::builder(catalog.clone())
-            .execution_mode(ExecutionMode::Row)
-            .build()
-            .query(sql)
-            .unwrap();
         let conn = Connection::builder(catalog)
             .workers(3)
             .morsel_size(8)
             .build();
         assert_eq!(conn.parallelism(), Parallelism::new(3, 8));
-        assert_eq!(conn.query(sql).unwrap(), reference);
-        // EXPLAIN names the mode/workers on its header and renders the
+        let reference = row_oracle(&conn, sql);
+        assert_eq!(conn.query(sql).unwrap().rows, reference);
+        // EXPLAIN names the workers on its header and renders the
         // exchange placement.
         let text = conn.explain(sql).unwrap();
-        assert!(text.contains("mode: fused | workers: 3"), "{text}");
+        assert!(text.contains("| workers: 3\n"), "{text}");
         assert!(text.contains("-- parallel plan"), "{text}");
         assert!(text.contains("Exchange["), "{text}");
         // Prepared statements ride the same parallel execution path.
         let stmt = conn
             .prepare("SELECT k, SUM(v) AS s FROM t WHERE v > ? GROUP BY k ORDER BY k")
             .unwrap();
-        assert_eq!(stmt.query(&[Datum::Int(20)]).unwrap(), reference);
+        assert_eq!(stmt.query(&[Datum::Int(20)]).unwrap().rows, reference);
     }
 
     #[test]
@@ -2196,6 +2181,35 @@ mod tests {
         let text = conn.explain(sql).unwrap();
         assert!(text.contains("-- spill: hash_join"), "{text}");
         assert!(text.contains("partitions"), "{text}");
+    }
+
+    /// A hand-wired connection runs the same engine as a built one: its
+    /// budget is charged and its EXPLAIN predicts the spill.
+    #[test]
+    fn hand_wired_connection_honours_its_memory_budget() {
+        let mut conn = connection();
+        conn.query("CREATE TABLE hr.t (k INTEGER, v INTEGER)")
+            .unwrap();
+        let values: Vec<String> = (0..5000)
+            .map(|i| format!("({}, {})", i % 97, (i * 37) % 5000))
+            .collect();
+        conn.query(&format!("INSERT INTO hr.t VALUES {}", values.join(", ")))
+            .unwrap();
+        conn.query("ANALYZE").unwrap();
+        conn.set_memory_budget(rcalcite_core::buffer::MemoryBudget::bytes(32 * 1024));
+        let sql = "SELECT a.k, b.v FROM hr.t AS a JOIN hr.t AS b ON a.v = b.v";
+        let text = conn.explain(sql).unwrap();
+        assert!(
+            text.starts_with("-- plan cache: miss | workers: 1\n"),
+            "{text}"
+        );
+        assert!(text.contains("-- spill: hash_join"), "{text}");
+        let mut rows = conn.query(sql).unwrap().rows;
+        let mut oracle = row_oracle(&conn, sql);
+        rows.sort();
+        oracle.sort();
+        assert_eq!(rows, oracle);
+        assert!(!conn.spill_stats().stayed_in_memory());
     }
 
     #[test]

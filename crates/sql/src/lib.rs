@@ -24,5 +24,5 @@ pub mod validator;
 pub use connection::{Connection, QueryResult};
 pub use converter::query_to_rel;
 pub use parser::parse;
-pub use prepared::{ConnectionBuilder, ExecutionMode, PreparedStatement, ResultSet};
+pub use prepared::{ConnectionBuilder, PreparedStatement, ResultSet};
 pub use unparser::{to_sql, Dialect, MySqlDialect, PostgresDialect};

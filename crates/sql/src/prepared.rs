@@ -1,6 +1,6 @@
 //! The prepared-statement front door: [`ConnectionBuilder`] configures a
-//! connection (execution mode, planner settings, plan cache) and wires
-//! the default enumerable engine; [`PreparedStatement`] compiles SQL with
+//! connection (planner settings, plan cache, workers, memory budget) and
+//! wires the default enumerable engine; [`PreparedStatement`] compiles SQL with
 //! `?` placeholders once and executes it many times with different
 //! bindings; [`ResultSet`] is the pull-based cursor both it and
 //! [`Connection::execute`] return.
@@ -22,55 +22,17 @@ use rcalcite_enumerable::EnumerableExecutor;
 use std::collections::VecDeque;
 use std::sync::Arc;
 
-/// How a connection executes optimized plans.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ExecutionMode {
-    /// Row-at-a-time iterators (the paper's enumerable convention).
-    Row,
-    /// The vectorized streaming batch tree, one operator per plan node.
-    Batch,
-    /// The batch tree with the Scan→Filter→Project fusion pass — the
-    /// fastest mode, and the default for built connections.
-    #[default]
-    Fused,
-}
-
-impl ExecutionMode {
-    /// Whether this mode runs the vectorized batch tree, and if so with
-    /// the fusion pass on — the single source of truth shared by the
-    /// builder's executor choice and the cursor's streaming path.
-    pub(crate) fn batch_fusion(self) -> Option<bool> {
-        match self {
-            ExecutionMode::Row => None,
-            ExecutionMode::Batch => Some(false),
-            ExecutionMode::Fused => Some(true),
-        }
-    }
-
-    /// Lowercase name, as rendered on the EXPLAIN header line.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            ExecutionMode::Row => "row",
-            ExecutionMode::Batch => "batch",
-            ExecutionMode::Fused => "fused",
-        }
-    }
-}
-
 /// Builds a [`Connection`] with the execution engine wired in, replacing
 /// the old hand-registration dance (`add_rule(implement_rule())` +
 /// `register_executor(...)`).
 ///
 /// ```
 /// # use rcalcite_core::catalog::Catalog;
-/// # use rcalcite_sql::{Connection, ExecutionMode};
-/// let conn = Connection::builder(Catalog::new())
-///     .execution_mode(ExecutionMode::Row)
-///     .build();
+/// # use rcalcite_sql::Connection;
+/// let conn = Connection::builder(Catalog::new()).workers(1).build();
 /// ```
 pub struct ConnectionBuilder {
     catalog: Arc<Catalog>,
-    mode: ExecutionMode,
     fixpoint: FixpointMode,
     metadata_cache: bool,
     plan_cache_capacity: Option<usize>,
@@ -88,7 +50,6 @@ impl ConnectionBuilder {
     pub fn new(catalog: Arc<Catalog>) -> ConnectionBuilder {
         ConnectionBuilder {
             catalog,
-            mode: ExecutionMode::default(),
             fixpoint: FixpointMode::Exhaustive,
             metadata_cache: true,
             plan_cache_capacity: None,
@@ -99,16 +60,9 @@ impl ConnectionBuilder {
         }
     }
 
-    /// Picks row, batch, or fused-batch execution (default: fused).
-    pub fn execution_mode(mut self, mode: ExecutionMode) -> ConnectionBuilder {
-        self.mode = mode;
-        self
-    }
-
     /// Number of worker threads the batch engine's exchange operators
     /// may spawn per pipeline (default: the machine's available
-    /// parallelism). `1` keeps execution fully serial. Ignored by
-    /// [`ExecutionMode::Row`].
+    /// parallelism). `1` keeps execution fully serial.
     pub fn workers(mut self, n: usize) -> ConnectionBuilder {
         self.workers = Some(n);
         self
@@ -130,7 +84,7 @@ impl ConnectionBuilder {
     /// hybrid-hash join, spilled aggregation partials, external merge
     /// sort — producing byte-identical results. The budget must fit at
     /// least one 32 KiB spill page; smaller values fail the query with
-    /// an execution error. Ignored by [`ExecutionMode::Row`].
+    /// an execution error.
     pub fn memory_budget(mut self, bytes: usize) -> ConnectionBuilder {
         self.memory_budget = Some(bytes);
         self
@@ -162,7 +116,7 @@ impl ConnectionBuilder {
     }
 
     /// Builds the connection: enumerable implementation rule plus the
-    /// executor for the chosen mode, planner configuration applied.
+    /// batch executor, planner configuration applied.
     ///
     /// Test hook: when the `RCALCITE_TEST_WORKERS` environment variable
     /// is set and neither [`ConnectionBuilder::workers`] nor
@@ -211,19 +165,10 @@ impl ConnectionBuilder {
             conn.add_rule(r);
         }
         conn.add_rule(rcalcite_enumerable::implement_rule());
-        conn.register_executor(Arc::new(match self.mode.batch_fusion() {
-            None => EnumerableExecutor::new(),
-            Some(false) => EnumerableExecutor::batched_unfused(),
-            Some(true) => EnumerableExecutor::batched(),
-        }));
+        conn.register_executor(Arc::new(EnumerableExecutor::batched()));
         if self.interpreter {
-            conn.register_executor(Arc::new(if self.mode.batch_fusion().is_some() {
-                EnumerableExecutor::batched_interpreter()
-            } else {
-                EnumerableExecutor::interpreter()
-            }));
+            conn.register_executor(Arc::new(EnumerableExecutor::batched_interpreter()));
         }
-        conn.exec_mode = self.mode;
         conn
     }
 }
@@ -306,22 +251,19 @@ impl<'c> PreparedStatement<'c> {
     }
 }
 
-/// A streaming cursor over query results. In the batch execution modes
-/// rows are pulled from the executing plan one batch at a time, so
-/// `LIMIT 1` over a large table never materializes the table; in `Row`
-/// mode the cursor is still pull-based but the row engine's blocking
-/// operators (project, sort, join) may materialize their outputs behind
-/// it. [`ResultSet::collect`] produces the materialized [`QueryResult`]
-/// view.
+/// A streaming cursor over query results. Rows are pulled from the
+/// executing plan one batch at a time, so `LIMIT 1` over a large table
+/// never materializes the table. [`ResultSet::collect`] produces the
+/// materialized [`QueryResult`] view.
 pub struct ResultSet {
     columns: Vec<String>,
     source: Source,
 }
 
 enum Source {
-    /// Row-mode execution (and pre-materialized DDL results).
+    /// Zero-arity plans and pre-materialized DDL/EXPLAIN results.
     Rows(RowIter),
-    /// Batch-mode execution: one batch is pulled and buffered at a time.
+    /// Streaming execution: one batch is pulled and buffered at a time.
     Batches {
         it: Box<dyn BatchIter>,
         buf: VecDeque<Row>,
@@ -338,38 +280,30 @@ impl ResultSet {
     }
 
     /// Opens a cursor over an optimized plan with the given parameter
-    /// bindings, honoring the connection's execution mode. The batch
-    /// modes stream through the built-in batch engine directly (the
-    /// registered executor's row boundary would materialize); foreign
-    /// sub-trees still dispatch through the registered executors.
+    /// bindings. The plan streams through the fused batch engine
+    /// directly (the registered executor's row boundary would
+    /// materialize); foreign sub-trees still dispatch through the
+    /// registered executors.
     pub(crate) fn open(
         conn: &Connection,
         plan: &CachedPlan,
         params: Vec<Datum>,
     ) -> Result<ResultSet> {
         let ctx = conn.exec_context().with_params(params);
-        let Some(fuse) = conn.execution_mode().batch_fusion() else {
-            return Ok(ResultSet {
-                columns: plan.columns.clone(),
-                source: Source::Rows(ctx.execute(&plan.physical)?),
-            });
-        };
         // Zero-arity plans can't be represented as column batches (a
-        // batch with no columns carries no row count); run them through
-        // the registered (batched) executor's row boundary instead.
-        if plan.physical.row_type().arity() == 0 {
-            return Ok(ResultSet {
-                columns: plan.columns.clone(),
-                source: Source::Rows(ctx.execute(&plan.physical)?),
-            });
-        }
-        let it = rcalcite_enumerable::execute_batches_with_fusion(&plan.physical, &ctx, fuse)?;
+        // batch with no columns carries no row count); they run through
+        // the registered executor's row boundary instead.
+        let source = if plan.physical.row_type().arity() == 0 {
+            Source::Rows(ctx.execute(&plan.physical)?)
+        } else {
+            Source::Batches {
+                it: rcalcite_enumerable::execute_batches(&plan.physical, &ctx)?,
+                buf: VecDeque::new(),
+            }
+        };
         Ok(ResultSet {
             columns: plan.columns.clone(),
-            source: Source::Batches {
-                it,
-                buf: VecDeque::new(),
-            },
+            source,
         })
     }
 
@@ -379,7 +313,7 @@ impl ResultSet {
     }
 
     /// The next row, or `None` when the cursor is exhausted. Pulls at
-    /// most one batch through the plan per call in batch mode.
+    /// most one batch through the plan per call.
     pub fn next_row(&mut self) -> Result<Option<Row>> {
         match &mut self.source {
             Source::Rows(it) => Ok(it.next()),

@@ -16,7 +16,7 @@ use rcalcite_core::rex::{Op, RexNode};
 use rcalcite_core::traits::FieldCollation;
 use rcalcite_core::types::{RelType, RowType, RowTypeBuilder, TypeKind};
 use rcalcite_enumerable::EnumerableExecutor;
-use rcalcite_sql::{Connection, ExecutionMode};
+use rcalcite_sql::Connection;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
@@ -30,6 +30,14 @@ fn batch_ctx() -> ExecContext {
     let mut c = ExecContext::new();
     c.register(Arc::new(EnumerableExecutor::batched_interpreter()));
     c
+}
+
+/// The connection's optimized plan for `sql`, run by the row engine.
+fn sql_row_oracle(conn: &Connection, sql: &str) -> Vec<Row> {
+    let plan = conn.optimize(&conn.parse_to_rel(sql).unwrap()).unwrap();
+    let mut ctx = ExecContext::new();
+    rcalcite_enumerable::register_executors(&mut ctx);
+    ctx.execute_collect(&plan).unwrap()
 }
 
 fn par_ctx(workers: usize, morsel: usize) -> ExecContext {
@@ -459,24 +467,25 @@ fn full_pipeline_identical_through_sql_connection() {
         "SELECT region, AVG(amount) AS a FROM sales WHERE amount < 200 GROUP BY region ORDER BY region",
         "SELECT amount FROM sales ORDER BY amount DESC LIMIT 11",
     ];
-    for mode in [ExecutionMode::Batch, ExecutionMode::Fused] {
-        let reference = Connection::builder(catalog.clone())
-            .execution_mode(mode)
-            .workers(1)
+    let reference = Connection::builder(catalog.clone()).workers(1).build();
+    for q in queries {
+        assert_eq!(
+            reference.query(q).unwrap().rows,
+            sql_row_oracle(&reference, q),
+            "row engine: {q}"
+        );
+    }
+    for workers in worker_ladder() {
+        let conn = Connection::builder(catalog.clone())
+            .workers(workers)
+            .morsel_size(32)
             .build();
-        for workers in worker_ladder() {
-            let conn = Connection::builder(catalog.clone())
-                .execution_mode(mode)
-                .workers(workers)
-                .morsel_size(32)
-                .build();
-            for q in queries {
-                assert_eq!(
-                    conn.query(q).unwrap(),
-                    reference.query(q).unwrap(),
-                    "{mode:?} workers={workers}: {q}"
-                );
-            }
+        for q in queries {
+            assert_eq!(
+                conn.query(q).unwrap(),
+                reference.query(q).unwrap(),
+                "workers={workers}: {q}"
+            );
         }
     }
 }

@@ -1,24 +1,17 @@
 //! End-to-end tests of the prepared-statement front door: `?` placeholders
-//! through parse → validate → optimize → execute, differentially across
-//! all three execution modes (row, batch, fused batch), plus the plan
-//! cache's invalidation semantics and the streaming contract of
-//! `ResultSet`.
+//! through parse → validate → optimize → execute, checked against the row
+//! engine running the same optimized plan, plus the plan cache's
+//! invalidation semantics and the streaming contract of `ResultSet`.
 
 use proptest::prelude::*;
 use rcalcite_core::catalog::{Catalog, MemTable, Schema, Table};
 use rcalcite_core::datum::{Column, Datum, Row};
 use rcalcite_core::error::Result as CoreResult;
-use rcalcite_core::exec::BatchIter;
+use rcalcite_core::exec::{BatchIter, ExecContext};
 use rcalcite_core::types::{RowType, RowTypeBuilder, TypeKind};
-use rcalcite_sql::{Connection, ExecutionMode};
+use rcalcite_sql::Connection;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
-
-const MODES: [ExecutionMode; 3] = [
-    ExecutionMode::Row,
-    ExecutionMode::Batch,
-    ExecutionMode::Fused,
-];
 
 fn catalog() -> Arc<Catalog> {
     let catalog = Catalog::new();
@@ -84,8 +77,19 @@ fn catalog() -> Arc<Catalog> {
     catalog
 }
 
-fn conn(mode: ExecutionMode) -> Connection {
-    Connection::builder(catalog()).execution_mode(mode).build()
+fn conn() -> Connection {
+    Connection::builder(catalog()).build()
+}
+
+/// The oracle: the connection's optimized plan for `sql`, run by the row
+/// engine with `params` bound.
+fn row_oracle(c: &Connection, sql: &str, params: &[Datum]) -> Vec<Row> {
+    let plan = c.optimize(&c.parse_to_rel(sql).unwrap()).unwrap();
+    let mut ctx = ExecContext::new();
+    rcalcite_enumerable::register_executors(&mut ctx);
+    ctx.with_params(params.to_vec())
+        .execute_collect(&plan)
+        .unwrap()
 }
 
 fn sorted(mut r: Vec<Row>) -> Vec<Row> {
@@ -147,155 +151,125 @@ fn equivalence_cases() -> Vec<(&'static str, Vec<Datum>, String)> {
 
 #[test]
 fn prepared_equals_inlined_in_every_mode() {
-    for mode in MODES {
-        let c = conn(mode);
-        for (sql, params, inline) in equivalence_cases() {
-            let stmt = c.prepare(sql).expect(sql);
-            let bound = stmt.query(&params).expect(sql);
-            let literal = c.query(&inline).expect(&inline);
-            assert_eq!(bound.columns, literal.columns, "{mode:?}: {sql}");
-            assert_eq!(sorted(bound.rows), sorted(literal.rows), "{mode:?}: {sql}");
-        }
+    let c = conn();
+    for (sql, params, inline) in equivalence_cases() {
+        let stmt = c.prepare(sql).expect(sql);
+        let bound = stmt.query(&params).expect(sql);
+        let literal = c.query(&inline).expect(&inline);
+        assert_eq!(bound.columns, literal.columns, "{sql}");
+        let oracle = sorted(row_oracle(&c, sql, &params));
+        assert_eq!(sorted(literal.rows), oracle, "{inline}");
+        assert_eq!(sorted(bound.rows), oracle, "{sql}");
     }
 }
 
 #[test]
 fn rebinding_does_not_replan() {
-    for mode in MODES {
-        let c = conn(mode);
-        let stmt = c.prepare("SELECT empid FROM emp WHERE deptno = ?").unwrap();
-        for (dept, expect) in [(10i64, 2usize), (20, 2), (30, 1), (40, 0)] {
-            let r = stmt.query(&[Datum::Int(dept)]).unwrap();
-            assert_eq!(r.rows.len(), expect, "{mode:?} dept {dept}");
-        }
-        // The compiled plan was reused: EXPLAIN on the same text is a hit.
-        let e = c.explain("SELECT empid FROM emp WHERE deptno = ?").unwrap();
-        assert!(e.starts_with("-- plan cache: hit"), "{mode:?}: {e}");
+    let c = conn();
+    let stmt = c.prepare("SELECT empid FROM emp WHERE deptno = ?").unwrap();
+    for (dept, expect) in [(10i64, 2usize), (20, 2), (30, 1), (40, 0)] {
+        let r = stmt.query(&[Datum::Int(dept)]).unwrap();
+        assert_eq!(r.rows.len(), expect, "dept {dept}");
     }
+    // The compiled plan was reused: EXPLAIN on the same text is a hit.
+    let e = c.explain("SELECT empid FROM emp WHERE deptno = ?").unwrap();
+    assert!(e.starts_with("-- plan cache: hit"), "{e}");
 }
 
 #[test]
 fn null_bindings_follow_three_valued_logic() {
-    for mode in MODES {
-        let c = conn(mode);
-        // NULL never equals anything.
-        let stmt = c.prepare("SELECT empid FROM emp WHERE sal = ?").unwrap();
-        assert_eq!(
-            stmt.query(&[Datum::Null]).unwrap().rows.len(),
-            0,
-            "{mode:?}"
-        );
-        // A projected NULL parameter survives to the output.
-        let stmt = c
-            .prepare("SELECT empid, ? FROM emp WHERE empid = 1")
-            .unwrap();
-        assert_eq!(
-            stmt.query(&[Datum::Null]).unwrap().rows,
-            vec![vec![Datum::Int(1), Datum::Null]],
-            "{mode:?}"
-        );
-        // COALESCE over a NULL binding falls through.
-        let stmt = c
-            .prepare("SELECT COALESCE(?, sal) FROM emp WHERE empid = 2")
-            .unwrap();
-        assert_eq!(
-            stmt.query(&[Datum::Null]).unwrap().rows,
-            vec![vec![Datum::Int(2000)]],
-            "{mode:?}"
-        );
-    }
+    let c = conn();
+    // NULL never equals anything.
+    let stmt = c.prepare("SELECT empid FROM emp WHERE sal = ?").unwrap();
+    assert_eq!(stmt.query(&[Datum::Null]).unwrap().rows.len(), 0);
+    // A projected NULL parameter survives to the output.
+    let stmt = c
+        .prepare("SELECT empid, ? FROM emp WHERE empid = 1")
+        .unwrap();
+    assert_eq!(
+        stmt.query(&[Datum::Null]).unwrap().rows,
+        vec![vec![Datum::Int(1), Datum::Null]]
+    );
+    // COALESCE over a NULL binding falls through.
+    let stmt = c
+        .prepare("SELECT COALESCE(?, sal) FROM emp WHERE empid = 2")
+        .unwrap();
+    assert_eq!(
+        stmt.query(&[Datum::Null]).unwrap().rows,
+        vec![vec![Datum::Int(2000)]]
+    );
 }
 
 #[test]
 fn bind_errors_are_validation_errors() {
-    for mode in MODES {
-        let c = conn(mode);
-        let stmt = c
-            .prepare("SELECT empid FROM emp WHERE sal > ? AND deptno = ?")
-            .unwrap();
-        assert_eq!(stmt.param_count(), 2);
-        // Wrong arity, both directions.
-        assert!(stmt.bind(&[Datum::Int(1)]).is_err(), "{mode:?}");
-        assert!(
-            stmt.bind(&[Datum::Int(1), Datum::Int(2), Datum::Int(3)])
-                .is_err(),
-            "{mode:?}"
-        );
-        // Type-mismatched binding: sal/deptno are INTEGER.
-        assert!(
-            stmt.bind(&[Datum::str("oops"), Datum::Int(10)]).is_err(),
-            "{mode:?}"
-        );
-        assert!(
-            stmt.bind(&[Datum::Bool(true), Datum::Int(10)]).is_err(),
-            "{mode:?}"
-        );
-        // Numeric widening is allowed (INTEGER parameter, DOUBLE value).
-        assert!(
-            stmt.bind(&[Datum::Double(1500.0), Datum::Int(10)]).is_ok(),
-            "{mode:?}"
-        );
-    }
+    let c = conn();
+    let stmt = c
+        .prepare("SELECT empid FROM emp WHERE sal > ? AND deptno = ?")
+        .unwrap();
+    assert_eq!(stmt.param_count(), 2);
+    // Wrong arity, both directions.
+    assert!(stmt.bind(&[Datum::Int(1)]).is_err());
+    assert!(stmt
+        .bind(&[Datum::Int(1), Datum::Int(2), Datum::Int(3)])
+        .is_err());
+    // Type-mismatched binding: sal/deptno are INTEGER.
+    assert!(stmt.bind(&[Datum::str("oops"), Datum::Int(10)]).is_err());
+    assert!(stmt.bind(&[Datum::Bool(true), Datum::Int(10)]).is_err());
+    // Numeric widening is allowed (INTEGER parameter, DOUBLE value).
+    assert!(stmt.bind(&[Datum::Double(1500.0), Datum::Int(10)]).is_ok());
 }
 
 #[test]
 fn rebind_after_ddl_sees_new_table() {
-    for mode in MODES {
-        let c = conn(mode);
-        c.query("CREATE TABLE hr.tmp (v INTEGER)").unwrap();
-        c.query("INSERT INTO hr.tmp VALUES (1), (2), (3)").unwrap();
-        let stmt = c
-            .prepare("SELECT COUNT(*) AS c FROM hr.tmp WHERE v > ?")
-            .unwrap();
-        assert_eq!(
-            stmt.query(&[Datum::Int(1)]).unwrap().rows,
-            vec![vec![Datum::Int(2)]],
-            "{mode:?}"
-        );
-        // DROP + CREATE under the same name: a stale plan would still
-        // scan the old table's data through its captured TableRef.
-        c.query("DROP TABLE hr.tmp").unwrap();
-        c.query("CREATE TABLE hr.tmp (v INTEGER)").unwrap();
-        c.query("INSERT INTO hr.tmp VALUES (10), (20)").unwrap();
-        assert_eq!(
-            stmt.query(&[Datum::Int(1)]).unwrap().rows,
-            vec![vec![Datum::Int(2)]],
-            "{mode:?}: stale plan served dropped table"
-        );
-        assert_eq!(
-            stmt.query(&[Datum::Int(15)]).unwrap().rows,
-            vec![vec![Datum::Int(1)]],
-            "{mode:?}"
-        );
-    }
+    let c = conn();
+    c.query("CREATE TABLE hr.tmp (v INTEGER)").unwrap();
+    c.query("INSERT INTO hr.tmp VALUES (1), (2), (3)").unwrap();
+    let stmt = c
+        .prepare("SELECT COUNT(*) AS c FROM hr.tmp WHERE v > ?")
+        .unwrap();
+    assert_eq!(
+        stmt.query(&[Datum::Int(1)]).unwrap().rows,
+        vec![vec![Datum::Int(2)]]
+    );
+    // DROP + CREATE under the same name: a stale plan would still
+    // scan the old table's data through its captured TableRef.
+    c.query("DROP TABLE hr.tmp").unwrap();
+    c.query("CREATE TABLE hr.tmp (v INTEGER)").unwrap();
+    c.query("INSERT INTO hr.tmp VALUES (10), (20)").unwrap();
+    assert_eq!(
+        stmt.query(&[Datum::Int(1)]).unwrap().rows,
+        vec![vec![Datum::Int(2)]],
+        "stale plan served dropped table"
+    );
+    assert_eq!(
+        stmt.query(&[Datum::Int(15)]).unwrap().rows,
+        vec![vec![Datum::Int(1)]]
+    );
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// A prepared-and-bound execution is indistinguishable from inlining
-    /// the literals, in every execution mode.
+    /// the literals, and both match the row engine.
     #[test]
     fn prepared_matches_inlined_literals(
         threshold in -100i64..6000,
         dept in 0i64..45,
         bump in -10i64..10,
     ) {
-        for mode in MODES {
-            let c = conn(mode);
-            let stmt = c
-                .prepare("SELECT empid, sal + ? AS s FROM emp WHERE sal > ? OR deptno = ?")
-                .unwrap();
-            let bound = stmt
-                .query(&[Datum::Int(bump), Datum::Int(threshold), Datum::Int(dept)])
-                .unwrap();
-            let inline = c
-                .query(&format!(
-                    "SELECT empid, sal + {bump} AS s FROM emp WHERE sal > {threshold} OR deptno = {dept}"
-                ))
-                .unwrap();
-            prop_assert_eq!(sorted(bound.rows), sorted(inline.rows));
-        }
+        let c = conn();
+        let sql = "SELECT empid, sal + ? AS s FROM emp WHERE sal > ? OR deptno = ?";
+        let params = [Datum::Int(bump), Datum::Int(threshold), Datum::Int(dept)];
+        let bound = c.prepare(sql).unwrap().query(&params).unwrap();
+        let inline = c
+            .query(&format!(
+                "SELECT empid, sal + {bump} AS s FROM emp WHERE sal > {threshold} OR deptno = {dept}"
+            ))
+            .unwrap();
+        let oracle = sorted(row_oracle(&c, sql, &params));
+        prop_assert_eq!(sorted(bound.rows), oracle.clone());
+        prop_assert_eq!(sorted(inline.rows), oracle);
     }
 }
 
@@ -378,9 +352,7 @@ fn result_set_streams_limit_one_without_materializing() {
     let s = Schema::new();
     s.add_table("big", Arc::new(table));
     catalog.add_schema("hr", s);
-    let c = Connection::builder(catalog)
-        .execution_mode(ExecutionMode::Fused)
-        .build();
+    let c = Connection::builder(catalog).build();
 
     let mut rs = c.execute("SELECT v FROM hr.big LIMIT 1").unwrap();
     assert_eq!(rs.next_row().unwrap(), Some(vec![Datum::Int(0)]));

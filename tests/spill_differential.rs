@@ -17,7 +17,7 @@ use rcalcite_core::rex::{Op, RexNode};
 use rcalcite_core::traits::FieldCollation;
 use rcalcite_core::types::{RelType, RowTypeBuilder, TypeKind};
 use rcalcite_enumerable::EnumerableExecutor;
-use rcalcite_sql::{Connection, ExecutionMode};
+use rcalcite_sql::Connection;
 use std::sync::Arc;
 
 /// A context with an explicit budget (`None` = unbounded), overriding
@@ -29,6 +29,14 @@ fn spill_ctx(workers: usize, budget: Option<usize>) -> ExecContext {
     c.set_parallelism(Parallelism::new(workers, 64));
     c.set_memory_budget(budget.map_or_else(MemoryBudget::unbounded, MemoryBudget::bytes));
     c
+}
+
+/// The connection's optimized plan for `sql`, run by the row engine.
+fn sql_row_oracle(conn: &Connection, sql: &str) -> Vec<Row> {
+    let plan = conn.optimize(&conn.parse_to_rel(sql).unwrap()).unwrap();
+    let mut ctx = ExecContext::new();
+    rcalcite_enumerable::register_executors(&mut ctx);
+    ctx.execute_collect(&plan).unwrap()
 }
 
 /// The budget ladder: one spill page (everything spills), a partial
@@ -425,26 +433,27 @@ fn sql_pipeline_identical_across_budget_and_workers() {
         "SELECT a.region, a.amount FROM sales AS a JOIN sales AS b ON a.amount = b.amount \
          WHERE b.region = 3 ORDER BY a.amount, a.region",
     ];
-    for mode in [ExecutionMode::Batch, ExecutionMode::Fused] {
-        let reference = Connection::builder(catalog.clone())
-            .execution_mode(mode)
-            .workers(1)
-            .build();
-        for budget in [PAGE_SIZE, 8 * PAGE_SIZE] {
-            for workers in [1usize, 4] {
-                let conn = Connection::builder(catalog.clone())
-                    .execution_mode(mode)
-                    .workers(workers)
-                    .morsel_size(64)
-                    .memory_budget(budget)
-                    .build();
-                for q in queries {
-                    assert_eq!(
-                        conn.query(q).unwrap(),
-                        reference.query(q).unwrap(),
-                        "{mode:?} budget={budget} workers={workers}: {q}"
-                    );
-                }
+    let reference = Connection::builder(catalog.clone()).workers(1).build();
+    for q in queries {
+        assert_eq!(
+            reference.query(q).unwrap().rows,
+            sql_row_oracle(&reference, q),
+            "row engine: {q}"
+        );
+    }
+    for budget in [PAGE_SIZE, 8 * PAGE_SIZE] {
+        for workers in [1usize, 4] {
+            let conn = Connection::builder(catalog.clone())
+                .workers(workers)
+                .morsel_size(64)
+                .memory_budget(budget)
+                .build();
+            for q in queries {
+                assert_eq!(
+                    conn.query(q).unwrap(),
+                    reference.query(q).unwrap(),
+                    "budget={budget} workers={workers}: {q}"
+                );
             }
         }
     }

@@ -1,15 +1,17 @@
 //! Golden-file SQL conformance: ~30 statements exercise the whole
 //! parser → validator → converter → planner → executor pipeline and are
-//! checked against inline result snapshots, through BOTH executor modes
-//! (row-at-a-time and vectorized batch). Executor changes that shift
-//! semantics fail these snapshots immediately.
+//! checked against inline result snapshots, through BOTH engines: the
+//! connection's fused batch front door and the row-at-a-time oracle run
+//! over the same optimized plan. Executor changes that shift semantics
+//! fail these snapshots immediately.
 //!
 //! Snapshot format: one string per row, fields joined by `|` using the
 //! `Datum` display form. Queries without ORDER BY are order-normalized
 //! by sorting the rendered rows.
 
 use rcalcite_core::catalog::{Catalog, MemTable, Schema};
-use rcalcite_core::datum::Datum;
+use rcalcite_core::datum::{Datum, Row};
+use rcalcite_core::exec::ExecContext;
 use rcalcite_core::types::{RowTypeBuilder, TypeKind};
 use rcalcite_enumerable::EnumerableExecutor;
 use rcalcite_sql::Connection;
@@ -79,15 +81,31 @@ fn catalog() -> Arc<Catalog> {
     catalog
 }
 
-fn connection(batched: bool) -> Connection {
+fn connection() -> Connection {
     let mut c = Connection::new(catalog());
     c.add_rule(rcalcite_enumerable::implement_rule());
-    c.register_executor(Arc::new(if batched {
-        EnumerableExecutor::batched()
-    } else {
-        EnumerableExecutor::new()
-    }));
+    c.register_executor(Arc::new(EnumerableExecutor::batched()));
     c
+}
+
+/// Runs `sql` with `params` bound: through the connection's front door,
+/// or (`oracle`) as the connection's optimized plan on the row engine.
+fn run(conn: &Connection, sql: &str, params: &[Datum], oracle: bool) -> Vec<Row> {
+    let rows = if oracle {
+        let mut ctx = ExecContext::new();
+        rcalcite_enumerable::register_executors(&mut ctx);
+        conn.parse_to_rel(sql)
+            .and_then(|rel| conn.optimize(&rel))
+            .and_then(|plan| ctx.with_params(params.to_vec()).execute_collect(&plan))
+    } else if params.is_empty() {
+        conn.query(sql).map(|r| r.rows)
+    } else {
+        conn.prepare(sql)
+            .and_then(|stmt| stmt.query(params))
+            .map(|r| r.rows)
+    };
+    let mode = if oracle { "row" } else { "batch" };
+    rows.unwrap_or_else(|e| panic!("[{mode}] query failed: {sql}: {e}"))
 }
 
 fn render(rows: &[Vec<Datum>]) -> Vec<String> {
@@ -353,13 +371,10 @@ fn golden_snapshots_batch_executor() {
 }
 
 fn run_golden(batched: bool) {
-    let conn = connection(batched);
+    let conn = connection();
     let mode = if batched { "batch" } else { "row" };
     for (sql, ordered, expected) in GOLDEN {
-        let result = conn
-            .query(sql)
-            .unwrap_or_else(|e| panic!("[{mode}] query failed: {sql}: {e}"));
-        let mut got = render(&result.rows);
+        let mut got = render(&run(&conn, sql, &[], !batched));
         let mut want: Vec<String> = expected.iter().map(|s| s.to_string()).collect();
         if !ordered {
             got.sort();
@@ -370,7 +385,7 @@ fn run_golden(batched: bool) {
 }
 
 /// Parameterized golden statements: (SQL with `?`, bindings, ordered,
-/// expected snapshot). Run through prepared statements in both modes.
+/// expected snapshot). Run through prepared statements and the oracle.
 fn param_golden() -> Vec<(&'static str, Vec<Datum>, bool, Vec<&'static str>)> {
     vec![
         (
@@ -431,18 +446,12 @@ fn param_golden_snapshots_batch_executor() {
 }
 
 fn run_param_golden(batched: bool) {
-    let conn = connection(batched);
+    let conn = connection();
     let mode = if batched { "batch" } else { "row" };
     for (sql, params, ordered, expected) in param_golden() {
-        let stmt = conn
-            .prepare(sql)
-            .unwrap_or_else(|e| panic!("[{mode}] prepare failed: {sql}: {e}"));
-        // Execute twice: the second run reuses the compiled plan.
+        // Execute twice: the second front-door run reuses the compiled plan.
         for pass in 0..2 {
-            let result = stmt
-                .query(&params)
-                .unwrap_or_else(|e| panic!("[{mode}] bind failed: {sql}: {e}"));
-            let mut got = render(&result.rows);
+            let mut got = render(&run(&conn, sql, &params, !batched));
             let mut want: Vec<String> = expected.iter().map(|s| s.to_string()).collect();
             if !ordered {
                 got.sort();
@@ -455,13 +464,12 @@ fn run_param_golden(batched: bool) {
 
 #[test]
 fn both_executors_agree_on_every_golden_statement() {
-    // Belt and braces on top of the snapshots: the two modes must agree
-    // with each other row-for-row (order-normalized).
-    let row = connection(false);
-    let batch = connection(true);
+    // Belt and braces on top of the snapshots: the front door and the
+    // row oracle must agree with each other row-for-row (order-normalized).
+    let conn = connection();
     for (sql, _, _) in GOLDEN {
-        let mut a = render(&row.query(sql).expect(sql).rows);
-        let mut b = render(&batch.query(sql).expect(sql).rows);
+        let mut a = render(&run(&conn, sql, &[], true));
+        let mut b = render(&run(&conn, sql, &[], false));
         a.sort();
         b.sort();
         assert_eq!(a, b, "executor divergence for: {sql}");
