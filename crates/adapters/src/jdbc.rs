@@ -7,11 +7,12 @@
 use crate::helpers::{rex_is_pushable, rex_to_predicates, QueryLog};
 use rcalcite_backends::memdb::{MemDb, SqlQuerySpec};
 use rcalcite_core::catalog::{Schema, Statistic, Table};
-use rcalcite_core::datum::{Column, Row};
+use rcalcite_core::datum::Row;
 use rcalcite_core::error::{CalciteError, Result};
-use rcalcite_core::exec::{BatchIter, ConventionExecutor, ExecContext, RowIter};
+use rcalcite_core::exec::{ConventionExecutor, ExecContext, RowIter};
 use rcalcite_core::rel::{Rel, RelKind, RelOp};
 use rcalcite_core::rules::{Pattern, Rule, RuleCall};
+use rcalcite_core::store::Version;
 use rcalcite_core::traits::Convention;
 use rcalcite_core::types::{Field, RelType, RowType};
 use rcalcite_sql::unparser::{to_sql, Dialect};
@@ -44,49 +45,8 @@ impl Table for JdbcTable {
         Ok(Box::new(rows.into_iter()))
     }
 
-    fn scan_columns(&self) -> Option<Result<Vec<Column>>> {
-        // memdb stores typed columns, so batch executors get them
-        // straight from storage with no row pivot.
-        Some(self.db.scan_columns(&self.name))
-    }
-
-    fn scan_batches(&self, batch_size: usize) -> Result<Box<dyn BatchIter>> {
-        // Stream slices of the stored columns lazily instead of cloning
-        // whole columns up front — the batch pipeline pulls one slice at
-        // a time from an Arc snapshot of the relation.
-        self.db.scan_batches(&self.name, batch_size)
-    }
-
-    fn range_scan_rows(&self) -> Option<usize> {
-        Some(self.db.row_count(&self.name))
-    }
-
-    fn scan_snapshot(&self) -> Result<Option<Arc<dyn rcalcite_core::catalog::RangeScan>>> {
-        // Morsel workers slice disjoint ranges of one Arc snapshot of
-        // memdb's column chunks — no copying, no locking during the
-        // scan.
-        Ok(Some(self.db.scan_snapshot(&self.name)?))
-    }
-
     fn convention(&self) -> Convention {
         self.convention.clone()
-    }
-
-    fn analyze(&self) -> Option<Result<rcalcite_core::stats::TableStats>> {
-        // ANALYZE reads memdb's column chunks in place instead of going
-        // through the generic scan surface.
-        Some(self.db.analyze(&self.name))
-    }
-
-    fn indexes(&self) -> Vec<rcalcite_core::index::IndexDef> {
-        self.db.indexes(&self.name)
-    }
-
-    fn index_probe_snapshot(
-        &self,
-        index: &str,
-    ) -> Result<Option<Arc<dyn rcalcite_core::index::IndexProbe>>> {
-        self.db.index_probe(&self.name, index)
     }
 
     fn create_index(&self, def: &rcalcite_core::index::IndexDef) -> Result<bool> {
@@ -98,8 +58,10 @@ impl Table for JdbcTable {
         self.db.drop_index(&self.name, name)
     }
 
-    fn txn_snapshot(&self) -> Option<Arc<dyn rcalcite_core::txn::TxnVersion>> {
-        self.db.txn_snapshot(&self.name).ok()
+    /// memdb's own version of the relation: snapshot scans slice its
+    /// column chunks, probes and `ANALYZE` read them in place.
+    fn txn_snapshot(&self) -> Option<Arc<Version>> {
+        self.db.version(&self.name).ok()
     }
 
     fn apply_delta(&self, ops: &[rcalcite_core::txn::DeltaOp]) -> Result<usize> {
@@ -494,7 +456,7 @@ mod tests {
         let db = sample_db();
         let adapter = JdbcAdapter::new(db, "pg", Arc::new(PostgresDialect));
         let t = adapter.schema().table("products").unwrap();
-        let stats = t.analyze().expect("native analyze").unwrap();
+        let stats = rcalcite_core::stats::analyze_table(t.as_ref()).unwrap();
         assert_eq!(stats.row_count, 3.0);
         assert_eq!(stats.columns.len(), 3);
         assert_eq!(stats.columns[0].ndv, 3.0);

@@ -7,14 +7,11 @@
 
 use crate::common::ColPredicate;
 use parking_lot::{Mutex, RwLock};
-use rcalcite_core::catalog::RangeScan;
 use rcalcite_core::datum::{Column, Row};
 use rcalcite_core::error::{CalciteError, Result};
-use rcalcite_core::exec::BatchIter;
-use rcalcite_core::index::{IndexDef, IndexProbe};
-use rcalcite_core::stats::TableStats;
+use rcalcite_core::index::IndexDef;
 use rcalcite_core::store::Version;
-use rcalcite_core::txn::{DeltaOp, TxnVersion};
+use rcalcite_core::txn::DeltaOp;
 use rcalcite_core::types::TypeKind;
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -57,15 +54,10 @@ impl MemRelation {
             .position(|(n, _)| n.eq_ignore_ascii_case(name))
     }
 
-    /// The native columnar form of this relation: one column slice per
-    /// chunk of the store, in position order.
-    pub fn column_chunks(&self) -> impl Iterator<Item = &[Column]> + '_ {
+    /// The native columnar form of this relation: one `(rows, columns)`
+    /// pair per chunk of the store, in position order.
+    pub fn column_chunks(&self) -> impl Iterator<Item = (usize, &[Column])> + '_ {
         self.version.chunks()
-    }
-
-    /// Definitions of the secondary indexes on this relation.
-    pub fn index_defs(&self) -> Vec<IndexDef> {
-        self.version.index_defs()
     }
 }
 
@@ -129,7 +121,12 @@ impl MemDb {
             .ok_or_else(|| CalciteError::execution(format!("memdb: no table '{table}'")))
     }
 
-    fn version(&self, table: &str) -> Result<Arc<Version>> {
+    /// The current [`Version`] of `table`: one `Arc` clone carrying its
+    /// chunked columns, row ids and indexes of one instant. Every read
+    /// beyond [`MemDb::execute`] — MVCC snapshots, range scans, index
+    /// probes, `ANALYZE` — is a method of the version, unaffected by
+    /// later writes, which copy only the chunks they touch away from it.
+    pub fn version(&self, table: &str) -> Result<Arc<Version>> {
         Ok(Arc::clone(&self.relation(table)?.version))
     }
 
@@ -178,12 +175,6 @@ impl MemDb {
             .or_default() += 1;
     }
 
-    /// Captures an immutable MVCC version of `table`: one `Arc` clone
-    /// carrying rows, ids and index state together.
-    pub fn txn_snapshot(&self, table: &str) -> Result<Arc<dyn TxnVersion>> {
-        Ok(self.version(table)?)
-    }
-
     /// Applies a committed MVCC delta: open snapshots keep the pre-delta
     /// version, sharing every chunk the delta does not touch, and the
     /// indexes are patched at the touched positions. The stream is
@@ -226,52 +217,8 @@ impl MemDb {
         self.write(table, |version| Ok(Version::drop_index(version, name)))
     }
 
-    /// The index definitions on `table` (empty for unknown tables).
-    pub fn indexes(&self, table: &str) -> Vec<IndexDef> {
-        self.table(table).map_or(vec![], |rel| rel.index_defs())
-    }
-
-    /// A consistent probe snapshot of `index` on `table`: rows and index
-    /// state of one version, undisturbed by concurrent writes. `Ok(None)`
-    /// when the index does not exist.
-    pub fn index_probe(&self, table: &str, index: &str) -> Result<Option<Arc<dyn IndexProbe>>> {
-        Ok(self.version(table)?.index_probe(index))
-    }
-
-    /// Native columnar scan: the typed column vectors of a table, chunks
-    /// concatenated — no per-row pivoting. This is the materializing
-    /// form; batch executors stream through [`MemDb::scan_batches`].
-    pub fn scan_columns(&self, name: &str) -> Result<Vec<Column>> {
-        Ok(self.version(name)?.to_columns())
-    }
-
-    /// Streaming columnar scan: batches of at most `batch_size` rows
-    /// sliced out of one version's chunks on demand. Nothing beyond the
-    /// slice being pulled is copied, so the batch pipeline's memory stays
-    /// bounded regardless of table size.
-    pub fn scan_batches(&self, name: &str, batch_size: usize) -> Result<Box<dyn BatchIter>> {
-        let snapshot = self.scan_snapshot(name)?;
-        let rows = snapshot.row_count();
-        snapshot.scan_range(batch_size, 0, rows)
-    }
-
-    /// A consistent snapshot of a table for morsel-driven parallel scans:
-    /// workers slice disjoint row ranges out of one version without
-    /// copying the store.
-    pub fn scan_snapshot(&self, name: &str) -> Result<Arc<dyn RangeScan>> {
-        Ok(self.version(name)?)
-    }
-
     pub fn table(&self, name: &str) -> Option<Arc<MemRelation>> {
         self.tables.read().get(&name.to_ascii_lowercase()).cloned()
-    }
-
-    /// Computes planner statistics (row count, per-column NDV/min/max/null
-    /// fraction, equi-depth histograms) over the store's chunks in place —
-    /// no row pivoting, no copy. This is the native `ANALYZE` path the
-    /// JDBC adapter's tables expose.
-    pub fn analyze(&self, name: &str) -> Result<TableStats> {
-        Ok(self.version(name)?.analyze())
     }
 
     pub fn table_names(&self) -> Vec<String> {
@@ -299,12 +246,11 @@ impl MemDb {
         }
         // Predicates read their column in place; only matches become rows.
         let mut rows: Vec<Row> = vec![];
-        for chunk in rel.column_chunks() {
+        for (len, chunk) in rel.column_chunks() {
             let passes = |r: &usize| {
                 let mut preds = q.predicates.iter();
                 preds.all(|p| p.op.matches(&chunk[p.col].get(*r), &p.value))
             };
-            let len = chunk.first().map_or(0, Column::len);
             let hits = (0..len).filter(passes);
             rows.extend(hits.map(|r| chunk.iter().map(|c| c.get(r)).collect::<Row>()));
         }
@@ -384,6 +330,16 @@ mod tests {
         assert_eq!(db.row_count("products"), 3);
     }
 
+    /// A chunk's length is its own, not its first column's: a
+    /// zero-column table still executes to every row it holds.
+    #[test]
+    fn zero_column_table_executes_every_row() {
+        let db = MemDb::new();
+        db.create_table("z", vec![], vec![vec![]; 5000]);
+        let rows = db.execute(&SqlQuerySpec::scan("z")).unwrap();
+        assert_eq!((rows.len(), db.row_count("z")), (5000, 5000));
+    }
+
     #[test]
     fn filter_project_order_limit() {
         let db = db();
@@ -437,10 +393,26 @@ mod tests {
         assert!(db.execute(&q).is_err());
     }
 
+    /// A version's batches, `batch_size` rows at most, in position order.
+    fn version_scan(
+        db: &MemDb,
+        table: &str,
+        batch_size: usize,
+    ) -> Result<Box<dyn rcalcite_core::exec::BatchIter>> {
+        use rcalcite_core::catalog::RangeScan;
+        let version = db.version(table)?;
+        let rows = version.len();
+        version.scan_range(batch_size, 0, rows)
+    }
+
     #[test]
     fn columnar_scan_tracks_inserts() {
         let db = db();
-        let cols = db.scan_columns("products").unwrap();
+        let cols = version_scan(&db, "products", 10)
+            .unwrap()
+            .next_batch()
+            .unwrap()
+            .unwrap();
         assert_eq!(cols.len(), 3);
         assert!(matches!(cols[0], Column::Int { .. }));
         assert!(matches!(cols[1], Column::Str { .. }));
@@ -450,16 +422,17 @@ mod tests {
             vec![Datum::Int(4), Datum::str("tnt"), Datum::Double(50.0)],
         )
         .unwrap();
-        let cols = db.scan_columns("products").unwrap();
+        let mut it = version_scan(&db, "products", 10).unwrap();
+        let cols = it.next_batch().unwrap().unwrap();
         assert_eq!(cols[0].len(), 4);
         assert_eq!(cols[1].get(3), Datum::str("tnt"));
-        assert!(db.scan_columns("missing").is_err());
+        assert!(version_scan(&db, "missing", 10).is_err());
     }
 
     #[test]
-    fn scan_batches_streams_slices_from_a_snapshot() {
+    fn version_scan_streams_slices_from_a_snapshot() {
         let db = db();
-        let mut it = db.scan_batches("products", 2).unwrap();
+        let mut it = version_scan(&db, "products", 2).unwrap();
         assert_eq!(it.arity(), 3);
         let first = it.next_batch().unwrap().unwrap();
         assert_eq!(first[0].len(), 2);
@@ -474,15 +447,16 @@ mod tests {
         assert_eq!(second[0].len(), 1);
         assert!(it.next_batch().unwrap().is_none());
         // A fresh scan sees the inserted row.
-        let mut it = db.scan_batches("products", 10).unwrap();
+        let mut it = version_scan(&db, "products", 10).unwrap();
         assert_eq!(it.next_batch().unwrap().unwrap()[0].len(), 4);
-        assert!(db.scan_batches("missing", 2).is_err());
+        assert!(version_scan(&db, "missing", 2).is_err());
     }
 
     #[test]
     fn range_snapshot_is_zero_copy_and_stable() {
+        use rcalcite_core::catalog::RangeScan;
         let db = db();
-        let snap = db.scan_snapshot("products").unwrap();
+        let snap = db.version("products").unwrap();
         assert_eq!(snap.row_count(), 3);
         // Inserts after the snapshot stay invisible to its ranges.
         db.insert(
@@ -495,8 +469,8 @@ mod tests {
         assert_eq!(first[0].len(), 2);
         assert_eq!(first[0].get(0), Datum::Int(2));
         assert!(it.next_batch().unwrap().is_none());
-        assert_eq!(db.scan_snapshot("products").unwrap().row_count(), 4);
-        assert!(db.scan_snapshot("missing").is_err());
+        assert_eq!(db.version("products").unwrap().row_count(), 4);
+        assert!(db.version("missing").is_err());
     }
 
     #[test]
@@ -526,7 +500,7 @@ mod tests {
     #[test]
     fn apply_delta_cow_keeps_open_snapshots() {
         let db = db();
-        let before = db.txn_snapshot("products").unwrap();
+        let before = db.version("products").unwrap();
         db.create_index("products", &IndexDef::ordered("p_id", vec![0]))
             .unwrap();
         // Update product 2's price, delete product 1, insert product 4.
@@ -547,7 +521,7 @@ mod tests {
         )
         .unwrap();
         // The pre-delta snapshot is untouched.
-        assert_eq!(before.row_count(), 3);
+        assert_eq!(before.len(), 3);
         assert_eq!(before.row(0)[1], Datum::str("anvil"));
         assert_eq!(before.row(1)[2], Datum::Double(100.0));
         // The live relation reflects the delta; ids stay stable.
@@ -555,11 +529,12 @@ mod tests {
         assert_eq!(rel.row_ids(), [1, 2, start]);
         assert_eq!(rel.rows()[0][2], Datum::Double(99.0));
         assert_eq!(
-            rel.column_chunks().next().unwrap()[2].get(0),
+            rel.column_chunks().next().unwrap().1[2].get(0),
             Datum::Double(99.0)
         );
         // The index was maintained incrementally and stays exact.
-        let probe = db.index_probe("products", "p_id").unwrap().unwrap();
+        let version = db.version("products").unwrap();
+        let probe = version.index_probe("p_id").unwrap();
         use rcalcite_core::index::BoundProbe;
         assert_eq!(
             probe.positions(&BoundProbe::point(vec![Datum::Int(4)])),

@@ -14,8 +14,8 @@
 //! fall on and around the chunk boundaries.
 
 use proptest::prelude::*;
-use rcalcite_backends::memdb::MemDb;
-use rcalcite_core::catalog::{MemTable, Table};
+use rcalcite_backends::memdb::{MemDb, SqlQuerySpec};
+use rcalcite_core::catalog::{MemTable, RangeScan, Table};
 use rcalcite_core::datum::{columns_to_rows, Datum, Row};
 use rcalcite_core::exec::{collect_batches_to_rows, BatchIter};
 use rcalcite_core::index::{BoundProbe, IndexData, IndexDef, IndexProbe, RowsRef};
@@ -106,7 +106,7 @@ impl Stores {
     /// the columnar surface, and what every index answers.
     fn image(&self) -> Vec<String> {
         let rel = self.db.table("t").unwrap();
-        let columnar = self.db.scan_columns("t").unwrap();
+        let columnar: Vec<_> = rel.column_chunks().collect();
         let mut out = vec![
             format!("{:?} {:?}", self.mem.rows(), self.mem.row_ids()),
             format!("{:?} {:?} {columnar:?}", rel.rows(), rel.row_ids()),
@@ -118,7 +118,12 @@ impl Stores {
         ];
         for def in index_defs() {
             let a = self.mem.index_probe_snapshot(&def.name).unwrap().unwrap();
-            let b = self.db.index_probe("t", &def.name).unwrap().unwrap();
+            let b = self
+                .db
+                .version("t")
+                .unwrap()
+                .index_probe(&def.name)
+                .unwrap();
             for probe in probes(&def) {
                 out.push(format!(
                     "{:?} {:?}",
@@ -242,29 +247,37 @@ fn check_against(stores: &Stores, model: &BTreeMap<u64, Row>, what: &str) {
     let rel = stores.db.table("t").unwrap();
     assert_eq!(rel.rows(), want_rows, "memdb rows after {what}");
     assert_eq!(rel.row_ids(), want_ids, "memdb ids after {what}");
-    // The three columnar surfaces of each store.
+    // The read surfaces of each store: snapshot slices, the version's
+    // chunks, the row scan.
     let (mem, db) = (&stores.mem, &stores.db);
     let drain = |batches: Box<dyn BatchIter>| collect_batches_to_rows(batches).unwrap();
-    for (store, snapshot, batches, columns) in [
+    let memdb_version = db.version("t").unwrap();
+    for (store, snapshot, version, scanned) in [
         (
             "MemTable",
             mem.scan_snapshot().unwrap().unwrap(),
-            mem.scan_batches(1024).unwrap(),
-            mem.scan_columns().unwrap().unwrap(),
+            mem.txn_snapshot().unwrap(),
+            mem.scan().unwrap().collect::<Vec<_>>(),
         ),
         (
             "memdb",
-            db.scan_snapshot("t").unwrap(),
-            db.scan_batches("t", 1024).unwrap(),
-            db.scan_columns("t").unwrap(),
+            Arc::clone(&memdb_version) as Arc<dyn RangeScan>,
+            memdb_version,
+            db.execute(&SqlQuerySpec::scan("t")).unwrap(),
         ),
     ] {
         let n = snapshot.row_count();
-        let sliced = drain(snapshot.scan_range(1000, 0, n).unwrap());
+        let sliced = drain(Arc::clone(&snapshot).scan_range(1000, 0, n).unwrap());
         assert_eq!(sliced, want_rows, "{store} snapshot after {what}");
-        assert_eq!(drain(batches), want_rows, "{store} batches after {what}");
-        let pivoted = columns_to_rows(&columns);
-        assert_eq!(pivoted, want_rows, "{store} columns after {what}");
+        let batches = drain(snapshot.scan_range(1024, 0, n).unwrap());
+        assert_eq!(batches, want_rows, "{store} batches after {what}");
+        let chunks = version.chunks().flat_map(|(_, cols)| columns_to_rows(cols));
+        assert_eq!(
+            chunks.collect::<Vec<_>>(),
+            want_rows,
+            "{store} columns after {what}"
+        );
+        assert_eq!(scanned, want_rows, "{store} row scan after {what}");
     }
     let access = RowsRef {
         rows: &want_rows,
@@ -274,7 +287,12 @@ fn check_against(stores: &Stores, model: &BTreeMap<u64, Row>, what: &str) {
         let fresh = IndexData::build(def.clone(), &access).unwrap();
         let live: [Arc<dyn IndexProbe>; 2] = [
             stores.mem.index_probe_snapshot(&def.name).unwrap().unwrap(),
-            stores.db.index_probe("t", &def.name).unwrap().unwrap(),
+            stores
+                .db
+                .version("t")
+                .unwrap()
+                .index_probe(&def.name)
+                .unwrap(),
         ];
         for probe in probes(&def) {
             let want = fresh.probe(&access, &probe);

@@ -2,12 +2,13 @@
 //! write shared or copied, a columnar scan must equal static evaluation
 //! on the current rows. Random interleavings of every write path —
 //! `insert`, `apply_delta` (insert / update / delete, id blocks committed
-//! out of order) and `replace_all` — with the three columnar surfaces
-//! (`scan_snapshot`, `scan_batches`, `scan_columns`) are checked against a
-//! fresh pivot of `rows()` after every step, snapshots taken before a
-//! write keep serving their version, and scanners racing a writer only
-//! ever see one whole committed version — on a nine-row table and on one
-//! of more than 2.5 chunks, written around its chunk boundaries.
+//! out of order) and `replace_all` — with the read surfaces (the
+//! `scan_snapshot` slices, whole and by range, the version's chunks and
+//! the row `scan`) are checked against `rows()` and a fresh pivot of it
+//! after every step, snapshots taken before a write keep serving their
+//! version, and scanners racing a writer only ever see one whole
+//! committed version — on a nine-row table and on one of more than 2.5
+//! chunks, written around its chunk boundaries.
 
 use proptest::prelude::*;
 use rcalcite_core::catalog::{MemTable, RangeScan, Table};
@@ -60,7 +61,7 @@ fn snapshot_rows(snapshot: Arc<dyn RangeScan>, batch_size: usize) -> Vec<Row> {
     collect_batches_to_rows(snapshot.scan_range(batch_size, 0, n).unwrap()).unwrap()
 }
 
-/// All three columnar surfaces against a fresh pivot of the row store.
+/// Every read surface against the row store and a fresh pivot of it.
 fn check_scans(t: &MemTable, what: &str) {
     let rows = t.rows();
     let snapshot = t.scan_snapshot().unwrap().unwrap();
@@ -77,20 +78,24 @@ fn check_scans(t: &MemTable, what: &str) {
     // A morsel-shaped window of the same snapshot.
     let (start, len) = (rows.len() / 3, rows.len() / 2);
     assert_eq!(
-        collect_batches_to_rows(snapshot.scan_range(4, start, len).unwrap()).unwrap(),
+        collect_batches_to_rows(snapshot.clone().scan_range(4, start, len).unwrap()).unwrap(),
         rows[start..(start + len).min(rows.len())],
         "snapshot range after {what}"
     );
+    assert_eq!(snapshot_rows(snapshot, 3), rows, "batches after {what}");
     assert_eq!(
-        collect_batches_to_rows(t.scan_batches(3).unwrap()).unwrap(),
+        t.scan().unwrap().collect::<Vec<_>>(),
         rows,
-        "scan_batches after {what}"
+        "row scan after {what}"
     );
-    assert_eq!(
-        t.scan_columns().unwrap().unwrap(),
-        pivot(&rows),
-        "scan_columns after {what}"
-    );
+    // Chunk by chunk, the typed columns a pivot of those rows builds.
+    let version = t.txn_snapshot().unwrap();
+    let mut at = 0;
+    for (len, columns) in version.chunks() {
+        assert_eq!(columns, pivot(&rows[at..at + len]), "chunk after {what}");
+        at += len;
+    }
+    assert_eq!(at, rows.len(), "chunk lengths after {what}");
 }
 
 #[derive(Debug, Clone)]
@@ -233,10 +238,7 @@ fn race_scanners(base: i64, versions: i64) {
                     while !done.load(Ordering::SeqCst) || scans < 50 {
                         let snapshot = t.scan_snapshot().unwrap().unwrap();
                         let a = check(snapshot_rows(snapshot, 16), "scan_snapshot");
-                        let b = check(
-                            collect_batches_to_rows(t.scan_batches(16).unwrap()).unwrap(),
-                            "scan_batches",
-                        );
+                        let b = check(t.scan().unwrap().collect(), "scan");
                         // Versions only move forward.
                         assert!(last <= a && a <= b, "{last} {a} {b}");
                         last = b;

@@ -2,9 +2,9 @@
 //! mechanism to define table schemas and views in external storage engines
 //! via adapters" (§3) — this module is that mechanism's core interface.
 
-use crate::datum::{Column, Row};
+use crate::datum::Row;
 use crate::error::{CalciteError, Result};
-use crate::exec::{BatchIter, RowBatcher, SlicedColumns};
+use crate::exec::BatchIter;
 use crate::index::{IndexDef, IndexProbe};
 use crate::store::Version;
 use crate::traits::{Collation, Convention};
@@ -56,10 +56,21 @@ impl Statistic {
     }
 }
 
-/// The minimal interface an adapter must implement: expose a row type and a
-/// full table scan (§5: "If an adapter implements the table scan operator,
-/// the Calcite optimizer is then able to use client-side operators ... to
-/// execute arbitrary SQL queries against these tables").
+/// The adapter contract (§5: "If an adapter implements the table scan
+/// operator, the Calcite optimizer is then able to use client-side
+/// operators ... to execute arbitrary SQL queries against these tables").
+///
+/// - **Required:** a row type and [`Table::scan`], the row scan. That is
+///   all a row-only adapter implements; the engine pivots its rows into
+///   batches itself.
+/// - **Columnar:** a table that holds its data as a
+///   [`crate::store::Version`] returns it from [`Table::txn_snapshot`].
+///   Every other read then derives from that one `Arc`: the snapshot
+///   scans slice ([`Table::scan_snapshot`]), the indexes and their probes,
+///   and `ANALYZE` ([`crate::stats::analyze_table`]). A table with some
+///   other columnar form overrides [`Table::scan_snapshot`] instead.
+/// - **Writable:** index DDL and the transactional write methods; the
+///   defaults refuse.
 pub trait Table: Send + Sync {
     fn row_type(&self) -> RowType;
 
@@ -71,63 +82,17 @@ pub trait Table: Send + Sync {
     /// through adapter rules instead.
     fn scan(&self) -> Result<Box<dyn Iterator<Item = Row> + Send>>;
 
-    /// Columnar scan: the whole table as typed column vectors, one per
-    /// field. Batch executors use this to feed column batches without
-    /// per-row pivoting; `None` means the table only supports row
-    /// iteration and callers must bridge through [`Table::scan`].
-    fn scan_columns(&self) -> Option<Result<Vec<Column>>> {
-        None
-    }
-
-    /// Streaming columnar scan: a pull-based [`BatchIter`] serving at most
-    /// `batch_size` rows per batch. This is what the streaming batch
-    /// executor pulls from, one batch per `next_batch`, so memory stays
-    /// bounded by the pipeline depth rather than the table size.
+    /// A consistent columnar snapshot of the table, sliced by position:
+    /// the serial scan streams the whole of it, and morsel workers claim
+    /// `[start, start + len)` ranges of the *same* snapshot, so a
+    /// concurrent write cannot tear a scan. Must be cheap — sizing a
+    /// parallel scan and EXPLAIN take one without scanning.
     ///
-    /// The default slices the whole of [`Table::scan_snapshot`] — the
-    /// same snapshot, through the same [`RangeScan::scan_range`], that
-    /// morsel workers slice by range — or, for tables without a columnar
-    /// surface, pivots [`Table::scan`] through a [`RowBatcher`].
-    /// Zero-column tables cannot be represented as column batches (a
-    /// `Vec<Column>` carries no row count without columns) — callers
-    /// must route those through [`Table::scan`].
-    fn scan_batches(&self, batch_size: usize) -> Result<Box<dyn BatchIter>> {
-        if let Some(snapshot) = self.scan_snapshot()? {
-            let rows = snapshot.row_count();
-            return snapshot.scan_range(batch_size, 0, rows);
-        }
-        let kinds = self
-            .row_type()
-            .fields
-            .iter()
-            .map(|f| f.ty.kind.clone())
-            .collect();
-        Ok(Box::new(RowBatcher::new(self.scan()?, kinds, batch_size)))
-    }
-
-    /// Number of rows a range-partitioned scan of this table would
-    /// cover, when the table supports one — the gate morsel-driven
-    /// parallel executors check before splitting a scan into per-worker
-    /// ranges. `None` (the default) means only whole-table scans are
-    /// available and the scan stays serial. Must be cheap: planners and
-    /// EXPLAIN call it without scanning.
-    fn range_scan_rows(&self) -> Option<usize> {
-        None
-    }
-
-    /// Takes a consistent snapshot supporting positional range scans,
-    /// for morsel-driven parallel execution: every worker slices its
-    /// claimed `[start, start + len)` ranges out of the *same* snapshot,
-    /// so a concurrent insert cannot tear the scan between morsels.
-    ///
-    /// The default materializes [`Table::scan_columns`] once into a
-    /// [`ColumnsSnapshot`]; tables that keep columnar data resident
-    /// override this to hand out their current version, zero-copy
-    /// ([`MemTable`] and memdb: a [`crate::store::Version`]).
-    /// `Ok(None)` means range scans are unsupported (matching a `None`
-    /// from [`Table::range_scan_rows`]).
+    /// The default is the [`Table::txn_snapshot`] version itself, shared
+    /// and never copied. `Ok(None)` — no version, or no columns to carry
+    /// a batch's row count — means the engine pivots [`Table::scan`].
     fn scan_snapshot(&self) -> Result<Option<Arc<dyn RangeScan>>> {
-        ColumnsSnapshot::of(self.scan_columns())
+        Ok(self.txn_snapshot().and_then(Version::range_scan))
     }
 
     /// The calling convention in which scans of this table naturally start.
@@ -149,34 +114,27 @@ pub trait Table: Send + Sync {
         None
     }
 
-    /// Native statistics collection for `ANALYZE`. `None` (the default)
-    /// means the backend has no cheaper path and the caller falls back to
-    /// [`crate::stats::analyze_table`], which scans through the generic
-    /// columnar surface. Tables on the version store override this to
-    /// compute statistics over its chunks in place.
-    fn analyze(&self) -> Option<Result<crate::stats::TableStats>> {
-        None
-    }
-
     // ----- secondary-index SPI (§5: adapters expose access paths; the
     // ----- optimizer picks among them by cost) -----
 
-    /// The secondary indexes currently defined on this table. Planner
-    /// rules enumerate these to propose seek access paths; the default
-    /// (no indexes) keeps plain tables on full scans.
+    /// The secondary indexes currently defined on this table — by
+    /// default, those of its [`Table::txn_snapshot`] version. Planner
+    /// rules enumerate these to propose seek access paths; a table with
+    /// none stays on full scans.
     fn indexes(&self) -> Vec<IndexDef> {
-        vec![]
+        self.txn_snapshot()
+            .map_or_else(Vec::new, |v| v.index_defs())
     }
 
     /// Takes a consistent point-in-time snapshot for probing `index`:
     /// positions, rows and index state all refer to the same data, so
     /// concurrent INSERTs cannot tear a multi-probe seek or an in-flight
-    /// index-nested-loop join. `Ok(None)` means the index does not exist
-    /// (e.g. it was dropped after the plan was cached) — callers fall
-    /// back to a scan.
+    /// index-nested-loop join. By default the probe of the
+    /// [`Table::txn_snapshot`] version. `Ok(None)` means the index does
+    /// not exist (e.g. it was dropped after the plan was cached) —
+    /// callers fall back to a scan.
     fn index_probe_snapshot(&self, index: &str) -> Result<Option<Arc<dyn IndexProbe>>> {
-        let _ = index;
-        Ok(None)
+        Ok(self.txn_snapshot().and_then(|v| v.index_probe(index)))
     }
 
     /// Creates a secondary index. `Ok(false)` means this table kind does
@@ -195,11 +153,12 @@ pub trait Table: Send + Sync {
 
     // ----- transactional write SPI (MVCC + WAL; `core::txn`) -----
 
-    /// Captures an immutable version of this table (rows, stable row ids
-    /// and index state at one instant) for snapshot-isolated reads.
-    /// `None` (the default) means the table is not MVCC-capable and
-    /// transactions leave it alone.
-    fn txn_snapshot(&self) -> Option<Arc<dyn crate::txn::TxnVersion>> {
+    /// The table's current [`Version`] — chunked columns, stable row ids
+    /// and index state of one instant, behind one `Arc` — for
+    /// snapshot-isolated reads and every derived read surface. `None`
+    /// (the default) means the table is not MVCC-capable: transactions
+    /// leave it alone and its reads go through [`Table::scan`].
+    fn txn_snapshot(&self) -> Option<Arc<Version>> {
         None
     }
 
@@ -253,64 +212,6 @@ pub trait RangeScan: Send + Sync {
         start: usize,
         len: usize,
     ) -> Result<Box<dyn BatchIter>>;
-}
-
-/// The default [`RangeScan`]: whole-table column vectors materialized
-/// once at snapshot time, sliced per range without further copying.
-pub struct ColumnsSnapshot {
-    columns: Vec<Column>,
-    rows: usize,
-}
-
-impl ColumnsSnapshot {
-    pub fn new(columns: Vec<Column>) -> ColumnsSnapshot {
-        let rows = columns.first().map_or(0, Column::len);
-        ColumnsSnapshot { columns, rows }
-    }
-
-    /// The snapshot of a [`Table::scan_columns`] answer; none for a table
-    /// without that surface or without columns.
-    pub(crate) fn of(columns: Option<Result<Vec<Column>>>) -> Result<Option<Arc<dyn RangeScan>>> {
-        match columns.transpose()? {
-            Some(cols) if !cols.is_empty() => Ok(Some(Arc::new(ColumnsSnapshot::new(cols)))),
-            _ => Ok(None),
-        }
-    }
-
-    /// The whole-table column vectors, one per field.
-    pub fn columns(&self) -> &[Column] {
-        &self.columns
-    }
-}
-
-/// View of an `Arc<ColumnsSnapshot>` as a column slice for
-/// [`SlicedColumns`].
-struct SnapshotCols(Arc<ColumnsSnapshot>);
-
-impl AsRef<[Column]> for SnapshotCols {
-    fn as_ref(&self) -> &[Column] {
-        &self.0.columns
-    }
-}
-
-impl RangeScan for ColumnsSnapshot {
-    fn row_count(&self) -> usize {
-        self.rows
-    }
-
-    fn scan_range(
-        self: Arc<Self>,
-        batch_size: usize,
-        start: usize,
-        len: usize,
-    ) -> Result<Box<dyn BatchIter>> {
-        Ok(Box::new(SlicedColumns::new_range(
-            SnapshotCols(self),
-            batch_size,
-            start,
-            len,
-        )))
-    }
 }
 
 /// A resolved reference to a table in the catalog; carried by scan nodes.
@@ -462,35 +363,8 @@ impl Table for MemTable {
         Ok(Box::new(self.snapshot().into_rows()))
     }
 
-    fn scan_columns(&self) -> Option<Result<Vec<Column>>> {
-        Some(Ok(self.snapshot().to_columns()))
-    }
-
-    fn range_scan_rows(&self) -> Option<usize> {
-        if self.row_type.arity() == 0 {
-            return None; // zero-arity rows can't be column batches
-        }
-        Some(self.len())
-    }
-
-    fn scan_snapshot(&self) -> Result<Option<Arc<dyn RangeScan>>> {
-        Ok(crate::txn::TxnVersion::range_scan(self.snapshot()))
-    }
-
-    fn analyze(&self) -> Option<Result<crate::stats::TableStats>> {
-        Some(Ok(self.snapshot().analyze()))
-    }
-
     fn as_mem_table(&self) -> Option<&MemTable> {
         Some(self)
-    }
-
-    fn indexes(&self) -> Vec<IndexDef> {
-        self.current.read().index_defs()
-    }
-
-    fn index_probe_snapshot(&self, index: &str) -> Result<Option<Arc<dyn IndexProbe>>> {
-        Ok(self.snapshot().index_probe(index))
     }
 
     fn create_index(&self, def: &IndexDef) -> Result<bool> {
@@ -503,7 +377,7 @@ impl Table for MemTable {
         Ok(Version::drop_index(&mut self.current.write(), name))
     }
 
-    fn txn_snapshot(&self) -> Option<Arc<dyn crate::txn::TxnVersion>> {
+    fn txn_snapshot(&self) -> Option<Arc<Version>> {
         Some(self.snapshot())
     }
 
@@ -727,7 +601,7 @@ impl Catalog {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::datum::Datum;
+    use crate::datum::{Column, Datum};
     use crate::types::{RowTypeBuilder, TypeKind};
 
     fn emp_table() -> Arc<MemTable> {
@@ -805,7 +679,6 @@ mod tests {
                 .build(),
             (0..20).map(|i| vec![Datum::Int(i)]).collect(),
         );
-        assert_eq!(t.range_scan_rows(), Some(20));
         let snap = t.scan_snapshot().unwrap().unwrap();
         assert_eq!(snap.row_count(), 20);
         // A row inserted after the snapshot is invisible to its ranges.
@@ -818,8 +691,7 @@ mod tests {
             }
         }
         assert_eq!(got, (10..20).map(Datum::Int).collect::<Vec<_>>());
-        // But a fresh snapshot (and range_scan_rows) see it.
-        assert_eq!(t.range_scan_rows(), Some(21));
+        // But a fresh snapshot sees it.
         assert_eq!(t.scan_snapshot().unwrap().unwrap().row_count(), 21);
     }
 
@@ -841,7 +713,8 @@ mod tests {
         let c = t.scan_snapshot().unwrap().unwrap();
         assert_ne!(ptr(&a), ptr(&c), "a pinned version is never written");
         assert_eq!((a.row_count(), c.row_count()), (2, 3));
-        assert_eq!(t.analyze().unwrap().unwrap().row_count, 3.0);
+        let analyzed = crate::stats::analyze_table(t.as_ref()).unwrap();
+        assert_eq!(analyzed.row_count, 3.0);
 
         t.replace_all(vec![vec![Datum::Int(1), Datum::Double(1.0)]]);
         assert_eq!(c.row_count(), 3);
@@ -849,12 +722,13 @@ mod tests {
             t.rows_with_ids(),
             vec![(3, vec![Datum::Int(1), Datum::Double(1.0)])]
         );
+        let version = t.txn_snapshot().unwrap();
         assert_eq!(
-            t.scan_columns().unwrap().unwrap(),
-            vec![
+            version.chunks().map(|(_, cols)| cols).collect::<Vec<_>>(),
+            vec![[
                 Column::from_datums(&TypeKind::Integer, [Datum::Int(1)]),
                 Column::from_datums(&TypeKind::Double, [Datum::Double(1.0)]),
-            ]
+            ]]
         );
     }
 
@@ -863,9 +737,8 @@ mod tests {
     #[test]
     fn zero_arity_table_has_no_columnar_surface() {
         let t = MemTable::new(RowTypeBuilder::new().build(), vec![vec![], vec![]]);
-        assert_eq!(t.range_scan_rows(), None);
         assert!(t.scan_snapshot().unwrap().is_none());
-        assert_eq!(t.analyze().unwrap().unwrap().row_count, 2.0);
+        assert_eq!(t.txn_snapshot().unwrap().analyze().row_count, 2.0);
         assert_eq!(
             crate::stats::analyze_table(t.as_ref()).unwrap().row_count,
             2.0

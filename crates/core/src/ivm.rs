@@ -595,11 +595,10 @@ impl DeltaPlan {
                         let snap = table.table.txn_snapshot().ok_or_else(|| {
                             CalciteError::unsupported("base table does not support MVCC snapshots")
                         })?;
-                        let mut seed = Vec::with_capacity(snap.row_count());
+                        let mut seed = Vec::with_capacity(snap.len());
                         mirror.clear();
-                        for pos in 0..snap.row_count() {
-                            let row = snap.row(pos);
-                            mirror.insert(snap.row_id(pos), row.clone());
+                        for (id, row) in snap.rows_with_ids() {
+                            mirror.insert(id, row.clone());
                             seed.push((row, 1));
                         }
                         seed

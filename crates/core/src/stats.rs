@@ -290,18 +290,12 @@ pub fn analyze_chunks<'a>(
     }
 }
 
-/// Computes statistics for any [`Table`] through its scan surface: the
-/// columnar scan when the backend has one, otherwise a row scan pivoted
-/// through [`Column::from_rows`]. Backends with cheaper native paths
-/// override [`Table::analyze`] instead (tables on the version store read
-/// its chunks in place).
+/// Computes `ANALYZE` statistics for any [`Table`]: over the chunks of
+/// its [`Table::txn_snapshot`] version in place when it has one,
+/// otherwise over its row scan pivoted through [`Column::from_rows`].
 pub fn analyze_table(table: &dyn Table) -> Result<TableStats> {
-    if let Some(cols) = table.scan_columns() {
-        let cols = cols?;
-        if let Some(first) = cols.first() {
-            let rows = first.len();
-            return Ok(analyze_columns(&cols, rows));
-        }
+    if let Some(version) = table.txn_snapshot() {
+        return Ok(version.analyze());
     }
     let rows: Vec<crate::datum::Row> = table.scan()?.collect();
     let rt = table.row_type();

@@ -26,7 +26,7 @@ use crate::error::{CalciteError, Result};
 use crate::exec::BatchIter;
 use crate::index::{IndexData, IndexDef, IndexProbe, KeyAccess, SnapshotProbe};
 use crate::stats::{analyze_chunks, TableStats};
-use crate::txn::{DeltaOp, NetDelta, TxnVersion};
+use crate::txn::{DeltaOp, NetDelta};
 use crate::types::TypeKind;
 use std::sync::Arc;
 
@@ -224,30 +224,27 @@ impl Version {
             .flat_map(|c| (0..c.len()).map(move |i| (c.ids[i], c.row(i))))
     }
 
-    /// The columnar contents, one column slice per chunk, in position
-    /// order. A column's representation may differ from chunk to chunk.
-    pub fn chunks(&self) -> impl Iterator<Item = &[Column]> + Clone + '_ {
-        self.chunks.iter().map(|c| c.columns.as_slice())
+    /// The columnar contents, one `(rows, columns)` pair per chunk, in
+    /// position order — `rows` counts a zero-arity chunk too. A column's
+    /// representation may differ from chunk to chunk.
+    pub fn chunks(&self) -> impl Iterator<Item = (usize, &[Column])> + Clone + '_ {
+        self.chunks.iter().map(|c| (c.len(), c.columns.as_slice()))
     }
 
-    /// The whole table as one vector per field (copies every chunk).
-    pub fn to_columns(&self) -> Vec<Column> {
-        let mut chunks = self.chunks();
-        let mut out = match chunks.next() {
-            Some(first) => first.to_vec(),
-            None => self.kinds.iter().map(Column::for_kind).collect(),
-        };
-        for chunk in chunks {
-            for (all, col) in out.iter_mut().zip(chunk) {
-                all.append(col);
-            }
-        }
-        out
+    /// This version as the columnar snapshot scans slice, zero-copy — or
+    /// `None` for a zero-arity version, which has no column to carry a
+    /// batch's row count: its rows stay on the row surface. The one
+    /// zero-arity guard, behind the default
+    /// [`crate::catalog::Table::scan_snapshot`] and a transaction's
+    /// [`crate::txn::SnapshotTable`] alike.
+    pub fn range_scan(self: Arc<Self>) -> Option<Arc<dyn RangeScan>> {
+        (!self.kinds.is_empty()).then_some(self as Arc<dyn RangeScan>)
     }
 
     /// `ANALYZE` over the chunks in place.
     pub fn analyze(&self) -> TableStats {
-        analyze_chunks(self.kinds.len(), self.len(), self.chunks())
+        let columns = self.chunks().map(|(_, columns)| columns);
+        analyze_chunks(self.kinds.len(), self.len(), columns)
     }
 
     /// A row iterator that owns its version: later writes never show.
@@ -455,37 +452,6 @@ impl KeyAccess for Version {
     }
 }
 
-impl TxnVersion for Version {
-    fn row_count(&self) -> usize {
-        self.len()
-    }
-
-    fn row(&self, pos: usize) -> Row {
-        Version::row(self, pos)
-    }
-
-    fn row_id(&self, pos: usize) -> u64 {
-        Version::row_id(self, pos)
-    }
-
-    fn position_of(&self, row_id: u64) -> Option<usize> {
-        Version::position_of(self, row_id)
-    }
-
-    fn index_defs(&self) -> Vec<IndexDef> {
-        Version::index_defs(self)
-    }
-
-    fn index_probe(self: Arc<Self>, index: &str) -> Option<Arc<dyn IndexProbe>> {
-        Version::index_probe(self, index)
-    }
-
-    fn range_scan(self: Arc<Self>) -> Option<Arc<dyn RangeScan>> {
-        // A zero-arity version has no column to carry a batch's row count.
-        (!self.kinds.is_empty()).then_some(self as Arc<dyn RangeScan>)
-    }
-}
-
 impl RangeScan for Version {
     fn row_count(&self) -> usize {
         self.len()
@@ -616,11 +582,6 @@ mod tests {
             scan(v, 2, start, len),
             rows[start..(start + len).min(rows.len())],
             "range scan {what}"
-        );
-        assert_eq!(
-            crate::datum::columns_to_rows(&v.to_columns()),
-            rows,
-            "to_columns {what}"
         );
         assert_eq!(
             Arc::clone(v).into_rows().collect::<Vec<_>>(),
@@ -898,14 +859,13 @@ mod tests {
             row: vec![Datum::Double(0.5), Datum::str("odd")],
         };
         Version::apply_delta(&mut live, &[op]).unwrap();
-        let key_columns: Vec<&Column> = live.chunks().map(|cols| &cols[0]).collect();
+        let key_columns: Vec<&Column> = live.chunks().map(|(_, cols)| &cols[0]).collect();
         assert!(matches!(key_columns[0], Column::Int { .. }));
         assert!(matches!(key_columns[1], Column::Generic(_)));
         assert!(matches!(key_columns[2], Column::Int { .. }));
         let mut model: Vec<(u64, Row)> = (0..12).map(|id| (id, row(id as i64))).collect();
         model[5].1 = vec![Datum::Double(0.5), Datum::str("odd")];
         check(&live, &model, "after the demotion");
-        assert!(matches!(live.to_columns()[0], Column::Generic(_)));
         assert_eq!(live.analyze().row_count, 12.0);
     }
 

@@ -4,8 +4,8 @@
 //!
 //! The design leans on the Arc-snapshot discipline the storage layer
 //! already has: every MVCC-capable table hands out an immutable
-//! [`TxnVersion`] (rows + stable row ids + index state, all referring to
-//! the same instant — one [`crate::store::Version`]), and writers
+//! [`Version`] (rows + stable row ids + index state, all referring to
+//! the same instant) from [`Table::txn_snapshot`], and writers
 //! path-copy away from a shared version under `Arc::make_mut`, so a
 //! transaction that captured a version at BEGIN keeps reading it
 //! unchanged — that *is* the version chain, with the Arc holders pinning
@@ -28,9 +28,10 @@
 //! keep their row ids strictly ascending, so a row id resolves to its
 //! position by binary search on every path (staging, commit, WAL replay).
 
-use crate::catalog::{ColumnsSnapshot, RangeScan, Statistic, Table, TableRef};
+use crate::catalog::{RangeScan, Statistic, Table, TableRef};
 use crate::datum::{Column, Row};
 use crate::error::{CalciteError, Result};
+use crate::exec::{BatchIter, SlicedColumns};
 use crate::index::{BoundProbe, IndexDef, IndexProbe, RowsRef};
 use crate::store::Version;
 use crate::types::RowType;
@@ -38,7 +39,7 @@ use crate::wal::{WalRecord, WalWriter};
 use parking_lot::Mutex;
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 // ---------------------------------------------------------------------
 // Deltas
@@ -257,28 +258,8 @@ impl DeltaOutcome {
 }
 
 // ---------------------------------------------------------------------
-// Versions
+// Read views
 // ---------------------------------------------------------------------
-
-/// An immutable point-in-time version of one table: rows, their stable
-/// ids, and the index state covering exactly those rows. Cheap to capture
-/// (one `Arc` clone) and to hold: a writer copies only what it touches
-/// away from a pinned version.
-pub trait TxnVersion: Send + Sync {
-    fn row_count(&self) -> usize;
-    fn row(&self, pos: usize) -> Row;
-    fn row_id(&self, pos: usize) -> u64;
-    /// The position holding `row_id`, if this version has the row — a
-    /// binary search: versions keep their ids strictly ascending.
-    fn position_of(&self, row_id: u64) -> Option<usize>;
-    /// Indexes present in this version.
-    fn index_defs(&self) -> Vec<IndexDef>;
-    /// Probe handle for `index` over this version's rows, if it exists.
-    fn index_probe(self: Arc<Self>, index: &str) -> Option<Arc<dyn IndexProbe>>;
-    /// This version's own columnar range-scan surface, when it has one:
-    /// what a transaction that has written nothing scans.
-    fn range_scan(self: Arc<Self>) -> Option<Arc<dyn RangeScan>>;
-}
 
 /// The read view a statement evaluates against: the version captured at
 /// BEGIN with the transaction's own staged writes laid over it. Nothing
@@ -288,7 +269,7 @@ pub trait TxnVersion: Send + Sync {
 /// inserted, in id order. Index probes stay available after a write.
 #[derive(Clone)]
 pub struct ReadView {
-    version: Arc<dyn TxnVersion>,
+    version: Arc<Version>,
     staged: Arc<NetDelta>,
 }
 
@@ -296,18 +277,18 @@ impl ReadView {
     /// One past the largest position this view addresses. Positions the
     /// transaction deleted lie below it too: see [`ReadView::live_row`].
     pub fn position_bound(&self) -> usize {
-        self.version.row_count() + self.staged.inserted.len()
+        self.version.len() + self.staged.inserted.len()
     }
 
     /// Number of rows visible through this view.
     pub fn row_count(&self) -> usize {
-        self.version.row_count() - self.staged.base_deleted + self.staged.inserted_live
+        self.version.len() - self.staged.base_deleted + self.staged.inserted_live
     }
 
     /// The row at `pos` as the transaction sees it, `None` if it deleted
     /// that row.
     pub fn live_row(&self, pos: usize) -> Option<Row> {
-        match pos.checked_sub(self.version.row_count()) {
+        match pos.checked_sub(self.version.len()) {
             Some(k) => self.staged.inserted[k].1.clone(),
             None => match self.staged.base.get(&pos) {
                 Some(staged) => staged.clone(),
@@ -331,7 +312,7 @@ impl ReadView {
     }
 
     pub fn row_id(&self, pos: usize) -> u64 {
-        match pos.checked_sub(self.version.row_count()) {
+        match pos.checked_sub(self.version.len()) {
             Some(k) => self.staged.inserted[k].0,
             None => self.version.row_id(pos),
         }
@@ -373,7 +354,7 @@ impl IndexProbe for OverlayProbe {
     }
 
     fn positions(&self, probe: &BoundProbe) -> Vec<usize> {
-        let (staged, n) = (&self.view.staged, self.view.version.row_count());
+        let (staged, n) = (&self.view.staged, self.view.version.len());
         let mut out = self.base.positions(probe);
         out.retain(|pos| !staged.base.contains_key(pos));
         // The rows the transaction rewrote or inserted are the only ones
@@ -428,34 +409,21 @@ impl Table for SnapshotTable {
         ))
     }
 
-    fn scan_columns(&self) -> Option<Result<Vec<Column>>> {
-        let rows: Vec<Row> = self.view.live_rows().map(|(_, row)| row).collect();
-        Some(Ok(self
-            .row_type
-            .fields
-            .iter()
-            .enumerate()
-            .map(|(i, f)| Column::from_rows(&f.ty.kind, &rows, i))
-            .collect()))
-    }
-
-    fn range_scan_rows(&self) -> Option<usize> {
-        if self.row_type.arity() == 0 {
-            return None;
-        }
-        Some(self.view.row_count())
-    }
-
     /// The version's own snapshot while the transaction has written
     /// nothing — the shape [`ReadView::index_probe`] has for probes;
-    /// after a write the overlay is materialized through `scan_columns`.
+    /// after a write, the view's overlay, pivoted on its first scan.
     fn scan_snapshot(&self) -> Result<Option<Arc<dyn RangeScan>>> {
+        let Some(base) = Arc::clone(&self.view.version).range_scan() else {
+            return Ok(None);
+        };
         if self.view.staged.is_empty() {
-            if let Some(snapshot) = Arc::clone(&self.view.version).range_scan() {
-                return Ok(Some(snapshot));
-            }
+            return Ok(Some(base));
         }
-        ColumnsSnapshot::of(self.scan_columns())
+        Ok(Some(Arc::new(OverlaySnapshot {
+            row_type: self.row_type.clone(),
+            view: self.view.clone(),
+            columns: OnceLock::new(),
+        })))
     }
 
     fn indexes(&self) -> Vec<IndexDef> {
@@ -467,13 +435,50 @@ impl Table for SnapshotTable {
     }
 }
 
+/// The columnar snapshot of a written [`ReadView`]. Taking one is O(1):
+/// its row count is the view's, and the columns are pivoted from the
+/// view once, by the first range scan — so sizing a scan or rendering
+/// EXPLAIN copies nothing.
+struct OverlaySnapshot {
+    row_type: RowType,
+    view: ReadView,
+    columns: OnceLock<Arc<[Column]>>,
+}
+
+impl RangeScan for OverlaySnapshot {
+    fn row_count(&self) -> usize {
+        self.view.row_count()
+    }
+
+    fn scan_range(
+        self: Arc<Self>,
+        batch_size: usize,
+        start: usize,
+        len: usize,
+    ) -> Result<Box<dyn BatchIter>> {
+        let columns = self.columns.get_or_init(|| {
+            let rows: Vec<Row> = self.view.live_rows().map(|(_, row)| row).collect();
+            let fields = self.row_type.fields.iter().enumerate();
+            fields
+                .map(|(i, f)| Column::from_rows(&f.ty.kind, &rows, i))
+                .collect()
+        });
+        Ok(Box::new(SlicedColumns::new_range(
+            Arc::clone(columns),
+            batch_size,
+            start,
+            len,
+        )))
+    }
+}
+
 // ---------------------------------------------------------------------
 // Transactions
 // ---------------------------------------------------------------------
 
 struct TxnTable {
     tref: TableRef,
-    version: Arc<dyn TxnVersion>,
+    version: Arc<Version>,
     ops: Vec<DeltaOp>,
     /// Row ids this transaction updated or deleted (inserts excluded):
     /// the first-committer-wins footprint.

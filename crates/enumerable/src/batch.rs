@@ -322,7 +322,10 @@ pub(crate) fn split_to_batches(b: ColumnBatch) -> Vec<ColumnBatch> {
 fn build_op(rel: &Rel, ctx: &ExecContext) -> Result<BatchOp> {
     let child = |i: usize| -> Result<BatchOp> { build_input(rel, i, ctx) };
     match &rel.op {
-        RelOp::Scan { table } => Ok(Box::new(ScanOp::new(table.clone()))),
+        RelOp::Scan { table } => Ok(Box::new(ScanOp {
+            table: table.clone(),
+            state: None,
+        })),
         RelOp::Values { tuples, row_type } => {
             Ok(Box::new(ValuesOp::new(tuples.clone(), kinds_of(row_type))))
         }
@@ -477,44 +480,31 @@ fn fused(child: BatchOp, predicate: Option<RexNode>, exprs: Option<Vec<RexNode>>
 // Source operators: Scan, Values, row bridge
 // ---------------------------------------------------------------------
 
-/// Streams a base table: pulls one column-batch slice at a time through
-/// the [`rcalcite_core::catalog::Table::scan_batches`] SPI (memdb serves
-/// these from an `Arc` snapshot of its column chunks).
+/// Streams a base table: one slice of its
+/// [`rcalcite_core::catalog::Table::scan_snapshot`] per pull (the
+/// in-repo stores hand out their `Arc`'d version, so nothing is copied
+/// beyond the slice). A table without a snapshot — a row-only adapter, a
+/// zero-column table — streams its row scan through the row bridge.
 struct ScanOp {
     table: TableRef,
-    batches: Option<Box<dyn BatchIter>>,
-    /// Zero-arity tables can't be represented as column batches; count
-    /// their rows instead.
-    zero_arity_rows: Option<RowIter>,
-}
-
-impl ScanOp {
-    fn new(table: TableRef) -> ScanOp {
-        ScanOp {
-            table,
-            batches: None,
-            zero_arity_rows: None,
-        }
-    }
+    state: Option<BridgeState>,
 }
 
 impl Operator<ColumnBatch> for ScanOp {
     fn open(&mut self) -> Result<()> {
-        if self.table.table.row_type().arity() == 0 {
-            self.zero_arity_rows = Some(self.table.table.scan()?);
-        } else {
-            self.batches = Some(self.table.table.scan_batches(BATCH_SIZE)?);
-        }
+        let table = &self.table.table;
+        self.state = Some(match table.scan_snapshot()? {
+            Some(snapshot) => {
+                let rows = snapshot.row_count();
+                BridgeState::Batches(snapshot.scan_range(BATCH_SIZE, 0, rows)?)
+            }
+            None => BridgeState::of_rows(table.scan()?, kinds_of(&table.row_type())),
+        });
         Ok(())
     }
 
     fn next(&mut self) -> Result<Option<ColumnBatch>> {
-        if let Some(rows) = &mut self.zero_arity_rows {
-            let n = rows.by_ref().take(BATCH_SIZE).count();
-            return Ok((n > 0).then(|| ColumnBatch::zero_arity(n)));
-        }
-        let it = self.batches.as_mut().expect("ScanOp not opened");
-        Ok(it.next_batch()?.map(ColumnBatch::new))
+        self.state.as_mut().expect("ScanOp not opened").next()
     }
 }
 
@@ -560,9 +550,34 @@ struct RowBridgeOp {
     state: Option<BridgeState>,
 }
 
+/// An open source operator's feed.
 enum BridgeState {
-    Batcher(RowBatcher),
+    /// Column batches: a snapshot's slices, or rows pivoted by a
+    /// [`RowBatcher`].
+    Batches(Box<dyn BatchIter>),
+    /// Rows without columns, counted into zero-arity batches.
     ZeroArity(RowIter),
+}
+
+impl BridgeState {
+    /// The feed pivoting `rows` of the given column kinds.
+    fn of_rows(rows: RowIter, kinds: Vec<TypeKind>) -> BridgeState {
+        if kinds.is_empty() {
+            BridgeState::ZeroArity(rows)
+        } else {
+            BridgeState::Batches(Box::new(RowBatcher::new(rows, kinds, BATCH_SIZE)))
+        }
+    }
+
+    fn next(&mut self) -> Result<Option<ColumnBatch>> {
+        match self {
+            BridgeState::Batches(b) => Ok(b.next_batch()?.map(ColumnBatch::new)),
+            BridgeState::ZeroArity(rows) => {
+                let n = rows.by_ref().take(BATCH_SIZE).count();
+                Ok((n > 0).then(|| ColumnBatch::zero_arity(n)))
+            }
+        }
+    }
 }
 
 impl RowBridgeOp {
@@ -592,23 +607,12 @@ impl Operator<ColumnBatch> for RowBridgeOp {
         } else {
             execute_node(&self.rel, &self.ctx)?
         };
-        let kinds = kinds_of(self.rel.row_type());
-        self.state = Some(if kinds.is_empty() {
-            BridgeState::ZeroArity(rows)
-        } else {
-            BridgeState::Batcher(RowBatcher::new(rows, kinds, BATCH_SIZE))
-        });
+        self.state = Some(BridgeState::of_rows(rows, kinds_of(self.rel.row_type())));
         Ok(())
     }
 
     fn next(&mut self) -> Result<Option<ColumnBatch>> {
-        match self.state.as_mut().expect("RowBridgeOp not opened") {
-            BridgeState::Batcher(b) => Ok(b.next_batch()?.map(ColumnBatch::new)),
-            BridgeState::ZeroArity(rows) => {
-                let n = rows.by_ref().take(BATCH_SIZE).count();
-                Ok((n > 0).then(|| ColumnBatch::zero_arity(n)))
-            }
-        }
+        self.state.as_mut().expect("RowBridgeOp not opened").next()
     }
 }
 
@@ -1795,9 +1799,12 @@ struct ChainShape<'a> {
 }
 
 enum ChainBottom<'a> {
-    /// A scan whose table supports consistent range scans: workers
-    /// claim morsel ranges of one shared snapshot.
-    Range { table: &'a TableRef, rows: usize },
+    /// A scan whose table hands out a snapshot: workers claim morsel
+    /// ranges of this one, the snapshot that sized the scan.
+    Range {
+        table: &'a TableRef,
+        snapshot: Arc<dyn RangeScan>,
+    },
     /// Any other same-convention subtree estimated big enough to be
     /// worth threading: built once and round-robin scattered across
     /// the workers.
@@ -1835,18 +1842,17 @@ fn match_chain<'a>(rel: &'a Rel, p: Parallelism) -> Option<ChainShape<'a>> {
                 });
             }
             RelOp::Scan { table } => {
-                if let Some(rows) = table.table.range_scan_rows() {
-                    return (rows >= threshold).then_some(ChainShape {
-                        stages,
-                        bottom: ChainBottom::Range { table, rows },
-                    });
-                }
-                return (table.table.statistic().row_count >= threshold as f64).then_some(
-                    ChainShape {
-                        stages,
-                        bottom: ChainBottom::Stream(cur),
-                    },
-                );
+                // The snapshot that sizes the scan is the one its workers
+                // slice, so the rows EXPLAIN prints are the rows scanned.
+                // One that fails here is taken again by the serial scan,
+                // which reports the error where it runs.
+                let bottom = match table.table.scan_snapshot().ok().flatten() {
+                    Some(snapshot) if snapshot.row_count() < threshold => return None,
+                    Some(snapshot) => ChainBottom::Range { table, snapshot },
+                    None if table.table.statistic().row_count < threshold as f64 => return None,
+                    None => ChainBottom::Stream(cur),
+                };
+                return Some(ChainShape { stages, bottom });
             }
             _ => {
                 return subtree_big(cur, p).then_some(ChainShape {
@@ -1859,18 +1865,15 @@ fn match_chain<'a>(rel: &'a Rel, p: Parallelism) -> Option<ChainShape<'a>> {
 }
 
 /// Whether a subtree's *output* looks big enough (≥ two morsels) to be
-/// worth running behind an exchange. Estimates only — based on table
-/// statistics and literal row counts, never on scanning. Aggregates and
+/// worth running behind an exchange. Estimates only — snapshot row
+/// counts, table statistics and literal row counts, never a scan. Aggregates and
 /// fetch-bounded sorts collapse cardinality, so a big scan *below* them
 /// does not make the stream above them big (those operators parallelize
 /// internally instead).
 fn subtree_big(rel: &Rel, p: Parallelism) -> bool {
     let threshold = p.morsel_size.saturating_mul(2);
     match &rel.op {
-        RelOp::Scan { table } => match table.table.range_scan_rows() {
-            Some(rows) => rows >= threshold,
-            None => table.table.statistic().row_count >= threshold as f64,
-        },
+        RelOp::Scan { .. } => match_chain(rel, p).is_some(),
         RelOp::Values { tuples, .. } => tuples.len() >= threshold,
         RelOp::Aggregate { .. } => false,
         RelOp::Sort {
@@ -1941,8 +1944,8 @@ pub(crate) struct SourceSeed {
 }
 
 enum BottomSeed {
-    /// Workers claim morsel ranges of one snapshot of this table.
-    Range(TableRef),
+    /// Workers claim morsel ranges of this snapshot.
+    Range(Arc<dyn RangeScan>),
     /// Workers drain round-robin partitions of this (already built, not
     /// yet opened) operator.
     Stream(BatchOp),
@@ -1951,7 +1954,7 @@ enum BottomSeed {
 fn seed_from(shape: ChainShape<'_>, ctx: &ExecContext) -> Result<SourceSeed> {
     let stages = Arc::new(compile_stages(&shape.stages, ctx)?);
     let bottom = match shape.bottom {
-        ChainBottom::Range { table, .. } => BottomSeed::Range(table.clone()),
+        ChainBottom::Range { snapshot, .. } => BottomSeed::Range(snapshot),
         ChainBottom::Stream(child) => BottomSeed::Stream(build_op_auto(child, ctx)?),
         // Foreign subtrees execute through the registered foreign
         // executor, exactly as serial execution routes them.
@@ -1963,9 +1966,9 @@ fn seed_from(shape: ChainShape<'_>, ctx: &ExecContext) -> Result<SourceSeed> {
 }
 
 impl SourceSeed {
-    /// Builds the per-partition worker operators. For range bottoms the
-    /// snapshot is taken here — once per execution — and shared; for
-    /// stream bottoms the child is split through a round-robin scatter.
+    /// Builds the per-partition worker operators. Range bottoms share
+    /// the snapshot the placement took — one per execution; stream
+    /// bottoms are split through a round-robin scatter.
     pub(crate) fn into_workers(
         self,
         kernel: WorkerKernel,
@@ -1973,13 +1976,7 @@ impl SourceSeed {
     ) -> Result<Vec<BoxOperator<ExchangeItem<ColumnBatch>>>> {
         let stages = self.stages;
         Ok(match self.bottom {
-            BottomSeed::Range(table) => {
-                let snapshot = table.table.scan_snapshot()?.ok_or_else(|| {
-                    CalciteError::execution(format!(
-                        "table '{}' reported range-scannable rows but no snapshot",
-                        table.qualified_name()
-                    ))
-                })?;
+            BottomSeed::Range(snapshot) => {
                 let next = Arc::new(AtomicUsize::new(0));
                 (0..p.workers)
                     .map(|_| {
@@ -2420,8 +2417,9 @@ fn fmt_chain(shape: &ChainShape<'_>, p: Parallelism, depth: usize, out: &mut Str
     }
     let d = depth + shape.stages.len();
     match &shape.bottom {
-        ChainBottom::Range { table, rows } => {
+        ChainBottom::Range { table, snapshot } => {
             pindent(out, d);
+            let rows = snapshot.row_count();
             let morsels = rows.div_ceil(p.morsel_size.max(1));
             let _ = writeln!(
                 out,

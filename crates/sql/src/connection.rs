@@ -1068,10 +1068,7 @@ impl Connection {
                 let generation = self.generation();
                 let n = targets.len();
                 for tref in targets {
-                    let stats = match tref.table.analyze() {
-                        Some(native) => native?,
-                        None => analyze_table(tref.table.as_ref())?,
-                    };
+                    let stats = analyze_table(tref.table.as_ref())?;
                     self.catalog
                         .stats()
                         .put(tref.qualified_name(), generation, Arc::new(stats));

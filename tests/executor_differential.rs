@@ -6,10 +6,10 @@
 //! masks and checked arithmetic are held equal.
 
 use proptest::prelude::*;
-use rcalcite_core::catalog::{MemTable, Table, TableRef};
+use rcalcite_core::catalog::{MemTable, RangeScan, Table, TableRef};
 use rcalcite_core::datum::{Column, Datum, Row};
 use rcalcite_core::error::Result as CoreResult;
-use rcalcite_core::exec::{BatchIter, ExecContext};
+use rcalcite_core::exec::{BatchIter, ExecContext, Parallelism};
 use rcalcite_core::rel::{self, AggCall, AggFunc, JoinKind, Rel};
 use rcalcite_core::rex::{Op, RexNode};
 use rcalcite_core::traits::FieldCollation;
@@ -826,7 +826,9 @@ fn a_generic_chunk_between_typed_neighbours_scans_sorts_and_joins() {
     }])
     .unwrap();
     let mut reps = vec![];
-    let mut batches = mem.scan_batches(1024).unwrap();
+    let snapshot = mem.scan_snapshot().unwrap().unwrap();
+    let rows = snapshot.row_count();
+    let mut batches = snapshot.scan_range(1024, 0, rows).unwrap();
     while let Some(cols) = batches.next_batch().unwrap() {
         reps.push(matches!(cols[1], Column::Generic(_)));
     }
@@ -883,29 +885,61 @@ fn a_generic_chunk_between_typed_neighbours_scans_sorts_and_joins() {
 
 /// A table that counts how many batches its scan has served, so tests
 /// can observe whether the pipeline pulls lazily or drains the scan.
+/// Its snapshot makes it look like any 100 k-row range table, so the
+/// tests below pin serial execution.
 struct TrackingTable {
     row_type: RowType,
-    col: Column,
+    snapshot: Arc<TrackingSnapshot>,
     served: Arc<AtomicUsize>,
 }
 
 impl TrackingTable {
     fn new(n: i64) -> TrackingTable {
+        let served = Arc::new(AtomicUsize::new(0));
         TrackingTable {
             row_type: RowTypeBuilder::new()
                 .add_not_null("v", TypeKind::Integer)
                 .build(),
-            col: Column::from_datums(&TypeKind::Integer, (0..n).map(Datum::Int)),
-            served: Arc::new(AtomicUsize::new(0)),
+            snapshot: Arc::new(TrackingSnapshot {
+                col: Column::from_datums(&TypeKind::Integer, (0..n).map(Datum::Int)),
+                served: served.clone(),
+            }),
+            served,
         }
     }
 }
 
-struct TrackingScan {
+struct TrackingSnapshot {
     col: Column,
-    pos: usize,
-    batch_size: usize,
     served: Arc<AtomicUsize>,
+}
+
+struct TrackingScan {
+    snapshot: Arc<TrackingSnapshot>,
+    pos: usize,
+    end: usize,
+    batch_size: usize,
+}
+
+impl RangeScan for TrackingSnapshot {
+    fn row_count(&self) -> usize {
+        self.col.len()
+    }
+
+    fn scan_range(
+        self: Arc<Self>,
+        batch_size: usize,
+        start: usize,
+        len: usize,
+    ) -> CoreResult<Box<dyn BatchIter>> {
+        let end = start.saturating_add(len).min(self.col.len());
+        Ok(Box::new(TrackingScan {
+            snapshot: self,
+            pos: start,
+            end,
+            batch_size,
+        }))
+    }
 }
 
 impl BatchIter for TrackingScan {
@@ -914,13 +948,13 @@ impl BatchIter for TrackingScan {
     }
 
     fn next_batch(&mut self) -> CoreResult<Option<Vec<Column>>> {
-        if self.pos >= self.col.len() {
+        if self.pos >= self.end {
             return Ok(None);
         }
-        let take = self.batch_size.min(self.col.len() - self.pos);
-        let out = self.col.slice(self.pos, take);
+        let take = self.batch_size.min(self.end - self.pos);
+        let out = self.snapshot.col.slice(self.pos, take);
         self.pos += take;
-        self.served.fetch_add(1, Ordering::SeqCst);
+        self.snapshot.served.fetch_add(1, Ordering::SeqCst);
         Ok(Some(vec![out]))
     }
 }
@@ -931,18 +965,21 @@ impl Table for TrackingTable {
     }
 
     fn scan(&self) -> CoreResult<Box<dyn Iterator<Item = Row> + Send>> {
-        let rows: Vec<Row> = self.col.to_datums().into_iter().map(|d| vec![d]).collect();
-        Ok(Box::new(rows.into_iter()))
+        let datums = self.snapshot.col.to_datums();
+        Ok(Box::new(datums.into_iter().map(|d| vec![d])))
     }
 
-    fn scan_batches(&self, batch_size: usize) -> CoreResult<Box<dyn BatchIter>> {
-        Ok(Box::new(TrackingScan {
-            col: self.col.clone(),
-            pos: 0,
-            batch_size,
-            served: self.served.clone(),
-        }))
+    fn scan_snapshot(&self) -> CoreResult<Option<Arc<dyn RangeScan>>> {
+        Ok(Some(self.snapshot.clone()))
     }
+}
+
+/// A serial batch context: the streaming contracts below are about the
+/// serial pipeline (bounded parallel prefetch has its own test).
+fn serial_batch_ctx() -> ExecContext {
+    let mut ctx = batch_ctx();
+    ctx.set_parallelism(Parallelism::serial());
+    ctx
 }
 
 #[test]
@@ -970,8 +1007,7 @@ fn scan_filter_project_pipelines_without_materializing() {
         )],
         vec!["v1".into()],
     );
-    let mut ctx = ExecContext::new();
-    ctx.register(Arc::new(EnumerableExecutor::batched_interpreter()));
+    let ctx = serial_batch_ctx();
 
     let mut it = execute_batches(&plan, &ctx).unwrap();
     assert_eq!(served.load(Ordering::SeqCst), 0, "open() must not scan");
@@ -1003,8 +1039,7 @@ fn top_k_consumes_stream_without_full_sort_memory() {
     let table = TrackingTable::new(N);
     let scan = rel::scan(TableRef::new("s", "big", Arc::new(table)));
     let plan = rel::sort_limit(scan, vec![FieldCollation::desc(0)], Some(2), Some(3));
-    let mut ctx = ExecContext::new();
-    ctx.register(Arc::new(EnumerableExecutor::batched_interpreter()));
+    let ctx = serial_batch_ctx();
     let rows: Vec<Row> =
         rcalcite_core::exec::collect_batches_to_rows(execute_batches(&plan, &ctx).unwrap())
             .unwrap();

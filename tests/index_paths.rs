@@ -317,7 +317,8 @@ fn memdb_snapshots_carry_indexes() {
     db.create_index("g", &IndexDef::ordered("i_a", vec![0]))
         .unwrap();
 
-    let pre = db.index_probe("g", "i_a").unwrap().unwrap();
+    let probe = |index: &str| db.version("g").unwrap().index_probe(index);
+    let pre = probe("i_a").unwrap();
     db.insert("g", vec![Datum::Int(3)]).unwrap();
 
     assert_eq!(pre.row_count(), 8);
@@ -325,13 +326,13 @@ fn memdb_snapshots_carry_indexes() {
         pre.positions(&BoundProbe::point(vec![Datum::Int(3)])),
         vec![3]
     );
-    let post = db.index_probe("g", "i_a").unwrap().unwrap();
+    let post = probe("i_a").unwrap();
     assert_eq!(post.row_count(), 9);
     assert_eq!(
         post.positions(&BoundProbe::point(vec![Datum::Int(3)])),
         vec![3, 8]
     );
-    assert!(db.index_probe("g", "nope").unwrap().is_none());
+    assert!(probe("nope").is_none());
     assert!(db.drop_index("g", "i_a").unwrap());
     assert!(!db.drop_index("g", "i_a").unwrap());
 }

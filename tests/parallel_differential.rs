@@ -7,6 +7,8 @@
 //! let workers run the scan to completion.
 
 use proptest::prelude::*;
+use rcalcite_adapters::jdbc::JdbcAdapter;
+use rcalcite_backends::memdb::MemDb;
 use rcalcite_core::catalog::{RangeScan, Table, TableRef};
 use rcalcite_core::datum::{Column, Datum, Row};
 use rcalcite_core::error::Result as CoreResult;
@@ -16,7 +18,7 @@ use rcalcite_core::rex::{Op, RexNode};
 use rcalcite_core::traits::FieldCollation;
 use rcalcite_core::types::{RelType, RowType, RowTypeBuilder, TypeKind};
 use rcalcite_enumerable::EnumerableExecutor;
-use rcalcite_sql::Connection;
+use rcalcite_sql::{Connection, PostgresDialect};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
@@ -490,25 +492,49 @@ fn full_pipeline_identical_through_sql_connection() {
     }
 }
 
+/// A zero-column memdb table behind the JDBC adapter's `Table`: it has
+/// no columns for a snapshot to carry its row count, so every engine —
+/// the row oracle, serial, and workers streaming what a scatter deals
+/// them — must count its rows off the row scan.
+#[test]
+fn zero_column_table_keeps_every_row_at_every_worker_count() {
+    let db = MemDb::new();
+    db.create_table("z", vec![], vec![vec![]; 1000]);
+    let adapter = JdbcAdapter::new(db, "z", Arc::new(PostgresDialect));
+    let table = adapter.schema().table("z").unwrap();
+    let plan = rel::aggregate(
+        rel::scan(TableRef::new("db", "z", table)),
+        vec![],
+        vec![AggCall::count_star("c")],
+    );
+    let want = vec![vec![Datum::Int(1000)]];
+    assert_eq!(row_ctx().execute_collect(&plan).unwrap(), want, "oracle");
+    for workers in [1, 4] {
+        let got = par_ctx(workers, 64).execute_collect(&plan).unwrap();
+        assert_eq!(got, want, "workers={workers}");
+    }
+}
+
 // ---------------------------------------------------------------------
 // Bounded prefetch under LIMIT
 // ---------------------------------------------------------------------
 
 /// A table whose range scans count every row served, so tests can
-/// assert how far morsel workers actually read.
+/// assert how far morsel workers actually read, and which counts the
+/// snapshots it hands out.
 struct TrackingTable {
     row_type: RowType,
-    rows: usize,
-    served: Arc<AtomicUsize>,
+    snapshot: Arc<TrackingSnapshot>,
+    snapshots: AtomicUsize,
 }
 
 struct TrackingSnapshot {
-    columns: Vec<Column>,
+    columns: Arc<[Column]>,
     served: Arc<AtomicUsize>,
 }
 
 struct TrackingRange {
-    inner: SlicedColumns<Vec<Column>>,
+    inner: SlicedColumns<Arc<[Column]>>,
     served: Arc<AtomicUsize>,
 }
 
@@ -551,22 +577,13 @@ impl Table for TrackingTable {
     }
 
     fn scan(&self) -> CoreResult<Box<dyn Iterator<Item = Row> + Send>> {
-        let rows: Vec<Row> = (0..self.rows as i64).map(|i| vec![Datum::Int(i)]).collect();
-        Ok(Box::new(rows.into_iter()))
-    }
-
-    fn range_scan_rows(&self) -> Option<usize> {
-        Some(self.rows)
+        let datums = self.snapshot.columns[0].to_datums();
+        Ok(Box::new(datums.into_iter().map(|d| vec![d])))
     }
 
     fn scan_snapshot(&self) -> CoreResult<Option<Arc<dyn RangeScan>>> {
-        Ok(Some(Arc::new(TrackingSnapshot {
-            columns: vec![Column::from_datums(
-                &TypeKind::Integer,
-                (0..self.rows as i64).map(Datum::Int),
-            )],
-            served: self.served.clone(),
-        })))
+        self.snapshots.fetch_add(1, Ordering::SeqCst);
+        Ok(Some(self.snapshot.clone()))
     }
 }
 
@@ -574,16 +591,20 @@ impl Table for TrackingTable {
 fn morsels_are_not_prefetched_past_limit() {
     let total = 100_000usize;
     let served = Arc::new(AtomicUsize::new(0));
+    let column = Column::from_datums(&TypeKind::Integer, (0..total as i64).map(Datum::Int));
     let table = Arc::new(TrackingTable {
         row_type: RowTypeBuilder::new()
             .add_not_null("v", TypeKind::Integer)
             .build(),
-        rows: total,
-        served: served.clone(),
+        snapshot: Arc::new(TrackingSnapshot {
+            columns: Arc::from([column]),
+            served: served.clone(),
+        }),
+        snapshots: AtomicUsize::new(0),
     });
     let plan = rel::sort_limit(
         rel::project(
-            rel::scan(TableRef::new("t", "tracked", table)),
+            rel::scan(TableRef::new("t", "tracked", table.clone())),
             vec![RexNode::call(
                 Op::Plus,
                 vec![RexNode::input(0, int_ty()), RexNode::lit_int(1)],
@@ -599,6 +620,8 @@ fn morsels_are_not_prefetched_past_limit() {
         rows,
         (1..=5).map(|i| vec![Datum::Int(i)]).collect::<Vec<Row>>()
     );
+    // One snapshot sized the scan, and the workers sliced that one.
+    assert_eq!(table.snapshots.load(Ordering::SeqCst), 1);
     let scanned = served.load(Ordering::SeqCst);
     // Backpressure bounds the workers' prefetch: the bounded exchange
     // channel plus in-flight morsels is worth a few dozen morsels, not

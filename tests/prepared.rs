@@ -4,7 +4,7 @@
 //! invalidation semantics and the streaming contract of `ResultSet`.
 
 use proptest::prelude::*;
-use rcalcite_core::catalog::{Catalog, MemTable, Schema, Table};
+use rcalcite_core::catalog::{Catalog, MemTable, RangeScan, Schema, Table};
 use rcalcite_core::datum::{Column, Datum, Row};
 use rcalcite_core::error::Result as CoreResult;
 use rcalcite_core::exec::{BatchIter, ExecContext};
@@ -281,27 +281,57 @@ proptest! {
 /// whether a cursor pulls lazily.
 struct TrackingTable {
     row_type: RowType,
-    col: Column,
+    snapshot: Arc<TrackingSnapshot>,
     served: Arc<AtomicUsize>,
 }
 
 impl TrackingTable {
     fn new(n: i64) -> TrackingTable {
+        let served = Arc::new(AtomicUsize::new(0));
         TrackingTable {
             row_type: RowTypeBuilder::new()
                 .add_not_null("v", TypeKind::Integer)
                 .build(),
-            col: Column::from_datums(&TypeKind::Integer, (0..n).map(Datum::Int)),
-            served: Arc::new(AtomicUsize::new(0)),
+            snapshot: Arc::new(TrackingSnapshot {
+                col: Column::from_datums(&TypeKind::Integer, (0..n).map(Datum::Int)),
+                served: served.clone(),
+            }),
+            served,
         }
     }
 }
 
-struct TrackingScan {
+struct TrackingSnapshot {
     col: Column,
-    pos: usize,
-    batch_size: usize,
     served: Arc<AtomicUsize>,
+}
+
+struct TrackingScan {
+    snapshot: Arc<TrackingSnapshot>,
+    pos: usize,
+    end: usize,
+    batch_size: usize,
+}
+
+impl RangeScan for TrackingSnapshot {
+    fn row_count(&self) -> usize {
+        self.col.len()
+    }
+
+    fn scan_range(
+        self: Arc<Self>,
+        batch_size: usize,
+        start: usize,
+        len: usize,
+    ) -> CoreResult<Box<dyn BatchIter>> {
+        let end = start.saturating_add(len).min(self.col.len());
+        Ok(Box::new(TrackingScan {
+            snapshot: self,
+            pos: start,
+            end,
+            batch_size,
+        }))
+    }
 }
 
 impl BatchIter for TrackingScan {
@@ -310,13 +340,13 @@ impl BatchIter for TrackingScan {
     }
 
     fn next_batch(&mut self) -> CoreResult<Option<Vec<Column>>> {
-        if self.pos >= self.col.len() {
+        if self.pos >= self.end {
             return Ok(None);
         }
-        let take = self.batch_size.min(self.col.len() - self.pos);
-        let out = self.col.slice(self.pos, take);
+        let take = self.batch_size.min(self.end - self.pos);
+        let out = self.snapshot.col.slice(self.pos, take);
         self.pos += take;
-        self.served.fetch_add(1, Ordering::SeqCst);
+        self.snapshot.served.fetch_add(1, Ordering::SeqCst);
         Ok(Some(vec![out]))
     }
 }
@@ -327,24 +357,21 @@ impl Table for TrackingTable {
     }
 
     fn scan(&self) -> CoreResult<Box<dyn Iterator<Item = Row> + Send>> {
-        let rows: Vec<Row> = self.col.to_datums().into_iter().map(|d| vec![d]).collect();
-        Ok(Box::new(rows.into_iter()))
+        let datums = self.snapshot.col.to_datums();
+        Ok(Box::new(datums.into_iter().map(|d| vec![d])))
     }
 
-    fn scan_batches(&self, batch_size: usize) -> CoreResult<Box<dyn BatchIter>> {
-        Ok(Box::new(TrackingScan {
-            col: self.col.clone(),
-            pos: 0,
-            batch_size,
-            served: self.served.clone(),
-        }))
+    fn scan_snapshot(&self) -> CoreResult<Option<Arc<dyn RangeScan>>> {
+        Ok(Some(self.snapshot.clone()))
     }
 }
 
 #[test]
 fn result_set_streams_limit_one_without_materializing() {
     // LIMIT 1 over a 100k-row table: the cursor pulls one batch, not the
-    // table — the acceptance contract of the streaming ResultSet.
+    // table — the acceptance contract of the streaming ResultSet. The
+    // contract is the serial pipeline's: bounded parallel prefetch is
+    // `parallel_differential`'s to test.
     const N: i64 = 100_000;
     let table = TrackingTable::new(N);
     let served = table.served.clone();
@@ -352,7 +379,7 @@ fn result_set_streams_limit_one_without_materializing() {
     let s = Schema::new();
     s.add_table("big", Arc::new(table));
     catalog.add_schema("hr", s);
-    let c = Connection::builder(catalog).build();
+    let c = Connection::builder(catalog).workers(1).build();
 
     let mut rs = c.execute("SELECT v FROM hr.big LIMIT 1").unwrap();
     assert_eq!(rs.next_row().unwrap(), Some(vec![Datum::Int(0)]));
