@@ -6,7 +6,7 @@
 
 use crate::helpers::{rex_is_pushable, rex_to_predicates, QueryLog};
 use rcalcite_backends::memdb::{MemDb, SqlQuerySpec};
-use rcalcite_core::catalog::{Schema, Statistic, Table};
+use rcalcite_core::catalog::{MemTable, Schema, Statistic, Table};
 use rcalcite_core::datum::Row;
 use rcalcite_core::error::{CalciteError, Result};
 use rcalcite_core::exec::{ConventionExecutor, ExecContext, RowIter};
@@ -14,35 +14,28 @@ use rcalcite_core::rel::{Rel, RelKind, RelOp};
 use rcalcite_core::rules::{Pattern, Rule, RuleCall};
 use rcalcite_core::store::Version;
 use rcalcite_core::traits::Convention;
-use rcalcite_core::types::{Field, RelType, RowType};
+use rcalcite_core::types::RowType;
 use rcalcite_sql::unparser::{to_sql, Dialect};
 use std::sync::Arc;
 
-/// A table backed by a `memdb` relation.
+/// A table backed by a `memdb` table: its `MemTable`, scanned in this
+/// adapter's convention so the planner pushes whole subplans to memdb.
 pub struct JdbcTable {
-    db: Arc<MemDb>,
-    name: String,
+    table: Arc<MemTable>,
     convention: Convention,
 }
 
 impl Table for JdbcTable {
     fn row_type(&self) -> RowType {
-        let rel = self.db.table(&self.name).expect("table vanished");
-        RowType::new(
-            rel.columns
-                .iter()
-                .map(|(n, k)| Field::new(n.clone(), RelType::nullable(k.clone())))
-                .collect(),
-        )
+        self.table.row_type()
     }
 
     fn statistic(&self) -> Statistic {
-        Statistic::of_rows(self.db.row_count(&self.name) as f64)
+        self.table.statistic()
     }
 
     fn scan(&self) -> Result<Box<dyn Iterator<Item = Row> + Send>> {
-        let rows = self.db.execute(&SqlQuerySpec::scan(&self.name))?;
-        Ok(Box::new(rows.into_iter()))
+        self.table.scan()
     }
 
     fn convention(&self) -> Convention {
@@ -50,30 +43,27 @@ impl Table for JdbcTable {
     }
 
     fn create_index(&self, def: &rcalcite_core::index::IndexDef) -> Result<bool> {
-        self.db.create_index(&self.name, def)?;
-        Ok(true)
+        self.table.create_index(def)
     }
 
     fn drop_index(&self, name: &str) -> Result<bool> {
-        self.db.drop_index(&self.name, name)
+        self.table.drop_index(name)
     }
 
-    /// memdb's own version of the relation: snapshot scans slice its
-    /// column chunks, probes and `ANALYZE` read them in place.
     fn txn_snapshot(&self) -> Option<Arc<Version>> {
-        self.db.version(&self.name).ok()
+        self.table.txn_snapshot()
     }
 
     fn apply_delta(&self, ops: &[rcalcite_core::txn::DeltaOp]) -> Result<usize> {
-        self.db.apply_delta(&self.name, ops)
+        self.table.apply_delta(ops)
     }
 
     fn reserve_row_ids(&self, n: usize) -> Result<u64> {
-        self.db.reserve_row_ids(&self.name, n)
+        self.table.reserve_row_ids(n)
     }
 
     fn data_version(&self) -> Option<u64> {
-        self.db.data_version(&self.name)
+        self.table.data_version()
     }
 }
 
@@ -96,18 +86,13 @@ impl JdbcAdapter {
         })
     }
 
-    /// Builds the schema exposing every table of the database.
+    /// Builds the schema exposing every table the database holds now; a
+    /// table created later needs a fresh schema.
     pub fn schema(&self) -> Schema {
         let s = Schema::new();
-        for t in self.db.table_names() {
-            s.add_table(
-                t.clone(),
-                Arc::new(JdbcTable {
-                    db: self.db.clone(),
-                    name: t,
-                    convention: self.convention.clone(),
-                }),
-            );
+        for (name, table) in self.db.tables() {
+            let convention = self.convention.clone();
+            s.add_table(name, Arc::new(JdbcTable { table, convention }));
         }
         s
     }
@@ -476,6 +461,43 @@ mod tests {
             t.row_type().field_names(),
             vec!["productid", "name", "price"]
         );
+    }
+
+    /// View freshness trusts `data_version`, so it must never trail the
+    /// rows a reader can see: a reader that snapshots, counts, then reads
+    /// the version finds at least one bump per inserted row it counted,
+    /// while a writer inserts beside it. A barrier starts all three
+    /// together, so the readers are looping before the first insert.
+    #[test]
+    fn data_version_never_trails_visible_rows() {
+        use std::sync::atomic::{AtomicBool, Ordering};
+        use std::sync::Barrier;
+        const INSERTS: i64 = 2_000;
+        let db = sample_db();
+        let adapter = JdbcAdapter::new(db.clone(), "pg", Arc::new(PostgresDialect));
+        let t = adapter.schema().table("products").unwrap();
+        let (done, start) = (AtomicBool::new(false), Barrier::new(3));
+        std::thread::scope(|s| {
+            for _ in 0..2 {
+                s.spawn(|| {
+                    start.wait();
+                    while !done.load(Ordering::SeqCst) {
+                        let seen = t.txn_snapshot().unwrap().len() as u64 - 3;
+                        let version = t.data_version().unwrap();
+                        assert!(
+                            version >= seen,
+                            "{seen} inserts visible at version {version}"
+                        );
+                    }
+                });
+            }
+            start.wait();
+            for i in 0..INSERTS {
+                let row = vec![Datum::Int(100 + i), Datum::str("x"), Datum::Double(1.0)];
+                db.insert("products", row).unwrap();
+            }
+            done.store(true, Ordering::SeqCst);
+        });
     }
 
     #[test]

@@ -4,62 +4,19 @@
 //! adapter: conjunctive predicates, projection, ordering and limits. The
 //! adapter renders the equivalent SQL *text* in the target dialect; this
 //! spec is the executable form.
+//!
+//! Storage is not memdb's own: every table is a core `MemTable`, the
+//! chunked version store the built-in tables use. memdb adds the names
+//! and the pushdown [`MemDb::execute`].
 
 use crate::common::ColPredicate;
-use parking_lot::{Mutex, RwLock};
-use rcalcite_core::datum::{Column, Row};
+use parking_lot::RwLock;
+use rcalcite_core::catalog::{MemTable, Table};
+use rcalcite_core::datum::Row;
 use rcalcite_core::error::{CalciteError, Result};
-use rcalcite_core::index::IndexDef;
-use rcalcite_core::store::Version;
-use rcalcite_core::txn::DeltaOp;
-use rcalcite_core::types::TypeKind;
+use rcalcite_core::types::{Field, RelType, RowType, TypeKind};
 use std::collections::HashMap;
 use std::sync::Arc;
-
-/// One relation: schema plus the current [`Version`] of its contents —
-/// chunked typed columns, stable row ids and secondary indexes behind one
-/// `Arc`, the same store core's `MemTable` sits on. Every snapshot the
-/// database hands out (scan, probe, transaction) is a clone of that
-/// `Arc`; a write copies only the chunks it touches away from them. The
-/// id counter lives on [`MemDb`], so reservations never touch a relation.
-#[derive(Debug, Clone)]
-pub struct MemRelation {
-    pub columns: Vec<(String, TypeKind)>,
-    version: Arc<Version>,
-}
-
-impl MemRelation {
-    fn new(columns: Vec<(String, TypeKind)>, rows: Vec<Row>) -> MemRelation {
-        let kinds = columns.iter().map(|(_, kind)| kind.clone()).collect();
-        MemRelation {
-            columns,
-            version: Arc::new(Version::new(kinds, rows)),
-        }
-    }
-
-    /// The current rows, in position order.
-    pub fn rows(&self) -> Vec<Row> {
-        self.version.rows_with_ids().map(|(_, row)| row).collect()
-    }
-
-    /// Stable ids of the current rows, parallel to [`MemRelation::rows`]
-    /// and strictly ascending.
-    pub fn row_ids(&self) -> Vec<u64> {
-        self.version.row_ids().collect()
-    }
-
-    pub fn column_index(&self, name: &str) -> Option<usize> {
-        self.columns
-            .iter()
-            .position(|(n, _)| n.eq_ignore_ascii_case(name))
-    }
-
-    /// The native columnar form of this relation: one `(rows, columns)`
-    /// pair per chunk of the store, in position order.
-    pub fn column_chunks(&self) -> impl Iterator<Item = (usize, &[Column])> + '_ {
-        self.version.chunks()
-    }
-}
 
 /// The query spec the `jdbc` adapter ships to the database.
 #[derive(Debug, Clone, Default)]
@@ -84,19 +41,18 @@ impl SqlQuerySpec {
     }
 }
 
-/// The database: a set of named relations. Each relation sits behind an
-/// `Arc` so scans can snapshot it (cheap pointer clone) and stream from
-/// the snapshot without holding the lock or copying the data.
+/// The database: a set of named tables, each a core [`MemTable`] — the
+/// store built-in tables use, with its own lock, row-id counter and data
+/// version. Reads take the table's current version (one `Arc` clone) and
+/// run without a lock; the JDBC adapter hands the same tables to the
+/// engine for its transactional writes and snapshot scans.
 #[derive(Default)]
 pub struct MemDb {
-    tables: RwLock<HashMap<String, Arc<MemRelation>>>,
-    /// Per-table next row id. Kept outside the relations so reserving
-    /// ids (a counter bump) never copies a snapshot.
-    next_ids: Mutex<HashMap<String, u64>>,
-    /// Per-table data versions, bumped on every mutation (insert or
-    /// delta apply). Serves the adapter's `Table::data_version`, which
-    /// incremental view maintenance uses for freshness tracking.
-    versions: Mutex<HashMap<String, u64>>,
+    tables: RwLock<HashMap<String, Arc<MemTable>>>,
+}
+
+fn no_table(table: &str) -> CalciteError {
+    CalciteError::execution(format!("memdb: no table '{table}'"))
 }
 
 impl MemDb {
@@ -104,138 +60,51 @@ impl MemDb {
         Arc::new(MemDb::default())
     }
 
+    /// Creates (or replaces) `name`. Every column is nullable, as in a
+    /// remote catalog that reports no constraints.
     pub fn create_table(
         &self,
         name: impl Into<String>,
         columns: Vec<(String, TypeKind)>,
         rows: Vec<Row>,
     ) {
+        let fields = columns
+            .into_iter()
+            .map(|(n, k)| Field::new(n, RelType::nullable(k)))
+            .collect();
+        let table = MemTable::new(RowType::new(fields), rows);
         let name = name.into().to_ascii_lowercase();
-        self.next_ids.lock().insert(name.clone(), rows.len() as u64);
-        let rel = MemRelation::new(columns, rows);
-        self.tables.write().insert(name, Arc::new(rel));
+        self.tables.write().insert(name, table);
     }
 
-    fn relation(&self, table: &str) -> Result<Arc<MemRelation>> {
-        self.table(table)
-            .ok_or_else(|| CalciteError::execution(format!("memdb: no table '{table}'")))
-    }
-
-    /// The current [`Version`] of `table`: one `Arc` clone carrying its
-    /// chunked columns, row ids and indexes of one instant. Every read
-    /// beyond [`MemDb::execute`] — MVCC snapshots, range scans, index
-    /// probes, `ANALYZE` — is a method of the version, unaffected by
-    /// later writes, which copy only the chunks they touch away from it.
-    pub fn version(&self, table: &str) -> Result<Arc<Version>> {
-        Ok(Arc::clone(&self.relation(table)?.version))
-    }
-
-    /// Runs `f` on the current version of `table` under the write lock.
-    /// Snapshots taken earlier keep the version they cloned.
-    fn write<R>(&self, table: &str, f: impl FnOnce(&mut Arc<Version>) -> Result<R>) -> Result<R> {
-        let mut tables = self.tables.write();
-        let rel = tables
-            .get_mut(&table.to_ascii_lowercase())
-            .ok_or_else(|| CalciteError::execution(format!("memdb: no table '{table}'")))?;
-        f(&mut Arc::make_mut(rel).version)
-    }
-
+    /// Appends one row, checking its arity first: a mismatch is an
+    /// error here, where the store itself would panic.
     pub fn insert(&self, table: &str, row: Row) -> Result<()> {
-        self.write(table, |version| {
-            if row.len() != version.arity() {
-                return Err(CalciteError::execution(format!(
-                    "memdb: arity mismatch inserting into '{table}'"
-                )));
-            }
-            let mut ids = self.next_ids.lock();
-            let next = ids.entry(table.to_ascii_lowercase()).or_default();
-            Version::push(version, *next, row);
-            *next += 1;
-            Ok(())
-        })?;
-        self.bump_version(table);
+        let t = self.table(table).ok_or_else(|| no_table(table))?;
+        if row.len() != t.row_type().arity() {
+            return Err(CalciteError::execution(format!(
+                "memdb: arity mismatch inserting into '{table}'"
+            )));
+        }
+        t.insert(row);
         Ok(())
     }
 
-    /// The current data version of `table`: advances on every mutation.
-    /// `None` for unknown tables.
-    pub fn data_version(&self, table: &str) -> Option<u64> {
-        let key = table.to_ascii_lowercase();
-        if !self.tables.read().contains_key(&key) {
-            return None;
-        }
-        Some(self.versions.lock().get(&key).copied().unwrap_or(0))
-    }
-
-    fn bump_version(&self, table: &str) {
-        *self
-            .versions
-            .lock()
-            .entry(table.to_ascii_lowercase())
-            .or_default() += 1;
-    }
-
-    /// Applies a committed MVCC delta: open snapshots keep the pre-delta
-    /// version, sharing every chunk the delta does not touch, and the
-    /// indexes are patched at the touched positions. The stream is
-    /// validated whole first: a bad op changes nothing, the data version
-    /// included.
-    pub fn apply_delta(&self, table: &str, ops: &[DeltaOp]) -> Result<usize> {
-        let max_inserted = self.write(table, |version| Version::apply_delta(version, ops))?;
-        if let Some(max_id) = max_inserted {
-            let mut ids = self.next_ids.lock();
-            let next = ids.entry(table.to_ascii_lowercase()).or_default();
-            *next = (*next).max(max_id + 1);
-        }
-        self.bump_version(table);
-        Ok(ops.len())
-    }
-
-    /// Reserves `n` consecutive row ids for `table`, returning the first.
-    pub fn reserve_row_ids(&self, table: &str, n: usize) -> Result<u64> {
-        let key = table.to_ascii_lowercase();
-        if !self.tables.read().contains_key(&key) {
-            return Err(CalciteError::execution(format!(
-                "memdb: no table '{table}'"
-            )));
-        }
-        let mut ids = self.next_ids.lock();
-        let next = ids.entry(key).or_default();
-        let start = *next;
-        *next += n as u64;
-        Ok(start)
-    }
-
-    /// Creates a secondary index on `table`, built over the current
-    /// rows. Open snapshots keep the index-less version.
-    pub fn create_index(&self, table: &str, def: &IndexDef) -> Result<()> {
-        self.write(table, |version| Version::create_index(version, def))
-    }
-
-    /// Drops an index from `table`; `Ok(true)` if it existed.
-    pub fn drop_index(&self, table: &str, name: &str) -> Result<bool> {
-        self.write(table, |version| Ok(Version::drop_index(version, name)))
-    }
-
-    pub fn table(&self, name: &str) -> Option<Arc<MemRelation>> {
+    pub fn table(&self, name: &str) -> Option<Arc<MemTable>> {
         self.tables.read().get(&name.to_ascii_lowercase()).cloned()
     }
 
-    pub fn table_names(&self) -> Vec<String> {
-        let mut names: Vec<String> = self.tables.read().keys().cloned().collect();
-        names.sort();
-        names
-    }
-
-    pub fn row_count(&self, name: &str) -> usize {
-        self.table(name).map_or(0, |rel| rel.version.len())
+    /// Every table with its (lower-case) name.
+    pub fn tables(&self) -> HashMap<String, Arc<MemTable>> {
+        self.tables.read().clone()
     }
 
     /// Executes a query spec, applying predicates and ordering on base
     /// columns, then projecting.
     pub fn execute(&self, q: &SqlQuerySpec) -> Result<Vec<Row>> {
-        let rel = self.relation(&q.table)?;
-        let ncols = rel.columns.len();
+        let version = self.table(&q.table).and_then(|t| t.txn_snapshot());
+        let version = version.ok_or_else(|| no_table(&q.table))?;
+        let ncols = version.arity();
         for p in &q.predicates {
             if p.col >= ncols {
                 return Err(CalciteError::execution(format!(
@@ -246,7 +115,7 @@ impl MemDb {
         }
         // Predicates read their column in place; only matches become rows.
         let mut rows: Vec<Row> = vec![];
-        for (len, chunk) in rel.column_chunks() {
+        for (len, chunk) in version.chunks() {
             let passes = |r: &usize| {
                 let mut preds = q.predicates.iter();
                 preds.all(|p| p.op.matches(&chunk[p.col].get(*r), &p.value))
@@ -302,7 +171,9 @@ impl MemDb {
 mod tests {
     use super::*;
     use crate::common::CmpOp;
-    use rcalcite_core::datum::Datum;
+    use rcalcite_core::datum::{Column, Datum};
+    use rcalcite_core::index::IndexDef;
+    use rcalcite_core::txn::DeltaOp;
 
     fn db() -> Arc<MemDb> {
         let db = MemDb::new();
@@ -327,7 +198,7 @@ mod tests {
         let db = db();
         let rows = db.execute(&SqlQuerySpec::scan("products")).unwrap();
         assert_eq!(rows.len(), 3);
-        assert_eq!(db.row_count("products"), 3);
+        assert_eq!(db.table("products").unwrap().len(), 3);
     }
 
     /// A chunk's length is its own, not its first column's: a
@@ -337,7 +208,7 @@ mod tests {
         let db = MemDb::new();
         db.create_table("z", vec![], vec![vec![]; 5000]);
         let rows = db.execute(&SqlQuerySpec::scan("z")).unwrap();
-        assert_eq!((rows.len(), db.row_count("z")), (5000, 5000));
+        assert_eq!((rows.len(), db.table("z").unwrap().len()), (5000, 5000));
     }
 
     #[test]
@@ -377,7 +248,7 @@ mod tests {
             vec![Datum::Int(4), Datum::str("tnt"), Datum::Double(50.0)],
         )
         .unwrap();
-        assert_eq!(db.row_count("products"), 4);
+        assert_eq!(db.table("products").unwrap().len(), 4);
         assert!(db.insert("products", vec![Datum::Int(5)]).is_err());
         assert!(db.insert("missing", vec![]).is_err());
     }
@@ -394,13 +265,14 @@ mod tests {
     }
 
     /// A version's batches, `batch_size` rows at most, in position order.
-    fn version_scan(
+    fn scan_current(
         db: &MemDb,
         table: &str,
         batch_size: usize,
     ) -> Result<Box<dyn rcalcite_core::exec::BatchIter>> {
         use rcalcite_core::catalog::RangeScan;
-        let version = db.version(table)?;
+        let version = db.table(table).and_then(|t| t.txn_snapshot());
+        let version = version.ok_or_else(|| no_table(table))?;
         let rows = version.len();
         version.scan_range(batch_size, 0, rows)
     }
@@ -408,7 +280,7 @@ mod tests {
     #[test]
     fn columnar_scan_tracks_inserts() {
         let db = db();
-        let cols = version_scan(&db, "products", 10)
+        let cols = scan_current(&db, "products", 10)
             .unwrap()
             .next_batch()
             .unwrap()
@@ -422,17 +294,17 @@ mod tests {
             vec![Datum::Int(4), Datum::str("tnt"), Datum::Double(50.0)],
         )
         .unwrap();
-        let mut it = version_scan(&db, "products", 10).unwrap();
+        let mut it = scan_current(&db, "products", 10).unwrap();
         let cols = it.next_batch().unwrap().unwrap();
         assert_eq!(cols[0].len(), 4);
         assert_eq!(cols[1].get(3), Datum::str("tnt"));
-        assert!(version_scan(&db, "missing", 10).is_err());
+        assert!(scan_current(&db, "missing", 10).is_err());
     }
 
     #[test]
     fn version_scan_streams_slices_from_a_snapshot() {
         let db = db();
-        let mut it = version_scan(&db, "products", 2).unwrap();
+        let mut it = scan_current(&db, "products", 2).unwrap();
         assert_eq!(it.arity(), 3);
         let first = it.next_batch().unwrap().unwrap();
         assert_eq!(first[0].len(), 2);
@@ -447,16 +319,16 @@ mod tests {
         assert_eq!(second[0].len(), 1);
         assert!(it.next_batch().unwrap().is_none());
         // A fresh scan sees the inserted row.
-        let mut it = version_scan(&db, "products", 10).unwrap();
+        let mut it = scan_current(&db, "products", 10).unwrap();
         assert_eq!(it.next_batch().unwrap().unwrap()[0].len(), 4);
-        assert!(version_scan(&db, "missing", 2).is_err());
+        assert!(scan_current(&db, "missing", 2).is_err());
     }
 
     #[test]
     fn range_snapshot_is_zero_copy_and_stable() {
         use rcalcite_core::catalog::RangeScan;
         let db = db();
-        let snap = db.version("products").unwrap();
+        let snap = db.table("products").unwrap().txn_snapshot().unwrap();
         assert_eq!(snap.row_count(), 3);
         // Inserts after the snapshot stay invisible to its ranges.
         db.insert(
@@ -469,8 +341,9 @@ mod tests {
         assert_eq!(first[0].len(), 2);
         assert_eq!(first[0].get(0), Datum::Int(2));
         assert!(it.next_batch().unwrap().is_none());
-        assert_eq!(db.version("products").unwrap().row_count(), 4);
-        assert!(db.version("missing").is_err());
+        let now = db.table("products").unwrap().txn_snapshot().unwrap();
+        assert_eq!(now.row_count(), 4);
+        assert!(db.table("missing").is_none());
     }
 
     #[test]
@@ -500,40 +373,36 @@ mod tests {
     #[test]
     fn apply_delta_cow_keeps_open_snapshots() {
         let db = db();
-        let before = db.version("products").unwrap();
-        db.create_index("products", &IndexDef::ordered("p_id", vec![0]))
-            .unwrap();
+        let t = db.table("products").unwrap();
+        let before = t.txn_snapshot().unwrap();
+        t.create_index(&IndexDef::ordered("p_id", vec![0])).unwrap();
         // Update product 2's price, delete product 1, insert product 4.
-        let start = db.reserve_row_ids("products", 1).unwrap();
-        db.apply_delta(
-            "products",
-            &[
-                DeltaOp::Update {
-                    row_id: 1,
-                    row: vec![Datum::Int(2), Datum::str("rocket"), Datum::Double(99.0)],
-                },
-                DeltaOp::Delete { row_id: 0 },
-                DeltaOp::Insert {
-                    row_id: start,
-                    row: vec![Datum::Int(4), Datum::str("tnt"), Datum::Double(50.0)],
-                },
-            ],
-        )
+        let start = t.reserve_row_ids(1).unwrap();
+        t.apply_delta(&[
+            DeltaOp::Update {
+                row_id: 1,
+                row: vec![Datum::Int(2), Datum::str("rocket"), Datum::Double(99.0)],
+            },
+            DeltaOp::Delete { row_id: 0 },
+            DeltaOp::Insert {
+                row_id: start,
+                row: vec![Datum::Int(4), Datum::str("tnt"), Datum::Double(50.0)],
+            },
+        ])
         .unwrap();
         // The pre-delta snapshot is untouched.
         assert_eq!(before.len(), 3);
         assert_eq!(before.row(0)[1], Datum::str("anvil"));
         assert_eq!(before.row(1)[2], Datum::Double(100.0));
-        // The live relation reflects the delta; ids stay stable.
-        let rel = db.table("products").unwrap();
-        assert_eq!(rel.row_ids(), [1, 2, start]);
-        assert_eq!(rel.rows()[0][2], Datum::Double(99.0));
+        // The live table reflects the delta; ids stay stable.
+        assert_eq!(t.row_ids(), [1, 2, start]);
+        assert_eq!(t.rows()[0][2], Datum::Double(99.0));
+        let version = t.txn_snapshot().unwrap();
         assert_eq!(
-            rel.column_chunks().next().unwrap().1[2].get(0),
+            version.chunks().next().unwrap().1[2].get(0),
             Datum::Double(99.0)
         );
         // The index was maintained incrementally and stays exact.
-        let version = db.version("products").unwrap();
         let probe = version.index_probe("p_id").unwrap();
         use rcalcite_core::index::BoundProbe;
         assert_eq!(
@@ -543,13 +412,5 @@ mod tests {
         assert!(probe
             .positions(&BoundProbe::point(vec![Datum::Int(1)]))
             .is_empty());
-    }
-
-    #[test]
-    fn column_lookup() {
-        let db = db();
-        let rel = db.table("products").unwrap();
-        assert_eq!(rel.column_index("NAME"), Some(1));
-        assert_eq!(rel.column_index("nope"), None);
     }
 }

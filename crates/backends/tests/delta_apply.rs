@@ -1,10 +1,10 @@
 //! The sparse delta apply, differentially: random op streams run through
-//! `Table::apply_delta` on both MVCC-capable tables — core's `MemTable`
-//! and memdb's `MemRelation`, each over the chunked `core::store` — must
-//! leave exactly the rows a naive reference (a map rebuilt op by op, read
-//! back by id) holds, ids strictly ascending, the columnar surface in
-//! step, and every ordered and hash index equal to `IndexData::build`
-//! over the result.
+//! `Table::apply_delta` on two `MemTable`s over the chunked `core::store`
+//! — one built directly, one built by `MemDb::create_table` and read back
+//! through `MemDb::execute` as well — must leave exactly the rows a
+//! naive reference (a map rebuilt op by op, read back by id) holds, ids
+//! strictly ascending, the columnar surface in step, and every ordered
+//! and hash index equal to `IndexData::build` over the result.
 //!
 //! Streams cover what one transaction can stage — repeated updates of a
 //! row, update-then-delete, insert-then-update/delete — and what two
@@ -54,7 +54,7 @@ fn index_defs() -> Vec<IndexDef> {
     ]
 }
 
-/// Both stores under test, loaded alike.
+/// Both tables under test, loaded alike.
 struct Stores {
     mem: Arc<MemTable>,
     db: Arc<MemDb>,
@@ -82,7 +82,7 @@ impl Stores {
         );
         for def in index_defs() {
             mem.create_index(&def).unwrap();
-            db.create_index("t", &def).unwrap();
+            db.table("t").unwrap().create_index(&def).unwrap();
         }
         Stores { mem, db }
     }
@@ -90,14 +90,14 @@ impl Stores {
     /// Reserves `n` ids on both stores; they hand out the same block.
     fn reserve(&self, n: usize) -> u64 {
         let a = self.mem.reserve_row_ids(n).unwrap();
-        assert_eq!(a, self.db.reserve_row_ids("t", n).unwrap());
+        assert_eq!(a, self.db.table("t").unwrap().reserve_row_ids(n).unwrap());
         a
     }
 
     /// `apply_delta` on both; they must agree on accepting the stream.
     fn apply(&self, ops: &[DeltaOp]) -> bool {
         let a = self.mem.apply_delta(ops);
-        let b = self.db.apply_delta("t", ops);
+        let b = self.db.table("t").unwrap().apply_delta(ops);
         assert_eq!(a.is_ok(), b.is_ok(), "stores disagree: {a:?} vs {b:?}");
         a.is_ok()
     }
@@ -106,24 +106,16 @@ impl Stores {
     /// the columnar surface, and what every index answers.
     fn image(&self) -> Vec<String> {
         let rel = self.db.table("t").unwrap();
-        let columnar: Vec<_> = rel.column_chunks().collect();
+        let version = rel.txn_snapshot().unwrap();
+        let columnar: Vec<_> = version.chunks().collect();
         let mut out = vec![
             format!("{:?} {:?}", self.mem.rows(), self.mem.row_ids()),
             format!("{:?} {:?} {columnar:?}", rel.rows(), rel.row_ids()),
-            format!(
-                "{:?} {:?}",
-                self.mem.data_version(),
-                self.db.data_version("t")
-            ),
+            format!("{:?} {:?}", self.mem.data_version(), rel.data_version()),
         ];
         for def in index_defs() {
             let a = self.mem.index_probe_snapshot(&def.name).unwrap().unwrap();
-            let b = self
-                .db
-                .version("t")
-                .unwrap()
-                .index_probe(&def.name)
-                .unwrap();
+            let b = rel.index_probe_snapshot(&def.name).unwrap().unwrap();
             for probe in probes(&def) {
                 out.push(format!(
                     "{:?} {:?}",
@@ -251,7 +243,7 @@ fn check_against(stores: &Stores, model: &BTreeMap<u64, Row>, what: &str) {
     // chunks, the row scan.
     let (mem, db) = (&stores.mem, &stores.db);
     let drain = |batches: Box<dyn BatchIter>| collect_batches_to_rows(batches).unwrap();
-    let memdb_version = db.version("t").unwrap();
+    let memdb_version = rel.txn_snapshot().unwrap();
     for (store, snapshot, version, scanned) in [
         (
             "MemTable",
@@ -287,12 +279,7 @@ fn check_against(stores: &Stores, model: &BTreeMap<u64, Row>, what: &str) {
         let fresh = IndexData::build(def.clone(), &access).unwrap();
         let live: [Arc<dyn IndexProbe>; 2] = [
             stores.mem.index_probe_snapshot(&def.name).unwrap().unwrap(),
-            stores
-                .db
-                .version("t")
-                .unwrap()
-                .index_probe(&def.name)
-                .unwrap(),
+            rel.index_probe_snapshot(&def.name).unwrap().unwrap(),
         ];
         for probe in probes(&def) {
             let want = fresh.probe(&access, &probe);

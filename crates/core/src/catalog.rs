@@ -107,9 +107,9 @@ pub trait Table: Send + Sync {
         false
     }
 
-    /// Downcast hook for the built-in writable store; lets DML (INSERT)
-    /// reach `MemTable` storage without `Any` plumbing. Adapter tables are
-    /// read-only and keep the default.
+    /// Downcast hook for the built-in store: lets REFRESH reach a view's
+    /// `MemTable` storage without `Any` plumbing. DML writes through the
+    /// transactional methods, so adapter tables keep the default.
     fn as_mem_table(&self) -> Option<&MemTable> {
         None
     }
@@ -254,7 +254,7 @@ impl PartialEq for TableRef {
 }
 
 /// An in-memory table: the simplest `Table` implementation, used by tests,
-/// examples and as the backing store for materialized views.
+/// examples, materialized-view storage and every `memdb` table.
 pub struct MemTable {
     row_type: RowType,
     /// The current version: chunked columns, stable row ids (assigned at

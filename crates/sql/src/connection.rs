@@ -893,6 +893,15 @@ impl Connection {
                         plan.row_type().arity()
                     )));
                 }
+                // Only MVCC-capable tables take rows: the write is
+                // WAL-logged and joins the open transaction if one is
+                // active.
+                if tref.table.txn_snapshot().is_none() {
+                    return Err(CalciteError::unsupported(format!(
+                        "INSERT is only supported on built-in tables, not '{}'",
+                        tref.qualified_name()
+                    )));
+                }
                 // The source query reads through the open transaction's
                 // snapshot, so INSERT INTO t SELECT ... FROM t sees this
                 // transaction's staged rows, not other writers'. Inside a
@@ -911,38 +920,16 @@ impl Connection {
                     self.exec.execute_collect(&physical)?
                 };
                 let n = rows.len();
-                if tref.table.txn_snapshot().is_some() {
-                    // MVCC-capable table: route through the transaction
-                    // machinery so the write is WAL-logged and joins the
-                    // open transaction when one is active.
-                    let start = tref.table.reserve_row_ids(n)?;
-                    let ops = rows
-                        .into_iter()
-                        .enumerate()
-                        .map(|(i, row)| DeltaOp::Insert {
-                            row_id: start + i as u64,
-                            row,
-                        })
-                        .collect();
-                    self.stage_or_autocommit(&tref, ops)?;
-                    return Ok(message(format!("{n} rows inserted")));
-                }
-                let mem = tref.table.as_mem_table().ok_or_else(|| {
-                    CalciteError::unsupported(format!(
-                        "INSERT is only supported on built-in tables, not '{}'",
-                        tref.qualified_name()
-                    ))
-                })?;
-                for row in rows {
-                    mem.insert(row);
-                }
-                // New rows shift statistics; cached plans may no longer
-                // be the cheapest (and snapshots taken by prepared plans
-                // should refresh). Only THIS table's statistics go stale —
-                // other tables keep their analyzed stats across the
-                // generation bump.
-                self.catalog.stats().retire(&tref.qualified_name());
-                self.invalidate_plans();
+                let start = tref.table.reserve_row_ids(n)?;
+                let ops = rows
+                    .into_iter()
+                    .enumerate()
+                    .map(|(i, row)| DeltaOp::Insert {
+                        row_id: start + i as u64,
+                        row,
+                    })
+                    .collect();
+                self.stage_or_autocommit(&tref, ops)?;
                 Ok(message(format!("{n} rows inserted")))
             }
             Stmt::DropTable { name, if_exists } => {

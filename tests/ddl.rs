@@ -144,6 +144,33 @@ fn insert_into_adapter_table_writes_through() {
 }
 
 #[test]
+fn insert_into_read_only_adapter_table_is_rejected() {
+    // The log and wide-column adapters hand out no version, so INSERT
+    // has no transactional path into them: it fails and writes nothing.
+    let fed = rcalcite_adapters::demo::build_federation(10, 5);
+    for (table, values) in [
+        ("splunk.orders", "(1, 2, 3)"),
+        ("cass.readings", "(1, 2, 3.0)"),
+    ] {
+        let count = |fed: &rcalcite_adapters::demo::Federation| {
+            let sql = format!("SELECT COUNT(*) AS c FROM {table}");
+            fed.conn.query(&sql).unwrap().rows
+        };
+        let before = count(&fed);
+        let err = fed
+            .conn
+            .query(&format!("INSERT INTO {table} VALUES {values}"))
+            .unwrap_err();
+        assert!(
+            err.to_string()
+                .contains("INSERT is only supported on built-in tables"),
+            "{table}: {err}"
+        );
+        assert_eq!(count(&fed), before, "{table}");
+    }
+}
+
+#[test]
 fn create_table_in_missing_schema_fails() {
     let c = conn();
     assert!(c.query("CREATE TABLE nowhere.t (a INTEGER)").is_err());

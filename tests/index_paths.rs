@@ -303,7 +303,7 @@ fn index_maintenance_preserves_open_snapshots() {
 }
 
 /// The same guarantee through the memdb backend (jdbc adapter storage):
-/// the index lives inside the copy-on-write relation, so one Arc
+/// the index lives inside the table's copy-on-write version, so one Arc
 /// snapshot carries rows, columns and index state together.
 #[test]
 fn memdb_snapshots_carry_indexes() {
@@ -314,10 +314,10 @@ fn memdb_snapshots_carry_indexes() {
         vec![("a".into(), TypeKind::Integer)],
         (0..8).map(|i| vec![Datum::Int(i)]).collect(),
     );
-    db.create_index("g", &IndexDef::ordered("i_a", vec![0]))
-        .unwrap();
+    let g = db.table("g").unwrap();
+    g.create_index(&IndexDef::ordered("i_a", vec![0])).unwrap();
 
-    let probe = |index: &str| db.version("g").unwrap().index_probe(index);
+    let probe = |index: &str| g.txn_snapshot().unwrap().index_probe(index);
     let pre = probe("i_a").unwrap();
     db.insert("g", vec![Datum::Int(3)]).unwrap();
 
@@ -333,8 +333,8 @@ fn memdb_snapshots_carry_indexes() {
         vec![3, 8]
     );
     assert!(probe("nope").is_none());
-    assert!(db.drop_index("g", "i_a").unwrap());
-    assert!(!db.drop_index("g", "i_a").unwrap());
+    assert!(g.drop_index("i_a").unwrap());
+    assert!(!g.drop_index("i_a").unwrap());
 }
 
 proptest! {

@@ -44,7 +44,7 @@ fn sales_db() -> Arc<MemDb> {
 #[test]
 fn backends_memdb_canary() {
     let db = sales_db();
-    assert_eq!(db.row_count("orders"), 5);
+    assert_eq!(db.table("orders").unwrap().len(), 5);
     let rows = db.execute(&SqlQuerySpec::scan("orders")).unwrap();
     assert_eq!(rows.len(), 5);
 }
