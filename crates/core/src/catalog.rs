@@ -107,13 +107,6 @@ pub trait Table: Send + Sync {
         false
     }
 
-    /// Downcast hook for the built-in store: lets REFRESH reach a view's
-    /// `MemTable` storage without `Any` plumbing. DML writes through the
-    /// transactional methods, so adapter tables keep the default.
-    fn as_mem_table(&self) -> Option<&MemTable> {
-        None
-    }
-
     // ----- secondary-index SPI (§5: adapters expose access paths; the
     // ----- optimizer picks among them by cost) -----
 
@@ -289,7 +282,7 @@ impl MemTable {
         self
     }
 
-    fn snapshot(&self) -> Arc<Version> {
+    pub(crate) fn snapshot(&self) -> Arc<Version> {
         Arc::clone(&self.current.read())
     }
 
@@ -311,13 +304,6 @@ impl MemTable {
     /// Stable ids of the current rows, parallel to [`MemTable::rows`].
     pub fn row_ids(&self) -> Vec<u64> {
         self.snapshot().row_ids().collect()
-    }
-
-    /// The rows of one version, each with its stable id — what separate
-    /// [`MemTable::rows`] and [`MemTable::row_ids`] calls cannot promise
-    /// beside a concurrent writer.
-    pub fn rows_with_ids(&self) -> Vec<(u64, Row)> {
-        self.snapshot().rows_with_ids().collect()
     }
 
     pub fn insert(&self, row: Row) {
@@ -361,10 +347,6 @@ impl Table for MemTable {
 
     fn scan(&self) -> Result<Box<dyn Iterator<Item = Row> + Send>> {
         Ok(Box::new(self.snapshot().into_rows()))
-    }
-
-    fn as_mem_table(&self) -> Option<&MemTable> {
-        Some(self)
     }
 
     fn create_index(&self, def: &IndexDef) -> Result<bool> {
@@ -451,9 +433,8 @@ pub struct Catalog {
     default_schema: RwLock<Option<String>>,
     stats: Arc<crate::stats::StatsRegistry>,
     txns: Arc<crate::txn::TxnManager>,
-    /// Incremental-view-maintenance registry, subscribed to the commit
-    /// change feed so committed base-table deltas keep materialized
-    /// views up to date.
+    /// Incremental-view-maintenance registry: every commit through
+    /// `txns` keeps the materialized views registered here up to date.
     ivm: Arc<crate::ivm::IvmRegistry>,
     /// DDL generation counter, shared by every connection over this
     /// catalog: plans cached at generation `g` are discarded once the
@@ -466,13 +447,12 @@ pub struct Catalog {
 impl Default for Catalog {
     fn default() -> Catalog {
         let stats = Arc::new(crate::stats::StatsRegistry::default());
-        let txns = Arc::new(crate::txn::TxnManager::default());
         let generation = Arc::new(std::sync::atomic::AtomicU64::new(0));
         let ivm = Arc::new(crate::ivm::IvmRegistry::new(
             Arc::clone(&stats),
             Arc::clone(&generation),
         ));
-        txns.register_observer(Arc::clone(&ivm) as Arc<dyn crate::txn::CommitObserver>);
+        let txns = Arc::new(crate::txn::TxnManager::with_ivm(Arc::clone(&ivm)));
         Catalog {
             schemas: RwLock::new(HashMap::new()),
             default_schema: RwLock::new(None),
@@ -496,7 +476,7 @@ impl Catalog {
         &self.stats
     }
 
-    /// The maintained-view registry fed by this catalog's commit feed.
+    /// The maintained-view registry this catalog's commits maintain.
     pub fn ivm(&self) -> &Arc<crate::ivm::IvmRegistry> {
         &self.ivm
     }
@@ -718,11 +698,11 @@ mod tests {
 
         t.replace_all(vec![vec![Datum::Int(1), Datum::Double(1.0)]]);
         assert_eq!(c.row_count(), 3);
+        let version = t.txn_snapshot().unwrap();
         assert_eq!(
-            t.rows_with_ids(),
+            version.rows_with_ids().collect::<Vec<_>>(),
             vec![(3, vec![Datum::Int(1), Datum::Double(1.0)])]
         );
-        let version = t.txn_snapshot().unwrap();
         assert_eq!(
             version.chunks().map(|(_, cols)| cols).collect::<Vec<_>>(),
             vec![[

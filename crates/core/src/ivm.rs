@@ -37,13 +37,13 @@
 //! recovery replayed the WAL, a write bypassed the commit feed, or
 //! maintenance itself failed) makes the view stale rather than wrong.
 
-use crate::catalog::TableRef;
+use crate::catalog::{MemTable, Table, TableRef};
 use crate::datum::{Datum, Row};
 use crate::error::{CalciteError, Result};
 use crate::rel::{AggCall, AggFunc, JoinKind, Rel, RelOp};
 use crate::rex::{Op, RexNode};
 use crate::stats::StatsRegistry;
-use crate::txn::{CommitObserver, DeltaOp};
+use crate::txn::DeltaOp;
 use crate::types::TypeKind;
 use parking_lot::{Mutex, RwLock};
 use std::collections::{BTreeMap, HashMap};
@@ -208,13 +208,9 @@ struct GroupState {
 // ---------------------------------------------------------------------
 
 enum DeltaNode {
-    /// A base-table scan: the feed point. `mirror` reconstructs full rows
-    /// from row-id-keyed [`DeltaOp`]s (a delete op carries no row).
-    Scan {
-        leaf: usize,
-        table: TableRef,
-        mirror: HashMap<u64, Row>,
-    },
+    /// A base-table scan: the feed point for the signed deltas COMMIT
+    /// derives from the table's own versions.
+    Scan { leaf: usize, table: TableRef },
     /// Literal rows: contribute once at initialization, never change.
     Values { leaf: usize, tuples: Vec<Row> },
     Filter {
@@ -238,13 +234,13 @@ enum DeltaNode {
         left_state: HashMap<Vec<Datum>, Vec<(Row, i64)>>,
         right_state: HashMap<Vec<Datum>, Vec<(Row, i64)>>,
     },
+    /// An empty `group` is a global aggregate: its single group always
+    /// emits one row.
     Aggregate {
         input: Box<DeltaNode>,
         group: Vec<usize>,
         aggs: Vec<AggSpec>,
         groups: HashMap<Vec<Datum>, GroupState>,
-        /// Global (no GROUP BY): the single group always emits one row.
-        global: bool,
     },
     /// Sort without OFFSET/FETCH: a materialized table is a bag, ordering
     /// is reimposed by whatever plan reads it, so deltas pass through.
@@ -356,15 +352,22 @@ impl DeltaNode {
                 group,
                 aggs,
                 groups,
-                global,
             } => {
                 let Some(d) = input.feed(leaf, delta)? else {
                     return Ok(None);
                 };
                 // Bucket the input delta per group key, then emit
-                // `-old +new` output rows per touched group.
+                // `-old +new` output rows per touched group. The first
+                // delta to reach a global aggregate, even an empty one,
+                // touches its group: over no rows the executor still
+                // emits one (`COUNT(*)` of nothing is 0).
+                let global = group.is_empty();
                 let mut touched: Vec<Vec<Datum>> = vec![];
                 let mut per_key: HashMap<Vec<Datum>, SignedDelta> = HashMap::new();
+                if global && groups.is_empty() {
+                    per_key.insert(vec![], vec![]);
+                    touched.push(vec![]);
+                }
                 for (row, w) in d {
                     let key: Vec<Datum> = group.iter().map(|g| row[*g].clone()).collect();
                     match per_key.get_mut(&key) {
@@ -378,9 +381,7 @@ impl DeltaNode {
                 let mut out = vec![];
                 for key in touched {
                     let rows = per_key.remove(&key).expect("touched key present");
-                    let existed = groups.contains_key(&key);
-                    if existed || *global {
-                        let state = groups.get(&key).expect("group state present");
+                    if let Some(state) = groups.get(&key) {
                         let mut old = key.clone();
                         old.extend(state.accs.iter().map(DeltaAcc::finish));
                         out.push((old, -1));
@@ -400,12 +401,12 @@ impl DeltaNode {
                             "view maintenance: negative group multiplicity",
                         ));
                     }
-                    if state.weight > 0 || *global {
+                    if state.weight > 0 || global {
                         let mut new = key.clone();
                         new.extend(state.accs.iter().map(DeltaAcc::finish));
                         out.push((new, 1));
                     }
-                    if state.weight == 0 && !*global {
+                    if state.weight == 0 && !global {
                         groups.remove(&key);
                     }
                 }
@@ -414,108 +415,8 @@ impl DeltaNode {
         }
     }
 
-    /// The plan's output over *empty* inputs, registered into operator
-    /// state as it bubbles up. A global aggregate is the non-linear case:
-    /// its empty-input output is one row (`COUNT(*)` of nothing is 0, as
-    /// the executor emits), which later deltas then retract-and-replace.
-    /// Must be called exactly once, before any `feed`.
-    fn prime(&mut self) -> Result<SignedDelta> {
-        match self {
-            DeltaNode::Scan { .. } | DeltaNode::Values { .. } => Ok(vec![]),
-            DeltaNode::Passthrough { input } => input.prime(),
-            DeltaNode::Filter { input, condition } => {
-                let mut out = vec![];
-                for (row, w) in input.prime()? {
-                    if condition.eval(&row)? == Datum::Bool(true) {
-                        out.push((row, w));
-                    }
-                }
-                Ok(out)
-            }
-            DeltaNode::Project { input, exprs } => {
-                let mut out = vec![];
-                for (row, w) in input.prime()? {
-                    let projected: Result<Row> = exprs.iter().map(|e| e.eval(&row)).collect();
-                    out.push((projected?, w));
-                }
-                Ok(out)
-            }
-            DeltaNode::Join {
-                left,
-                right,
-                condition,
-                left_keys,
-                right_keys,
-                left_state,
-                right_state,
-            } => {
-                let l0 = left.prime()?;
-                let r0 = right.prime()?;
-                let mut out = vec![];
-                for (lrow, lw) in &l0 {
-                    for (rrow, rw) in &r0 {
-                        let mut joined = lrow.clone();
-                        joined.extend(rrow.iter().cloned());
-                        if condition.eval(&joined)? == Datum::Bool(true) {
-                            out.push((joined, lw * rw));
-                        }
-                    }
-                }
-                for (lrow, lw) in l0 {
-                    let key: Vec<Datum> = left_keys.iter().map(|i| lrow[*i].clone()).collect();
-                    bucket_add(left_state, key, lrow, lw);
-                }
-                for (rrow, rw) in r0 {
-                    let key: Vec<Datum> = right_keys.iter().map(|i| rrow[*i].clone()).collect();
-                    bucket_add(right_state, key, rrow, rw);
-                }
-                Ok(out)
-            }
-            DeltaNode::Aggregate {
-                input,
-                group,
-                aggs,
-                groups,
-                global,
-            } => {
-                for (row, w) in input.prime()? {
-                    let key: Vec<Datum> = group.iter().map(|g| row[*g].clone()).collect();
-                    let state = groups.entry(key).or_insert_with(|| GroupState {
-                        weight: 0,
-                        accs: aggs.iter().map(AggSpec::fresh_acc).collect(),
-                    });
-                    state.weight += w;
-                    for (spec, acc) in aggs.iter().zip(state.accs.iter_mut()) {
-                        acc.apply(spec.arg.map(|i| &row[i]), w)?;
-                    }
-                }
-                groups.retain(|key, s| s.weight > 0 || (*global && key.is_empty()));
-                let mut out = vec![];
-                for (key, state) in groups.iter() {
-                    let mut row = key.clone();
-                    row.extend(state.accs.iter().map(DeltaAcc::finish));
-                    out.push((row, 1));
-                }
-                Ok(out)
-            }
-        }
-    }
-
-    fn collect_leaves<'a>(&'a self, out: &mut Vec<&'a DeltaNode>) {
-        match self {
-            DeltaNode::Scan { .. } | DeltaNode::Values { .. } => out.push(self),
-            DeltaNode::Passthrough { input }
-            | DeltaNode::Filter { input, .. }
-            | DeltaNode::Project { input, .. }
-            | DeltaNode::Aggregate { input, .. } => input.collect_leaves(out),
-            DeltaNode::Join { left, right, .. } => {
-                left.collect_leaves(out);
-                right.collect_leaves(out);
-            }
-        }
-    }
-
-    fn scan_mut(&mut self, target: usize) -> Option<&mut DeltaNode> {
+    /// The leaf numbered `target` (a scan or VALUES), if below this node.
+    fn leaf(&self, target: usize) -> Option<&DeltaNode> {
         match self {
             DeltaNode::Scan { leaf, .. } | DeltaNode::Values { leaf, .. } => {
                 (*leaf == target).then_some(self)
@@ -523,10 +424,8 @@ impl DeltaNode {
             DeltaNode::Passthrough { input }
             | DeltaNode::Filter { input, .. }
             | DeltaNode::Project { input, .. }
-            | DeltaNode::Aggregate { input, .. } => input.scan_mut(target),
-            DeltaNode::Join { left, right, .. } => {
-                left.scan_mut(target).or_else(|| right.scan_mut(target))
-            }
+            | DeltaNode::Aggregate { input, .. } => input.leaf(target),
+            DeltaNode::Join { left, right, .. } => left.leaf(target).or_else(|| right.leaf(target)),
         }
     }
 }
@@ -556,55 +455,24 @@ impl DeltaPlan {
         })
     }
 
-    /// The distinct base tables this plan reads (one entry per qualified
-    /// name, even when a self-join scans a table twice).
-    pub fn base_tables(&self) -> Vec<TableRef> {
-        let mut leaves = vec![];
-        self.root.collect_leaves(&mut leaves);
-        let mut seen: Vec<TableRef> = vec![];
-        for l in leaves {
-            if let DeltaNode::Scan { table, .. } = l {
-                if !seen
-                    .iter()
-                    .any(|t| t.qualified_name() == table.qualified_name())
-                {
-                    seen.push(table.clone());
-                }
-            }
-        }
-        seen
-    }
-
     /// Initializes operator state by feeding every leaf's full current
-    /// content as an all-`+1` delta (base tables via their MVCC snapshots,
+    /// content as an all-`+1` delta (base tables via their versions,
     /// VALUES via their tuples) and returns the consolidated view rows.
     /// Call under the commit lock so no commit lands mid-initialization.
     pub fn init(&mut self) -> Result<Vec<Row>> {
-        let mut total: SignedDelta = self.root.prime()?;
+        let mut total: SignedDelta = vec![];
         for leaf in 0..self.leaf_count {
-            let seed: SignedDelta = {
-                let node = self
-                    .root
-                    .scan_mut(leaf)
-                    .ok_or_else(|| CalciteError::internal("delta plan leaf missing"))?;
-                match node {
-                    DeltaNode::Values { tuples, .. } => {
-                        tuples.iter().map(|t| (t.clone(), 1)).collect()
-                    }
-                    DeltaNode::Scan { table, mirror, .. } => {
-                        let snap = table.table.txn_snapshot().ok_or_else(|| {
-                            CalciteError::unsupported("base table does not support MVCC snapshots")
-                        })?;
-                        let mut seed = Vec::with_capacity(snap.len());
-                        mirror.clear();
-                        for (id, row) in snap.rows_with_ids() {
-                            mirror.insert(id, row.clone());
-                            seed.push((row, 1));
-                        }
-                        seed
-                    }
-                    _ => unreachable!("scan_mut returns leaves only"),
+            let seed: SignedDelta = match self.root.leaf(leaf) {
+                Some(DeltaNode::Values { tuples, .. }) => {
+                    tuples.iter().map(|t| (t.clone(), 1)).collect()
                 }
+                Some(DeltaNode::Scan { table, .. }) => {
+                    let version = table.table.txn_snapshot().ok_or_else(|| {
+                        CalciteError::unsupported("base table does not support MVCC snapshots")
+                    })?;
+                    version.into_rows().map(|row| (row, 1)).collect()
+                }
+                _ => return Err(CalciteError::internal("delta plan leaf missing")),
             };
             if let Some(out) = self.root.feed(leaf, &seed)? {
                 total.extend(out);
@@ -624,62 +492,24 @@ impl DeltaPlan {
         Ok(rows)
     }
 
-    /// Translates one committed per-table op batch into the view's output
-    /// delta: every leaf scanning `table` is fed in turn (a self-join has
-    /// several), its row-id mirror reconstructing full before-images.
-    fn propagate(&mut self, table: &str, ops: &[DeltaOp]) -> Result<SignedDelta> {
+    /// Translates one commit's signed delta to `table` into the view's
+    /// output delta: every leaf scanning `table` is fed in turn (a
+    /// self-join has several).
+    fn propagate(&mut self, table: &str, delta: &SignedDelta) -> Result<SignedDelta> {
         let mut total = vec![];
         for leaf in 0..self.leaf_count {
-            let signed: Option<SignedDelta> = {
-                let node = self
-                    .root
-                    .scan_mut(leaf)
-                    .ok_or_else(|| CalciteError::internal("delta plan leaf missing"))?;
-                match node {
-                    DeltaNode::Scan {
-                        table: t, mirror, ..
-                    } if t.qualified_name() == table => Some(signed_delta(mirror, ops)?),
-                    _ => None,
-                }
-            };
-            if let Some(signed) = signed {
-                if let Some(out) = self.root.feed(leaf, &signed)? {
+            let scans = matches!(
+                self.root.leaf(leaf),
+                Some(DeltaNode::Scan { table: t, .. }) if t.qualified_name() == table
+            );
+            if scans {
+                if let Some(out) = self.root.feed(leaf, delta)? {
                     total.extend(out);
                 }
             }
         }
         Ok(total)
     }
-}
-
-/// Reconstructs a signed row delta from row-id-keyed ops, updating the
-/// leaf's id → row mirror as it goes.
-fn signed_delta(mirror: &mut HashMap<u64, Row>, ops: &[DeltaOp]) -> Result<Vec<(Row, i64)>> {
-    let missing =
-        || CalciteError::execution("view maintenance: delta references an unknown row id");
-    let mut out = Vec::with_capacity(ops.len());
-    for op in ops {
-        match op {
-            DeltaOp::Insert { row_id, row } => {
-                if mirror.insert(*row_id, row.clone()).is_some() {
-                    return Err(CalciteError::execution(
-                        "view maintenance: duplicate row id in delta",
-                    ));
-                }
-                out.push((row.clone(), 1));
-            }
-            DeltaOp::Update { row_id, row } => {
-                let old = mirror.insert(*row_id, row.clone()).ok_or_else(missing)?;
-                out.push((old, -1));
-                out.push((row.clone(), 1));
-            }
-            DeltaOp::Delete { row_id } => {
-                let old = mirror.remove(row_id).ok_or_else(missing)?;
-                out.push((old, -1));
-            }
-        }
-    }
-    Ok(out)
 }
 
 fn compile_node(plan: &Rel, leaves: &mut usize) -> Result<DeltaNode> {
@@ -700,7 +530,6 @@ fn compile_node(plan: &Rel, leaves: &mut usize) -> Result<DeltaNode> {
             Ok(DeltaNode::Scan {
                 leaf,
                 table: table.clone(),
-                mirror: HashMap::new(),
             })
         }
         RelOp::Values { tuples, .. } => {
@@ -743,26 +572,11 @@ fn compile_node(plan: &Rel, leaves: &mut usize) -> Result<DeltaNode> {
             for a in aggs {
                 specs.push(compile_agg(a, &input_rt)?);
             }
-            let input = compile_node(plan.input(0), leaves)?;
-            let global = group.is_empty();
-            let mut groups = HashMap::new();
-            if global {
-                // The executor pre-creates the single global group so an
-                // empty input still yields one output row; mirror that.
-                groups.insert(
-                    vec![],
-                    GroupState {
-                        weight: 0,
-                        accs: specs.iter().map(AggSpec::fresh_acc).collect(),
-                    },
-                );
-            }
             Ok(DeltaNode::Aggregate {
-                input: Box::new(input),
+                input: Box::new(compile_node(plan.input(0), leaves)?),
                 group: group.clone(),
                 aggs: specs,
-                groups,
-                global,
+                groups: HashMap::new(),
             })
         }
         RelOp::Sort { offset, fetch, .. } => {
@@ -897,8 +711,10 @@ struct ViewState {
 pub struct MaintainedView {
     /// Qualified storage name, e.g. `mv.hot`.
     pub name: String,
-    /// The backing table (always MVCC-capable storage).
+    /// The backing table, as scans and substitution address it.
     pub table: TableRef,
+    /// The same storage, as maintenance and REFRESH write it.
+    pub(crate) storage: Arc<MemTable>,
     /// Distinct base tables the definition reads.
     pub bases: Vec<TableRef>,
     /// The logical view definition (used by REFRESH and EXPLAIN).
@@ -907,31 +723,43 @@ pub struct MaintainedView {
 }
 
 impl MaintainedView {
-    /// Wraps freshly initialized storage for a maintainable shape. The
-    /// caller initialized `delta` (see [`DeltaPlan::init`]) and populated
-    /// `table` with exactly the rows it returned, under the commit lock.
+    fn new(
+        schema: &str,
+        name: &str,
+        storage: Arc<MemTable>,
+        plan: Rel,
+        state: ViewState,
+    ) -> Arc<MaintainedView> {
+        let table = TableRef::new(schema, name, storage.clone());
+        Arc::new(MaintainedView {
+            name: table.qualified_name(),
+            table,
+            storage,
+            bases: base_tables_of(&plan),
+            plan,
+            state: Mutex::new(state),
+        })
+    }
+
+    /// Wraps freshly initialized storage `schema.name` for a maintainable
+    /// shape. The caller initialized `delta` (see [`DeltaPlan::init`])
+    /// and filled `storage` with exactly the rows it returned, under the
+    /// commit lock.
     pub fn new_maintained(
-        name: impl Into<String>,
-        table: TableRef,
+        schema: &str,
+        name: &str,
+        storage: Arc<MemTable>,
         plan: Rel,
         delta: DeltaPlan,
     ) -> Arc<MaintainedView> {
-        let bases = delta.base_tables();
-        let versions = record_versions(&bases);
-        let row_ids = storage_row_ids(&table);
-        Arc::new(MaintainedView {
-            name: name.into(),
-            table,
-            bases,
-            plan,
-            state: Mutex::new(ViewState {
-                delta: Some(delta),
-                row_ids,
-                versions,
-                broken: None,
-                unsupported: None,
-            }),
-        })
+        let state = ViewState {
+            delta: Some(delta),
+            row_ids: storage_row_ids(&storage),
+            versions: base_versions(&plan),
+            broken: None,
+            unsupported: None,
+        };
+        MaintainedView::new(schema, name, storage, plan, state)
     }
 
     /// Wraps storage for a shape without a maintenance rule: the view is
@@ -940,26 +768,21 @@ impl MaintainedView {
     /// commit lock) *before* the defining query ran, so a racing commit
     /// errs toward stale, never toward wrong.
     pub fn new_refresh_only(
-        name: impl Into<String>,
-        table: TableRef,
+        schema: &str,
+        name: &str,
+        storage: Arc<MemTable>,
         plan: Rel,
         reason: impl Into<String>,
         versions: HashMap<String, Option<u64>>,
     ) -> Arc<MaintainedView> {
-        let bases = base_tables_of(&plan);
-        Arc::new(MaintainedView {
-            name: name.into(),
-            table,
-            bases,
-            plan,
-            state: Mutex::new(ViewState {
-                delta: None,
-                row_ids: HashMap::new(),
-                versions,
-                broken: None,
-                unsupported: Some(reason.into()),
-            }),
-        })
+        let state = ViewState {
+            delta: None,
+            row_ids: HashMap::new(),
+            versions,
+            broken: None,
+            unsupported: Some(reason.into()),
+        };
+        MaintainedView::new(schema, name, storage, plan, state)
     }
 
     /// Whether deltas maintain this view (vs. refresh-only fallback).
@@ -998,33 +821,27 @@ impl MaintainedView {
     /// under the commit lock (see `TxnManager::with_commit_lock`).
     pub fn refresh_maintained(&self) -> Result<()> {
         let mut state = self.state.lock();
-        let plan = state
-            .delta
-            .as_ref()
-            .map(|_| DeltaPlan::compile(&self.plan))
-            .transpose()?
-            .ok_or_else(|| CalciteError::internal("refresh_maintained on refresh-only view"))?;
-        let mut plan = plan;
-        let rows = plan.init()?;
-        let mem = self
-            .table
-            .table
-            .as_mem_table()
-            .ok_or_else(|| CalciteError::internal("view storage must be a MemTable"))?;
-        mem.replace_all(rows);
-        state.row_ids = storage_row_ids(&self.table);
+        if state.delta.is_none() {
+            return Err(CalciteError::internal(
+                "refresh_maintained on refresh-only view",
+            ));
+        }
+        let mut plan = DeltaPlan::compile(&self.plan)?;
+        self.storage.replace_all(plan.init()?);
+        state.row_ids = storage_row_ids(&self.storage);
         state.versions = record_versions(&self.bases);
         state.delta = Some(plan);
         state.broken = None;
         Ok(())
     }
 
-    /// Completes a refresh-only recompute: the caller captured `versions`
-    /// under the commit lock before executing the defining query and has
-    /// already replaced the storage contents.
-    pub fn complete_refresh(&self, versions: HashMap<String, Option<u64>>) {
+    /// Completes a refresh-only recompute: swaps in `rows`, the defining
+    /// query's result, whose execution began after the caller captured
+    /// `versions` under the commit lock. Run this under the commit lock
+    /// too, so maintenance never observes a half-replaced table.
+    pub fn complete_refresh(&self, rows: Vec<Row>, versions: HashMap<String, Option<u64>>) {
         let mut state = self.state.lock();
-        state.row_ids = storage_row_ids(&self.table);
+        self.storage.replace_all(rows);
         state.versions = versions;
         state.broken = None;
     }
@@ -1099,7 +916,7 @@ impl MaintainedView {
         }
         let n: i64 = inserts.iter().map(|(_, w)| *w).sum();
         if n > 0 {
-            let mut next = self.table.table.reserve_row_ids(n as usize)?;
+            let mut next = self.storage.reserve_row_ids(n as usize)?;
             for (row, w) in inserts {
                 for _ in 0..w {
                     ops.push(DeltaOp::Insert {
@@ -1111,8 +928,17 @@ impl MaintainedView {
                 }
             }
         }
-        let applied = self.table.table.apply_delta(&ops)?;
-        Ok(applied)
+        self.storage.apply_delta(&ops)
+    }
+
+    /// Whether a commit to `table` needs this view maintained: the
+    /// commit then derives that table's signed delta for it.
+    pub(crate) fn maintains_from(&self, table: &str) -> bool {
+        self.is_maintained()
+            && self
+                .bases
+                .iter()
+                .any(|b| b.qualified_name().eq_ignore_ascii_case(table))
     }
 }
 
@@ -1129,22 +955,21 @@ fn versions_match(recorded: &HashMap<String, Option<u64>>, bases: &[TableRef]) -
         .all(|b| recorded.get(&b.qualified_name()).copied() == Some(b.table.data_version()))
 }
 
-fn storage_row_ids(table: &TableRef) -> HashMap<Row, Vec<u64>> {
+fn storage_row_ids(storage: &MemTable) -> HashMap<Row, Vec<u64>> {
     let mut map: HashMap<Row, Vec<u64>> = HashMap::new();
-    if let Some(mem) = table.table.as_mem_table() {
-        // One version's rows with their own ids: a direct insert racing
-        // two separate reads would pair rows and ids of different states.
-        for (id, row) in mem.rows_with_ids() {
-            map.entry(row).or_default().push(id);
-        }
+    // One version's rows with their own ids: a direct insert racing two
+    // separate reads would pair rows and ids of different states.
+    for (id, row) in storage.snapshot().rows_with_ids() {
+        map.entry(row).or_default().push(id);
     }
     map
 }
 
-/// The registry of maintained views over one catalog, subscribed to the
-/// transaction manager's commit feed. `on_commit` runs inside COMMIT
-/// while the commit lock is held: maintenance is atomic with the base
-/// delta's publication, so a reader either sees both or neither.
+/// The registry of maintained views over one catalog. The transaction
+/// manager maintains them from inside COMMIT while the commit lock is
+/// held: maintenance is atomic with the base delta's publication, so a
+/// reader either sees both or neither.
+#[derive(Default)]
 pub struct IvmRegistry {
     views: RwLock<HashMap<String, Arc<MaintainedView>>>,
     stats: Arc<StatsRegistry>,
@@ -1191,9 +1016,22 @@ impl IvmRegistry {
         self.generation.fetch_add(1, Ordering::SeqCst);
     }
 
-    /// Maintains one view against one commit's changes. Split out of
-    /// `on_commit` so the borrow of the state lock stays scoped.
-    fn maintain_view(&self, view: &MaintainedView, changes: &[(String, &[DeltaOp])]) {
+    /// The registered views, as one commit sees them: the tables these
+    /// maintain from get a signed delta, and exactly these are maintained.
+    pub(crate) fn views(&self) -> Vec<Arc<MaintainedView>> {
+        self.views.read().values().cloned().collect()
+    }
+
+    /// Maintains one view against one commit's changes: each written
+    /// table's qualified name, with its signed row delta if some view
+    /// [maintains from](MaintainedView::maintains_from) it. Runs under
+    /// the commit lock, after the apply, and cannot fail the commit (it
+    /// is durable): a view that cannot keep up marks itself stale.
+    pub(crate) fn maintain_view(
+        &self,
+        view: &MaintainedView,
+        changes: &[(String, Option<SignedDelta>)],
+    ) {
         let changed_names: Vec<&str> = changes.iter().map(|(n, _)| n.as_str()).collect();
         // A commit writing the view's own storage didn't come from us
         // (maintenance applies deltas directly, not through a
@@ -1209,7 +1047,7 @@ impl IvmRegistry {
             }
             return;
         }
-        let relevant: Vec<&(String, &[DeltaOp])> = changes
+        let relevant: Vec<&(String, Option<SignedDelta>)> = changes
             .iter()
             .filter(|(n, _)| {
                 view.bases
@@ -1235,9 +1073,12 @@ impl IvmRegistry {
         }
         let mut output: SignedDelta = vec![];
         let mut failure: Option<String> = None;
-        for (name, ops) in &relevant {
+        for (name, delta) in &relevant {
             let plan = state.delta.as_mut().expect("checked above");
-            match plan.propagate(name, ops) {
+            let delta = delta
+                .as_ref()
+                .ok_or_else(|| CalciteError::internal("commit carried no delta"));
+            match delta.and_then(|delta| plan.propagate(name, delta)) {
                 Ok(delta) => output.extend(delta),
                 Err(e) => {
                     failure = Some(e.to_string());
@@ -1279,21 +1120,27 @@ fn table_version(bases: &[TableRef], name: &str) -> Option<u64> {
         .and_then(|b| b.table.data_version())
 }
 
-impl CommitObserver for IvmRegistry {
-    fn on_commit(&self, changes: &[(String, &[DeltaOp])]) {
-        let views: Vec<Arc<MaintainedView>> = self.views.read().values().cloned().collect();
-        for view in views {
-            self.maintain_view(&view, changes);
-        }
-    }
-}
-
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
-    use crate::catalog::MemTable;
+    use crate::catalog::Catalog;
     use crate::rel;
+    use crate::txn::signed_delta;
     use crate::types::{RelType, RowTypeBuilder, TypeKind};
+
+    /// Registers `plan` with `catalog` as the maintained view `mv.<name>`,
+    /// the way `CREATE MATERIALIZED VIEW` does.
+    pub(crate) fn register_maintained(
+        catalog: &Catalog,
+        name: &str,
+        plan: Rel,
+    ) -> Arc<MaintainedView> {
+        let mut delta = DeltaPlan::compile(&plan).unwrap();
+        let storage = MemTable::new(plan.row_type().clone(), delta.init().unwrap());
+        let view = MaintainedView::new_maintained("mv", name, storage, plan, delta);
+        catalog.ivm().register(Arc::clone(&view));
+        view
+    }
 
     fn sales() -> TableRef {
         let t = MemTable::new(
@@ -1323,8 +1170,12 @@ mod tests {
         )
     }
 
-    fn feed_commit(plan: &mut DeltaPlan, table: &str, ops: &[DeltaOp]) -> SignedDelta {
-        consolidate(plan.propagate(table, ops).unwrap())
+    /// Commits `ops` to `base` the way COMMIT does: the signed delta
+    /// against the version they replace, then the apply, then the feed.
+    fn feed_commit(plan: &mut DeltaPlan, base: &TableRef, ops: &[DeltaOp]) -> SignedDelta {
+        let delta = signed_delta(&base.table.txn_snapshot().unwrap(), ops).unwrap();
+        base.table.apply_delta(ops).unwrap();
+        consolidate(plan.propagate(&base.qualified_name(), &delta).unwrap())
     }
 
     /// `storage_row_ids` beside a writer that bypasses the transaction
@@ -1341,7 +1192,6 @@ mod tests {
                 .build(),
             stamped(0..8),
         );
-        let table = TableRef::new("mart", "view", mem.clone());
         let started = std::sync::Barrier::new(2);
         std::thread::scope(|s| {
             s.spawn(|| {
@@ -1360,7 +1210,7 @@ mod tests {
             });
             started.wait();
             for _ in 0..400 {
-                let by_row = storage_row_ids(&table);
+                let by_row = storage_row_ids(&mem);
                 assert!(by_row.len() >= 5);
                 for (row, ids) in by_row {
                     assert_eq!(ids, [row[0].as_int().unwrap() as u64]);
@@ -1393,7 +1243,7 @@ mod tests {
         // Insert into group 2.
         let d = feed_commit(
             &mut plan,
-            "mart.sales",
+            &base,
             &[DeltaOp::Insert {
                 row_id: 3,
                 row: vec![Datum::Int(2), Datum::Int(7)],
@@ -1410,7 +1260,7 @@ mod tests {
         // Update moves a row from group 1 to group 2.
         let d = feed_commit(
             &mut plan,
-            "mart.sales",
+            &base,
             &[DeltaOp::Update {
                 row_id: 0,
                 row: vec![Datum::Int(2), Datum::Int(10)],
@@ -1427,7 +1277,7 @@ mod tests {
         );
 
         // Deleting the last row of a group retracts the group entirely.
-        let d = feed_commit(&mut plan, "mart.sales", &[DeltaOp::Delete { row_id: 1 }]);
+        let d = feed_commit(&mut plan, &base, &[DeltaOp::Delete { row_id: 1 }]);
         assert_eq!(
             d,
             vec![(vec![Datum::Int(1), Datum::Int(1), Datum::Int(20)], -1)]
@@ -1443,7 +1293,7 @@ mod tests {
         assert_eq!(dp.init().unwrap(), vec![vec![Datum::Int(3)]]);
         let d = feed_commit(
             &mut dp,
-            "mart.sales",
+            &base,
             &[
                 DeltaOp::Delete { row_id: 0 },
                 DeltaOp::Delete { row_id: 1 },
@@ -1466,7 +1316,7 @@ mod tests {
         );
         let mut dp = DeltaPlan::compile(&plan).unwrap();
         assert_eq!(dp.init().unwrap(), vec![vec![Datum::Int(5)]]);
-        let d = feed_commit(&mut dp, "mart.sales", &[DeltaOp::Delete { row_id: 2 }]);
+        let d = feed_commit(&mut dp, &base, &[DeltaOp::Delete { row_id: 2 }]);
         assert_eq!(
             d,
             vec![(vec![Datum::Int(5)], -1), (vec![Datum::Int(10)], 1)]
@@ -1500,7 +1350,7 @@ mod tests {
         // New sale in region 2 joins the one matching region row.
         let d = feed_commit(
             &mut dp,
-            "mart.sales",
+            &left,
             &[DeltaOp::Insert {
                 row_id: 3,
                 row: vec![Datum::Int(2), Datum::Int(9)],
@@ -1514,7 +1364,7 @@ mod tests {
             )]
         );
         // Deleting a region retracts its joined sales.
-        let d = feed_commit(&mut dp, "mart.regions", &[DeltaOp::Delete { row_id: 0 }]);
+        let d = feed_commit(&mut dp, &rref, &[DeltaOp::Delete { row_id: 0 }]);
         assert_eq!(d.len(), 2);
         assert!(d.iter().all(|(_, w)| *w == -1));
     }
@@ -1583,5 +1433,91 @@ mod tests {
             (b.clone(), -1),
         ]);
         assert_eq!(out, vec![(b, 1)]);
+    }
+
+    /// One explicit transaction touching ids repeatedly — a new row
+    /// inserted, updated and deleted again, a base row updated twice,
+    /// another updated and then deleted — commits as its net effect, and
+    /// a grouped, a global and a self-join view each end equal to a
+    /// recompute.
+    #[test]
+    fn a_commit_touching_ids_repeatedly_keeps_every_view_equal_to_recompute() {
+        let catalog = Catalog::new();
+        let row = |id: i64, k: i64, v: i64| vec![Datum::Int(id), Datum::Int(k), Datum::Int(v)];
+        let t = MemTable::new(
+            RowTypeBuilder::new()
+                .add_not_null("id", TypeKind::Integer)
+                .add_not_null("k", TypeKind::Integer)
+                .add_not_null("v", TypeKind::Integer)
+                .build(),
+            (0..6).map(|i| row(i, i % 3, 10 * i)).collect(),
+        );
+        let base = TableRef::new("s", "t", t.clone());
+        let scan = || rel::scan(base.clone());
+        let rt = scan().row_type().clone();
+        let sum = AggCall::new(AggFunc::Sum, vec![2], false, "s", &rt);
+        let min = AggCall::new(AggFunc::Min, vec![2], false, "m", &rt);
+        let int = RelType::not_null(TypeKind::Integer);
+        let same_k = RexNode::input(1, int.clone()).eq(RexNode::input(4, int));
+        let views = [
+            rel::aggregate(scan(), vec![1], vec![AggCall::count_star("c"), sum.clone()]),
+            rel::aggregate(scan(), vec![], vec![AggCall::count_star("c"), sum, min]),
+            rel::join(scan(), scan(), JoinKind::Inner, same_k),
+        ];
+        let views = ["by_k", "total", "pairs"]
+            .into_iter()
+            .zip(views)
+            .map(|(name, plan)| register_maintained(&catalog, name, plan))
+            .collect::<Vec<_>>();
+
+        let fresh = t.reserve_row_ids(1).unwrap();
+        let mut txn = catalog.txns().begin(std::slice::from_ref(&base));
+        for op in [
+            DeltaOp::Insert {
+                row_id: fresh,
+                row: row(6, 0, 60),
+            },
+            DeltaOp::Update {
+                row_id: 1,
+                row: row(1, 2, 11),
+            },
+            DeltaOp::Update {
+                row_id: fresh,
+                row: row(6, 1, 61),
+            },
+            DeltaOp::Update {
+                row_id: 2,
+                row: row(2, 0, 22),
+            },
+            DeltaOp::Delete { row_id: fresh },
+            DeltaOp::Update {
+                row_id: 1,
+                row: row(1, 0, 12),
+            },
+            DeltaOp::Delete { row_id: 2 },
+        ] {
+            txn.stage("s.t", vec![op]).unwrap();
+        }
+        txn.commit().unwrap();
+
+        let sorted = |mut rows: Vec<Row>| {
+            rows.sort();
+            rows
+        };
+        for view in &views {
+            assert!(view.is_fresh(), "{}: {:?}", view.name, view.staleness());
+            let recomputed = DeltaPlan::compile(&view.plan).unwrap().init().unwrap();
+            assert_eq!(
+                sorted(view.storage.rows()),
+                sorted(recomputed),
+                "{}",
+                view.name
+            );
+        }
+        // Live rows (0,0,0) (1,0,12) (3,0,30) (4,1,40) (5,2,50).
+        assert_eq!(
+            views[1].storage.rows(),
+            vec![vec![Datum::Int(5), Datum::Int(132), Datum::Int(0)]]
+        );
     }
 }

@@ -60,6 +60,6 @@ pub use rel::{Rel, RelKind, RelNode, RelOp};
 pub use rex::RexNode;
 pub use stats::{ColumnStats, StatsRegistry, TableStats};
 pub use traits::Convention;
-pub use txn::{CommitObserver, DeltaOp, SnapshotTable, Transaction, TxnManager};
+pub use txn::{DeltaOp, SnapshotTable, Transaction, TxnManager};
 pub use types::{RelType, RowType, TypeKind};
 pub use wal::{FileWal, MemWal, WalRecord, WalStorage, WalWriter};

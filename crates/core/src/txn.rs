@@ -33,6 +33,7 @@ use crate::datum::{Column, Row};
 use crate::error::{CalciteError, Result};
 use crate::exec::{BatchIter, SlicedColumns};
 use crate::index::{BoundProbe, IndexDef, IndexProbe, RowsRef};
+use crate::ivm::{IvmRegistry, SignedDelta};
 use crate::store::Version;
 use crate::types::RowType;
 use crate::wal::{WalRecord, WalWriter};
@@ -611,27 +612,26 @@ impl Drop for Transaction {
     }
 }
 
+/// The signed row delta `ops` make to `base`, the version they are about
+/// to be applied to: `-pre-image` for each base row rewritten or deleted,
+/// `+final row` for each rewritten or live inserted row. O(|ops| · log n):
+/// the pre-images are read from `base`, not from a copy of the table.
+pub(crate) fn signed_delta(base: &Version, ops: &[DeltaOp]) -> Result<SignedDelta> {
+    let mut net = NetDelta::default();
+    net.fold(|id| base.position_of(id), ops, base.arity())?;
+    let mut out = Vec::with_capacity(ops.len());
+    for (pos, row) in net.base {
+        out.push((base.row(pos), -1));
+        out.extend(row.map(|row| (row, 1)));
+    }
+    let inserted = net.inserted.into_iter();
+    out.extend(inserted.filter_map(|(_, row)| Some((row?, 1))));
+    Ok(out)
+}
+
 // ---------------------------------------------------------------------
 // Manager
 // ---------------------------------------------------------------------
-
-/// A hook invoked inside COMMIT, after the staged deltas have been
-/// applied to the shared tables but while the commit lock is still held
-/// — the single choke point every committed change (autocommit and
-/// explicit COMMIT alike) flows through. Incremental view maintenance
-/// registers here so view and base tables advance atomically with
-/// respect to snapshot capture: a BEGIN (which also takes the commit
-/// lock) sees either no effect of a commit or all of it, views included.
-///
-/// Observers must not call back into the manager (the commit lock is
-/// held) and must not fail the commit — it is already durable; an
-/// observer that cannot keep up records that fact on its own state (e.g.
-/// marking a view stale) instead of erroring.
-pub trait CommitObserver: Send + Sync {
-    /// `changes`: qualified table name plus the committed ops, one entry
-    /// per written table, in apply order.
-    fn on_commit(&self, changes: &[(String, &[DeltaOp])]);
-}
 
 struct CommitFootprint {
     commit_ts: u64,
@@ -655,14 +655,21 @@ pub struct TxnManager {
     /// transaction could still conflict with them.
     history: Mutex<Vec<CommitFootprint>>,
     wal: Mutex<Option<WalWriter>>,
-    /// Post-apply commit hooks (incremental view maintenance). Invoked
-    /// under the commit lock; registered once at catalog construction.
-    observers: Mutex<Vec<Arc<dyn CommitObserver>>>,
+    /// The views every commit maintains, under the commit lock.
+    ivm: Arc<IvmRegistry>,
 }
 
 impl TxnManager {
     pub fn new() -> TxnManager {
         TxnManager::default()
+    }
+
+    /// A manager whose commits maintain the views registered in `ivm`.
+    pub fn with_ivm(ivm: Arc<IvmRegistry>) -> TxnManager {
+        TxnManager {
+            ivm,
+            ..TxnManager::default()
+        }
     }
 
     /// Attaches (or replaces) the write-ahead log. Commits from this
@@ -674,12 +681,6 @@ impl TxnManager {
     /// Detaches and returns the WAL writer, if any.
     pub fn detach_wal(&self) -> Option<WalWriter> {
         self.wal.lock().take()
-    }
-
-    /// Registers a [`CommitObserver`] invoked after every commit's
-    /// deltas are applied, still under the commit lock.
-    pub fn register_observer(&self, obs: Arc<dyn CommitObserver>) {
-        self.observers.lock().push(obs);
     }
 
     /// Runs `f` while holding the commit lock, so no transaction can
@@ -828,26 +829,30 @@ impl TxnManager {
         drop(wal);
 
         // 4. Apply onto the *current* shared versions (not the snapshot):
-        // non-conflicting concurrent commits compose.
+        // non-conflicting concurrent commits compose. A table a maintained
+        // view reads first yields its signed delta against the version
+        // this apply replaces. That `Arc` is released before the apply,
+        // so a chunk nobody else pins is rewritten in place.
+        let views = self.ivm.views();
+        let mut changes = Vec::with_capacity(staged.len());
         for (tref, ops, _) in &staged {
+            let name = tref.qualified_name();
+            let delta = if views.iter().any(|v| v.maintains_from(&name)) {
+                let base = tref.table.txn_snapshot();
+                base.map(|base| signed_delta(&base, ops)).transpose()?
+            } else {
+                None
+            };
             tref.table.apply_delta(ops)?;
+            changes.push((name, delta));
         }
 
-        // 4b. Change feed: propagate the committed deltas to observers
-        // (incremental view maintenance) while the commit lock is still
-        // held, so base tables and maintained views advance atomically
-        // with respect to snapshot capture.
-        {
-            let observers = self.observers.lock();
-            if !observers.is_empty() {
-                let changes: Vec<(String, &[DeltaOp])> = staged
-                    .iter()
-                    .map(|(tref, ops, _)| (tref.qualified_name(), ops.as_slice()))
-                    .collect();
-                for obs in observers.iter() {
-                    obs.on_commit(&changes);
-                }
-            }
+        // 4b. Maintain the views while the commit lock is still held, so
+        // base tables and views advance atomically with respect to
+        // snapshot capture: a BEGIN (which takes the lock too) sees either
+        // none of a commit or all of it, views included.
+        for view in &views {
+            self.ivm.maintain_view(view, &changes);
         }
 
         // 5. Publish the footprint for later committers' FCW checks.
@@ -1305,5 +1310,34 @@ mod tests {
         a.commit().unwrap();
         b.commit().unwrap();
         assert_eq!(t.len(), 6);
+    }
+
+    /// COMMIT reads a maintained view's pre-images from the version it
+    /// is about to replace and lets go of it before the apply: with
+    /// nothing else pinning `t`, a one-row UPDATE rewrites its chunk in
+    /// place instead of copying it.
+    #[test]
+    fn maintaining_a_view_pins_no_version_across_the_apply() {
+        let catalog = crate::catalog::Catalog::new();
+        let t = table();
+        let scan = crate::rel::scan(tref(&t));
+        let rt = scan.row_type().clone();
+        let sum = crate::rel::AggCall::new(crate::rel::AggFunc::Sum, vec![1], false, "s", &rt);
+        let plan = crate::rel::aggregate(scan, vec![], vec![sum]);
+        let view = crate::ivm::tests::register_maintained(&catalog, "total", plan);
+        let chunk = || {
+            let version = t.txn_snapshot().unwrap();
+            let (_, columns) = version.chunks().next().unwrap();
+            columns.as_ptr() as usize
+        };
+        let before = chunk();
+
+        let mut txn = catalog.txns().begin(&[tref(&t)]);
+        let row = vec![Datum::Int(1), Datum::Int(-5)];
+        txn.stage("s.t", vec![DeltaOp::Update { row_id: 1, row }])
+            .unwrap();
+        txn.commit().unwrap();
+        assert_eq!(chunk(), before, "the commit copied the chunk it rewrote");
+        assert_eq!(view.storage.rows(), vec![vec![Datum::Int(45)]]);
     }
 }

@@ -748,20 +748,17 @@ impl Connection {
                             || -> Result<(Arc<rcalcite_core::MaintainedView>, usize)> {
                                 let rows = delta.init()?;
                                 let n = rows.len();
-                                schema.add_table(
-                                    vname.clone(),
-                                    MemTable::new(row_type.clone(), rows),
+                                let storage = MemTable::new(row_type.clone(), rows);
+                                schema.add_table(vname.clone(), storage.clone());
+                                let view = rcalcite_core::MaintainedView::new_maintained(
+                                    "mv",
+                                    &vname,
+                                    storage,
+                                    plan.clone(),
+                                    delta,
                                 );
-                                let tref = self.catalog.resolve(&["mv", &vname])?;
-                                Ok((
-                                    rcalcite_core::MaintainedView::new_maintained(
-                                        qualified.clone(),
-                                        tref,
-                                        plan.clone(),
-                                        delta,
-                                    ),
-                                    n,
-                                ))
+                                self.catalog.ivm().register(view.clone());
+                                Ok((view, n))
                             },
                         )?
                     }
@@ -776,21 +773,20 @@ impl Connection {
                         let physical = self.optimize_no_mv(&plan)?;
                         let rows = self.exec.execute_collect(&physical)?;
                         let n = rows.len();
-                        schema.add_table(vname.clone(), MemTable::new(row_type.clone(), rows));
-                        let tref = self.catalog.resolve(&["mv", &vname])?;
-                        (
-                            rcalcite_core::MaintainedView::new_refresh_only(
-                                qualified.clone(),
-                                tref,
-                                plan.clone(),
-                                unsupported.to_string(),
-                                versions,
-                            ),
-                            n,
-                        )
+                        let storage = MemTable::new(row_type.clone(), rows);
+                        schema.add_table(vname.clone(), storage.clone());
+                        let view = rcalcite_core::MaintainedView::new_refresh_only(
+                            "mv",
+                            &vname,
+                            storage,
+                            plan.clone(),
+                            unsupported.to_string(),
+                            versions,
+                        );
+                        self.catalog.ivm().register(view.clone());
+                        (view, n)
                     }
                 };
-                self.catalog.ivm().register(view.clone());
                 self.views
                     .write()
                     .insert(alias, rcalcite_core::rel::scan(view.table.clone()));
@@ -867,14 +863,7 @@ impl Connection {
                     let versions = txns.with_commit_lock(|| view.capture_versions());
                     let physical = self.optimize_no_mv(&view.plan)?;
                     let rows = self.exec.execute_collect(&physical)?;
-                    let mem =
-                        view.table.table.as_mem_table().ok_or_else(|| {
-                            CalciteError::internal("view storage must be a MemTable")
-                        })?;
-                    txns.with_commit_lock(|| {
-                        mem.replace_all(rows);
-                        view.complete_refresh(versions);
-                    });
+                    txns.with_commit_lock(|| view.complete_refresh(rows, versions));
                 }
                 self.catalog.stats().retire(&qualified);
                 self.catalog.bump_generation();

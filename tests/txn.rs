@@ -80,7 +80,14 @@ fn unwritten_transaction_scans_the_tables_own_version() {
         address(&live),
         "the snapshot table handed out a copy, not the table's version"
     );
-    assert_eq!(drain(pinned), tref.table.as_mem_table().unwrap().rows());
+    assert_eq!(
+        drain(pinned),
+        tref.table
+            .txn_snapshot()
+            .unwrap()
+            .into_rows()
+            .collect::<Vec<_>>()
+    );
 
     let moved = vec![Datum::Int(3), Datum::str("moved"), Datum::Int(-1)];
     let ops = vec![
@@ -740,7 +747,7 @@ fn out_of_order_id_commits_replay_to_the_live_layout() {
 
     let layout = |catalog: &Arc<Catalog>| {
         let tref = catalog.resolve(&["bank", "accounts"]).unwrap();
-        let t = tref.table.as_mem_table().unwrap();
+        let t = tref.table.txn_snapshot().unwrap();
         let by_index: Vec<Vec<Datum>> = [100, 200, 201, 3]
             .iter()
             .flat_map(|id| {
@@ -750,7 +757,8 @@ fn out_of_order_id_commits_replay_to_the_live_layout() {
                     .rows
             })
             .collect();
-        (t.rows(), t.row_ids(), by_index)
+        let row_ids: Vec<u64> = t.row_ids().collect();
+        (t.into_rows().collect::<Vec<_>>(), row_ids, by_index)
     };
     let live = layout(&catalog);
     assert_eq!(live.1, vec![0, 1, 2, 4, 5, 6, 7, 8, 9, 10]);
