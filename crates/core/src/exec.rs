@@ -3,6 +3,14 @@
 //! convention, adapters — register a [`ConventionExecutor`] per calling
 //! convention, and the [`ExecContext`] dispatches plan subtrees to the
 //! engine named by each node's convention trait.
+//!
+//! Engines build pull-based trees on the [`Operator`] contract and its
+//! combinators. Parallel execution has one exchange, [`OrderedGatherOp`],
+//! the only code here that spawns (and reaps) threads: it runs one
+//! worker operator per thread — in the batch engine, workers claiming
+//! morsels of one table snapshot — and hands their tagged output over in
+//! serial order, so a parallel plan's output is byte-identical to serial
+//! execution.
 
 use crate::datum::{columns_to_rows, Column, Datum, Row};
 use crate::error::{CalciteError, Result};
@@ -11,7 +19,7 @@ use crate::traits::Convention;
 use crate::types::TypeKind;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::mpsc;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 
 /// Iterator of rows produced by an executor.
@@ -53,7 +61,7 @@ pub trait Operator<B>: Send {
 pub type BoxOperator<B> = Box<dyn Operator<B>>;
 
 // ---------------------------------------------------------------------
-// Exchange operators: morsel-driven parallelism over Operator<B>
+// The exchange: morsel-driven parallelism over Operator<B>
 // ---------------------------------------------------------------------
 
 /// Default number of rows per morsel (the unit of work a parallel worker
@@ -119,19 +127,25 @@ enum Buffered<B> {
     Error(CalciteError),
 }
 
-/// Order-preserving exchange consumer: runs one worker operator subtree
-/// per partition on its own `std::thread` and reassembles their tagged
-/// output in morsel order, so the merged stream is byte-identical to
-/// what serial execution of the same subtree would produce.
+/// The one exchange: runs each worker operator on its own `std::thread`
+/// and reassembles their tagged output in (morsel, chunk) order, so the
+/// merged stream is byte-identical to what serial execution of the same
+/// subtree would produce. A worker that reduces its share to one value
+/// (a partial aggregate, a Top-K heap) tags it with its own worker index
+/// as the morsel, so such values arrive in worker order.
 ///
 /// The channel between workers and the gather is bounded, which gives
 /// backpressure: when the consumer stops pulling (a satisfied LIMIT),
 /// workers block after a bounded amount of prefetch and are shut down
 /// when the gather is dropped. While the consumer is *waiting* for a
 /// slow in-order morsel, however, faster workers keep draining into
-/// the reorder buffer — under heavy per-morsel cost skew that buffer
-/// can grow toward the skewed portion of the output (credit-based
-/// flow control is future work, tracked with spill-to-disk).
+/// the reorder buffer, so under heavy per-morsel cost skew that buffer
+/// can grow toward the skewed portion of the output. It is not charged
+/// to the memory budget; there is no credit-based flow control.
+///
+/// A worker thread that panics ends the stream with an execution error
+/// once the other workers are done; it never leaves the consumer
+/// waiting.
 pub struct OrderedGatherOp<B> {
     workers: Vec<BoxOperator<ExchangeItem<B>>>,
     channel_cap: usize,
@@ -267,270 +281,29 @@ impl<B: Send + 'static> Operator<B> for OrderedGatherOp<B> {
                     st.ended.insert(m);
                 }
                 Err(_) => {
-                    // All workers finished. Anything still buffered is
-                    // emitted in order above; a tagged leftover without
-                    // its MorselEnd means a worker died mid-morsel.
-                    if st.buffered.is_empty() && st.ended.is_empty() {
-                        let mut panicked = false;
-                        for h in st.handles.drain(..) {
-                            panicked |= h.join().is_err();
-                        }
-                        st.rx = None;
-                        if panicked {
-                            self.failed = true;
-                            return Err(CalciteError::execution(
-                                "parallel exchange worker thread panicked",
-                            ));
-                        }
-                        self.state = Some(st);
-                        return Ok(None);
+                    // Every worker is gone and the next item in order
+                    // never came (it would have been served above). The
+                    // stream ends cleanly only if nothing is left over
+                    // and no worker panicked; a leftover means a worker
+                    // died mid-morsel.
+                    let mut panicked = false;
+                    for h in st.handles.drain(..) {
+                        panicked |= h.join().is_err();
                     }
-                    if !st.buffered.contains_key(&st.next) && !st.ended.contains(&st.next.0) {
+                    st.rx = None;
+                    if panicked || !st.buffered.is_empty() || !st.ended.is_empty() {
                         self.failed = true;
-                        return Err(CalciteError::execution(
-                            "parallel exchange worker died mid-morsel",
-                        ));
+                        return Err(CalciteError::execution(if panicked {
+                            "parallel exchange worker thread panicked"
+                        } else {
+                            "parallel exchange worker died mid-morsel"
+                        }));
                     }
+                    self.state = Some(st);
+                    return Ok(None);
                 }
             }
         }
-    }
-}
-
-/// Unordered gather: runs one worker operator per partition on its own
-/// thread and yields results in arrival order. Used where the consumer
-/// recombines worker outputs itself (partial-aggregate merge, sorted-run
-/// merge) and ordering is re-established there.
-pub struct GatherOp<B> {
-    workers: Vec<BoxOperator<B>>,
-    channel_cap: usize,
-    state: Option<GatherState<B>>,
-    failed: bool,
-}
-
-struct GatherState<B> {
-    rx: Option<mpsc::Receiver<Result<B>>>,
-    handles: Vec<JoinHandle<()>>,
-}
-
-impl<B> Drop for GatherState<B> {
-    fn drop(&mut self) {
-        self.rx = None;
-        for h in self.handles.drain(..) {
-            let _ = h.join();
-        }
-    }
-}
-
-impl<B: Send + 'static> GatherOp<B> {
-    pub fn new(workers: Vec<BoxOperator<B>>) -> GatherOp<B> {
-        let n = workers.len().max(1);
-        GatherOp {
-            workers,
-            channel_cap: n * 2,
-            state: None,
-            failed: false,
-        }
-    }
-}
-
-impl<B: Send + 'static> Operator<B> for GatherOp<B> {
-    fn open(&mut self) -> Result<()> {
-        let (tx, rx) = mpsc::sync_channel::<Result<B>>(self.channel_cap);
-        let handles = std::mem::take(&mut self.workers)
-            .into_iter()
-            .map(|mut op| {
-                let tx = tx.clone();
-                std::thread::spawn(move || {
-                    if let Err(e) = op.open() {
-                        let _ = tx.send(Err(e));
-                        return;
-                    }
-                    loop {
-                        match op.next() {
-                            Ok(Some(b)) => {
-                                if tx.send(Ok(b)).is_err() {
-                                    return;
-                                }
-                            }
-                            Ok(None) => return,
-                            Err(e) => {
-                                let _ = tx.send(Err(e));
-                                return;
-                            }
-                        }
-                    }
-                })
-            })
-            .collect();
-        self.state = Some(GatherState {
-            rx: Some(rx),
-            handles,
-        });
-        Ok(())
-    }
-
-    fn next(&mut self) -> Result<Option<B>> {
-        if self.failed {
-            return Ok(None);
-        }
-        let st = self.state.as_mut().expect("GatherOp not opened");
-        let Some(rx) = st.rx.as_ref() else {
-            return Ok(None);
-        };
-        match rx.recv() {
-            Ok(Ok(b)) => Ok(Some(b)),
-            Ok(Err(e)) => {
-                // Dropping the state disconnects and reaps the workers;
-                // further pulls end the stream instead of panicking.
-                self.failed = true;
-                self.state = None;
-                Err(e)
-            }
-            Err(_) => {
-                let mut panicked = false;
-                for h in st.handles.drain(..) {
-                    panicked |= h.join().is_err();
-                }
-                st.rx = None;
-                if panicked {
-                    self.failed = true;
-                    Err(CalciteError::execution(
-                        "parallel gather worker thread panicked",
-                    ))
-                } else {
-                    Ok(None)
-                }
-            }
-        }
-    }
-}
-
-/// Routes one source batch to its destination partitions. The `usize`
-/// argument is the batch's sequence number in the source stream; the
-/// returned pairs are (partition, piece). Round-robin routers forward
-/// whole batches; hash routers split a batch into per-partition pieces.
-pub type Router<B> = Box<dyn FnMut(usize, B) -> Vec<(usize, B)> + Send>;
-
-/// A round-robin router: batch `i` goes to partition `i % n` whole.
-pub fn round_robin_router<B>(n: usize) -> Router<B> {
-    let n = n.max(1);
-    Box::new(move |seq, b| vec![(seq % n, b)])
-}
-
-/// The messages a scatter partition receives: (source batch sequence,
-/// the routed piece or the source's error at that position).
-pub type ScatterMsg<B> = (usize, Result<B>);
-
-struct ScatterSeed<B> {
-    child: BoxOperator<B>,
-    router: Router<B>,
-    txs: Vec<mpsc::SyncSender<ScatterMsg<B>>>,
-}
-
-struct ScatterShared<B> {
-    seed: Mutex<Option<ScatterSeed<B>>>,
-    handle: Mutex<Option<JoinHandle<()>>>,
-}
-
-impl<B> Drop for ScatterShared<B> {
-    fn drop(&mut self) {
-        if let Some(h) = self.handle.lock().expect("scatter lock").take() {
-            let _ = h.join();
-        }
-    }
-}
-
-/// One output partition of a [`ScatterOp::split`]: a stream of routed
-/// `(sequence, batch)` pieces, fed by a shared feeder thread that pulls
-/// the child once and routes each batch.
-pub struct ScatterPartition<B> {
-    // Field order matters: `rx` must drop before `shared`, whose Drop
-    // joins the feeder thread — a feeder blocked sending to this very
-    // partition would otherwise never observe the disconnect.
-    rx: mpsc::Receiver<ScatterMsg<B>>,
-    shared: Arc<ScatterShared<B>>,
-}
-
-impl<B: Send + 'static> Operator<ScatterMsg<B>> for ScatterPartition<B> {
-    fn open(&mut self) -> Result<()> {
-        // The first partition to open starts the shared feeder.
-        let seed = self.shared.seed.lock().expect("scatter lock").take();
-        if let Some(mut seed) = seed {
-            let handle = std::thread::spawn(move || {
-                if let Err(e) = seed.child.open() {
-                    let _ = seed.txs[0].send((0, Err(e)));
-                    return;
-                }
-                let mut seq = 0usize;
-                loop {
-                    match seed.child.next() {
-                        Ok(Some(b)) => {
-                            for (p, piece) in (seed.router)(seq, b) {
-                                if seed.txs[p].send((seq, Ok(piece))).is_err() {
-                                    return;
-                                }
-                            }
-                        }
-                        Ok(None) => return,
-                        Err(e) => {
-                            // Surface the error at its position in the
-                            // stream, on the partition that sequence
-                            // routes to.
-                            let p = seq % seed.txs.len();
-                            let _ = seed.txs[p].send((seq, Err(e)));
-                            return;
-                        }
-                    }
-                    seq += 1;
-                }
-            });
-            *self.shared.handle.lock().expect("scatter lock") = Some(handle);
-        }
-        Ok(())
-    }
-
-    fn next(&mut self) -> Result<Option<ScatterMsg<B>>> {
-        match self.rx.recv() {
-            Ok(msg) => Ok(Some(msg)),
-            Err(_) => Ok(None),
-        }
-    }
-}
-
-/// The partitioning half of an exchange: splits a child's batch stream
-/// into `n` worker queues through a [`Router`] (round-robin for
-/// stateless stages, hash-partitioned on key columns when the consumer
-/// needs co-location). The feeder runs on its own thread with bounded
-/// queues, so partitions exert backpressure on the child.
-pub struct ScatterOp;
-
-impl ScatterOp {
-    /// Splits `child` into `n` partitions. Opening any returned
-    /// partition starts the shared feeder thread (exactly once).
-    pub fn split<B: Send + 'static>(
-        child: BoxOperator<B>,
-        n: usize,
-        router: Router<B>,
-    ) -> Vec<ScatterPartition<B>> {
-        let n = n.max(1);
-        let mut txs = Vec::with_capacity(n);
-        let mut rxs = Vec::with_capacity(n);
-        for _ in 0..n {
-            let (tx, rx) = mpsc::sync_channel::<ScatterMsg<B>>(4);
-            txs.push(tx);
-            rxs.push(rx);
-        }
-        let shared = Arc::new(ScatterShared {
-            seed: Mutex::new(Some(ScatterSeed { child, router, txs })),
-            handle: Mutex::new(None),
-        });
-        rxs.into_iter()
-            .map(|rx| ScatterPartition {
-                shared: shared.clone(),
-                rx,
-            })
-            .collect()
     }
 }
 
@@ -1113,50 +886,35 @@ mod tests {
     }
 
     #[test]
-    fn unordered_gather_collects_every_worker() {
-        let mut gather = GatherOp::new(
-            (0..3)
-                .map(|i| Box::new(BatchesOp::new(vec![i, i + 10])) as BoxOperator<i32>)
-                .collect(),
-        );
-        gather.open().unwrap();
-        let mut out = vec![];
-        while let Some(v) = gather.next().unwrap() {
-            out.push(v);
-        }
-        out.sort();
-        assert_eq!(out, vec![0, 1, 2, 10, 11, 12]);
-    }
-
-    #[test]
-    fn scatter_round_robins_batches_with_sequence_tags() {
-        let child: BoxOperator<i32> = Box::new(BatchesOp::new(vec![100, 101, 102, 103, 104]));
-        let parts = ScatterOp::split(child, 2, round_robin_router(2));
-        let mut outs: Vec<Vec<(usize, i32)>> = vec![];
-        let mut parts = parts;
-        for p in &mut parts {
-            p.open().unwrap();
-        }
-        for p in &mut parts {
-            let mut got = vec![];
-            while let Some((seq, v)) = p.next().unwrap() {
-                got.push((seq, v.unwrap()));
+    fn ordered_gather_turns_a_panicking_worker_into_an_error() {
+        // One worker emits morsel 0 whole, then panics before morsel 1;
+        // the other has already delivered morsel 2. The gather reaps both
+        // threads and ends the stream with an error instead of waiting
+        // for morsel 1 forever.
+        struct PanicsAfterMorselZero(usize);
+        impl Operator<ExchangeItem<i64>> for PanicsAfterMorselZero {
+            fn next(&mut self) -> Result<Option<ExchangeItem<i64>>> {
+                self.0 += 1;
+                match self.0 {
+                    1 => Ok(Some(ExchangeItem::Batch((0, 0), 0))),
+                    2 => Ok(Some(ExchangeItem::MorselEnd(0))),
+                    _ => panic!("injected exchange-worker fault"),
+                }
             }
-            outs.push(got);
         }
-        assert_eq!(outs[0], vec![(0, 100), (2, 102), (4, 104)]);
-        assert_eq!(outs[1], vec![(1, 101), (3, 103)]);
-    }
-
-    #[test]
-    fn scatter_shuts_down_when_partitions_drop_early() {
-        // A large stream with small queues: dropping the partitions must
-        // unblock and terminate the feeder (the Drop impl joins it).
-        let child: BoxOperator<i32> = Box::new(BatchesOp::new((0..10_000).collect::<Vec<_>>()));
-        let mut parts = ScatterOp::split(child, 2, round_robin_router(2));
-        parts[0].open().unwrap();
-        assert!(parts[0].next().unwrap().is_some());
-        drop(parts); // must not hang
+        let morsel_two = BatchesOp::new(vec![
+            ExchangeItem::Batch((2, 0), 20),
+            ExchangeItem::MorselEnd(2),
+        ]);
+        let mut gather = OrderedGatherOp::new(vec![
+            Box::new(PanicsAfterMorselZero(0)) as BoxOperator<ExchangeItem<i64>>,
+            Box::new(morsel_two),
+        ]);
+        gather.open().unwrap();
+        assert_eq!(gather.next().unwrap(), Some(0));
+        let err = gather.next().unwrap_err();
+        assert!(err.to_string().contains("panicked"), "{err}");
+        assert_eq!(gather.next().unwrap(), None);
     }
 
     #[test]

@@ -4,13 +4,13 @@
 //! at a time, merged exactly across parallel partials and spill chunks,
 //! and finished straight into output columns.
 
-use crate::batch::{split_to_batches, BatchOp, ColumnBatch, SourceSeed, WorkerKernel};
+use crate::batch::{split_to_batches, BatchOp, ColumnBatch, SourceSeed};
 use crate::executor::{add_datums, Acc};
 use crate::keys::{null_rows, KeySet};
 use rcalcite_core::buffer::{ByteReader, ByteWriter, MemoryReservation, SpillEnv};
 use rcalcite_core::datum::{Column, Datum};
 use rcalcite_core::error::{CalciteError, Result};
-use rcalcite_core::exec::{BoxOperator, ExchangeItem, GatherOp, Operator, Parallelism};
+use rcalcite_core::exec::{Operator, OrderedGatherOp, Parallelism};
 use rcalcite_core::rel::AggCall;
 use rcalcite_core::types::TypeKind;
 use std::cmp::Ordering;
@@ -512,61 +512,18 @@ impl Operator<ColumnBatch> for AggregateOp {
     }
 }
 
-/// One worker of a parallel aggregate: folds its exchange feed into a
-/// partial [`AggState`] (tracking each group's first-seen sequence) and
-/// yields the state once the feed is exhausted.
-struct AggWorker {
-    /// Stable worker index: partials merge in this order on the
-    /// consumer side, so the fold is deterministic for a fixed worker
-    /// count (gather arrival order is not).
-    index: usize,
-    inner: BoxOperator<ExchangeItem<ColumnBatch>>,
-    group: Vec<usize>,
-    aggs: Vec<AggCall>,
-    state: Option<AggState>,
-    cur_morsel: usize,
-    offset: u64,
-}
-
-impl Operator<(usize, AggState)> for AggWorker {
-    fn open(&mut self) -> Result<()> {
-        self.inner.open()
-    }
-
-    fn next(&mut self) -> Result<Option<(usize, AggState)>> {
-        let Some(mut state) = self.state.take() else {
-            return Ok(None);
-        };
-        loop {
-            match self.inner.next()? {
-                Some(ExchangeItem::Batch((m, _), b)) => {
-                    if m != self.cur_morsel {
-                        self.cur_morsel = m;
-                        self.offset = 0;
-                    }
-                    let b = b.compact();
-                    let seq0 = ((m as u64) << 32) | self.offset;
-                    state.update(&b, &self.group, &self.aggs, seq0)?;
-                    self.offset += b.num_rows() as u64;
-                }
-                Some(ExchangeItem::Error(_, e)) => return Err(e),
-                Some(ExchangeItem::MorselEnd(_)) => {}
-                None => return Ok(Some((self.index, state))),
-            }
-        }
-    }
-}
-
-/// Parallel aggregate: partial aggregation per worker, then an exact
-/// merge on the consumer side, folding partials in worker-index order
-/// (first-seen group order preserved). For integer aggregates the
-/// result is bit-identical to serial; float SUM/AVG may differ in the
-/// last ulp because addition is re-associated across workers, and a
-/// checked integer SUM whose *intermediate* values graze i64's range
-/// may overflow in one mode and not the other — the standard contract
-/// of parallel aggregation.
+/// Parallel aggregate: each worker folds its morsels into a partial
+/// [`AggState`], and the consumer merges the partials exactly, in the
+/// order the gather hands them over — worker order, so the fold is
+/// deterministic for a fixed worker count and first-seen group order is
+/// preserved. For integer aggregates the result is bit-identical to
+/// serial; float SUM/AVG may differ in the last ulp because addition is
+/// re-associated across workers, and a checked integer SUM whose
+/// *intermediate* values graze i64's range may overflow in one mode and
+/// not the other — the standard contract of parallel aggregation. The
+/// partials hold no reservation against the memory budget.
 pub(crate) struct ParallelAggregateOp {
-    gather: GatherOp<(usize, AggState)>,
+    gather: OrderedGatherOp<AggState>,
     group: Vec<usize>,
     aggs: Vec<AggCall>,
     out_kinds: Vec<TypeKind>,
@@ -580,45 +537,28 @@ impl ParallelAggregateOp {
         aggs: Vec<AggCall>,
         out_kinds: Vec<TypeKind>,
         p: Parallelism,
-    ) -> Result<ParallelAggregateOp> {
-        let workers = seed
-            .into_workers(WorkerKernel::Emit, p)?
-            .into_iter()
-            .enumerate()
-            .map(|(index, w)| {
-                Box::new(AggWorker {
-                    index,
-                    inner: w,
-                    group: group.clone(),
-                    state: Some(AggState::new(&aggs)),
-                    aggs: aggs.clone(),
-                    cur_morsel: 0,
-                    offset: 0,
-                }) as BoxOperator<(usize, AggState)>
-            })
-            .collect();
-        Ok(ParallelAggregateOp {
-            gather: GatherOp::new(workers),
+    ) -> ParallelAggregateOp {
+        let (g, a) = (group.clone(), aggs.clone());
+        let gather = seed.into_fold_gather(
+            p,
+            || AggState::new(&aggs),
+            move |state: &mut AggState, b: ColumnBatch, seq0| state.update(&b, &g, &a, seq0),
+        );
+        ParallelAggregateOp {
+            gather,
             group,
             aggs,
             out_kinds,
             out: VecDeque::new(),
-        })
+        }
     }
 }
 
 impl Operator<ColumnBatch> for ParallelAggregateOp {
     fn open(&mut self) -> Result<()> {
         self.gather.open()?;
-        let mut partials = vec![];
-        while let Some(partial) = self.gather.next()? {
-            partials.push(partial);
-        }
-        // Fold in worker-index order, not arrival order, so the merged
-        // result is deterministic for a fixed worker count.
-        partials.sort_by_key(|(i, _)| *i);
         let mut merged = AggState::new(&self.aggs);
-        for (_, partial) in partials {
+        while let Some(partial) = self.gather.next()? {
             merged.merge(partial, &self.aggs)?;
         }
         self.out = merged

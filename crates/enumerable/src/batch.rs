@@ -31,13 +31,14 @@
 //! always runs end to end. All kernels are pure per-batch functions
 //! invoked by the streaming drivers — the shape **morsel-driven
 //! parallelism** farms out: when the execution context asks for more
-//! than one worker, the plan builder places exchange operators around
-//! Scan→Filter→Project chains, HashJoin probes, Aggregates and Sorts
-//! (see the "Morsel-driven parallel execution" section below). Workers
-//! claim fixed-size morsels of the scan (or round-robin partitions of a
-//! streamed child), run the same pure kernels, and an order-preserving
-//! gather/merge recombines their output so every parallel plan produces
-//! byte-identical results to serial execution.
+//! than one worker, the plan builder places the ordered gather over
+//! Scan→Filter→Project chains, HashJoin probes, Aggregates and Top-K
+//! sorts whose input is a table snapshot (see the "Morsel-driven
+//! parallel execution" section below). Workers claim fixed-size morsels
+//! of the snapshot, run the same pure kernels, and the gather (plus an
+//! exact merge for aggregates and Top-K) recombines their output so
+//! every parallel plan produces byte-identical results to serial
+//! execution.
 //!
 //! Semantics are pinned to the row engine: the generic expression path
 //! routes through [`rcalcite_core::rex::eval_op_strict`] (the same code
@@ -55,9 +56,8 @@ use rcalcite_core::catalog::{RangeScan, TableRef};
 use rcalcite_core::datum::{Column, Datum, Row};
 use rcalcite_core::error::{CalciteError, Result};
 use rcalcite_core::exec::{
-    round_robin_router, BatchIter, BoxOperator, ChainOp, ExchangeItem, ExecContext, FilterMapOp,
-    GatherOp, Operator, OrderedGatherOp, Parallelism, RowBatcher, RowIter, ScatterOp,
-    ScatterPartition,
+    BatchIter, BoxOperator, ChainOp, ExchangeItem, ExecContext, FilterMapOp, Operator,
+    OrderedGatherOp, Parallelism, RowBatcher, RowIter,
 };
 use rcalcite_core::rel::{Rel, RelOp};
 use rcalcite_core::rex::{eval_op_strict, BuiltinFn, Op, RexNode};
@@ -1736,32 +1736,34 @@ impl Operator<ColumnBatch> for MinusOp {
 // Morsel-driven parallel execution
 // ---------------------------------------------------------------------
 //
-// When the context's [`Parallelism`] asks for more than one worker, the
-// plan builder places exchange operators around four shapes:
+// Parallel work comes only from table snapshots. When the context's
+// [`Parallelism`] asks for more than one worker, the plan builder looks
+// for a Filter/Project chain over a scan whose snapshot spans at least
+// two morsels. Its workers claim morsels (row ranges of that one
+// snapshot) from an atomic dispenser and run the fused stage kernels;
+// the one exchange, [`OrderedGatherOp`], runs them on threads and hands
+// their output over in serial order. Four shapes sit on it:
 //
-// - **Scan→Filter→Project chains** over a range-scannable table: N
-//   workers claim fixed-size morsels (row ranges of one shared
-//   snapshot) from an atomic dispenser, run the fused stage kernels,
-//   and an [`OrderedGatherOp`] reassembles the output in morsel order —
-//   byte-identical to serial execution.
+// - **Chains**: the gather's output is the chain's, byte-identical to
+//   serial execution.
 // - **HashJoin**: the build side materializes once and is shared behind
-//   an `Arc` (matched-flags are atomics); probe workers run the left
-//   chain + probe kernel per morsel, gathered in order, with the
-//   outer-join right pad emitted after every worker finishes.
+//   an `Arc` (matched-flags are atomics); workers probe per morsel, and
+//   the outer-join right pad follows once every worker has finished.
 // - **Aggregate**: each worker folds its morsels into a partial
-//   [`AggState`]; the partials merge exactly (distinct aggregates
-//   replay unseen argument tuples) and groups are emitted in first-seen
-//   sequence order, reproducing the serial output order.
+//   [`AggState`]; the gather hands the partials over in worker order,
+//   they merge exactly (distinct aggregates replay unseen argument
+//   tuples), and groups are emitted in first-seen sequence order,
+//   reproducing the serial output order.
 // - **Top-K** (`ORDER BY … FETCH`): each worker Top-K-filters its
-//   morsels into a run ordered by (collation, input sequence); a k-way
-//   merge under the same comparator recombines the runs. A full sort
-//   places no exchange of its own: the serial [`FullSortOp`] (which
-//   accounts against the memory budget and spills) consumes its child
-//   chain's ordered gather, so ORDER BY results are byte-identical
-//   across worker counts either way.
+//   morsels into a heap ordered by (collation, input sequence); a k-way
+//   merge under the same comparator recombines the heaps.
 //
-// Chains whose bottom is not range-scannable but looks big stream
-// through a [`ScatterOp`] with a round-robin router instead.
+// Every other node runs serially above whatever exchange its child has.
+// A full sort is the serial [`FullSortOp`] over its chain's gather, and
+// an aggregate over a join is the serial [`AggregateOp`] over the join's
+// gather: both charge the memory budget and spill. Inputs that are not
+// snapshot scans (foreign subtrees, `Values`, zero-column tables) are
+// not parallelized.
 
 /// One compiled chain stage: an optional filter fused with an optional
 /// projection, executed as a single kernel pass per batch.
@@ -1783,113 +1785,51 @@ fn apply_stages(stages: &[CompiledStage], mut b: ColumnBatch) -> Result<Option<C
 }
 
 /// The matched shape of a parallelizable pipeline segment: zero or more
-/// Filter/Project stages (top-down) over a bottom the workers can be
-/// fed from.
+/// Filter/Project stages (top-down) over a scan whose snapshot the
+/// workers slice.
 struct ChainShape<'a> {
     /// Filter/Project nodes, outermost first.
     stages: Vec<&'a Rel>,
-    bottom: ChainBottom<'a>,
+    table: &'a TableRef,
+    /// The snapshot that sized the scan. Its workers slice this one, so
+    /// the rows EXPLAIN prints are the rows scanned.
+    snapshot: Arc<dyn RangeScan>,
 }
 
-enum ChainBottom<'a> {
-    /// A scan whose table hands out a snapshot: workers claim morsel
-    /// ranges of this one, the snapshot that sized the scan.
-    Range {
-        table: &'a TableRef,
-        snapshot: Arc<dyn RangeScan>,
-    },
-    /// Any other same-convention subtree estimated big enough to be
-    /// worth threading: built once and round-robin scattered across
-    /// the workers.
-    Stream(&'a Rel),
-    /// A foreign-convention subtree: executed through the registered
-    /// foreign executor behind a row bridge (exactly as serial
-    /// execution would), then scattered.
-    Foreign(&'a Rel),
-}
-
-/// Matches the Filter/Project* chain hanging below `rel` (inclusive).
-/// Returns `None` when the pipeline is too small to be worth spawning
-/// threads for (fewer than two morsels of input).
+/// Matches the Filter/Project* chain hanging below `rel` (inclusive), in
+/// `rel`'s convention, down to a scan. Returns `None` for any other
+/// bottom, and when the scan is too small to be worth spawning threads
+/// for (fewer than two morsels of input).
 fn match_chain<'a>(rel: &'a Rel, p: Parallelism) -> Option<ChainShape<'a>> {
-    let threshold = p.morsel_size.saturating_mul(2);
     let mut stages = vec![];
     let mut cur = rel;
-    loop {
-        match &cur.op {
-            RelOp::Filter { .. } | RelOp::Project { .. } => {
-                let c = cur.input(0);
-                if c.convention == cur.convention || matches!(c.op, RelOp::Convert { .. }) {
-                    stages.push(cur);
-                    cur = c;
-                    continue;
-                }
-                // Chain crosses into a foreign convention: the bridge
-                // becomes the streamed bottom if it looks big.
-                return subtree_big(cur.input(0), p).then_some(ChainShape {
-                    stages: {
-                        stages.push(cur);
-                        stages
-                    },
-                    bottom: ChainBottom::Foreign(cur.input(0)),
-                });
-            }
-            RelOp::Scan { table } => {
-                // The snapshot that sizes the scan is the one its workers
-                // slice, so the rows EXPLAIN prints are the rows scanned.
-                // One that fails here is taken again by the serial scan,
-                // which reports the error where it runs.
-                let bottom = match table.table.scan_snapshot().ok().flatten() {
-                    Some(snapshot) if snapshot.row_count() < threshold => return None,
-                    Some(snapshot) => ChainBottom::Range { table, snapshot },
-                    None if table.table.statistic().row_count < threshold as f64 => return None,
-                    None => ChainBottom::Stream(cur),
-                };
-                return Some(ChainShape { stages, bottom });
-            }
-            _ => {
-                return subtree_big(cur, p).then_some(ChainShape {
-                    stages,
-                    bottom: ChainBottom::Stream(cur),
-                })
-            }
-        }
+    while matches!(cur.op, RelOp::Filter { .. } | RelOp::Project { .. })
+        && cur.input(0).convention == cur.convention
+    {
+        stages.push(cur);
+        cur = cur.input(0);
     }
-}
-
-/// Whether a subtree's *output* looks big enough (≥ two morsels) to be
-/// worth running behind an exchange. Estimates only — snapshot row
-/// counts, table statistics and literal row counts, never a scan. Aggregates and
-/// fetch-bounded sorts collapse cardinality, so a big scan *below* them
-/// does not make the stream above them big (those operators parallelize
-/// internally instead).
-fn subtree_big(rel: &Rel, p: Parallelism) -> bool {
-    let threshold = p.morsel_size.saturating_mul(2);
-    match &rel.op {
-        RelOp::Scan { .. } => match_chain(rel, p).is_some(),
-        RelOp::Values { tuples, .. } => tuples.len() >= threshold,
-        RelOp::Aggregate { .. } => false,
-        RelOp::Sort {
-            offset,
-            fetch: Some(f),
-            ..
-        } => offset.unwrap_or(0).saturating_add(*f) >= threshold,
-        _ => rel.inputs.iter().any(|i| subtree_big(i, p)),
-    }
+    let RelOp::Scan { table } = &cur.op else {
+        return None;
+    };
+    // A snapshot that fails here is taken again by the serial scan,
+    // which reports the error where it runs.
+    let snapshot = table.table.scan_snapshot().ok().flatten()?;
+    (snapshot.row_count() >= p.morsel_size.saturating_mul(2)).then_some(ChainShape {
+        stages,
+        table,
+        snapshot,
+    })
 }
 
 /// The parallelizable input of an exchange consumer: the matched chain
-/// of `rel.input(0)`, or — when the child is foreign — a stage-less
-/// shape whose bottom streams through its row bridge.
+/// of `rel.input(0)`, in `rel`'s own convention.
 fn child_shape<'a>(rel: &'a Rel, p: Parallelism) -> Option<ChainShape<'a>> {
     let c = rel.input(0);
-    if c.convention == rel.convention || matches!(c.op, RelOp::Convert { .. }) {
+    if c.convention == rel.convention {
         match_chain(c, p)
     } else {
-        subtree_big(c, p).then_some(ChainShape {
-            stages: vec![],
-            bottom: ChainBottom::Foreign(c),
-        })
+        None
     }
 }
 
@@ -1930,76 +1870,70 @@ fn compile_stages(stages: &[&Rel], ctx: &ExecContext) -> Result<Vec<CompiledStag
 }
 
 /// Everything needed to spawn the workers of one exchange: compiled
-/// stages plus the bottom they pull from.
+/// stages plus the snapshot they slice.
 pub(crate) struct SourceSeed {
     stages: Arc<Vec<CompiledStage>>,
-    bottom: BottomSeed,
-}
-
-enum BottomSeed {
-    /// Workers claim morsel ranges of this snapshot.
-    Range(Arc<dyn RangeScan>),
-    /// Workers drain round-robin partitions of this (already built, not
-    /// yet opened) operator.
-    Stream(BatchOp),
+    snapshot: Arc<dyn RangeScan>,
 }
 
 fn seed_from(shape: ChainShape<'_>, ctx: &ExecContext) -> Result<SourceSeed> {
-    let stages = Arc::new(compile_stages(&shape.stages, ctx)?);
-    let bottom = match shape.bottom {
-        ChainBottom::Range { snapshot, .. } => BottomSeed::Range(snapshot),
-        ChainBottom::Stream(child) => BottomSeed::Stream(build_op_auto(child, ctx)?),
-        // Foreign subtrees execute through the registered foreign
-        // executor, exactly as serial execution routes them.
-        ChainBottom::Foreign(c) => {
-            BottomSeed::Stream(Box::new(RowBridgeOp::foreign(c.clone(), ctx.clone())))
-        }
-    };
-    Ok(SourceSeed { stages, bottom })
+    Ok(SourceSeed {
+        stages: Arc::new(compile_stages(&shape.stages, ctx)?),
+        snapshot: shape.snapshot,
+    })
 }
 
 impl SourceSeed {
-    /// Builds the per-partition worker operators. Range bottoms share
-    /// the snapshot the placement took — one per execution; stream
-    /// bottoms are split through a round-robin scatter.
+    /// Builds one worker per thread. They share the snapshot the
+    /// placement took (one per execution) and one morsel dispenser.
     pub(crate) fn into_workers(
         self,
         kernel: WorkerKernel,
         p: Parallelism,
-    ) -> Result<Vec<BoxOperator<ExchangeItem<ColumnBatch>>>> {
-        let stages = self.stages;
-        Ok(match self.bottom {
-            BottomSeed::Range(snapshot) => {
-                let next = Arc::new(AtomicUsize::new(0));
-                (0..p.workers)
-                    .map(|_| {
-                        Box::new(ChainWorker {
-                            feed: WorkerFeed::Morsels {
-                                snapshot: snapshot.clone(),
-                                next: next.clone(),
-                                morsel_size: p.morsel_size,
-                            },
-                            stages: stages.clone(),
-                            kernel: kernel.clone(),
-                            pending: VecDeque::new(),
-                        }) as BoxOperator<ExchangeItem<ColumnBatch>>
-                    })
-                    .collect()
-            }
-            BottomSeed::Stream(child) => {
-                ScatterOp::split(child, p.workers, round_robin_router(p.workers))
-                    .into_iter()
-                    .map(|part| {
-                        Box::new(ChainWorker {
-                            feed: WorkerFeed::Partition(part),
-                            stages: stages.clone(),
-                            kernel: kernel.clone(),
-                            pending: VecDeque::new(),
-                        }) as BoxOperator<ExchangeItem<ColumnBatch>>
-                    })
-                    .collect()
-            }
-        })
+    ) -> Vec<BoxOperator<ExchangeItem<ColumnBatch>>> {
+        let next = Arc::new(AtomicUsize::new(0));
+        (0..p.workers)
+            .map(|_| {
+                Box::new(ChainWorker {
+                    snapshot: self.snapshot.clone(),
+                    next: next.clone(),
+                    morsel_size: p.morsel_size,
+                    stages: self.stages.clone(),
+                    kernel: kernel.clone(),
+                    pending: VecDeque::new(),
+                }) as BoxOperator<ExchangeItem<ColumnBatch>>
+            })
+            .collect()
+    }
+
+    /// The ordered gather over workers that each fold their whole share
+    /// of the morsels into one value (a partial aggregate, a Top-K heap),
+    /// starting from `init()`. It yields the values in worker order.
+    pub(crate) fn into_fold_gather<S, F>(
+        self,
+        p: Parallelism,
+        init: impl Fn() -> S,
+        step: F,
+    ) -> OrderedGatherOp<S>
+    where
+        S: Send + 'static,
+        F: FnMut(&mut S, ColumnBatch, u64) -> Result<()> + Clone + Send + 'static,
+    {
+        let workers = self
+            .into_workers(WorkerKernel::Emit, p)
+            .into_iter()
+            .enumerate()
+            .map(|(index, inner)| {
+                Box::new(FoldWorker {
+                    index,
+                    inner,
+                    state: Some(init()),
+                    step: step.clone(),
+                    done: false,
+                }) as BoxOperator<ExchangeItem<S>>
+            })
+            .collect();
+        OrderedGatherOp::new(workers)
     }
 }
 
@@ -2012,26 +1946,16 @@ pub(crate) enum WorkerKernel {
     Probe(Arc<JoinShared>),
 }
 
-enum WorkerFeed {
-    /// Claim morsels (row ranges of the shared snapshot) from the
-    /// shared dispenser until it runs dry.
-    Morsels {
-        snapshot: Arc<dyn RangeScan>,
-        next: Arc<AtomicUsize>,
-        morsel_size: usize,
-    },
-    /// Drain this partition of a scattered child stream; each source
-    /// batch is one "morsel".
-    Partition(ScatterPartition<ColumnBatch>),
-}
-
-/// One worker of a parallel exchange: pulls work units from its feed,
-/// runs the pure stage kernels (and probe, if any), and emits tagged
-/// batches plus end-of-morsel markers for the ordered gather. Kernel
+/// One worker of a parallel exchange: claims morsels (row ranges of the
+/// shared snapshot) from the shared dispenser until it runs dry, runs
+/// the pure stage kernels (and probe, if any), and emits tagged batches
+/// plus end-of-morsel markers for the ordered gather. Scan and kernel
 /// errors are embedded as tagged items so they surface exactly where
 /// serial execution would surface them.
 struct ChainWorker {
-    feed: WorkerFeed,
+    snapshot: Arc<dyn RangeScan>,
+    next: Arc<AtomicUsize>,
+    morsel_size: usize,
     stages: Arc<Vec<CompiledStage>>,
     kernel: WorkerKernel,
     pending: VecDeque<ExchangeItem<ColumnBatch>>,
@@ -2052,142 +1976,111 @@ fn run_worker_kernel(
 }
 
 impl ChainWorker {
-    /// Runs one work unit (morsel `m` with the given batches) into the
-    /// pending queue: tagged output chunks, an in-position error if a
-    /// kernel fails, and always the end-of-morsel marker.
-    fn process_morsel(
-        &mut self,
-        m: usize,
-        mut batches: impl FnMut() -> Result<Option<ColumnBatch>>,
-    ) {
-        let mut chunk = 0usize;
-        loop {
-            match batches() {
-                Ok(Some(b)) => match run_worker_kernel(&self.stages, &self.kernel, b) {
-                    Ok(outs) => {
-                        for out in outs {
-                            self.pending.push_back(ExchangeItem::Batch((m, chunk), out));
-                            chunk += 1;
-                        }
-                    }
-                    Err(e) => {
-                        self.pending.push_back(ExchangeItem::Error((m, chunk), e));
-                        break;
-                    }
-                },
-                Ok(None) => break,
-                Err(e) => {
-                    self.pending.push_back(ExchangeItem::Error((m, chunk), e));
-                    break;
-                }
+    /// Queues morsel `m` (rows `[start, start + len)`) as tagged output
+    /// chunks, counting them in `chunk`. On failure, `chunk` is the
+    /// position serial execution would surface the error at.
+    fn run_morsel(&mut self, m: usize, start: usize, len: usize, chunk: &mut usize) -> Result<()> {
+        let mut batches = self.snapshot.clone().scan_range(BATCH_SIZE, start, len)?;
+        while let Some(cols) = batches.next_batch()? {
+            for out in run_worker_kernel(&self.stages, &self.kernel, ColumnBatch::new(cols))? {
+                self.pending
+                    .push_back(ExchangeItem::Batch((m, *chunk), out));
+                *chunk += 1;
             }
         }
-        self.pending.push_back(ExchangeItem::MorselEnd(m));
+        Ok(())
     }
 }
 
 impl Operator<ExchangeItem<ColumnBatch>> for ChainWorker {
-    fn open(&mut self) -> Result<()> {
-        if let WorkerFeed::Partition(part) = &mut self.feed {
-            part.open()?;
-        }
-        Ok(())
-    }
-
     fn next(&mut self) -> Result<Option<ExchangeItem<ColumnBatch>>> {
         loop {
             if let Some(item) = self.pending.pop_front() {
                 return Ok(Some(item));
             }
-            match &mut self.feed {
-                WorkerFeed::Morsels {
-                    snapshot,
-                    next,
-                    morsel_size,
-                } => {
-                    let total = snapshot.row_count();
-                    let m = next.fetch_add(1, AtomicOrdering::Relaxed);
-                    let Some(start) = m.checked_mul(*morsel_size).filter(|s| *s < total) else {
-                        return Ok(None);
-                    };
-                    let len = (*morsel_size).min(total - start);
-                    match snapshot.clone().scan_range(BATCH_SIZE, start, len) {
-                        Ok(mut it) => {
-                            self.process_morsel(m, move || {
-                                Ok(it.next_batch()?.map(ColumnBatch::new))
-                            });
-                        }
-                        Err(e) => {
-                            self.pending.push_back(ExchangeItem::Error((m, 0), e));
-                            self.pending.push_back(ExchangeItem::MorselEnd(m));
-                        }
+            let total = self.snapshot.row_count();
+            let m = self.next.fetch_add(1, AtomicOrdering::Relaxed);
+            let Some(start) = m.checked_mul(self.morsel_size).filter(|s| *s < total) else {
+                return Ok(None);
+            };
+            let len = self.morsel_size.min(total - start);
+            let mut chunk = 0;
+            if let Err(e) = self.run_morsel(m, start, len, &mut chunk) {
+                self.pending.push_back(ExchangeItem::Error((m, chunk), e));
+            }
+            self.pending.push_back(ExchangeItem::MorselEnd(m));
+        }
+    }
+}
+
+/// One worker of an exchange whose consumer wants one value per worker.
+/// It folds every batch its chain emits into `state` through `step`,
+/// with the batch's first input sequence number (`morsel << 32 | row
+/// offset`, the serial order), then emits the state, or the first error,
+/// at `(index, 0)` and ends morsel `index`. So the ordered gather hands
+/// the values over in worker order, and no worker's result or error can
+/// land in another's slot.
+struct FoldWorker<S, F> {
+    index: usize,
+    inner: BoxOperator<ExchangeItem<ColumnBatch>>,
+    state: Option<S>,
+    step: F,
+    done: bool,
+}
+
+impl<S, F: FnMut(&mut S, ColumnBatch, u64) -> Result<()>> FoldWorker<S, F> {
+    fn fold(&mut self, mut state: S) -> Result<S> {
+        self.inner.open()?;
+        let (mut morsel, mut offset) = (0, 0u64);
+        while let Some(item) = self.inner.next()? {
+            match item {
+                ExchangeItem::Batch((m, _), b) => {
+                    if m != morsel {
+                        morsel = m;
+                        offset = 0;
                     }
+                    let b = b.compact();
+                    let rows = b.num_rows() as u64;
+                    (self.step)(&mut state, b, ((m as u64) << 32) | offset)?;
+                    offset += rows;
                 }
-                WorkerFeed::Partition(part) => match part.next()? {
-                    None => return Ok(None),
-                    Some((seq, Err(e))) => {
-                        self.pending.push_back(ExchangeItem::Error((seq, 0), e));
-                        self.pending.push_back(ExchangeItem::MorselEnd(seq));
-                    }
-                    Some((seq, Ok(b))) => {
-                        let mut fed = Some(b);
-                        self.process_morsel(seq, move || Ok(fed.take()));
-                    }
-                },
+                ExchangeItem::Error(_, e) => return Err(e),
+                ExchangeItem::MorselEnd(_) => {}
             }
         }
+        Ok(state)
+    }
+}
+
+impl<S, F> Operator<ExchangeItem<S>> for FoldWorker<S, F>
+where
+    S: Send,
+    F: FnMut(&mut S, ColumnBatch, u64) -> Result<()> + Send,
+{
+    fn next(&mut self) -> Result<Option<ExchangeItem<S>>> {
+        let tag = (self.index, 0);
+        if let Some(state) = self.state.take() {
+            return Ok(Some(match self.fold(state) {
+                Ok(state) => ExchangeItem::Batch(tag, state),
+                Err(e) => ExchangeItem::Error(tag, e),
+            }));
+        }
+        if self.done {
+            return Ok(None);
+        }
+        self.done = true;
+        Ok(Some(ExchangeItem::MorselEnd(self.index)))
     }
 }
 
 // -------------------------- parallel sort ----------------------------
-
-/// One worker of a parallel Top-K: folds its feed into a bounded heap
-/// under `(collation, input sequence)` and yields the kept entries,
-/// sorted, once.
-struct SortWorker {
-    inner: BoxOperator<ExchangeItem<ColumnBatch>>,
-    topk: Option<TopK>,
-    cur_morsel: usize,
-    offset: u64,
-}
-
-impl Operator<Vec<(u64, Row)>> for SortWorker {
-    fn open(&mut self) -> Result<()> {
-        self.inner.open()
-    }
-
-    fn next(&mut self) -> Result<Option<Vec<(u64, Row)>>> {
-        let Some(mut topk) = self.topk.take() else {
-            return Ok(None);
-        };
-        loop {
-            match self.inner.next()? {
-                Some(ExchangeItem::Batch((m, _), b)) => {
-                    if m != self.cur_morsel {
-                        self.cur_morsel = m;
-                        self.offset = 0;
-                    }
-                    let b = b.compact();
-                    for i in 0..b.num_rows() {
-                        let seq = ((m as u64) << 32) | (self.offset + i as u64);
-                        topk.offer(&b, i, seq);
-                    }
-                    self.offset += b.num_rows() as u64;
-                }
-                Some(ExchangeItem::Error(_, e)) => return Err(e),
-                Some(ExchangeItem::MorselEnd(_)) => {}
-                None => return Ok(Some(topk.into_sorted_entries())),
-            }
-        }
-    }
-}
 
 /// Parallel `ORDER BY … FETCH`: per-worker bounded Top-K heaps
 /// recombined by the spill layer's [`RunMerger`] under the collation.
 /// (A full sort has no bounded per-worker state to merge; it runs as
 /// [`FullSortOp`] over its parallel child chain instead.)
 struct ParallelSortOp {
-    gather: GatherOp<Vec<(u64, Row)>>,
+    gather: OrderedGatherOp<TopK>,
     collation: Collation,
     offset: usize,
     fetch: usize,
@@ -2203,28 +2096,26 @@ impl ParallelSortOp {
         fetch: usize,
         out_kinds: Vec<TypeKind>,
         p: Parallelism,
-    ) -> Result<ParallelSortOp> {
+    ) -> ParallelSortOp {
         let k = offset.saturating_add(fetch);
-        let workers = seed
-            .into_workers(WorkerKernel::Emit, p)?
-            .into_iter()
-            .map(|w| {
-                Box::new(SortWorker {
-                    inner: w,
-                    topk: Some(TopK::new(k, collation.clone())),
-                    cur_morsel: 0,
-                    offset: 0,
-                }) as BoxOperator<Vec<(u64, Row)>>
-            })
-            .collect();
-        Ok(ParallelSortOp {
-            gather: GatherOp::new(workers),
+        let gather = seed.into_fold_gather(
+            p,
+            || TopK::new(k, collation.clone()),
+            |topk: &mut TopK, b: ColumnBatch, seq0| {
+                for i in 0..b.num_rows() {
+                    topk.offer(&b, i, seq0 + i as u64);
+                }
+                Ok(())
+            },
+        );
+        ParallelSortOp {
+            gather,
             collation,
             offset,
             fetch,
             out_kinds,
             out: VecDeque::new(),
-        })
+        }
     }
 }
 
@@ -2232,8 +2123,8 @@ impl Operator<ColumnBatch> for ParallelSortOp {
     fn open(&mut self) -> Result<()> {
         self.gather.open()?;
         let mut feeds = vec![];
-        while let Some(run) = self.gather.next()? {
-            feeds.push(MergeFeed::Mem(run.into_iter()));
+        while let Some(topk) = self.gather.next()? {
+            feeds.push(MergeFeed::Mem(topk.into_sorted_entries().into_iter()));
         }
         // `(collation, input sequence)` is the serial stable sort's order,
         // so the merged rows are byte-identical to serial execution.
@@ -2304,8 +2195,9 @@ fn build_parallel(rel: &Rel, ctx: &ExecContext, p: Parallelism) -> Result<Option
     Ok(Some(match placement {
         Placement::Chain(shape) => {
             let seed = seed_from(shape, ctx)?;
-            let workers = seed.into_workers(WorkerKernel::Emit, p)?;
-            Box::new(OrderedGatherOp::new(workers))
+            Box::new(OrderedGatherOp::new(
+                seed.into_workers(WorkerKernel::Emit, p),
+            ))
         }
         Placement::Aggregate(shape) => {
             let RelOp::Aggregate { group, aggs } = &rel.op else {
@@ -2318,7 +2210,7 @@ fn build_parallel(rel: &Rel, ctx: &ExecContext, p: Parallelism) -> Result<Option
                 aggs.clone(),
                 kinds_of(rel.row_type()),
                 p,
-            )?)
+            ))
         }
         Placement::Join(shape) => {
             let RelOp::Join { kind, condition } = &rel.op else {
@@ -2353,7 +2245,7 @@ fn build_parallel(rel: &Rel, ctx: &ExecContext, p: Parallelism) -> Result<Option
                 *fetch,
                 kinds_of(rel.row_type()),
                 p,
-            )?)
+            ))
         }
     }))
 }
@@ -2390,36 +2282,16 @@ fn fmt_chain(shape: &ChainShape<'_>, p: Parallelism, depth: usize, out: &mut Str
     for (i, stage) in shape.stages.iter().enumerate() {
         pnode(out, depth + i, stage);
     }
-    let d = depth + shape.stages.len();
-    match &shape.bottom {
-        ChainBottom::Range { table, snapshot } => {
-            pindent(out, d);
-            let rows = snapshot.row_count();
-            let morsels = rows.div_ceil(p.morsel_size.max(1));
-            let _ = writeln!(
-                out,
-                "Exchange[range: {}, {} rows = {} morsels x {}]",
-                table.qualified_name(),
-                rows,
-                morsels,
-                p.morsel_size
-            );
-        }
-        ChainBottom::Stream(child) => {
-            pindent(out, d);
-            let _ = writeln!(out, "Exchange[scatter: round-robin, {} queues]", p.workers);
-            fmt_parallel(child, p, d + 1, out);
-        }
-        ChainBottom::Foreign(c) => {
-            pindent(out, d);
-            let _ = writeln!(
-                out,
-                "Exchange[scatter: round-robin over row bridge, {} queues]",
-                p.workers
-            );
-            pnode(out, d + 1, c);
-        }
-    }
+    pindent(out, depth + shape.stages.len());
+    let rows = shape.snapshot.row_count();
+    let _ = writeln!(
+        out,
+        "Exchange[range: {}, {} rows = {} morsels x {}]",
+        shape.table.qualified_name(),
+        rows,
+        rows.div_ceil(p.morsel_size.max(1)),
+        p.morsel_size
+    );
 }
 
 /// Recursive renderer over the same [`place`] decisions the builder
@@ -3528,6 +3400,100 @@ mod tests {
                 for workers in [1, 4] {
                     fails_cleanly(&sort_plan(), workers, temp());
                 }
+            }
+        }
+    }
+
+    /// A panicking morsel worker, injected through the scan seam: the
+    /// one exchange turns the dead thread into an error for every
+    /// parallel shape, the budget gets every byte back, and the context
+    /// answers the next query.
+    mod worker_panics {
+        use super::*;
+        use rcalcite_core::buffer::{MemoryBudget, PAGE_SIZE};
+        use rcalcite_core::catalog::Table;
+
+        /// A table whose snapshot panics when a worker scans the morsel
+        /// starting at row 64. The serial scan reads one range from row 0
+        /// and never trips it.
+        struct PanickyTable(Arc<dyn Table>);
+
+        struct PanickyScan(Arc<dyn RangeScan>);
+
+        impl RangeScan for PanickyScan {
+            fn row_count(&self) -> usize {
+                self.0.row_count()
+            }
+
+            fn scan_range(
+                self: Arc<Self>,
+                batch_size: usize,
+                start: usize,
+                len: usize,
+            ) -> Result<Box<dyn BatchIter>> {
+                if start == 64 {
+                    panic!("injected range-scan fault");
+                }
+                self.0.clone().scan_range(batch_size, start, len)
+            }
+        }
+
+        impl Table for PanickyTable {
+            fn row_type(&self) -> RowType {
+                self.0.row_type()
+            }
+
+            fn scan(&self) -> Result<RowIter> {
+                self.0.scan()
+            }
+
+            fn scan_snapshot(&self) -> Result<Option<Arc<dyn RangeScan>>> {
+                let snapshot = self.0.scan_snapshot()?;
+                Ok(snapshot.map(|s| Arc::new(PanickyScan(s)) as Arc<dyn RangeScan>))
+            }
+        }
+
+        /// `big_table()` behind a [`PanickyTable`].
+        fn panicky_table() -> Rel {
+            let base = big_table();
+            let RelOp::Scan { table } = &base.op else {
+                unreachable!("big_table is a scan")
+            };
+            let t = PanickyTable(table.table.clone());
+            rel::scan(TableRef::new("s", "panicky", Arc::new(t)))
+        }
+
+        /// A chain, a grouped aggregate, a join probe and a Top-K over
+        /// `src`.
+        fn shapes(src: fn() -> Rel) -> Vec<Rel> {
+            let int_ty = RelType::not_null(TypeKind::Integer);
+            let dept = rel::values(
+                RowTypeBuilder::new()
+                    .add_not_null("k", TypeKind::Integer)
+                    .build(),
+                (0..7).map(|i| vec![Datum::Int(i)]).collect(),
+            );
+            let equi = RexNode::input(0, int_ty.clone()).eq(RexNode::input(2, int_ty));
+            vec![
+                filter_project_plan(src()),
+                rel::aggregate(src(), vec![0], vec![AggCall::count_star("c")]),
+                rel::join(src(), dept, JoinKind::Inner, equi),
+                rel::sort_limit(src(), vec![FieldCollation::asc(0)], None, Some(9)),
+            ]
+        }
+
+        #[test]
+        fn every_parallel_shape_fails_cleanly_and_the_context_recovers() {
+            let mut ctx = ctx_parallel(4, 16);
+            ctx.set_memory_budget(MemoryBudget::bytes(8 * PAGE_SIZE));
+            for (faulty, healthy) in shapes(panicky_table).iter().zip(shapes(big_table)) {
+                let text = explain_parallel(faulty, ctx.parallelism()).unwrap();
+                assert!(text.contains("Exchange[range: s.panicky"), "{text}");
+                let err = ctx.execute_collect(faulty).unwrap_err().to_string();
+                assert!(err.contains("panicked"), "{err}");
+                assert_eq!(ctx.memory_budget().used(), 0);
+                let want = ctx_batch().execute_collect(&healthy).unwrap();
+                assert_eq!(ctx.execute_collect(&healthy).unwrap(), want);
             }
         }
     }

@@ -1102,7 +1102,7 @@ impl Operator<ColumnBatch> for ParallelHashJoinOp {
             kind: self.kind,
             left_arity: self.left_arity,
         });
-        let workers = source.into_workers(WorkerKernel::Probe(shared.clone()), self.p)?;
+        let workers = source.into_workers(WorkerKernel::Probe(shared.clone()), self.p);
         let mut gather = OrderedGatherOp::new(workers);
         gather.open()?;
         self.state = Some((gather, shared));

@@ -494,8 +494,8 @@ fn full_pipeline_identical_through_sql_connection() {
 
 /// A zero-column memdb table behind the JDBC adapter's `Table`: it has
 /// no columns for a snapshot to carry its row count, so every engine —
-/// the row oracle, serial, and workers streaming what a scatter deals
-/// them — must count its rows off the row scan.
+/// the row oracle, serial, and a parallel context, which places no
+/// exchange over it — must count its rows off the row scan.
 #[test]
 fn zero_column_table_keeps_every_row_at_every_worker_count() {
     let db = MemDb::new();
@@ -789,8 +789,8 @@ proptest! {
         }
     }
 
-    /// The same chains over a Values base (no range scan): the scatter
-    /// exchange path must be just as deterministic.
+    /// The same chains over a Values base (no range scan, so no
+    /// exchange): a parallel context must be just as deterministic.
     #[test]
     fn prop_parallel_scatter_identical(ops in proptest::collection::vec(op_spec(), 1..4)) {
         let rows: Vec<Row> = (0..180)

@@ -523,6 +523,62 @@ fn parallel_full_sort_charges_and_spills_against_the_budget() {
     assert!(!text.contains("Merge[k-way"), "{text}");
 }
 
+/// With `workers > 1`, a GROUP BY over a join big enough to get an
+/// exchange used to run as per-worker partial aggregates behind a
+/// round-robin scatter, which held no reservation, so it never charged
+/// or spilled against the budget. It now runs as the serial,
+/// budget-accounting aggregate over the join's ordered gather.
+#[test]
+fn parallel_join_aggregate_charges_and_spills_against_the_budget() {
+    let catalog = rcalcite_core::catalog::Catalog::new();
+    let s = rcalcite_core::catalog::Schema::new();
+    s.add_table(
+        "sales",
+        MemTable::new(
+            RowTypeBuilder::new()
+                .add_not_null("product_id", TypeKind::Integer)
+                .add_not_null("amount", TypeKind::Integer)
+                .build(),
+            (0..40_000i64)
+                .map(|i| vec![Datum::Int((i * 7919) % 5_000), Datum::Int(i % 97)])
+                .collect(),
+        ),
+    );
+    s.add_table(
+        "products",
+        MemTable::new(
+            RowTypeBuilder::new()
+                .add_not_null("product_id", TypeKind::Integer)
+                .add_not_null("name", TypeKind::Varchar)
+                .build(),
+            (0..5_000i64)
+                .map(|i| vec![Datum::Int(i), Datum::str(format!("product-{i:05}"))])
+                .collect(),
+        ),
+    );
+    catalog.add_schema("hr", s);
+    // `amount + 1` puts a Project between the join and the aggregate.
+    let sql = "SELECT p.name, COUNT(*) AS c, SUM(s.amount + 1) AS total \
+               FROM sales AS s JOIN products AS p ON s.product_id = p.product_id \
+               GROUP BY p.name";
+    let mut reference = Connection::builder(catalog.clone()).workers(1).build();
+    reference.set_memory_budget(MemoryBudget::unbounded());
+    let expected = reference.query(sql).unwrap();
+    assert_eq!(expected.rows.len(), 5_000);
+
+    let conn = Connection::builder(catalog)
+        .workers(2)
+        .morsel_size(4096)
+        .memory_budget(4 * PAGE_SIZE)
+        .build();
+    let text = conn.explain(sql).unwrap();
+    assert!(text.contains("Gather[ordered, workers=2, probe]"), "{text}");
+    assert_eq!(conn.query(sql).unwrap(), expected);
+    let ops: Vec<&str> = conn.spill_stats().events().iter().map(|e| e.op).collect();
+    assert!(ops.contains(&"aggregate"), "{ops:?}");
+    assert_eq!(conn.memory_budget().used(), 0);
+}
+
 // ---------------------------------------------------------------------
 // Property tests: random chains, budgeted ≡ unbounded
 // ---------------------------------------------------------------------
