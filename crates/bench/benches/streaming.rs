@@ -1,13 +1,13 @@
 //! Streaming benches (paper §7.2): throughput of the tumbling-window
-//! aggregation — batch replay through the SQL engine vs the incremental
-//! windowed aggregator — plus window assignment and the bounded
+//! aggregate through the engine — `conn.execute`, whose aggregate
+//! flushes each window as the stream moves past it — and of the bounded
 //! stream-stream join.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use rcalcite_core::rel::AggFunc;
+use rcalcite_core::exec::ExecContext;
+use rcalcite_enumerable::EnumerableExecutor;
 use rcalcite_streams::{
-    generate_orders, join_streams, orders_row_type, Assigner, ReplayStream, StreamAgg,
-    StreamJoinSpec, WindowedAggregator,
+    generate_orders, join_streams, orders_row_type, ReplayStream, StreamJoinSpec,
 };
 use std::hint::black_box;
 use std::sync::Arc;
@@ -22,10 +22,7 @@ fn stream_conn(n: usize) -> rcalcite_sql::Connection {
         ReplayStream::new(orders_row_type(), generate_orders(n, 10, 1_000)),
     );
     catalog.add_schema("sales", s);
-    let mut conn = rcalcite_sql::Connection::new(catalog);
-    conn.add_rule(rcalcite_enumerable::implement_rule());
-    conn.register_executor(Arc::new(rcalcite_enumerable::EnumerableExecutor::new()));
-    conn
+    rcalcite_sql::Connection::builder(catalog).build()
 }
 
 const TUMBLE_SQL: &str = "SELECT STREAM TUMBLE_END(rowtime, INTERVAL '1' HOUR) AS rowtime, \
@@ -38,61 +35,23 @@ fn bench_tumbling(c: &mut Criterion) {
     for n in [10_000usize, 50_000] {
         g.throughput(Throughput::Elements(n as u64));
         let conn = stream_conn(n);
+        // Cross-check before timing: the streamed rows are the row
+        // oracle's on the same plan, in the same order.
+        let streamed = conn.execute(TUMBLE_SQL).unwrap().collect().unwrap().rows;
         let plan = conn
             .optimize(&conn.parse_to_rel(TUMBLE_SQL).unwrap())
             .unwrap();
-        let ctx = conn.exec_context().clone();
-        g.bench_with_input(BenchmarkId::new("sql_batch_replay", n), &plan, |b, p| {
-            b.iter(|| black_box(ctx.execute_collect(p).unwrap()))
-        });
-
-        let events = generate_orders(n, 10, 1_000);
-        g.bench_with_input(BenchmarkId::new("incremental", n), &events, |b, ev| {
-            b.iter(|| {
-                let mut agg = WindowedAggregator::new(
-                    Assigner::Tumble { size: 3_600_000 },
-                    0,
-                    vec![1],
-                    vec![
-                        StreamAgg {
-                            func: AggFunc::Count,
-                            col: None,
-                        },
-                        StreamAgg {
-                            func: AggFunc::Sum,
-                            col: Some(2),
-                        },
-                    ],
-                );
-                black_box(agg.run_batch(ev).unwrap())
-            })
+        let mut oracle = ExecContext::new();
+        oracle.register(Arc::new(EnumerableExecutor::new()));
+        assert_eq!(
+            streamed,
+            oracle.execute_collect(&plan).unwrap(),
+            "streamed windows differ from the row oracle at {n} events"
+        );
+        g.bench_with_input(BenchmarkId::new("execute", n), &conn, |b, conn| {
+            b.iter(|| black_box(conn.execute(TUMBLE_SQL).unwrap().collect().unwrap()))
         });
     }
-    g.finish();
-}
-
-fn bench_window_assignment(c: &mut Criterion) {
-    let mut g = c.benchmark_group("window_assignment");
-    g.sample_size(30).measurement_time(Duration::from_secs(1));
-    g.bench_function("tumble", |b| {
-        let a = Assigner::Tumble { size: 3_600_000 };
-        b.iter(|| {
-            for t in (0..10_000i64).map(|i| i * 997) {
-                black_box(a.windows_of(t).unwrap());
-            }
-        })
-    });
-    g.bench_function("hop_4x", |b| {
-        let a = Assigner::Hop {
-            slide: 900_000,
-            size: 3_600_000,
-        };
-        b.iter(|| {
-            for t in (0..10_000i64).map(|i| i * 997) {
-                black_box(a.windows_of(t).unwrap());
-            }
-        })
-    });
     g.finish();
 }
 
@@ -138,10 +97,5 @@ fn bench_stream_join(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(
-    benches,
-    bench_tumbling,
-    bench_window_assignment,
-    bench_stream_join
-);
+criterion_group!(benches, bench_tumbling, bench_stream_join);
 criterion_main!(benches);

@@ -6,9 +6,10 @@
 //! improvements" — reproduced and measured by `bench_metadata`.
 
 use crate::cost::{Cost, CostModel, DefaultCostModel};
+use crate::datum::Datum;
 use crate::rel::{Rel, RelOp};
 use crate::rex::{Op, RexNode};
-use crate::traits::Collation;
+use crate::traits::{Collation, FieldCollation};
 use parking_lot::Mutex;
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
@@ -300,6 +301,29 @@ impl MetadataQuery {
                 vec![]
             },
         )
+    }
+
+    /// The group key a streaming aggregate over `input` flushes on
+    /// (§7.2): the first key in `group` whose column leads one of
+    /// `input`'s collations ascending. Once that key moves on, every row
+    /// of its previous value has been seen. Returns the key's position
+    /// in `group` and the collation it ascends in; `None` means the
+    /// aggregate must see its whole input before it emits a row.
+    pub fn ascending_group_key(
+        &self,
+        input: &Rel,
+        group: &[usize],
+    ) -> Option<(usize, FieldCollation)> {
+        let leading: Vec<FieldCollation> = self
+            .collations(input)
+            .into_iter()
+            .filter_map(|c| c.into_iter().next())
+            .filter(|fc| !fc.descending)
+            .collect();
+        group.iter().enumerate().find_map(|(pos, &g)| {
+            let fc = leading.iter().find(|fc| fc.field == g)?;
+            Some((pos, fc.clone()))
+        })
     }
 
     pub fn unique_keys(&self, rel: &Rel) -> Vec<Vec<usize>> {
@@ -728,23 +752,32 @@ impl MetadataProvider for DefaultMdProvider {
                 Some(mq.collations(&rel.inputs[0]))
             }
             RelOp::Project { exprs, .. } => {
-                // A collation survives projection if every prefix column is
-                // projected as a bare reference.
+                // A collation survives projection up to its first column
+                // that is not projected as a bare reference. A window
+                // start `f - f % c` keeps the order of `f` but ties rows
+                // `f` told apart, so it ends the mapped prefix.
                 let mut out = vec![];
                 for c in mq.collations(&rel.inputs[0]) {
                     let mut mapped = vec![];
-                    'fields: for fc in &c {
-                        for (i, e) in exprs.iter().enumerate() {
-                            if e.as_input_ref() == Some(fc.field) {
-                                mapped.push(crate::traits::FieldCollation {
-                                    field: i,
-                                    descending: fc.descending,
-                                    nulls_first: fc.nulls_first,
-                                });
-                                continue 'fields;
-                            }
+                    for fc in &c {
+                        let bare = exprs
+                            .iter()
+                            .position(|e| e.as_input_ref() == Some(fc.field));
+                        let start = || {
+                            exprs
+                                .iter()
+                                .position(|e| window_start_field(e) == Some(fc.field))
+                        };
+                        let Some(i) = bare.or_else(start) else {
+                            break;
+                        };
+                        mapped.push(FieldCollation {
+                            field: i,
+                            ..fc.clone()
+                        });
+                        if bare.is_none() {
+                            break;
                         }
-                        break;
                     }
                     if !mapped.is_empty() {
                         out.push(mapped);
@@ -801,6 +834,37 @@ impl MetadataProvider for DefaultMdProvider {
             ),
         }
     }
+}
+
+/// The field `e` takes the window start of: `$f - $f % c` for a
+/// non-zero literal `c` (TUMBLE's desugaring, §7.2), a non-decreasing
+/// function of `$f`.
+pub fn window_start_field(e: &RexNode) -> Option<usize> {
+    let RexNode::Call {
+        op: Op::Minus,
+        args,
+        ..
+    } = e
+    else {
+        return None;
+    };
+    let [f, offset] = args.as_slice() else {
+        return None;
+    };
+    let RexNode::Call {
+        op: Op::Mod,
+        args: m,
+        ..
+    } = offset
+    else {
+        return None;
+    };
+    let [g, c] = m.as_slice() else {
+        return None;
+    };
+    let field = f.as_input_ref()?;
+    let width = matches!(c.as_literal(), Some(Datum::Interval(n) | Datum::Int(n)) if *n != 0);
+    (width && g.as_input_ref() == Some(field)).then_some(field)
 }
 
 #[cfg(test)]
@@ -1034,5 +1098,50 @@ mod tests {
         );
         assert!(mq.are_columns_unique(&p, &[1]));
         assert!(!mq.are_columns_unique(&p, &[0]));
+    }
+
+    #[test]
+    fn window_start_keeps_the_order_it_floors() {
+        // Input ordered on (id, v): a window start over `id` stays
+        // ascending but ends the prefix; one over `v` is not ordered.
+        let t = MemTable::new(
+            RowTypeBuilder::new()
+                .add_not_null("id", TypeKind::Integer)
+                .add("v", TypeKind::Integer)
+                .build(),
+            vec![],
+        )
+        .with_statistic(
+            Statistic::of_rows(10.0)
+                .with_collation(vec![FieldCollation::asc(0), FieldCollation::asc(1)]),
+        );
+        let s = rel::scan(TableRef::new("s", "t", t));
+        let int = |i| RexNode::input(i, RelType::not_null(TypeKind::Integer));
+        let start = |i| {
+            RexNode::call(
+                Op::Minus,
+                vec![
+                    int(i),
+                    RexNode::call(Op::Mod, vec![int(i), RexNode::lit_int(10)]),
+                ],
+            )
+        };
+        assert_eq!(window_start_field(&start(1)), Some(1));
+        assert_eq!(
+            window_start_field(&RexNode::call(Op::Minus, vec![int(0), int(0)])),
+            None
+        );
+        let mq = MetadataQuery::standard();
+        let p = rel::project(
+            s,
+            vec![start(1), int(1), start(0)],
+            vec!["w".into(), "v".into(), "t".into()],
+        );
+        assert_eq!(mq.collations(&p), vec![vec![FieldCollation::asc(2)]]);
+        assert_eq!(mq.ascending_group_key(&p, &[0, 1]), None);
+        assert_eq!(
+            mq.ascending_group_key(&p, &[0, 2]),
+            Some((1, FieldCollation::asc(2)))
+        );
     }
 }

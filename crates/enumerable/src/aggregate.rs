@@ -5,13 +5,14 @@
 //! and finished straight into output columns.
 
 use crate::batch::{split_to_batches, BatchOp, ColumnBatch, SourceSeed};
-use crate::executor::{add_datums, Acc};
+use crate::executor::{add_datums, compare_datums, Acc};
 use crate::keys::{null_rows, KeySet};
-use rcalcite_core::buffer::{ByteReader, ByteWriter, MemoryReservation, SpillEnv};
+use rcalcite_core::buffer::{ByteReader, ByteWriter, MemoryReservation, SpillEnv, SpillFile};
 use rcalcite_core::datum::{Column, Datum};
 use rcalcite_core::error::{CalciteError, Result};
 use rcalcite_core::exec::{Operator, OrderedGatherOp, Parallelism};
 use rcalcite_core::rel::AggCall;
+use rcalcite_core::traits::FieldCollation;
 use rcalcite_core::types::TypeKind;
 use std::cmp::Ordering;
 use std::collections::VecDeque;
@@ -417,29 +418,169 @@ fn read_agg_chunk(r: &mut ByteReader, aggs: &[AggCall]) -> Result<AggState> {
 
 // ------------------------------ operators -----------------------------
 
+/// What a serial aggregate computes: its keys, its calls, its output
+/// kinds and the budget its state folds under.
+pub(crate) struct AggSpec {
+    pub(crate) group: Vec<usize>,
+    pub(crate) aggs: Vec<AggCall>,
+    pub(crate) out_kinds: Vec<TypeKind>,
+    pub(crate) spill: SpillEnv,
+}
+
+/// One serial fold of aggregate input under the memory budget: a state
+/// that outgrows its reservation spills as a chunk and restarts, and
+/// [`Fold::finish`] merges the chunks back.
+struct Fold {
+    state: AggState,
+    res: MemoryReservation,
+    /// Sequence number of the next input row.
+    seq: u64,
+    /// Spilled partial states, as (offset, len) chunks of one file in
+    /// input-time order.
+    chunks: Vec<(u64, usize)>,
+    file: Option<Arc<SpillFile>>,
+}
+
+impl Fold {
+    fn new(spec: &AggSpec) -> Fold {
+        Fold {
+            state: AggState::new(&spec.aggs),
+            res: MemoryReservation::new(spec.spill.budget.clone()),
+            seq: 0,
+            chunks: vec![],
+            file: None,
+        }
+    }
+
+    /// Accumulates one dense batch.
+    fn add(&mut self, b: &ColumnBatch, spec: &AggSpec) -> Result<()> {
+        self.state.update(b, &spec.group, &spec.aggs, self.seq)?;
+        self.seq += b.num_rows() as u64;
+        if !spec.spill.budget.is_bounded() {
+            return Ok(());
+        }
+        let est = self.state.bytes();
+        if est > self.res.bytes() && !self.res.try_grow(est - self.res.bytes()) {
+            spec.spill.budget.require_spillable()?;
+            // Spill the partial state as one chunk and restart
+            // accumulation from scratch.
+            let mut w = ByteWriter::new();
+            write_agg_chunk(&mut w, &self.state)?;
+            let f = match &self.file {
+                Some(f) => Arc::clone(f),
+                None => Arc::clone(self.file.insert(spec.spill.spill_file("aggregate")?)),
+            };
+            let off = f.append(&w.buf)?;
+            self.chunks.push((off, w.buf.len()));
+            self.state = AggState::new(&spec.aggs);
+            self.res.release_all();
+        }
+        Ok(())
+    }
+
+    /// The folded groups in first-seen order.
+    fn finish(self, spec: &AggSpec) -> Result<Vec<ColumnBatch>> {
+        let Some(f) = self.file else {
+            return Ok(self
+                .state
+                .finish(&spec.group, &spec.aggs, &spec.out_kinds, false));
+        };
+        let n = self.chunks.len();
+        spec.spill.tracker.record("aggregate", n, n + 1);
+        // Merge partials in input-time order (the same fold order the
+        // parallel engine's worker merge uses), the in-memory tail last;
+        // the first-seen sort restores serial order.
+        let mut merged = AggState::new(&spec.aggs);
+        for (off, len) in self.chunks {
+            let bytes = f.read_at(off, len)?;
+            let chunk = read_agg_chunk(&mut ByteReader::new(&bytes), &spec.aggs)?;
+            merged.merge(chunk, &spec.aggs)?;
+        }
+        merged.merge(self.state, &spec.aggs)?;
+        Ok(merged.finish(&spec.group, &spec.aggs, &spec.out_kinds, true))
+    }
+}
+
+/// The group key a streaming aggregate flushes on, found by
+/// [`MetadataQuery::ascending_group_key`](rcalcite_core::metadata::MetadataQuery::ascending_group_key),
+/// and the window it is folding. The input ascends on the key, so the
+/// groups of one key value arrive as one contiguous run: a window holds
+/// the groups of one key value and flushes when the key moves on.
+pub(crate) struct Windows {
+    /// Position of the key in the group.
+    pos: usize,
+    /// The collation the input ascends in.
+    order: FieldCollation,
+    /// The stored column the key derives from, for errors.
+    column: String,
+    /// Key of the window being folded; `None` before the first row.
+    current: Option<Datum>,
+    /// `None` once the input has ended.
+    fold: Option<Fold>,
+}
+
+impl Windows {
+    pub(crate) fn new(pos: usize, order: FieldCollation, column: String) -> Windows {
+        Windows {
+            pos,
+            order,
+            column,
+            current: None,
+            fold: None,
+        }
+    }
+
+    /// Folds one dense batch, appending each window it moves past to
+    /// `out`.
+    fn add(
+        &mut self,
+        b: &ColumnBatch,
+        spec: &AggSpec,
+        out: &mut VecDeque<ColumnBatch>,
+    ) -> Result<()> {
+        let fold = self.fold.as_mut().expect("input has not ended");
+        let keys = b.column(spec.group[self.pos]);
+        let mut start = 0;
+        for i in 0..b.num_rows() {
+            let key = keys.get(i);
+            if let Some(cur) = &self.current {
+                match compare_datums(&self.order, &key, cur) {
+                    Ordering::Equal => continue,
+                    Ordering::Greater => {}
+                    Ordering::Less => {
+                        return Err(CalciteError::execution(format!(
+                            "stream input is not in its declared order: \
+                             column '{}' went back from {cur} to {key}",
+                            self.column
+                        )))
+                    }
+                }
+                // Row `i` opens the next window: the current one is done.
+                fold.add(&b.slice(start, i - start), spec)?;
+                out.extend(std::mem::replace(fold, Fold::new(spec)).finish(spec)?);
+                start = i;
+            }
+            self.current = Some(key);
+        }
+        fold.add(&b.slice(start, b.num_rows() - start), spec)
+    }
+}
+
 pub(crate) struct AggregateOp {
     child: BatchOp,
-    group: Vec<usize>,
-    aggs: Vec<AggCall>,
-    out_kinds: Vec<TypeKind>,
-    spill: SpillEnv,
+    spec: AggSpec,
+    /// `Some` when a group key ascends: windows flush from `next`.
+    /// `None`: the whole input folds at `open`.
+    windows: Option<Windows>,
     out: VecDeque<ColumnBatch>,
 }
 
 impl AggregateOp {
-    pub(crate) fn new(
-        child: BatchOp,
-        group: Vec<usize>,
-        aggs: Vec<AggCall>,
-        out_kinds: Vec<TypeKind>,
-        spill: SpillEnv,
-    ) -> Self {
+    pub(crate) fn new(child: BatchOp, spec: AggSpec, windows: Option<Windows>) -> Self {
         AggregateOp {
             child,
-            group,
-            aggs,
-            out_kinds,
-            spill,
+            spec,
+            windows,
             out: VecDeque::new(),
         }
     }
@@ -448,66 +589,31 @@ impl AggregateOp {
 impl Operator<ColumnBatch> for AggregateOp {
     fn open(&mut self) -> Result<()> {
         self.child.open()?;
-        let bounded = self.spill.budget.is_bounded();
-        let mut res = MemoryReservation::new(self.spill.budget.clone());
-        let mut state = AggState::new(&self.aggs);
-        let mut seq = 0u64;
-        // Spilled partial states, as (offset, len) chunks of one file in
-        // input-time order.
-        let mut chunks: Vec<(u64, usize)> = vec![];
-        let mut file = None;
+        if let Some(w) = &mut self.windows {
+            w.fold = Some(Fold::new(&self.spec));
+            return Ok(());
+        }
+        let mut fold = Fold::new(&self.spec);
         while let Some(b) = self.child.next()? {
-            let b = b.compact();
-            state.update(&b, &self.group, &self.aggs, seq)?;
-            seq += b.num_rows() as u64;
-            if bounded {
-                let est = state.bytes();
-                if est > res.bytes() && !res.try_grow(est - res.bytes()) {
-                    self.spill.budget.require_spillable()?;
-                    // Spill the partial state as one chunk and restart
-                    // accumulation from scratch.
-                    let mut w = ByteWriter::new();
-                    write_agg_chunk(&mut w, &state)?;
-                    let f = match &file {
-                        Some(f) => Arc::clone(f),
-                        None => {
-                            let f = self.spill.spill_file("aggregate")?;
-                            file = Some(Arc::clone(&f));
-                            f
-                        }
-                    };
-                    let off = f.append(&w.buf)?;
-                    chunks.push((off, w.buf.len()));
-                    state = AggState::new(&self.aggs);
-                    res.release_all();
-                }
-            }
+            fold.add(&b.compact(), &self.spec)?;
         }
-        let spilled = !chunks.is_empty();
-        if spilled {
-            self.spill
-                .tracker
-                .record("aggregate", chunks.len(), chunks.len() + 1);
-            let f = file.expect("chunks imply a spill file");
-            // Merge partials in input-time order (the same fold order
-            // the parallel engine's worker merge uses), the in-memory
-            // tail last; the first-seen sort restores serial order.
-            let mut merged = AggState::new(&self.aggs);
-            for (off, len) in chunks {
-                let bytes = f.read_at(off, len)?;
-                let chunk = read_agg_chunk(&mut ByteReader::new(&bytes), &self.aggs)?;
-                merged.merge(chunk, &self.aggs)?;
-            }
-            merged.merge(state, &self.aggs)?;
-            state = merged;
-        }
-        self.out = state
-            .finish(&self.group, &self.aggs, &self.out_kinds, spilled)
-            .into();
+        self.out = fold.finish(&self.spec)?.into();
         Ok(())
     }
 
     fn next(&mut self) -> Result<Option<ColumnBatch>> {
+        while self.out.is_empty() {
+            let Some(w) = self.windows.as_mut().filter(|w| w.fold.is_some()) else {
+                break;
+            };
+            match self.child.next()? {
+                Some(b) => w.add(&b.compact(), &self.spec, &mut self.out)?,
+                None => {
+                    let last = w.fold.take().expect("checked above");
+                    self.out.extend(last.finish(&self.spec)?);
+                }
+            }
+        }
         Ok(self.out.pop_front())
     }
 }

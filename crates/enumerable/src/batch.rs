@@ -47,7 +47,7 @@
 //! executor's accumulators. The differential suite in
 //! `tests/executor_differential.rs` holds the two engines equal.
 
-use crate::aggregate::{AggregateOp, ParallelAggregateOp};
+use crate::aggregate::{AggSpec, AggregateOp, ParallelAggregateOp, Windows};
 use crate::executor::{compare_datums, compare_nullable, compare_rows, execute_node};
 use crate::join::{HashJoinOp, JoinShared, ParallelHashJoinOp, JOIN_PARTITIONS};
 use crate::keys::KeySet;
@@ -59,6 +59,7 @@ use rcalcite_core::exec::{
     BatchIter, BoxOperator, ChainOp, ExchangeItem, ExecContext, FilterMapOp, Operator,
     OrderedGatherOp, Parallelism, RowBatcher, RowIter,
 };
+use rcalcite_core::metadata::{window_start_field, MetadataQuery};
 use rcalcite_core::rel::{Rel, RelOp};
 use rcalcite_core::rex::{eval_op_strict, BuiltinFn, Op, RexNode};
 use rcalcite_core::traits::{Collation, FieldCollation};
@@ -173,7 +174,7 @@ impl ColumnBatch {
     }
 
     /// A contiguous dense sub-batch `[start, start + len)`.
-    fn slice(&self, start: usize, len: usize) -> ColumnBatch {
+    pub(crate) fn slice(&self, start: usize, len: usize) -> ColumnBatch {
         debug_assert!(self.selection.is_none());
         ColumnBatch {
             len,
@@ -357,13 +358,23 @@ fn build_op(rel: &Rel, ctx: &ExecContext) -> Result<BatchOp> {
             kinds_of(rel.row_type()),
             ctx.spill_env().clone(),
         ))),
-        RelOp::Aggregate { group, aggs } => Ok(Box::new(AggregateOp::new(
-            child(0)?,
-            group.clone(),
-            aggs.clone(),
-            kinds_of(rel.row_type()),
-            ctx.spill_env().clone(),
-        ))),
+        RelOp::Aggregate { group, aggs } => {
+            let spec = AggSpec {
+                group: group.clone(),
+                aggs: aggs.clone(),
+                out_kinds: kinds_of(rel.row_type()),
+                spill: ctx.spill_env().clone(),
+            };
+            // A group key the input ascends on lets finished windows
+            // flush (§7.2): the same metadata the validator requires of
+            // a streaming GROUP BY.
+            let windows = MetadataQuery::standard()
+                .ascending_group_key(rel.input(0), group)
+                .map(|(pos, order)| {
+                    Windows::new(pos, order, origin_column(rel.input(0), group[pos]))
+                });
+            Ok(Box::new(AggregateOp::new(child(0)?, spec, windows)))
+        }
         RelOp::Sort {
             collation,
             offset,
@@ -431,8 +442,9 @@ fn build_op(rel: &Rel, ctx: &ExecContext) -> Result<BatchOp> {
                 .collect::<Result<_>>()?;
             Ok(Box::new(MinusOp::new(child(0)?, rights, *all)))
         }
-        // A finite replay of a stream: the Delta operator's batch-mode
-        // semantics (streaming runtimes execute it incrementally).
+        // A stream's delta is its rows in arrival order: the identity.
+        // What keeps a streaming plan from blocking is below it — an
+        // aggregate on an ascending key flushes each finished window.
         RelOp::Delta => child(0),
         // Convert: execute the foreign subtree through the context and
         // stream its rows through the pivot bridge.
@@ -440,6 +452,23 @@ fn build_op(rel: &Rel, ctx: &ExecContext) -> Result<BatchOp> {
         // No batch operator (Window): run the row operator and re-pivot
         // its output lazily.
         _ => Ok(Box::new(RowBridgeOp::fallback(rel.clone(), ctx.clone()))),
+    }
+}
+
+/// The name of the stored column field `i` of `rel` derives from,
+/// followed through bare references and window starts; else `rel`'s own
+/// field name.
+fn origin_column(rel: &Rel, i: usize) -> String {
+    let below = match &rel.op {
+        RelOp::Project { exprs, .. } => exprs[i]
+            .as_input_ref()
+            .or_else(|| window_start_field(&exprs[i])),
+        RelOp::Filter { .. } | RelOp::Sort { .. } | RelOp::Delta | RelOp::Convert { .. } => Some(i),
+        _ => None,
+    };
+    match below {
+        Some(j) => origin_column(rel.input(0), j),
+        None => rel.row_type().field(i).name.clone(),
     }
 }
 

@@ -299,8 +299,9 @@ pub fn execute_node(rel: &Rel, ctx: &ExecContext) -> Result<RowIter> {
             }
             Ok(Box::new(out.into_iter()))
         }
-        // A finite replay of a stream: the Delta operator's batch-mode
-        // semantics (streaming runtimes execute it incrementally).
+        // A stream's delta is its rows in arrival order: the identity.
+        // This row oracle reads streams to their end; the batch engine
+        // flushes an aggregate's windows as its ascending key moves on.
         RelOp::Delta => child(0),
         RelOp::Convert { .. } => ctx.execute(rel.input(0)),
     }

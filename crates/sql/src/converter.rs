@@ -4,7 +4,7 @@
 //! output is a logical plan ready for the optimizer.
 
 use crate::ast::*;
-use crate::validator::{check_stream_group_by, Scope};
+use crate::validator::{check_stream_aggregate, Scope};
 use rcalcite_core::catalog::Catalog;
 use rcalcite_core::datum::{parse_date, parse_timestamp, Datum};
 use rcalcite_core::error::{CalciteError, Result};
@@ -239,9 +239,6 @@ impl<'a> Converter<'a> {
             || s.having.as_ref().map(contains_agg).unwrap_or(false);
 
         let out = if has_agg {
-            if s.stream {
-                check_stream_group_by(&s.group_by, &scope)?;
-            }
             self.convert_aggregate_select(s, rel_, &scope, order_by)?
         } else {
             if s.having.is_some() {
@@ -516,6 +513,9 @@ impl<'a> Converter<'a> {
         }
         let pre = rel::project(input, pre_exprs, pre_names);
         let agg_node = rel::aggregate(pre, (0..group_rex.len()).collect(), agg_calls.clone());
+        if s.stream {
+            check_stream_aggregate(&agg_node)?;
+        }
 
         // 4. Post-aggregation rewriting context.
         let post = PostAggCtx {

@@ -5,10 +5,10 @@
 //! ("streaming queries involving window aggregates require the presence of
 //! monotonic or quasi-monotonic expressions in the GROUP BY clause").
 
-use crate::ast::Expr;
 use rcalcite_core::datum::Datum;
 use rcalcite_core::error::{CalciteError, Result};
-use rcalcite_core::rel::Rel;
+use rcalcite_core::metadata::MetadataQuery;
+use rcalcite_core::rel::{Rel, RelOp};
 use rcalcite_core::types::{RelType, TypeKind};
 
 /// One column visible in a scope.
@@ -149,52 +149,39 @@ pub fn check_bindings(expected: &[RelType], values: &[Datum]) -> Result<()> {
     Ok(())
 }
 
-/// Whether an AST group-by expression is (quasi-)monotonic with respect to
-/// stream time: a TUMBLE over a timestamp column, or a bare timestamp
-/// column reference.
-pub fn is_monotonic_group_expr(expr: &Expr, scope: &Scope) -> bool {
-    match expr {
-        Expr::Func { name, args, .. } if name.eq_ignore_ascii_case("TUMBLE") => args
-            .first()
-            .map(|a| is_timestamp_column(a, scope))
-            .unwrap_or(false),
-        _ => is_timestamp_column(expr, scope),
-    }
-}
-
-fn is_timestamp_column(expr: &Expr, scope: &Scope) -> bool {
-    if let Expr::Ident(parts) = expr {
-        if let Ok((_, ty)) = scope.resolve(parts) {
-            return ty.kind == TypeKind::Timestamp;
-        }
-    }
-    false
-}
-
-/// Validates a streaming GROUP BY: at least one group expression must be
-/// monotonic, otherwise the query would block forever (§7.2).
-pub fn check_stream_group_by(group_by: &[Expr], scope: &Scope) -> Result<()> {
-    if group_by.is_empty() {
+/// Validates a streaming aggregate (§7.2): the converted Aggregate needs
+/// a group key that is a column its input ascends on — the same
+/// metadata ([`MetadataQuery::ascending_group_key`]) the batch aggregate
+/// flushes finished windows by. Without one the query would block
+/// forever.
+pub fn check_stream_aggregate(agg: &Rel) -> Result<()> {
+    let RelOp::Aggregate { group, .. } = &agg.op else {
+        return Err(CalciteError::internal(
+            "check_stream_aggregate expects an Aggregate",
+        ));
+    };
+    if group.is_empty() {
         return Err(CalciteError::validate(
             "streaming aggregation without GROUP BY can never emit a result; \
              group by a monotonic expression such as TUMBLE(rowtime, ...)",
         ));
     }
-    if group_by.iter().any(|e| is_monotonic_group_expr(e, scope)) {
-        Ok(())
-    } else {
-        Err(CalciteError::validate(
+    match MetadataQuery::standard().ascending_group_key(agg.input(0), group) {
+        Some(_) => Ok(()),
+        None => Err(CalciteError::validate(
             "streaming GROUP BY requires a monotonic or quasi-monotonic \
-             expression (e.g. TUMBLE over the stream's timestamp column)",
-        ))
+             expression (e.g. TUMBLE over the column the stream is ordered by)",
+        )),
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rcalcite_core::catalog::{MemTable, TableRef};
+    use rcalcite_core::catalog::{MemTable, Statistic, TableRef};
     use rcalcite_core::rel;
+    use rcalcite_core::rex::{Op, RexNode};
+    use rcalcite_core::traits::FieldCollation;
     use rcalcite_core::types::{RowTypeBuilder, TypeKind};
 
     fn orders() -> Rel {
@@ -234,36 +221,72 @@ mod tests {
         assert!(s.columns_of("zzz").is_empty());
     }
 
+    /// `GROUP BY` over a stream ordered on `rowtime` with a second,
+    /// unordered timestamp `shipped`; each key computed by a projection.
+    fn agg_over(keys: Vec<RexNode>) -> Rel {
+        let t = MemTable::new(
+            RowTypeBuilder::new()
+                .add_not_null("rowtime", TypeKind::Timestamp)
+                .add_not_null("productid", TypeKind::Integer)
+                .add("units", TypeKind::Integer)
+                .add_not_null("shipped", TypeKind::Timestamp)
+                .build(),
+            vec![],
+        )
+        .with_statistic(Statistic::of_rows(0.0).with_collation(vec![FieldCollation::asc(0)]));
+        let n = keys.len();
+        let names = (0..n).map(|i| format!("g${i}")).collect();
+        let input = rel::project(rel::scan(TableRef::new("s", "orders", t)), keys, names);
+        rel::aggregate(input, (0..n).collect(), vec![])
+    }
+
+    fn col(i: usize, kind: TypeKind) -> RexNode {
+        RexNode::input(i, RelType::not_null(kind))
+    }
+
+    /// `TUMBLE(rowtime, 1 h)`'s window start, as the converter emits it.
+    fn tumble(i: usize) -> RexNode {
+        let hour = RexNode::literal(
+            Datum::Interval(3_600_000),
+            RelType::not_null(TypeKind::Interval),
+        );
+        let ts = col(i, TypeKind::Timestamp);
+        let offset = RexNode::call_typed(
+            Op::Mod,
+            vec![ts.clone(), hour],
+            RelType::not_null(TypeKind::Interval),
+        );
+        RexNode::call_typed(
+            Op::Minus,
+            vec![ts, offset],
+            RelType::not_null(TypeKind::Timestamp),
+        )
+    }
+
     #[test]
     fn monotonicity_of_tumble_and_rowtime() {
-        let s = Scope::from_rel(None, &orders());
-        let tumble = Expr::Func {
-            name: "TUMBLE".into(),
-            args: vec![Expr::ident("rowtime")],
-            distinct: false,
-            star: false,
-            over: None,
-        };
-        assert!(is_monotonic_group_expr(&tumble, &s));
-        assert!(is_monotonic_group_expr(&Expr::ident("rowtime"), &s));
-        assert!(!is_monotonic_group_expr(&Expr::ident("productid"), &s));
+        // `rowtime` is the declared order; `shipped` is a timestamp too,
+        // but unordered, so grouping on it could never flush.
+        assert!(check_stream_aggregate(&agg_over(vec![tumble(0)])).is_ok());
+        assert!(check_stream_aggregate(&agg_over(vec![col(0, TypeKind::Timestamp)])).is_ok());
+        for key in [
+            tumble(3),
+            col(3, TypeKind::Timestamp),
+            col(1, TypeKind::Integer),
+        ] {
+            let err = check_stream_aggregate(&agg_over(vec![key])).unwrap_err();
+            assert!(err.to_string().contains("monotonic"), "{err}");
+        }
     }
 
     #[test]
     fn stream_group_by_validation() {
-        let s = Scope::from_rel(None, &orders());
         // productid alone: blocking, rejected.
-        assert!(check_stream_group_by(&[Expr::ident("productid")], &s).is_err());
+        assert!(check_stream_aggregate(&agg_over(vec![col(1, TypeKind::Integer)])).is_err());
         // TUMBLE plus productid: fine (the paper's tumbling example).
-        let tumble = Expr::Func {
-            name: "TUMBLE".into(),
-            args: vec![Expr::ident("rowtime")],
-            distinct: false,
-            star: false,
-            over: None,
-        };
-        assert!(check_stream_group_by(&[tumble, Expr::ident("productid")], &s).is_ok());
+        let paper = agg_over(vec![tumble(0), col(1, TypeKind::Integer)]);
+        assert!(check_stream_aggregate(&paper).is_ok());
         // Empty group by on a stream: rejected.
-        assert!(check_stream_group_by(&[], &s).is_err());
+        assert!(check_stream_aggregate(&agg_over(vec![])).is_err());
     }
 }

@@ -1,22 +1,19 @@
 //! # rcalcite-streams
 //!
-//! Streaming support (paper §7.2). The STREAM keyword, monotonicity
-//! validation and the `TUMBLE` SQL surface live in `rcalcite-sql`; this
-//! crate provides the streaming *runtime*:
+//! Streaming support (paper §7.2). The streaming SQL surface lives in
+//! `rcalcite-sql`: the STREAM keyword, `TUMBLE`, and the check that a
+//! streaming GROUP BY has a monotonic key. The batch engine
+//! (`rcalcite-enumerable`) runs such a query without blocking: its
+//! aggregate flushes each window once the key moves past it. This crate
+//! provides what the engine reads and what it does not run yet:
 //!
-//! - [`windows`] — tumbling / hopping / session window assignment;
-//! - [`incremental`] — push-based windowed aggregation with watermarks
-//!   (the unblocked execution of `GROUP BY TUMBLE(...)`);
+//! - [`source`] — the replayable, time-ordered stream table and the
+//!   paper's Orders workload;
 //! - [`join`] — stream-to-stream joins over implicit time windows
-//!   (the §7.2 Orders ⋈ Shipments example), with bounded buffers;
-//! - [`source`] — replayable and live stream sources.
+//!   (the §7.2 Orders ⋈ Shipments example), with bounded buffers.
 
-pub mod incremental;
 pub mod join;
 pub mod source;
-pub mod windows;
 
-pub use incremental::{StreamAgg, WindowedAggregator};
 pub use join::{join_streams, StreamJoinSpec, StreamJoiner};
-pub use source::{generate_orders, live_stream, orders_row_type, ReplayStream};
-pub use windows::{assign_sessions, Assigner, Window};
+pub use source::{generate_orders, orders_row_type, ReplayStream};

@@ -1,10 +1,8 @@
 //! Stream sources. Calcite "treats streams as time-ordered sets of records
 //! or events that are not persisted to the disk" (paper §1). Since the
 //! paper's stream producers (Storm/Kafka feeds) are external services, the
-//! substitute is a replayable in-process source plus a live channel-backed
-//! source for incremental executors.
+//! substitute is a replayable in-process source.
 
-use crossbeam::channel::{unbounded, Receiver, Sender};
 use rcalcite_core::catalog::{Statistic, Table};
 use rcalcite_core::datum::{Datum, Row};
 use rcalcite_core::error::Result;
@@ -26,10 +24,6 @@ impl ReplayStream {
         // Events must be time-ordered on column 0.
         events.sort_by(|a, b| a[0].cmp(&b[0]));
         Arc::new(ReplayStream { row_type, events })
-    }
-
-    pub fn events(&self) -> &[Row] {
-        &self.events
     }
 }
 
@@ -80,35 +74,6 @@ pub fn generate_orders(n: usize, products: i64, period_ms: i64) -> Vec<Row> {
         .collect()
 }
 
-/// A live, unbounded stream over a channel: producers push events; the
-/// reader side iterates until the producer hangs up.
-pub struct StreamWriter {
-    tx: Sender<Row>,
-}
-
-impl StreamWriter {
-    pub fn push(&self, row: Row) {
-        let _ = self.tx.send(row);
-    }
-}
-
-pub struct StreamReader {
-    rx: Receiver<Row>,
-}
-
-impl Iterator for StreamReader {
-    type Item = Row;
-    fn next(&mut self) -> Option<Row> {
-        self.rx.recv().ok()
-    }
-}
-
-/// Creates a live stream channel.
-pub fn live_stream() -> (StreamWriter, StreamReader) {
-    let (tx, rx) = unbounded();
-    (StreamWriter { tx }, StreamReader { rx })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -134,19 +99,5 @@ mod tests {
         assert!(a.windows(2).all(|w| w[0][0] <= w[1][0]));
         // Product ids stay in range.
         assert!(a.iter().all(|r| (0..10).contains(&r[1].as_int().unwrap())));
-    }
-
-    #[test]
-    fn live_stream_delivers_until_writer_drops() {
-        let (tx, rx) = live_stream();
-        let handle = std::thread::spawn(move || {
-            for i in 0..5 {
-                tx.push(vec![Datum::Int(i)]);
-            }
-            // tx dropped here
-        });
-        let rows: Vec<Row> = rx.collect();
-        handle.join().unwrap();
-        assert_eq!(rows.len(), 5);
     }
 }

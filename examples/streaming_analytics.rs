@@ -1,20 +1,20 @@
 //! Streaming SQL (paper §7.2): the STREAM keyword, tumbling-window
-//! aggregation via `GROUP BY TUMBLE(...)`, sliding windows via `OVER`,
-//! and an incremental windowed aggregator processing a live stream.
+//! aggregation via `GROUP BY TUMBLE(...)`, and the validator's
+//! monotonicity rule. The tumbling aggregate runs on the batch engine
+//! without blocking: the stream is ordered on `rowtime`, so each hourly
+//! window is emitted as soon as the first event of the next hour
+//! arrives, and the cursor yields rows before the stream ends.
 //!
 //! Run with: `cargo run --example streaming_analytics`
 
 use rcalcite_core::catalog::{Catalog, Schema};
-use rcalcite_core::rel::AggFunc;
 use rcalcite_sql::Connection;
-use rcalcite_streams::{
-    generate_orders, orders_row_type, Assigner, ReplayStream, StreamAgg, WindowedAggregator,
-};
+use rcalcite_streams::{generate_orders, orders_row_type, ReplayStream};
 
 fn main() -> rcalcite_core::error::Result<()> {
     // An Orders stream: one event per second over ~2 hours.
     let events = generate_orders(7200, 5, 1_000);
-    let stream = ReplayStream::new(orders_row_type(), events.clone());
+    let stream = ReplayStream::new(orders_row_type(), events);
 
     let catalog = Catalog::new();
     let s = Schema::new();
@@ -30,41 +30,23 @@ fn main() -> rcalcite_core::error::Result<()> {
         7200
     );
 
-    // 2. The paper's tumbling-window aggregate.
+    // 2. The paper's tumbling-window aggregate, read through the cursor:
+    //    the first hour's rows arrive while the second hour is still
+    //    being folded.
     let sql = "SELECT STREAM TUMBLE_END(rowtime, INTERVAL '1' HOUR) AS rowtime, \
                productid, COUNT(*) AS c, SUM(units) AS units \
                FROM orders \
-               GROUP BY TUMBLE(rowtime, INTERVAL '1' HOUR), productid \
-               ORDER BY 1, productid";
-    let r = conn.query(sql)?;
-    println!("\nTumbling 1h windows (batch replay):");
-    println!("{}", r.to_table());
+               GROUP BY TUMBLE(rowtime, INTERVAL '1' HOUR), productid";
+    let mut cursor = conn.execute(sql)?;
+    println!("\nTumbling 1h windows, as the cursor yields them:");
+    println!("  {}", cursor.columns().join(" | "));
+    while let Some(row) = cursor.next_row()? {
+        let cells: Vec<String> = row.iter().map(ToString::to_string).collect();
+        println!("  {}", cells.join(" | "));
+    }
 
-    // 3. The same computation as an *incremental* streaming operator with
-    //    watermarks — no blocking on the unbounded stream.
-    let mut agg = WindowedAggregator::new(
-        Assigner::Tumble { size: 3_600_000 },
-        0,
-        vec![1],
-        vec![
-            StreamAgg {
-                func: AggFunc::Count,
-                col: None,
-            },
-            StreamAgg {
-                func: AggFunc::Sum,
-                col: Some(2),
-            },
-        ],
-    );
-    let incremental = agg.run_batch(&events)?;
-    println!(
-        "Incremental aggregator emitted {} window results; open state at end: {}",
-        incremental.len(),
-        agg.open_states()
-    );
-
-    // 4. A non-monotonic streaming GROUP BY is rejected by the validator.
+    // 3. A non-monotonic streaming GROUP BY is rejected by the validator:
+    //    it could never emit a row.
     let err = conn
         .query("SELECT STREAM productid, COUNT(*) FROM orders GROUP BY productid")
         .unwrap_err();

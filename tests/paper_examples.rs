@@ -205,10 +205,7 @@ fn stream_conn() -> rcalcite_sql::Connection {
         ReplayStream::new(orders_row_type(), generate_orders(720, 5, 10_000)),
     );
     catalog.add_schema("sales", s);
-    let mut conn = rcalcite_sql::Connection::new(catalog);
-    conn.add_rule(rcalcite_enumerable::implement_rule());
-    conn.register_executor(Arc::new(rcalcite_enumerable::EnumerableExecutor::new()));
-    conn
+    rcalcite_sql::Connection::builder(catalog).build()
 }
 
 #[test]
@@ -222,37 +219,27 @@ fn section7_2_stream_filter() {
 }
 
 #[test]
-fn section7_2_tumbling_aggregate_matches_incremental_runtime() {
-    use rcalcite_core::rel::AggFunc;
-    use rcalcite_streams::{generate_orders, Assigner, StreamAgg, WindowedAggregator};
+fn section7_2_tumbling_aggregate_matches_row_oracle() {
+    use rcalcite_core::exec::ExecContext;
+    use rcalcite_enumerable::EnumerableExecutor;
+    // The engine flushes each hour as the stream moves past it; the row
+    // oracle reads the whole replay first. Same rows, same order.
     let conn = stream_conn();
     let sql = "SELECT STREAM TUMBLE_END(rowtime, INTERVAL '1' HOUR) AS rowtime, productid, \
                COUNT(*) AS c, SUM(units) AS units FROM orders \
-               GROUP BY TUMBLE(rowtime, INTERVAL '1' HOUR), productid \
-               ORDER BY 1, productid";
-    let sql_rows = conn.query(sql).unwrap().rows;
-
-    let mut agg = WindowedAggregator::new(
-        Assigner::Tumble { size: 3_600_000 },
-        0,
-        vec![1],
-        vec![
-            StreamAgg {
-                func: AggFunc::Count,
-                col: None,
-            },
-            StreamAgg {
-                func: AggFunc::Sum,
-                col: Some(2),
-            },
-        ],
-    );
-    let mut inc_rows = agg.run_batch(&generate_orders(720, 5, 10_000)).unwrap();
-    inc_rows.sort_by(|a, b| (a[0].clone(), a[1].clone()).cmp(&(b[0].clone(), b[1].clone())));
-    assert_eq!(
-        sql_rows, inc_rows,
-        "batch SQL and incremental runtime disagree"
-    );
+               GROUP BY TUMBLE(rowtime, INTERVAL '1' HOUR), productid";
+    let streamed = conn.execute(sql).unwrap().collect().unwrap().rows;
+    let plan = conn.optimize(&conn.parse_to_rel(sql).unwrap()).unwrap();
+    let mut oracle = ExecContext::new();
+    oracle.register(Arc::new(EnumerableExecutor::new()));
+    assert_eq!(streamed, oracle.execute_collect(&plan).unwrap());
+    // 720 events 10 s apart: two hours of five products, each window
+    // closing on its end.
+    assert_eq!(streamed.len(), 10);
+    assert_eq!(streamed[0][0], Datum::Timestamp(3_600_000));
+    assert_eq!(streamed[9][0], Datum::Timestamp(7_200_000));
+    let events: i64 = streamed.iter().map(|r| r[2].as_int().unwrap()).sum();
+    assert_eq!(events, 720);
 }
 
 #[test]
@@ -283,6 +270,45 @@ fn section7_2_monotonicity_validation() {
     // Non-stream table with STREAM keyword is also rejected.
     let conn2 = figure4_connection(10, 5, 0.5);
     assert!(conn2.query("SELECT STREAM productid FROM sales").is_err());
+}
+
+#[test]
+fn section7_2_monotonic_means_the_declared_order() {
+    use rcalcite_core::catalog::{Catalog, Schema};
+    use rcalcite_core::types::{RowTypeBuilder, TypeKind};
+    use rcalcite_streams::ReplayStream;
+    // Ordered on `rowtime`; `shipped` is a timestamp in no order.
+    let row_type = RowTypeBuilder::new()
+        .add_not_null("rowtime", TypeKind::Timestamp)
+        .add_not_null("shipped", TypeKind::Timestamp)
+        .build();
+    let events = (0..100)
+        .map(|i| {
+            vec![
+                Datum::Timestamp(i * 1_000),
+                Datum::Timestamp((i * 37 % 100) * 1_000),
+            ]
+        })
+        .collect();
+    let catalog = Catalog::new();
+    let s = Schema::new();
+    s.add_table("orders", ReplayStream::new(row_type, events));
+    catalog.add_schema("sales", s);
+    let conn = rcalcite_sql::Connection::builder(catalog).build();
+    let err = conn
+        .query(
+            "SELECT STREAM COUNT(*) FROM orders \
+             GROUP BY TUMBLE(shipped, INTERVAL '10' SECOND)",
+        )
+        .unwrap_err();
+    assert!(err.to_string().contains("monotonic"), "{err}");
+    let r = conn
+        .query(
+            "SELECT STREAM COUNT(*) FROM orders \
+             GROUP BY TUMBLE(rowtime, INTERVAL '10' SECOND)",
+        )
+        .unwrap();
+    assert_eq!(r.rows, vec![vec![Datum::Int(10)]; 10]);
 }
 
 // ---------------------------------------------------------------------

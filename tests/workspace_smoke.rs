@@ -135,25 +135,27 @@ fn sql_connection_canary() {
     );
 }
 
-/// streams: the incremental tumbling-window aggregator over generated
-/// events agrees with a hand count.
+/// streams: a tumbling-window GROUP BY over a replayed Orders stream
+/// agrees with a hand count.
 #[test]
-fn streams_incremental_canary() {
-    use rcalcite_core::rel::AggFunc;
-    use rcalcite_streams::{generate_orders, Assigner, StreamAgg, WindowedAggregator};
+fn streams_tumbling_sql_canary() {
+    use rcalcite_core::catalog::{Catalog, Schema};
+    use rcalcite_streams::{generate_orders, orders_row_type, ReplayStream};
 
     let events = generate_orders(1_000, 4, 1_000);
     assert_eq!(events.len(), 1_000);
-    let mut agg = WindowedAggregator::new(
-        Assigner::Tumble { size: 3_600_000 },
-        0,
-        vec![1],
-        vec![StreamAgg {
-            func: AggFunc::Count,
-            col: None,
-        }],
-    );
-    let out = agg.run_batch(&events).unwrap();
+    let catalog = Catalog::new();
+    let s = Schema::new();
+    s.add_table("orders", ReplayStream::new(orders_row_type(), events));
+    catalog.add_schema("sales", s);
+    let conn = rcalcite_sql::Connection::builder(catalog).build();
+    let out = conn
+        .query(
+            "SELECT STREAM productid, COUNT(*) FROM orders \
+             GROUP BY TUMBLE(rowtime, INTERVAL '1' HOUR), productid",
+        )
+        .unwrap()
+        .rows;
     let total: i64 = out.iter().filter_map(|r| r.last()?.as_int()).sum();
     assert_eq!(total, 1_000, "windowed counts must partition the events");
 }
