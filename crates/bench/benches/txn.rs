@@ -4,7 +4,9 @@
 //! commits, and the snapshot overhead of a read-only transaction — plus
 //! `commit_scaling`, the guard that a single-row write costs the same at
 //! 1 M rows as at 10 k, whether or not another connection's open
-//! transaction pins the version it writes beside.
+//! transaction pins the version it writes beside, and that a transaction
+//! reading after its own UPDATE pays no more than one that has not
+//! written.
 //!
 //! Before timing, the workload is cross-checked: the WAL and no-WAL
 //! connections must reach identical table states, the UPDATE must locate
@@ -258,6 +260,42 @@ impl WriteShapes {
         dt
     }
 
+    /// BEGIN, one UPDATE if `written`, then `COUNT(*)` and `SUM` over the
+    /// table, ROLLBACK; returns the time of the read.
+    fn txn_read(&self, written: bool) -> Duration {
+        let id = (self.next() * 7919) % self.n;
+        self.run("BEGIN");
+        if written {
+            self.run(&format!(
+                "UPDATE accounts SET balance = balance + 1 WHERE id = {id}"
+            ));
+        }
+        let t0 = Instant::now();
+        black_box(self.count_and_sum());
+        let dt = t0.elapsed();
+        self.run("ROLLBACK");
+        dt
+    }
+
+    /// BEGIN, one INSERT, then a point seek for the new row, ROLLBACK;
+    /// returns the time of the seek, whose read applies the INSERT to
+    /// the transaction's version.
+    fn txn_insert_then_seek(&self) -> Duration {
+        let id = self.n + self.next();
+        self.run("BEGIN");
+        self.run(&format!("INSERT INTO accounts VALUES ({id}, 0)"));
+        let t0 = Instant::now();
+        let rows = self
+            .conn
+            .query(&format!("SELECT balance FROM accounts WHERE id = {id}"))
+            .unwrap()
+            .rows;
+        let dt = t0.elapsed();
+        assert_eq!(rows, vec![vec![Datum::Int(0)]], "the seek finds the insert");
+        self.run("ROLLBACK");
+        dt
+    }
+
     fn count_and_sum(&self) -> Vec<Vec<Datum>> {
         self.conn
             .query("SELECT COUNT(*) AS c, SUM(balance) AS s FROM accounts")
@@ -310,13 +348,12 @@ fn bench_commit_scaling(c: &mut Criterion) {
         );
     }
 
-    // Medians of `f` over two tables, interleaved so a noisy stretch
-    // hits both.
-    let medians = |a: &WriteShapes, b: &WriteShapes, f: &dyn Fn(&WriteShapes) -> Duration| {
+    // Medians of two timings, interleaved so a noisy stretch hits both.
+    let medians = |a: &dyn Fn() -> Duration, b: &dyn Fn() -> Duration| {
         let (mut xs, mut ys) = (vec![], vec![]);
         for _ in 0..REPS {
-            xs.push(f(a));
-            ys.push(f(b));
+            xs.push(a());
+            ys.push(b());
         }
         (
             median_of(REPS, || xs.pop().unwrap()),
@@ -335,7 +372,7 @@ fn bench_commit_scaling(c: &mut Criterion) {
             true => (&small_pinned, &large_pinned),
             false => (&small, &large),
         };
-        let (a, b) = medians(small, large, f);
+        let (a, b) = medians(&|| f(small), &|| f(large));
         let r = b.as_secs_f64() / a.as_secs_f64();
         eprintln!("commit_scaling/{what}: {a:?} at {SMALL} rows, {b:?} at {LARGE} rows ({r:.2}x)");
         assert!(
@@ -353,9 +390,28 @@ fn bench_commit_scaling(c: &mut Criterion) {
         s.txn_second_update()
     });
     ratio("pinned/delete", 20.0, true, &|s| s.delete());
+    // The first read after an INSERT copies the transaction's ordered
+    // permutation once, like an INSERT beside a pin: the same limit.
+    ratio("txn_insert_then_seek", 20.0, false, &|s| {
+        s.txn_insert_then_seek()
+    });
+    // A transaction reads its own version: after one UPDATE a full
+    // aggregate costs at most 1.2× the same read in a transaction that
+    // has not written, at either size (pivoting the table through an
+    // overlay made it several times).
+    for shapes in [&small, &large] {
+        let (clean, written) = medians(&|| shapes.txn_read(false), &|| shapes.txn_read(true));
+        let r = written.as_secs_f64() / clean.as_secs_f64();
+        let n = shapes.n;
+        eprintln!("commit_scaling/txn_read_after_update: {written:?} after an UPDATE, {clean:?} unwritten, at {n} rows ({r:.2}x)");
+        assert!(
+            r <= 1.2,
+            "at {n} rows a read after one UPDATE costs {written:?}, {r:.2}× the {clean:?} it costs unwritten"
+        );
+    }
     // And a pin itself: at 1 M rows an UPDATE beside one costs at most
     // twice the UPDATE alone (a whole-table copy made it hundreds).
-    let (alone, beside) = medians(&large, &large_pinned, &|s| s.update());
+    let (alone, beside) = medians(&|| large.update(), &|| large_pinned.update());
     let r = beside.as_secs_f64() / alone.as_secs_f64();
     eprintln!("commit_scaling/pinned_vs_unpinned_update: {alone:?} alone, {beside:?} beside a pin, at {LARGE} rows ({r:.2}x)");
     assert!(

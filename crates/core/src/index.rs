@@ -591,6 +591,25 @@ impl SeekSpec {
         format!("[{}]", parts.join("; "))
     }
 
+    /// Binds every probe's constant expressions through `value` (which
+    /// resolves literals and parameters), failing on the first that does
+    /// not evaluate.
+    pub fn bind(&self, value: impl Fn(&RexNode) -> Result<Datum>) -> Result<Vec<BoundProbe>> {
+        let bound = |b: &Option<(RexNode, bool)>| -> Result<Option<(Datum, bool)>> {
+            b.as_ref().map(|(e, inc)| Ok((value(e)?, *inc))).transpose()
+        };
+        self.probes
+            .iter()
+            .map(|p| {
+                Ok(BoundProbe {
+                    eq: p.eq.iter().map(&value).collect::<Result<_>>()?,
+                    lower: bound(&p.lower)?,
+                    upper: bound(&p.upper)?,
+                })
+            })
+            .collect()
+    }
+
     /// Every constant expression carried by the seek (for parameter
     /// discovery and binding).
     pub fn exprs(&self) -> Vec<&RexNode> {
@@ -652,7 +671,7 @@ mod tests {
     fn follow(store: &mut Arc<Version>, ops: &[crate::txn::DeltaOp]) {
         Version::apply_delta(store, ops).unwrap();
         for def in store.index_defs() {
-            let live = Arc::clone(store).index_probe(&def.name).unwrap();
+            let live = store.index_probe(&def.name).unwrap();
             let fresh = IndexData::build(def.clone(), store).unwrap();
             for probe in probes() {
                 assert_eq!(

@@ -235,8 +235,7 @@ impl Version {
     /// `None` for a zero-arity version, which has no column to carry a
     /// batch's row count: its rows stay on the row surface. The one
     /// zero-arity guard, behind the default
-    /// [`crate::catalog::Table::scan_snapshot`] and a transaction's
-    /// [`crate::txn::SnapshotTable`] alike.
+    /// [`crate::catalog::Table::scan_snapshot`].
     pub fn range_scan(self: Arc<Self>) -> Option<Arc<dyn RangeScan>> {
         (!self.kinds.is_empty()).then_some(self as Arc<dyn RangeScan>)
     }
@@ -260,9 +259,10 @@ impl Version {
     }
 
     /// Probe handle pairing `index` with the rows it covers.
-    pub fn index_probe(self: Arc<Self>, index: &str) -> Option<Arc<dyn IndexProbe>> {
+    pub fn index_probe(self: &Arc<Self>, index: &str) -> Option<Arc<dyn IndexProbe>> {
         let index = self.indexes.iter().find(|i| i.def.name == index)?.clone();
-        Some(Arc::new(SnapshotProbe { data: self, index }))
+        let data = Arc::clone(self);
+        Some(Arc::new(SnapshotProbe { data, index }))
     }
 
     /// Builds `def` over the current rows. Duplicate names are an error.
@@ -307,6 +307,12 @@ impl Version {
     pub fn apply_delta(this: &mut Arc<Version>, ops: &[DeltaOp]) -> Result<Option<u64>> {
         let mut net = NetDelta::default();
         net.fold(|id| this.position_of(id), ops, this.kinds.len())?;
+        Ok(Version::apply_net(this, net))
+    }
+
+    /// The apply half of [`Version::apply_delta`]: `net`, folded against
+    /// `this`, lands in the rows and every index.
+    pub(crate) fn apply_net(this: &mut Arc<Version>, net: NetDelta) -> Option<u64> {
         let version = Arc::make_mut(this);
         let mut indexes = std::mem::take(&mut version.indexes);
         let rekeyed: Vec<Vec<usize>> = indexes
@@ -318,7 +324,7 @@ impl Version {
             IndexData::relink(idx, &*version, &outcome, rekeyed);
         }
         version.indexes = indexes;
-        Ok(outcome.max_inserted_id)
+        outcome.max_inserted_id
     }
 
     // ----- what `NetDelta::apply` is made of: each copies only the
@@ -590,7 +596,7 @@ mod tests {
         );
         // Every index against a fresh build over the same rows.
         for def in v.index_defs() {
-            let live = Arc::clone(v).index_probe(&def.name).unwrap();
+            let live = v.index_probe(&def.name).unwrap();
             let fresh = IndexData::build(def.clone(), v).unwrap();
             for k in -1..8 {
                 let probe = BoundProbe::point(vec![Datum::Int(k)]);

@@ -13,10 +13,12 @@
 //! refcount.
 //!
 //! Writes are private until COMMIT: a [`Transaction`] stages [`DeltaOp`]s
-//! in a per-table workspace and folds them into a [`NetDelta`] — the net
-//! effect on the BEGIN-time version — which [`ReadView`] lays over that
-//! version so the transaction reads its own writes without ever copying
-//! the table. COMMIT, under the manager's global
+//! per table and folds them into a pending [`NetDelta`] against its own
+//! version of the table. The next read applies that fold to the version
+//! through [`Version::apply_delta`]'s own path, copying only the chunks
+//! (and indexes) the writes touch, so the transaction reads its own
+//! writes through the store's scans, probes and `ANALYZE`. COMMIT, under
+//! the manager's global
 //! commit lock, (1) appends the whole transaction to the WAL, (2) runs the
 //! first-committer-wins check — any transaction that committed after this
 //! one began and wrote an overlapping row id aborts this one with a
@@ -27,12 +29,12 @@
 //! Every in-memory step costs O(|delta| · log n), not O(table): stores
 //! keep their row ids strictly ascending, so a row id resolves to its
 //! position by binary search on every path (staging, commit, WAL replay).
+//! One step is not: a transaction's first read after an INSERT or DELETE
+//! copies each ordered index's permutation of its version.
 
-use crate::catalog::{RangeScan, Statistic, Table, TableRef};
-use crate::datum::{Column, Row};
+use crate::catalog::{Statistic, Table, TableRef};
+use crate::datum::Row;
 use crate::error::{CalciteError, Result};
-use crate::exec::{BatchIter, SlicedColumns};
-use crate::index::{BoundProbe, IndexDef, IndexProbe, RowsRef};
 use crate::ivm::{IvmRegistry, SignedDelta};
 use crate::store::Version;
 use crate::types::RowType;
@@ -40,7 +42,7 @@ use crate::wal::{WalRecord, WalWriter};
 use parking_lot::Mutex;
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 // ---------------------------------------------------------------------
 // Deltas
@@ -79,19 +81,16 @@ impl DeltaOp {
 /// before it *without touching the store*, so a stream with a bad op is
 /// rejected whole. Size is O(|ops|) — nothing here is table-length.
 ///
-/// The same structure is the commit path's plan
-/// ([`Version::apply_delta`] folds one and applies it) and
-/// a transaction's read-your-writes overlay ([`ReadView`]).
-#[derive(Debug, Clone, Default)]
+/// It is the plan of every apply: [`Version::apply_delta`] folds one and
+/// applies it, and a [`Transaction`] keeps one pending per table until
+/// its next read applies it to the transaction's own version.
+#[derive(Debug, Default)]
 pub struct NetDelta {
     /// Base position → the row's final content, `None` if deleted.
     base: BTreeMap<usize, Option<Row>>,
     /// Rows the stream inserted, ascending by id; `None` marks one the
-    /// stream deleted again (ids are never reused, and keeping the slot
-    /// keeps the overlay positions of later inserts stable).
+    /// stream deleted again (ids are never reused).
     inserted: Vec<(u64, Option<Row>)>,
-    base_deleted: usize,
-    inserted_live: usize,
 }
 
 impl NetDelta {
@@ -122,7 +121,6 @@ impl NetDelta {
                 DeltaOp::Insert { row, .. } => match staged {
                     Err(at) if position_of(id).is_none() => {
                         self.inserted.insert(at, (id, Some(row.clone())));
-                        self.inserted_live += 1;
                     }
                     _ => {
                         return Err(CalciteError::internal(format!(
@@ -149,14 +147,12 @@ impl NetDelta {
                             .1
                             .take()
                             .ok_or_else(|| unknown("delete", id))?;
-                        self.inserted_live -= 1;
                     }
                     Err(_) => {
                         let pos = position_of(id).ok_or_else(|| unknown("delete", id))?;
                         if self.base.insert(pos, None) == Some(None) {
                             return Err(unknown("delete", id));
                         }
-                        self.base_deleted += 1;
                     }
                 },
             }
@@ -262,135 +258,19 @@ impl DeltaOutcome {
 // Read views
 // ---------------------------------------------------------------------
 
-/// The read view a statement evaluates against: the version captured at
-/// BEGIN with the transaction's own staged writes laid over it. Nothing
-/// is copied: positions below the version's row count address its rows
-/// (rewritten ones served from the overlay, deleted ones skipped), and
-/// the positions from there up address the rows the transaction
-/// inserted, in id order. Index probes stay available after a write.
-#[derive(Clone)]
-pub struct ReadView {
-    version: Arc<Version>,
-    staged: Arc<NetDelta>,
-}
-
-impl ReadView {
-    /// One past the largest position this view addresses. Positions the
-    /// transaction deleted lie below it too: see [`ReadView::live_row`].
-    pub fn position_bound(&self) -> usize {
-        self.version.len() + self.staged.inserted.len()
-    }
-
-    /// Number of rows visible through this view.
-    pub fn row_count(&self) -> usize {
-        self.version.len() - self.staged.base_deleted + self.staged.inserted_live
-    }
-
-    /// The row at `pos` as the transaction sees it, `None` if it deleted
-    /// that row.
-    pub fn live_row(&self, pos: usize) -> Option<Row> {
-        match pos.checked_sub(self.version.len()) {
-            Some(k) => self.staged.inserted[k].1.clone(),
-            None => match self.staged.base.get(&pos) {
-                Some(staged) => staged.clone(),
-                None => Some(self.version.row(pos)),
-            },
-        }
-    }
-
-    /// The visible rows with their positions, in position order.
-    pub fn live_rows(&self) -> impl Iterator<Item = (usize, Row)> + '_ {
-        (0..self.position_bound()).filter_map(|pos| Some((pos, self.live_row(pos)?)))
-    }
-
-    /// The row at a position a probe or [`ReadView::live_rows`] returned.
-    ///
-    /// # Panics
-    /// If the transaction deleted the row at `pos`.
-    pub fn row(&self, pos: usize) -> Row {
-        self.live_row(pos)
-            .expect("position refers to a row this transaction deleted")
-    }
-
-    pub fn row_id(&self, pos: usize) -> u64 {
-        match pos.checked_sub(self.version.len()) {
-            Some(k) => self.staged.inserted[k].0,
-            None => self.version.row_id(pos),
-        }
-    }
-
-    /// Probe handle for `index` over this view: the version's own probe
-    /// while the transaction has written nothing, otherwise that probe
-    /// with the staged writes laid over its answers.
-    pub fn index_probe(&self, index: &str) -> Option<Arc<dyn IndexProbe>> {
-        let base = Arc::clone(&self.version).index_probe(index)?;
-        if self.staged.is_empty() {
-            return Some(base);
-        }
-        let def = self
-            .version
-            .index_defs()
-            .into_iter()
-            .find(|d| d.name == index)?;
-        Some(Arc::new(OverlayProbe {
-            base,
-            def,
-            view: self.clone(),
-        }))
-    }
-}
-
-/// An [`IndexProbe`] over a written [`ReadView`]: the BEGIN-time index
-/// answers for the rows the transaction left alone, and the probe
-/// predicate is evaluated directly over the (few) rows it staged.
-struct OverlayProbe {
-    base: Arc<dyn IndexProbe>,
-    def: IndexDef,
-    view: ReadView,
-}
-
-impl IndexProbe for OverlayProbe {
-    fn row_count(&self) -> usize {
-        self.view.row_count()
-    }
-
-    fn positions(&self, probe: &BoundProbe) -> Vec<usize> {
-        let (staged, n) = (&self.view.staged, self.view.version.len());
-        let mut out = self.base.positions(probe);
-        out.retain(|pos| !staged.base.contains_key(pos));
-        // The rows the transaction rewrote or inserted are the only ones
-        // whose content the version's index does not describe.
-        let inserted = staged.inserted.iter().enumerate();
-        let inserted = inserted.filter_map(|(k, (_, row))| Some((n + k, row.as_ref()?)));
-        for (pos, row) in staged.rewritten().chain(inserted) {
-            let one = RowsRef {
-                rows: std::slice::from_ref(row),
-                arity: row.len(),
-            };
-            if probe.matches(&one, 0, &self.def) {
-                out.push(pos);
-            }
-        }
-        out.sort_unstable();
-        out
-    }
-
-    fn row(&self, pos: usize) -> Row {
-        self.view.row(pos)
-    }
-}
-
-/// A [`Table`] over a transaction's [`ReadView`], substituted for
+/// A [`Table`] over a transaction's own version, substituted for
 /// base-table scans while the transaction is open so every statement
-/// reads the BEGIN-time snapshot plus the transaction's own writes.
+/// reads the BEGIN-time snapshot plus the transaction's own writes. Its
+/// snapshot scans, indexes and probes are the version's, through the
+/// [`Table`] defaults.
 pub struct SnapshotTable {
     row_type: RowType,
-    view: ReadView,
+    version: Arc<Version>,
 }
 
 impl SnapshotTable {
-    pub fn new(row_type: RowType, view: ReadView) -> Arc<SnapshotTable> {
-        Arc::new(SnapshotTable { row_type, view })
+    pub fn new(row_type: RowType, version: Arc<Version>) -> Arc<SnapshotTable> {
+        Arc::new(SnapshotTable { row_type, version })
     }
 }
 
@@ -400,76 +280,15 @@ impl Table for SnapshotTable {
     }
 
     fn statistic(&self) -> Statistic {
-        Statistic::of_rows(self.view.row_count() as f64)
+        Statistic::of_rows(self.version.len() as f64)
     }
 
     fn scan(&self) -> Result<Box<dyn Iterator<Item = Row> + Send>> {
-        let view = self.view.clone();
-        Ok(Box::new(
-            (0..view.position_bound()).filter_map(move |p| view.live_row(p)),
-        ))
+        Ok(Box::new(Arc::clone(&self.version).into_rows()))
     }
 
-    /// The version's own snapshot while the transaction has written
-    /// nothing — the shape [`ReadView::index_probe`] has for probes;
-    /// after a write, the view's overlay, pivoted on its first scan.
-    fn scan_snapshot(&self) -> Result<Option<Arc<dyn RangeScan>>> {
-        let Some(base) = Arc::clone(&self.view.version).range_scan() else {
-            return Ok(None);
-        };
-        if self.view.staged.is_empty() {
-            return Ok(Some(base));
-        }
-        Ok(Some(Arc::new(OverlaySnapshot {
-            row_type: self.row_type.clone(),
-            view: self.view.clone(),
-            columns: OnceLock::new(),
-        })))
-    }
-
-    fn indexes(&self) -> Vec<IndexDef> {
-        self.view.version.index_defs()
-    }
-
-    fn index_probe_snapshot(&self, index: &str) -> Result<Option<Arc<dyn IndexProbe>>> {
-        Ok(self.view.index_probe(index))
-    }
-}
-
-/// The columnar snapshot of a written [`ReadView`]. Taking one is O(1):
-/// its row count is the view's, and the columns are pivoted from the
-/// view once, by the first range scan — so sizing a scan or rendering
-/// EXPLAIN copies nothing.
-struct OverlaySnapshot {
-    row_type: RowType,
-    view: ReadView,
-    columns: OnceLock<Arc<[Column]>>,
-}
-
-impl RangeScan for OverlaySnapshot {
-    fn row_count(&self) -> usize {
-        self.view.row_count()
-    }
-
-    fn scan_range(
-        self: Arc<Self>,
-        batch_size: usize,
-        start: usize,
-        len: usize,
-    ) -> Result<Box<dyn BatchIter>> {
-        let columns = self.columns.get_or_init(|| {
-            let rows: Vec<Row> = self.view.live_rows().map(|(_, row)| row).collect();
-            let fields = self.row_type.fields.iter().enumerate();
-            fields
-                .map(|(i, f)| Column::from_rows(&f.ty.kind, &rows, i))
-                .collect()
-        });
-        Ok(Box::new(SlicedColumns::new_range(
-            Arc::clone(columns),
-            batch_size,
-            start,
-            len,
-        )))
+    fn txn_snapshot(&self) -> Option<Arc<Version>> {
+        Some(Arc::clone(&self.version))
     }
 }
 
@@ -479,15 +298,18 @@ impl RangeScan for OverlaySnapshot {
 
 struct TxnTable {
     tref: TableRef,
-    version: Arc<Version>,
+    /// What this transaction reads: the BEGIN version with `ops[..applied]`
+    /// applied, privately. It shares with BEGIN every chunk and index
+    /// those writes left alone.
+    view: Arc<Version>,
     ops: Vec<DeltaOp>,
+    applied: usize,
+    /// Net effect of `ops[applied..]` on `view`, folded by every `stage`
+    /// in O(|ops| · log n) and applied by the next read.
+    pending: NetDelta,
     /// Row ids this transaction updated or deleted (inserts excluded):
     /// the first-committer-wins footprint.
     write_set: HashSet<u64>,
-    /// Net effect of `ops` on `version`: the read-your-writes overlay.
-    /// Rolled forward by every `stage` in O(|ops| · log n); behind an
-    /// `Arc` so a statement's [`ReadView`] shares it without copying.
-    staged: Arc<NetDelta>,
 }
 
 /// A transaction handle: BEGIN-time versions of every MVCC-capable table,
@@ -527,29 +349,31 @@ impl Transaction {
         self.tables.contains_key(qualified)
     }
 
-    /// The view statements should read for `qualified`: the BEGIN
-    /// version under this transaction's staged writes. O(1) — two `Arc`
-    /// clones, whether or not the transaction has written.
-    pub fn read_view(&self, qualified: &str) -> Option<ReadView> {
-        let t = self.tables.get(qualified)?;
-        Some(ReadView {
-            version: Arc::clone(&t.version),
-            staged: Arc::clone(&t.staged),
-        })
+    /// The version statements should read for `qualified`: the BEGIN
+    /// version with this transaction's staged writes applied. Applies
+    /// what was staged since the last read (the chunks and indexes it
+    /// touches are copied, in place once this transaction owns them);
+    /// with nothing newly staged it hands out the same `Arc` again.
+    pub fn read_view(&mut self, qualified: &str) -> Option<Arc<Version>> {
+        let t = self.tables.get_mut(qualified)?;
+        if !t.pending.is_empty() {
+            Version::apply_net(&mut t.view, std::mem::take(&mut t.pending));
+        }
+        t.applied = t.ops.len();
+        Some(Arc::clone(&t.view))
     }
 
     /// A [`Table`] serving [`Transaction::read_view`], for substituting
     /// into scans of `qualified` while this transaction is open.
-    pub fn snapshot_table(&self, qualified: &str) -> Option<Arc<SnapshotTable>> {
-        let t = self.tables.get(qualified)?;
-        let view = self.read_view(qualified)?;
-        Some(SnapshotTable::new(t.tref.table.row_type(), view))
+    pub fn snapshot_table(&mut self, qualified: &str) -> Option<Arc<SnapshotTable>> {
+        let row_type = self.tables.get(qualified)?.tref.table.row_type();
+        Some(SnapshotTable::new(row_type, self.read_view(qualified)?))
     }
 
     /// Stages `ops` against `qualified`: validates them against the
-    /// BEGIN version and the writes staged so far (unknown or duplicate
-    /// row ids and arity mismatches fail here, not at COMMIT), folds
-    /// them into the read-your-writes overlay, and records
+    /// transaction's version and the writes staged since its last read
+    /// (unknown or duplicate row ids and arity mismatches fail here, not
+    /// at COMMIT), folds them into the pending delta, and records
     /// updated/deleted row ids in the conflict footprint.
     /// O(|ops| · log n). A rejected batch stages nothing.
     pub fn stage(&mut self, qualified: &str, ops: Vec<DeltaOp>) -> Result<usize> {
@@ -561,13 +385,13 @@ impl Transaction {
                 "table '{qualified}' does not support transactional writes"
             ))
         })?;
-        let arity = t.tref.table.row_type().arity();
-        let version = &t.version;
-        let staged = Arc::make_mut(&mut t.staged);
-        if let Err(e) = staged.fold(|id| version.position_of(id), &ops, arity) {
+        let arity = t.view.arity();
+        let view = &t.view;
+        if let Err(e) = t.pending.fold(|id| view.position_of(id), &ops, arity) {
             // Half-folded: rebuild from the ops that did stage cleanly.
-            *staged = NetDelta::default();
-            staged.fold(|id| version.position_of(id), &t.ops, arity)?;
+            t.pending = NetDelta::default();
+            let since = &t.ops[t.applied..];
+            t.pending.fold(|id| view.position_of(id), since, arity)?;
             return Err(e);
         }
         for op in &ops {
@@ -731,10 +555,11 @@ impl TxnManager {
                     tref.qualified_name(),
                     TxnTable {
                         tref: tref.clone(),
-                        version,
+                        view: version,
                         ops: vec![],
+                        applied: 0,
+                        pending: NetDelta::default(),
                         write_set: HashSet::new(),
-                        staged: Arc::default(),
                     },
                 );
             }
@@ -888,8 +713,8 @@ impl TxnManager {
 mod tests {
     use super::*;
     use crate::catalog::MemTable;
-    use crate::datum::Datum;
-    use crate::index::BoundProbe;
+    use crate::datum::{Column, Datum};
+    use crate::index::{BoundProbe, IndexDef};
     use crate::types::{RowTypeBuilder, TypeKind};
 
     fn table() -> Arc<MemTable> {
@@ -1076,7 +901,7 @@ mod tests {
     }
 
     #[test]
-    fn rejected_stage_keeps_the_overlay_of_earlier_statements() {
+    fn rejected_stage_keeps_the_writes_of_earlier_statements() {
         let t = table();
         let mgr = Arc::new(TxnManager::new());
         let mut txn = mgr.begin(&[tref(&t)]);
@@ -1108,8 +933,9 @@ mod tests {
         assert_eq!(t.rows()[3], row(7));
     }
 
-    /// Read-your-writes through the index: the BEGIN-time index answers
-    /// for untouched rows, staged rows are matched directly.
+    /// Read-your-writes through the index: the transaction's version
+    /// carries the index, maintained by the same unlink/relink as a
+    /// commit. Positions are dense, so answers are read as row ids.
     #[test]
     fn written_view_still_probes_the_index() {
         let t = table(); // (id, v) = (i, 10 i), i in 0..4
@@ -1135,20 +961,69 @@ mod tests {
         )
         .unwrap();
         let view = txn.read_view("s.t").unwrap();
-        assert_eq!(view.row_count(), 4);
+        assert_eq!(view.len(), 4);
         let probe = view.index_probe("by_v").expect("index survives the write");
-        let at = |v: i64| probe.positions(&BoundProbe::point(vec![Datum::Int(v)]));
+        let at = |v: i64| -> Vec<u64> {
+            let found = probe.positions(&BoundProbe::point(vec![Datum::Int(v)]));
+            found.into_iter().map(|pos| view.row_id(pos)).collect()
+        };
         assert_eq!(at(10), vec![4], "the old key-10 row moved away");
-        assert_eq!(at(20), Vec::<usize>::new(), "deleted");
+        assert_eq!(at(20), Vec::<u64>::new(), "deleted");
         assert_eq!(at(30), vec![1, 3], "moved-in row, in position order");
-        assert_eq!(view.row_id(4), id);
-        assert_eq!(view.live_row(2), None);
-        let scanned: Vec<usize> = view.live_rows().map(|(p, _)| p).collect();
+        assert_eq!(view.row_id(view.len() - 1), id);
+        assert_eq!(view.position_of(2), None);
+        let scanned: Vec<u64> = view.row_ids().collect();
         assert_eq!(scanned, vec![0, 1, 3, 4]);
     }
 
+    /// A written view is the BEGIN version with the write applied: one
+    /// UPDATE copies the chunk it lands in and shares every other one, an
+    /// INSERT is found by the view's own index, and a read with nothing
+    /// newly staged hands out the same version.
     #[test]
-    fn snapshot_pins_begin_state_and_overlay_reads_own_writes() {
+    fn a_written_view_shares_what_it_did_not_touch() {
+        let n = 3 * crate::store::CHUNK_ROWS as i64;
+        let t = MemTable::new(
+            table().row_type(),
+            (0..n)
+                .map(|i| vec![Datum::Int(i), Datum::Int(10 * i)])
+                .collect(),
+        );
+        t.create_index(&IndexDef::ordered("by_v", vec![1])).unwrap();
+        let mgr = Arc::new(TxnManager::new());
+        let mut txn = mgr.begin(&[tref(&t)]);
+        let begin = txn.read_view("s.t").unwrap();
+        let row = vec![Datum::Int(5), Datum::Int(-1)];
+        txn.stage("s.t", vec![DeltaOp::Update { row_id: 5, row }])
+            .unwrap();
+        let updated = txn.read_view("s.t").unwrap();
+        let chunks = |v: &Version| -> Vec<*const Column> {
+            v.chunks().map(|(_, columns)| columns.as_ptr()).collect()
+        };
+        let (before, after) = (chunks(&begin), chunks(&updated));
+        assert_eq!(before.len(), 3);
+        let shared = before.iter().zip(&after).filter(|(a, b)| a == b).count();
+        assert_eq!((after.len(), shared), (3, 2), "one UPDATE copies one chunk");
+        assert_eq!(updated.row(5)[1], Datum::Int(-1));
+        assert_eq!(begin.row(5)[1], Datum::Int(50), "BEGIN is untouched");
+        let again = txn.read_view("s.t").unwrap();
+        assert!(Arc::ptr_eq(&updated, &again), "nothing newly staged");
+
+        let id = t.reserve_row_ids(1).unwrap();
+        let row = vec![Datum::Int(n), Datum::Int(-7)];
+        txn.stage("s.t", vec![DeltaOp::Insert { row_id: id, row }])
+            .unwrap();
+        let inserted = txn.read_view("s.t").unwrap();
+        let probe = inserted.index_probe("by_v").unwrap();
+        let found = probe.positions(&BoundProbe::point(vec![Datum::Int(-7)]));
+        let ids: Vec<u64> = found.iter().map(|pos| inserted.row_id(*pos)).collect();
+        assert_eq!(ids, vec![id]);
+        assert_eq!(inserted.len(), n as usize + 1);
+        assert_eq!(begin.len(), n as usize);
+    }
+
+    #[test]
+    fn snapshot_pins_begin_state_and_reads_own_writes() {
         let t = table();
         let mgr = Arc::new(TxnManager::new());
         let mut txn = mgr.begin(&[tref(&t)]);
@@ -1161,7 +1036,7 @@ mod tests {
         let view = txn.read_view("s.t").unwrap();
         assert_eq!(view.row(0)[1], Datum::Int(0)); // pre-commit value
 
-        // Own write becomes visible through the overlay.
+        // Own write becomes visible through the transaction's version.
         txn.stage(
             "s.t",
             vec![DeltaOp::Update {
@@ -1273,7 +1148,7 @@ mod tests {
             })
         };
         for _ in 0..500 {
-            let txn = mgr.begin(&refs);
+            let mut txn = mgr.begin(&refs);
             let va = txn.read_view("s.a").unwrap().row(0)[1].clone();
             let vb = txn.read_view("s.b").unwrap().row(0)[1].clone();
             assert_eq!(va, vb, "snapshot saw a half-applied commit");

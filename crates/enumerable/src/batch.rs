@@ -25,10 +25,11 @@
 //!   pure `LIMIT`/`OFFSET` (empty collation) streams and stops pulling
 //!   its child as soon as the limit is satisfied.
 //!
-//! Operators without a batch implementation (Window, foreign
-//! conventions) fall back to [`execute_node`] row iteration and are
-//! re-pivoted through the [`RowBatcher`] bridge, so a batched plan
-//! always runs end to end. All kernels are pure per-batch functions
+//! Operators without a batch implementation (Window, IndexSeek,
+//! IndexJoin — which runs its whole same-convention left input on the
+//! row engine too — and foreign conventions) fall back to
+//! [`execute_node`] row iteration and are re-pivoted through the
+//! [`RowBatcher`] bridge, so a batched plan always runs end to end. All kernels are pure per-batch functions
 //! invoked by the streaming drivers — the shape **morsel-driven
 //! parallelism** farms out: when the execution context asks for more
 //! than one worker, the plan builder places the ordered gather over
@@ -449,8 +450,9 @@ fn build_op(rel: &Rel, ctx: &ExecContext) -> Result<BatchOp> {
         // Convert: execute the foreign subtree through the context and
         // stream its rows through the pivot bridge.
         RelOp::Convert { .. } => Ok(Box::new(RowBridgeOp::foreign(rel.clone(), ctx.clone()))),
-        // No batch operator (Window): run the row operator and re-pivot
-        // its output lazily.
+        // No batch operator (Window, IndexSeek, IndexJoin): run the row
+        // operator and re-pivot its output lazily. An IndexJoin's
+        // same-convention left input runs on the row engine with it.
         _ => Ok(Box::new(RowBridgeOp::fallback(rel.clone(), ctx.clone()))),
     }
 }

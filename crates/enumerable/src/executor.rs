@@ -9,12 +9,14 @@
 //! engine is its semantic reference. Tests and benches reach it by
 //! running a connection's optimized plan on an [`ExecContext`] with
 //! [`crate::register_executors`]; operators without a batch kernel
-//! (Window) still run through it behind the batch engine's row bridge.
+//! (Window, IndexSeek, IndexJoin) still run through it behind the batch
+//! engine's row bridge, an IndexJoin with its whole same-convention left
+//! input.
 
 use rcalcite_core::datum::{Datum, Row};
 use rcalcite_core::error::{CalciteError, Result};
 use rcalcite_core::exec::{ConventionExecutor, ExecContext, RowIter};
-use rcalcite_core::index::{seek_rows, BoundProbe, IndexProbe, RowsRef, SeekSpec};
+use rcalcite_core::index::{seek_rows, BoundProbe, IndexProbe, RowsRef};
 use rcalcite_core::rel::{
     AggCall, AggFunc, FrameBound, FrameMode, JoinKind, Rel, RelOp, WinFunc, WindowFn,
 };
@@ -113,7 +115,7 @@ pub fn execute_node(rel: &Rel, ctx: &ExecContext) -> Result<RowIter> {
             seek,
             projection,
         } => {
-            let probes = bind_probes(seek, ctx)?;
+            let probes = seek.bind(|e| ctx.bind(e)?.eval(&[]))?;
             let rows: RowIter = match table.table.index_probe_snapshot(&index.name)? {
                 // Matching rows in table order, deduped across probes: the
                 // rows, in the order, a filtered full scan would produce.
@@ -379,27 +381,6 @@ pub(crate) fn dedup_rows(rows: Vec<Row>) -> Vec<Row> {
     let mut seen = HashSet::new();
     rows.into_iter()
         .filter(|r| seen.insert(r.clone()))
-        .collect()
-}
-
-/// Extracts equi-join key pairs from a condition; returns (left keys,
-/// right keys, residual conjuncts).
-/// Binds a seek spec's constant expressions (literals and prepared-
-/// statement parameters) into concrete probe values.
-pub(crate) fn bind_probes(seek: &SeekSpec, ctx: &ExecContext) -> Result<Vec<BoundProbe>> {
-    let value = |e: &RexNode| -> Result<Datum> { ctx.bind(e)?.eval(&[]) };
-    let bound = |b: &Option<(RexNode, bool)>| -> Result<Option<(Datum, bool)>> {
-        b.as_ref().map(|(e, inc)| Ok((value(e)?, *inc))).transpose()
-    };
-    seek.probes
-        .iter()
-        .map(|p| {
-            Ok(BoundProbe {
-                eq: p.eq.iter().map(value).collect::<Result<_>>()?,
-                lower: bound(&p.lower)?,
-                upper: bound(&p.upper)?,
-            })
-        })
         .collect()
 }
 

@@ -22,7 +22,7 @@ use rcalcite_core::datum::{Datum, Row};
 use rcalcite_core::error::Result;
 use rcalcite_core::exec::{ConventionExecutor, ExecContext};
 use rcalcite_core::explain::explain_with_costs;
-use rcalcite_core::index::{seek_positions, BoundProbe, IndexDef, SeekSpec};
+use rcalcite_core::index::{seek_positions, IndexDef, SeekSpec};
 use rcalcite_core::lattice::{Lattice, LatticeRule};
 use rcalcite_core::metadata::{MetadataProvider, MetadataQuery};
 use rcalcite_core::mv::{Materialization, MaterializedViewRule};
@@ -33,8 +33,9 @@ use rcalcite_core::rel::{Rel, RelNode, RelOp};
 use rcalcite_core::rex::{FunctionRegistry, RexNode};
 use rcalcite_core::rules::{default_logical_rules, index_access_rules, Rule};
 use rcalcite_core::stats::{analyze_table, StatsMdProvider};
+use rcalcite_core::store::Version;
 use rcalcite_core::traits::Convention;
-use rcalcite_core::txn::{DeltaOp, ReadView, Transaction};
+use rcalcite_core::txn::{DeltaOp, Transaction};
 use rcalcite_core::types::{RelType, TypeKind};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -657,8 +658,8 @@ impl Connection {
     /// table serving the transaction's read view. No-op outside a
     /// transaction; tables without MVCC support keep their live scan.
     fn substitute_txn_scans(&self, plan: &Rel) -> Rel {
-        let guard = self.txn.read();
-        match guard.as_ref() {
+        let mut guard = self.txn.write();
+        match guard.as_mut() {
             Some(txn) => substitute_scans(plan, txn),
             None => plan.clone(),
         }
@@ -896,9 +897,9 @@ impl Connection {
                 // transaction's staged rows, not other writers'. Inside a
                 // transaction MV substitution is disabled for the same
                 // reason as queries: the view postdates the snapshot.
-                // The snapshot plans are scoped to the read: they share the
-                // transaction's staged overlay, which staging the new rows
-                // below then rolls forward in place rather than copying.
+                // The snapshot plans are scoped to the read: they pin the
+                // transaction's version, and released, the next read
+                // applies the rows staged below to it in place.
                 let rows = {
                     let substituted = self.substitute_txn_scans(&plan);
                     let physical = if self.in_transaction() {
@@ -1305,8 +1306,8 @@ impl Connection {
                 "table '{qualified}' does not support transactional writes"
             ))
         };
-        let build_ops = |view: &ReadView| -> Result<Vec<DeltaOp>> {
-            let positions = locate_rows(&physical, &logical, view)?;
+        let build_ops = |view: Arc<Version>| -> Result<Vec<DeltaOp>> {
+            let positions = locate_rows(&physical, &logical, &view)?;
             positions
                 .into_iter()
                 .map(|pos| {
@@ -1325,24 +1326,18 @@ impl Connection {
                 })
                 .collect()
         };
+        // `build_ops` releases the view it reads: the next read of an
+        // explicit transaction then applies its writes in place, and
+        // COMMIT holds the only pin on the version it replaces.
         let mut guard = self.txn.write();
         if let Some(txn) = guard.as_mut() {
-            let view = txn.read_view(&qualified).ok_or_else(not_capable)?;
-            let ops = build_ops(&view)?;
-            // The view shares the staged overlay; released, `stage` rolls
-            // the overlay forward in place instead of copying it first.
-            drop(view);
+            let ops = build_ops(txn.read_view(&qualified).ok_or_else(not_capable)?)?;
             return txn.stage(&qualified, ops);
         }
         drop(guard);
         // Autocommit: a single-statement transaction over this table only.
         let mut txn = self.catalog.txns().begin(std::slice::from_ref(&tref));
-        let view = txn.read_view(&qualified).ok_or_else(not_capable)?;
-        let ops = build_ops(&view)?;
-        // Release the read view before COMMIT: it pins the BEGIN-time
-        // version, and apply-time `Arc::make_mut` would deep-copy the
-        // whole table to preserve a snapshot nobody reads again.
-        drop(view);
+        let ops = build_ops(txn.read_view(&qualified).ok_or_else(not_capable)?)?;
         let n = txn.stage(&qualified, ops)?;
         txn.commit()?;
         if n > 0 {
@@ -1545,7 +1540,7 @@ fn would_substitute(plan: &Rel, m: &Materialization) -> bool {
 /// replaced by a [`rcalcite_core::SnapshotTable`] serving the
 /// transaction's read view. The snapshot table keeps the original
 /// schema/name so plans still render recognizably in EXPLAIN.
-fn substitute_scans(plan: &Rel, txn: &Transaction) -> Rel {
+fn substitute_scans(plan: &Rel, txn: &mut Transaction) -> Rel {
     let inputs: Vec<Rel> = plan
         .inputs
         .iter()
@@ -1615,27 +1610,6 @@ fn collect_conditions(plan: &Rel, out: &mut Vec<RexNode>) {
     }
 }
 
-/// Binds a seek's constant expressions into concrete probes; `None` if
-/// any expression isn't evaluable without a row (shouldn't happen once
-/// parameters are rejected, but the fallback path is always correct).
-fn bind_probes(seek: &SeekSpec) -> Option<Vec<BoundProbe>> {
-    let mut out = vec![];
-    for p in &seek.probes {
-        let mut b = BoundProbe::default();
-        for e in &p.eq {
-            b.eq.push(e.eval(&[]).ok()?);
-        }
-        if let Some((e, inclusive)) = &p.lower {
-            b.lower = Some((e.eval(&[]).ok()?, *inclusive));
-        }
-        if let Some((e, inclusive)) = &p.upper {
-            b.upper = Some((e.eval(&[]).ok()?, *inclusive));
-        }
-        out.push(b);
-    }
-    Some(out)
-}
-
 /// Whether every condition evaluates to TRUE on `row` (SQL three-valued
 /// logic: NULL and FALSE both reject).
 fn eval_all(conditions: &[RexNode], row: &Row) -> Result<bool> {
@@ -1647,16 +1621,16 @@ fn eval_all(conditions: &[RexNode], row: &Row) -> Result<bool> {
     Ok(true)
 }
 
-/// Evaluates the locate subplan against a transaction read view,
+/// Evaluates the locate subplan against a transaction's version,
 /// returning matching positions in ascending order. An IndexSeek-shaped
-/// plan probes the view's index — the BEGIN-time index with the
-/// transaction's own staged rows laid over its answers, so a statement
-/// after a write still seeks; any other plan shape (or an index created
-/// after BEGIN) scans the view evaluating the full logical predicate.
-fn locate_rows(physical: &Rel, logical: &Rel, view: &ReadView) -> Result<Vec<usize>> {
+/// plan probes the version's index, which carries the transaction's own
+/// writes; any other plan shape (an index created after BEGIN, or a seek
+/// constant that does not evaluate) scans the version evaluating the
+/// full logical predicate.
+fn locate_rows(physical: &Rel, logical: &Rel, view: &Arc<Version>) -> Result<Vec<usize>> {
     if let Some((Some((index, seek)), residuals)) = analyze_locate(physical) {
         if let Some(probe) = view.index_probe(&index.name) {
-            if let Some(bound) = bind_probes(&seek) {
+            if let Ok(bound) = seek.bind(|e| e.eval(&[])) {
                 let mut out = vec![];
                 for pos in seek_positions(probe.as_ref(), &bound) {
                     if eval_all(&residuals, &view.row(pos))? {
@@ -1670,7 +1644,7 @@ fn locate_rows(physical: &Rel, logical: &Rel, view: &ReadView) -> Result<Vec<usi
     let mut conditions = vec![];
     collect_conditions(logical, &mut conditions);
     let mut out = vec![];
-    for (pos, row) in view.live_rows() {
+    for (pos, row) in Arc::clone(view).into_rows().enumerate() {
         if eval_all(&conditions, &row)? {
             out.push(pos);
         }

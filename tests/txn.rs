@@ -10,6 +10,7 @@ use rcalcite_core::txn::DeltaOp;
 use rcalcite_core::types::{RowTypeBuilder, TypeKind};
 use rcalcite_core::wal::{replay, MemWal, WalWriter};
 use rcalcite_sql::Connection;
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// `bank.accounts`: `n` rows of (id, owner, balance) with balance = 100·id.
@@ -59,7 +60,7 @@ fn all_rows(c: &Connection) -> Vec<Vec<Datum>> {
 
 /// A scan inside a transaction that has written nothing reads the
 /// table's own version — no pivot through rows — and, once the
-/// transaction writes, the overlay.
+/// transaction writes, its own version with the writes applied.
 #[test]
 fn unwritten_transaction_scans_the_tables_own_version() {
     let catalog = seeded_catalog(8);
@@ -712,6 +713,162 @@ fn in_txn_statements_match_committed_ones_across_workers_and_budget() {
             }
         }
     }
+}
+
+/// A tiny deterministic generator (xorshift64), so every run of the
+/// shadow-model test replays the same interleaving.
+struct Rng(u64);
+
+impl Rng {
+    fn below(&mut self, bound: usize) -> usize {
+        self.0 ^= self.0 << 13;
+        self.0 ^= self.0 >> 7;
+        self.0 ^= self.0 << 17;
+        (self.0 % bound as u64) as usize
+    }
+}
+
+/// Read-your-writes against a shadow model. One explicit transaction runs
+/// a seeded interleaving of INSERT, UPDATE (of the indexed key and of the
+/// other columns) and DELETE, rows it inserted itself included, plus one
+/// statement that fails partway and so stages nothing. After every
+/// statement a full scan, an indexed point seek, an indexed range seek
+/// and `COUNT(*)` must equal the model the test keeps: the rows by id.
+#[test]
+fn read_your_writes_match_a_shadow_model() {
+    type Model = BTreeMap<i64, (String, i64)>;
+    let n = 400;
+    let c = conn(seeded_catalog(n));
+    c.query("CREATE INDEX acc_id ON accounts (id)").unwrap();
+    c.query("ANALYZE").unwrap();
+    let point = |k: i64| format!("SELECT id, owner, balance FROM accounts WHERE id = {k}");
+    let range = |lo: i64| {
+        let hi = lo + 12;
+        format!("SELECT id, owner, balance FROM accounts WHERE id >= {lo} AND id < {hi}")
+    };
+    for q in [point(7), range(10)] {
+        let plan = c.explain(&q).unwrap();
+        assert!(plan.contains("IndexSeek"), "{q}: {plan}");
+    }
+    let rows = |model: &Model, keys: &mut dyn Iterator<Item = i64>| -> Vec<Vec<Datum>> {
+        keys.filter_map(|id| {
+            let (owner, balance) = model.get(&id)?;
+            Some(vec![
+                Datum::Int(id),
+                Datum::str(owner),
+                Datum::Int(*balance),
+            ])
+        })
+        .collect()
+    };
+    let check = |model: &Model, k: i64, lo: i64, after: &str| {
+        assert_eq!(
+            all_rows(&c),
+            rows(model, &mut model.keys().copied()),
+            "full scan after `{after}`"
+        );
+        let seek = c.query(&point(k)).unwrap().rows;
+        assert_eq!(
+            seek,
+            rows(model, &mut [k].into_iter()),
+            "seek {k} after `{after}`"
+        );
+        let mut seek = c.query(&range(lo)).unwrap().rows;
+        seek.sort();
+        assert_eq!(
+            seek,
+            rows(model, &mut (lo..lo + 12)),
+            "range {lo} after `{after}`"
+        );
+        let count = c.query("SELECT COUNT(*) FROM accounts").unwrap().rows;
+        assert_eq!(
+            count,
+            vec![vec![Datum::Int(model.len() as i64)]],
+            "count after `{after}`"
+        );
+    };
+
+    let mut model: Model = (0..n)
+        .map(|i| (i, (format!("owner{i}"), 100 * i)))
+        .collect();
+    let mut rng = Rng(0x9E37_79B9_7F4A_7C15);
+    // Fresh ids: inserts from 1000, key rewrites from 5000, so each
+    // stays apart from every seeded and every inserted id.
+    let (mut inserted, mut moved_to) = (1000i64, 5000i64);
+    // Writes that hit a row this transaction inserted, by statement kind.
+    let mut on_mine = [0; 6];
+    c.query("BEGIN").unwrap();
+    for step in 0..150 {
+        // Half the targets are rows this transaction inserted.
+        let mine: Vec<i64> = model.range(1000..5000).map(|(id, _)| *id).collect();
+        let k = if !mine.is_empty() && rng.below(2) == 0 {
+            mine[rng.below(mine.len())]
+        } else {
+            rng.below(n as usize + 10) as i64
+        };
+        let lo = k - rng.below(6) as i64;
+        let (kind, rejected) = (rng.below(6), step == 75);
+        if !rejected && (1000..5000).contains(&k) && model.contains_key(&k) {
+            on_mine[kind] += 1;
+        }
+        let stmt = if rejected {
+            // Fails on its first row whose balance is not 0, 1 or -1.
+            let stmt = format!(
+                "UPDATE accounts SET balance = balance * 4611686018427387904 WHERE id >= {lo}"
+            );
+            let err = c.query(&stmt).unwrap_err();
+            assert!(err.to_string().contains("overflow"), "{err}");
+            stmt
+        } else {
+            let stmt = match kind {
+                0 | 1 => {
+                    let balance = rng.below(1000) as i64;
+                    model.insert(inserted, (format!("new{inserted}"), balance));
+                    inserted += 1;
+                    format!(
+                        "INSERT INTO accounts VALUES ({}, 'new{}', {balance})",
+                        inserted - 1,
+                        inserted - 1
+                    )
+                }
+                2 => {
+                    if let Some((owner, balance)) = model.get_mut(&k) {
+                        *owner = format!("upd{step}");
+                        *balance += 7;
+                    }
+                    format!(
+                        "UPDATE accounts SET balance = balance + 7, owner = 'upd{step}' WHERE id = {k}"
+                    )
+                }
+                3 => {
+                    if let Some(row) = model.remove(&k) {
+                        model.insert(moved_to, row);
+                    }
+                    moved_to += 1;
+                    format!("UPDATE accounts SET id = {} WHERE id = {k}", moved_to - 1)
+                }
+                4 => {
+                    model.remove(&k);
+                    format!("DELETE FROM accounts WHERE id = {k}")
+                }
+                _ => {
+                    for (_, (_, balance)) in model.range_mut(lo..lo + 3) {
+                        *balance -= 1;
+                    }
+                    let hi = lo + 3;
+                    format!(
+                        "UPDATE accounts SET balance = balance - 1 WHERE id >= {lo} AND id < {hi}"
+                    )
+                }
+            };
+            c.query(&stmt).unwrap_or_else(|e| panic!("{stmt}: {e}"));
+            stmt
+        };
+        check(&model, k, lo, &stmt);
+    }
+    assert!(on_mine[2..].iter().all(|n| *n > 0), "{on_mine:?}");
+    c.query("COMMIT").unwrap();
+    assert_eq!(all_rows(&c), rows(&model, &mut model.keys().copied()));
 }
 
 /// Two writers reserve row ids in one order and commit in the other.
