@@ -375,14 +375,19 @@ fn frame(payload: &[u8]) -> Vec<u8> {
 
 /// Frames and appends records, with optional crash injection: at record
 /// number `crash_at` (1-based, counted across the writer's lifetime) the
-/// writer emits only the first half of the frame and then fails this and
-/// every later call — the in-process analogue of the machine dying
-/// mid-write.
+/// writer emits only the first half of the frame and then fails — the
+/// in-process analogue of the machine dying mid-write.
+///
+/// Any failed write closes the writer, an injected crash or a storage
+/// `append`/`sync` error alike: the bytes already handed to storage may
+/// or may not hold the record, so no later record may be acknowledged
+/// after it, and only replay decides the failed commit's outcome.
 pub struct WalWriter {
     storage: Box<dyn WalStorage>,
     records: u64,
     crash_at: Option<u64>,
-    crashed: bool,
+    /// Why the writer closed: the failed write's error.
+    closed: Option<String>,
 }
 
 impl WalWriter {
@@ -396,7 +401,7 @@ impl WalWriter {
             storage,
             records: 0,
             crash_at,
-            crashed: false,
+            closed: None,
         }
     }
 
@@ -414,31 +419,43 @@ impl WalWriter {
 
     /// Frames and appends one record.
     pub fn append(&mut self, record: &WalRecord) -> Result<()> {
-        if self.crashed {
-            return Err(CalciteError::execution("WAL writer crashed; log is closed"));
-        }
+        self.check_open()?;
         let frame = frame(&record.encode()?);
         if self.crash_at == Some(self.records + 1) {
-            self.crashed = true;
             // Half a frame on disk, then the process is "gone".
             let torn = frame.len() / 2;
-            self.storage.append(&frame[..torn.max(1)])?;
+            let _ = self.storage.append(&frame[..torn.max(1)]);
             let _ = self.storage.sync();
-            return Err(CalciteError::execution(format!(
+            return Err(self.close(format!(
                 "simulated crash while writing WAL record {}",
                 self.records + 1
             )));
         }
-        self.storage.append(&frame)?;
+        let appended = self.storage.append(&frame);
+        appended.map_err(|e| self.close(format!("WAL append failed ({e})")))?;
         self.records += 1;
         Ok(())
     }
 
     pub fn sync(&mut self) -> Result<()> {
-        if self.crashed {
-            return Err(CalciteError::execution("WAL writer crashed; log is closed"));
+        self.check_open()?;
+        let synced = self.storage.sync();
+        synced.map_err(|e| self.close(format!("WAL sync failed ({e})")))
+    }
+
+    fn check_open(&self) -> Result<()> {
+        match &self.closed {
+            Some(cause) => Err(CalciteError::execution(format!(
+                "WAL is closed after a failed write ({cause}); replay decides what committed"
+            ))),
+            None => Ok(()),
         }
-        self.storage.sync()
+    }
+
+    fn close(&mut self, cause: String) -> CalciteError {
+        let err = format!("{cause}; the WAL is closed and replay decides this commit's outcome");
+        self.closed = Some(cause);
+        CalciteError::execution(err)
     }
 }
 

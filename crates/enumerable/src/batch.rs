@@ -45,8 +45,8 @@
 //! routes through [`rcalcite_core::rex::eval_op_strict`] (the same code
 //! row evaluation uses), sort routes through
 //! [`crate::executor::compare_datums`], and aggregation reuses the row
-//! executor's accumulators. The differential suite in
-//! `tests/executor_differential.rs` holds the two engines equal.
+//! executor's accumulators. The differential matrix in
+//! `tests/matrix/mod.rs` holds the two engines equal.
 
 use crate::aggregate::{AggSpec, AggregateOp, ParallelAggregateOp, Windows};
 use crate::executor::{compare_datums, compare_nullable, compare_rows, execute_node};
@@ -1093,7 +1093,8 @@ fn eval_strict_vector(e: &RexNode, cols: &[Column], n: usize) -> Result<Column> 
 //
 // Every spilled entry carries a `u64` sequence key reproducing the exact
 // serial output order, so spilling stays byte-identical to in-memory
-// execution (the invariant `tests/spill_differential.rs` pins).
+// execution (the invariant the budget cells of `tests/matrix/mod.rs`
+// pin).
 
 /// Estimated heap footprint of a dense batch, for budget accounting.
 pub(crate) fn batch_bytes(b: &ColumnBatch) -> usize {

@@ -27,7 +27,7 @@ use rcalcite_core::lattice::{Lattice, LatticeRule};
 use rcalcite_core::metadata::{MetadataProvider, MetadataQuery};
 use rcalcite_core::mv::{Materialization, MaterializedViewRule};
 use rcalcite_core::planner::hep::HepPlanner;
-use rcalcite_core::planner::volcano::{FixpointMode, VolcanoPlanner, VolcanoStats};
+use rcalcite_core::planner::volcano::{VolcanoPlanner, VolcanoStats};
 use rcalcite_core::planner::PlannerEngine;
 use rcalcite_core::rel::{Rel, RelNode, RelOp};
 use rcalcite_core::rex::{FunctionRegistry, RexNode};
@@ -198,20 +198,14 @@ pub struct Connection {
     cost_model: Option<Arc<dyn CostModel>>,
     materializations: RwLock<Vec<Materialization>>,
     lattices: Vec<Arc<Lattice>>,
-    mode: FixpointMode,
-    metadata_cache: bool,
     /// Named views (lowercase) created through DDL; expanded inline.
     views: RwLock<std::collections::HashMap<String, Rel>>,
     /// Compiled plans keyed by SQL text, bounded LRU.
     plan_cache: RwLock<PlanCache>,
-    /// The assembled cost-based planner (rules + converters +
-    /// materializations), built once and reused until configuration
-    /// changes.
-    planner: RwLock<Option<Arc<VolcanoPlanner>>>,
-    /// The same planner without the materialized-view substitution rule.
-    /// Transaction-scoped plans, DML locate plans and REFRESH recomputes
-    /// compile through it (see [`Connection::optimize_no_mv`]).
-    planner_no_mv: RwLock<Option<Arc<VolcanoPlanner>>>,
+    /// The assembled cost-based planners, without and with the
+    /// materialized-view substitution rule (see [`Connection::planner`]),
+    /// each built once and reused until configuration changes.
+    planners: RwLock<[Option<Arc<VolcanoPlanner>>; 2]>,
     /// The heuristic normalization phase, fixed for the connection.
     hep: HepPlanner,
     /// Bumped by DDL/INSERT and planner reconfiguration; cached plans
@@ -242,22 +236,18 @@ impl Connection {
             cost_model: None,
             materializations: RwLock::new(vec![]),
             lattices: vec![],
-            mode: FixpointMode::Exhaustive,
-            metadata_cache: true,
             views: RwLock::new(std::collections::HashMap::new()),
             plan_cache: RwLock::new(PlanCache::new(DEFAULT_PLAN_CACHE_CAPACITY)),
-            planner: RwLock::new(None),
-            planner_no_mv: RwLock::new(None),
+            planners: RwLock::new([None, None]),
             hep: HepPlanner::new(default_logical_rules()),
             generation: AtomicU64::new(0),
             txn: RwLock::new(None),
         }
     }
 
-    /// The preferred way to open a connection: picks planner settings,
-    /// plan-cache size, workers and memory budget, and wires the default
-    /// enumerable rules and executor so callers stop hand-registering
-    /// them.
+    /// The preferred way to open a connection: picks plan-cache size,
+    /// workers and memory budget, and wires the default enumerable rules
+    /// and executor so callers stop hand-registering them.
     pub fn builder(catalog: Arc<Catalog>) -> ConnectionBuilder {
         ConnectionBuilder::new(catalog)
     }
@@ -363,19 +353,6 @@ impl Connection {
         self.invalidate_plans();
     }
 
-    /// Switches the cost-based engine's termination mode (§6: exhaustive
-    /// or cost-improvement threshold δ).
-    pub fn set_fixpoint_mode(&mut self, mode: FixpointMode) {
-        self.mode = mode;
-        self.invalidate_planner();
-    }
-
-    /// Disables the metadata cache (for benchmarking its effect).
-    pub fn set_metadata_cache(&mut self, enabled: bool) {
-        self.metadata_cache = enabled;
-        self.invalidate_plans();
-    }
-
     /// Resizes the plan cache (and drops its contents). Capacity 0
     /// disables plan caching: every statement re-plans from scratch.
     pub fn set_plan_cache_capacity(&self, capacity: usize) {
@@ -412,8 +389,7 @@ impl Connection {
 
     fn invalidate_planner_shared(&self) {
         self.invalidate_plans();
-        *self.planner.write() = None;
-        *self.planner_no_mv.write() = None;
+        *self.planners.write() = [None, None];
     }
 
     pub fn metadata_query(&self) -> MetadataQuery {
@@ -430,7 +406,7 @@ impl Connection {
             self.cost_model
                 .clone()
                 .unwrap_or_else(|| Arc::new(rcalcite_core::cost::DefaultCostModel::new())),
-            self.metadata_cache,
+            true,
         )
     }
 
@@ -457,53 +433,36 @@ impl Connection {
         self.invalidate_plans();
     }
 
-    /// The assembled cost-based planner: rules, converter edges and
-    /// materializations. Built on first use and reused across statements
-    /// until the configuration changes — the planner itself is immutable
-    /// during optimization, so sharing it is free.
-    fn planner(&self) -> Arc<VolcanoPlanner> {
-        if let Some(p) = self.planner.read().as_ref() {
+    /// The assembled cost-based planner: rules, lattices, converter edges
+    /// and, when `mv`, materialized-view substitution. Built on first use
+    /// and reused across statements until the configuration changes —
+    /// the planner itself is immutable during optimization, so sharing
+    /// it is free.
+    ///
+    /// Substitution matches scans by table name and a maintained view's
+    /// contents track the *latest* commit, so plans that must read an
+    /// older version — transaction snapshots — and plans that must read
+    /// the base table itself — DML locate plans, REFRESH recomputes (a
+    /// view must never read itself) — compile without it.
+    fn planner(&self, mv: bool) -> Arc<VolcanoPlanner> {
+        if let Some(p) = &self.planners.read()[usize::from(mv)] {
             return p.clone();
         }
         let mut rules = self.rules.clone();
         let mats = self.materializations.read();
-        if !mats.is_empty() {
+        if mv && !mats.is_empty() {
             rules.push(Arc::new(MaterializedViewRule::new(mats.clone())));
         }
         drop(mats);
         if !self.lattices.is_empty() {
             rules.push(Arc::new(LatticeRule::new(self.lattices.clone())));
         }
-        let mut planner = VolcanoPlanner::new(rules).with_mode(self.mode);
+        let mut planner = VolcanoPlanner::new(rules);
         for (from, to) in &self.converters {
             planner.add_converter(from.clone(), to.clone());
         }
         let planner = Arc::new(planner);
-        *self.planner.write() = Some(planner.clone());
-        planner
-    }
-
-    /// The cost-based planner minus the materialized-view substitution
-    /// rule. Substitution matches scans by table name and a maintained
-    /// view's contents track the *latest* commit, so plans that must
-    /// read an older version — transaction snapshots — and plans that
-    /// must read the base table itself — DML locate plans, REFRESH
-    /// recomputes (a view must never read itself) — compile through
-    /// this planner instead.
-    fn planner_no_mv(&self) -> Arc<VolcanoPlanner> {
-        if let Some(p) = self.planner_no_mv.read().as_ref() {
-            return p.clone();
-        }
-        let mut rules = self.rules.clone();
-        if !self.lattices.is_empty() {
-            rules.push(Arc::new(LatticeRule::new(self.lattices.clone())));
-        }
-        let mut planner = VolcanoPlanner::new(rules).with_mode(self.mode);
-        for (from, to) in &self.converters {
-            planner.add_converter(from.clone(), to.clone());
-        }
-        let planner = Arc::new(planner);
-        *self.planner_no_mv.write() = Some(planner.clone());
+        self.planners.write()[usize::from(mv)] = Some(planner.clone());
         planner
     }
 
@@ -517,12 +476,12 @@ impl Connection {
     /// [`Connection::optimize`], also reporting what the cost-based search
     /// spent (memo size, firings, bindings, whether the budget cut it).
     pub fn optimize_with_stats(&self, logical: &Rel) -> Result<(Rel, VolcanoStats)> {
-        self.optimize_through(&self.planner(), logical)
+        self.optimize_through(&self.planner(true), logical)
     }
 
     /// [`Connection::optimize`] without materialized-view substitution.
     fn optimize_no_mv(&self, logical: &Rel) -> Result<Rel> {
-        Ok(self.optimize_through(&self.planner_no_mv(), logical)?.0)
+        Ok(self.optimize_through(&self.planner(false), logical)?.0)
     }
 
     fn optimize_through(
@@ -643,7 +602,7 @@ impl Connection {
         let substituted = self.substitute_txn_scans(&logical);
         // No MV substitution inside a transaction: views track the latest
         // commit, which may postdate this transaction's snapshot.
-        let (physical, search) = self.optimize_through(&self.planner_no_mv(), &substituted)?;
+        let (physical, search) = self.optimize_through(&self.planner(false), &substituted)?;
         Ok(Arc::new(CachedPlan {
             columns,
             physical,
@@ -1775,22 +1734,6 @@ mod tests {
     }
 
     #[test]
-    fn fixpoint_mode_and_cache_toggles_preserve_results() {
-        let mut conn = connection();
-        let sql = "SELECT deptno, SUM(sal) AS total FROM emp GROUP BY deptno ORDER BY deptno";
-        let reference = conn.query(sql).unwrap();
-        conn.set_fixpoint_mode(
-            rcalcite_core::planner::volcano::FixpointMode::CostThreshold {
-                delta: 0.05,
-                patience: 2,
-            },
-        );
-        assert_eq!(conn.query(sql).unwrap(), reference);
-        conn.set_metadata_cache(false);
-        assert_eq!(conn.query(sql).unwrap(), reference);
-    }
-
-    #[test]
     fn errors_propagate() {
         let conn = connection();
         assert!(conn.query("SELECT nope FROM emp").is_err());
@@ -1895,7 +1838,7 @@ mod tests {
         // The same connection with a planner whose budget runs out after
         // the first implementations, before the join orders are explored.
         conn.invalidate_plans();
-        *conn.planner.write() = Some(Arc::new(
+        conn.planners.write()[1] = Some(Arc::new(
             VolcanoPlanner::new(conn.rules.clone()).with_budget(1_000, 12),
         ));
         let cut = conn.explain(sql).unwrap();

@@ -16,7 +16,6 @@ use rcalcite_core::catalog::Catalog;
 use rcalcite_core::datum::{columns_to_rows, Datum, Row};
 use rcalcite_core::error::Result;
 use rcalcite_core::exec::{BatchIter, Parallelism, RowIter, DEFAULT_MORSEL_SIZE};
-use rcalcite_core::planner::volcano::FixpointMode;
 use rcalcite_core::types::RelType;
 use rcalcite_enumerable::EnumerableExecutor;
 use std::collections::VecDeque;
@@ -33,8 +32,6 @@ use std::sync::Arc;
 /// ```
 pub struct ConnectionBuilder {
     catalog: Arc<Catalog>,
-    fixpoint: FixpointMode,
-    metadata_cache: bool,
     plan_cache_capacity: Option<usize>,
     interpreter: bool,
     workers: Option<usize>,
@@ -50,8 +47,6 @@ impl ConnectionBuilder {
     pub fn new(catalog: Arc<Catalog>) -> ConnectionBuilder {
         ConnectionBuilder {
             catalog,
-            fixpoint: FixpointMode::Exhaustive,
-            metadata_cache: true,
             plan_cache_capacity: None,
             interpreter: false,
             workers: None,
@@ -90,18 +85,6 @@ impl ConnectionBuilder {
         self
     }
 
-    /// Sets the cost-based planner's termination mode (§6).
-    pub fn fixpoint_mode(mut self, mode: FixpointMode) -> ConnectionBuilder {
-        self.fixpoint = mode;
-        self
-    }
-
-    /// Enables or disables the planner metadata cache (default: on).
-    pub fn metadata_cache(mut self, enabled: bool) -> ConnectionBuilder {
-        self.metadata_cache = enabled;
-        self
-    }
-
     /// Bounds the compiled-plan LRU (default: 128 entries).
     pub fn plan_cache_capacity(mut self, capacity: usize) -> ConnectionBuilder {
         self.plan_cache_capacity = Some(capacity);
@@ -116,7 +99,7 @@ impl ConnectionBuilder {
     }
 
     /// Builds the connection: enumerable implementation rule plus the
-    /// batch executor, planner configuration applied.
+    /// batch executor.
     ///
     /// Test hook: when the `RCALCITE_TEST_WORKERS` environment variable
     /// is set and neither [`ConnectionBuilder::workers`] nor
@@ -133,8 +116,6 @@ impl ConnectionBuilder {
     /// under a tiny budget and under budget + workers combined.
     pub fn build(self) -> Connection {
         let mut conn = Connection::new(self.catalog);
-        conn.set_fixpoint_mode(self.fixpoint);
-        conn.set_metadata_cache(self.metadata_cache);
         if let Some(cap) = self.plan_cache_capacity {
             conn.set_plan_cache_capacity(cap);
         }

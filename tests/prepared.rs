@@ -371,7 +371,7 @@ fn result_set_streams_limit_one_without_materializing() {
     // LIMIT 1 over a 100k-row table: the cursor pulls one batch, not the
     // table — the acceptance contract of the streaming ResultSet. The
     // contract is the serial pipeline's: bounded parallel prefetch is
-    // `parallel_differential`'s to test.
+    // `differential`'s to test (`morsels_are_not_prefetched_past_limit`).
     const N: i64 = 100_000;
     let table = TrackingTable::new(N);
     let served = table.served.clone();

@@ -1,14 +1,16 @@
 //! Transactions end to end: snapshot isolation over the SQL surface,
 //! UPDATE/DELETE (autocommit and explicit BEGIN/COMMIT/ROLLBACK),
-//! first-committer-wins conflicts, WAL recovery after simulated crashes,
-//! and a workers × memory-budget differential for the write path.
+//! first-committer-wins conflicts, WAL recovery after simulated crashes
+//! and storage faults, and a workers × memory-budget differential for
+//! the write path.
 
 use rcalcite_core::catalog::{Catalog, MemTable, RangeScan, Schema, Table};
 use rcalcite_core::datum::Datum;
+use rcalcite_core::error::{CalciteError, Result as CoreResult};
 use rcalcite_core::exec::collect_batches_to_rows;
 use rcalcite_core::txn::DeltaOp;
 use rcalcite_core::types::{RowTypeBuilder, TypeKind};
-use rcalcite_core::wal::{replay, MemWal, WalWriter};
+use rcalcite_core::wal::{replay, MemWal, WalStorage, WalWriter};
 use rcalcite_sql::Connection;
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -443,6 +445,107 @@ fn env_crash_injection_recovers_committed_prefix() {
     assert_eq!(report.txns, committed, "crash at record {n}");
     let recovered = conn(checkpoint);
     assert_eq!(all_rows(&recovered), all_rows(&c));
+}
+
+/// A storage double over a `MemWal` that fails one call: its `n`th
+/// append (after writing half the bytes, a torn frame) or its `n`th sync.
+struct FaultyWal {
+    mem: MemWal,
+    tear_append: Option<usize>,
+    fail_sync: Option<usize>,
+    appends: usize,
+    syncs: usize,
+}
+
+impl FaultyWal {
+    fn new(tear_append: Option<usize>, fail_sync: Option<usize>) -> FaultyWal {
+        FaultyWal {
+            mem: MemWal::default(),
+            tear_append,
+            fail_sync,
+            appends: 0,
+            syncs: 0,
+        }
+    }
+}
+
+impl WalStorage for FaultyWal {
+    fn append(&mut self, bytes: &[u8]) -> CoreResult<()> {
+        self.appends += 1;
+        if self.tear_append == Some(self.appends) {
+            self.mem.append(&bytes[..bytes.len() / 2])?;
+            return Err(CalciteError::execution("device gone mid-append"));
+        }
+        self.mem.append(bytes)
+    }
+
+    fn sync(&mut self) -> CoreResult<()> {
+        self.syncs += 1;
+        if self.fail_sync == Some(self.syncs) {
+            return Err(CalciteError::execution("fsync reported EIO"));
+        }
+        self.mem.sync()
+    }
+
+    fn contents(&self) -> CoreResult<Vec<u8>> {
+        self.mem.contents()
+    }
+}
+
+/// Four autocommit UPDATEs (balance of id `i` := 1000 + i) over a log
+/// whose storage fails once. The failed commit's error says replay
+/// decides its outcome, no commit is acknowledged after it, and replay
+/// recovers every acknowledged commit and nothing written after the
+/// failure.
+fn assert_storage_fault_closes_the_log(storage: FaultyWal) {
+    let catalog = seeded_catalog(8);
+    let log = storage.mem.clone();
+    catalog.txns().attach_wal(WalWriter::new(Box::new(storage)));
+    let c = conn(catalog);
+    let outcomes: Vec<_> = (0..4i64)
+        .map(|id| {
+            c.query(&format!(
+                "UPDATE accounts SET balance = {} WHERE id = {id}",
+                1000 + id
+            ))
+        })
+        .collect();
+    let failed = outcomes.iter().position(Result::is_err).unwrap();
+    assert!(
+        outcomes[failed..].iter().all(Result::is_err),
+        "a commit was acknowledged after the failed write: {outcomes:?}"
+    );
+    let checkpoint = seeded_catalog(8);
+    replay(&log.handle().lock(), &checkpoint).unwrap();
+    let recovered = conn(checkpoint);
+    for id in 0..failed as i64 {
+        assert_eq!(
+            balance(&recovered, id),
+            Datum::Int(1000 + id),
+            "acknowledged"
+        );
+    }
+    for id in failed as i64 + 1..4 {
+        assert_eq!(balance(&recovered, id), Datum::Int(100 * id), "refused");
+    }
+    let err = outcomes[failed].as_ref().unwrap_err().to_string();
+    assert!(
+        err.contains("replay decides this commit's outcome"),
+        "{err}"
+    );
+}
+
+/// The fifth append is the second commit's UPDATE record: it tears.
+#[test]
+fn torn_append_closes_the_log() {
+    assert_storage_fault_closes_the_log(FaultyWal::new(Some(5), None));
+}
+
+/// The second sync is the second commit's: its record may be durable,
+/// so replay, not the failed statement, decides it.
+#[test]
+fn failed_sync_closes_the_log() {
+    assert_storage_fault_closes_the_log(FaultyWal::new(None, Some(2)));
 }
 
 #[test]
