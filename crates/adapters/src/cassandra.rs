@@ -13,7 +13,7 @@ use rcalcite_backends::kvwide::{CqlQuery, KvWideStore, WideTableDef};
 use rcalcite_core::catalog::{Schema, Statistic, Table};
 use rcalcite_core::datum::Row;
 use rcalcite_core::error::{CalciteError, Result};
-use rcalcite_core::exec::{ConventionExecutor, ExecContext, RowIter};
+use rcalcite_core::exec::{BatchOp, ConventionExecutor, ExecContext, RowsOp};
 use rcalcite_core::rel::{Rel, RelKind, RelOp};
 use rcalcite_core::rules::{Pattern, Rule, RuleCall};
 use rcalcite_core::traits::{Collation, Convention};
@@ -367,7 +367,7 @@ impl ConventionExecutor for CassandraExecutor {
         self.adapter.convention.clone()
     }
 
-    fn execute(&self, rel: &Rel, _ctx: &ExecContext) -> Result<RowIter> {
+    fn execute(&self, rel: &Rel, _ctx: &ExecContext) -> Result<BatchOp> {
         let mut q = CqlQuery {
             allow_filtering: true,
             ..Default::default()
@@ -378,7 +378,7 @@ impl ConventionExecutor for CassandraExecutor {
             self.adapter.log.record(self.to_cql(&q, d));
         }
         let rows = self.adapter.store.execute(&q)?;
-        Ok(Box::new(rows.into_iter()))
+        Ok(Box::new(RowsOp::new(rows, rel.row_type().kinds())))
     }
 }
 

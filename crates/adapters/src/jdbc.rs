@@ -9,7 +9,7 @@ use rcalcite_backends::memdb::{MemDb, SqlQuerySpec};
 use rcalcite_core::catalog::{MemTable, Schema, Statistic, Table};
 use rcalcite_core::datum::Row;
 use rcalcite_core::error::{CalciteError, Result};
-use rcalcite_core::exec::{ConventionExecutor, ExecContext, RowIter};
+use rcalcite_core::exec::{BatchOp, ConventionExecutor, ExecContext, RowsOp};
 use rcalcite_core::rel::{Rel, RelKind, RelOp};
 use rcalcite_core::rules::{Pattern, Rule, RuleCall};
 use rcalcite_core::store::Version;
@@ -290,7 +290,7 @@ impl ConventionExecutor for JdbcExecutor {
         self.adapter.convention.clone()
     }
 
-    fn execute(&self, rel: &Rel, ctx: &ExecContext) -> Result<RowIter> {
+    fn execute(&self, rel: &Rel, ctx: &ExecContext) -> Result<BatchOp> {
         // Record the SQL text shipped to the database (the generated
         // target language of Table 2) — parameterized form, `?` and all,
         // as a JDBC driver would send it.
@@ -300,7 +300,7 @@ impl ConventionExecutor for JdbcExecutor {
         let mut spec = SqlQuerySpec::default();
         self.build_spec(rel, ctx, &mut spec)?;
         let rows = self.adapter.db.execute(&spec)?;
-        Ok(Box::new(rows.into_iter()))
+        Ok(Box::new(RowsOp::new(rows, rel.row_type().kinds())))
     }
 }
 

@@ -11,7 +11,7 @@ use rcalcite_backends::json::Json;
 use rcalcite_core::catalog::{Schema, Statistic, Table};
 use rcalcite_core::datum::{Datum, Row};
 use rcalcite_core::error::{CalciteError, Result};
-use rcalcite_core::exec::{ConventionExecutor, ExecContext, RowIter};
+use rcalcite_core::exec::{BatchOp, ConventionExecutor, ExecContext, RowsOp};
 use rcalcite_core::rel::{Rel, RelKind, RelOp};
 use rcalcite_core::rex::{Op, RexNode};
 use rcalcite_core::rules::{Pattern, Rule, RuleCall};
@@ -261,12 +261,13 @@ impl ConventionExecutor for MongoExecutor {
         self.adapter.convention.clone()
     }
 
-    fn execute(&self, rel: &Rel, _ctx: &ExecContext) -> Result<RowIter> {
+    fn execute(&self, rel: &Rel, _ctx: &ExecContext) -> Result<BatchOp> {
         let mut q = FindQuery::default();
         self.build(rel, &mut q)?;
         self.adapter.log.record(q.to_json().to_string());
         let docs = self.adapter.store.find(&q)?;
-        Ok(Box::new(docs.into_iter().map(|d| vec![json_to_datum(&d)])))
+        let rows = docs.into_iter().map(|d| vec![json_to_datum(&d)]);
+        Ok(Box::new(RowsOp::new(rows, rel.row_type().kinds())))
     }
 }
 

@@ -11,7 +11,7 @@ use rcalcite_backends::logstore::{LogStore, LookupStage, Search, SearchTerm, Sou
 use rcalcite_core::catalog::{Schema, Statistic, Table};
 use rcalcite_core::datum::{Datum, Row};
 use rcalcite_core::error::{CalciteError, Result};
-use rcalcite_core::exec::{ConventionExecutor, ExecContext, RowIter};
+use rcalcite_core::exec::{BatchOp, ConventionExecutor, ExecContext, RowsOp};
 use rcalcite_core::rel::{JoinKind, Rel, RelKind, RelOp};
 use rcalcite_core::rex::{Op, RexNode};
 use rcalcite_core::rules::{Pattern, Rule, RuleCall};
@@ -314,8 +314,8 @@ impl ConventionExecutor for SplunkExecutor {
         self.adapter.convention.clone()
     }
 
-    fn execute(&self, rel: &Rel, ctx: &ExecContext) -> Result<RowIter> {
-        match &rel.op {
+    fn execute(&self, rel: &Rel, ctx: &ExecContext) -> Result<BatchOp> {
+        let rows = match &rel.op {
             RelOp::Join {
                 kind: JoinKind::Inner,
                 condition,
@@ -337,7 +337,7 @@ impl ConventionExecutor for SplunkExecutor {
 
                 // Materialize the foreign side (it arrives via a
                 // converter) and index it — the "lookup table".
-                let ext_rows: Vec<Row> = ctx.execute(right)?.collect();
+                let ext_rows = ctx.execute_collect(right)?;
                 let arity = right.row_type().arity();
                 let mut index: HashMap<Datum, Vec<Row>> = HashMap::new();
                 for r in ext_rows {
@@ -351,18 +351,17 @@ impl ConventionExecutor for SplunkExecutor {
                     arity,
                 };
                 self.adapter.log.record(search.to_spl(Some(&key_field)));
-                let rows = self.adapter.store.search_with_lookup(&search, &lookup)?;
-                Ok(Box::new(rows.into_iter()))
+                self.adapter.store.search_with_lookup(&search, &lookup)?
             }
             _ => {
                 let mut search = Search::default();
                 let mut def = None;
                 self.build_search(rel, &mut search, &mut def)?;
                 self.adapter.log.record(search.to_spl(None));
-                let rows = self.adapter.store.search(&search)?;
-                Ok(Box::new(rows.into_iter()))
+                self.adapter.store.search(&search)?
             }
-        }
+        };
+        Ok(Box::new(RowsOp::new(rows, rel.row_type().kinds())))
     }
 }
 

@@ -269,7 +269,7 @@ mod tests {
         db: &MemDb,
         table: &str,
         batch_size: usize,
-    ) -> Result<Box<dyn rcalcite_core::exec::BatchIter>> {
+    ) -> Result<rcalcite_core::exec::BatchOp> {
         use rcalcite_core::catalog::RangeScan;
         let version = db.table(table).and_then(|t| t.txn_snapshot());
         let version = version.ok_or_else(|| no_table(table))?;
@@ -282,22 +282,22 @@ mod tests {
         let db = db();
         let cols = scan_current(&db, "products", 10)
             .unwrap()
-            .next_batch()
+            .next()
             .unwrap()
             .unwrap();
-        assert_eq!(cols.len(), 3);
-        assert!(matches!(cols[0], Column::Int { .. }));
-        assert!(matches!(cols[1], Column::Str { .. }));
-        assert_eq!(cols[0].len(), 3);
+        assert_eq!(cols.arity(), 3);
+        assert!(matches!(cols.column(0), Column::Int { .. }));
+        assert!(matches!(cols.column(1), Column::Str { .. }));
+        assert_eq!(cols.num_rows(), 3);
         db.insert(
             "products",
             vec![Datum::Int(4), Datum::str("tnt"), Datum::Double(50.0)],
         )
         .unwrap();
         let mut it = scan_current(&db, "products", 10).unwrap();
-        let cols = it.next_batch().unwrap().unwrap();
-        assert_eq!(cols[0].len(), 4);
-        assert_eq!(cols[1].get(3), Datum::str("tnt"));
+        let cols = it.next().unwrap().unwrap();
+        assert_eq!(cols.num_rows(), 4);
+        assert_eq!(cols.column(1).get(3), Datum::str("tnt"));
         assert!(scan_current(&db, "missing", 10).is_err());
     }
 
@@ -305,9 +305,8 @@ mod tests {
     fn version_scan_streams_slices_from_a_snapshot() {
         let db = db();
         let mut it = scan_current(&db, "products", 2).unwrap();
-        assert_eq!(it.arity(), 3);
-        let first = it.next_batch().unwrap().unwrap();
-        assert_eq!(first[0].len(), 2);
+        let first = it.next().unwrap().unwrap();
+        assert_eq!((first.arity(), first.num_rows()), (3, 2));
         // An insert between pulls must not disturb the open scan: it
         // reads from its Arc snapshot.
         db.insert(
@@ -315,12 +314,12 @@ mod tests {
             vec![Datum::Int(4), Datum::str("tnt"), Datum::Double(50.0)],
         )
         .unwrap();
-        let second = it.next_batch().unwrap().unwrap();
-        assert_eq!(second[0].len(), 1);
-        assert!(it.next_batch().unwrap().is_none());
+        let second = it.next().unwrap().unwrap();
+        assert_eq!(second.num_rows(), 1);
+        assert!(it.next().unwrap().is_none());
         // A fresh scan sees the inserted row.
         let mut it = scan_current(&db, "products", 10).unwrap();
-        assert_eq!(it.next_batch().unwrap().unwrap()[0].len(), 4);
+        assert_eq!(it.next().unwrap().unwrap().num_rows(), 4);
         assert!(scan_current(&db, "missing", 2).is_err());
     }
 
@@ -337,10 +336,10 @@ mod tests {
         )
         .unwrap();
         let mut it = snap.clone().scan_range(2, 1, 10).unwrap();
-        let first = it.next_batch().unwrap().unwrap();
-        assert_eq!(first[0].len(), 2);
-        assert_eq!(first[0].get(0), Datum::Int(2));
-        assert!(it.next_batch().unwrap().is_none());
+        let first = it.next().unwrap().unwrap();
+        assert_eq!(first.num_rows(), 2);
+        assert_eq!(first.column(0).get(0), Datum::Int(2));
+        assert!(it.next().unwrap().is_none());
         let now = db.table("products").unwrap().txn_snapshot().unwrap();
         assert_eq!(now.row_count(), 4);
         assert!(db.table("missing").is_none());

@@ -17,7 +17,7 @@ use proptest::prelude::*;
 use rcalcite_backends::memdb::{MemDb, SqlQuerySpec};
 use rcalcite_core::catalog::{MemTable, RangeScan, Table};
 use rcalcite_core::datum::{columns_to_rows, Datum, Row};
-use rcalcite_core::exec::{collect_batches_to_rows, BatchIter};
+use rcalcite_core::exec::drain_rows;
 use rcalcite_core::index::{BoundProbe, IndexData, IndexDef, IndexProbe, RowsRef};
 use rcalcite_core::store::CHUNK_ROWS;
 use rcalcite_core::txn::DeltaOp;
@@ -242,7 +242,7 @@ fn check_against(stores: &Stores, model: &BTreeMap<u64, Row>, what: &str) {
     // The read surfaces of each store: snapshot slices, the version's
     // chunks, the row scan.
     let (mem, db) = (&stores.mem, &stores.db);
-    let drain = |batches: Box<dyn BatchIter>| collect_batches_to_rows(batches).unwrap();
+    let drain = |batches| drain_rows(batches).unwrap();
     let memdb_version = rel.txn_snapshot().unwrap();
     for (store, snapshot, version, scanned) in [
         (

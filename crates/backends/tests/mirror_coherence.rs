@@ -13,7 +13,7 @@
 use proptest::prelude::*;
 use rcalcite_core::catalog::{MemTable, RangeScan, Table};
 use rcalcite_core::datum::{Column, Datum, Row};
-use rcalcite_core::exec::collect_batches_to_rows;
+use rcalcite_core::exec::drain_rows;
 use rcalcite_core::store::CHUNK_ROWS;
 use rcalcite_core::txn::DeltaOp;
 use rcalcite_core::types::{RowTypeBuilder, TypeKind};
@@ -58,7 +58,7 @@ fn pivot(rows: &[Row]) -> Vec<Column> {
 
 fn snapshot_rows(snapshot: Arc<dyn RangeScan>, batch_size: usize) -> Vec<Row> {
     let n = snapshot.row_count();
-    collect_batches_to_rows(snapshot.scan_range(batch_size, 0, n).unwrap()).unwrap()
+    drain_rows(snapshot.scan_range(batch_size, 0, n).unwrap()).unwrap()
 }
 
 /// Every read surface against the row store and a fresh pivot of it.
@@ -78,7 +78,7 @@ fn check_scans(t: &MemTable, what: &str) {
     // A morsel-shaped window of the same snapshot.
     let (start, len) = (rows.len() / 3, rows.len() / 2);
     assert_eq!(
-        collect_batches_to_rows(snapshot.clone().scan_range(4, start, len).unwrap()).unwrap(),
+        drain_rows(snapshot.clone().scan_range(4, start, len).unwrap()).unwrap(),
         rows[start..(start + len).min(rows.len())],
         "snapshot range after {what}"
     );

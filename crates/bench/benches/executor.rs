@@ -185,13 +185,14 @@ fn fused_pipeline(sales: &Rel) -> Rel {
     )
 }
 
-/// Drains the streaming batch iterator, counting live rows batch by
+/// Drains the streaming batch stream, counting live rows batch by
 /// batch — nothing is held beyond the batch in flight.
 fn drain_streaming(plan: &Rel, ctx: &ExecContext) -> usize {
     let mut it = execute_batches(plan, ctx).unwrap();
+    it.open().unwrap();
     let mut n = 0;
-    while let Some(cols) = it.next_batch().unwrap() {
-        n += cols.first().map_or(0, |c| c.len());
+    while let Some(b) = it.next().unwrap() {
+        n += b.live_rows();
     }
     n
 }
@@ -239,7 +240,7 @@ fn bench_executors(c: &mut Criterion) {
     // Streaming batch pulls vs materializing every row at the engine
     // boundary: `batch_fused` above IS the streaming measurement (the
     // same plan drained batch by batch); this case adds the row pivot +
-    // full materialization that the streaming BatchIter avoids.
+    // full materialization that the streaming drain avoids.
     g.bench_with_input(
         BenchmarkId::new("batch_materialized", "filter_project"),
         &pipeline,

@@ -6,7 +6,6 @@
 
 use rcalcite_core::catalog::{Catalog, MemTable, Schema, Statistic};
 use rcalcite_core::datum::Datum;
-use rcalcite_core::error::Result;
 use rcalcite_core::rel::{self, JoinKind, Rel};
 use rcalcite_core::rex::RexNode;
 use rcalcite_core::types::{RelType, RowTypeBuilder, TypeKind};
@@ -153,9 +152,4 @@ pub fn deep_plan(depth: usize, rows: usize) -> Rel {
         );
     }
     plan
-}
-
-/// Runs a query and returns the row count (convenience for benches).
-pub fn run_count(conn: &Connection, sql: &str) -> Result<usize> {
-    Ok(conn.query(sql)?.rows.len())
 }

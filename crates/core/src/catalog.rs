@@ -4,7 +4,7 @@
 
 use crate::datum::Row;
 use crate::error::{CalciteError, Result};
-use crate::exec::BatchIter;
+use crate::exec::BatchOp;
 use crate::index::{IndexDef, IndexProbe};
 use crate::store::Version;
 use crate::traits::{Collation, Convention};
@@ -61,8 +61,10 @@ impl Statistic {
 /// operators ... to execute arbitrary SQL queries against these tables").
 ///
 /// - **Required:** a row type and [`Table::scan`], the row scan. That is
-///   all a row-only adapter implements; the engine pivots its rows into
-///   batches itself.
+///   all a row-only adapter implements, and the only place the contract
+///   speaks rows: the engine pivots them into the [`crate::exec::ColumnBatch`]
+///   stream every execution boundary hands over
+///   ([`crate::exec::RowsOp`]).
 /// - **Columnar:** a table that holds its data as a
 ///   [`crate::store::Version`] returns it from [`Table::txn_snapshot`].
 ///   Every other read then derives from that one `Arc`: the snapshot
@@ -89,8 +91,8 @@ pub trait Table: Send + Sync {
     /// parallel scan and EXPLAIN take one without scanning.
     ///
     /// The default is the [`Table::txn_snapshot`] version itself, shared
-    /// and never copied. `Ok(None)` — no version, or no columns to carry
-    /// a batch's row count — means the engine pivots [`Table::scan`].
+    /// and never copied. `Ok(None)` — no version, or a zero-arity one —
+    /// means the engine pivots [`Table::scan`].
     fn scan_snapshot(&self) -> Result<Option<Arc<dyn RangeScan>>> {
         Ok(self.txn_snapshot().and_then(Version::range_scan))
     }
@@ -190,21 +192,18 @@ pub trait Table: Send + Sync {
 }
 
 /// A consistent, positionally-addressable view of a table taken at scan
-/// open, from which morsel workers slice their claimed row ranges.
-/// Implementations are immutable snapshots (shared behind `Arc`), so
-/// concurrent range scans need no locking.
+/// open, from which the serial scan and morsel workers slice their row
+/// ranges as [`BatchOp`] streams — the same batch contract as every
+/// other execution boundary. Implementations are immutable snapshots
+/// (shared behind `Arc`), so concurrent range scans need no locking.
 pub trait RangeScan: Send + Sync {
     /// Total rows in the snapshot (morsel ranges partition `0..rows`).
     fn row_count(&self) -> usize;
 
-    /// Streams rows `[start, start + len)` as batches of at most
-    /// `batch_size` rows. Out-of-range windows clamp.
-    fn scan_range(
-        self: Arc<Self>,
-        batch_size: usize,
-        start: usize,
-        len: usize,
-    ) -> Result<Box<dyn BatchIter>>;
+    /// Streams rows `[start, start + len)` as dense batches of at most
+    /// `batch_size` rows — an unopened [`BatchOp`], the stream every
+    /// execution boundary hands over. Out-of-range windows clamp.
+    fn scan_range(self: Arc<Self>, batch_size: usize, start: usize, len: usize) -> Result<BatchOp>;
 }
 
 /// A resolved reference to a table in the catalog; carried by scan nodes.
@@ -663,14 +662,11 @@ mod tests {
         assert_eq!(snap.row_count(), 20);
         // A row inserted after the snapshot is invisible to its ranges.
         t.insert(vec![Datum::Int(99)]);
-        let mut it = snap.clone().scan_range(8, 10, 10).unwrap();
-        let mut got = vec![];
-        while let Some(cols) = it.next_batch().unwrap() {
-            for i in 0..cols[0].len() {
-                got.push(cols[0].get(i));
-            }
-        }
-        assert_eq!(got, (10..20).map(Datum::Int).collect::<Vec<_>>());
+        let got = crate::exec::drain_rows(snap.clone().scan_range(8, 10, 10).unwrap()).unwrap();
+        assert_eq!(
+            got,
+            (10..20).map(|i| vec![Datum::Int(i)]).collect::<Vec<_>>()
+        );
         // But a fresh snapshot sees it.
         assert_eq!(t.scan_snapshot().unwrap().unwrap().row_count(), 21);
     }

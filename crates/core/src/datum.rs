@@ -62,13 +62,6 @@ impl Datum {
         matches!(self, Datum::Null)
     }
 
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            Datum::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
-
     pub fn as_int(&self) -> Option<i64> {
         match self {
             Datum::Int(i) => Some(*i),

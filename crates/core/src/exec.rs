@@ -12,7 +12,7 @@
 //! serial order, so a parallel plan's output is byte-identical to serial
 //! execution.
 
-use crate::datum::{columns_to_rows, Column, Datum, Row};
+use crate::datum::{Column, Datum, Row};
 use crate::error::{CalciteError, Result};
 use crate::rel::{Rel, RelOp};
 use crate::traits::Convention;
@@ -22,21 +22,9 @@ use std::sync::mpsc;
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
-/// Iterator of rows produced by an executor.
+/// Iterator of rows: the minimal adapter scan ([`crate::catalog::Table::scan`])
+/// and the row oracle's operators.
 pub type RowIter = Box<dyn Iterator<Item = Row> + Send>;
-
-/// Pull-based stream of column batches — the batch-mode sibling of
-/// [`RowIter`]. Each batch is a vector of equal-length [`Column`]s (one
-/// per output field). Batch-capable executors produce these so operators
-/// can run tight loops over typed vectors instead of paying per-row
-/// dispatch.
-pub trait BatchIter: Send {
-    /// Number of columns in every batch.
-    fn arity(&self) -> usize;
-
-    /// The next batch, or `None` when the stream is exhausted.
-    fn next_batch(&mut self) -> Result<Option<Vec<Column>>>;
-}
 
 /// The operator-level contract for streaming batch engines: a pull-based
 /// tree where `open` prepares an operator to produce (pipeline breakers
@@ -59,6 +47,167 @@ pub trait Operator<B>: Send {
 
 /// A boxed streaming operator.
 pub type BoxOperator<B> = Box<dyn Operator<B>>;
+
+/// A stream of column batches — the one shape data crosses every
+/// execution boundary in: [`ConventionExecutor::execute`],
+/// [`crate::catalog::RangeScan::scan_range`] and the batch engine's
+/// operator tree. Unopened when handed over; the consumer opens it.
+pub type BatchOp = BoxOperator<ColumnBatch>;
+
+/// Target number of rows per batch.
+pub const BATCH_SIZE: usize = 1024;
+
+// A store chunk is a whole number of batches: scans of a table that never
+// deleted serve only full ones.
+const _: () = assert!(crate::store::CHUNK_ROWS.is_multiple_of(BATCH_SIZE));
+
+/// A batch of rows in columnar form: equal-length typed columns plus an
+/// optional selection mask listing the live row indexes. Filters only
+/// update the mask; downstream kernels either consume the mask directly
+/// (the fused projection) or compact (gather the live rows) when they
+/// need dense vectors.
+#[derive(Debug, Clone)]
+pub struct ColumnBatch {
+    /// Physical row count (including filtered-out rows). Kept explicitly
+    /// so zero-arity batches (`SELECT` with no `FROM`) keep their row
+    /// count.
+    len: usize,
+    columns: Vec<Column>,
+    selection: Option<Vec<usize>>,
+}
+
+impl ColumnBatch {
+    /// A batch over dense columns (all rows live).
+    pub fn new(columns: Vec<Column>) -> ColumnBatch {
+        let len = columns.first().map_or(0, Column::len);
+        ColumnBatch::with_len(columns, len)
+    }
+
+    /// A dense batch with an explicit row count (columns may be empty
+    /// for zero-arity rows).
+    pub fn with_len(columns: Vec<Column>, len: usize) -> ColumnBatch {
+        ColumnBatch {
+            len,
+            columns,
+            selection: None,
+        }
+    }
+
+    pub fn from_rows(kinds: &[TypeKind], rows: &[Row]) -> ColumnBatch {
+        let columns = kinds
+            .iter()
+            .enumerate()
+            .map(|(i, k)| Column::from_rows(k, rows, i))
+            .collect();
+        ColumnBatch::with_len(columns, rows.len())
+    }
+
+    pub fn arity(&self) -> usize {
+        self.columns.len()
+    }
+
+    /// Physical rows (dense length).
+    pub fn num_rows(&self) -> usize {
+        self.len
+    }
+
+    /// Live rows (selection-aware).
+    pub fn live_rows(&self) -> usize {
+        self.selection.as_ref().map_or(self.len, Vec::len)
+    }
+
+    pub fn column(&self, i: usize) -> &Column {
+        &self.columns[i]
+    }
+
+    pub fn columns(&self) -> &[Column] {
+        &self.columns
+    }
+
+    /// The live row indexes, or `None` when every row is live.
+    pub fn selection(&self) -> Option<&[usize]> {
+        self.selection.as_deref()
+    }
+
+    pub fn set_selection(&mut self, sel: Vec<usize>) {
+        self.selection = Some(sel);
+    }
+
+    /// Materializes the selection: returns a dense batch containing only
+    /// the live rows. A batch with no mask passes through untouched.
+    pub fn compact(self) -> ColumnBatch {
+        match self.selection {
+            None => self,
+            Some(sel) => ColumnBatch::with_len(
+                self.columns.iter().map(|c| c.gather(&sel)).collect(),
+                sel.len(),
+            ),
+        }
+    }
+
+    /// A contiguous dense sub-batch `[start, start + len)`.
+    pub fn slice(&self, start: usize, len: usize) -> ColumnBatch {
+        debug_assert!(self.selection.is_none());
+        ColumnBatch::with_len(
+            self.columns.iter().map(|c| c.slice(start, len)).collect(),
+            len,
+        )
+    }
+
+    /// Row `i` of a dense batch as datums.
+    pub fn row(&self, i: usize) -> Row {
+        debug_assert!(self.selection.is_none());
+        self.columns.iter().map(|c| c.get(i)).collect()
+    }
+
+    /// The live rows, read through the selection without compacting.
+    pub fn to_rows(&self) -> Vec<Row> {
+        match &self.selection {
+            None => (0..self.len).map(|i| self.row(i)).collect(),
+            Some(sel) => sel
+                .iter()
+                .map(|&i| self.columns.iter().map(|c| c.get(i)).collect())
+                .collect(),
+        }
+    }
+}
+
+/// Concatenates batches into one dense batch (the materialization point
+/// for build sides and full sorts).
+pub fn concat_batches(batches: Vec<ColumnBatch>, arity: usize) -> ColumnBatch {
+    let mut it = batches.into_iter().map(ColumnBatch::compact);
+    let Some(mut acc) = it.next() else {
+        return ColumnBatch::new((0..arity).map(|_| Column::Generic(vec![])).collect());
+    };
+    for b in it {
+        acc.len += b.len;
+        for (dst, src) in acc.columns.iter_mut().zip(b.columns.iter()) {
+            dst.append(src);
+        }
+    }
+    acc
+}
+
+/// Splits one dense batch into [`BATCH_SIZE`]-row chunks.
+pub fn split_to_batches(b: ColumnBatch) -> Vec<ColumnBatch> {
+    if b.len <= BATCH_SIZE {
+        return if b.len == 0 { vec![] } else { vec![b] };
+    }
+    (0..b.len)
+        .step_by(BATCH_SIZE)
+        .map(|start| b.slice(start, BATCH_SIZE.min(b.len - start)))
+        .collect()
+}
+
+/// Opens a batch stream and drains its live rows.
+pub fn drain_rows(mut op: BatchOp) -> Result<Vec<Row>> {
+    op.open()?;
+    let mut rows = vec![];
+    while let Some(b) = op.next()? {
+        rows.extend(b.to_rows());
+    }
+    Ok(rows)
+}
 
 // ---------------------------------------------------------------------
 // The exchange: morsel-driven parallelism over Operator<B>
@@ -399,83 +548,53 @@ impl<B: Send> Operator<B> for ChainOp<B> {
     }
 }
 
-/// A materialized [`BatchIter`] over pre-built batches.
-pub struct VecBatchIter {
-    arity: usize,
-    batches: std::vec::IntoIter<Vec<Column>>,
-}
-
-impl VecBatchIter {
-    pub fn new(arity: usize, batches: Vec<Vec<Column>>) -> VecBatchIter {
-        VecBatchIter {
-            arity,
-            batches: batches.into_iter(),
-        }
-    }
-}
-
-impl BatchIter for VecBatchIter {
-    fn arity(&self) -> usize {
-        self.arity
-    }
-
-    fn next_batch(&mut self) -> Result<Option<Vec<Column>>> {
-        Ok(self.batches.next())
-    }
-}
-
-/// Adapts a [`RowIter`] into a [`BatchIter`] by pivoting `batch_size`
-/// rows at a time into columns of the given kinds — the fallback bridge
-/// for sources without a native columnar path.
-pub struct RowBatcher {
+/// Rows pivoted into batches of [`BATCH_SIZE`], one batch per pull, so a
+/// lazy row source stays lazy. Each batch carries its own length, so rows
+/// without columns (zero-arity plans) keep their count. This is how rows
+/// enter the batch contract: literal rows, row-only tables, adapters'
+/// results and the row oracle's output.
+pub struct RowsOp {
     rows: RowIter,
     kinds: Vec<TypeKind>,
-    batch_size: usize,
 }
 
-impl RowBatcher {
-    pub fn new(rows: RowIter, kinds: Vec<TypeKind>, batch_size: usize) -> RowBatcher {
-        RowBatcher {
-            rows,
+impl RowsOp {
+    pub fn new<I>(rows: I, kinds: Vec<TypeKind>) -> RowsOp
+    where
+        I: IntoIterator<Item = Row>,
+        I::IntoIter: Send + 'static,
+    {
+        RowsOp {
+            rows: Box::new(rows.into_iter()),
             kinds,
-            batch_size: batch_size.max(1),
         }
     }
 }
 
-impl BatchIter for RowBatcher {
-    fn arity(&self) -> usize {
-        self.kinds.len()
-    }
-
-    fn next_batch(&mut self) -> Result<Option<Vec<Column>>> {
+impl Operator<ColumnBatch> for RowsOp {
+    fn next(&mut self) -> Result<Option<ColumnBatch>> {
         let mut cols: Vec<Column> = self
             .kinds
             .iter()
-            .map(|k| Column::for_kind_with_capacity(k, self.batch_size))
+            .map(|k| Column::for_kind_with_capacity(k, BATCH_SIZE))
             .collect();
         let mut n = 0;
-        for row in self.rows.by_ref().take(self.batch_size) {
+        for row in self.rows.by_ref().take(BATCH_SIZE) {
             for (c, d) in cols.iter_mut().zip(row) {
                 c.push(d);
             }
             n += 1;
         }
-        if n == 0 {
-            Ok(None)
-        } else {
-            Ok(Some(cols))
-        }
+        Ok((n > 0).then(|| ColumnBatch::with_len(cols, n)))
     }
 }
 
-/// A [`BatchIter`] over whole-table column vectors, yielding contiguous
+/// A batch stream over whole-table column vectors, yielding contiguous
 /// `batch_size`-row slices one pull at a time. Only the slice being
 /// served is copied; the backing columns are shared (typically behind an
 /// `Arc` snapshot taken by the table).
 pub struct SlicedColumns<S> {
     source: S,
-    arity: usize,
     len: usize,
     pos: usize,
     batch_size: usize,
@@ -483,42 +602,26 @@ pub struct SlicedColumns<S> {
 
 impl<S: AsRef<[Column]> + Send> SlicedColumns<S> {
     pub fn new(source: S, batch_size: usize) -> SlicedColumns<S> {
-        let cols = source.as_ref();
-        let (arity, len) = (cols.len(), cols.first().map_or(0, Column::len));
-        SlicedColumns {
-            source,
-            arity,
-            len,
-            pos: 0,
-            batch_size: batch_size.max(1),
-        }
+        SlicedColumns::new_range(source, batch_size, 0, usize::MAX)
     }
 
     /// A slicer over the row window `[start, start + len)` — the shape a
     /// morsel-driven scan serves: each worker streams its claimed range
     /// of the shared (typically `Arc`-snapshot) columns.
     pub fn new_range(source: S, batch_size: usize, start: usize, len: usize) -> SlicedColumns<S> {
-        let cols = source.as_ref();
-        let arity = cols.len();
-        let total = cols.first().map_or(0, Column::len);
+        let total = source.as_ref().first().map_or(0, Column::len);
         let start = start.min(total);
-        let end = start.saturating_add(len).min(total);
         SlicedColumns {
             source,
-            arity,
-            len: end,
+            len: start.saturating_add(len).min(total),
             pos: start,
             batch_size: batch_size.max(1),
         }
     }
 }
 
-impl<S: AsRef<[Column]> + Send> BatchIter for SlicedColumns<S> {
-    fn arity(&self) -> usize {
-        self.arity
-    }
-
-    fn next_batch(&mut self) -> Result<Option<Vec<Column>>> {
+impl<S: AsRef<[Column]> + Send> Operator<ColumnBatch> for SlicedColumns<S> {
+    fn next(&mut self) -> Result<Option<ColumnBatch>> {
         if self.pos >= self.len {
             return Ok(None);
         }
@@ -530,27 +633,18 @@ impl<S: AsRef<[Column]> + Send> BatchIter for SlicedColumns<S> {
             .map(|c| c.slice(self.pos, take))
             .collect();
         self.pos += take;
-        Ok(Some(cols))
+        Ok(Some(ColumnBatch::with_len(cols, take)))
     }
-}
-
-/// Drains a [`BatchIter`] into rows (errors surface eagerly, matching the
-/// materializing style of the row executors).
-pub fn collect_batches_to_rows(mut it: Box<dyn BatchIter>) -> Result<Vec<Row>> {
-    let mut out = vec![];
-    while let Some(cols) = it.next_batch()? {
-        out.extend(columns_to_rows(&cols));
-    }
-    Ok(out)
 }
 
 /// Executes plan subtrees belonging to one calling convention.
 pub trait ConventionExecutor: Send + Sync {
     fn convention(&self) -> Convention;
 
-    /// Executes `rel` (whose convention is this executor's). Children in
-    /// foreign conventions are executed through `ctx`.
-    fn execute(&self, rel: &Rel, ctx: &ExecContext) -> Result<RowIter>;
+    /// Executes `rel` (whose convention is this executor's) as an
+    /// unopened batch stream. Children in foreign conventions are executed
+    /// through `ctx`.
+    fn execute(&self, rel: &Rel, ctx: &ExecContext) -> Result<BatchOp>;
 }
 
 /// Registry of executors, one per convention, plus the dynamic-parameter
@@ -660,19 +754,15 @@ impl ExecContext {
         }
     }
 
-    pub fn has_convention(&self, conv: &Convention) -> bool {
-        self.executors.contains_key(conv)
-    }
-
     pub fn conventions(&self) -> Vec<Convention> {
         self.executors.keys().cloned().collect()
     }
 
     /// Executes a plan node, dispatching on its convention. `Convert`
     /// nodes are handled here: they execute their input in its own
-    /// convention and pass rows through (the iterator interface *is* the
+    /// convention and pass its batches through (the stream *is* the
     /// transfer).
-    pub fn execute(&self, rel: &Rel) -> Result<RowIter> {
+    pub fn execute(&self, rel: &Rel) -> Result<BatchOp> {
         if let RelOp::Convert { .. } = &rel.op {
             return self.execute(rel.input(0));
         }
@@ -688,7 +778,7 @@ impl ExecContext {
 
     /// Executes and materializes all rows.
     pub fn execute_collect(&self, rel: &Rel) -> Result<Vec<Row>> {
-        Ok(self.execute(rel)?.collect())
+        drain_rows(self.execute(rel)?)
     }
 }
 
@@ -706,9 +796,12 @@ mod tests {
         fn convention(&self) -> Convention {
             self.0.clone()
         }
-        fn execute(&self, rel: &Rel, _ctx: &ExecContext) -> Result<RowIter> {
+        fn execute(&self, rel: &Rel, _ctx: &ExecContext) -> Result<BatchOp> {
             match &rel.op {
-                RelOp::Scan { table } => table.table.scan(),
+                RelOp::Scan { table } => Ok(Box::new(RowsOp::new(
+                    table.table.scan()?,
+                    table.table.row_type().kinds(),
+                ))),
                 other => Err(CalciteError::execution(format!(
                     "ScanOnly cannot execute {other:?}"
                 ))),
@@ -741,8 +834,8 @@ mod tests {
     }
 
     #[test]
-    fn row_batcher_pivots_and_round_trips() {
-        let rows: Vec<Row> = (0..10)
+    fn rows_op_pivots_and_round_trips() {
+        let rows: Vec<Row> = (0..2500)
             .map(|i| {
                 vec![
                     Datum::Int(i),
@@ -755,24 +848,20 @@ mod tests {
             })
             .collect();
         let kinds = vec![TypeKind::Integer, TypeKind::Varchar];
-        let mut it = RowBatcher::new(Box::new(rows.clone().into_iter()), kinds, 4);
-        assert_eq!(it.arity(), 2);
-        let b1 = it.next_batch().unwrap().unwrap();
-        assert_eq!(b1[0].len(), 4);
-        let mut collected = columns_to_rows(&b1);
-        while let Some(b) = it.next_batch().unwrap() {
-            collected.extend(columns_to_rows(&b));
+        let mut op = RowsOp::new(rows.clone(), kinds);
+        let b1 = op.next().unwrap().unwrap();
+        assert_eq!((b1.arity(), b1.num_rows()), (2, BATCH_SIZE));
+        assert!(matches!(b1.column(0), Column::Int { .. }));
+        let mut collected = b1.to_rows();
+        while let Some(b) = op.next().unwrap() {
+            collected.extend(b.to_rows());
         }
         assert_eq!(collected, rows);
-    }
-
-    #[test]
-    fn vec_batch_iter_collects() {
-        let col = Column::from_datums(&TypeKind::Integer, vec![Datum::Int(1), Datum::Int(2)]);
-        let it = VecBatchIter::new(1, vec![vec![col.clone()], vec![col]]);
-        let rows = collect_batches_to_rows(Box::new(it)).unwrap();
-        assert_eq!(rows.len(), 4);
-        assert_eq!(rows[3], vec![Datum::Int(2)]);
+        // Rows without columns keep their count.
+        let mut op = RowsOp::new(vec![vec![]; 2500], vec![]);
+        let sizes: Vec<usize> =
+            std::iter::from_fn(|| op.next().unwrap().map(|b| b.num_rows())).collect();
+        assert_eq!(sizes, vec![BATCH_SIZE, BATCH_SIZE, 452]);
     }
 
     #[test]
@@ -798,9 +887,8 @@ mod tests {
     fn sliced_columns_serves_bounded_slices() {
         let col = Column::from_datums(&TypeKind::Integer, (0..10).map(Datum::Int));
         let mut it = SlicedColumns::new(vec![col], 4);
-        assert_eq!(it.arity(), 1);
         let sizes: Vec<usize> =
-            std::iter::from_fn(|| it.next_batch().unwrap().map(|cols| cols[0].len())).collect();
+            std::iter::from_fn(|| it.next().unwrap().map(|b| b.num_rows())).collect();
         assert_eq!(sizes, vec![4, 4, 2]);
     }
 
@@ -920,18 +1008,14 @@ mod tests {
     #[test]
     fn sliced_columns_range_serves_a_window() {
         let col = Column::from_datums(&TypeKind::Integer, (0..10).map(Datum::Int));
-        let mut it = SlicedColumns::new_range(vec![col], 3, 4, 5);
-        let mut rows = vec![];
-        while let Some(cols) = it.next_batch().unwrap() {
-            rows.extend(columns_to_rows(&cols));
-        }
+        let it = SlicedColumns::new_range(vec![col], 3, 4, 5);
         let expect: Vec<Row> = (4..9).map(|i| vec![Datum::Int(i)]).collect();
-        assert_eq!(rows, expect);
+        assert_eq!(drain_rows(Box::new(it)).unwrap(), expect);
         // Out-of-bounds windows clamp.
         let col = Column::from_datums(&TypeKind::Integer, (0..4).map(Datum::Int));
         let mut it = SlicedColumns::new_range(vec![col], 8, 2, 100);
-        assert_eq!(it.next_batch().unwrap().unwrap()[0].len(), 2);
-        assert!(it.next_batch().unwrap().is_none());
+        assert_eq!(it.next().unwrap().unwrap().num_rows(), 2);
+        assert!(it.next().unwrap().is_none());
     }
 
     #[test]

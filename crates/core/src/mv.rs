@@ -274,11 +274,6 @@ impl Rule for MaterializedViewRule {
     }
 }
 
-/// Convenience: wraps materializations in an `Arc<dyn Rule>`.
-pub fn materialized_view_rule(mats: Vec<Materialization>) -> Arc<dyn Rule> {
-    Arc::new(MaterializedViewRule::new(mats))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -23,7 +23,7 @@
 use crate::catalog::RangeScan;
 use crate::datum::{insert_sorted, remove_sorted, Column, Datum, Row};
 use crate::error::{CalciteError, Result};
-use crate::exec::BatchIter;
+use crate::exec::{BatchOp, ColumnBatch, Operator};
 use crate::index::{IndexData, IndexDef, IndexProbe, KeyAccess, SnapshotProbe};
 use crate::stats::{analyze_chunks, TableStats};
 use crate::txn::{DeltaOp, NetDelta};
@@ -232,10 +232,9 @@ impl Version {
     }
 
     /// This version as the columnar snapshot scans slice, zero-copy — or
-    /// `None` for a zero-arity version, which has no column to carry a
-    /// batch's row count: its rows stay on the row surface. The one
-    /// zero-arity guard, behind the default
-    /// [`crate::catalog::Table::scan_snapshot`].
+    /// `None` for a zero-arity version, whose rows stay on the row
+    /// surface (the engine counts them into batches). The one zero-arity
+    /// guard, behind the default [`crate::catalog::Table::scan_snapshot`].
     pub fn range_scan(self: Arc<Self>) -> Option<Arc<dyn RangeScan>> {
         (!self.kinds.is_empty()).then_some(self as Arc<dyn RangeScan>)
     }
@@ -463,12 +462,7 @@ impl RangeScan for Version {
         self.len()
     }
 
-    fn scan_range(
-        self: Arc<Self>,
-        batch_size: usize,
-        start: usize,
-        len: usize,
-    ) -> Result<Box<dyn BatchIter>> {
+    fn scan_range(self: Arc<Self>, batch_size: usize, start: usize, len: usize) -> Result<BatchOp> {
         let pos = start.min(self.len());
         Ok(Box::new(ChunkScan {
             end: pos.saturating_add(len).min(self.len()),
@@ -492,12 +486,8 @@ struct ChunkScan {
     batch_size: usize,
 }
 
-impl BatchIter for ChunkScan {
-    fn arity(&self) -> usize {
-        self.version.kinds.len()
-    }
-
-    fn next_batch(&mut self) -> Result<Option<Vec<Column>>> {
+impl Operator<ColumnBatch> for ChunkScan {
+    fn next(&mut self) -> Result<Option<ColumnBatch>> {
         if self.pos >= self.end {
             return Ok(None);
         }
@@ -512,7 +502,10 @@ impl BatchIter for ChunkScan {
         let off = self.pos - starts[self.chunk];
         let columns = &self.version.chunks[self.chunk].columns;
         self.pos += take;
-        Ok(Some(columns.iter().map(|c| c.slice(off, take)).collect()))
+        Ok(Some(ColumnBatch::with_len(
+            columns.iter().map(|c| c.slice(off, take)).collect(),
+            take,
+        )))
     }
 }
 
@@ -551,7 +544,7 @@ mod tests {
 
     fn scan(v: &Arc<Version>, batch_size: usize, start: usize, len: usize) -> Vec<Row> {
         let it = Arc::clone(v).scan_range(batch_size, start, len).unwrap();
-        crate::exec::collect_batches_to_rows(it).unwrap()
+        crate::exec::drain_rows(it).unwrap()
     }
 
     /// Everything a version answers, against the `(id, row)` model it

@@ -502,11 +502,6 @@ impl TxnManager {
         *self.wal.lock() = Some(writer);
     }
 
-    /// Detaches and returns the WAL writer, if any.
-    pub fn detach_wal(&self) -> Option<WalWriter> {
-        self.wal.lock().take()
-    }
-
     /// Runs `f` while holding the commit lock, so no transaction can
     /// commit (and no BEGIN can capture a snapshot) during it. Used by
     /// operations that must observe or replace multi-table state

@@ -195,6 +195,12 @@ impl RowType {
         self.fields.iter().map(|f| f.name.as_str()).collect()
     }
 
+    /// The type kind of every field, in order: the column kinds of this
+    /// row type's batches.
+    pub fn kinds(&self) -> Vec<TypeKind> {
+        self.fields.iter().map(|f| f.ty.kind.clone()).collect()
+    }
+
     /// Concatenation of two row types, as produced by a join.
     pub fn join(&self, right: &RowType) -> RowType {
         let mut fields = self.fields.clone();

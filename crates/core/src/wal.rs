@@ -412,11 +412,6 @@ impl WalWriter {
         self
     }
 
-    /// Records written successfully so far.
-    pub fn records_written(&self) -> u64 {
-        self.records
-    }
-
     /// Frames and appends one record.
     pub fn append(&mut self, record: &WalRecord) -> Result<()> {
         self.check_open()?;

@@ -4,13 +4,15 @@
 //! at a time, merged exactly across parallel partials and spill chunks,
 //! and finished straight into output columns.
 
-use crate::batch::{split_to_batches, BatchOp, ColumnBatch, SourceSeed};
+use crate::batch::SourceSeed;
 use crate::executor::{add_datums, compare_datums, Acc};
 use crate::keys::{null_rows, KeySet};
 use rcalcite_core::buffer::{ByteReader, ByteWriter, MemoryReservation, SpillEnv, SpillFile};
 use rcalcite_core::datum::{Column, Datum};
 use rcalcite_core::error::{CalciteError, Result};
-use rcalcite_core::exec::{Operator, OrderedGatherOp, Parallelism};
+use rcalcite_core::exec::{
+    split_to_batches, BatchOp, ColumnBatch, Operator, OrderedGatherOp, Parallelism,
+};
 use rcalcite_core::rel::AggCall;
 use rcalcite_core::traits::FieldCollation;
 use rcalcite_core::types::TypeKind;

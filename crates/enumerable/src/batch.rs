@@ -6,12 +6,12 @@
 //! pull-based tree of streaming operators (the [`Operator`] open/next
 //! contract from `rcalcite_core::exec`), each pulling one
 //! [`ColumnBatch`] — typed column vectors of up to [`BATCH_SIZE`] rows
-//! with a selection mask — at a time from its child. Scan, Values,
-//! Filter, Project, Union and Delta are fully pipelined (memory stays
-//! bounded by the pipeline depth, not the table size); HashJoin,
-//! Aggregate, Sort, Intersect and Minus are build-then-stream: only the
-//! build side / operator state materializes, and results stream out in
-//! batches.
+//! with a selection mask and its own row count — at a time from its
+//! child. Scan, Values, Filter, Project, Union and Delta are fully
+//! pipelined (memory stays bounded by the pipeline depth, not the table
+//! size); HashJoin, Aggregate, Sort, Intersect and Minus are
+//! build-then-stream: only the build side / operator state
+//! materializes, and results stream out in batches.
 //!
 //! Two physical optimizations ride on the streaming shape:
 //!
@@ -25,11 +25,14 @@
 //!   pure `LIMIT`/`OFFSET` (empty collation) streams and stops pulling
 //!   its child as soon as the limit is satisfied.
 //!
-//! Operators without a batch implementation (Window, IndexSeek,
+//! Every boundary speaks the same `BoxOperator<ColumnBatch>`: a table
+//! snapshot's `scan_range`, a foreign child (the stream its executor
+//! returns through the context) and [`execute_batches`] itself. Rows
+//! enter only through [`RowsOp`] — literal rows, row-only tables, and
+//! operators without a batch implementation (Window, IndexSeek,
 //! IndexJoin — which runs its whole same-convention left input on the
-//! row engine too — and foreign conventions) fall back to
-//! [`execute_node`] row iteration and are re-pivoted through the
-//! [`RowBatcher`] bridge, so a batched plan always runs end to end. All kernels are pure per-batch functions
+//! row engine too), whose [`execute_node`] rows it pivots lazily, so a
+//! batched plan always runs end to end. All kernels are pure per-batch functions
 //! invoked by the streaming drivers — the shape **morsel-driven
 //! parallelism** farms out: when the execution context asks for more
 //! than one worker, the plan builder places the ordered gather over
@@ -57,277 +60,36 @@ use rcalcite_core::catalog::{RangeScan, TableRef};
 use rcalcite_core::datum::{Column, Datum, Row};
 use rcalcite_core::error::{CalciteError, Result};
 use rcalcite_core::exec::{
-    BatchIter, BoxOperator, ChainOp, ExchangeItem, ExecContext, FilterMapOp, Operator,
-    OrderedGatherOp, Parallelism, RowBatcher, RowIter,
+    concat_batches, split_to_batches, BatchOp, BatchesOp, BoxOperator, ChainOp, ColumnBatch,
+    ExchangeItem, ExecContext, FilterMapOp, Operator, OrderedGatherOp, Parallelism, RowsOp,
+    BATCH_SIZE,
 };
 use rcalcite_core::metadata::{window_start_field, MetadataQuery};
 use rcalcite_core::rel::{Rel, RelOp};
 use rcalcite_core::rex::{eval_op_strict, BuiltinFn, Op, RexNode};
 use rcalcite_core::traits::{Collation, FieldCollation};
-use rcalcite_core::types::{RowType, TypeKind};
+use rcalcite_core::types::TypeKind;
 use std::cmp::Ordering;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicUsize, Ordering as AtomicOrdering};
 use std::sync::Arc;
-
-/// Target number of rows per batch.
-pub const BATCH_SIZE: usize = 1024;
-
-// A store chunk is a whole number of batches: scans of a table that never
-// deleted serve only full ones.
-const _: () = assert!(rcalcite_core::store::CHUNK_ROWS.is_multiple_of(BATCH_SIZE));
-
-/// A boxed streaming operator over column batches — one node of the
-/// physical operator tree.
-pub type BatchOp = BoxOperator<ColumnBatch>;
-
-/// A batch of rows in columnar form: equal-length typed columns plus an
-/// optional selection mask listing the live row indexes. Filters only
-/// update the mask; downstream kernels either consume the mask directly
-/// (the fused projection) or compact (gather the live rows) when they
-/// need dense vectors.
-#[derive(Debug, Clone)]
-pub struct ColumnBatch {
-    /// Physical row count (including filtered-out rows). Kept explicitly
-    /// so zero-arity batches (`SELECT` with no `FROM`) keep their row
-    /// count.
-    len: usize,
-    columns: Vec<Column>,
-    selection: Option<Vec<usize>>,
-}
-
-impl ColumnBatch {
-    /// A batch over dense columns (all rows live).
-    pub fn new(columns: Vec<Column>) -> ColumnBatch {
-        let len = columns.first().map_or(0, Column::len);
-        ColumnBatch {
-            len,
-            columns,
-            selection: None,
-        }
-    }
-
-    /// A dense batch with an explicit row count (columns may be empty
-    /// for zero-arity rows).
-    pub(crate) fn with_len(columns: Vec<Column>, len: usize) -> ColumnBatch {
-        ColumnBatch {
-            len,
-            columns,
-            selection: None,
-        }
-    }
-
-    /// A zero-column batch of `len` rows.
-    pub fn zero_arity(len: usize) -> ColumnBatch {
-        ColumnBatch {
-            len,
-            columns: vec![],
-            selection: None,
-        }
-    }
-
-    pub fn from_rows(kinds: &[TypeKind], rows: &[Row]) -> ColumnBatch {
-        let columns = kinds
-            .iter()
-            .enumerate()
-            .map(|(i, k)| Column::from_rows(k, rows, i))
-            .collect();
-        ColumnBatch {
-            len: rows.len(),
-            columns,
-            selection: None,
-        }
-    }
-
-    pub fn arity(&self) -> usize {
-        self.columns.len()
-    }
-
-    /// Physical rows (dense length).
-    pub fn num_rows(&self) -> usize {
-        self.len
-    }
-
-    /// Live rows (selection-aware).
-    pub fn live_rows(&self) -> usize {
-        self.selection.as_ref().map_or(self.len, Vec::len)
-    }
-
-    pub fn column(&self, i: usize) -> &Column {
-        &self.columns[i]
-    }
-
-    pub fn set_selection(&mut self, sel: Vec<usize>) {
-        self.selection = Some(sel);
-    }
-
-    /// Materializes the selection: returns a dense batch containing only
-    /// the live rows. A batch with no mask passes through untouched.
-    pub fn compact(self) -> ColumnBatch {
-        match self.selection {
-            None => self,
-            Some(sel) => ColumnBatch {
-                len: sel.len(),
-                columns: self.columns.iter().map(|c| c.gather(&sel)).collect(),
-                selection: None,
-            },
-        }
-    }
-
-    /// A contiguous dense sub-batch `[start, start + len)`.
-    pub(crate) fn slice(&self, start: usize, len: usize) -> ColumnBatch {
-        debug_assert!(self.selection.is_none());
-        ColumnBatch {
-            len,
-            columns: self.columns.iter().map(|c| c.slice(start, len)).collect(),
-            selection: None,
-        }
-    }
-
-    /// Row `i` of a dense batch as datums.
-    pub(crate) fn row(&self, i: usize) -> Row {
-        debug_assert!(self.selection.is_none());
-        self.columns.iter().map(|c| c.get(i)).collect()
-    }
-
-    pub fn to_rows(&self) -> Vec<Row> {
-        match &self.selection {
-            None => (0..self.len).map(|i| self.row(i)).collect(),
-            Some(sel) => sel
-                .iter()
-                .map(|&i| self.columns.iter().map(|c| c.get(i)).collect())
-                .collect(),
-        }
-    }
-}
-
-// ---------------------------------------------------------------------
-// Engine entry points
-// ---------------------------------------------------------------------
-
-/// Executes a plan through the streaming batch tree and flattens the
-/// result to a row iterator (the engine-boundary interface). Rows are
-/// materialized here so evaluation errors surface eagerly, matching the
-/// row executor's behavior at the same boundary; the tree underneath
-/// still pipelines, so inputs never materialize wholesale.
-pub fn execute_node_batched(rel: &Rel, ctx: &ExecContext) -> Result<RowIter> {
-    let mut op = build_op_auto(rel, ctx)?;
-    op.open()?;
-    let mut rows: Vec<Row> = vec![];
-    while let Some(b) = op.next()? {
-        rows.extend(b.to_rows());
-    }
-    Ok(Box::new(rows.into_iter()))
-}
-
-/// Executes a plan and exposes the result as a streaming [`BatchIter`]
-/// of dense column batches: each `next_batch` pulls one batch through
-/// the operator tree, so consumers control how much is in flight.
-///
-/// Caveat: a `Vec<Column>` batch cannot carry a row count without
-/// columns, so zero-arity plans (`SELECT` with no `FROM`) lose their
-/// row count at this boundary — use [`execute_node_batched`] (which
-/// tracks lengths through [`ColumnBatch`]) for those.
-pub fn execute_batches(rel: &Rel, ctx: &ExecContext) -> Result<Box<dyn BatchIter>> {
-    let arity = rel.row_type().arity();
-    let mut op = build_op_auto(rel, ctx)?;
-    op.open()?;
-    Ok(Box::new(OpBatchIter { op, arity }))
-}
-
-/// Adapts the operator tree to the engine-boundary [`BatchIter`]
-/// (compacting each batch's selection into dense columns).
-struct OpBatchIter {
-    op: BatchOp,
-    arity: usize,
-}
-
-impl BatchIter for OpBatchIter {
-    fn arity(&self) -> usize {
-        self.arity
-    }
-
-    fn next_batch(&mut self) -> Result<Option<Vec<Column>>> {
-        Ok(self.op.next()?.map(|b| b.compact().columns))
-    }
-}
-
-fn kinds_of(row_type: &RowType) -> Vec<TypeKind> {
-    row_type.fields.iter().map(|f| f.ty.kind.clone()).collect()
-}
-
-/// Chunks materialized rows into batches via the core [`RowBatcher`]
-/// bridge (one shared row→column pivot implementation). Used for the
-/// bounded outputs of build-then-stream operators.
-fn rebatch_rows(rows: Vec<Row>, kinds: &[TypeKind]) -> Vec<ColumnBatch> {
-    if rows.is_empty() {
-        return vec![];
-    }
-    if kinds.is_empty() {
-        return vec![ColumnBatch::zero_arity(rows.len())];
-    }
-    let mut batcher = RowBatcher::new(Box::new(rows.into_iter()), kinds.to_vec(), BATCH_SIZE);
-    let mut out = vec![];
-    while let Some(cols) = batcher
-        .next_batch()
-        .expect("RowBatcher pivoting is infallible")
-    {
-        out.push(ColumnBatch::new(cols));
-    }
-    out
-}
-
-/// Concatenates batches into one dense batch (the materialization point
-/// for build sides and full sorts).
-pub(crate) fn concat_batches(batches: Vec<ColumnBatch>, arity: usize) -> ColumnBatch {
-    let mut it = batches.into_iter().map(ColumnBatch::compact);
-    let Some(mut acc) = it.next() else {
-        return ColumnBatch {
-            len: 0,
-            columns: (0..arity).map(|_| Column::Generic(vec![])).collect(),
-            selection: None,
-        };
-    };
-    for b in it {
-        acc.len += b.len;
-        for (dst, src) in acc.columns.iter_mut().zip(b.columns.iter()) {
-            dst.append(src);
-        }
-    }
-    acc
-}
-
-/// Splits one dense batch into `BATCH_SIZE`-row chunks.
-pub(crate) fn split_to_batches(b: ColumnBatch) -> Vec<ColumnBatch> {
-    if b.len <= BATCH_SIZE {
-        return if b.len == 0 { vec![] } else { vec![b] };
-    }
-    let mut out = Vec::with_capacity(b.len.div_ceil(BATCH_SIZE));
-    let mut start = 0;
-    while start < b.len {
-        let take = BATCH_SIZE.min(b.len - start);
-        out.push(b.slice(start, take));
-        start += take;
-    }
-    out
-}
 
 // ---------------------------------------------------------------------
 // Plan → operator tree
 // ---------------------------------------------------------------------
 
 /// Compiles a plan node into its streaming operator, mirroring the
-/// dispatch structure of [`execute_node`]: children in foreign
-/// conventions are routed through the context and re-pivoted lazily.
+/// dispatch structure of [`execute_node`]: a child in a foreign
+/// convention is the stream its executor returns through the context.
 fn build_op(rel: &Rel, ctx: &ExecContext) -> Result<BatchOp> {
     let child = |i: usize| -> Result<BatchOp> { build_input(rel, i, ctx) };
     match &rel.op {
         RelOp::Scan { table } => Ok(Box::new(ScanOp {
             table: table.clone(),
-            state: None,
+            batches: None,
         })),
         RelOp::Values { tuples, row_type } => {
-            Ok(Box::new(ValuesOp::new(tuples.clone(), kinds_of(row_type))))
+            Ok(Box::new(RowsOp::new(tuples.clone(), row_type.kinds())))
         }
         // Expressions resolve their dynamic parameters against the
         // context's bindings before entering a kernel, so the compiled
@@ -354,16 +116,16 @@ fn build_op(rel: &Rel, ctx: &ExecContext) -> Result<BatchOp> {
             rel.input(1).row_type().arity(),
             *kind,
             ctx.bind(condition)?,
-            kinds_of(rel.input(0).row_type()),
-            kinds_of(rel.input(1).row_type()),
-            kinds_of(rel.row_type()),
+            rel.input(0).row_type().kinds(),
+            rel.input(1).row_type().kinds(),
+            rel.row_type().kinds(),
             ctx.spill_env().clone(),
         ))),
         RelOp::Aggregate { group, aggs } => {
             let spec = AggSpec {
                 group: group.clone(),
                 aggs: aggs.clone(),
-                out_kinds: kinds_of(rel.row_type()),
+                out_kinds: rel.row_type().kinds(),
                 spill: ctx.spill_env().clone(),
             };
             // A group key the input ascends on lets finished windows
@@ -398,13 +160,13 @@ fn build_op(rel: &Rel, ctx: &ExecContext) -> Result<BatchOp> {
                     collation.clone(),
                     offset.unwrap_or(0),
                     *f,
-                    kinds_of(rel.row_type()),
+                    rel.row_type().kinds(),
                 ))),
                 None => Ok(Box::new(FullSortOp::new(
                     input,
                     collation.clone(),
                     offset.unwrap_or(0),
-                    kinds_of(rel.row_type()),
+                    rel.row_type().kinds(),
                     ctx.spill_env().clone(),
                 ))),
             }
@@ -423,7 +185,8 @@ fn build_op(rel: &Rel, ctx: &ExecContext) -> Result<BatchOp> {
                 let mut seen = KeySet::default();
                 Ok(Box::new(FilterMapOp::new(chain, move |b: ColumnBatch| {
                     let mut b = b.compact();
-                    let (_, fresh) = seen.intern(&b.columns.iter().collect::<Vec<_>>(), b.len);
+                    let (_, fresh) =
+                        seen.intern(&b.columns().iter().collect::<Vec<_>>(), b.num_rows());
                     Ok((!fresh.is_empty()).then(|| {
                         b.set_selection(fresh);
                         b
@@ -447,13 +210,16 @@ fn build_op(rel: &Rel, ctx: &ExecContext) -> Result<BatchOp> {
         // What keeps a streaming plan from blocking is below it — an
         // aggregate on an ascending key flushes each finished window.
         RelOp::Delta => child(0),
-        // Convert: execute the foreign subtree through the context and
-        // stream its rows through the pivot bridge.
-        RelOp::Convert { .. } => Ok(Box::new(RowBridgeOp::foreign(rel.clone(), ctx.clone()))),
+        // Convert: the foreign subtree's stream, through the context.
+        RelOp::Convert { .. } => ctx.execute(rel),
         // No batch operator (Window, IndexSeek, IndexJoin): run the row
-        // operator and re-pivot its output lazily. An IndexJoin's
+        // operator and pivot its output lazily. An IndexJoin's
         // same-convention left input runs on the row engine with it.
-        _ => Ok(Box::new(RowBridgeOp::fallback(rel.clone(), ctx.clone()))),
+        _ => Ok(Box::new(RowBridgeOp {
+            rel: rel.clone(),
+            ctx: ctx.clone(),
+            rows: None,
+        })),
     }
 }
 
@@ -474,10 +240,13 @@ fn origin_column(rel: &Rel, i: usize) -> String {
     }
 }
 
-/// Builds a plan node, placing parallel exchange operators when the
-/// context asks for more than one worker and the node's shape supports
+/// Executes a plan on the batch engine as an unopened stream, whatever
+/// executor the context registers for the plan's convention: each pull
+/// runs one batch through the operator tree, so consumers control how
+/// much is in flight. Parallel exchange operators are placed when the
+/// context asks for more than one worker and a node's shape supports
 /// them; everything else compiles to the serial streaming operators.
-pub(crate) fn build_op_auto(rel: &Rel, ctx: &ExecContext) -> Result<BatchOp> {
+pub fn execute_batches(rel: &Rel, ctx: &ExecContext) -> Result<BatchOp> {
     let p = ctx.parallelism();
     if p.is_parallel() {
         if let Some(op) = build_parallel(rel, ctx, p)? {
@@ -487,14 +256,14 @@ pub(crate) fn build_op_auto(rel: &Rel, ctx: &ExecContext) -> Result<BatchOp> {
     build_op(rel, ctx)
 }
 
-/// Builds input `i` of `rel`, bridging through the row engine when the
-/// child belongs to a foreign convention.
+/// Builds input `i` of `rel`; a child in a foreign convention is that
+/// convention's executor's stream.
 fn build_input(rel: &Rel, i: usize, ctx: &ExecContext) -> Result<BatchOp> {
     let c = rel.input(i);
     if c.convention == rel.convention || matches!(c.op, RelOp::Convert { .. }) {
-        build_op_auto(c, ctx)
+        execute_batches(c, ctx)
     } else {
-        Ok(Box::new(RowBridgeOp::foreign(c.clone(), ctx.clone())))
+        ctx.execute(c)
     }
 }
 
@@ -506,142 +275,57 @@ fn fused(child: BatchOp, predicate: Option<RexNode>, exprs: Option<Vec<RexNode>>
 }
 
 // ---------------------------------------------------------------------
-// Source operators: Scan, Values, row bridge
+// Source operators: Scan, row bridge
 // ---------------------------------------------------------------------
 
 /// Streams a base table: one slice of its
 /// [`rcalcite_core::catalog::Table::scan_snapshot`] per pull (the
 /// in-repo stores hand out their `Arc`'d version, so nothing is copied
 /// beyond the slice). A table without a snapshot — a row-only adapter, a
-/// zero-column table — streams its row scan through the row bridge.
+/// zero-column table — streams its row scan through a [`RowsOp`].
 struct ScanOp {
     table: TableRef,
-    state: Option<BridgeState>,
+    batches: Option<BatchOp>,
 }
 
 impl Operator<ColumnBatch> for ScanOp {
     fn open(&mut self) -> Result<()> {
         let table = &self.table.table;
-        self.state = Some(match table.scan_snapshot()? {
+        let mut batches: BatchOp = match table.scan_snapshot()? {
             Some(snapshot) => {
                 let rows = snapshot.row_count();
-                BridgeState::Batches(snapshot.scan_range(BATCH_SIZE, 0, rows)?)
+                snapshot.scan_range(BATCH_SIZE, 0, rows)?
             }
-            None => BridgeState::of_rows(table.scan()?, kinds_of(&table.row_type())),
-        });
+            None => Box::new(RowsOp::new(table.scan()?, table.row_type().kinds())),
+        };
+        batches.open()?;
+        self.batches = Some(batches);
         Ok(())
     }
 
     fn next(&mut self) -> Result<Option<ColumnBatch>> {
-        self.state.as_mut().expect("ScanOp not opened").next()
+        self.batches.as_mut().expect("ScanOp not opened").next()
     }
 }
 
-/// Streams literal rows, pivoting one batch-sized chunk per pull.
-struct ValuesOp {
-    rows: std::vec::IntoIter<Row>,
-    kinds: Vec<TypeKind>,
-}
-
-impl ValuesOp {
-    fn new(rows: Vec<Row>, kinds: Vec<TypeKind>) -> ValuesOp {
-        ValuesOp {
-            rows: rows.into_iter(),
-            kinds,
-        }
-    }
-}
-
-impl Operator<ColumnBatch> for ValuesOp {
-    fn next(&mut self) -> Result<Option<ColumnBatch>> {
-        let chunk: Vec<Row> = self.rows.by_ref().take(BATCH_SIZE).collect();
-        if chunk.is_empty() {
-            return Ok(None);
-        }
-        Ok(Some(if self.kinds.is_empty() {
-            ColumnBatch::zero_arity(chunk.len())
-        } else {
-            ColumnBatch::from_rows(&self.kinds, &chunk)
-        }))
-    }
-}
-
-/// Bridges a row-producing subtree into the batch pipeline: the row
-/// iterator is obtained at `open` and pivoted one batch at a time, so a
-/// lazy row source stays lazy.
+/// Runs the row operator of a node without a batch kernel at `open`
+/// and pivots its rows one batch at a time, so a lazy row source stays
+/// lazy.
 struct RowBridgeOp {
     rel: Rel,
     ctx: ExecContext,
-    /// `true`: execute through the context (foreign conventions,
-    /// Convert); `false`: run the row operator for this node directly
-    /// (operators without a batch implementation).
-    foreign: bool,
-    state: Option<BridgeState>,
-}
-
-/// An open source operator's feed.
-enum BridgeState {
-    /// Column batches: a snapshot's slices, or rows pivoted by a
-    /// [`RowBatcher`].
-    Batches(Box<dyn BatchIter>),
-    /// Rows without columns, counted into zero-arity batches.
-    ZeroArity(RowIter),
-}
-
-impl BridgeState {
-    /// The feed pivoting `rows` of the given column kinds.
-    fn of_rows(rows: RowIter, kinds: Vec<TypeKind>) -> BridgeState {
-        if kinds.is_empty() {
-            BridgeState::ZeroArity(rows)
-        } else {
-            BridgeState::Batches(Box::new(RowBatcher::new(rows, kinds, BATCH_SIZE)))
-        }
-    }
-
-    fn next(&mut self) -> Result<Option<ColumnBatch>> {
-        match self {
-            BridgeState::Batches(b) => Ok(b.next_batch()?.map(ColumnBatch::new)),
-            BridgeState::ZeroArity(rows) => {
-                let n = rows.by_ref().take(BATCH_SIZE).count();
-                Ok((n > 0).then(|| ColumnBatch::zero_arity(n)))
-            }
-        }
-    }
-}
-
-impl RowBridgeOp {
-    fn foreign(rel: Rel, ctx: ExecContext) -> RowBridgeOp {
-        RowBridgeOp {
-            rel,
-            ctx,
-            foreign: true,
-            state: None,
-        }
-    }
-
-    fn fallback(rel: Rel, ctx: ExecContext) -> RowBridgeOp {
-        RowBridgeOp {
-            rel,
-            ctx,
-            foreign: false,
-            state: None,
-        }
-    }
+    rows: Option<RowsOp>,
 }
 
 impl Operator<ColumnBatch> for RowBridgeOp {
     fn open(&mut self) -> Result<()> {
-        let rows = if self.foreign {
-            self.ctx.execute(&self.rel)?
-        } else {
-            execute_node(&self.rel, &self.ctx)?
-        };
-        self.state = Some(BridgeState::of_rows(rows, kinds_of(self.rel.row_type())));
+        let rows = execute_node(&self.rel, &self.ctx)?;
+        self.rows = Some(RowsOp::new(rows, self.rel.row_type().kinds()));
         Ok(())
     }
 
     fn next(&mut self) -> Result<Option<ColumnBatch>> {
-        self.state.as_mut().expect("RowBridgeOp not opened").next()
+        self.rows.as_mut().expect("RowBridgeOp not opened").next()
     }
 }
 
@@ -668,7 +352,7 @@ fn fused_filter_project(
                 return Ok(None);
             }
             // A full selection is represented as "no mask".
-            (sel.len() < b.len).then_some(sel)
+            (sel.len() < b.num_rows()).then_some(sel)
         }
     };
     match exprs {
@@ -679,7 +363,7 @@ fn fused_filter_project(
             Ok(Some(b))
         }
         Some(exprs) => {
-            let n = sel.as_ref().map_or(b.len, Vec::len);
+            let n = sel.as_ref().map_or(b.num_rows(), Vec::len);
             let columns: Vec<Column> = exprs
                 .iter()
                 .map(|e| eval_batch_sel(e, &b, sel.as_deref()))
@@ -695,13 +379,13 @@ fn fused_filter_project(
 /// re-evaluating per row when the vectorized pass fails.
 fn filter_selection(condition: &RexNode, b: &ColumnBatch) -> Vec<usize> {
     match eval_batch(condition, b) {
-        Ok(Column::Bool { values, valid }) => {
-            (0..b.len).filter(|&i| valid[i] && values[i]).collect()
-        }
-        Ok(col) => (0..b.len)
+        Ok(Column::Bool { values, valid }) => (0..b.num_rows())
+            .filter(|&i| valid[i] && values[i])
+            .collect(),
+        Ok(col) => (0..b.num_rows())
             .filter(|&i| col.get(i) == Datum::Bool(true))
             .collect(),
-        Err(_) => (0..b.len)
+        Err(_) => (0..b.num_rows())
             .filter(|&i| matches!(condition.eval(&b.row(i)), Ok(Datum::Bool(true))))
             .collect(),
     }
@@ -723,12 +407,12 @@ pub(crate) fn eval_batch(e: &RexNode, b: &ColumnBatch) -> Result<Column> {
 /// loops; everything else goes through the generic per-row path built
 /// on the same [`eval_op_strict`] the row engine uses.
 fn eval_batch_sel(e: &RexNode, b: &ColumnBatch, sel: Option<&[usize]>) -> Result<Column> {
-    debug_assert!(b.selection.is_none(), "eval_batch needs a dense batch");
-    let n = sel.map_or(b.len, <[usize]>::len);
+    debug_assert!(b.selection().is_none(), "eval_batch needs a dense batch");
+    let n = sel.map_or(b.num_rows(), <[usize]>::len);
     match e {
         RexNode::InputRef { index, .. } => Ok(match sel {
-            None => b.columns[*index].clone(),
-            Some(s) => b.columns[*index].gather(s),
+            None => b.column(*index).clone(),
+            Some(s) => b.column(*index).gather(s),
         }),
         RexNode::Literal { value, .. } => Ok(Column::repeat(value, n)),
         RexNode::DynamicParam { index, .. } => Err(CalciteError::execution(format!(
@@ -763,7 +447,7 @@ fn eval_batch_sel(e: &RexNode, b: &ColumnBatch, sel: Option<&[usize]>) -> Result
 /// Row-by-row evaluation of one expression over the live rows of a
 /// dense batch — the exact row-engine semantics, used as the fallback.
 fn eval_rowwise(e: &RexNode, b: &ColumnBatch, sel: Option<&[usize]>) -> Result<Column> {
-    let n = sel.map_or(b.len, <[usize]>::len);
+    let n = sel.map_or(b.num_rows(), <[usize]>::len);
     let mut out = Column::for_kind_with_capacity(&e.ty().kind, n);
     let mut eval_at = |i: usize| -> Result<()> {
         out.push(e.eval(&b.row(i))?);
@@ -771,7 +455,7 @@ fn eval_rowwise(e: &RexNode, b: &ColumnBatch, sel: Option<&[usize]>) -> Result<C
     };
     match sel {
         None => {
-            for i in 0..b.len {
+            for i in 0..b.num_rows() {
                 eval_at(i)?;
             }
         }
@@ -1098,7 +782,7 @@ fn eval_strict_vector(e: &RexNode, cols: &[Column], n: usize) -> Result<Column> 
 
 /// Estimated heap footprint of a dense batch, for budget accounting.
 pub(crate) fn batch_bytes(b: &ColumnBatch) -> usize {
-    64 + b.columns.iter().map(column_bytes).sum::<usize>()
+    64 + b.columns().iter().map(column_bytes).sum::<usize>()
 }
 
 /// How a [`RunMerger`] orders its sources' heads.
@@ -1236,17 +920,17 @@ impl Operator<ColumnBatch> for LimitOp {
                 return Ok(None);
             };
             let b = b.compact();
-            if self.skip >= b.len {
-                self.skip -= b.len;
+            if self.skip >= b.num_rows() {
+                self.skip -= b.num_rows();
                 continue;
             }
             let start = std::mem::take(&mut self.skip);
-            let avail = b.len - start;
+            let avail = b.num_rows() - start;
             let take = self.remaining.map_or(avail, |r| avail.min(r));
             if let Some(r) = &mut self.remaining {
                 *r -= take;
             }
-            let out = if start == 0 && take == b.len {
+            let out = if start == 0 && take == b.num_rows() {
                 b
             } else {
                 b.slice(start, take)
@@ -1291,7 +975,7 @@ impl TopK {
             let worst = &self.heap[0];
             let mut ord = Ordering::Equal;
             for fc in &self.collation {
-                ord = compare_datums(fc, &b.columns[fc.field].get(i), &worst.1[fc.field]);
+                ord = compare_datums(fc, &b.column(fc.field).get(i), &worst.1[fc.field]);
                 if ord != Ordering::Equal {
                     break;
                 }
@@ -1371,7 +1055,7 @@ struct TopKOp {
     offset: usize,
     fetch: usize,
     out_kinds: Vec<TypeKind>,
-    out: VecDeque<ColumnBatch>,
+    out: BatchOp,
 }
 
 impl TopKOp {
@@ -1388,7 +1072,7 @@ impl TopKOp {
             offset,
             fetch,
             out_kinds,
-            out: VecDeque::new(),
+            out: Box::new(BatchesOp::new([])),
         }
     }
 }
@@ -1401,19 +1085,19 @@ impl Operator<ColumnBatch> for TopKOp {
         let mut seq = 0u64;
         while let Some(b) = self.child.next()? {
             let b = b.compact();
-            for i in 0..b.len {
+            for i in 0..b.num_rows() {
                 topk.offer(&b, i, seq);
                 seq += 1;
             }
         }
         let mut rows = topk.into_sorted_rows();
         let rows: Vec<Row> = rows.drain(self.offset.min(rows.len())..).collect();
-        self.out = rebatch_rows(rows, &self.out_kinds).into();
+        self.out = Box::new(RowsOp::new(rows, std::mem::take(&mut self.out_kinds)));
         Ok(())
     }
 
     fn next(&mut self) -> Result<Option<ColumnBatch>> {
-        Ok(self.out.pop_front())
+        self.out.next()
     }
 }
 
@@ -1517,11 +1201,10 @@ impl Operator<ColumnBatch> for FullSortOp {
             if idx.is_empty() {
                 return Ok(());
             }
-            let sorted = if arity == 0 {
-                ColumnBatch::zero_arity(idx.len())
-            } else {
-                ColumnBatch::new(b.columns.iter().map(|c| c.gather(idx)).collect())
-            };
+            let sorted = ColumnBatch::with_len(
+                b.columns().iter().map(|c| c.gather(idx)).collect(),
+                idx.len(),
+            );
             self.out = split_to_batches(sorted).into();
             self.reservation = Some(res);
             return Ok(());
@@ -1588,10 +1271,10 @@ fn compare_at(fc: &FieldCollation, col: &Column, a: usize, c: usize) -> Ordering
 /// collation resolves once to its key columns, and every comparison
 /// runs over their typed vectors without materializing a [`Datum`].
 fn sort_indexes(b: &ColumnBatch, collation: &Collation) -> Vec<usize> {
-    let mut idx: Vec<usize> = (0..b.len).collect();
+    let mut idx: Vec<usize> = (0..b.num_rows()).collect();
     let keys: Vec<(&FieldCollation, &Column)> = collation
         .iter()
-        .map(|fc| (fc, &b.columns[fc.field]))
+        .map(|fc| (fc, b.column(fc.field)))
         .collect();
     if !keys.is_empty() {
         idx.sort_by(|&a, &c| {
@@ -1614,7 +1297,7 @@ fn sort_indexes(b: &ColumnBatch, collation: &Collation) -> Vec<usize> {
 fn count_rows(op: &mut BatchOp, keys: &mut KeySet, counts: &mut Vec<usize>) -> Result<()> {
     while let Some(b) = op.next()? {
         let b = b.compact();
-        let (ids, _) = keys.intern(&b.columns.iter().collect::<Vec<_>>(), b.len);
+        let (ids, _) = keys.intern(&b.columns().iter().collect::<Vec<_>>(), b.num_rows());
         counts.resize(keys.len(), 0);
         for id in ids {
             counts[id as usize] += 1;
@@ -1679,8 +1362,8 @@ impl Operator<ColumnBatch> for IntersectOp {
             let mut b = b.compact();
             let ids = self
                 .keys
-                .lookup(&b.columns.iter().collect::<Vec<_>>(), b.len);
-            let keep: Vec<usize> = (0..b.len)
+                .lookup(&b.columns().iter().collect::<Vec<_>>(), b.num_rows());
+            let keep: Vec<usize> = (0..b.num_rows())
                 .filter(|&i| match self.quota.get_mut(ids[i] as usize) {
                     Some(q) if *q > 0 => {
                         *q -= 1;
@@ -1737,11 +1420,11 @@ impl Operator<ColumnBatch> for MinusOp {
     fn next(&mut self) -> Result<Option<ColumnBatch>> {
         while let Some(b) = self.left.next()? {
             let mut b = b.compact();
-            let cols: Vec<&Column> = b.columns.iter().collect();
+            let cols: Vec<&Column> = b.columns().iter().collect();
             let keep: Vec<usize> = if self.all {
                 // Each right occurrence cancels one left occurrence.
-                let ids = self.keys.lookup(&cols, b.len);
-                (0..b.len)
+                let ids = self.keys.lookup(&cols, b.num_rows());
+                (0..b.num_rows())
                     .filter(|&i| match self.removed.get_mut(ids[i] as usize) {
                         Some(n) if *n > 0 => {
                             *n -= 1;
@@ -1753,7 +1436,7 @@ impl Operator<ColumnBatch> for MinusOp {
             } else {
                 // A row survives when it is new to the set: neither on
                 // the right side nor emitted before.
-                self.keys.intern(&cols, b.len).1
+                self.keys.intern(&cols, b.num_rows()).1
             };
             if !keep.is_empty() {
                 b.set_selection(keep);
@@ -2013,8 +1696,9 @@ impl ChainWorker {
     /// position serial execution would surface the error at.
     fn run_morsel(&mut self, m: usize, start: usize, len: usize, chunk: &mut usize) -> Result<()> {
         let mut batches = self.snapshot.clone().scan_range(BATCH_SIZE, start, len)?;
-        while let Some(cols) = batches.next_batch()? {
-            for out in run_worker_kernel(&self.stages, &self.kernel, ColumnBatch::new(cols))? {
+        batches.open()?;
+        while let Some(b) = batches.next()? {
+            for out in run_worker_kernel(&self.stages, &self.kernel, b)? {
                 self.pending
                     .push_back(ExchangeItem::Batch((m, *chunk), out));
                 *chunk += 1;
@@ -2117,7 +1801,7 @@ struct ParallelSortOp {
     offset: usize,
     fetch: usize,
     out_kinds: Vec<TypeKind>,
-    out: VecDeque<ColumnBatch>,
+    out: BatchOp,
 }
 
 impl ParallelSortOp {
@@ -2146,7 +1830,7 @@ impl ParallelSortOp {
             offset,
             fetch,
             out_kinds,
-            out: VecDeque::new(),
+            out: Box::new(BatchesOp::new([])),
         }
     }
 }
@@ -2173,12 +1857,12 @@ impl Operator<ColumnBatch> for ParallelSortOp {
                 rows.push(row);
             }
         }
-        self.out = rebatch_rows(rows, &self.out_kinds).into();
+        self.out = Box::new(RowsOp::new(rows, std::mem::take(&mut self.out_kinds)));
         Ok(())
     }
 
     fn next(&mut self) -> Result<Option<ColumnBatch>> {
-        Ok(self.out.pop_front())
+        self.out.next()
     }
 }
 
@@ -2240,7 +1924,7 @@ fn build_parallel(rel: &Rel, ctx: &ExecContext, p: Parallelism) -> Result<Option
                 seed,
                 group.clone(),
                 aggs.clone(),
-                kinds_of(rel.row_type()),
+                rel.row_type().kinds(),
                 p,
             ))
         }
@@ -2275,7 +1959,7 @@ fn build_parallel(rel: &Rel, ctx: &ExecContext, p: Parallelism) -> Result<Option
                 collation.clone(),
                 offset.unwrap_or(0),
                 *fetch,
-                kinds_of(rel.row_type()),
+                rel.row_type().kinds(),
                 p,
             ))
         }
@@ -2605,10 +2289,11 @@ mod tests {
             let plan = rel::join(left.clone(), right.clone(), kind, cond.clone());
             let ctx = ctx_batch();
             let mut it = execute_batches(&plan, &ctx).unwrap();
+            it.open().unwrap();
             let mut total = 0;
-            while let Some(cols) = it.next_batch().unwrap() {
-                assert!(cols[0].len() <= BATCH_SIZE, "oversized join batch");
-                total += cols[0].len();
+            while let Some(b) = it.next().unwrap() {
+                assert!(b.live_rows() <= BATCH_SIZE, "oversized join batch");
+                total += b.live_rows();
             }
             assert_eq!(total, want_rows, "join kind {kind:?}");
             let (a, b) = both(&plan);
@@ -2766,10 +2451,11 @@ mod tests {
         );
         let ctx = ctx_batch();
         let mut it = execute_batches(&plan, &ctx).unwrap();
-        let first = it.next_batch().unwrap().unwrap();
-        assert_eq!(first[0].len(), 5);
-        assert_eq!(first[0].get(0), Datum::Int(3));
-        assert!(it.next_batch().unwrap().is_none());
+        it.open().unwrap();
+        let first = it.next().unwrap().unwrap();
+        assert_eq!(first.num_rows(), 5);
+        assert_eq!(first.column(0).get(0), Datum::Int(3));
+        assert!(it.next().unwrap().is_none());
     }
 
     #[test]
@@ -2811,11 +2497,31 @@ mod tests {
         assert_eq!(rows, vec![vec![Datum::Int(3), Datum::Int(3)]]);
     }
 
+    /// `SELECT` of no columns from the 2 400 rows of 0..2 500 with
+    /// `v >= 100`: a zero-arity plan spanning three batches.
+    fn zero_arity_projection() -> Rel {
+        let t = MemTable::new(
+            RowTypeBuilder::new()
+                .add_not_null("v", TypeKind::Integer)
+                .build(),
+            (0..2500).map(|i| vec![Datum::Int(i)]).collect(),
+        );
+        let v = RexNode::input(0, RelType::not_null(TypeKind::Integer));
+        let kept = rel::filter(
+            rel::scan(TableRef::new("s", "t", t)),
+            v.ge(RexNode::lit_int(100)),
+        );
+        rel::project(kept, vec![], vec![])
+    }
+
     #[test]
     fn zero_arity_and_empty_inputs() {
         let (a, b) = both(&rel::one_row());
         assert_eq!(a, b);
         assert_eq!(a, vec![Vec::<Datum>::new()]);
+        let (a, b) = both(&zero_arity_projection());
+        assert_eq!(a, b);
+        assert_eq!(a, vec![Vec::<Datum>::new(); 2400]);
         let empty = rel::empty(emp().row_type().clone());
         let plan = rel::aggregate(empty, vec![], vec![AggCall::count_star("c")]);
         let (a, b) = both(&plan);
@@ -2913,10 +2619,26 @@ mod tests {
         );
         let ctx = ctx_batch();
         let mut it = execute_batches(&plan, &ctx).unwrap();
-        assert_eq!(it.arity(), 2);
-        let first = it.next_batch().unwrap().unwrap();
-        assert_eq!(first[0].len(), 2);
-        assert!(it.next_batch().unwrap().is_none());
+        it.open().unwrap();
+        let first = it.next().unwrap().unwrap();
+        assert_eq!((first.arity(), first.live_rows()), (2, 2));
+        assert!(it.next().unwrap().is_none());
+        // Zero-arity plans keep their row count in every batch, and the
+        // drain a `ResultSet` runs — `to_rows` per batch — yields one
+        // empty row per live row.
+        for (plan, n) in [(rel::one_row(), 1), (zero_arity_projection(), 2400)] {
+            let mut it = execute_batches(&plan, &ctx).unwrap();
+            it.open().unwrap();
+            let (mut live, mut rows) = (vec![], vec![]);
+            while let Some(b) = it.next().unwrap() {
+                assert_eq!(b.arity(), 0);
+                live.push(b.live_rows());
+                rows.extend(b.to_rows());
+            }
+            assert_eq!(live.iter().sum::<usize>(), n);
+            assert!(live.iter().all(|&l| (1..=BATCH_SIZE).contains(&l)));
+            assert_eq!(rows, vec![Vec::<Datum>::new(); n]);
+        }
     }
 
     #[test]
@@ -3184,9 +2906,10 @@ mod tests {
         let plan = rel::join(left, right, JoinKind::Full, cond);
         let ctx = ctx_parallel(4, 16);
         let mut it = execute_batches(&plan, &ctx).unwrap();
+        it.open().unwrap();
         let mut saw_err = false;
         loop {
-            match it.next_batch() {
+            match it.next() {
                 Ok(Some(_)) => assert!(!saw_err, "batch emitted after error"),
                 Ok(None) => break,
                 Err(_) => saw_err = true,
@@ -3462,7 +3185,7 @@ mod tests {
                 batch_size: usize,
                 start: usize,
                 len: usize,
-            ) -> Result<Box<dyn BatchIter>> {
+            ) -> Result<BatchOp> {
                 if start == 64 {
                     panic!("injected range-scan fault");
                 }
@@ -3471,11 +3194,11 @@ mod tests {
         }
 
         impl Table for PanickyTable {
-            fn row_type(&self) -> RowType {
+            fn row_type(&self) -> rcalcite_core::types::RowType {
                 self.0.row_type()
             }
 
-            fn scan(&self) -> Result<RowIter> {
+            fn scan(&self) -> Result<rcalcite_core::exec::RowIter> {
                 self.0.scan()
             }
 

@@ -11,11 +11,13 @@
 //! [`crate::register_executors`]; operators without a batch kernel
 //! (Window, IndexSeek, IndexJoin) still run through it behind the batch
 //! engine's row bridge, an IndexJoin with its whole same-convention left
-//! input.
+//! input. Its rows stay inside: at the executor boundary they leave as
+//! a [`RowsOp`] stream like every other executor's, and a foreign
+//! child's stream is drained back into rows.
 
 use rcalcite_core::datum::{Datum, Row};
 use rcalcite_core::error::{CalciteError, Result};
-use rcalcite_core::exec::{ConventionExecutor, ExecContext, RowIter};
+use rcalcite_core::exec::{BatchOp, ConventionExecutor, ExecContext, RowIter, RowsOp};
 use rcalcite_core::index::{seek_rows, BoundProbe, IndexProbe, RowsRef};
 use rcalcite_core::rel::{
     AggCall, AggFunc, FrameBound, FrameMode, JoinKind, Rel, RelOp, WinFunc, WindowFn,
@@ -31,7 +33,7 @@ use std::collections::{HashMap, HashSet};
 ///
 /// Two engines share the convention. The vectorized batch engine
 /// (`batched`/`batched_interpreter`) runs operators over
-/// [`crate::batch::ColumnBatch`]es with the Scan→Filter→Project fusion
+/// [`rcalcite_core::exec::ColumnBatch`]es with the Scan→Filter→Project fusion
 /// pass on; it is what a `Connection` runs. The row-at-a-time
 /// interpreter (`new`/`interpreter`) is the reference the batch engine
 /// is tested against.
@@ -87,24 +89,25 @@ impl ConventionExecutor for EnumerableExecutor {
         self.convention.clone()
     }
 
-    fn execute(&self, rel: &Rel, ctx: &ExecContext) -> Result<RowIter> {
+    fn execute(&self, rel: &Rel, ctx: &ExecContext) -> Result<BatchOp> {
         if self.batch {
-            crate::batch::execute_node_batched(rel, ctx)
+            crate::batch::execute_batches(rel, ctx)
         } else {
-            execute_node(rel, ctx)
+            let rows = execute_node(rel, ctx)?;
+            Ok(Box::new(RowsOp::new(rows, rel.row_type().kinds())))
         }
     }
 }
 
 /// Recursively executes a node; children in foreign conventions are routed
-/// through the context.
+/// through the context, and their streams drained into rows.
 pub fn execute_node(rel: &Rel, ctx: &ExecContext) -> Result<RowIter> {
     let child = |i: usize| -> Result<RowIter> {
         let c = rel.input(i);
         if c.convention == rel.convention || matches!(c.op, RelOp::Convert { .. }) {
             execute_node_dispatch(c, ctx, &rel.convention)
         } else {
-            ctx.execute(c)
+            foreign(c, ctx)
         }
     };
     match &rel.op {
@@ -305,8 +308,13 @@ pub fn execute_node(rel: &Rel, ctx: &ExecContext) -> Result<RowIter> {
         // This row oracle reads streams to their end; the batch engine
         // flushes an aggregate's windows as its ascending key moves on.
         RelOp::Delta => child(0),
-        RelOp::Convert { .. } => ctx.execute(rel.input(0)),
+        RelOp::Convert { .. } => foreign(rel.input(0), ctx),
     }
+}
+
+/// A subtree in another convention: its executor's stream, drained.
+fn foreign(rel: &Rel, ctx: &ExecContext) -> Result<RowIter> {
+    Ok(Box::new(ctx.execute_collect(rel)?.into_iter()))
 }
 
 fn execute_node_dispatch(
@@ -317,7 +325,7 @@ fn execute_node_dispatch(
     if rel.convention == *parent_conv || matches!(rel.op, RelOp::Convert { .. }) {
         execute_node(rel, ctx)
     } else {
-        ctx.execute(rel)
+        foreign(rel, ctx)
     }
 }
 

@@ -6,15 +6,16 @@
 //! gathered.
 
 use crate::batch::{
-    batch_bytes, concat_batches, eval_batch, BatchOp, ColumnBatch, MergeCmp, MergeFeed, RunMerger,
-    SourceSeed, WorkerKernel, BATCH_SIZE,
+    batch_bytes, eval_batch, MergeCmp, MergeFeed, RunMerger, SourceSeed, WorkerKernel,
 };
 use crate::executor::extract_equi_keys;
 use crate::keys::{hash_keys, hash_row_keys, null_rows, partition_of, KeyTable, RowEq, EMPTY};
 use rcalcite_core::buffer::{row_bytes, MemoryReservation, Run, RunWriter, SpillEnv};
 use rcalcite_core::datum::{Column, Datum, Row};
 use rcalcite_core::error::Result;
-use rcalcite_core::exec::{Operator, OrderedGatherOp, Parallelism};
+use rcalcite_core::exec::{
+    concat_batches, BatchOp, ColumnBatch, Operator, OrderedGatherOp, Parallelism, BATCH_SIZE,
+};
 use rcalcite_core::rel::JoinKind;
 use rcalcite_core::rex::RexNode;
 use rcalcite_core::types::TypeKind;

@@ -21,11 +21,10 @@ mod join;
 mod keys;
 pub mod linq4j;
 
-pub use batch::{
-    execute_batches, execute_node_batched, explain_parallel, explain_spill, ColumnBatch, BATCH_SIZE,
-};
+pub use batch::{execute_batches, explain_parallel, explain_spill};
 pub use executor::{compare_datums, compare_rows, execute_node, EnumerableExecutor};
 pub use linq4j::Enumerable;
+pub use rcalcite_core::exec::BATCH_SIZE;
 
 use rcalcite_core::exec::ExecContext;
 use rcalcite_core::planner::volcano::{UniversalImplementRule, VolcanoPlanner};

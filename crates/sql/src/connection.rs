@@ -878,7 +878,7 @@ impl Connection {
                         row,
                     })
                     .collect();
-                self.stage_or_autocommit(&tref, ops)?;
+                self.stage_or_autocommit(&tref, |_| Ok(ops))?;
                 Ok(message(format!("{n} rows inserted")))
             }
             Stmt::DropTable { name, if_exists } => {
@@ -1288,21 +1288,9 @@ impl Connection {
         // `build_ops` releases the view it reads: the next read of an
         // explicit transaction then applies its writes in place, and
         // COMMIT holds the only pin on the version it replaces.
-        let mut guard = self.txn.write();
-        if let Some(txn) = guard.as_mut() {
-            let ops = build_ops(txn.read_view(&qualified).ok_or_else(not_capable)?)?;
-            return txn.stage(&qualified, ops);
-        }
-        drop(guard);
-        // Autocommit: a single-statement transaction over this table only.
-        let mut txn = self.catalog.txns().begin(std::slice::from_ref(&tref));
-        let ops = build_ops(txn.read_view(&qualified).ok_or_else(not_capable)?)?;
-        let n = txn.stage(&qualified, ops)?;
-        txn.commit()?;
-        if n > 0 {
-            self.retire_stats(&[qualified]);
-        }
-        Ok(n)
+        self.stage_or_autocommit(&tref, |txn| {
+            build_ops(txn.read_view(&qualified).ok_or_else(not_capable)?)
+        })
     }
 
     /// After a committed write: retires the analyzed statistics of the
@@ -1321,18 +1309,27 @@ impl Connection {
         }
     }
 
-    /// Stages `ops` into the open transaction, or wraps them in an
-    /// autocommit transaction (begin → stage → commit) when none is
-    /// open. On autocommit the table's statistics are retired
-    /// immediately; in an explicit transaction that happens at COMMIT.
-    fn stage_or_autocommit(&self, tref: &TableRef, ops: Vec<DeltaOp>) -> Result<usize> {
+    /// The one write path of INSERT, UPDATE and DELETE: stages the ops
+    /// `build` makes — from the transaction, whose read view UPDATE and
+    /// DELETE locate their rows in — into the open transaction, or wraps
+    /// them in an autocommit transaction over this table only (begin →
+    /// stage → commit) when none is open. On autocommit the table's
+    /// statistics are retired immediately; in an explicit transaction
+    /// that happens at COMMIT.
+    fn stage_or_autocommit(
+        &self,
+        tref: &TableRef,
+        build: impl FnOnce(&mut Transaction) -> Result<Vec<DeltaOp>>,
+    ) -> Result<usize> {
         let qualified = tref.qualified_name();
         let mut guard = self.txn.write();
         if let Some(txn) = guard.as_mut() {
+            let ops = build(txn)?;
             return txn.stage(&qualified, ops);
         }
         drop(guard);
         let mut txn = self.catalog.txns().begin(std::slice::from_ref(tref));
+        let ops = build(&mut txn)?;
         let n = txn.stage(&qualified, ops)?;
         txn.commit()?;
         if n > 0 {
@@ -1702,6 +1699,32 @@ mod tests {
                 vec![Datum::Int(20), Datum::Int(300)],
             ]
         );
+    }
+
+    #[test]
+    fn zero_arity_result_set_keeps_its_row_count() {
+        // No SQL selects zero columns, so the plan is built by hand: a
+        // logical projection of nothing over the compiled scan, whose
+        // enumerable child streams through the registered executor.
+        let conn = connection();
+        let sql = "SELECT deptno FROM emp";
+        let Stmt::Query(q) = parse(sql).unwrap() else {
+            unreachable!("a query")
+        };
+        let (scan, _) = conn.plan_query(sql, &Arc::new(q)).unwrap();
+        let plan = CachedPlan {
+            columns: vec![],
+            physical: rcalcite_core::rel::project(scan.physical.clone(), vec![], vec![]),
+            params: vec![],
+            generation: scan.generation,
+            query: scan.query.clone(),
+            search: scan.search.clone(),
+        };
+        let r = ResultSet::open(&conn, &plan, vec![])
+            .unwrap()
+            .collect()
+            .unwrap();
+        assert_eq!(r.rows, vec![Vec::<Datum>::new(); 3]);
     }
 
     #[test]

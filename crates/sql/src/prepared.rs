@@ -13,10 +13,10 @@ use crate::connection::{CachedPlan, Connection, QueryResult};
 use crate::validator::check_bindings;
 use parking_lot::RwLock;
 use rcalcite_core::catalog::Catalog;
-use rcalcite_core::datum::{columns_to_rows, Datum, Row};
+use rcalcite_core::datum::{Datum, Row};
 use rcalcite_core::error::Result;
-use rcalcite_core::exec::{BatchIter, Parallelism, RowIter, DEFAULT_MORSEL_SIZE};
-use rcalcite_core::types::RelType;
+use rcalcite_core::exec::{BatchOp, Parallelism, RowsOp, DEFAULT_MORSEL_SIZE};
+use rcalcite_core::types::{RelType, TypeKind};
 use rcalcite_enumerable::EnumerableExecutor;
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -238,53 +238,40 @@ impl<'c> PreparedStatement<'c> {
 /// materialized [`QueryResult`] view.
 pub struct ResultSet {
     columns: Vec<String>,
-    source: Source,
-}
-
-enum Source {
-    /// Zero-arity plans and pre-materialized DDL/EXPLAIN results.
-    Rows(RowIter),
-    /// Streaming execution: one batch is pulled and buffered at a time.
-    Batches {
-        it: Box<dyn BatchIter>,
-        buf: VecDeque<Row>,
-    },
+    /// One batch is pulled and buffered at a time.
+    batches: BatchOp,
+    buf: VecDeque<Row>,
 }
 
 impl ResultSet {
-    /// A cursor over already-materialized rows (DDL messages, EXPLAIN).
+    /// A cursor over already-materialized text rows (DDL messages,
+    /// EXPLAIN).
     pub(crate) fn materialized(columns: Vec<String>, rows: Vec<Row>) -> ResultSet {
+        let kinds = vec![TypeKind::Varchar; columns.len()];
         ResultSet {
             columns,
-            source: Source::Rows(Box::new(rows.into_iter())),
+            batches: Box::new(RowsOp::new(rows, kinds)),
+            buf: VecDeque::new(),
         }
     }
 
     /// Opens a cursor over an optimized plan with the given parameter
     /// bindings. The plan streams through the fused batch engine
-    /// directly (the registered executor's row boundary would
-    /// materialize); foreign sub-trees still dispatch through the
-    /// registered executors.
+    /// whatever executor the connection registered for its convention;
+    /// foreign sub-trees still dispatch through the registered
+    /// executors.
     pub(crate) fn open(
         conn: &Connection,
         plan: &CachedPlan,
         params: Vec<Datum>,
     ) -> Result<ResultSet> {
         let ctx = conn.exec_context().with_params(params);
-        // Zero-arity plans can't be represented as column batches (a
-        // batch with no columns carries no row count); they run through
-        // the registered executor's row boundary instead.
-        let source = if plan.physical.row_type().arity() == 0 {
-            Source::Rows(ctx.execute(&plan.physical)?)
-        } else {
-            Source::Batches {
-                it: rcalcite_enumerable::execute_batches(&plan.physical, &ctx)?,
-                buf: VecDeque::new(),
-            }
-        };
+        let mut batches = rcalcite_enumerable::execute_batches(&plan.physical, &ctx)?;
+        batches.open()?;
         Ok(ResultSet {
             columns: plan.columns.clone(),
-            source,
+            batches,
+            buf: VecDeque::new(),
         })
     }
 
@@ -296,18 +283,13 @@ impl ResultSet {
     /// The next row, or `None` when the cursor is exhausted. Pulls at
     /// most one batch through the plan per call.
     pub fn next_row(&mut self) -> Result<Option<Row>> {
-        match &mut self.source {
-            Source::Rows(it) => Ok(it.next()),
-            Source::Batches { it, buf } => {
-                while buf.is_empty() {
-                    match it.next_batch()? {
-                        None => return Ok(None),
-                        Some(cols) => buf.extend(columns_to_rows(&cols)),
-                    }
-                }
-                Ok(buf.pop_front())
+        while self.buf.is_empty() {
+            match self.batches.next()? {
+                None => return Ok(None),
+                Some(b) => self.buf.extend(b.to_rows()),
             }
         }
+        Ok(self.buf.pop_front())
     }
 
     /// Drains the cursor into a materialized [`QueryResult`].

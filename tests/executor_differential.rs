@@ -367,9 +367,10 @@ fn a_generic_chunk_between_typed_neighbours_scans_sorts_and_joins() {
     let snapshot = mem.scan_snapshot().unwrap().unwrap();
     let rows = snapshot.row_count();
     let mut batches = snapshot.scan_range(1024, 0, rows).unwrap();
+    batches.open().unwrap();
     let mut reps = vec![];
-    while let Some(cols) = batches.next_batch().unwrap() {
-        reps.push(matches!(cols[1], Column::Generic(_)));
+    while let Some(b) = batches.next().unwrap() {
+        reps.push(matches!(b.column(1), Column::Generic(_)));
     }
     assert_eq!(reps.iter().filter(|generic| **generic).count(), 4);
     assert!(
@@ -423,12 +424,13 @@ fn scan_filter_project_pipelines_without_materializing() {
     let plan = plus_one(rel::filter(table.scan(), v.ge(RexNode::lit_int(10))));
     let ctx = fused_ctx(1, None);
     let mut it = execute_batches(&plan, &ctx).unwrap();
+    it.open().unwrap();
     assert_eq!(served(), 0, "open() must not scan");
     let mut produced = 0usize;
     let mut total_rows = 0usize;
-    while let Some(cols) = it.next_batch().unwrap() {
+    while let Some(b) = it.next().unwrap() {
         produced += 1;
-        total_rows += cols[0].len();
+        total_rows += b.live_rows();
         // Each output pull may consume a few input batches (empty
         // post-filter batches are skipped), but the scan never runs
         // ahead of the consumer.
@@ -453,10 +455,9 @@ fn top_k_consumes_stream_without_full_sort_memory() {
         Some(2),
         Some(3),
     );
-    let rows = rcalcite_core::exec::collect_batches_to_rows(
-        execute_batches(&plan, &fused_ctx(1, None)).unwrap(),
-    )
-    .unwrap();
+    let rows =
+        rcalcite_core::exec::drain_rows(execute_batches(&plan, &fused_ctx(1, None)).unwrap())
+            .unwrap();
     let want: Vec<Row> = (0..3).map(|i| vec![Datum::Int(N - 3 - i)]).collect();
     assert_eq!(rows, want);
 }

@@ -21,7 +21,9 @@ use rcalcite_core::buffer::{MemoryBudget, PAGE_SIZE};
 use rcalcite_core::catalog::{Catalog, MemTable, RangeScan, Schema, Table, TableRef};
 use rcalcite_core::datum::{Column, Datum, Row};
 use rcalcite_core::error::Result as CoreResult;
-use rcalcite_core::exec::{BatchIter, ExecContext, Parallelism, SlicedColumns};
+use rcalcite_core::exec::{
+    BatchOp, ColumnBatch, ExecContext, Operator, Parallelism, SlicedColumns,
+};
 use rcalcite_core::rel::{self, AggCall, AggFunc, JoinKind, Rel};
 use rcalcite_core::rex::{Op, RexNode};
 use rcalcite_core::store::CHUNK_ROWS;
@@ -606,18 +608,12 @@ impl TrackingTable {
     }
 }
 
-impl BatchIter for TrackingRange {
-    fn arity(&self) -> usize {
-        self.inner.arity()
-    }
-
-    fn next_batch(&mut self) -> CoreResult<Option<Vec<Column>>> {
-        let out = self.inner.next_batch()?;
-        if let Some(cols) = &out {
+impl Operator<ColumnBatch> for TrackingRange {
+    fn next(&mut self) -> CoreResult<Option<ColumnBatch>> {
+        let out = self.inner.next()?;
+        if let Some(b) = &out {
             self.snapshot.batches.fetch_add(1, Ordering::SeqCst);
-            self.snapshot
-                .rows
-                .fetch_add(cols[0].len(), Ordering::SeqCst);
+            self.snapshot.rows.fetch_add(b.num_rows(), Ordering::SeqCst);
         }
         Ok(out)
     }
@@ -633,7 +629,7 @@ impl RangeScan for TrackingSnapshot {
         batch_size: usize,
         start: usize,
         len: usize,
-    ) -> CoreResult<Box<dyn BatchIter>> {
+    ) -> CoreResult<BatchOp> {
         Ok(Box::new(TrackingRange {
             inner: SlicedColumns::new_range(self.columns.clone(), batch_size, start, len),
             snapshot: self,

@@ -7,7 +7,7 @@ use proptest::prelude::*;
 use rcalcite_core::catalog::{Catalog, MemTable, RangeScan, Schema, Table};
 use rcalcite_core::datum::{Column, Datum, Row};
 use rcalcite_core::error::Result as CoreResult;
-use rcalcite_core::exec::{BatchIter, ExecContext};
+use rcalcite_core::exec::{BatchOp, ColumnBatch, ExecContext, Operator};
 use rcalcite_core::types::{RowType, RowTypeBuilder, TypeKind};
 use rcalcite_sql::Connection;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -323,7 +323,7 @@ impl RangeScan for TrackingSnapshot {
         batch_size: usize,
         start: usize,
         len: usize,
-    ) -> CoreResult<Box<dyn BatchIter>> {
+    ) -> CoreResult<BatchOp> {
         let end = start.saturating_add(len).min(self.col.len());
         Ok(Box::new(TrackingScan {
             snapshot: self,
@@ -334,12 +334,8 @@ impl RangeScan for TrackingSnapshot {
     }
 }
 
-impl BatchIter for TrackingScan {
-    fn arity(&self) -> usize {
-        1
-    }
-
-    fn next_batch(&mut self) -> CoreResult<Option<Vec<Column>>> {
+impl Operator<ColumnBatch> for TrackingScan {
+    fn next(&mut self) -> CoreResult<Option<ColumnBatch>> {
         if self.pos >= self.end {
             return Ok(None);
         }
@@ -347,7 +343,7 @@ impl BatchIter for TrackingScan {
         let out = self.snapshot.col.slice(self.pos, take);
         self.pos += take;
         self.snapshot.served.fetch_add(1, Ordering::SeqCst);
-        Ok(Some(vec![out]))
+        Ok(Some(ColumnBatch::new(vec![out])))
     }
 }
 

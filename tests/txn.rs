@@ -7,7 +7,7 @@
 use rcalcite_core::catalog::{Catalog, MemTable, RangeScan, Schema, Table};
 use rcalcite_core::datum::Datum;
 use rcalcite_core::error::{CalciteError, Result as CoreResult};
-use rcalcite_core::exec::collect_batches_to_rows;
+use rcalcite_core::exec::drain_rows;
 use rcalcite_core::txn::DeltaOp;
 use rcalcite_core::types::{RowTypeBuilder, TypeKind};
 use rcalcite_core::wal::{replay, MemWal, WalStorage, WalWriter};
@@ -69,7 +69,7 @@ fn unwritten_transaction_scans_the_tables_own_version() {
     let tref = catalog.resolve(&["bank", "accounts"]).unwrap();
     let drain = |snapshot: Arc<dyn RangeScan>| {
         let rows = snapshot.row_count();
-        collect_batches_to_rows(snapshot.scan_range(3, 0, rows).unwrap()).unwrap()
+        drain_rows(snapshot.scan_range(3, 0, rows).unwrap()).unwrap()
     };
     let address = |snapshot: &Arc<dyn RangeScan>| Arc::as_ptr(snapshot) as *const ();
 
