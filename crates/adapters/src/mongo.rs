@@ -306,8 +306,6 @@ mod tests {
         let catalog = Catalog::new();
         catalog.add_schema("mongo_raw", adapter.schema());
         let mut conn = Connection::new(catalog);
-        conn.add_rule(rcalcite_enumerable::implement_rule());
-        conn.register_executor(Arc::new(rcalcite_enumerable::EnumerableExecutor::new()));
         adapter.install(&mut conn);
         (conn, adapter)
     }

@@ -431,8 +431,6 @@ mod tests {
         catalog.add_schema("mysql", jdbc.schema());
         catalog.set_default_schema("splunk");
         let mut conn = Connection::new(catalog);
-        conn.add_rule(rcalcite_enumerable::implement_rule());
-        conn.register_executor(Arc::new(rcalcite_enumerable::EnumerableExecutor::new()));
         jdbc.install(&mut conn);
         splunk.install(&mut conn, std::slice::from_ref(&jdbc.convention));
         (conn, splunk, jdbc)

@@ -90,13 +90,13 @@ fn setup() -> (Rel, Rel) {
 
 fn row_ctx() -> ExecContext {
     let mut c = ExecContext::new();
-    c.register(Arc::new(EnumerableExecutor::interpreter()));
+    rcalcite_enumerable::register_executors(&mut c);
     c
 }
 
 fn batch_ctx() -> ExecContext {
     let mut c = ExecContext::new();
-    c.register(Arc::new(EnumerableExecutor::batched_interpreter()));
+    c.register(Arc::new(EnumerableExecutor::interpreter()));
     c
 }
 

@@ -43,10 +43,7 @@ fn star_connection(n: usize) -> (Connection, Arc<MemTable>) {
     let s = Schema::new();
     s.add_table("sales", fact.clone());
     catalog.add_schema("mart", s);
-    let mut conn = Connection::new(catalog);
-    conn.add_rule(rcalcite_enumerable::implement_rule());
-    conn.register_executor(Arc::new(rcalcite_enumerable::EnumerableExecutor::new()));
-    (conn, fact)
+    (Connection::new(catalog), fact)
 }
 
 const QUERY: &str = "SELECT region, COUNT(*) AS c, SUM(units) AS u \

@@ -5,12 +5,10 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use rcalcite_core::exec::ExecContext;
-use rcalcite_enumerable::EnumerableExecutor;
 use rcalcite_streams::{
     generate_orders, join_streams, orders_row_type, ReplayStream, StreamJoinSpec,
 };
 use std::hint::black_box;
-use std::sync::Arc;
 use std::time::Duration;
 
 fn stream_conn(n: usize) -> rcalcite_sql::Connection {
@@ -42,7 +40,7 @@ fn bench_tumbling(c: &mut Criterion) {
             .optimize(&conn.parse_to_rel(TUMBLE_SQL).unwrap())
             .unwrap();
         let mut oracle = ExecContext::new();
-        oracle.register(Arc::new(EnumerableExecutor::new()));
+        rcalcite_enumerable::register_executors(&mut oracle);
         assert_eq!(
             streamed,
             oracle.execute_collect(&plan).unwrap(),

@@ -13,7 +13,6 @@ use rcalcite_core::planner::hep::HepPlanner;
 use rcalcite_core::planner::volcano::VolcanoPlanner;
 use rcalcite_core::rules::{default_logical_rules, join_exploration_rules};
 use rcalcite_core::traits::Convention;
-use std::sync::Arc;
 use std::time::Instant;
 
 fn banner(title: &str) {
@@ -519,8 +518,6 @@ fn geo() -> Result<()> {
     );
     catalog.add_schema("geo", s);
     let mut conn = rcalcite_sql::Connection::new(catalog);
-    conn.add_rule(rcalcite_enumerable::implement_rule());
-    conn.register_executor(Arc::new(rcalcite_enumerable::EnumerableExecutor::new()));
     rcalcite_geo::register(conn.functions_mut());
     let r = conn.query(
         r#"SELECT name FROM (

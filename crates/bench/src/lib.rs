@@ -9,7 +9,6 @@ use rcalcite_core::datum::Datum;
 use rcalcite_core::rel::{self, JoinKind, Rel};
 use rcalcite_core::rex::RexNode;
 use rcalcite_core::types::{RelType, RowTypeBuilder, TypeKind};
-use rcalcite_enumerable::EnumerableExecutor;
 use rcalcite_sql::Connection;
 use std::sync::Arc;
 
@@ -64,10 +63,7 @@ pub fn figure4_connection(
         .with_statistic(Statistic::of_rows(products_n as f64).with_key(vec![0])),
     );
     catalog.add_schema("store", s);
-    let mut conn = Connection::new(catalog);
-    conn.add_rule(rcalcite_enumerable::implement_rule());
-    conn.register_executor(Arc::new(EnumerableExecutor::new()));
-    conn
+    Connection::new(catalog)
 }
 
 /// The paper's Figure 4 query.

@@ -29,10 +29,10 @@
 //! snapshot's `scan_range`, a foreign child (the stream its executor
 //! returns through the context) and [`execute_batches`] itself. Rows
 //! enter only through [`RowsOp`] — literal rows, row-only tables, and
-//! operators without a batch implementation (Window, IndexSeek,
-//! IndexJoin — which runs its whole same-convention left input on the
-//! row engine too), whose [`execute_node`] rows it pivots lazily, so a
-//! batched plan always runs end to end. All kernels are pure per-batch functions
+//! the row bridge: a node without a batch kernel (Window, IndexSeek,
+//! IndexJoin) runs alone on the row engine, over inputs this engine
+//! built and drained, and its rows are pivoted lazily, so a batched plan
+//! always runs end to end. All kernels are pure per-batch functions
 //! invoked by the streaming drivers — the shape **morsel-driven
 //! parallelism** farms out: when the execution context asks for more
 //! than one worker, the plan builder places the ordered gather over
@@ -60,9 +60,9 @@ use rcalcite_core::catalog::{RangeScan, TableRef};
 use rcalcite_core::datum::{Column, Datum, Row};
 use rcalcite_core::error::{CalciteError, Result};
 use rcalcite_core::exec::{
-    concat_batches, split_to_batches, BatchOp, BatchesOp, BoxOperator, ChainOp, ColumnBatch,
-    ExchangeItem, ExecContext, FilterMapOp, Operator, OrderedGatherOp, Parallelism, RowsOp,
-    BATCH_SIZE,
+    concat_batches, drain_rows, split_to_batches, BatchOp, BatchesOp, BoxOperator, ChainOp,
+    ColumnBatch, ExchangeItem, ExecContext, FilterMapOp, Operator, OrderedGatherOp, Parallelism,
+    RowsOp, BATCH_SIZE,
 };
 use rcalcite_core::metadata::{window_start_field, MetadataQuery};
 use rcalcite_core::rel::{Rel, RelOp};
@@ -78,9 +78,9 @@ use std::sync::Arc;
 // Plan → operator tree
 // ---------------------------------------------------------------------
 
-/// Compiles a plan node into its streaming operator, mirroring the
-/// dispatch structure of [`execute_node`]: a child in a foreign
-/// convention is the stream its executor returns through the context.
+/// Compiles a plan node into its streaming operator: a child in a
+/// foreign convention is the stream its executor returns through the
+/// context.
 fn build_op(rel: &Rel, ctx: &ExecContext) -> Result<BatchOp> {
     let child = |i: usize| -> Result<BatchOp> { build_input(rel, i, ctx) };
     match &rel.op {
@@ -212,9 +212,8 @@ fn build_op(rel: &Rel, ctx: &ExecContext) -> Result<BatchOp> {
         RelOp::Delta => child(0),
         // Convert: the foreign subtree's stream, through the context.
         RelOp::Convert { .. } => ctx.execute(rel),
-        // No batch operator (Window, IndexSeek, IndexJoin): run the row
-        // operator and pivot its output lazily. An IndexJoin's
-        // same-convention left input runs on the row engine with it.
+        // No batch operator (Window, IndexSeek, IndexJoin): run this
+        // node alone on rows and pivot its output lazily.
         _ => Ok(Box::new(RowBridgeOp {
             rel: rel.clone(),
             ctx: ctx.clone(),
@@ -308,9 +307,9 @@ impl Operator<ColumnBatch> for ScanOp {
     }
 }
 
-/// Runs the row operator of a node without a batch kernel at `open`
-/// and pivots its rows one batch at a time, so a lazy row source stays
-/// lazy.
+/// Runs the row operator of a node without a batch kernel at `open`,
+/// over its inputs built on this engine and drained, and pivots its rows
+/// one batch at a time, so a lazy row source stays lazy.
 struct RowBridgeOp {
     rel: Rel,
     ctx: ExecContext,
@@ -319,7 +318,10 @@ struct RowBridgeOp {
 
 impl Operator<ColumnBatch> for RowBridgeOp {
     fn open(&mut self) -> Result<()> {
-        let rows = execute_node(&self.rel, &self.ctx)?;
+        let (rel, ctx) = (&self.rel, &self.ctx);
+        let rows = execute_node(rel, ctx, &|i| {
+            Ok(Box::new(drain_rows(build_input(rel, i, ctx)?)?.into_iter()))
+        })?;
         self.rows = Some(RowsOp::new(rows, self.rel.row_type().kinds()));
         Ok(())
     }
@@ -2164,13 +2166,13 @@ mod tests {
 
     fn ctx_row() -> ExecContext {
         let mut c = ExecContext::new();
-        c.register(Arc::new(EnumerableExecutor::interpreter()));
+        crate::register_executors(&mut c);
         c
     }
 
     fn ctx_batch() -> ExecContext {
         let mut c = ExecContext::new();
-        c.register(Arc::new(EnumerableExecutor::batched_interpreter()));
+        c.register(Arc::new(EnumerableExecutor::interpreter()));
         c
     }
 
@@ -2664,7 +2666,7 @@ mod tests {
 
     fn ctx_parallel(workers: usize, morsel: usize) -> ExecContext {
         let mut c = ExecContext::new();
-        c.register(Arc::new(EnumerableExecutor::batched_interpreter()));
+        c.register(Arc::new(EnumerableExecutor::interpreter()));
         c.set_parallelism(Parallelism::new(workers, morsel));
         c
     }

@@ -1,19 +1,18 @@
 //! The enumerable executor: "relational operators with the enumerable
 //! calling convention simply operate over tuples via an iterator
-//! interface" (paper §5). It implements every operator of the algebra —
-//! including `EnumerableJoin`, "which implements joins by collecting rows
-//! from its child nodes and joining on the desired attributes" — so any
-//! adapter that provides just a table scan is fully queryable.
+//! interface" (paper §5). [`EnumerableExecutor`] is the one engine a
+//! `Connection` runs: the batch engine in [`crate::batch`].
 //!
-//! A `Connection` runs the batch engine in [`crate::batch`]; this row
-//! engine is its semantic reference. Tests and benches reach it by
-//! running a connection's optimized plan on an [`ExecContext`] with
-//! [`crate::register_executors`]; operators without a batch kernel
-//! (Window, IndexSeek, IndexJoin) still run through it behind the batch
-//! engine's row bridge, an IndexJoin with its whole same-convention left
-//! input. Its rows stay inside: at the executor boundary they leave as
-//! a [`RowsOp`] stream like every other executor's, and a foreign
-//! child's stream is drained back into rows.
+//! This module also holds the row engine, which implements every
+//! operator of the algebra — including `EnumerableJoin`, "which
+//! implements joins by collecting rows from its child nodes and joining
+//! on the desired attributes" — row at a time. It is the batch engine's
+//! semantic reference, and tests and benches reach it only through
+//! [`crate::register_executors`]. In production it runs one node at a
+//! time: an operator without a batch kernel (Window, IndexSeek,
+//! IndexJoin) runs through `execute_node` behind the batch engine's
+//! row bridge, on inputs the batch engine built and drained, so every
+//! node below it keeps its budget, spill and exchanges.
 
 use rcalcite_core::datum::{Datum, Row};
 use rcalcite_core::error::{CalciteError, Result};
@@ -27,53 +26,28 @@ use rcalcite_core::traits::{Collation, Convention, FieldCollation};
 use std::cmp::Ordering;
 use std::collections::{HashMap, HashSet};
 
-/// Executor for the `enumerable` convention. It also executes plans in
-/// the logical convention directly (interpreter mode), which is handy for
-/// differential testing of the optimizer.
-///
-/// Two engines share the convention. The vectorized batch engine
-/// (`batched`/`batched_interpreter`) runs operators over
-/// [`rcalcite_core::exec::ColumnBatch`]es with the Scan→Filter→Project fusion
-/// pass on; it is what a `Connection` runs. The row-at-a-time
-/// interpreter (`new`/`interpreter`) is the reference the batch engine
-/// is tested against.
+/// The enumerable convention's executor: the vectorized batch engine of
+/// [`crate::batch`], with its Scan→Filter→Project fusion and the
+/// exchanges and spill paths the context asks for. `new` serves the
+/// enumerable convention; `interpreter` the logical one, so unoptimized
+/// plans run on the same engine. It is what a `Connection` registers.
 pub struct EnumerableExecutor {
     convention: Convention,
-    batch: bool,
 }
 
 impl EnumerableExecutor {
-    /// The row engine for the enumerable convention.
+    /// The batch engine for the enumerable convention.
     pub fn new() -> EnumerableExecutor {
         EnumerableExecutor {
             convention: Convention::enumerable(),
-            batch: false,
         }
     }
 
-    /// An executor instance registered for the *logical* convention:
-    /// interprets unoptimized plans.
+    /// The batch engine registered for the *logical* convention:
+    /// executes unoptimized plans.
     pub fn interpreter() -> EnumerableExecutor {
         EnumerableExecutor {
             convention: Convention::none(),
-            batch: false,
-        }
-    }
-
-    /// The vectorized executor: same convention, same results, but
-    /// operators with batch kernels run over column batches.
-    pub fn batched() -> EnumerableExecutor {
-        EnumerableExecutor {
-            convention: Convention::enumerable(),
-            batch: true,
-        }
-    }
-
-    /// The vectorized interpreter for unoptimized logical plans.
-    pub fn batched_interpreter() -> EnumerableExecutor {
-        EnumerableExecutor {
-            convention: Convention::none(),
-            batch: true,
         }
     }
 }
@@ -90,26 +64,49 @@ impl ConventionExecutor for EnumerableExecutor {
     }
 
     fn execute(&self, rel: &Rel, ctx: &ExecContext) -> Result<BatchOp> {
-        if self.batch {
-            crate::batch::execute_batches(rel, ctx)
-        } else {
-            let rows = execute_node(rel, ctx)?;
-            Ok(Box::new(RowsOp::new(rows, rel.row_type().kinds())))
-        }
+        crate::batch::execute_batches(rel, ctx)
     }
 }
 
-/// Recursively executes a node; children in foreign conventions are routed
-/// through the context, and their streams drained into rows.
-pub fn execute_node(rel: &Rel, ctx: &ExecContext) -> Result<RowIter> {
-    let child = |i: usize| -> Result<RowIter> {
+/// The row engine, registered for one convention by
+/// [`crate::register_executors`] only: the oracle the batch engine is
+/// tested against.
+pub(crate) struct RowOracle(pub(crate) Convention);
+
+impl ConventionExecutor for RowOracle {
+    fn convention(&self) -> Convention {
+        self.0.clone()
+    }
+
+    fn execute(&self, rel: &Rel, ctx: &ExecContext) -> Result<BatchOp> {
+        Ok(Box::new(RowsOp::new(
+            run_rows(rel, ctx)?,
+            rel.row_type().kinds(),
+        )))
+    }
+}
+
+/// Runs `rel` and every same-convention input below it on rows; a
+/// foreign input's stream, through the context, is drained into rows.
+fn run_rows(rel: &Rel, ctx: &ExecContext) -> Result<RowIter> {
+    execute_node(rel, ctx, &|i| {
         let c = rel.input(i);
         if c.convention == rel.convention || matches!(c.op, RelOp::Convert { .. }) {
-            execute_node_dispatch(c, ctx, &rel.convention)
+            run_rows(c, ctx)
         } else {
-            foreign(c, ctx)
+            Ok(Box::new(ctx.execute_collect(c)?.into_iter()))
         }
-    };
+    })
+}
+
+/// Runs one node on rows, taking input `i`'s rows from `child(i)`: the
+/// row engine passes its own recursion, the batch engine's row bridge
+/// its batch inputs drained.
+pub(crate) fn execute_node(
+    rel: &Rel,
+    ctx: &ExecContext,
+    child: &dyn Fn(usize) -> Result<RowIter>,
+) -> Result<RowIter> {
     match &rel.op {
         RelOp::Scan { table } => table.table.scan(),
         RelOp::IndexSeek {
@@ -307,25 +304,8 @@ pub fn execute_node(rel: &Rel, ctx: &ExecContext) -> Result<RowIter> {
         // A stream's delta is its rows in arrival order: the identity.
         // This row oracle reads streams to their end; the batch engine
         // flushes an aggregate's windows as its ascending key moves on.
-        RelOp::Delta => child(0),
-        RelOp::Convert { .. } => foreign(rel.input(0), ctx),
-    }
-}
-
-/// A subtree in another convention: its executor's stream, drained.
-fn foreign(rel: &Rel, ctx: &ExecContext) -> Result<RowIter> {
-    Ok(Box::new(ctx.execute_collect(rel)?.into_iter()))
-}
-
-fn execute_node_dispatch(
-    rel: &Rel,
-    ctx: &ExecContext,
-    parent_conv: &Convention,
-) -> Result<RowIter> {
-    if rel.convention == *parent_conv || matches!(rel.op, RelOp::Convert { .. }) {
-        execute_node(rel, ctx)
-    } else {
-        foreign(rel, ctx)
+        // A Convert's input is the foreign subtree, which `child` routes.
+        RelOp::Delta | RelOp::Convert { .. } => child(0),
     }
 }
 
@@ -944,7 +924,6 @@ mod tests {
     use rcalcite_core::catalog::{MemTable, TableRef};
     use rcalcite_core::rel::{self, WindowFrame};
     use rcalcite_core::types::{RelType, RowTypeBuilder, TypeKind};
-    use std::sync::Arc;
 
     fn int_ty() -> RelType {
         RelType::not_null(TypeKind::Integer)
@@ -952,8 +931,7 @@ mod tests {
 
     fn ctx() -> ExecContext {
         let mut c = ExecContext::new();
-        c.register(Arc::new(EnumerableExecutor::new()));
-        c.register(Arc::new(EnumerableExecutor::interpreter()));
+        crate::register_executors(&mut c);
         c
     }
 

@@ -4,14 +4,18 @@
 //! that "simply operate over tuples via an iterator interface" — plus the
 //! LINQ4J-style language-integrated query layer (§7.4).
 //!
-//! `install` wires the convention into a planner and execution context:
+//! A `Connection` wires [`implement_rule`] and [`EnumerableExecutor`],
+//! the batch engine, itself. [`register_executors`] is the door to the
+//! row engine, the oracle tests and benches check the batch engine
+//! against:
 //!
 //! ```
 //! # use rcalcite_core::exec::ExecContext;
 //! # use rcalcite_core::planner::volcano::VolcanoPlanner;
 //! let mut planner = VolcanoPlanner::new(rcalcite_core::rules::default_logical_rules());
-//! let mut ctx = ExecContext::new();
-//! rcalcite_enumerable::install(&mut planner, &mut ctx);
+//! planner.add_rule(rcalcite_enumerable::implement_rule());
+//! let mut oracle = ExecContext::new();
+//! rcalcite_enumerable::register_executors(&mut oracle);
 //! ```
 
 mod aggregate;
@@ -22,12 +26,13 @@ mod keys;
 pub mod linq4j;
 
 pub use batch::{execute_batches, explain_parallel, explain_spill};
-pub use executor::{compare_datums, compare_rows, execute_node, EnumerableExecutor};
+pub use executor::{compare_datums, compare_rows, EnumerableExecutor};
 pub use linq4j::Enumerable;
 pub use rcalcite_core::exec::BATCH_SIZE;
 
+use executor::RowOracle;
 use rcalcite_core::exec::ExecContext;
-use rcalcite_core::planner::volcano::{UniversalImplementRule, VolcanoPlanner};
+use rcalcite_core::planner::volcano::UniversalImplementRule;
 use rcalcite_core::rules::Rule;
 use rcalcite_core::traits::Convention;
 use std::sync::Arc;
@@ -38,18 +43,11 @@ pub fn implement_rule() -> Arc<dyn Rule> {
     Arc::new(UniversalImplementRule::new(Convention::enumerable()))
 }
 
-/// Registers the enumerable executor (and the logical-plan interpreter,
-/// used for differential testing) in an execution context.
+/// Registers the row engine, the batch engine's oracle, for the
+/// enumerable and the logical convention in an execution context.
 pub fn register_executors(ctx: &mut ExecContext) {
-    ctx.register(Arc::new(EnumerableExecutor::new()));
-    ctx.register(Arc::new(EnumerableExecutor::interpreter()));
-}
-
-/// One-call installation: implementation rule into the planner, executors
-/// into the context.
-pub fn install(planner: &mut VolcanoPlanner, ctx: &mut ExecContext) {
-    planner.add_rule(implement_rule());
-    register_executors(ctx);
+    ctx.register(Arc::new(RowOracle(Convention::enumerable())));
+    ctx.register(Arc::new(RowOracle(Convention::none())));
 }
 
 #[cfg(test)]
@@ -58,6 +56,7 @@ mod tests {
     use rcalcite_core::catalog::{MemTable, TableRef};
     use rcalcite_core::datum::Datum;
     use rcalcite_core::metadata::MetadataQuery;
+    use rcalcite_core::planner::volcano::VolcanoPlanner;
     use rcalcite_core::planner::PlannerEngine;
     use rcalcite_core::rel;
     use rcalcite_core::rex::RexNode;
@@ -79,8 +78,9 @@ mod tests {
         );
 
         let mut planner = VolcanoPlanner::new(default_logical_rules());
+        planner.add_rule(implement_rule());
         let mut ctx = ExecContext::new();
-        install(&mut planner, &mut ctx);
+        register_executors(&mut ctx);
 
         let mq = MetadataQuery::standard();
         let physical = planner

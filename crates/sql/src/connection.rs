@@ -218,7 +218,13 @@ pub struct Connection {
 }
 
 impl Connection {
+    /// `Connection::builder(catalog).build()`: the defaults.
     pub fn new(catalog: Arc<Catalog>) -> Connection {
+        Connection::builder(catalog).build()
+    }
+
+    /// The connection [`ConnectionBuilder::build`] wires the engine into.
+    pub(crate) fn bare(catalog: Arc<Catalog>) -> Connection {
         Connection {
             catalog,
             functions: FunctionRegistry::new(),
@@ -245,9 +251,9 @@ impl Connection {
         }
     }
 
-    /// The preferred way to open a connection: picks plan-cache size,
-    /// workers and memory budget, and wires the default enumerable rules
-    /// and executor so callers stop hand-registering them.
+    /// Opens a connection with a chosen plan-cache size, worker count
+    /// and memory budget; `build` wires the enumerable implementation
+    /// rule and the batch engine.
     pub fn builder(catalog: Arc<Catalog>) -> ConnectionBuilder {
         ConnectionBuilder::new(catalog)
     }
@@ -1393,14 +1399,16 @@ impl Connection {
         )
     }
 
-    /// The shared EXPLAIN implementation: plans through the cache (so
-    /// EXPLAIN observes — and warms — the same entries queries use) and
-    /// renders the physical plan with cost annotations. With more than
-    /// one worker, the exchange placement the parallel engine uses is
+    /// The shared EXPLAIN implementation: plans the way the query would
+    /// run ([`Connection::plan_for_execution`]: through the cache, so
+    /// EXPLAIN observes — and warms — the same entries queries use;
+    /// inside a transaction, against its snapshot, uncached) and renders
+    /// the physical plan with cost annotations. With more than one
+    /// worker, the exchange placement the parallel engine uses is
     /// appended as a second section; operators the memory budget would
     /// push to disk follow as `-- spill:` lines.
     fn explain_query(&self, key: &str, q: &Arc<Query>) -> Result<(String, bool)> {
-        let (plan, cached) = self.plan_query(key, q)?;
+        let (plan, cached) = self.plan_for_execution(key, q)?;
         let mq = self.metadata_query();
         let mut text = explain_with_costs(&plan.physical, &mq);
         text.push_str(&rcalcite_core::explain::explain_estimates(
@@ -1678,11 +1686,7 @@ mod tests {
             ),
         );
         catalog.add_schema("hr", s);
-        let mut conn = Connection::new(catalog);
-        // Wire in the enumerable engine the way a host system would.
-        conn.add_rule(rcalcite_enumerable::implement_rule());
-        conn.register_executor(Arc::new(rcalcite_enumerable::EnumerableExecutor::new()));
-        conn
+        Connection::builder(catalog).workers(1).build()
     }
 
     #[test]
@@ -2096,11 +2100,13 @@ mod tests {
         assert!(text.contains("partitions"), "{text}");
     }
 
-    /// A hand-wired connection runs the same engine as a built one: its
-    /// budget is charged and its EXPLAIN predicts the spill.
+    /// `Connection::new` builds what the builder builds: its budget is
+    /// charged, by every statement kind, and its EXPLAIN predicts the
+    /// spill.
     #[test]
-    fn hand_wired_connection_honours_its_memory_budget() {
-        let mut conn = connection();
+    fn connection_new_honours_its_memory_budget() {
+        let mut conn = Connection::new(connection().catalog().clone());
+        conn.set_parallelism(rcalcite_core::exec::Parallelism::serial());
         conn.query("CREATE TABLE hr.t (k INTEGER, v INTEGER)")
             .unwrap();
         let values: Vec<String> = (0..5000)
@@ -2123,6 +2129,14 @@ mod tests {
         oracle.sort();
         assert_eq!(rows, oracle);
         assert!(!conn.spill_stats().stayed_in_memory());
+        // INSERT … SELECT runs on the same engine as the SELECT: its
+        // 5 000-group aggregate spills under the same budget.
+        conn.query("CREATE TABLE hr.byv (v INTEGER, c INTEGER)")
+            .unwrap();
+        conn.query("INSERT INTO hr.byv SELECT v, COUNT(*) FROM hr.t GROUP BY v")
+            .unwrap();
+        let ops: Vec<&str> = conn.spill_stats().events().iter().map(|e| e.op).collect();
+        assert!(ops.contains(&"aggregate"), "{ops:?}");
     }
 
     #[test]

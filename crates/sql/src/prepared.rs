@@ -21,9 +21,8 @@ use rcalcite_enumerable::EnumerableExecutor;
 use std::collections::VecDeque;
 use std::sync::Arc;
 
-/// Builds a [`Connection`] with the execution engine wired in, replacing
-/// the old hand-registration dance (`add_rule(implement_rule())` +
-/// `register_executor(...)`).
+/// Builds a [`Connection`] with the execution engine wired in;
+/// [`Connection::new`] is `builder(catalog).build()`.
 ///
 /// ```
 /// # use rcalcite_core::catalog::Catalog;
@@ -91,8 +90,8 @@ impl ConnectionBuilder {
         self
     }
 
-    /// Also registers the logical-plan interpreter executor, used by
-    /// differential tests to run unoptimized plans.
+    /// Also registers the batch engine for the logical convention, so
+    /// unoptimized plans run on the connection.
     pub fn with_interpreter(mut self) -> ConnectionBuilder {
         self.interpreter = true;
         self
@@ -115,7 +114,7 @@ impl ConnectionBuilder {
     /// build operators through their spill paths; CI runs the matrix
     /// under a tiny budget and under budget + workers combined.
     pub fn build(self) -> Connection {
-        let mut conn = Connection::new(self.catalog);
+        let mut conn = Connection::bare(self.catalog);
         if let Some(cap) = self.plan_cache_capacity {
             conn.set_plan_cache_capacity(cap);
         }
@@ -146,9 +145,9 @@ impl ConnectionBuilder {
             conn.add_rule(r);
         }
         conn.add_rule(rcalcite_enumerable::implement_rule());
-        conn.register_executor(Arc::new(EnumerableExecutor::batched()));
+        conn.register_executor(Arc::new(EnumerableExecutor::new()));
         if self.interpreter {
-            conn.register_executor(Arc::new(EnumerableExecutor::batched_interpreter()));
+            conn.register_executor(Arc::new(EnumerableExecutor::interpreter()));
         }
         conn
     }

@@ -7,15 +7,11 @@ use rcalcite_core::catalog::{Catalog, Schema};
 use rcalcite_core::datum::Datum;
 use rcalcite_core::rel::{Rel, RelKind};
 use rcalcite_sql::Connection;
-use std::sync::Arc;
 
 fn conn() -> Connection {
     let catalog = Catalog::new();
     catalog.add_schema("db", Schema::new());
-    let mut c = Connection::new(catalog);
-    c.add_rule(rcalcite_enumerable::implement_rule());
-    c.register_executor(Arc::new(rcalcite_enumerable::EnumerableExecutor::new()));
-    c
+    Connection::new(catalog)
 }
 
 #[test]

@@ -369,6 +369,11 @@ fn uncommitted_deltas_are_invisible_and_rollback_leaves_views_untouched() {
     let inside = c.query(def).unwrap();
     let by_region_c = sorted(inside.rows.clone());
     assert_ne!(by_region_c, before, "txn query must see its own writes");
+    // EXPLAIN inside the transaction shows the plan that runs: a scan of
+    // the transaction's snapshot of the base table, not the view.
+    let plan = c.explain(def).unwrap();
+    assert!(!plan.contains("mv.by_region"), "{plan}");
+    assert!(plan.contains("Scan(mart.sales)"), "{plan}");
 
     c.query("ROLLBACK").unwrap();
     assert_eq!(

@@ -24,7 +24,7 @@ use rcalcite_core::error::Result as CoreResult;
 use rcalcite_core::exec::{
     BatchOp, ColumnBatch, ExecContext, Operator, Parallelism, SlicedColumns,
 };
-use rcalcite_core::rel::{self, AggCall, AggFunc, JoinKind, Rel};
+use rcalcite_core::rel::{self, AggCall, AggFunc, JoinKind, Rel, WinFunc, WindowFn, WindowFrame};
 use rcalcite_core::rex::{Op, RexNode};
 use rcalcite_core::store::CHUNK_ROWS;
 use rcalcite_core::traits::FieldCollation;
@@ -66,7 +66,7 @@ pub fn budget(bytes: Option<usize>) -> MemoryBudget {
 
 pub fn oracle_ctx() -> ExecContext {
     let mut c = ExecContext::new();
-    c.register(Arc::new(EnumerableExecutor::interpreter()));
+    rcalcite_enumerable::register_executors(&mut c);
     c
 }
 
@@ -74,7 +74,7 @@ pub fn oracle_ctx() -> ExecContext {
 /// `RCALCITE_TEST_MEM_BUDGET` in the environment moves no cell.
 pub fn fused_ctx(workers: usize, bytes: Option<usize>) -> ExecContext {
     let mut c = ExecContext::new();
-    c.register(Arc::new(EnumerableExecutor::batched_interpreter()));
+    c.register(Arc::new(EnumerableExecutor::interpreter()));
     c.set_parallelism(Parallelism::new(workers, MORSEL));
     c.set_memory_budget(budget(bytes));
     c
@@ -658,6 +658,35 @@ pub fn plus_one(plan: Rel) -> Rel {
     let e = RexNode::call(Op::Plus, vec![v, RexNode::lit_int(1)]);
     rel::project(plan, vec![e], vec!["v1".into()])
 }
+
+/// `func(args)` over `plan`, per `partition`, in `order`, on the default
+/// frame (RANGE from the partition's start to the current row's last
+/// peer), so an aggregate's value does not depend on the order ties
+/// arrive in. A window has no batch kernel: the batch engine runs it
+/// alone on rows, over `plan` built on batches.
+pub fn over(
+    plan: Rel,
+    func: WinFunc,
+    args: Vec<usize>,
+    partition: Vec<usize>,
+    order: Vec<FieldCollation>,
+) -> Rel {
+    let ty = match func {
+        WinFunc::Agg(a) => a.ret_type(args.first().map(|&c| &plan.row_type().field(c).ty)),
+        WinFunc::RowNumber | WinFunc::Rank => RelType::not_null(TypeKind::Integer),
+    };
+    let wf = WindowFn {
+        func,
+        args,
+        partition,
+        frame: WindowFrame::default_frame(),
+        order,
+        name: "w".into(),
+        ty,
+    };
+    rel::window(plan, vec![wf])
+}
+
 /// A catalog of one table in schema `hr`.
 pub fn one_table(name: &str, row_type: RowType, rows: Vec<Row>) -> Arc<Catalog> {
     let catalog = Catalog::new();

@@ -11,7 +11,6 @@ use rcalcite_core::rex::{Op, RexNode};
 use rcalcite_core::simplify::simplify;
 use rcalcite_core::types::{RelType, RowTypeBuilder, TypeKind};
 use rcalcite_sql::Connection;
-use std::sync::Arc;
 
 fn test_connection(rows_a: usize, rows_b: usize) -> Connection {
     let catalog = Catalog::new();
@@ -52,10 +51,7 @@ fn test_connection(rows_a: usize, rows_b: usize) -> Connection {
         ),
     );
     catalog.add_schema("t", s);
-    let mut c = Connection::new(catalog);
-    c.add_rule(rcalcite_enumerable::implement_rule());
-    c.register_executor(Arc::new(rcalcite_enumerable::EnumerableExecutor::new()));
-    c
+    Connection::new(catalog)
 }
 
 /// Runs a query both ways and asserts identical (order-normalized) rows.

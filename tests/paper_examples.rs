@@ -12,7 +12,6 @@ use rcalcite_core::metadata::MetadataQuery;
 use rcalcite_core::planner::hep::HepPlanner;
 use rcalcite_core::rel::{Rel, RelKind};
 use rcalcite_core::rules::default_logical_rules;
-use std::sync::Arc;
 
 fn find(rel: &Rel, pred: &dyn Fn(&Rel) -> bool) -> bool {
     pred(rel) || rel.inputs.iter().any(|i| find(i, pred))
@@ -221,7 +220,6 @@ fn section7_2_stream_filter() {
 #[test]
 fn section7_2_tumbling_aggregate_matches_row_oracle() {
     use rcalcite_core::exec::ExecContext;
-    use rcalcite_enumerable::EnumerableExecutor;
     // The engine flushes each hour as the stream moves past it; the row
     // oracle reads the whole replay first. Same rows, same order.
     let conn = stream_conn();
@@ -231,7 +229,7 @@ fn section7_2_tumbling_aggregate_matches_row_oracle() {
     let streamed = conn.execute(sql).unwrap().collect().unwrap().rows;
     let plan = conn.optimize(&conn.parse_to_rel(sql).unwrap()).unwrap();
     let mut oracle = ExecContext::new();
-    oracle.register(Arc::new(EnumerableExecutor::new()));
+    rcalcite_enumerable::register_executors(&mut oracle);
     assert_eq!(streamed, oracle.execute_collect(&plan).unwrap());
     // 720 events 10 s apart: two hours of five products, each window
     // closing on its end.
@@ -342,8 +340,6 @@ fn section7_3_amsterdam_query() {
     );
     catalog.add_schema("geo", s);
     let mut conn = rcalcite_sql::Connection::new(catalog);
-    conn.add_rule(rcalcite_enumerable::implement_rule());
-    conn.register_executor(Arc::new(rcalcite_enumerable::EnumerableExecutor::new()));
     rcalcite_geo::register(conn.functions_mut());
     let r = conn
         .query(

@@ -13,7 +13,7 @@ use rcalcite_adapters::jdbc::JdbcAdapter;
 use rcalcite_backends::memdb::MemDb;
 use rcalcite_core::catalog::TableRef;
 use rcalcite_core::datum::{Datum, Row};
-use rcalcite_core::rel::{self, AggCall, AggFunc};
+use rcalcite_core::rel::{self, AggCall, AggFunc, WinFunc};
 use rcalcite_core::rex::{Op, RexNode};
 use rcalcite_core::traits::FieldCollation;
 use rcalcite_sql::PostgresDialect;
@@ -69,6 +69,26 @@ fn filter_project_chains_identical_across_worker_counts() {
         vec!["x".into(), "y3".into()],
     );
     check(&plan, true);
+    // A window over a chain of many morsels: the chain below the
+    // row-only Window reads the table's snapshot, as the exchange does.
+    let n = 20 * MORSEL as i64;
+    let windowed = |t: &Arc<TrackingTable>| {
+        over(
+            plus_one(t.scan()),
+            WinFunc::RowNumber,
+            vec![],
+            vec![],
+            vec![FieldCollation::desc(0)],
+        )
+    };
+    check(&windowed(&TrackingTable::new(n)), true);
+    let table = TrackingTable::new(n);
+    let rows = fused_ctx(4, None)
+        .execute_collect(&windowed(&table))
+        .unwrap();
+    assert_eq!(rows.len(), n as usize);
+    assert_eq!(table.snapshots.load(Ordering::SeqCst), 1);
+    assert_eq!(table.snapshot.rows.load(Ordering::SeqCst), n as usize);
 }
 
 #[test]
@@ -95,6 +115,14 @@ fn aggregates_identical_across_worker_counts() {
             vec![0],
             vec![sum(1)],
         ),
+        // A window over the grouped aggregate.
+        over(
+            rel::aggregate(base(), vec![0, 2], vec![sum(1)]),
+            WinFunc::Agg(AggFunc::Sum),
+            vec![2],
+            vec![1],
+            vec![FieldCollation::asc(0)],
+        ),
     ] {
         check(&plan, false);
     }
@@ -109,6 +137,19 @@ fn joins_identical_across_worker_counts() {
     for kind in JOIN_KINDS {
         check(&rel::join(slice(), dim(), kind, theta.clone()), false);
     }
+    // A window over an equi-join, partitioned by the dimension's key.
+    let equi = RexNode::input(1, int_ty()).eq(RexNode::input(3, int_ty()));
+    let joined = rel::join(base(), dim(), rel::JoinKind::Inner, equi);
+    check(
+        &over(
+            joined,
+            WinFunc::Agg(AggFunc::Count),
+            vec![0],
+            vec![3],
+            vec![FieldCollation::asc(0)],
+        ),
+        false,
+    );
 }
 
 #[test]

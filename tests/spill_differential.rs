@@ -14,7 +14,7 @@ use proptest::prelude::*;
 use rcalcite_core::buffer::{MemoryBudget, PAGE_SIZE};
 use rcalcite_core::catalog::MemTable;
 use rcalcite_core::datum::Datum;
-use rcalcite_core::rel::{self, AggCall, AggFunc, JoinKind};
+use rcalcite_core::rel::{self, AggCall, AggFunc, JoinKind, WinFunc};
 use rcalcite_core::rex::RexNode;
 use rcalcite_core::traits::FieldCollation;
 use rcalcite_core::types::{RowTypeBuilder, TypeKind};
@@ -62,6 +62,20 @@ fn aggregates_identical_across_budgets() {
     ] {
         check(&plan, false);
     }
+    // A window over a 20 000-group aggregate: the aggregate below the
+    // row-only Window runs on the batch engine, so one page spills it.
+    let windowed = over(
+        many_groups(60_000, |j| j % 20_000),
+        WinFunc::RowNumber,
+        vec![],
+        vec![0],
+        vec![FieldCollation::asc(1)],
+    );
+    assert_eq!(check(&windowed, true).len(), 20_000);
+    let ctx = fused_ctx(1, Some(PAGE_SIZE));
+    ctx.execute_collect(&windowed).unwrap();
+    let ops: Vec<&str> = ctx.spill_tracker().events().iter().map(|e| e.op).collect();
+    assert!(ops.contains(&"aggregate"), "{ops:?}");
 }
 
 #[test]

@@ -5,7 +5,6 @@ use rcalcite_core::catalog::{Catalog, MemTable, Schema};
 use rcalcite_core::datum::Datum;
 use rcalcite_core::types::{RowTypeBuilder, TypeKind};
 use rcalcite_sql::Connection;
-use std::sync::Arc;
 
 fn conn() -> Connection {
     let catalog = Catalog::new();
@@ -68,10 +67,7 @@ fn conn() -> Connection {
         ),
     );
     catalog.add_schema("hr", s);
-    let mut c = Connection::new(catalog);
-    c.add_rule(rcalcite_enumerable::implement_rule());
-    c.register_executor(Arc::new(rcalcite_enumerable::EnumerableExecutor::new()));
-    c
+    Connection::new(catalog)
 }
 
 fn ints(rows: &[Vec<Datum>], col: usize) -> Vec<i64> {

@@ -13,7 +13,6 @@ use rcalcite_core::catalog::{Catalog, MemTable, Schema};
 use rcalcite_core::datum::{Datum, Row};
 use rcalcite_core::exec::ExecContext;
 use rcalcite_core::types::{RowTypeBuilder, TypeKind};
-use rcalcite_enumerable::EnumerableExecutor;
 use rcalcite_sql::Connection;
 use std::sync::Arc;
 
@@ -82,10 +81,7 @@ fn catalog() -> Arc<Catalog> {
 }
 
 fn connection() -> Connection {
-    let mut c = Connection::new(catalog());
-    c.add_rule(rcalcite_enumerable::implement_rule());
-    c.register_executor(Arc::new(EnumerableExecutor::batched()));
-    c
+    Connection::new(catalog())
 }
 
 /// Runs `sql` with `params` bound: through the connection's front door,

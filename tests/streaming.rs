@@ -11,7 +11,6 @@ use rcalcite_core::error::Result;
 use rcalcite_core::exec::ExecContext;
 use rcalcite_core::traits::{Convention, FieldCollation};
 use rcalcite_core::types::RowType;
-use rcalcite_enumerable::EnumerableExecutor;
 use rcalcite_sql::Connection;
 use rcalcite_streams::{generate_orders, orders_row_type, ReplayStream};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -211,7 +210,7 @@ fn one_window_is_resident() {
         .optimize(&stream.parse_to_rel(&sql).unwrap())
         .unwrap();
     let mut oracle = ExecContext::new();
-    oracle.register(Arc::new(EnumerableExecutor::new()));
+    rcalcite_enumerable::register_executors(&mut oracle);
     assert_eq!(streamed, oracle.execute_collect(&plan).unwrap());
     assert_eq!(streamed.len(), 6_000);
 }

@@ -115,8 +115,6 @@ fn sql_connection_canary() {
     catalog.add_schema("sales", jdbc.schema());
 
     let mut conn = rcalcite_sql::Connection::new(catalog);
-    conn.add_rule(rcalcite_enumerable::implement_rule());
-    conn.register_executor(Arc::new(rcalcite_enumerable::EnumerableExecutor::new()));
     jdbc.install(&mut conn);
 
     let result = conn
