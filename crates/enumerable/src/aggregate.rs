@@ -4,15 +4,13 @@
 //! at a time, merged exactly across parallel partials and spill chunks,
 //! and finished straight into output columns.
 
-use crate::batch::SourceSeed;
+use crate::batch::FoldInput;
 use crate::executor::{add_datums, compare_datums, Acc};
 use crate::keys::{null_rows, KeySet};
 use rcalcite_core::buffer::{ByteReader, ByteWriter, MemoryReservation, SpillEnv, SpillFile};
 use rcalcite_core::datum::{Column, Datum};
 use rcalcite_core::error::{CalciteError, Result};
-use rcalcite_core::exec::{
-    split_to_batches, BatchOp, ColumnBatch, Operator, OrderedGatherOp, Parallelism,
-};
+use rcalcite_core::exec::{split_to_batches, ColumnBatch, Operator};
 use rcalcite_core::rel::AggCall;
 use rcalcite_core::traits::FieldCollation;
 use rcalcite_core::types::TypeKind;
@@ -420,8 +418,8 @@ fn read_agg_chunk(r: &mut ByteReader, aggs: &[AggCall]) -> Result<AggState> {
 
 // ------------------------------ operators -----------------------------
 
-/// What a serial aggregate computes: its keys, its calls, its output
-/// kinds and the budget its state folds under.
+/// What an aggregate computes: its keys, its calls, its output kinds and
+/// the budget its state folds under.
 pub(crate) struct AggSpec {
     pub(crate) group: Vec<usize>,
     pub(crate) aggs: Vec<AggCall>,
@@ -429,14 +427,13 @@ pub(crate) struct AggSpec {
     pub(crate) spill: SpillEnv,
 }
 
-/// One serial fold of aggregate input under the memory budget: a state
-/// that outgrows its reservation spills as a chunk and restarts, and
-/// [`Fold::finish`] merges the chunks back.
+/// One fold of aggregate input under the memory budget — a stream's
+/// whole input, one window of it, or one worker's share of the morsels:
+/// a state that outgrows its reservation spills as a chunk and restarts,
+/// and [`finish_folds`] merges the chunks back.
 struct Fold {
     state: AggState,
     res: MemoryReservation,
-    /// Sequence number of the next input row.
-    seq: u64,
     /// Spilled partial states, as (offset, len) chunks of one file in
     /// input-time order.
     chunks: Vec<(u64, usize)>,
@@ -448,16 +445,15 @@ impl Fold {
         Fold {
             state: AggState::new(&spec.aggs),
             res: MemoryReservation::new(spec.spill.budget.clone()),
-            seq: 0,
             chunks: vec![],
             file: None,
         }
     }
 
-    /// Accumulates one dense batch.
-    fn add(&mut self, b: &ColumnBatch, spec: &AggSpec) -> Result<()> {
-        self.state.update(b, &spec.group, &spec.aggs, self.seq)?;
-        self.seq += b.num_rows() as u64;
+    /// Accumulates one dense batch whose first row has input sequence
+    /// number `seq0`.
+    fn add(&mut self, b: &ColumnBatch, seq0: u64, spec: &AggSpec) -> Result<()> {
+        self.state.update(b, &spec.group, &spec.aggs, seq0)?;
         if !spec.spill.budget.is_bounded() {
             return Ok(());
         }
@@ -479,28 +475,32 @@ impl Fold {
         }
         Ok(())
     }
+}
 
-    /// The folded groups in first-seen order.
-    fn finish(self, spec: &AggSpec) -> Result<Vec<ColumnBatch>> {
-        let Some(f) = self.file else {
-            return Ok(self
-                .state
-                .finish(&spec.group, &spec.aggs, &spec.out_kinds, false));
-        };
-        let n = self.chunks.len();
-        spec.spill.tracker.record("aggregate", n, n + 1);
-        // Merge partials in input-time order (the same fold order the
-        // parallel engine's worker merge uses), the in-memory tail last;
-        // the first-seen sort restores serial order.
-        let mut merged = AggState::new(&spec.aggs);
-        for (off, len) in self.chunks {
-            let bytes = f.read_at(off, len)?;
-            let chunk = read_agg_chunk(&mut ByteReader::new(&bytes), &spec.aggs)?;
-            merged.merge(chunk, &spec.aggs)?;
-        }
-        merged.merge(self.state, &spec.aggs)?;
-        Ok(merged.finish(&spec.group, &spec.aggs, &spec.out_kinds, true))
+/// The groups of `folds` (in worker order) in first-seen order. One fold
+/// that never spilled holds them in that order already. Otherwise every
+/// fold's chunks merge in input-time order, its in-memory tail last, and
+/// the first-seen sort restores serial order.
+fn finish_folds(mut folds: Vec<Fold>, spec: &AggSpec) -> Result<Vec<ColumnBatch>> {
+    let (group, aggs, kinds) = (&spec.group, &spec.aggs, &spec.out_kinds);
+    if folds.len() == 1 && folds[0].file.is_none() {
+        let fold = folds.pop().expect("one fold");
+        return Ok(fold.state.finish(group, aggs, kinds, false));
     }
+    let n: usize = folds.iter().map(|f| f.chunks.len()).sum();
+    if n > 0 {
+        spec.spill.tracker.record("aggregate", n, n + folds.len());
+    }
+    let mut merged = AggState::new(aggs);
+    for fold in folds {
+        for (off, len) in fold.chunks {
+            let f = fold.file.as_ref().expect("a spilled fold has a file");
+            let bytes = f.read_at(off, len)?;
+            merged.merge(read_agg_chunk(&mut ByteReader::new(&bytes), aggs)?, aggs)?;
+        }
+        merged.merge(fold.state, aggs)?;
+    }
+    Ok(merged.finish(group, aggs, kinds, true))
 }
 
 /// The group key a streaming aggregate flushes on, found by
@@ -517,6 +517,8 @@ pub(crate) struct Windows {
     column: String,
     /// Key of the window being folded; `None` before the first row.
     current: Option<Datum>,
+    /// Sequence number of the next input row.
+    seq: u64,
     /// `None` once the input has ended.
     fold: Option<Fold>,
 }
@@ -528,6 +530,7 @@ impl Windows {
             order,
             column,
             current: None,
+            seq: 0,
             fold: None,
         }
     }
@@ -558,30 +561,46 @@ impl Windows {
                     }
                 }
                 // Row `i` opens the next window: the current one is done.
-                fold.add(&b.slice(start, i - start), spec)?;
-                out.extend(std::mem::replace(fold, Fold::new(spec)).finish(spec)?);
+                fold.add(&b.slice(start, i - start), self.seq + start as u64, spec)?;
+                let done = std::mem::replace(fold, Fold::new(spec));
+                out.extend(finish_folds(vec![done], spec)?);
                 start = i;
             }
             self.current = Some(key);
         }
-        fold.add(&b.slice(start, b.num_rows() - start), spec)
+        let rows = b.num_rows();
+        fold.add(&b.slice(start, rows - start), self.seq + start as u64, spec)?;
+        self.seq += rows as u64;
+        Ok(())
     }
 }
 
+/// GROUP BY at every worker count. The input is a stream, or the morsels
+/// of a scan chain; each worker (one, over a stream) folds its share
+/// into a [`Fold`] under the memory budget, and [`finish_folds`] merges
+/// the folds' spilled chunks and in-memory tails exactly, in worker
+/// order, so groups come out in serial first-seen order. For integer
+/// aggregates the result is bit-identical at every worker count and
+/// budget. Float SUM/AVG may differ in the last ulp, because addition is
+/// re-associated across workers and spill chunks (where a shared budget
+/// cuts a worker's chunks depends on timing), and a checked integer SUM
+/// whose *intermediate* values graze i64's range may overflow in one
+/// split and not another — the standard contract of parallel
+/// aggregation.
 pub(crate) struct AggregateOp {
-    child: BatchOp,
-    spec: AggSpec,
-    /// `Some` when a group key ascends: windows flush from `next`.
-    /// `None`: the whole input folds at `open`.
+    input: FoldInput,
+    spec: Arc<AggSpec>,
+    /// `Some` when a group key of a stream input ascends: windows flush
+    /// from `next`. `None`: the whole input folds at `open`.
     windows: Option<Windows>,
     out: VecDeque<ColumnBatch>,
 }
 
 impl AggregateOp {
-    pub(crate) fn new(child: BatchOp, spec: AggSpec, windows: Option<Windows>) -> Self {
+    pub(crate) fn new(input: FoldInput, spec: AggSpec, windows: Option<Windows>) -> Self {
         AggregateOp {
-            child,
-            spec,
+            input,
+            spec: Arc::new(spec),
             windows,
             out: VecDeque::new(),
         }
@@ -590,92 +609,36 @@ impl AggregateOp {
 
 impl Operator<ColumnBatch> for AggregateOp {
     fn open(&mut self) -> Result<()> {
-        self.child.open()?;
-        if let Some(w) = &mut self.windows {
+        if let (Some(w), FoldInput::Stream(child)) = (&mut self.windows, &mut self.input) {
+            child.open()?;
             w.fold = Some(Fold::new(&self.spec));
             return Ok(());
         }
-        let mut fold = Fold::new(&self.spec);
-        while let Some(b) = self.child.next()? {
-            fold.add(&b.compact(), &self.spec)?;
-        }
-        self.out = fold.finish(&self.spec)?.into();
+        let spec = Arc::clone(&self.spec);
+        let folds = self.input.fold(
+            || Fold::new(&self.spec),
+            move |fold: &mut Fold, b: ColumnBatch, seq0| fold.add(&b, seq0, &spec),
+        )?;
+        self.out = finish_folds(folds, &self.spec)?.into();
         Ok(())
     }
 
     fn next(&mut self) -> Result<Option<ColumnBatch>> {
         while self.out.is_empty() {
-            let Some(w) = self.windows.as_mut().filter(|w| w.fold.is_some()) else {
+            let (Some(w), FoldInput::Stream(child)) = (
+                self.windows.as_mut().filter(|w| w.fold.is_some()),
+                &mut self.input,
+            ) else {
                 break;
             };
-            match self.child.next()? {
+            match child.next()? {
                 Some(b) => w.add(&b.compact(), &self.spec, &mut self.out)?,
                 None => {
                     let last = w.fold.take().expect("checked above");
-                    self.out.extend(last.finish(&self.spec)?);
+                    self.out.extend(finish_folds(vec![last], &self.spec)?);
                 }
             }
         }
-        Ok(self.out.pop_front())
-    }
-}
-
-/// Parallel aggregate: each worker folds its morsels into a partial
-/// [`AggState`], and the consumer merges the partials exactly, in the
-/// order the gather hands them over — worker order, so the fold is
-/// deterministic for a fixed worker count and first-seen group order is
-/// preserved. For integer aggregates the result is bit-identical to
-/// serial; float SUM/AVG may differ in the last ulp because addition is
-/// re-associated across workers, and a checked integer SUM whose
-/// *intermediate* values graze i64's range may overflow in one mode and
-/// not the other — the standard contract of parallel aggregation. The
-/// partials hold no reservation against the memory budget.
-pub(crate) struct ParallelAggregateOp {
-    gather: OrderedGatherOp<AggState>,
-    group: Vec<usize>,
-    aggs: Vec<AggCall>,
-    out_kinds: Vec<TypeKind>,
-    out: VecDeque<ColumnBatch>,
-}
-
-impl ParallelAggregateOp {
-    pub(crate) fn new(
-        seed: SourceSeed,
-        group: Vec<usize>,
-        aggs: Vec<AggCall>,
-        out_kinds: Vec<TypeKind>,
-        p: Parallelism,
-    ) -> ParallelAggregateOp {
-        let (g, a) = (group.clone(), aggs.clone());
-        let gather = seed.into_fold_gather(
-            p,
-            || AggState::new(&aggs),
-            move |state: &mut AggState, b: ColumnBatch, seq0| state.update(&b, &g, &a, seq0),
-        );
-        ParallelAggregateOp {
-            gather,
-            group,
-            aggs,
-            out_kinds,
-            out: VecDeque::new(),
-        }
-    }
-}
-
-impl Operator<ColumnBatch> for ParallelAggregateOp {
-    fn open(&mut self) -> Result<()> {
-        self.gather.open()?;
-        let mut merged = AggState::new(&self.aggs);
-        while let Some(partial) = self.gather.next()? {
-            merged.merge(partial, &self.aggs)?;
-        }
-        self.out = merged
-            .finish(&self.group, &self.aggs, &self.out_kinds, true)
-            .into();
-        Ok(())
-    }
-
-    fn next(&mut self) -> Result<Option<ColumnBatch>> {
         Ok(self.out.pop_front())
     }
 }

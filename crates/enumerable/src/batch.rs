@@ -42,7 +42,8 @@
 //! of the snapshot, run the same pure kernels, and the gather (plus an
 //! exact merge for aggregates and Top-K) recombines their output so
 //! every parallel plan produces byte-identical results to serial
-//! execution.
+//! execution. Aggregate and Top-K are one operator each at every worker
+//! count: serial is the one-worker case, a fold of the child stream.
 //!
 //! Semantics are pinned to the row engine: the generic expression path
 //! routes through [`rcalcite_core::rex::eval_op_strict`] (the same code
@@ -51,7 +52,7 @@
 //! executor's accumulators. The differential matrix in
 //! `tests/matrix/mod.rs` holds the two engines equal.
 
-use crate::aggregate::{AggSpec, AggregateOp, ParallelAggregateOp, Windows};
+use crate::aggregate::{AggSpec, AggregateOp, Windows};
 use crate::executor::{compare_datums, compare_nullable, compare_rows, execute_node};
 use crate::join::{HashJoinOp, JoinShared, ParallelHashJoinOp, JOIN_PARTITIONS};
 use crate::keys::KeySet;
@@ -65,7 +66,7 @@ use rcalcite_core::exec::{
     RowsOp, BATCH_SIZE,
 };
 use rcalcite_core::metadata::{window_start_field, MetadataQuery};
-use rcalcite_core::rel::{Rel, RelOp};
+use rcalcite_core::rel::{AggCall, Rel, RelOp};
 use rcalcite_core::rex::{eval_op_strict, BuiltinFn, Op, RexNode};
 use rcalcite_core::traits::{Collation, FieldCollation};
 use rcalcite_core::types::TypeKind;
@@ -122,12 +123,6 @@ fn build_op(rel: &Rel, ctx: &ExecContext) -> Result<BatchOp> {
             ctx.spill_env().clone(),
         ))),
         RelOp::Aggregate { group, aggs } => {
-            let spec = AggSpec {
-                group: group.clone(),
-                aggs: aggs.clone(),
-                out_kinds: rel.row_type().kinds(),
-                spill: ctx.spill_env().clone(),
-            };
             // A group key the input ascends on lets finished windows
             // flush (§7.2): the same metadata the validator requires of
             // a streaming GROUP BY.
@@ -136,7 +131,11 @@ fn build_op(rel: &Rel, ctx: &ExecContext) -> Result<BatchOp> {
                 .map(|(pos, order)| {
                     Windows::new(pos, order, origin_column(rel.input(0), group[pos]))
                 });
-            Ok(Box::new(AggregateOp::new(child(0)?, spec, windows)))
+            Ok(Box::new(AggregateOp::new(
+                FoldInput::Stream(child(0)?),
+                agg_spec(rel, group, aggs, ctx),
+                windows,
+            )))
         }
         RelOp::Sort {
             collation,
@@ -156,7 +155,7 @@ fn build_op(rel: &Rel, ctx: &ExecContext) -> Result<BatchOp> {
                 // ORDER BY ... LIMIT: bounded Top-K heap of offset+fetch
                 // rows; the full input never materializes.
                 Some(f) => Ok(Box::new(TopKOp::new(
-                    input,
+                    FoldInput::Stream(input),
                     collation.clone(),
                     offset.unwrap_or(0),
                     *f,
@@ -219,6 +218,16 @@ fn build_op(rel: &Rel, ctx: &ExecContext) -> Result<BatchOp> {
             ctx: ctx.clone(),
             rows: None,
         })),
+    }
+}
+
+/// The spec of Aggregate node `rel` with keys `group` and calls `aggs`.
+fn agg_spec(rel: &Rel, group: &[usize], aggs: &[AggCall], ctx: &ExecContext) -> AggSpec {
+    AggSpec {
+        group: group.to_vec(),
+        aggs: aggs.to_vec(),
+        out_kinds: rel.row_type().kinds(),
+        spill: ctx.spill_env().clone(),
     }
 }
 
@@ -771,9 +780,9 @@ fn eval_strict_vector(e: &RexNode, cols: &[Column], n: usize) -> Result<Column> 
 //   keys; partitions that fit stay resident, the rest spill to runs and
 //   are probed partition-at-a-time after the streamed probe, recursing
 //   with a re-salted hash when a partition still doesn't fit.
-// - aggregate → partial-state spill: the accumulator table serializes as
-//   a chunk and resets; chunks merge on read through the same exact
-//   `AggState::merge` the parallel engine uses.
+// - aggregate → partial-state spill: the accumulator table (one per
+//   worker) serializes as a chunk and resets; chunks merge on read
+//   through the exact `AggState::merge`.
 // - sort → external merge sort: sorted runs spill, a k-way merge streams
 //   them back in collation order.
 //
@@ -1027,8 +1036,7 @@ impl TopK {
     }
 
     /// The kept entries in collation order (ties in input order), with
-    /// their input sequence numbers — what the parallel k-way merge
-    /// consumes.
+    /// their input sequence numbers — what the k-way merge consumes.
     fn into_sorted_entries(self) -> Vec<(u64, Row)> {
         let TopK {
             collation,
@@ -1038,21 +1046,15 @@ impl TopK {
         heap.sort_by(|a, b| cmp_entries(&collation, a, b));
         heap
     }
-
-    /// The kept rows in collation order (ties in input order).
-    fn into_sorted_rows(self) -> Vec<Row> {
-        self.into_sorted_entries()
-            .into_iter()
-            .map(|(_, r)| r)
-            .collect()
-    }
 }
 
-/// `ORDER BY ... [OFFSET o] FETCH f`: fills a Top-K heap of `o + f`
-/// rows while consuming the child batch by batch, then streams the
-/// sorted survivors. Memory is O(o + f), not O(input).
+/// `ORDER BY ... [OFFSET o] FETCH f`, at every worker count: each worker
+/// (one, over a stream) fills a Top-K heap of `o + f` rows from its share
+/// of the input, and the spill layer's [`RunMerger`] recombines the
+/// heaps under the collation, then streams the survivors. Memory is
+/// O(workers × (o + f)), not O(input).
 struct TopKOp {
-    child: BatchOp,
+    input: FoldInput,
     collation: Collation,
     offset: usize,
     fetch: usize,
@@ -1062,14 +1064,14 @@ struct TopKOp {
 
 impl TopKOp {
     fn new(
-        child: BatchOp,
+        input: FoldInput,
         collation: Collation,
         offset: usize,
         fetch: usize,
         out_kinds: Vec<TypeKind>,
     ) -> TopKOp {
         TopKOp {
-            child,
+            input,
             collation,
             offset,
             fetch,
@@ -1081,19 +1083,35 @@ impl TopKOp {
 
 impl Operator<ColumnBatch> for TopKOp {
     fn open(&mut self) -> Result<()> {
-        self.child.open()?;
         let k = self.offset.saturating_add(self.fetch);
-        let mut topk = TopK::new(k, self.collation.clone());
-        let mut seq = 0u64;
-        while let Some(b) = self.child.next()? {
-            let b = b.compact();
-            for i in 0..b.num_rows() {
-                topk.offer(&b, i, seq);
-                seq += 1;
+        let heaps = self.input.fold(
+            || TopK::new(k, self.collation.clone()),
+            |topk: &mut TopK, b: ColumnBatch, seq0| {
+                for i in 0..b.num_rows() {
+                    topk.offer(&b, i, seq0 + i as u64);
+                }
+                Ok(())
+            },
+        )?;
+        let feeds = heaps
+            .into_iter()
+            .map(|topk| MergeFeed::Mem(topk.into_sorted_entries().into_iter()))
+            .collect();
+        // `(collation, input sequence)` is the serial stable sort's order,
+        // so the merged rows are byte-identical at every worker count.
+        let mut merger = RunMerger::new(feeds, MergeCmp::Rows(self.collation.clone()));
+        let mut rows = vec![];
+        let mut skip = self.offset;
+        while rows.len() < self.fetch {
+            let Some((_, row)) = merger.next_entry()? else {
+                break;
+            };
+            if skip > 0 {
+                skip -= 1;
+            } else {
+                rows.push(row);
             }
         }
-        let mut rows = topk.into_sorted_rows();
-        let rows: Vec<Row> = rows.drain(self.offset.min(rows.len())..).collect();
         self.out = Box::new(RowsOp::new(rows, std::mem::take(&mut self.out_kinds)));
         Ok(())
     }
@@ -1466,19 +1484,21 @@ impl Operator<ColumnBatch> for MinusOp {
 // - **HashJoin**: the build side materializes once and is shared behind
 //   an `Arc` (matched-flags are atomics); workers probe per morsel, and
 //   the outer-join right pad follows once every worker has finished.
-// - **Aggregate**: each worker folds its morsels into a partial
-//   [`AggState`]; the gather hands the partials over in worker order,
-//   they merge exactly (distinct aggregates replay unseen argument
-//   tuples), and groups are emitted in first-seen sequence order,
-//   reproducing the serial output order.
-// - **Top-K** (`ORDER BY … FETCH`): each worker Top-K-filters its
-//   morsels into a heap ordered by (collation, input sequence); a k-way
-//   merge under the same comparator recombines the heaps.
+// - **Aggregate** and **Top-K** (`ORDER BY … FETCH`): the operator is
+//   the serial one, [`AggregateOp`] or [`TopKOp`], fed the chain's
+//   morsels ([`FoldInput::Morsels`]) instead of a stream. Each worker
+//   folds its share into one state — a partial aggregate that charges
+//   the memory budget and spills its chunks, or a heap ordered by
+//   (collation, input sequence) — and the gather hands the states over
+//   in worker order. Partial aggregates merge exactly (distinct
+//   aggregates replay unseen argument tuples) and emit groups in
+//   first-seen sequence order; a k-way merge under the heap's
+//   comparator recombines the heaps. Both reproduce serial order.
 //
 // Every other node runs serially above whatever exchange its child has.
 // A full sort is the serial [`FullSortOp`] over its chain's gather, and
-// an aggregate over a join is the serial [`AggregateOp`] over the join's
-// gather: both charge the memory budget and spill. Inputs that are not
+// an aggregate over a join is [`AggregateOp`] over the join's gather.
+// Only the join's shared build holds no reservation. Inputs that are not
 // snapshot scans (foreign subtrees, `Values`, zero-column tables) are
 // not parallelized.
 
@@ -1588,6 +1608,7 @@ fn compile_stages(stages: &[&Rel], ctx: &ExecContext) -> Result<Vec<CompiledStag
 
 /// Everything needed to spawn the workers of one exchange: compiled
 /// stages plus the snapshot they slice.
+#[derive(Clone)]
 pub(crate) struct SourceSeed {
     stages: Arc<Vec<CompiledStage>>,
     snapshot: Arc<dyn RangeScan>,
@@ -1651,6 +1672,50 @@ impl SourceSeed {
             })
             .collect();
         OrderedGatherOp::new(workers)
+    }
+}
+
+/// The input of an operator that folds all of it into state before it
+/// emits anything (an aggregate, a Top-K heap): a stream, or the morsels
+/// of the scan chain [`place`] matched below it.
+pub(crate) enum FoldInput {
+    Stream(BatchOp),
+    Morsels(SourceSeed, Parallelism),
+}
+
+impl FoldInput {
+    /// Folds the whole input, one state per worker starting from
+    /// `init()`, and returns the states in worker order. A stream is one
+    /// fold, run in the calling thread. `step` gets each dense batch with
+    /// the input sequence number of its first row, which ascends in
+    /// serial order.
+    pub(crate) fn fold<S, F>(&mut self, init: impl Fn() -> S, mut step: F) -> Result<Vec<S>>
+    where
+        S: Send + 'static,
+        F: FnMut(&mut S, ColumnBatch, u64) -> Result<()> + Clone + Send + 'static,
+    {
+        match self {
+            FoldInput::Stream(child) => {
+                child.open()?;
+                let (mut state, mut seq) = (init(), 0);
+                while let Some(b) = child.next()? {
+                    let b = b.compact();
+                    let rows = b.num_rows() as u64;
+                    step(&mut state, b, seq)?;
+                    seq += rows;
+                }
+                Ok(vec![state])
+            }
+            FoldInput::Morsels(seed, p) => {
+                let mut gather = seed.clone().into_fold_gather(*p, init, step);
+                gather.open()?;
+                let mut states = vec![];
+                while let Some(state) = gather.next()? {
+                    states.push(state);
+                }
+                Ok(states)
+            }
+        }
     }
 }
 
@@ -1791,83 +1856,6 @@ where
     }
 }
 
-// -------------------------- parallel sort ----------------------------
-
-/// Parallel `ORDER BY … FETCH`: per-worker bounded Top-K heaps
-/// recombined by the spill layer's [`RunMerger`] under the collation.
-/// (A full sort has no bounded per-worker state to merge; it runs as
-/// [`FullSortOp`] over its parallel child chain instead.)
-struct ParallelSortOp {
-    gather: OrderedGatherOp<TopK>,
-    collation: Collation,
-    offset: usize,
-    fetch: usize,
-    out_kinds: Vec<TypeKind>,
-    out: BatchOp,
-}
-
-impl ParallelSortOp {
-    fn new(
-        seed: SourceSeed,
-        collation: Collation,
-        offset: usize,
-        fetch: usize,
-        out_kinds: Vec<TypeKind>,
-        p: Parallelism,
-    ) -> ParallelSortOp {
-        let k = offset.saturating_add(fetch);
-        let gather = seed.into_fold_gather(
-            p,
-            || TopK::new(k, collation.clone()),
-            |topk: &mut TopK, b: ColumnBatch, seq0| {
-                for i in 0..b.num_rows() {
-                    topk.offer(&b, i, seq0 + i as u64);
-                }
-                Ok(())
-            },
-        );
-        ParallelSortOp {
-            gather,
-            collation,
-            offset,
-            fetch,
-            out_kinds,
-            out: Box::new(BatchesOp::new([])),
-        }
-    }
-}
-
-impl Operator<ColumnBatch> for ParallelSortOp {
-    fn open(&mut self) -> Result<()> {
-        self.gather.open()?;
-        let mut feeds = vec![];
-        while let Some(topk) = self.gather.next()? {
-            feeds.push(MergeFeed::Mem(topk.into_sorted_entries().into_iter()));
-        }
-        // `(collation, input sequence)` is the serial stable sort's order,
-        // so the merged rows are byte-identical to serial execution.
-        let mut merger = RunMerger::new(feeds, MergeCmp::Rows(self.collation.clone()));
-        let mut rows = vec![];
-        let mut skip = self.offset;
-        while rows.len() < self.fetch {
-            let Some((_, row)) = merger.next_entry()? else {
-                break;
-            };
-            if skip > 0 {
-                skip -= 1;
-            } else {
-                rows.push(row);
-            }
-        }
-        self.out = Box::new(RowsOp::new(rows, std::mem::take(&mut self.out_kinds)));
-        Ok(())
-    }
-
-    fn next(&mut self) -> Result<Option<ColumnBatch>> {
-        self.out.next()
-    }
-}
-
 // ----------------------- exchange placement --------------------------
 
 /// One placement decision of the parallel planner. Computed by
@@ -1878,11 +1866,13 @@ enum Placement<'a> {
     /// A chain root: workers run the fused stage kernels per morsel,
     /// the ordered gather reassembles serial batch order.
     Chain(ChainShape<'a>),
-    /// Partial aggregation per worker + exact merge.
+    /// Partial aggregation per worker + exact merge: [`AggregateOp`] over
+    /// morsels.
     Aggregate(ChainShape<'a>),
     /// Shared-build hash/theta join with parallel probe over the left.
     Join(ChainShape<'a>),
-    /// Per-worker bounded Top-K heaps + k-way merge under the collation.
+    /// Per-worker bounded Top-K heaps + k-way merge under the collation:
+    /// [`TopKOp`] over morsels.
     TopK(ChainShape<'a>),
 }
 
@@ -1921,13 +1911,10 @@ fn build_parallel(rel: &Rel, ctx: &ExecContext, p: Parallelism) -> Result<Option
             let RelOp::Aggregate { group, aggs } = &rel.op else {
                 unreachable!("place() pairs Placement::Aggregate with Aggregate nodes")
             };
-            let seed = seed_from(shape, ctx)?;
-            Box::new(ParallelAggregateOp::new(
-                seed,
-                group.clone(),
-                aggs.clone(),
-                rel.row_type().kinds(),
-                p,
+            Box::new(AggregateOp::new(
+                FoldInput::Morsels(seed_from(shape, ctx)?, p),
+                agg_spec(rel, group, aggs, ctx),
+                None,
             ))
         }
         Placement::Join(shape) => {
@@ -1955,14 +1942,12 @@ fn build_parallel(rel: &Rel, ctx: &ExecContext, p: Parallelism) -> Result<Option
             else {
                 unreachable!("place() pairs Placement::TopK with fetch-bounded Sort nodes")
             };
-            let seed = seed_from(shape, ctx)?;
-            Box::new(ParallelSortOp::new(
-                seed,
+            Box::new(TopKOp::new(
+                FoldInput::Morsels(seed_from(shape, ctx)?, p),
                 collation.clone(),
                 offset.unwrap_or(0),
                 *fetch,
                 rel.row_type().kinds(),
-                p,
             ))
         }
     }))
@@ -2067,17 +2052,20 @@ fn fmt_parallel(rel: &Rel, p: Parallelism, depth: usize, out: &mut String) -> bo
 /// budget: for each build-then-stream operator whose estimated build
 /// state (planner metadata: row count × average row size) exceeds the
 /// budget, one line describing how the operator degrades — hash join
-/// partitions spilled, aggregate partial chunks, sort runs. Returns
-/// `None` when the budget is unbounded or everything is estimated to
-/// fit.
+/// partitions spilled, aggregate partial chunks, sort runs. A join that
+/// `p` places in parallel spills nothing: its line starts `--
+/// unbudgeted:` instead and says the shared build is not charged, so a
+/// `-- spill:` line always predicts a spill. Returns `None` when the
+/// budget is unbounded or everything is estimated to fit.
 pub fn explain_spill(
     rel: &Rel,
     mq: &rcalcite_core::metadata::MetadataQuery,
     budget: &rcalcite_core::buffer::MemoryBudget,
+    p: Parallelism,
 ) -> Option<String> {
     let limit = budget.limit()?;
     let mut out = String::new();
-    fmt_spill(rel, mq, limit, &mut out);
+    fmt_spill(rel, mq, limit, p, &mut out);
     (!out.is_empty()).then_some(out)
 }
 
@@ -2089,6 +2077,7 @@ fn fmt_spill(
     rel: &Rel,
     mq: &rcalcite_core::metadata::MetadataQuery,
     budget: usize,
+    p: Parallelism,
     out: &mut String,
 ) {
     use std::fmt::Write;
@@ -2101,7 +2090,16 @@ fn fmt_spill(
             // here and this estimate reflects the real build state.
             let build = rel.input(1);
             let est = mq.row_count(build) * mq.average_row_size(build);
-            if est > b {
+            if est > b && p.is_parallel() && matches!(place(rel, p), Some(Placement::Join(_))) {
+                // A join placed in parallel shares one unreserved build.
+                let _ = writeln!(
+                    out,
+                    "-- unbudgeted: hash_join build shared by {} workers, not charged against the budget (est {} KiB build > budget {} KiB)",
+                    p.workers,
+                    kib(est),
+                    kib(b)
+                );
+            } else if est > b {
                 // Partitions that keep their budget share resident; the
                 // rest spill — the same fraction the hybrid-hash build
                 // settles into.
@@ -2150,7 +2148,7 @@ fn fmt_spill(
         _ => {}
     }
     for i in &rel.inputs {
-        fmt_spill(i, mq, budget, out);
+        fmt_spill(i, mq, budget, p, out);
     }
 }
 
@@ -2400,7 +2398,11 @@ mod tests {
             topk.offer(&b, i, i as u64);
             assert!(topk.heap.len() <= 5, "heap exceeded k");
         }
-        let rows = topk.into_sorted_rows();
+        let rows: Vec<Row> = topk
+            .into_sorted_entries()
+            .into_iter()
+            .map(|e| e.1)
+            .collect();
         // Smallest key is 0 (at seq 0, 7, 14, ...); the five kept rows
         // are the first five such inputs, in input order.
         let expect: Vec<Row> = (0..5)

@@ -1406,7 +1406,9 @@ impl Connection {
     /// the physical plan with cost annotations. With more than one
     /// worker, the exchange placement the parallel engine uses is
     /// appended as a second section; operators the memory budget would
-    /// push to disk follow as `-- spill:` lines.
+    /// push to disk follow as `-- spill:` lines, and a parallel join
+    /// whose shared build the budget does not charge as an
+    /// `-- unbudgeted:` line.
     fn explain_query(&self, key: &str, q: &Arc<Query>) -> Result<(String, bool)> {
         let (plan, cached) = self.plan_for_execution(key, q)?;
         let mq = self.metadata_query();
@@ -1424,7 +1426,7 @@ impl Connection {
             text.push_str(&parallel);
         }
         if let Some(spill) =
-            rcalcite_enumerable::explain_spill(&plan.physical, &mq, self.memory_budget())
+            rcalcite_enumerable::explain_spill(&plan.physical, &mq, self.memory_budget(), p)
         {
             text.push_str(&spill);
         }
@@ -2085,7 +2087,7 @@ mod tests {
             .unwrap();
         // One spill page of budget: the join build and the sort input
         // (5000 two-Int rows each, ~90 KiB as columns) must go to disk.
-        let conn = Connection::builder(catalog)
+        let conn = Connection::builder(catalog.clone())
             .workers(1)
             .memory_budget(32 * 1024)
             .build();
@@ -2098,6 +2100,23 @@ mod tests {
         let text = conn.explain(sql).unwrap();
         assert!(text.contains("-- spill: hash_join"), "{text}");
         assert!(text.contains("partitions"), "{text}");
+        // At two workers, five morsels of probe side: the join is placed
+        // in parallel, its shared build is not charged, and EXPLAIN says
+        // so instead of promising partitions that never spill.
+        let conn = Connection::builder(catalog)
+            .workers(2)
+            .morsel_size(1024)
+            .memory_budget(32 * 1024)
+            .build();
+        assert_eq!(conn.query(sql).unwrap(), reference);
+        let ops: Vec<&str> = conn.spill_stats().events().iter().map(|e| e.op).collect();
+        assert!(!ops.contains(&"hash_join"), "{ops:?}");
+        let text = conn.explain(sql).unwrap();
+        assert!(text.contains("Gather[ordered, workers=2, probe]"), "{text}");
+        assert!(text.contains("-- unbudgeted: hash_join"), "{text}");
+        assert!(text.contains("not charged against the budget"), "{text}");
+        assert!(!text.contains("-- spill: hash_join"), "{text}");
+        assert!(!text.contains("partitions"), "{text}");
     }
 
     /// `Connection::new` builds what the builder builds: its budget is

@@ -76,6 +76,17 @@ fn aggregates_identical_across_budgets() {
     ctx.execute_collect(&windowed).unwrap();
     let ops: Vec<&str> = ctx.spill_tracker().events().iter().map(|e| e.op).collect();
     assert!(ops.contains(&"aggregate"), "{ops:?}");
+    // The same aggregate directly over its scan: at every worker count
+    // each worker's partial charges the budget, so one page spills it,
+    // and every reservation is handed back.
+    let grouped = many_groups(60_000, |j| j % 20_000);
+    for workers in WORKERS {
+        let ctx = fused_ctx(workers, Some(PAGE_SIZE));
+        ctx.execute_collect(&grouped).unwrap();
+        let ops: Vec<&str> = ctx.spill_tracker().events().iter().map(|e| e.op).collect();
+        assert!(ops.contains(&"aggregate"), "workers={workers}: {ops:?}");
+        assert_eq!(ctx.memory_budget().used(), 0, "workers={workers}");
+    }
 }
 
 #[test]
