@@ -8,14 +8,17 @@
 //! the paper.
 
 use crate::helpers::{rex_to_predicates, QueryLog};
+use crate::Pushdown;
 use rcalcite_backends::common::{CmpOp, ColPredicate};
 use rcalcite_backends::kvwide::{CqlQuery, KvWideStore, WideTableDef};
 use rcalcite_core::catalog::{Schema, Statistic, Table};
+use rcalcite_core::cost::Cost;
 use rcalcite_core::datum::Row;
 use rcalcite_core::error::{CalciteError, Result};
-use rcalcite_core::exec::{BatchOp, ConventionExecutor, ExecContext, RowsOp};
+use rcalcite_core::exec::ExecContext;
+use rcalcite_core::metadata::MetadataQuery;
 use rcalcite_core::rel::{Rel, RelKind, RelOp};
-use rcalcite_core::rules::{Pattern, Rule, RuleCall};
+use rcalcite_core::rules::Pattern;
 use rcalcite_core::traits::{Collation, Convention};
 use rcalcite_core::types::{Field, RelType, RowType};
 use std::sync::Arc;
@@ -66,97 +69,48 @@ impl CassandraAdapter {
         })
     }
 
-    pub fn schema(&self) -> Schema {
-        let s = Schema::new();
-        for t in self.store.table_names() {
-            s.add_table(
-                t.clone(),
-                Arc::new(CassandraTable {
-                    store: self.store.clone(),
-                    name: t,
-                    convention: self.convention.clone(),
-                }),
-            );
-        }
-        s
-    }
-
-    pub fn rules(self: &Arc<Self>) -> Vec<Arc<dyn Rule>> {
-        vec![
-            Arc::new(crate::AdapterScanRule::new(self.convention.clone())),
-            Arc::new(CassandraFilterRule {
-                conv: self.convention.clone(),
-            }),
-            Arc::new(CassandraSortRule {
-                conv: self.convention.clone(),
-                store: self.store.clone(),
-            }),
-        ]
-    }
-
-    pub fn executor(self: &Arc<Self>) -> Arc<dyn ConventionExecutor> {
-        Arc::new(CassandraExecutor {
-            adapter: self.clone(),
-        })
-    }
-
-    pub fn install(self: &Arc<Self>, conn: &mut rcalcite_sql::Connection) {
-        for r in self.rules() {
-            conn.add_rule(r);
-        }
-        conn.add_converter(self.convention.clone(), Convention::enumerable());
-        conn.register_executor(self.executor());
-        conn.add_metadata_provider(Arc::new(CassandraMdProvider {
-            conv: self.convention.clone(),
-        }));
-    }
-}
-
-/// Adapter-supplied metadata (§6: systems "may choose to write providers
-/// that override the existing functions"): a `CassandraSort` reads rows in
-/// clustered order, so it costs a linear pass instead of an n·log n sort.
-struct CassandraMdProvider {
-    conv: Convention,
-}
-
-impl rcalcite_core::metadata::MetadataProvider for CassandraMdProvider {
-    fn non_cumulative_cost(
-        &self,
-        rel: &Rel,
-        mq: &rcalcite_core::metadata::MetadataQuery,
-    ) -> Option<rcalcite_core::cost::Cost> {
-        if rel.convention == self.conv && rel.kind() == RelKind::Sort {
-            let out = mq.row_count(rel);
-            return Some(rcalcite_core::cost::Cost::new(out, out, 0.0, 0.0));
-        }
-        None
-    }
-}
-
-/// `LogicalFilter` over a cassandra scan → `CassandraFilter`.
-struct CassandraFilterRule {
-    conv: Convention,
-}
-
-impl Rule for CassandraFilterRule {
-    fn name(&self) -> &str {
-        "CassandraFilterRule"
-    }
-
-    fn pattern(&self) -> Pattern {
-        Pattern::with_children(RelKind::Filter, vec![Pattern::of(RelKind::Scan)])
-    }
-
-    fn on_match(&self, call: &mut RuleCall) {
-        let f = call.rel(0).clone();
-        let child = call.rel(1);
-        if !f.convention.is_none() || child.convention != self.conv {
-            return;
-        }
-        if let RelOp::Filter { condition } = &f.op {
-            if rex_to_predicates(condition).is_some() {
-                call.transform_to(f.with_convention(self.conv.clone()));
+    /// Folds a cassandra-convention subtree into one CQL query.
+    fn build(&self, rel: &Rel, q: &mut CqlQuery, def: &mut Option<WideTableDef>) -> Result<()> {
+        match &rel.op {
+            RelOp::Scan { table } => {
+                q.table = table.name.clone();
+                *def = self.store.table_def(&table.name);
+                Ok(())
             }
+            RelOp::Filter { condition } => {
+                self.build(rel.input(0), q, def)?;
+                let d = def.as_ref().ok_or_else(|| {
+                    CalciteError::internal("cassandra executor: filter without scan")
+                })?;
+                let preds = rex_to_predicates(condition).ok_or_else(|| {
+                    CalciteError::internal("cassandra executor: unpushable filter")
+                })?;
+                q.partition_eq = partition_eqs(&preds, d);
+                q.predicates = preds
+                    .into_iter()
+                    .filter(|p| !(p.op == CmpOp::Eq && d.partition_key.contains(&p.col)))
+                    .collect();
+                q.allow_filtering = true;
+                Ok(())
+            }
+            RelOp::Sort {
+                collation, fetch, ..
+            } => {
+                self.build(rel.input(0), q, def)?;
+                let d = def.as_ref().ok_or_else(|| {
+                    CalciteError::internal("cassandra executor: sort without scan")
+                })?;
+                let reverse =
+                    collation_matches_clustering(collation, &d.clustering).ok_or_else(|| {
+                        CalciteError::internal("cassandra executor: incompatible sort")
+                    })?;
+                q.reverse = reverse;
+                q.limit = *fetch;
+                Ok(())
+            }
+            other => Err(CalciteError::execution(format!(
+                "cassandra executor cannot run {other:?}"
+            ))),
         }
     }
 }
@@ -206,168 +160,113 @@ fn collation_matches_clustering(
     None
 }
 
-/// The paper's two-condition sort-pushdown rule: `LogicalSort` over a
-/// `CassandraFilter` → `CassandraSort`.
-struct CassandraSortRule {
-    conv: Convention,
-    store: Arc<KvWideStore>,
-}
-
-impl Rule for CassandraSortRule {
-    fn name(&self) -> &str {
-        "CassandraSortRule"
+/// Renders the CQL text of a query (Table 2's target language).
+fn to_cql(q: &CqlQuery, def: &WideTableDef) -> String {
+    let col_name = |i: usize| def.columns[i].0.clone();
+    let mut sql = format!("SELECT * FROM {}", q.table);
+    let mut clauses: Vec<String> = q
+        .partition_eq
+        .iter()
+        .map(|(c, v)| format!("{} = {}", col_name(*c), v))
+        .collect();
+    clauses.extend(q.predicates.iter().map(|p| match p.op {
+        CmpOp::IsNull => format!("{} IS NULL", col_name(p.col)),
+        CmpOp::IsNotNull => format!("{} IS NOT NULL", col_name(p.col)),
+        _ => format!("{} {} {}", col_name(p.col), p.op.symbol(), p.value),
+    }));
+    if !clauses.is_empty() {
+        sql.push_str(&format!(" WHERE {}", clauses.join(" AND ")));
     }
-
-    fn pattern(&self) -> Pattern {
-        Pattern::with_children(
-            RelKind::Sort,
-            vec![Pattern::with_children(
-                RelKind::Filter,
-                vec![Pattern::of(RelKind::Scan)],
-            )],
-        )
-    }
-
-    fn on_match(&self, call: &mut RuleCall) {
-        let sort_node = call.rel(0).clone();
-        let filter_node = call.rel(1);
-        let scan_node = call.rel(2);
-        // The filter must already be a CassandraFilter (paper: "this
-        // requires that a LogicalFilter has been rewritten to a
-        // CassandraFilter to ensure the partition filter is pushed down").
-        if !sort_node.convention.is_none()
-            || filter_node.convention != self.conv
-            || scan_node.convention != self.conv
-        {
-            return;
-        }
-        let RelOp::Sort {
-            collation,
-            offset: None,
-            ..
-        } = &sort_node.op
-        else {
-            return;
-        };
-        let RelOp::Filter { condition } = &filter_node.op else {
-            return;
-        };
-        let RelOp::Scan { table } = &scan_node.op else {
-            return;
-        };
-        let Some(def) = self.store.table_def(&table.name) else {
-            return;
-        };
-        let Some(preds) = rex_to_predicates(condition) else {
-            return;
-        };
-        // Condition 1: single partition.
-        if !pins_single_partition(&preds, &def) {
-            return;
-        }
-        // Condition 2: common prefix with the clustering order.
-        if collation_matches_clustering(collation, &def.clustering).is_none() {
-            return;
-        }
-        call.transform_to(sort_node.with_convention(self.conv.clone()));
-    }
-}
-
-struct CassandraExecutor {
-    adapter: Arc<CassandraAdapter>,
-}
-
-impl CassandraExecutor {
-    fn build(&self, rel: &Rel, q: &mut CqlQuery, def: &mut Option<WideTableDef>) -> Result<()> {
-        match &rel.op {
-            RelOp::Scan { table } => {
-                q.table = table.name.clone();
-                *def = self.adapter.store.table_def(&table.name);
-                Ok(())
-            }
-            RelOp::Filter { condition } => {
-                self.build(rel.input(0), q, def)?;
-                let d = def.as_ref().ok_or_else(|| {
-                    CalciteError::internal("cassandra executor: filter without scan")
-                })?;
-                let preds = rex_to_predicates(condition).ok_or_else(|| {
-                    CalciteError::internal("cassandra executor: unpushable filter")
-                })?;
-                q.partition_eq = partition_eqs(&preds, d);
-                q.predicates = preds
-                    .into_iter()
-                    .filter(|p| !(p.op == CmpOp::Eq && d.partition_key.contains(&p.col)))
-                    .collect();
-                q.allow_filtering = true;
-                Ok(())
-            }
-            RelOp::Sort {
-                collation, fetch, ..
-            } => {
-                self.build(rel.input(0), q, def)?;
-                let d = def.as_ref().ok_or_else(|| {
-                    CalciteError::internal("cassandra executor: sort without scan")
-                })?;
-                let reverse =
-                    collation_matches_clustering(collation, &d.clustering).ok_or_else(|| {
-                        CalciteError::internal("cassandra executor: incompatible sort")
-                    })?;
-                q.reverse = reverse;
-                q.limit = *fetch;
-                Ok(())
-            }
-            other => Err(CalciteError::execution(format!(
-                "cassandra executor cannot run {other:?}"
-            ))),
-        }
-    }
-
-    /// Renders the CQL text of a query (Table 2's target language).
-    fn to_cql(&self, q: &CqlQuery, def: &WideTableDef) -> String {
-        let col_name = |i: usize| def.columns[i].0.clone();
-        let mut sql = format!("SELECT * FROM {}", q.table);
-        let mut clauses: Vec<String> = q
-            .partition_eq
+    if q.reverse || (q.limit.is_some() && !q.partition_eq.is_empty()) {
+        let order: Vec<String> = def
+            .clustering
             .iter()
-            .map(|(c, v)| format!("{} = {}", col_name(*c), v))
+            .map(|(c, desc)| {
+                let dir = if *desc != q.reverse { "DESC" } else { "ASC" };
+                format!("{} {dir}", col_name(*c))
+            })
             .collect();
-        clauses.extend(q.predicates.iter().map(|p| match p.op {
-            CmpOp::IsNull => format!("{} IS NULL", col_name(p.col)),
-            CmpOp::IsNotNull => format!("{} IS NOT NULL", col_name(p.col)),
-            _ => format!("{} {} {}", col_name(p.col), p.op.symbol(), p.value),
-        }));
-        if !clauses.is_empty() {
-            sql.push_str(&format!(" WHERE {}", clauses.join(" AND ")));
+        if !order.is_empty() {
+            sql.push_str(&format!(" ORDER BY {}", order.join(", ")));
         }
-        if q.reverse || (q.limit.is_some() && !q.partition_eq.is_empty()) {
-            let order: Vec<String> = def
-                .clustering
-                .iter()
-                .map(|(c, desc)| {
-                    let dir = if *desc != q.reverse { "DESC" } else { "ASC" };
-                    format!("{} {dir}", col_name(*c))
-                })
-                .collect();
-            if !order.is_empty() {
-                sql.push_str(&format!(" ORDER BY {}", order.join(", ")));
-            }
-        }
-        if let Some(l) = q.limit {
-            sql.push_str(&format!(" LIMIT {l}"));
-        }
-        if !q.predicates.is_empty() {
-            sql.push_str(" ALLOW FILTERING");
-        }
-        sql
     }
+    if let Some(l) = q.limit {
+        sql.push_str(&format!(" LIMIT {l}"));
+    }
+    if !q.predicates.is_empty() {
+        sql.push_str(" ALLOW FILTERING");
+    }
+    sql
 }
 
-impl ConventionExecutor for CassandraExecutor {
-    fn convention(&self) -> Convention {
-        self.adapter.convention.clone()
+/// Filters push down; a sort pushes down under the paper's two
+/// conditions.
+impl Pushdown for CassandraAdapter {
+    const FACTORY: &'static str = "cassandra";
+
+    fn convention(&self) -> &Convention {
+        &self.convention
     }
 
-    fn execute(&self, rel: &Rel, _ctx: &ExecContext) -> Result<BatchOp> {
+    fn schema(&self) -> Schema {
+        let s = Schema::new();
+        for t in self.store.table_names() {
+            s.add_table(
+                t.clone(),
+                Arc::new(CassandraTable {
+                    store: self.store.clone(),
+                    name: t,
+                    convention: self.convention.clone(),
+                }),
+            );
+        }
+        s
+    }
+
+    fn patterns(&self) -> Vec<Pattern> {
+        let filter = || Pattern::with_children(RelKind::Filter, vec![Pattern::of(RelKind::Scan)]);
+        vec![
+            filter(),
+            Pattern::with_children(RelKind::Sort, vec![filter()]),
+        ]
+    }
+
+    fn accepts(&self, rels: &[Rel]) -> bool {
+        match &rels[0].op {
+            RelOp::Filter { condition } => rex_to_predicates(condition).is_some(),
+            // The filter is already a CassandraFilter (paper: "this
+            // requires that a LogicalFilter has been rewritten to a
+            // CassandraFilter to ensure the partition filter is pushed
+            // down"), over a scan of ours.
+            RelOp::Sort {
+                collation,
+                offset: None,
+                ..
+            } => {
+                let (RelOp::Filter { condition }, RelOp::Scan { table }) =
+                    (&rels[1].op, &rels[2].op)
+                else {
+                    return false;
+                };
+                if rels[2].convention != self.convention {
+                    return false;
+                }
+                let (Some(def), Some(preds)) = (
+                    self.store.table_def(&table.name),
+                    rex_to_predicates(condition),
+                ) else {
+                    return false;
+                };
+                // Condition 1: single partition. Condition 2: common
+                // prefix with the clustering order.
+                pins_single_partition(&preds, &def)
+                    && collation_matches_clustering(collation, &def.clustering).is_some()
+            }
+            _ => false,
+        }
+    }
+
+    fn run(&self, rel: &Rel, _ctx: &ExecContext) -> Result<Vec<Row>> {
         let mut q = CqlQuery {
             allow_filtering: true,
             ..Default::default()
@@ -375,20 +274,18 @@ impl ConventionExecutor for CassandraExecutor {
         let mut def = None;
         self.build(rel, &mut q, &mut def)?;
         if let Some(d) = &def {
-            self.adapter.log.record(self.to_cql(&q, d));
+            self.log.record(to_cql(&q, d));
         }
-        let rows = self.adapter.store.execute(&q)?;
-        Ok(Box::new(RowsOp::new(rows, rel.row_type().kinds())))
-    }
-}
-
-impl crate::framework::SchemaFactory for CassandraAdapter {
-    fn factory_name(&self) -> &str {
-        "cassandra"
+        self.store.execute(&q)
     }
 
-    fn create_schema(&self, _operand: &rcalcite_backends::json::Json) -> Result<Schema> {
-        Ok(self.schema())
+    /// A `CassandraSort` reads rows in clustered order, so it costs a
+    /// linear pass instead of an n·log n sort.
+    fn cost(&self, rel: &Rel, mq: &MetadataQuery) -> Option<Cost> {
+        (rel.kind() == RelKind::Sort).then(|| {
+            let out = mq.row_count(rel);
+            Cost::new(out, out, 0.0, 0.0)
+        })
     }
 }
 
@@ -528,6 +425,65 @@ mod tests {
             return true;
         }
         rel.inputs.iter().any(|i| find(i, pred))
+    }
+
+    /// Runs `sql`'s logical plan on the row engine, the oracle every
+    /// refusal test compares its pushed-down rows against.
+    fn oracle(conn: &Connection, sql: &str) -> Vec<Vec<Datum>> {
+        let mut ctx = ExecContext::new();
+        rcalcite_enumerable::register_executors(&mut ctx);
+        ctx.execute_collect(&conn.parse_to_rel(sql).unwrap())
+            .unwrap()
+    }
+
+    #[test]
+    fn sort_with_offset_is_not_pushed() {
+        // CQL has no OFFSET: the Sort stays in the engine, above the
+        // conversion out of the cassandra convention.
+        let (conn, _) = connection();
+        let sql = "SELECT ts FROM events WHERE device = 3 ORDER BY ts DESC LIMIT 2 OFFSET 1";
+        let plan = conn.optimize(&conn.parse_to_rel(sql).unwrap()).unwrap();
+        let text = rcalcite_core::explain::explain(&plan);
+        assert!(
+            !find(&plan, |n| n.kind() == RelKind::Sort
+                && n.convention.name() == "cassandra"),
+            "{text}"
+        );
+        assert!(
+            find(&plan, |n| n.kind() == RelKind::Sort
+                && n.convention.name() == "enumerable"
+                && find(
+                    n,
+                    |c| matches!(&c.op, RelOp::Convert { from } if from.name() == "cassandra")
+                )),
+            "{text}"
+        );
+        let rows = conn.query(sql).unwrap().rows;
+        assert_eq!(rows, vec![vec![Datum::Int(30)], vec![Datum::Int(20)]]);
+        assert_eq!(rows, oracle(&conn, sql));
+    }
+
+    #[test]
+    fn dynamic_param_filter_stays_in_engine() {
+        // The cassandra executor builds CQL from literal values and never
+        // binds `?`, so a parameterised filter is not pushed.
+        let (conn, adapter) = connection();
+        let sql = "SELECT ts, reading FROM events WHERE device = ? ORDER BY ts";
+        let plan = conn.optimize(&conn.parse_to_rel(sql).unwrap()).unwrap();
+        assert!(
+            !find(&plan, |n| n.kind() == RelKind::Filter
+                && n.convention.name() == "cassandra"),
+            "{}",
+            rcalcite_core::explain::explain(&plan)
+        );
+        adapter.log.clear();
+        let bound = conn.prepare(sql).unwrap().query(&[Datum::Int(2)]).unwrap();
+        assert_eq!(adapter.log.entries(), vec!["SELECT * FROM events"]);
+        let literal = conn
+            .query("SELECT ts, reading FROM events WHERE device = 2 ORDER BY ts")
+            .unwrap();
+        assert_eq!(bound.rows, literal.rows);
+        assert_eq!(bound.rows.len(), 4);
     }
 
     #[test]

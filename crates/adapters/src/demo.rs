@@ -8,6 +8,7 @@ use crate::cassandra::CassandraAdapter;
 use crate::jdbc::JdbcAdapter;
 use crate::mongo::MongoAdapter;
 use crate::splunk::SplunkAdapter;
+use crate::Pushdown;
 use rcalcite_backends::docstore::DocStore;
 use rcalcite_backends::json::Json;
 use rcalcite_backends::kvwide::{KvWideStore, WideTableDef};

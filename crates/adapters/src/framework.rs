@@ -19,6 +19,19 @@ pub trait SchemaFactory: Send + Sync {
     fn create_schema(&self, operand: &Json) -> Result<Schema>;
 }
 
+/// Every adapter is its own schema factory. The operand is advisory:
+/// tables come from the backend's own metadata, as with a real JDBC
+/// catalog read.
+impl<P: crate::Pushdown> SchemaFactory for P {
+    fn factory_name(&self) -> &str {
+        P::FACTORY
+    }
+
+    fn create_schema(&self, _operand: &Json) -> Result<Schema> {
+        Ok(self.schema())
+    }
+}
+
 /// Registry of schema factories available to model loading.
 #[derive(Default)]
 pub struct FactoryRegistry {

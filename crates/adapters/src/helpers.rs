@@ -49,48 +49,54 @@ fn conjunct_to_predicate(c: &RexNode) -> Option<ColPredicate> {
     let RexNode::Call { op, args, .. } = c else {
         return None;
     };
+    let column = |e| strip_cast(e).as_input_ref();
     match op {
-        Op::IsNull | Op::IsNotNull => {
-            let col = strip_cast(&args[0]).as_input_ref()?;
-            let cmp = if matches!(op, Op::IsNull) {
-                CmpOp::IsNull
-            } else {
-                CmpOp::IsNotNull
-            };
-            Some(ColPredicate::new(col, cmp, Datum::Null))
-        }
+        Op::IsNull | Op::IsNotNull => Some(ColPredicate::new(
+            column(&args[0])?,
+            cmp_op(op)?,
+            Datum::Null,
+        )),
         Op::Like => {
-            let col = strip_cast(&args[0]).as_input_ref()?;
             let pat = args[1].as_literal()?.clone();
-            Some(ColPredicate::new(col, CmpOp::Like, pat))
+            Some(ColPredicate::new(column(&args[0])?, CmpOp::Like, pat))
         }
-        Op::Eq | Op::Ne | Op::Lt | Op::Le | Op::Gt | Op::Ge => {
-            let cmp = |o: &Op| match o {
-                Op::Eq => CmpOp::Eq,
-                Op::Ne => CmpOp::Ne,
-                Op::Lt => CmpOp::Lt,
-                Op::Le => CmpOp::Le,
-                Op::Gt => CmpOp::Gt,
-                Op::Ge => CmpOp::Ge,
-                _ => unreachable!(),
-            };
-            // col <op> literal
-            if let (Some(col), Some(lit)) =
-                (strip_cast(&args[0]).as_input_ref(), args[1].as_literal())
-            {
-                return Some(ColPredicate::new(col, cmp(op), lit.clone()));
-            }
-            // literal <op> col (swap the comparison).
-            if let (Some(lit), Some(col)) =
-                (args[0].as_literal(), strip_cast(&args[1]).as_input_ref())
-            {
-                let swapped = op.swapped().unwrap();
-                return Some(ColPredicate::new(col, cmp(&swapped), lit.clone()));
-            }
-            None
+        _ => {
+            let (col, cmp, lit) = comparison(op, args, column)?;
+            Some(ColPredicate::new(col, cmp, lit.clone()))
         }
-        _ => None,
     }
+}
+
+/// The backend operator for a SQL comparison, `IS [NOT] NULL` or `LIKE`.
+pub(crate) fn cmp_op(op: &Op) -> Option<CmpOp> {
+    Some(match op {
+        Op::Eq => CmpOp::Eq,
+        Op::Ne => CmpOp::Ne,
+        Op::Lt => CmpOp::Lt,
+        Op::Le => CmpOp::Le,
+        Op::Gt => CmpOp::Gt,
+        Op::Ge => CmpOp::Ge,
+        Op::Like => CmpOp::Like,
+        Op::IsNull => CmpOp::IsNull,
+        Op::IsNotNull => CmpOp::IsNotNull,
+        _ => return None,
+    })
+}
+
+/// Reads `x <op> literal` or `literal <op> x`, `op` one of the six
+/// comparisons, as `(x, op as seen from x, literal)`, with `x` read
+/// through `operand`.
+pub(crate) fn comparison<'a, T>(
+    op: &Op,
+    args: &'a [RexNode],
+    operand: impl Fn(&'a RexNode) -> Option<T>,
+) -> Option<(T, CmpOp, &'a Datum)> {
+    let side = op.swapped()?;
+    if let (Some(x), Some(lit)) = (operand(&args[0]), args[1].as_literal()) {
+        return Some((x, cmp_op(op)?, lit));
+    }
+    let (lit, x) = (args[0].as_literal()?, operand(&args[1])?);
+    Some((x, cmp_op(&side)?, lit))
 }
 
 /// Looks through CASTs (backends compare dynamically-typed values).

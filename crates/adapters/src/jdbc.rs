@@ -5,13 +5,14 @@
 //! the generation of multiple SQL dialects").
 
 use crate::helpers::{rex_is_pushable, rex_to_predicates, QueryLog};
+use crate::Pushdown;
 use rcalcite_backends::memdb::{MemDb, SqlQuerySpec};
 use rcalcite_core::catalog::{MemTable, Schema, Statistic, Table};
 use rcalcite_core::datum::Row;
 use rcalcite_core::error::{CalciteError, Result};
-use rcalcite_core::exec::{BatchOp, ConventionExecutor, ExecContext, RowsOp};
+use rcalcite_core::exec::ExecContext;
 use rcalcite_core::rel::{Rel, RelKind, RelOp};
-use rcalcite_core::rules::{Pattern, Rule, RuleCall};
+use rcalcite_core::rules::Pattern;
 use rcalcite_core::store::Version;
 use rcalcite_core::traits::Convention;
 use rcalcite_core::types::RowType;
@@ -85,10 +86,65 @@ impl JdbcAdapter {
             log: QueryLog::new(),
         })
     }
+}
 
-    /// Builds the schema exposing every table the database holds now; a
-    /// table created later needs a fresh schema.
-    pub fn schema(&self) -> Schema {
+/// Folds a jdbc-convention subtree into one query spec. Dynamic
+/// parameters in pushed filters are bound from `ctx` here — the rendered
+/// SQL keeps the JDBC `?` form, but the backend receives the concrete
+/// values of this execution.
+fn build_spec(rel: &Rel, ctx: &ExecContext, spec: &mut SqlQuerySpec) -> Result<()> {
+    match &rel.op {
+        RelOp::Scan { table } => {
+            spec.table = table.name.clone();
+            Ok(())
+        }
+        RelOp::Filter { condition } => {
+            build_spec(rel.input(0), ctx, spec)?;
+            let bound = ctx.bind(condition)?;
+            let preds = rex_to_predicates(&bound).ok_or_else(|| {
+                CalciteError::internal("jdbc executor: unpushable filter reached backend")
+            })?;
+            spec.predicates.extend(preds);
+            Ok(())
+        }
+        RelOp::Sort {
+            collation,
+            offset,
+            fetch,
+        } => {
+            build_spec(rel.input(0), ctx, spec)?;
+            spec.order = collation
+                .iter()
+                .map(|fc| (fc.field, fc.descending))
+                .collect();
+            spec.offset = *offset;
+            spec.fetch = *fetch;
+            Ok(())
+        }
+        RelOp::Project { exprs, .. } => {
+            build_spec(rel.input(0), ctx, spec)?;
+            let cols: Option<Vec<usize>> = exprs.iter().map(|e| e.as_input_ref()).collect();
+            spec.projection = cols;
+            Ok(())
+        }
+        other => Err(CalciteError::execution(format!(
+            "jdbc executor cannot run {other:?}"
+        ))),
+    }
+}
+
+/// Whole subplans push down: filters, column-reference projections,
+/// ORDER BY and LIMIT.
+impl Pushdown for JdbcAdapter {
+    const FACTORY: &'static str = "jdbc";
+
+    fn convention(&self) -> &Convention {
+        &self.convention
+    }
+
+    /// Exposes every table the database holds now; a table created later
+    /// needs a fresh schema.
+    fn schema(&self) -> Schema {
         let s = Schema::new();
         for (name, table) in self.db.tables() {
             let convention = self.convention.clone();
@@ -97,223 +153,46 @@ impl JdbcAdapter {
         s
     }
 
-    /// The adapter's planner rules (§5: "The adapter may define a set of
-    /// rules that are added to the planner").
-    pub fn rules(self: &Arc<Self>) -> Vec<Arc<dyn Rule>> {
-        vec![
-            Arc::new(crate::AdapterScanRule::new(self.convention.clone())),
-            Arc::new(JdbcFilterRule {
-                conv: self.convention.clone(),
-            }),
-            Arc::new(JdbcProjectRule {
-                conv: self.convention.clone(),
-            }),
-            Arc::new(JdbcSortRule {
-                conv: self.convention.clone(),
-            }),
-        ]
+    fn patterns(&self) -> Vec<Pattern> {
+        [RelKind::Filter, RelKind::Project, RelKind::Sort]
+            .map(|kind| Pattern::with_children(kind, vec![Pattern::any()]))
+            .into()
     }
 
-    pub fn executor(self: &Arc<Self>) -> Arc<dyn ConventionExecutor> {
-        Arc::new(JdbcExecutor {
-            adapter: self.clone(),
-        })
-    }
-
-    /// Installs rules, the converter to `enumerable` and the executor into
-    /// a connection.
-    pub fn install(self: &Arc<Self>, conn: &mut rcalcite_sql::Connection) {
-        for r in self.rules() {
-            conn.add_rule(r);
-        }
-        conn.add_converter(self.convention.clone(), Convention::enumerable());
-        conn.register_executor(self.executor());
-    }
-}
-
-/// `Filter(logical)` over a jdbc-convention scan/filter with pushable
-/// predicates → `Filter(jdbc)`.
-struct JdbcFilterRule {
-    conv: Convention,
-}
-
-impl Rule for JdbcFilterRule {
-    fn name(&self) -> &str {
-        "JdbcFilterRule"
-    }
-
-    fn pattern(&self) -> Pattern {
-        Pattern::with_children(RelKind::Filter, vec![Pattern::any()])
-    }
-
-    fn on_match(&self, call: &mut RuleCall) {
-        let f = call.rel(0).clone();
-        let child = call.rel(1);
-        if !f.convention.is_none()
-            || child.convention != self.conv
-            || !matches!(child.kind(), RelKind::Scan | RelKind::Filter)
-        {
-            return;
-        }
-        if let RelOp::Filter { condition } = &f.op {
+    fn accepts(&self, rels: &[Rel]) -> bool {
+        let input = rels[1].kind();
+        match &rels[0].op {
             // Shape check only: a `?` in a literal position is pushable —
-            // the executor binds it to its value before building the
-            // backend query spec.
-            if rex_is_pushable(condition) {
-                call.transform_to(f.with_convention(self.conv.clone()));
-            }
-        }
-    }
-}
-
-/// Column-reference-only projections push down.
-struct JdbcProjectRule {
-    conv: Convention,
-}
-
-impl Rule for JdbcProjectRule {
-    fn name(&self) -> &str {
-        "JdbcProjectRule"
-    }
-
-    fn pattern(&self) -> Pattern {
-        Pattern::with_children(RelKind::Project, vec![Pattern::any()])
-    }
-
-    fn on_match(&self, call: &mut RuleCall) {
-        let p = call.rel(0).clone();
-        let child = call.rel(1);
-        if !p.convention.is_none()
-            || child.convention != self.conv
-            || !matches!(
-                child.kind(),
-                RelKind::Scan | RelKind::Filter | RelKind::Sort
-            )
-        {
-            return;
-        }
-        if let RelOp::Project { exprs, .. } = &p.op {
-            if exprs.iter().all(|e| e.as_input_ref().is_some()) {
-                call.transform_to(p.with_convention(self.conv.clone()));
-            }
-        }
-    }
-}
-
-/// ORDER BY / LIMIT push down over scans and filters.
-struct JdbcSortRule {
-    conv: Convention,
-}
-
-impl Rule for JdbcSortRule {
-    fn name(&self) -> &str {
-        "JdbcSortRule"
-    }
-
-    fn pattern(&self) -> Pattern {
-        Pattern::with_children(RelKind::Sort, vec![Pattern::any()])
-    }
-
-    fn on_match(&self, call: &mut RuleCall) {
-        let s = call.rel(0).clone();
-        let child = call.rel(1);
-        // memdb sorts NULLs last in both directions; only push collations
-        // with matching NULL placement so a pushed sort can't diverge
-        // from one executed by the enumerable engines.
-        let nulls_pushable = match &s.op {
-            RelOp::Sort { collation, .. } => collation.iter().all(|fc| !fc.nulls_first),
-            _ => false,
-        };
-        if s.convention.is_none()
-            && nulls_pushable
-            && child.convention == self.conv
-            && matches!(child.kind(), RelKind::Scan | RelKind::Filter)
-        {
-            call.transform_to(s.with_convention(self.conv.clone()));
-        }
-    }
-}
-
-struct JdbcExecutor {
-    adapter: Arc<JdbcAdapter>,
-}
-
-impl JdbcExecutor {
-    /// Folds a jdbc-convention subtree into one query spec. Dynamic
-    /// parameters in pushed filters are bound from `ctx` here — the
-    /// rendered SQL keeps the JDBC `?` form, but the backend receives the
-    /// concrete values of this execution.
-    fn build_spec(&self, rel: &Rel, ctx: &ExecContext, spec: &mut SqlQuerySpec) -> Result<()> {
-        match &rel.op {
-            RelOp::Scan { table } => {
-                spec.table = table.name.clone();
-                Ok(())
-            }
+            // `run` binds it to its value before building the backend
+            // query spec.
             RelOp::Filter { condition } => {
-                self.build_spec(rel.input(0), ctx, spec)?;
-                let bound = ctx.bind(condition)?;
-                let preds = rex_to_predicates(&bound).ok_or_else(|| {
-                    CalciteError::internal("jdbc executor: unpushable filter reached backend")
-                })?;
-                spec.predicates.extend(preds);
-                Ok(())
-            }
-            RelOp::Sort {
-                collation,
-                offset,
-                fetch,
-            } => {
-                self.build_spec(rel.input(0), ctx, spec)?;
-                spec.order = collation
-                    .iter()
-                    .map(|fc| (fc.field, fc.descending))
-                    .collect();
-                spec.offset = *offset;
-                spec.fetch = *fetch;
-                Ok(())
+                matches!(input, RelKind::Scan | RelKind::Filter) && rex_is_pushable(condition)
             }
             RelOp::Project { exprs, .. } => {
-                self.build_spec(rel.input(0), ctx, spec)?;
-                let cols: Option<Vec<usize>> = exprs.iter().map(|e| e.as_input_ref()).collect();
-                spec.projection = cols;
-                Ok(())
+                matches!(input, RelKind::Scan | RelKind::Filter | RelKind::Sort)
+                    && exprs.iter().all(|e| e.as_input_ref().is_some())
             }
-            other => Err(CalciteError::execution(format!(
-                "jdbc executor cannot run {other:?}"
-            ))),
+            // memdb sorts NULLs last in both directions; only push
+            // collations with matching NULL placement so a pushed sort
+            // can't diverge from one executed by the enumerable engines.
+            RelOp::Sort { collation, .. } => {
+                matches!(input, RelKind::Scan | RelKind::Filter)
+                    && collation.iter().all(|fc| !fc.nulls_first)
+            }
+            _ => false,
         }
     }
-}
 
-impl ConventionExecutor for JdbcExecutor {
-    fn convention(&self) -> Convention {
-        self.adapter.convention.clone()
-    }
-
-    fn execute(&self, rel: &Rel, ctx: &ExecContext) -> Result<BatchOp> {
+    fn run(&self, rel: &Rel, ctx: &ExecContext) -> Result<Vec<Row>> {
         // Record the SQL text shipped to the database (the generated
         // target language of Table 2) — parameterized form, `?` and all,
         // as a JDBC driver would send it.
-        if let Ok(sql) = to_sql(rel, self.adapter.dialect.as_ref()) {
-            self.adapter.log.record(sql);
+        if let Ok(sql) = to_sql(rel, self.dialect.as_ref()) {
+            self.log.record(sql);
         }
         let mut spec = SqlQuerySpec::default();
-        self.build_spec(rel, ctx, &mut spec)?;
-        let rows = self.adapter.db.execute(&spec)?;
-        Ok(Box::new(RowsOp::new(rows, rel.row_type().kinds())))
-    }
-}
-
-/// Figure 3's schema-factory component: builds this adapter's schema from
-/// a model operand (the operand is advisory here; tables come from the
-/// backend's own metadata, as with a real JDBC catalog read).
-impl crate::framework::SchemaFactory for JdbcAdapter {
-    fn factory_name(&self) -> &str {
-        "jdbc"
-    }
-
-    fn create_schema(&self, _operand: &rcalcite_backends::json::Json) -> Result<Schema> {
-        Ok(self.schema())
+        build_spec(rel, ctx, &mut spec)?;
+        self.db.execute(&spec)
     }
 }
 
@@ -496,6 +375,80 @@ mod tests {
             }
             done.store(true, Ordering::SeqCst);
         });
+    }
+
+    fn find(rel: &Rel, pred: &dyn Fn(&Rel) -> bool) -> bool {
+        pred(rel) || rel.inputs.iter().any(|i| find(i, pred))
+    }
+
+    #[test]
+    fn computed_projection_stays_in_engine() {
+        // Only bare column references push into the SQL select list.
+        let (conn, adapter) = connection();
+        let sql = "SELECT price * 2 AS p FROM products WHERE price > 6 ORDER BY p";
+        let plan = conn.optimize(&conn.parse_to_rel(sql).unwrap()).unwrap();
+        let text = rcalcite_core::explain::explain(&plan);
+        let computes = |n: &Rel| match &n.op {
+            RelOp::Project { exprs, .. } => exprs.iter().any(|e| e.as_input_ref().is_none()),
+            _ => false,
+        };
+        assert!(
+            find(&plan, &|n: &Rel| computes(n)
+                && n.convention.name() == "enumerable"),
+            "{text}"
+        );
+        assert!(
+            !find(&plan, &|n: &Rel| computes(n)
+                && n.convention.name() == "jdbc:mysql"),
+            "{text}"
+        );
+        adapter.log.clear();
+        let r = conn.query(sql).unwrap();
+        assert_eq!(
+            r.rows,
+            vec![vec![Datum::Double(20.0)], vec![Datum::Double(200.0)]]
+        );
+        let sql_text = adapter.log.entries().join("\n");
+        assert!(!sql_text.contains('*'), "{sql_text}");
+    }
+
+    #[test]
+    fn nulls_first_sort_is_not_pushed() {
+        // memdb sorts NULLs last; SQL has no NULLS FIRST, so the
+        // collation is built directly.
+        use rcalcite_core::traits::FieldCollation;
+        let (conn, _) = connection();
+        let scan = conn.parse_to_rel("SELECT * FROM products").unwrap();
+        let logical = rcalcite_core::rel::sort(
+            scan,
+            vec![FieldCollation {
+                field: 2,
+                descending: false,
+                nulls_first: true,
+            }],
+        );
+        let plan = conn.optimize(&logical).unwrap();
+        let text = rcalcite_core::explain::explain(&plan);
+        assert!(
+            !find(&plan, &|n: &Rel| n.kind() == RelKind::Sort
+                && n.convention.name() == "jdbc:mysql"),
+            "{text}"
+        );
+        assert!(
+            find(&plan, &|n: &Rel| n.kind() == RelKind::Sort
+                && n.convention.name() == "enumerable"),
+            "{text}"
+        );
+        let rows = conn.exec_context().execute_collect(&plan).unwrap();
+        let names: Vec<Datum> = rows.iter().map(|r| r[1].clone()).collect();
+        assert_eq!(
+            names,
+            vec![
+                Datum::str("rope"),
+                Datum::str("anvil"),
+                Datum::str("rocket")
+            ]
+        );
     }
 
     #[test]

@@ -4,17 +4,17 @@
 //! on top with `CAST(_MAP['field'] ...)` projections. Filters over item
 //! accesses push down as native JSON find queries.
 
-use crate::helpers::QueryLog;
-use rcalcite_backends::common::CmpOp;
+use crate::helpers::{cmp_op, comparison, QueryLog};
+use crate::Pushdown;
 use rcalcite_backends::docstore::{json_to_datum, DocStore, FieldFilter, FindQuery};
 use rcalcite_backends::json::Json;
 use rcalcite_core::catalog::{Schema, Statistic, Table};
 use rcalcite_core::datum::{Datum, Row};
 use rcalcite_core::error::{CalciteError, Result};
-use rcalcite_core::exec::{BatchOp, ConventionExecutor, ExecContext, RowsOp};
+use rcalcite_core::exec::ExecContext;
 use rcalcite_core::rel::{Rel, RelKind, RelOp};
 use rcalcite_core::rex::{Op, RexNode};
-use rcalcite_core::rules::{Pattern, Rule, RuleCall};
+use rcalcite_core::rules::Pattern;
 use rcalcite_core::traits::Convention;
 use rcalcite_core::types::{Field, RelType, RowType, TypeKind};
 use std::sync::Arc;
@@ -69,44 +69,6 @@ impl MongoAdapter {
             log: QueryLog::new(),
         })
     }
-
-    pub fn schema(&self) -> Schema {
-        let s = Schema::new();
-        for c in self.store.collection_names() {
-            s.add_table(
-                c.clone(),
-                Arc::new(MongoTable {
-                    store: self.store.clone(),
-                    collection: c,
-                    convention: self.convention.clone(),
-                }),
-            );
-        }
-        s
-    }
-
-    pub fn rules(self: &Arc<Self>) -> Vec<Arc<dyn Rule>> {
-        vec![
-            Arc::new(crate::AdapterScanRule::new(self.convention.clone())),
-            Arc::new(MongoFilterRule {
-                conv: self.convention.clone(),
-            }),
-        ]
-    }
-
-    pub fn executor(self: &Arc<Self>) -> Arc<dyn ConventionExecutor> {
-        Arc::new(MongoExecutor {
-            adapter: self.clone(),
-        })
-    }
-
-    pub fn install(self: &Arc<Self>, conn: &mut rcalcite_sql::Connection) {
-        for r in self.rules() {
-            conn.add_rule(r);
-        }
-        conn.add_converter(self.convention.clone(), Convention::enumerable());
-        conn.register_executor(self.executor());
-    }
 }
 
 fn datum_to_json(d: &Datum) -> Option<Json> {
@@ -154,130 +116,83 @@ fn rex_to_field_filters(cond: &RexNode) -> Option<Vec<FieldFilter>> {
         let filter = match op {
             Op::IsNull | Op::IsNotNull => FieldFilter {
                 path: rex_to_path(&args[0])?,
-                op: if matches!(op, Op::IsNull) {
-                    CmpOp::IsNull
-                } else {
-                    CmpOp::IsNotNull
-                },
+                op: cmp_op(op)?,
                 value: Json::Null,
             },
-            Op::Eq | Op::Ne | Op::Lt | Op::Le | Op::Gt | Op::Ge => {
-                let cmp = match op {
-                    Op::Eq => CmpOp::Eq,
-                    Op::Ne => CmpOp::Ne,
-                    Op::Lt => CmpOp::Lt,
-                    Op::Le => CmpOp::Le,
-                    Op::Gt => CmpOp::Gt,
-                    Op::Ge => CmpOp::Ge,
-                    _ => unreachable!(),
-                };
-                if let (Some(path), Some(lit)) = (rex_to_path(&args[0]), args[1].as_literal()) {
-                    FieldFilter {
-                        path,
-                        op: cmp,
-                        value: datum_to_json(lit)?,
-                    }
-                } else if let (Some(lit), Some(path)) =
-                    (args[0].as_literal(), rex_to_path(&args[1]))
-                {
-                    FieldFilter {
-                        path,
-                        op: match cmp {
-                            CmpOp::Lt => CmpOp::Gt,
-                            CmpOp::Le => CmpOp::Ge,
-                            CmpOp::Gt => CmpOp::Lt,
-                            CmpOp::Ge => CmpOp::Le,
-                            other => other,
-                        },
-                        value: datum_to_json(lit)?,
-                    }
-                } else {
-                    return None;
+            _ => {
+                let (path, op, lit) = comparison(op, args, rex_to_path)?;
+                FieldFilter {
+                    path,
+                    op,
+                    value: datum_to_json(lit)?,
                 }
             }
-            _ => return None,
         };
         out.push(filter);
     }
     Some(out)
 }
 
-/// `LogicalFilter` over a mongo scan with document-path predicates →
-/// `MongoFilter`.
-struct MongoFilterRule {
-    conv: Convention,
-}
-
-impl Rule for MongoFilterRule {
-    fn name(&self) -> &str {
-        "MongoFilterRule"
-    }
-
-    fn pattern(&self) -> Pattern {
-        Pattern::with_children(RelKind::Filter, vec![Pattern::of(RelKind::Scan)])
-    }
-
-    fn on_match(&self, call: &mut RuleCall) {
-        let f = call.rel(0).clone();
-        let child = call.rel(1);
-        if !f.convention.is_none() || child.convention != self.conv {
-            return;
+/// Folds a mongo-convention subtree into one find query.
+fn build(rel: &Rel, q: &mut FindQuery) -> Result<()> {
+    match &rel.op {
+        RelOp::Scan { table } => {
+            q.collection = table.name.clone();
+            Ok(())
         }
-        if let RelOp::Filter { condition } = &f.op {
-            if rex_to_field_filters(condition).is_some() {
-                call.transform_to(f.with_convention(self.conv.clone()));
-            }
+        RelOp::Filter { condition } => {
+            build(rel.input(0), q)?;
+            let filters = rex_to_field_filters(condition)
+                .ok_or_else(|| CalciteError::internal("mongo executor: unpushable filter"))?;
+            q.filter.extend(filters);
+            Ok(())
         }
+        other => Err(CalciteError::execution(format!(
+            "mongo executor cannot run {other:?}"
+        ))),
     }
 }
 
-struct MongoExecutor {
-    adapter: Arc<MongoAdapter>,
-}
+/// Filters over document paths push down as a JSON find.
+impl Pushdown for MongoAdapter {
+    const FACTORY: &'static str = "mongo";
 
-impl MongoExecutor {
-    fn build(&self, rel: &Rel, q: &mut FindQuery) -> Result<()> {
-        match &rel.op {
-            RelOp::Scan { table } => {
-                q.collection = table.name.clone();
-                Ok(())
-            }
-            RelOp::Filter { condition } => {
-                self.build(rel.input(0), q)?;
-                let filters = rex_to_field_filters(condition)
-                    .ok_or_else(|| CalciteError::internal("mongo executor: unpushable filter"))?;
-                q.filter.extend(filters);
-                Ok(())
-            }
-            other => Err(CalciteError::execution(format!(
-                "mongo executor cannot run {other:?}"
-            ))),
+    fn convention(&self) -> &Convention {
+        &self.convention
+    }
+
+    fn schema(&self) -> Schema {
+        let s = Schema::new();
+        for c in self.store.collection_names() {
+            s.add_table(
+                c.clone(),
+                Arc::new(MongoTable {
+                    store: self.store.clone(),
+                    collection: c,
+                    convention: self.convention.clone(),
+                }),
+            );
         }
-    }
-}
-
-impl ConventionExecutor for MongoExecutor {
-    fn convention(&self) -> Convention {
-        self.adapter.convention.clone()
+        s
     }
 
-    fn execute(&self, rel: &Rel, _ctx: &ExecContext) -> Result<BatchOp> {
+    fn patterns(&self) -> Vec<Pattern> {
+        vec![Pattern::with_children(
+            RelKind::Filter,
+            vec![Pattern::of(RelKind::Scan)],
+        )]
+    }
+
+    fn accepts(&self, rels: &[Rel]) -> bool {
+        matches!(&rels[0].op, RelOp::Filter { condition } if rex_to_field_filters(condition).is_some())
+    }
+
+    fn run(&self, rel: &Rel, _ctx: &ExecContext) -> Result<Vec<Row>> {
         let mut q = FindQuery::default();
-        self.build(rel, &mut q)?;
-        self.adapter.log.record(q.to_json().to_string());
-        let docs = self.adapter.store.find(&q)?;
-        let rows = docs.into_iter().map(|d| vec![json_to_datum(&d)]);
-        Ok(Box::new(RowsOp::new(rows, rel.row_type().kinds())))
-    }
-}
-
-impl crate::framework::SchemaFactory for MongoAdapter {
-    fn factory_name(&self) -> &str {
-        "mongo"
-    }
-
-    fn create_schema(&self, _operand: &rcalcite_backends::json::Json) -> Result<Schema> {
-        Ok(self.schema())
+        build(rel, &mut q)?;
+        self.log.record(q.to_json().to_string());
+        let docs = self.store.find(&q)?;
+        Ok(docs.iter().map(|d| vec![json_to_datum(d)]).collect())
     }
 }
 

@@ -7,14 +7,17 @@
 //! event stream across the engine boundary.
 
 use crate::helpers::{rex_to_predicates, QueryLog};
+use crate::Pushdown;
 use rcalcite_backends::logstore::{LogStore, LookupStage, Search, SearchTerm, SourceDef};
 use rcalcite_core::catalog::{Schema, Statistic, Table};
+use rcalcite_core::cost::Cost;
 use rcalcite_core::datum::{Datum, Row};
 use rcalcite_core::error::{CalciteError, Result};
-use rcalcite_core::exec::{BatchOp, ConventionExecutor, ExecContext, RowsOp};
+use rcalcite_core::exec::ExecContext;
+use rcalcite_core::metadata::MetadataQuery;
 use rcalcite_core::rel::{JoinKind, Rel, RelKind, RelOp};
 use rcalcite_core::rex::{Op, RexNode};
-use rcalcite_core::rules::{Pattern, Rule, RuleCall};
+use rcalcite_core::rules::Pattern;
 use rcalcite_core::traits::{Convention, FieldCollation};
 use rcalcite_core::types::{Field, RelType, RowType};
 use std::collections::HashMap;
@@ -89,43 +92,6 @@ impl SplunkAdapter {
         })
     }
 
-    pub fn schema(&self) -> Schema {
-        let s = Schema::new();
-        for src in self.store.source_names() {
-            s.add_table(
-                src.clone(),
-                Arc::new(SplunkTable {
-                    store: self.store.clone(),
-                    stream: self
-                        .stream_sources
-                        .iter()
-                        .any(|x| x.eq_ignore_ascii_case(&src)),
-                    source: src,
-                    convention: self.convention.clone(),
-                }),
-            );
-        }
-        s
-    }
-
-    pub fn rules(self: &Arc<Self>) -> Vec<Arc<dyn Rule>> {
-        vec![
-            Arc::new(crate::AdapterScanRule::new(self.convention.clone())),
-            Arc::new(SplunkFilterRule {
-                conv: self.convention.clone(),
-            }),
-            Arc::new(SplunkJoinRule {
-                conv: self.convention.clone(),
-            }),
-        ]
-    }
-
-    pub fn executor(self: &Arc<Self>) -> Arc<dyn ConventionExecutor> {
-        Arc::new(SplunkExecutor {
-            adapter: self.clone(),
-        })
-    }
-
     /// Installs the adapter. `lookup_bridges` lists foreign conventions
     /// splunk can perform lookups into (Figure 2: the jdbc-mysql
     /// convention) — each gets a converter edge into splunk.
@@ -134,153 +100,18 @@ impl SplunkAdapter {
         conn: &mut rcalcite_sql::Connection,
         lookup_bridges: &[Convention],
     ) {
-        for r in self.rules() {
-            conn.add_rule(r);
-        }
-        conn.add_converter(self.convention.clone(), Convention::enumerable());
+        Pushdown::install(self, conn);
         for bridge in lookup_bridges {
             conn.add_converter(bridge.clone(), self.convention.clone());
         }
-        conn.register_executor(self.executor());
-        conn.add_metadata_provider(Arc::new(SplunkMdProvider {
-            conv: self.convention.clone(),
-        }));
-    }
-}
-
-/// Adapter-supplied metadata: a splunk-side join is a streaming `lookup`
-/// over an indexed table — no hash build over the event stream, so it
-/// costs one pass plus output instead of hashing both inputs.
-struct SplunkMdProvider {
-    conv: Convention,
-}
-
-impl rcalcite_core::metadata::MetadataProvider for SplunkMdProvider {
-    fn non_cumulative_cost(
-        &self,
-        rel: &Rel,
-        mq: &rcalcite_core::metadata::MetadataQuery,
-    ) -> Option<rcalcite_core::cost::Cost> {
-        if rel.convention == self.conv && rel.kind() == RelKind::Join {
-            let out = mq.row_count(rel);
-            let events = mq.row_count(rel.input(0));
-            let lookup = mq.row_count(rel.input(1));
-            return Some(rcalcite_core::cost::Cost::new(
-                out,
-                events + out,
-                0.0,
-                lookup,
-            ));
-        }
-        None
-    }
-}
-
-/// `LogicalFilter` over a splunk scan → search terms.
-struct SplunkFilterRule {
-    conv: Convention,
-}
-
-impl Rule for SplunkFilterRule {
-    fn name(&self) -> &str {
-        "SplunkFilterRule"
     }
 
-    fn pattern(&self) -> Pattern {
-        Pattern::with_children(RelKind::Filter, vec![Pattern::of(RelKind::Scan)])
-    }
-
-    fn on_match(&self, call: &mut RuleCall) {
-        let f = call.rel(0).clone();
-        let child = call.rel(1);
-        if !f.convention.is_none() || child.convention != self.conv {
-            return;
-        }
-        if let RelOp::Filter { condition } = &f.op {
-            if rex_to_predicates(condition).is_some() {
-                call.transform_to(f.with_convention(self.conv.clone()));
-            }
-        }
-    }
-}
-
-/// Single-pair equi-join key extraction; returns (left col, right col).
-fn equi_pair(condition: &RexNode, left_arity: usize) -> Option<(usize, usize)> {
-    let conjuncts = condition.conjuncts();
-    if conjuncts.len() != 1 {
-        return None;
-    }
-    if let RexNode::Call {
-        op: Op::Eq, args, ..
-    } = &conjuncts[0]
-    {
-        let a = args[0].as_input_ref()?;
-        let b = args[1].as_input_ref()?;
-        if a < left_arity && b >= left_arity {
-            return Some((a, b - left_arity));
-        }
-        if b < left_arity && a >= left_arity {
-            return Some((b, a - left_arity));
-        }
-    }
-    None
-}
-
-/// Figure 2's join rule: an inner equi-join whose probe side is already in
-/// the splunk convention becomes a splunk-side lookup join; the other side
-/// reaches splunk through a converter.
-struct SplunkJoinRule {
-    conv: Convention,
-}
-
-impl Rule for SplunkJoinRule {
-    fn name(&self) -> &str {
-        "SplunkJoinRule"
-    }
-
-    fn pattern(&self) -> Pattern {
-        Pattern::with_children(RelKind::Join, vec![Pattern::any(), Pattern::any()])
-    }
-
-    fn on_match(&self, call: &mut RuleCall) {
-        let join_node = call.rel(0).clone();
-        let left = call.rel(1).clone();
-        let right = call.rel(2).clone();
-        if !join_node.convention.is_none() || left.convention != self.conv {
-            return;
-        }
-        let RelOp::Join {
-            kind: JoinKind::Inner,
-            condition,
-        } = &join_node.op
-        else {
-            return;
-        };
-        // Left side must be a shape the executor can turn into a search.
-        if !matches!(left.kind(), RelKind::Scan | RelKind::Filter) {
-            return;
-        }
-        if equi_pair(condition, left.row_type().arity()).is_none() {
-            return;
-        }
-        call.transform_to(rcalcite_core::rel::RelNode::new(
-            join_node.op.clone(),
-            self.conv.clone(),
-            vec![left, right],
-        ));
-    }
-}
-
-struct SplunkExecutor {
-    adapter: Arc<SplunkAdapter>,
-}
-
-impl SplunkExecutor {
+    /// Folds a scan and its pushed filters into one search.
     fn build_search(&self, rel: &Rel, q: &mut Search, def: &mut Option<SourceDef>) -> Result<()> {
         match &rel.op {
             RelOp::Scan { table } => {
                 q.source = table.name.clone();
-                *def = self.adapter.store.source_def(&table.name);
+                *def = self.store.source_def(&table.name);
                 Ok(())
             }
             RelOp::Filter { condition } => {
@@ -309,69 +140,132 @@ impl SplunkExecutor {
     }
 }
 
-impl ConventionExecutor for SplunkExecutor {
-    fn convention(&self) -> Convention {
-        self.adapter.convention.clone()
+/// Single-pair equi-join key extraction; returns (left col, right col).
+fn equi_pair(condition: &RexNode, left_arity: usize) -> Option<(usize, usize)> {
+    let conjuncts = condition.conjuncts();
+    if conjuncts.len() != 1 {
+        return None;
+    }
+    if let RexNode::Call {
+        op: Op::Eq, args, ..
+    } = &conjuncts[0]
+    {
+        let a = args[0].as_input_ref()?;
+        let b = args[1].as_input_ref()?;
+        if a < left_arity && b >= left_arity {
+            return Some((a, b - left_arity));
+        }
+        if b < left_arity && a >= left_arity {
+            return Some((b, a - left_arity));
+        }
+    }
+    None
+}
+
+/// Filters push into the search. Figure 2's join: an inner equi-join whose
+/// probe side is already in the splunk convention becomes a splunk-side
+/// lookup join; the other side reaches splunk through a converter.
+impl Pushdown for SplunkAdapter {
+    const FACTORY: &'static str = "splunk";
+
+    fn convention(&self) -> &Convention {
+        &self.convention
     }
 
-    fn execute(&self, rel: &Rel, ctx: &ExecContext) -> Result<BatchOp> {
-        let rows = match &rel.op {
+    fn schema(&self) -> Schema {
+        let s = Schema::new();
+        for src in self.store.source_names() {
+            s.add_table(
+                src.clone(),
+                Arc::new(SplunkTable {
+                    store: self.store.clone(),
+                    stream: self
+                        .stream_sources
+                        .iter()
+                        .any(|x| x.eq_ignore_ascii_case(&src)),
+                    source: src,
+                    convention: self.convention.clone(),
+                }),
+            );
+        }
+        s
+    }
+
+    fn patterns(&self) -> Vec<Pattern> {
+        vec![
+            Pattern::with_children(RelKind::Filter, vec![Pattern::of(RelKind::Scan)]),
+            Pattern::with_children(RelKind::Join, vec![Pattern::any(), Pattern::any()]),
+        ]
+    }
+
+    fn accepts(&self, rels: &[Rel]) -> bool {
+        match &rels[0].op {
+            RelOp::Filter { condition } => rex_to_predicates(condition).is_some(),
+            // The left side must be a shape `run` turns into a search.
             RelOp::Join {
                 kind: JoinKind::Inner,
                 condition,
             } => {
-                let left = rel.input(0);
-                let right = rel.input(1);
-                let left_arity = left.row_type().arity();
-                let (lk, rk) = equi_pair(condition, left_arity).ok_or_else(|| {
-                    CalciteError::internal("splunk executor: join without equi pair")
-                })?;
-
-                let mut search = Search::default();
-                let mut def = None;
-                self.build_search(left, &mut search, &mut def)?;
-                let d = def.ok_or_else(|| {
-                    CalciteError::internal("splunk executor: join without source")
-                })?;
-                let key_field = d.fields[lk].0.clone();
-
-                // Materialize the foreign side (it arrives via a
-                // converter) and index it — the "lookup table".
-                let ext_rows = ctx.execute_collect(right)?;
-                let arity = right.row_type().arity();
-                let mut index: HashMap<Datum, Vec<Row>> = HashMap::new();
-                for r in ext_rows {
-                    index.entry(r[rk].clone()).or_default().push(r);
-                }
-                let resolve =
-                    move |key: &Datum| -> Vec<Row> { index.get(key).cloned().unwrap_or_default() };
-                let lookup = LookupStage {
-                    key_field: key_field.clone(),
-                    resolve: &resolve,
-                    arity,
-                };
-                self.adapter.log.record(search.to_spl(Some(&key_field)));
-                self.adapter.store.search_with_lookup(&search, &lookup)?
+                let left = &rels[1];
+                matches!(left.kind(), RelKind::Scan | RelKind::Filter)
+                    && equi_pair(condition, left.row_type().arity()).is_some()
             }
-            _ => {
-                let mut search = Search::default();
-                let mut def = None;
-                self.build_search(rel, &mut search, &mut def)?;
-                self.adapter.log.record(search.to_spl(None));
-                self.adapter.store.search(&search)?
-            }
+            _ => false,
+        }
+    }
+
+    fn run(&self, rel: &Rel, ctx: &ExecContext) -> Result<Vec<Row>> {
+        let RelOp::Join {
+            kind: JoinKind::Inner,
+            condition,
+        } = &rel.op
+        else {
+            let mut search = Search::default();
+            self.build_search(rel, &mut search, &mut None)?;
+            self.log.record(search.to_spl(None));
+            return self.store.search(&search);
         };
-        Ok(Box::new(RowsOp::new(rows, rel.row_type().kinds())))
-    }
-}
+        let left = rel.input(0);
+        let right = rel.input(1);
+        let (lk, rk) = equi_pair(condition, left.row_type().arity())
+            .ok_or_else(|| CalciteError::internal("splunk executor: join without equi pair"))?;
 
-impl crate::framework::SchemaFactory for SplunkAdapter {
-    fn factory_name(&self) -> &str {
-        "splunk"
+        let mut search = Search::default();
+        let mut def = None;
+        self.build_search(left, &mut search, &mut def)?;
+        let d =
+            def.ok_or_else(|| CalciteError::internal("splunk executor: join without source"))?;
+        let key_field = d.fields[lk].0.clone();
+
+        // Materialize the foreign side (it arrives via a converter) and
+        // index it — the "lookup table".
+        let ext_rows = ctx.execute_collect(right)?;
+        let arity = right.row_type().arity();
+        let mut index: HashMap<Datum, Vec<Row>> = HashMap::new();
+        for r in ext_rows {
+            index.entry(r[rk].clone()).or_default().push(r);
+        }
+        let resolve =
+            move |key: &Datum| -> Vec<Row> { index.get(key).cloned().unwrap_or_default() };
+        let lookup = LookupStage {
+            key_field: key_field.clone(),
+            resolve: &resolve,
+            arity,
+        };
+        self.log.record(search.to_spl(Some(&key_field)));
+        self.store.search_with_lookup(&search, &lookup)
     }
 
-    fn create_schema(&self, _operand: &rcalcite_backends::json::Json) -> Result<Schema> {
-        Ok(self.schema())
+    /// A splunk-side join is a streaming `lookup` over an indexed table —
+    /// no hash build over the event stream, so it costs one pass plus
+    /// output instead of hashing both inputs.
+    fn cost(&self, rel: &Rel, mq: &MetadataQuery) -> Option<Cost> {
+        (rel.kind() == RelKind::Join).then(|| {
+            let out = mq.row_count(rel);
+            let events = mq.row_count(rel.input(0));
+            let lookup = mq.row_count(rel.input(1));
+            Cost::new(out, events + out, 0.0, lookup)
+        })
     }
 }
 
@@ -498,6 +392,38 @@ mod tests {
             return true;
         }
         rel.inputs.iter().any(|i| find(i, pred))
+    }
+
+    #[test]
+    fn outer_join_is_not_pushed() {
+        // A `lookup` stage only keeps matched events: a LEFT JOIN stays
+        // in the engine.
+        let (conn, _, _) = figure2();
+        let sql = "SELECT o.units, p.name \
+                   FROM orders o LEFT JOIN mysql.products p ON o.productid = p.productid \
+                   WHERE o.units > 45";
+        let plan = conn.optimize(&conn.parse_to_rel(sql).unwrap()).unwrap();
+        let text = rcalcite_core::explain::explain(&plan);
+        assert!(
+            find(&plan, &|n: &Rel| n.kind() == RelKind::Join
+                && n.convention.name() == "enumerable"),
+            "{text}"
+        );
+        assert!(
+            !find(&plan, &|n: &Rel| n.kind() == RelKind::Join
+                && n.convention.name() == "splunk"),
+            "{text}"
+        );
+        let mut rows = conn.query(sql).unwrap().rows;
+        let mut ctx = rcalcite_core::exec::ExecContext::new();
+        rcalcite_enumerable::register_executors(&mut ctx);
+        let mut direct = ctx
+            .execute_collect(&conn.parse_to_rel(sql).unwrap())
+            .unwrap();
+        rows.sort();
+        direct.sort();
+        assert_eq!(rows.len(), 20);
+        assert_eq!(rows, direct);
     }
 
     #[test]

@@ -22,6 +22,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use rcalcite_adapters::jdbc::JdbcAdapter;
+use rcalcite_adapters::Pushdown;
 use rcalcite_backends::memdb::MemDb;
 use rcalcite_core::catalog::{Catalog, MemTable, Schema, Table, TableRef};
 use rcalcite_core::datum::{Datum, Row};

@@ -3,7 +3,7 @@
 //! `cargo run -p rcalcite_bench --bin repro -- --fig2`.
 
 use rcalcite_adapters::demo::build_federation;
-use rcalcite_adapters::{load_model, FactoryRegistry};
+use rcalcite_adapters::{load_model, FactoryRegistry, Pushdown};
 use rcalcite_bench::{figure4_connection, join_chain, FIGURE4_SQL};
 use rcalcite_core::catalog::Catalog;
 use rcalcite_core::error::Result;

@@ -378,7 +378,9 @@ impl MetadataQuery {
 pub struct DefaultMdProvider;
 
 impl DefaultMdProvider {
-    fn predicate_selectivity(rel: &Rel, pred: &RexNode, mq: &MetadataQuery) -> f64 {
+    /// Selectivity of `pred`, where `ndv(col)` is the distinct count of
+    /// the column a `col = literal` comparison reads.
+    fn predicate_selectivity(pred: &RexNode, ndv: &dyn Fn(usize) -> f64) -> f64 {
         let sel = match pred {
             RexNode::Literal { .. } => {
                 if pred.is_always_true() {
@@ -390,21 +392,21 @@ impl DefaultMdProvider {
             RexNode::Call { op, args, .. } => match op {
                 Op::And => args
                     .iter()
-                    .map(|a| Self::predicate_selectivity(rel, a, mq))
+                    .map(|a| Self::predicate_selectivity(a, ndv))
                     .product(),
                 Op::Or => args
                     .iter()
-                    .map(|a| Self::predicate_selectivity(rel, a, mq))
+                    .map(|a| Self::predicate_selectivity(a, ndv))
                     .fold(0.0, |acc, s| (acc + s).min(1.0)),
-                Op::Not => 1.0 - Self::predicate_selectivity(rel, &args[0], mq),
+                Op::Not => 1.0 - Self::predicate_selectivity(&args[0], ndv),
                 Op::Eq => {
                     // Equality against a literal: 1/NDV when one side is a
                     // plain column reference.
                     if let (Some(col), true) = (args[0].as_input_ref(), args[1].is_literal()) {
-                        1.0 / mq.distinct_count(rel, &[col])
+                        1.0 / ndv(col)
                     } else if let (true, Some(col)) = (args[0].is_literal(), args[1].as_input_ref())
                     {
-                        1.0 / mq.distinct_count(rel, &[col])
+                        1.0 / ndv(col)
                     } else {
                         0.15
                     }
@@ -430,6 +432,16 @@ impl DefaultMdProvider {
         let left = &rel.inputs[0];
         let right = &rel.inputs[1];
         let left_arity = left.row_type().arity();
+        // A column is counted on the input that produces it: the join's
+        // own distinct count starts from the join's row count, which is
+        // what this selectivity is computing.
+        let ndv = |col: usize| {
+            if col < left_arity {
+                mq.distinct_count(left, &[col])
+            } else {
+                mq.distinct_count(right, &[col - left_arity])
+            }
+        };
         let mut sel = 1.0;
         for c in cond.conjuncts() {
             if let RexNode::Call {
@@ -437,21 +449,15 @@ impl DefaultMdProvider {
             } = &c
             {
                 if let (Some(a), Some(b)) = (args[0].as_input_ref(), args[1].as_input_ref()) {
-                    let (lcol, rcol) = if a < left_arity && b >= left_arity {
-                        (a, b - left_arity)
-                    } else if b < left_arity && a >= left_arity {
-                        (b, a - left_arity)
+                    sel *= if (a < left_arity) != (b < left_arity) {
+                        1.0 / ndv(a).max(ndv(b)).max(1.0)
                     } else {
-                        sel *= 0.15;
-                        continue;
+                        0.15
                     };
-                    let ndv_l = mq.distinct_count(left, &[lcol]);
-                    let ndv_r = mq.distinct_count(right, &[rcol]);
-                    sel *= 1.0 / ndv_l.max(ndv_r).max(1.0);
                     continue;
                 }
             }
-            sel *= Self::predicate_selectivity(rel, &c, mq);
+            sel *= Self::predicate_selectivity(&c, &ndv);
         }
         // Kept in [0, 1] so the Semi/Anti cardinality math below never
         // raises a negative base to a fractional power (NaN).
@@ -603,7 +609,9 @@ impl MetadataProvider for DefaultMdProvider {
     }
 
     fn selectivity(&self, rel: &Rel, predicate: &RexNode, mq: &MetadataQuery) -> Option<f64> {
-        Some(Self::predicate_selectivity(rel, predicate, mq))
+        Some(Self::predicate_selectivity(predicate, &|col| {
+            mq.distinct_count(rel, &[col])
+        }))
     }
 
     fn distinct_count(&self, rel: &Rel, cols: &[usize], mq: &MetadataQuery) -> Option<f64> {

@@ -164,6 +164,11 @@ impl<'a> RuleCall<'a> {
         &self.rels[i]
     }
 
+    /// Every matched node, in pre-order (root first).
+    pub fn rels(&self) -> &[Rel] {
+        &self.rels
+    }
+
     /// Registers an equivalent expression for the pattern root.
     pub fn transform_to(&mut self, rel: Rel) {
         self.results.push(rel);

@@ -112,6 +112,57 @@ fn federation_battery_is_equivalent() {
     }
 }
 
+/// A join whose `ON` holds a one-sided `column = literal` conjunct used
+/// to send the planner's metadata round a cycle (the join's row count
+/// asked the join's distinct count, which asked its row count) until the
+/// stack overflowed. Each shape plans, matches the row oracle, and
+/// returns the rows of the same query with the conjunct written as the
+/// equivalent `WHERE` or derived-table filter.
+#[test]
+fn literal_conjunct_in_join_condition_plans() {
+    let conn = test_connection(300, 40);
+    let sorted = |sql: &str| {
+        let mut rows = conn.query(sql).expect(sql).rows;
+        rows.sort();
+        rows
+    };
+    for (on, rewritten) in [
+        (
+            "SELECT a.x, a.y, b.w FROM a JOIN b ON a.x = b.x AND b.w = 4",
+            "SELECT a.x, a.y, b.w FROM a JOIN b ON a.x = b.x WHERE b.w = 4",
+        ),
+        (
+            "SELECT a.x, a.y, b.w FROM a LEFT JOIN b ON a.x = b.x AND b.w = 4",
+            "SELECT a.x, a.y, b.w FROM a LEFT JOIN (SELECT x, w FROM b WHERE w = 4) b \
+             ON a.x = b.x",
+        ),
+        (
+            "SELECT a.y, b.x, b.w FROM a RIGHT JOIN b ON a.x = b.x AND a.y = 1",
+            "SELECT a.y, b.x, b.w FROM (SELECT x, y FROM a WHERE y = 1) a RIGHT JOIN b \
+             ON a.x = b.x",
+        ),
+        (
+            "SELECT a.y, b.w FROM a FULL JOIN b ON a.x = b.x AND a.y = 1",
+            "SELECT a.y, b.w FROM (SELECT y, CASE WHEN y = 1 THEN x END AS k FROM a) a \
+             FULL JOIN b ON a.k = b.x",
+        ),
+        (
+            "SELECT a.y, b.w FROM a JOIN b ON a.x = b.x OR a.y = 1",
+            "SELECT a.y, b.w FROM a, b WHERE a.x = b.x OR a.y = 1",
+        ),
+        (
+            "SELECT a.x, a.y, b.w FROM a JOIN b ON a.x = b.x AND b.w IN (2, 4)",
+            "SELECT a.x, a.y, b.w FROM a JOIN (SELECT x, w FROM b WHERE w IN (2, 4)) b \
+             ON a.x = b.x",
+        ),
+    ] {
+        check_equivalent(&conn, on);
+        let rows = sorted(on);
+        assert!(!rows.is_empty(), "{on}");
+        assert_eq!(rows, sorted(rewritten), "{on}");
+    }
+}
+
 // ---------------------------------------------------------------------
 // Property tests
 // ---------------------------------------------------------------------

@@ -10,6 +10,7 @@ mod matrix;
 use matrix::*;
 use proptest::prelude::*;
 use rcalcite_adapters::jdbc::JdbcAdapter;
+use rcalcite_adapters::Pushdown;
 use rcalcite_backends::memdb::MemDb;
 use rcalcite_core::catalog::TableRef;
 use rcalcite_core::datum::{Datum, Row};

@@ -7,6 +7,7 @@
 //! executed against the `memdb` backend through the JDBC adapter.
 
 use rcalcite_adapters::jdbc::JdbcAdapter;
+use rcalcite_adapters::Pushdown;
 use rcalcite_backends::memdb::{MemDb, SqlQuerySpec};
 use rcalcite_core::builder::RelBuilder;
 use rcalcite_core::catalog::Catalog;
