@@ -7,7 +7,7 @@
 //! `CassandraFilter` (same operator, cassandra convention), exactly as in
 //! the paper.
 
-use crate::helpers::{rex_to_predicates, QueryLog};
+use crate::helpers::{placeholders, rex_to_predicates, QueryLog};
 use crate::Pushdown;
 use rcalcite_backends::common::{CmpOp, ColPredicate};
 use rcalcite_backends::kvwide::{CqlQuery, KvWideStore, WideTableDef};
@@ -69,8 +69,15 @@ impl CassandraAdapter {
         })
     }
 
-    /// Folds a cassandra-convention subtree into one CQL query.
-    fn build(&self, rel: &Rel, q: &mut CqlQuery, def: &mut Option<WideTableDef>) -> Result<()> {
+    /// Folds a cassandra-convention subtree into one CQL query, binding
+    /// the `?`s of pushed filters from `ctx`.
+    fn build(
+        &self,
+        rel: &Rel,
+        ctx: &ExecContext,
+        q: &mut CqlQuery,
+        def: &mut Option<WideTableDef>,
+    ) -> Result<()> {
         match &rel.op {
             RelOp::Scan { table } => {
                 q.table = table.name.clone();
@@ -78,11 +85,11 @@ impl CassandraAdapter {
                 Ok(())
             }
             RelOp::Filter { condition } => {
-                self.build(rel.input(0), q, def)?;
+                self.build(rel.input(0), ctx, q, def)?;
                 let d = def.as_ref().ok_or_else(|| {
                     CalciteError::internal("cassandra executor: filter without scan")
                 })?;
-                let preds = rex_to_predicates(condition).ok_or_else(|| {
+                let preds = rex_to_predicates(&ctx.bind(condition)?).ok_or_else(|| {
                     CalciteError::internal("cassandra executor: unpushable filter")
                 })?;
                 q.partition_eq = partition_eqs(&preds, d);
@@ -96,7 +103,7 @@ impl CassandraAdapter {
             RelOp::Sort {
                 collation, fetch, ..
             } => {
-                self.build(rel.input(0), q, def)?;
+                self.build(rel.input(0), ctx, q, def)?;
                 let d = def.as_ref().ok_or_else(|| {
                     CalciteError::internal("cassandra executor: sort without scan")
                 })?;
@@ -233,7 +240,7 @@ impl Pushdown for CassandraAdapter {
 
     fn accepts(&self, rels: &[Rel]) -> bool {
         match &rels[0].op {
-            RelOp::Filter { condition } => rex_to_predicates(condition).is_some(),
+            RelOp::Filter { condition } => rex_to_predicates(&placeholders(condition)).is_some(),
             // The filter is already a CassandraFilter (paper: "this
             // requires that a LogicalFilter has been rewritten to a
             // CassandraFilter to ensure the partition filter is pushed
@@ -253,7 +260,7 @@ impl Pushdown for CassandraAdapter {
                 }
                 let (Some(def), Some(preds)) = (
                     self.store.table_def(&table.name),
-                    rex_to_predicates(condition),
+                    rex_to_predicates(&placeholders(condition)),
                 ) else {
                     return false;
                 };
@@ -266,13 +273,13 @@ impl Pushdown for CassandraAdapter {
         }
     }
 
-    fn run(&self, rel: &Rel, _ctx: &ExecContext) -> Result<Vec<Row>> {
+    fn run(&self, rel: &Rel, ctx: &ExecContext) -> Result<Vec<Row>> {
         let mut q = CqlQuery {
             allow_filtering: true,
             ..Default::default()
         };
         let mut def = None;
-        self.build(rel, &mut q, &mut def)?;
+        self.build(rel, ctx, &mut q, &mut def)?;
         if let Some(d) = &def {
             self.log.record(to_cql(&q, d));
         }
@@ -464,26 +471,51 @@ mod tests {
     }
 
     #[test]
-    fn dynamic_param_filter_stays_in_engine() {
-        // The cassandra executor builds CQL from literal values and never
-        // binds `?`, so a parameterised filter is not pushed.
+    fn dynamic_param_filter_binds_at_run_time() {
+        // The executor binds `?` before it builds the CQL, so a
+        // parameterised partition filter pushes down like its literal
+        // form (the sort over it too), and each execution ships its own
+        // value.
         let (conn, adapter) = connection();
         let sql = "SELECT ts, reading FROM events WHERE device = ? ORDER BY ts";
         let plan = conn.optimize(&conn.parse_to_rel(sql).unwrap()).unwrap();
         assert!(
-            !find(&plan, |n| n.kind() == RelKind::Filter
+            find(&plan, |n| n.kind() == RelKind::Filter
                 && n.convention.name() == "cassandra"),
             "{}",
             rcalcite_core::explain::explain(&plan)
         );
+        let prepared = conn.prepare(sql).unwrap();
         adapter.log.clear();
-        let bound = conn.prepare(sql).unwrap().query(&[Datum::Int(2)]).unwrap();
-        assert_eq!(adapter.log.entries(), vec!["SELECT * FROM events"]);
+        let bound = prepared.query(&[Datum::Int(2)]).unwrap();
+        let pushed = adapter.log.entries();
+        adapter.log.clear();
         let literal = conn
             .query("SELECT ts, reading FROM events WHERE device = 2 ORDER BY ts")
             .unwrap();
+        assert_eq!(pushed, adapter.log.entries());
+        assert_eq!(
+            pushed,
+            vec!["SELECT * FROM events WHERE device = 2 ORDER BY ts ASC"]
+        );
         assert_eq!(bound.rows, literal.rows);
         assert_eq!(bound.rows.len(), 4);
+        adapter.log.clear();
+        prepared.query(&[Datum::Int(3)]).unwrap();
+        assert_eq!(
+            adapter.log.entries(),
+            vec!["SELECT * FROM events WHERE device = 3 ORDER BY ts ASC"]
+        );
+        // `device = NULL` is never true, as in the engine, even with a
+        // row whose partition key is NULL.
+        adapter
+            .store
+            .insert(
+                "events",
+                vec![Datum::Null, Datum::Int(1), Datum::Double(0.5)],
+            )
+            .unwrap();
+        assert!(prepared.query(&[Datum::Null]).unwrap().rows.is_empty());
     }
 
     #[test]

@@ -22,27 +22,16 @@ pub fn rex_to_predicates(cond: &RexNode) -> Option<Vec<ColPredicate>> {
     Some(out)
 }
 
-/// Whether a conjunctive condition will convert to backend predicates
-/// once dynamic parameters are bound: the shape check planner rules use.
-/// [`rex_to_predicates`] needs literal *values* and so runs on the bound
-/// condition at execution time; this accepts a `?` anywhere a literal may
-/// appear, because by execution the binding has made it one.
-pub fn rex_is_pushable(cond: &RexNode) -> bool {
-    let is_value = |e: &RexNode| e.is_literal() || matches!(e, RexNode::DynamicParam { .. });
-    cond.conjuncts().iter().all(|c| {
-        let RexNode::Call { op, args, .. } = c else {
-            return false;
-        };
-        match op {
-            Op::IsNull | Op::IsNotNull => strip_cast(&args[0]).as_input_ref().is_some(),
-            Op::Like => strip_cast(&args[0]).as_input_ref().is_some() && is_value(&args[1]),
-            Op::Eq | Op::Ne | Op::Lt | Op::Le | Op::Gt | Op::Ge => {
-                (strip_cast(&args[0]).as_input_ref().is_some() && is_value(&args[1]))
-                    || (is_value(&args[0]) && strip_cast(&args[1]).as_input_ref().is_some())
-            }
-            _ => false,
-        }
-    })
+/// `cond` with each `?` standing as a NULL literal: the shape the
+/// backend query takes once `run` binds an execution's values. The
+/// planner-side "can the backend take this?" tests run the same
+/// conversion as `run` over it, so a parameterised filter pushes down
+/// exactly when its literal form would.
+pub fn placeholders(cond: &RexNode) -> RexNode {
+    let mut params = vec![];
+    cond.collect_params(&mut params);
+    cond.bind_params(&vec![Datum::Null; params.len()])
+        .expect("a placeholder for every parameter")
 }
 
 fn conjunct_to_predicate(c: &RexNode) -> Option<ColPredicate> {

@@ -4,7 +4,7 @@
 //! text in the configured dialect (paper §8.2: "The JDBC adapter supports
 //! the generation of multiple SQL dialects").
 
-use crate::helpers::{rex_is_pushable, rex_to_predicates, QueryLog};
+use crate::helpers::{placeholders, rex_to_predicates, QueryLog};
 use crate::Pushdown;
 use rcalcite_backends::memdb::{MemDb, SqlQuerySpec};
 use rcalcite_core::catalog::{MemTable, Schema, Statistic, Table};
@@ -162,11 +162,9 @@ impl Pushdown for JdbcAdapter {
     fn accepts(&self, rels: &[Rel]) -> bool {
         let input = rels[1].kind();
         match &rels[0].op {
-            // Shape check only: a `?` in a literal position is pushable —
-            // `run` binds it to its value before building the backend
-            // query spec.
             RelOp::Filter { condition } => {
-                matches!(input, RelKind::Scan | RelKind::Filter) && rex_is_pushable(condition)
+                matches!(input, RelKind::Scan | RelKind::Filter)
+                    && rex_to_predicates(&placeholders(condition)).is_some()
             }
             RelOp::Project { exprs, .. } => {
                 matches!(input, RelKind::Scan | RelKind::Filter | RelKind::Sort)

@@ -4,7 +4,7 @@
 //! on top with `CAST(_MAP['field'] ...)` projections. Filters over item
 //! accesses push down as native JSON find queries.
 
-use crate::helpers::{cmp_op, comparison, QueryLog};
+use crate::helpers::{cmp_op, comparison, placeholders, QueryLog};
 use crate::Pushdown;
 use rcalcite_backends::docstore::{json_to_datum, DocStore, FieldFilter, FindQuery};
 use rcalcite_backends::json::Json;
@@ -133,16 +133,17 @@ fn rex_to_field_filters(cond: &RexNode) -> Option<Vec<FieldFilter>> {
     Some(out)
 }
 
-/// Folds a mongo-convention subtree into one find query.
-fn build(rel: &Rel, q: &mut FindQuery) -> Result<()> {
+/// Folds a mongo-convention subtree into one find query, binding the
+/// filter's `?`s from `ctx`.
+fn build(rel: &Rel, ctx: &ExecContext, q: &mut FindQuery) -> Result<()> {
     match &rel.op {
         RelOp::Scan { table } => {
             q.collection = table.name.clone();
             Ok(())
         }
         RelOp::Filter { condition } => {
-            build(rel.input(0), q)?;
-            let filters = rex_to_field_filters(condition)
+            build(rel.input(0), ctx, q)?;
+            let filters = rex_to_field_filters(&ctx.bind(condition)?)
                 .ok_or_else(|| CalciteError::internal("mongo executor: unpushable filter"))?;
             q.filter.extend(filters);
             Ok(())
@@ -183,13 +184,24 @@ impl Pushdown for MongoAdapter {
         )]
     }
 
+    /// A `?` must be of a type a JSON filter can carry.
     fn accepts(&self, rels: &[Rel]) -> bool {
-        matches!(&rels[0].op, RelOp::Filter { condition } if rex_to_field_filters(condition).is_some())
+        let RelOp::Filter { condition } = &rels[0].op else {
+            return false;
+        };
+        let mut params = vec![];
+        condition.collect_params(&mut params);
+        params.iter().flatten().all(|t| {
+            matches!(
+                t.kind,
+                TypeKind::Boolean | TypeKind::Integer | TypeKind::Double | TypeKind::Varchar
+            )
+        }) && rex_to_field_filters(&placeholders(condition)).is_some()
     }
 
-    fn run(&self, rel: &Rel, _ctx: &ExecContext) -> Result<Vec<Row>> {
+    fn run(&self, rel: &Rel, ctx: &ExecContext) -> Result<Vec<Row>> {
         let mut q = FindQuery::default();
-        build(rel, &mut q)?;
+        build(rel, ctx, &mut q)?;
         self.log.record(q.to_json().to_string());
         let docs = self.store.find(&q)?;
         Ok(docs.iter().map(|d| vec![json_to_datum(d)]).collect())
@@ -258,6 +270,30 @@ mod tests {
         assert!(native.contains("\"find\": \"zips\""), "{native}");
         assert!(native.contains("\"pop\""), "{native}");
         assert!(native.contains("$gt"), "{native}");
+    }
+
+    #[test]
+    fn dynamic_param_filter_binds_at_run_time() {
+        // `?` is bound before the find is built: the parameterised filter
+        // pushes down and ships the same JSON as its literal form.
+        let (conn, adapter) = connection();
+        let text = |pop: &str| {
+            format!(
+                "SELECT CAST(_MAP['city'] AS varchar(20)) AS city FROM mongo_raw.zips \
+                 WHERE CAST(_MAP['pop'] AS integer) > {pop} ORDER BY city"
+            )
+        };
+        let prepared = conn.prepare(&text("?")).unwrap();
+        adapter.log.clear();
+        let bound = prepared.query(&[Datum::Int(300000)]).unwrap();
+        let pushed = adapter.log.entries();
+        adapter.log.clear();
+        let literal = conn.query(&text("300000")).unwrap();
+        assert_eq!(pushed.len(), 1);
+        assert!(pushed[0].contains("$gt"), "{pushed:?}");
+        assert_eq!(pushed, adapter.log.entries());
+        assert_eq!(bound.rows, literal.rows);
+        assert_eq!(bound.rows.len(), 2);
     }
 
     #[test]

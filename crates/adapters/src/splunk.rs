@@ -6,7 +6,7 @@
 //! cost model then prefers this plan whenever it avoids shipping the large
 //! event stream across the engine boundary.
 
-use crate::helpers::{rex_to_predicates, QueryLog};
+use crate::helpers::{placeholders, rex_to_predicates, QueryLog};
 use crate::Pushdown;
 use rcalcite_backends::logstore::{LogStore, LookupStage, Search, SearchTerm, SourceDef};
 use rcalcite_core::catalog::{Schema, Statistic, Table};
@@ -106,8 +106,15 @@ impl SplunkAdapter {
         }
     }
 
-    /// Folds a scan and its pushed filters into one search.
-    fn build_search(&self, rel: &Rel, q: &mut Search, def: &mut Option<SourceDef>) -> Result<()> {
+    /// Folds a scan and its pushed filters into one search, binding the
+    /// filters' `?`s from `ctx`.
+    fn build_search(
+        &self,
+        rel: &Rel,
+        ctx: &ExecContext,
+        q: &mut Search,
+        def: &mut Option<SourceDef>,
+    ) -> Result<()> {
         match &rel.op {
             RelOp::Scan { table } => {
                 q.source = table.name.clone();
@@ -115,11 +122,11 @@ impl SplunkAdapter {
                 Ok(())
             }
             RelOp::Filter { condition } => {
-                self.build_search(rel.input(0), q, def)?;
+                self.build_search(rel.input(0), ctx, q, def)?;
                 let d = def.as_ref().ok_or_else(|| {
                     CalciteError::internal("splunk executor: filter without scan")
                 })?;
-                let preds = rex_to_predicates(condition)
+                let preds = rex_to_predicates(&ctx.bind(condition)?)
                     .ok_or_else(|| CalciteError::internal("splunk executor: unpushable filter"))?;
                 for p in preds {
                     let field = d.fields.get(p.col).map(|(n, _)| n.clone()).ok_or_else(|| {
@@ -200,7 +207,7 @@ impl Pushdown for SplunkAdapter {
 
     fn accepts(&self, rels: &[Rel]) -> bool {
         match &rels[0].op {
-            RelOp::Filter { condition } => rex_to_predicates(condition).is_some(),
+            RelOp::Filter { condition } => rex_to_predicates(&placeholders(condition)).is_some(),
             // The left side must be a shape `run` turns into a search.
             RelOp::Join {
                 kind: JoinKind::Inner,
@@ -221,7 +228,7 @@ impl Pushdown for SplunkAdapter {
         } = &rel.op
         else {
             let mut search = Search::default();
-            self.build_search(rel, &mut search, &mut None)?;
+            self.build_search(rel, ctx, &mut search, &mut None)?;
             self.log.record(search.to_spl(None));
             return self.store.search(&search);
         };
@@ -232,7 +239,7 @@ impl Pushdown for SplunkAdapter {
 
         let mut search = Search::default();
         let mut def = None;
-        self.build_search(left, &mut search, &mut def)?;
+        self.build_search(left, ctx, &mut search, &mut def)?;
         let d =
             def.ok_or_else(|| CalciteError::internal("splunk executor: join without source"))?;
         let key_field = d.fields[lk].0.clone();
@@ -340,6 +347,30 @@ mod tests {
         assert!(!r.rows.is_empty());
         let spl = splunk.log.entries().join("\n");
         assert!(spl.contains("search source=orders units>45"), "{spl}");
+    }
+
+    #[test]
+    fn dynamic_param_filter_binds_at_run_time() {
+        // `?` is bound before the search is built: the parameterised
+        // filter pushes down and ships the same SPL as its literal form.
+        let (conn, splunk, _) = figure2();
+        let prepared = conn
+            .prepare("SELECT productid FROM orders WHERE units > ?")
+            .unwrap();
+        splunk.log.clear();
+        let bound = prepared.query(&[Datum::Int(45)]).unwrap();
+        let pushed = splunk.log.entries();
+        splunk.log.clear();
+        let literal = conn
+            .query("SELECT productid FROM orders WHERE units > 45")
+            .unwrap();
+        assert_eq!(pushed, splunk.log.entries());
+        assert!(
+            pushed[0].contains("search source=orders units>45"),
+            "{pushed:?}"
+        );
+        assert_eq!(bound.rows, literal.rows);
+        assert_eq!(bound.rows.len(), 20);
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! the clustering order — the two conditions the `CassandraSort` rule of
 //! the paper checks.
 
-use crate::common::ColPredicate;
+use crate::common::{CmpOp, ColPredicate};
 use parking_lot::RwLock;
 use rcalcite_core::datum::{Datum, Row};
 use rcalcite_core::error::{CalciteError, Result};
@@ -176,7 +176,13 @@ impl KvWideStore {
                         .unwrap()
                 })
                 .collect();
-            if let Some(partition) = t.partitions.get(&key) {
+            // `key = NULL` is never true, though NULL keys compare equal
+            // as `Datum`s.
+            let partition = t
+                .partitions
+                .get(&key)
+                .filter(|_| !key.iter().any(Datum::is_null));
+            if let Some(partition) = partition {
                 out.extend(partition.iter().cloned());
             }
             if q.reverse {
@@ -190,7 +196,7 @@ impl KvWideStore {
                     def.partition_key
                         .iter()
                         .position(|pk| pk == c)
-                        .map(|pos| &key[pos] == v)
+                        .map(|pos| CmpOp::Eq.matches(&key[pos], v))
                         .unwrap_or(false)
                 });
                 if key_ok || q.partition_eq.is_empty() {
@@ -267,6 +273,22 @@ mod tests {
         // ts DESC within the partition.
         let ts: Vec<i64> = rows.iter().map(|r| r[1].as_int().unwrap()).collect();
         assert_eq!(ts, vec![30, 20, 10]);
+    }
+
+    #[test]
+    fn a_null_partition_key_equality_reads_nothing() {
+        let s = store();
+        s.insert(
+            "events",
+            vec![Datum::Null, Datum::Int(1), Datum::Double(0.5)],
+        )
+        .unwrap();
+        let q = CqlQuery {
+            table: "events".into(),
+            partition_eq: vec![(0, Datum::Null)],
+            ..CqlQuery::scan("events")
+        };
+        assert!(s.execute(&q).unwrap().is_empty());
     }
 
     #[test]

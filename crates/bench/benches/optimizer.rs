@@ -1,16 +1,17 @@
 //! Optimizer benches (paper §6 claims):
-//! - `planners/*` — heuristic vs cost-based engines on join reordering
-//!   (plan quality is printed by `repro --planners`; this measures
-//!   planning time);
+//! - `planners/*` — heuristic vs cost-based engines on a join-order
+//!   workload, the cost-based one seeded by the join-order dynamic
+//!   program and exploring orientation with `JoinCommuteRule` (plan
+//!   quality is printed by `repro --planners`; this measures planning
+//!   time);
 //! - `metadata/*` — the metadata cache ablation ("a cache for metadata
 //!   results, which yields significant performance improvements");
 //! - `fig4/*` — execution time of the Figure 4 query before/after
 //!   FilterIntoJoinRule;
 //! - `e2e/*` — parse/validate/plan pipeline latency (Figure 1 path);
-//! - `join_scaling/*` — chain joins of 2–6 tables through a built
-//!   connection, guarded in-process: the search builds at most two
-//!   bindings per firing, finishes inside the default budget, and a
-//!   firing costs the same however deep the trees under it are.
+//! - `join_scaling/*` — chain joins of 2–8 tables through a built
+//!   connection, guarded in-process: every chain finishes inside the
+//!   default budget, the six-table chain in at most 1 000 firings.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rcalcite_bench::{deep_plan, figure4_connection, join_chain, FIGURE4_SQL};
@@ -19,12 +20,13 @@ use rcalcite_core::datum::Datum;
 use rcalcite_core::metadata::MetadataQuery;
 use rcalcite_core::planner::hep::HepPlanner;
 use rcalcite_core::planner::volcano::{FixpointMode, VolcanoPlanner};
-use rcalcite_core::rules::{default_logical_rules, join_exploration_rules};
+use rcalcite_core::rules::{default_logical_rules, JoinCommuteRule};
 use rcalcite_core::traits::Convention;
 use rcalcite_core::types::{RowTypeBuilder, TypeKind};
 use rcalcite_sql::Connection;
 use std::hint::black_box;
-use std::time::{Duration, Instant};
+use std::sync::Arc;
+use std::time::Duration;
 
 fn bench_planners(c: &mut Criterion) {
     let mut g = c.benchmark_group("planners");
@@ -45,7 +47,7 @@ fn bench_planners(c: &mut Criterion) {
                 b.iter(|| {
                     let mq = MetadataQuery::standard();
                     let mut rules = default_logical_rules();
-                    rules.extend(join_exploration_rules());
+                    rules.push(Arc::new(JoinCommuteRule));
                     let mut v = VolcanoPlanner::new(rules);
                     v.add_rule(rcalcite_enumerable::implement_rule());
                     black_box(
@@ -59,7 +61,7 @@ fn bench_planners(c: &mut Criterion) {
             b.iter(|| {
                 let mq = MetadataQuery::standard();
                 let mut rules = default_logical_rules();
-                rules.extend(join_exploration_rules());
+                rules.push(Arc::new(JoinCommuteRule));
                 let mut v = VolcanoPlanner::new(rules).with_mode(FixpointMode::CostThreshold {
                     delta: 0.02,
                     patience: 3,
@@ -150,22 +152,21 @@ fn bench_e2e(c: &mut Criterion) {
     g.finish();
 }
 
-/// The ledger's `adhoc_plan` join-chain statements — `t1 … t6` of
-/// 100 … 600 rows joined on `t(k).next_id = t(k+1).id` — planned through
-/// a built connection (Hep, then the full cost-based battery with join
-/// exploration). Guards, before anything is timed for the report:
-///
-/// - counts, which repeat exactly: every chain finishes un-truncated
-///   inside the default budget, and the matcher builds at most two
-///   bindings per firing (the pre-incremental loop built thirteen);
-/// - one machine-independent ratio: time per firing on the five-table
-///   chain is at most 1.5× the two-table chain's — a firing's cost does
-///   not grow with the depth of the trees under it (it was 3.9× when
-///   every binding printed its subtrees).
+/// The ledger's `adhoc_plan` join-chain statements, extended to eight
+/// tables — `t1 … t8` of 100 … 800 rows joined on
+/// `t(k).next_id = t(k+1).id` — planned through a built connection (Hep,
+/// the join-order dynamic program, then the full cost-based battery).
+/// Guards, before anything is timed for the report, on counts, which
+/// repeat exactly: every chain finishes un-truncated inside the default
+/// budget, and the six-table chain in at most 1 000 firings (the rule
+/// cascade of commute and associate took 22 980, and ran out of budget
+/// from seven tables on). The search engine's own guards on bindings per
+/// firing and on the cost of a firing at depth are `volcano.rs` unit
+/// tests, which still drive that cascade.
 fn bench_join_scaling(c: &mut Criterion) {
     let catalog = Catalog::new();
     let schema = Schema::new();
-    for k in 1..=6i64 {
+    for k in 1..=8i64 {
         let rows = 100 * k;
         let row_type = RowTypeBuilder::new()
             .add_not_null("id", TypeKind::Integer)
@@ -194,39 +195,19 @@ fn bench_join_scaling(c: &mut Criterion) {
         conn.parse_to_rel(&sql).unwrap()
     };
 
-    let mut per_firing = vec![];
-    for n in 2..=6usize {
-        let logical = chain(n);
-        let (_, stats) = conn.optimize_with_stats(&logical).unwrap();
+    for n in 2..=8usize {
+        let (_, stats) = conn.optimize_with_stats(&chain(n)).unwrap();
         assert!(!stats.truncated, "join{n} was truncated: {stats:?}");
-        // The two-table chain is the exception (2.1): its memo is mostly
-        // physical expressions, each of which costs the two any-operator
-        // rules a binding they decline.
         assert!(
-            n == 2 || stats.bindings <= 2 * stats.rule_firings,
-            "join{n} built more than two bindings per firing: {stats:?}"
+            n != 6 || stats.rule_firings <= 1_000,
+            "join6 took more than 1 000 firings: {stats:?}"
         );
-        let mut samples: Vec<Duration> = (0..5)
-            .map(|_| {
-                let t0 = Instant::now();
-                black_box(conn.optimize_with_stats(&logical).unwrap());
-                t0.elapsed()
-            })
-            .collect();
-        samples.sort();
-        let us = samples[samples.len() / 2].as_secs_f64() * 1e6 / stats.rule_firings as f64;
-        eprintln!("join_scaling/join{n}: {us:.2} us/firing, {stats:?}");
-        per_firing.push(us);
+        eprintln!("join_scaling/join{n}: {stats:?}");
     }
-    let (join2, join5) = (per_firing[0], per_firing[3]);
-    assert!(
-        join5 <= 1.5 * join2,
-        "a firing on join5 costs {join5:.2} us, more than 1.5x join2's {join2:.2} us"
-    );
 
     let mut g = c.benchmark_group("join_scaling");
     g.sample_size(10).measurement_time(Duration::from_secs(2));
-    for n in 2..=6usize {
+    for n in 2..=8usize {
         let logical = chain(n);
         g.bench_with_input(BenchmarkId::new("optimize", n), &logical, |b, plan| {
             b.iter(|| black_box(conn.optimize(plan).unwrap()))

@@ -11,8 +11,9 @@ use rcalcite_core::explain::{explain, explain_with_costs};
 use rcalcite_core::metadata::MetadataQuery;
 use rcalcite_core::planner::hep::HepPlanner;
 use rcalcite_core::planner::volcano::VolcanoPlanner;
-use rcalcite_core::rules::{default_logical_rules, join_exploration_rules};
+use rcalcite_core::rules::{default_logical_rules, JoinCommuteRule};
 use rcalcite_core::traits::Convention;
+use std::sync::Arc;
 use std::time::Instant;
 
 fn banner(title: &str) {
@@ -370,7 +371,7 @@ fn planners() -> Result<()> {
             ),
         ] {
             let mut rules = default_logical_rules();
-            rules.extend(join_exploration_rules());
+            rules.push(Arc::new(JoinCommuteRule));
             let mut volcano = VolcanoPlanner::new(rules).with_mode(mode);
             volcano.add_rule(rcalcite_enumerable::implement_rule());
             let mq2 = MetadataQuery::standard();

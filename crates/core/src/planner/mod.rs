@@ -5,8 +5,18 @@
 //! exhaustive rule-application engine ([`hep::HepPlanner`]). "New engines
 //! are pluggable in the framework" — both implement [`PlannerEngine`], and
 //! multi-stage programs compose them ([`Program`]).
+//!
+//! A connection plans in three stages. Hep normalizes the logical plan
+//! with the rewrite rules that always pay (filter push-down, project
+//! merging, constant folding). The join-order dynamic program
+//! ([`join_order`]) then picks each inner-join region's order and seeds
+//! the Volcano memo with it beside the written tree. Volcano finally
+//! explores the rest by rules — join orientation, index access paths,
+//! adapter push-down, view substitution — and extracts the cheapest
+//! physical plan.
 
 pub mod hep;
+pub mod join_order;
 pub mod volcano;
 
 use crate::error::Result;

@@ -1,7 +1,9 @@
-//! Join exploration rules for the cost-based planner. These generate
-//! alternative join orders; the "dynamic programming approach" of the
-//! Volcano engine (§6) picks the cheapest — the capability the paper
-//! contrasts against Catalyst's greedy search.
+//! Join orientation for the cost-based planner. The join *order* of an
+//! inner-join region comes from one dynamic program
+//! ([`crate::planner::join_order`]) that seeds the Volcano memo; this
+//! rule only swaps the two inputs of a join, because which side is which
+//! is a physical choice: the hash join's build side, the inner side of an
+//! index-loop join, the left side of an adapter's join.
 
 use crate::rel::{self, JoinKind, RelKind, RelOp};
 use crate::rex::RexNode;
@@ -61,63 +63,8 @@ impl Rule for JoinCommuteRule {
     }
 }
 
-/// `(A ⋈ B) ⋈ C` → `A ⋈ (B ⋈ C)` for inner joins; conjuncts are assigned
-/// to the innermost join that covers their column references.
-pub struct JoinAssociateRule;
-
-impl Rule for JoinAssociateRule {
-    fn name(&self) -> &str {
-        "JoinAssociateRule"
-    }
-
-    fn pattern(&self) -> Pattern {
-        Pattern::with_children(
-            RelKind::Join,
-            vec![Pattern::of(RelKind::Join), Pattern::any()],
-        )
-    }
-
-    fn on_match(&self, call: &mut RuleCall) {
-        let top = call.rel(0);
-        let bottom = call.rel(1);
-        let (top_kind, top_cond) = match &top.op {
-            RelOp::Join { kind, condition } => (*kind, condition.clone()),
-            _ => return,
-        };
-        let (bot_kind, bot_cond) = match &bottom.op {
-            RelOp::Join { kind, condition } => (*kind, condition.clone()),
-            _ => return,
-        };
-        if top_kind != JoinKind::Inner || bot_kind != JoinKind::Inner {
-            return;
-        }
-        let a = bottom.input(0).clone();
-        let b = bottom.input(1).clone();
-        let c = top.input(1).clone();
-        let a_arity = a.row_type().arity();
-
-        // All conjuncts live in (A, B, C) coordinates: the bottom join's
-        // condition already uses the (A, B) prefix.
-        let mut conjuncts = bot_cond.conjuncts();
-        conjuncts.extend(top_cond.conjuncts());
-
-        // A conjunct goes to the inner (B ⋈ C) join iff it references no A
-        // column; inner coordinates are shifted down by |A|.
-        let mut inner = vec![];
-        let mut outer = vec![];
-        for cj in conjuncts {
-            let refs = cj.input_refs();
-            if refs.iter().all(|r| *r >= a_arity) {
-                inner.push(cj.shift(-(a_arity as isize)));
-            } else {
-                outer.push(cj);
-            }
-        }
-        let bc = rel::join(b, c, JoinKind::Inner, RexNode::and_all(inner));
-        let new_top = rel::join(a, bc, JoinKind::Inner, RexNode::and_all(outer));
-        call.transform_to(new_top);
-    }
-}
+#[cfg(test)]
+pub(crate) use tests::JoinAssociateRule;
 
 #[cfg(test)]
 mod tests {
@@ -127,6 +74,66 @@ mod tests {
     use crate::metadata::MetadataQuery;
     use crate::rel::Rel;
     use crate::types::{RelType, RowTypeBuilder, TypeKind};
+
+    /// `(A ⋈ B) ⋈ C` → `A ⋈ (B ⋈ C)` for inner joins; conjuncts are
+    /// assigned to the innermost join that covers their column
+    /// references. Planning uses the dynamic program instead; the search
+    /// engine's tests use this rule to drive set merges through the memo.
+    pub(crate) struct JoinAssociateRule;
+
+    impl Rule for JoinAssociateRule {
+        fn name(&self) -> &str {
+            "JoinAssociateRule"
+        }
+
+        fn pattern(&self) -> Pattern {
+            Pattern::with_children(
+                RelKind::Join,
+                vec![Pattern::of(RelKind::Join), Pattern::any()],
+            )
+        }
+
+        fn on_match(&self, call: &mut RuleCall) {
+            let top = call.rel(0);
+            let bottom = call.rel(1);
+            let (top_kind, top_cond) = match &top.op {
+                RelOp::Join { kind, condition } => (*kind, condition.clone()),
+                _ => return,
+            };
+            let (bot_kind, bot_cond) = match &bottom.op {
+                RelOp::Join { kind, condition } => (*kind, condition.clone()),
+                _ => return,
+            };
+            if top_kind != JoinKind::Inner || bot_kind != JoinKind::Inner {
+                return;
+            }
+            let a = bottom.input(0).clone();
+            let b = bottom.input(1).clone();
+            let c = top.input(1).clone();
+            let a_arity = a.row_type().arity();
+
+            // All conjuncts live in (A, B, C) coordinates: the bottom join's
+            // condition already uses the (A, B) prefix.
+            let mut conjuncts = bot_cond.conjuncts();
+            conjuncts.extend(top_cond.conjuncts());
+
+            // A conjunct goes to the inner (B ⋈ C) join iff it references no A
+            // column; inner coordinates are shifted down by |A|.
+            let mut inner = vec![];
+            let mut outer = vec![];
+            for cj in conjuncts {
+                let refs = cj.input_refs();
+                if refs.iter().all(|r| *r >= a_arity) {
+                    inner.push(cj.shift(-(a_arity as isize)));
+                } else {
+                    outer.push(cj);
+                }
+            }
+            let bc = rel::join(b, c, JoinKind::Inner, RexNode::and_all(inner));
+            let new_top = rel::join(a, bc, JoinKind::Inner, RexNode::and_all(outer));
+            call.transform_to(new_top);
+        }
+    }
 
     fn int_ty() -> RelType {
         RelType::not_null(TypeKind::Integer)

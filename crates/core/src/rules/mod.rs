@@ -17,7 +17,7 @@ pub use filter_rules::{
     FilterSortTransposeRule, FilterUnionTransposeRule,
 };
 pub use index_rules::{FilterToIndexSeekRule, JoinToIndexLoopRule, ProjectToIndexOnlyRule};
-pub use join_rules::{JoinAssociateRule, JoinCommuteRule};
+pub use join_rules::JoinCommuteRule;
 pub use project_rules::{ProjectMergeRule, ProjectRemoveRule};
 pub use prune_rules::{
     JoinReduceExpressionsRule, ProjectReduceExpressionsRule, PruneEmptyRule, ReduceExpressionsRule,
@@ -280,12 +280,6 @@ pub fn default_logical_rules() -> Vec<Arc<dyn Rule>> {
     ]
 }
 
-/// Exploration rules for the cost-based planner: enumerate the join-order
-/// search space.
-pub fn join_exploration_rules() -> Vec<Arc<dyn Rule>> {
-    vec![Arc::new(JoinCommuteRule), Arc::new(JoinAssociateRule)]
-}
-
 /// Index access-path rules. Cost-based alternatives only — they register
 /// a seek *next to* the scan and let the Volcano extractor pick, so they
 /// must never run in the heuristic (forced-rewrite) phase.
@@ -296,6 +290,9 @@ pub fn index_access_rules() -> Vec<Arc<dyn Rule>> {
         Arc::new(JoinToIndexLoopRule),
     ]
 }
+
+#[cfg(test)]
+pub(crate) use join_rules::JoinAssociateRule;
 
 #[cfg(test)]
 mod tests {

@@ -137,13 +137,11 @@ impl ConnectionBuilder {
         if let Some(bytes) = self.memory_budget {
             conn.set_memory_budget(rcalcite_core::buffer::MemoryBudget::bytes(bytes));
         }
-        // Cost-based join exploration (commute/associate) runs in the
-        // Volcano phase, where the memo deduplicates the alternatives;
-        // with ANALYZEd statistics this is what picks join order and puts
-        // the smaller input on the hash join's build side.
-        for r in rcalcite_core::rules::join_exploration_rules() {
-            conn.add_rule(r);
-        }
+        // Join order comes from the Volcano planner's dynamic-programming
+        // seed; commute lets the physical costs pick each join's
+        // orientation, e.g. the smaller input on the hash join's build
+        // side once ANALYZE has run.
+        conn.add_rule(Arc::new(rcalcite_core::rules::JoinCommuteRule));
         conn.add_rule(rcalcite_enumerable::implement_rule());
         conn.register_executor(Arc::new(EnumerableExecutor::new()));
         if self.interpreter {
